@@ -112,7 +112,8 @@ func TestCLIBenchQuickFigures(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bench := buildTool(t, dir, "lbp-bench")
-	out := runTool(t, bench, "-fig", "19")
+	// -outdir: the default (.) would overwrite the tracked root record.
+	out := runTool(t, bench, "-fig", "19", "-outdir", dir)
 	for _, want := range []string{"Figure 19", "base", "tiled", "fastest"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -344,32 +345,35 @@ func TestCLIRunBankValidation(t *testing.T) {
 	}
 }
 
-// TestCLIRunWorkersValidation: negative -simworkers or -tail are usage
-// errors (exit 2) with a message naming the bad value, matching the
-// -bank validation; valid values still run.
+// TestCLIRunWorkersValidation: -simworkers is gone with the sharded
+// stepper, so it is an unknown flag (exit 2) whatever its value; a
+// negative -tail is still a usage error (exit 2) with a message naming
+// the bad value, matching the -bank validation; valid values still run.
 func TestCLIRunWorkersValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
 	lbprun := buildTool(t, dir, "lbp-run")
-	for _, args := range [][]string{
-		{"-simworkers", "-1", "testdata/hello.s"},
-		{"-simworkers", "-8", "testdata/hello.s"},
-		{"-tail", "-3", "testdata/hello.s"},
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-simworkers", "2", "testdata/hello.s"}, "flag provided but not defined: -simworkers"},
+		{[]string{"-tail", "-3", "testdata/hello.s"}, "must not be negative"},
 	} {
-		out, err := exec.Command(lbprun, args...).CombinedOutput()
+		out, err := exec.Command(lbprun, tc.args...).CombinedOutput()
 		var exitErr *exec.ExitError
 		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-			t.Errorf("%v: err = %v, want exit code 2\n%s", args, err, out)
+			t.Errorf("%v: err = %v, want exit code 2\n%s", tc.args, err, out)
 		}
-		if !strings.Contains(string(out), "must not be negative") {
-			t.Errorf("%v error message: %s", args, out)
+		if !strings.Contains(string(out), tc.msg) {
+			t.Errorf("%v error message: %s", tc.args, out)
 		}
 	}
-	out := runTool(t, lbprun, "-cores", "1", "-simworkers", "2", "-tail", "0", "testdata/hello.s")
+	out := runTool(t, lbprun, "-cores", "1", "-tail", "0", "testdata/hello.s")
 	if !strings.Contains(out, "halt:     exit") {
-		t.Errorf("valid -simworkers run: %s", out)
+		t.Errorf("valid -tail run: %s", out)
 	}
 }
 
@@ -693,7 +697,7 @@ func TestCLIFuzzSmoke(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-n", "0"},
-		{"-workers", "1,x"},
+		{"-workers", "1"}, // the worker-count axis is gone: unknown flag
 		{"-ffwd", "sometimes"},
 		{"-maxcores", "0"},
 	} {

@@ -30,7 +30,6 @@ type benchFile struct {
 	Figure      int                 `json:"figure"`
 	Rows        []figures.MatmulRow `json:"rows"`
 	WallTimeSec float64             `json:"wallTimeSec"`
-	SimWorkers  int                 `json:"simWorkers"`
 }
 
 func readBench(path string) (*benchFile, error) {

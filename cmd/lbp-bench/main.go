@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	lbp-bench [-parallel N] [-simworkers N] [-json] [-outdir DIR] [-profile] [-phases N] [-cpuprofile FILE] [-memprofile FILE] -fig 19|20|21|22|det|harts|io|locality|ablate|chips|response|all
+//	lbp-bench [-parallel N] [-json] [-outdir DIR] [-profile] [-phases N] [-cpuprofile FILE] [-memprofile FILE] -fig 19|20|21|22|det|harts|io|locality|ablate|chips|response|all
 //
 // -profile embeds a deterministic performance-counter snapshot (cycle
 // attribution by stall cause, retired mix, stage occupancy, per-link-class
@@ -25,11 +25,6 @@
 // and therefore in the BENCH_fig<N>.json records. Counters never feed back
 // into simulated timing, so rows and digests are byte-identical with and
 // without -profile, for any -parallel value.
-//
-// -simworkers shards the cycle loop of each simulated machine across N
-// host threads (0 = all CPUs); like -parallel, it changes only wall time,
-// never a simulated result. The matmul BENCH records include per-row host
-// wall time and simulated-cycles-per-second so the effect is measurable.
 //
 // -cpuprofile / -memprofile capture host-side pprof profiles of the
 // simulator itself (the whole lbp-bench invocation), for finding the next
@@ -68,7 +63,6 @@ func main() {
 	outdir := flag.String("outdir", ".", "directory receiving the BENCH_fig<N>.json records")
 	profile := flag.Bool("profile", false, "embed deterministic perf-counter snapshots in matmul rows and BENCH records")
 	phases := flag.Int("phases", 24, "arrival phases for the -fig response sweep (must be positive)")
-	simWorkers := flag.Int("simworkers", 1, "host threads stepping each simulated machine (0 = all CPUs, 1 = single-threaded)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU pprof profile of the simulator to `file`")
 	memProfile := flag.String("memprofile", "", "write a host-side heap pprof profile of the simulator to `file`")
 	flag.Parse()
@@ -84,7 +78,6 @@ func main() {
 	responsePhases = *phases
 	figures.Parallelism = *parallel
 	figures.Profile = *profile
-	figures.SimWorkers = *simWorkers
 	figures.RecordThroughput = true
 	// A profile that fails to flush or close is silently truncated and
 	// useless; report the error and make the run exit nonzero. The exit
@@ -184,9 +177,8 @@ type benchRecord struct {
 	Rows        []figures.MatmulRow `json:"rows"`
 	Phi         *phimodel.Result    `json:"xeonPhiModel,omitempty"`
 	WallTimeSec float64             `json:"wallTimeSec"`
-	Parallel    int                 `json:"parallel"`   // the -parallel setting
-	SimWorkers  int                 `json:"simWorkers"` // the -simworkers setting
-	Profile     bool                `json:"profile"`    // rows carry perf snapshots
+	Parallel    int                 `json:"parallel"` // the -parallel setting
+	Profile     bool                `json:"profile"`  // rows carry perf snapshots
 	Host        hostInfo            `json:"host"`
 	GeneratedAt string              `json:"generatedAt"`
 }
@@ -207,7 +199,6 @@ func writeBenchRecord(figNo int, rows []figures.MatmulRow, phi *phimodel.Result,
 		Phi:         phi,
 		WallTimeSec: wall.Seconds(),
 		Parallel:    figures.Parallelism,
-		SimWorkers:  figures.SimWorkers,
 		Profile:     figures.Profile,
 		Host: hostInfo{
 			GoOS:       runtime.GOOS,

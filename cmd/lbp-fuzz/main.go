@@ -1,14 +1,14 @@
 // lbp-fuzz is the whole-program determinism fuzzer: it generates
 // random MiniC + Deterministic OpenMP programs (internal/fuzzgen),
 // compiles each one with internal/cc, runs it on simulated LBP
-// machines across a {cores} × {-simworkers} × {-ffwd} matrix, and
-// requires every run to reproduce the Go reference evaluator's
-// sequential result bit-for-bit — with all runs on one machine
-// geometry sharing a single trace digest.
+// machines across a {cores} × {-ffwd} matrix, and requires every run
+// to reproduce the Go reference evaluator's sequential result
+// bit-for-bit — with all runs on one machine geometry sharing a single
+// trace digest.
 //
 // Usage:
 //
-//	lbp-fuzz [-n 100] [-seed 1] [-maxcores 4] [-max CYCLES] [-workers 1,3] [-ffwd both|on|off] [-crashdir DIR] [-v]
+//	lbp-fuzz [-n 100] [-seed 1] [-maxcores 4] [-max CYCLES] [-ffwd both|on|off] [-crashdir DIR] [-v]
 //
 // Any divergence is minimized with the built-in shrinker and written
 // to -crashdir as a <name>.c program plus a <name>.json reference
@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/fuzzgen"
 )
@@ -31,7 +29,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "master seed (each program derives its own sub-seed)")
 	maxCores := flag.Int("maxcores", 4, "largest machine of the cores ladder {1,2,4,256}")
 	maxCycles := flag.Uint64("max", 0, "cycle budget per run (0 = 20M)")
-	workers := flag.String("workers", "1,3", "comma-separated -simworkers values to cross")
 	ffwd := flag.String("ffwd", "both", "fast-forward settings to cross: both|on|off")
 	crashdir := flag.String("crashdir", "testdata/fuzz", "directory receiving minimized failing programs")
 	verbose := flag.Bool("v", false, "log every program, not just failures")
@@ -43,11 +40,6 @@ func main() {
 	}
 	if *n <= 0 {
 		fmt.Fprintf(os.Stderr, "lbp-fuzz: -n %d must be positive\n", *n)
-		os.Exit(2)
-	}
-	ws, err := parseWorkers(*workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbp-fuzz: %v\n", err)
 		os.Exit(2)
 	}
 	ff, err := parseFFwd(*ffwd)
@@ -62,7 +54,6 @@ func main() {
 
 	opt := fuzzgen.CheckOptions{
 		MaxCycles: *maxCycles,
-		Workers:   ws,
 		FFwd:      ff,
 		MaxCores:  *maxCores,
 	}
@@ -96,21 +87,6 @@ func main() {
 	if len(stats.Failures) > 0 {
 		os.Exit(1)
 	}
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("-workers %q: entries must be non-negative integers", s)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workers %q: need at least one value", s)
-	}
-	return out, nil
 }
 
 func parseFFwd(s string) ([]bool, error) {

@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	lbp-run [-cores N] [-max CYCLES] [-bank BYTES] [-simworkers N] [-ffwd=false] [-digest] [-tail N] [-percore] [-stats] [-chrome FILE] [-checkpoint FILE -every N] file.{c,s,img}
-//	lbp-run -resume FILE [-max CYCLES] [-simworkers N] [-ffwd=false] [flags]
+//	lbp-run [-cores N] [-max CYCLES] [-bank BYTES] [-ffwd=false] [-digest] [-tail N] [-percore] [-stats] [-chrome FILE] [-checkpoint FILE -every N] file.{c,s,img}
+//	lbp-run -resume FILE [-max CYCLES] [-ffwd=false] [flags]
 //
-// -simworkers shards the machine's cycle loop across N host threads
-// (0 = all CPUs); -ffwd=false disables idle-cycle fast-forward. Both are
-// host-side knobs: cycle counts, stats, digests and -chrome exports are
-// bit-identical for every setting.
+// -ffwd=false disables idle-cycle fast-forward, a host-side knob: cycle
+// counts, stats, digests and -chrome exports are bit-identical either
+// way.
 //
 // -stats enables the deterministic performance counters and prints a
 // cycle-attribution report after the run: where every hart-cycle went
@@ -27,8 +26,8 @@
 // FILE with the machine's complete serialized state. -resume FILE picks
 // such a run back up (no program argument: the program lives inside the
 // checkpoint) and reproduces the uninterrupted run bit-exactly — same
-// halt, stats, digest and trace, for any -simworkers/-ffwd combination
-// on either side of the split. -max is always the absolute cycle budget;
+// halt, stats, digest and trace, for either -ffwd setting on either
+// side of the split. -max is always the absolute cycle budget;
 // a resumed run counts the cycles already simulated against it.
 package main
 
@@ -52,16 +51,11 @@ func main() {
 	tail := flag.Int("tail", 0, "print the last N trace events")
 	stats := flag.Bool("stats", false, "enable performance counters and print the cycle-attribution report")
 	chrome := flag.String("chrome", "", "write the retained trace events as Chrome trace-event JSON to `file`")
-	simWorkers := flag.Int("simworkers", 1, "host threads stepping the machine (0 = all CPUs, 1 = single-threaded)")
 	ffwd := flag.Bool("ffwd", true, "fast-forward idle cycles (never changes simulated results)")
 	ckptFile := flag.String("checkpoint", "", "rewrite `file` with the serialized machine state every -every cycles")
 	every := flag.Uint64("every", 0, "checkpoint interval in cycles (requires -checkpoint)")
 	resume := flag.String("resume", "", "resume a run from checkpoint `file` instead of loading a program")
 	flag.Parse()
-	if *simWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "lbp-run: -simworkers %d must not be negative (0 = all CPUs)\n", *simWorkers)
-		os.Exit(2)
-	}
 	if err := lbp.ValidateGeometry(*cores, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "lbp-run: -cores: %v\n", err)
 		os.Exit(2)
@@ -87,7 +81,6 @@ func main() {
 		}
 		sess, err = sim.Resume(data, sim.ResumeSpec{
 			MaxCycles:     *max,
-			SimWorkers:    runWorkers(*simWorkers),
 			NoFastForward: !*ffwd,
 		})
 		if err != nil {
@@ -133,7 +126,6 @@ func main() {
 			MaxCycles:       *max,
 			Trace:           sim.TraceSpec{Digest: *digest, Ring: ring},
 			Profile:         *stats,
-			SimWorkers:      runWorkers(*simWorkers),
 			NoFastForward:   !*ffwd,
 		})
 		if err != nil {
@@ -154,15 +146,6 @@ func main() {
 		fatal(err)
 	}
 	report(sess, res, *perCore, *stats, *digest, *tail, *chrome)
-}
-
-// runWorkers maps the -simworkers convention (0 = all CPUs) onto the
-// sim.Spec convention (negative = all CPUs, 0/1 = single-threaded).
-func runWorkers(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
 }
 
 // report prints the run summary and the requested observer output.

@@ -144,6 +144,14 @@ type backend struct {
 
 	mu   sync.Mutex
 	conn *rpc.Conn // nil until dialed; dropped on transport death
+	down bool      // the last dial failed or the last conn died; cleared by the next successful dial
+}
+
+// isDown reports whether the backend was last seen dead.
+func (b *backend) isDown() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.down
 }
 
 // Coordinator shards jobs across worker backends with digest-affine
@@ -331,7 +339,10 @@ func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 
 // next blocks until a job is available for backend b — its own queue
 // first, then a steal from the deepest queue at or beyond StealDepth —
-// or the coordinator closes (nil).
+// or the coordinator closes (nil). A backend last seen dead does not
+// steal: it would burn the attempts of jobs that were failing over to a
+// live backend. Its own queue still probes it, so it rejoins when the
+// worker comes back.
 func (c *Coordinator) next(b *backend) *pending {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -345,10 +356,12 @@ func (c *Coordinator) next(b *backend) *pending {
 			return p
 		}
 		var victim *backend
-		for _, o := range c.backs {
-			if o != b && len(o.queue) >= c.cfg.StealDepth &&
-				(victim == nil || len(o.queue) > len(victim.queue)) {
-				victim = o
+		if !b.isDown() {
+			for _, o := range c.backs {
+				if o != b && len(o.queue) >= c.cfg.StealDepth &&
+					(victim == nil || len(o.queue) > len(victim.queue)) {
+					victim = o
+				}
 			}
 		}
 		if victim != nil {
@@ -385,6 +398,7 @@ func (c *Coordinator) connect(b *backend) (*rpc.Conn, error) {
 		return b.conn, nil
 	}
 	nc, err := net.DialTimeout("tcp", b.addr, c.cfg.DialTimeout)
+	b.down = err != nil
 	if err != nil {
 		return nil, err
 	}
@@ -398,6 +412,7 @@ func (c *Coordinator) drop(b *backend, conn *rpc.Conn) {
 	b.mu.Lock()
 	if b.conn == conn {
 		b.conn = nil
+		b.down = true
 	}
 	b.mu.Unlock()
 }

@@ -253,6 +253,57 @@ func TestWorkStealing(t *testing.T) {
 	}
 }
 
+// TestDeadBackendDoesNotSteal: a backend whose dial was refused must not
+// steal from a live backend's deep queue — each steal would burn an
+// attempt of a job that was never routed to it, and with two attempts
+// fail it outright.
+func TestDeadBackendDoesNotSteal(t *testing.T) {
+	_, live := startWorker(t, WorkerConfig{Slice: 1024})
+	c, err := New(Config{
+		Backends: []string{"127.0.0.1:1", live}, PerBackend: 1, StealDepth: 2,
+		Attempts: 2, RetryBackoff: time.Millisecond, DialTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keyFor := func(backend int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("key-%d", i); c.ring.walk(k)[0] == backend {
+				return k
+			}
+		}
+	}
+	// The first job is affine to the dead backend (alone in its queue, so
+	// below StealDepth): it discovers the backend is down and fails over.
+	// The rest pile up on the live backend's single slot.
+	const jobs = 17
+	errs := make([]error, jobs)
+	var wg sync.WaitGroup
+	for i := 0; i < jobs; i++ {
+		job := &Job{ID: fmt.Sprintf("job-%d", i), Key: keyFor(min(i, 1)),
+			Image: imageOf(t, quickSource), Cores: 1, MaxCycles: 1_000_000}
+		if i == 0 {
+			_, errs[0] = c.Do(context.Background(), job)
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = c.Do(context.Background(), job)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+	if s := c.Metrics().Steals; s != 0 {
+		t.Errorf("dead backend stole %d jobs", s)
+	}
+}
+
 // TestWorkerLossMigratesFromCheckpoint is the tentpole acceptance
 // test: a worker dies mid-job, the coordinator re-dispatches the job
 // to the survivor resuming from the last streamed checkpoint, and the

@@ -41,14 +41,6 @@ var Parallelism = 1
 // so snapshots, like digests, are byte-identical for any Parallelism.
 var Profile = false
 
-// SimWorkers is the *intra-run* worker count handed to every figure
-// machine (lbp.Machine.SetSimWorkers): 1 steps each simulation on a
-// single goroutine, 0 uses all host CPUs. Unlike Parallelism, which
-// fans out whole simulations, SimWorkers shards the compute phase of a
-// single machine's cycle loop; both knobs leave every simulated result
-// bit-identical and compose freely.
-var SimWorkers = 1
-
 // FastForward toggles idle-cycle fast-forward on the figure machines
 // (on by default, matching lbp.New). Exposed for the equivalence tests.
 var FastForward = true
@@ -73,21 +65,10 @@ var ThroughputRepeats = 3
 // Parallelism-sized fan-out.
 var pool sim.Pool
 
-// specSimWorkers translates the package SimWorkers knob (0 = all host
-// CPUs, lbp.SetSimWorkers convention) into the sim.Spec convention
-// (0 = single-threaded, negative = all host CPUs).
-func specSimWorkers() int {
-	if SimWorkers == 0 {
-		return -1
-	}
-	return SimWorkers
-}
-
 // Throughput records the host-side execution speed of one simulation.
 type Throughput struct {
 	WallSec       float64 // host seconds inside Machine.Run
 	CyclesPerSec  float64 // simulated cycles per host second
-	SimWorkers    int     // intra-run worker count used
 	FastForwarded uint64  // simulated cycles covered by fast-forward
 }
 
@@ -135,7 +116,6 @@ func runMatmulProg(prog *asm.Program, v workloads.MatmulVariant, h int) (MatmulR
 		MaxCycles:     workloads.MaxMatmulCycles(h),
 		Trace:         sim.TraceSpec{Digest: true},
 		Profile:       Profile,
-		SimWorkers:    specSimWorkers(),
 		NoFastForward: !FastForward,
 	})
 	if err != nil {
@@ -185,7 +165,6 @@ func runMatmulProg(prog *asm.Program, v workloads.MatmulVariant, h int) (MatmulR
 		}
 		t := &Throughput{
 			WallSec:       wall,
-			SimWorkers:    sess.Machine().SimWorkers(),
 			FastForwarded: res.Stats.FastForwarded,
 		}
 		if wall > 0 {

@@ -84,7 +84,6 @@ func runScaleProg(prog *asm.Program, n int) (MatmulRow, error) {
 		MaxCycles:     uint64(n)*4*scaleChunk*1000 + 1_000_000,
 		Trace:         sim.TraceSpec{Digest: true},
 		Profile:       Profile,
-		SimWorkers:    specSimWorkers(),
 		NoFastForward: !FastForward,
 	})
 	if err != nil {
@@ -137,7 +136,6 @@ func runScaleProg(prog *asm.Program, n int) (MatmulRow, error) {
 		}
 		t := &Throughput{
 			WallSec:       wall,
-			SimWorkers:    sess.Machine().SimWorkers(),
 			FastForwarded: res.Stats.FastForwarded,
 		}
 		if wall > 0 {

@@ -1,10 +1,9 @@
 // Package fuzzgen generates random whole MiniC + Deterministic OpenMP
 // programs, evaluates them under sequential C semantics with a Go
 // reference evaluator, and differentially checks the compiled program
-// on the simulated LBP machine across a {cores} × {-simworkers} ×
-// {-ffwd} matrix: every run must reproduce the reference memory image
-// bit-for-bit and all runs on one machine geometry must share a single
-// trace digest.
+// on the simulated LBP machine across a {cores} × {-ffwd} matrix:
+// every run must reproduce the reference memory image bit-for-bit and
+// all runs on one machine geometry must share a single trace digest.
 //
 // Programs are race-free by construction, so their parallel and
 // sequential semantics coincide (the paper's determinism claim then

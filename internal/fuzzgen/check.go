@@ -10,8 +10,8 @@ import (
 )
 
 // The differential checker: one program, one reference result, a
-// matrix of machine geometries and host execution knobs. Host knobs
-// (-simworkers, -ffwd) must never change anything; machine geometry
+// matrix of machine geometries and fast-forward settings. The host
+// knob (-ffwd) must never change anything; machine geometry
 // (cores) may change timing — and therefore the trace digest — but
 // never a computed value.
 
@@ -19,8 +19,6 @@ import (
 type CheckOptions struct {
 	// MaxCycles bounds every run (0 = 20M).
 	MaxCycles uint64
-	// Workers are the -simworkers values (nil = {1, 3}).
-	Workers []int
 	// FFwd are the fast-forward settings (nil = {true, false}).
 	FFwd []bool
 	// MaxCores caps the cores ladder {1,2,4,256} (0 = 4). Programs run
@@ -33,9 +31,6 @@ type CheckOptions struct {
 func (o CheckOptions) withDefaults() CheckOptions {
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 20_000_000
-	}
-	if o.Workers == nil {
-		o.Workers = []int{1, 3}
 	}
 	if o.FFwd == nil {
 		o.FFwd = []bool{true, false}
@@ -106,43 +101,40 @@ func CheckSource(src string, minCores int, expect State, opt CheckOptions) (int,
 	}
 	runs := 0
 	for _, cores := range coresLadder(minCores, opt.MaxCores) {
-		// Every host-knob combination on one machine geometry must
+		// Both fast-forward settings on one machine geometry must
 		// produce one digest; only the geometry may change timing.
 		var wantDig uint64
 		var wantCfg string
-		for _, workers := range opt.Workers {
-			for _, ffwd := range opt.FFwd {
-				cfg := fmt.Sprintf("cores=%d simworkers=%d ffwd=%v", cores, workers, ffwd)
-				sess, err := sim.New(sim.Spec{
-					Program:       prog,
-					Cores:         cores,
-					MaxCycles:     opt.MaxCycles,
-					Trace:         sim.TraceSpec{Digest: true},
-					SimWorkers:    workers,
-					NoFastForward: !ffwd,
-				})
-				if err != nil {
-					return runs, fail("run", "%s: %v", cfg, err)
-				}
-				res, err := sess.Run()
-				if err != nil {
-					return runs, fail("run", "%s: %v", cfg, err)
-				}
-				runs++
-				if res.Halt != "exit" {
-					return runs, fail("run", "%s: halt %q after %d cycles",
-						cfg, res.Halt, res.Stats.Cycles)
-				}
-				if d := compareState(sess, prog.Symbols, expect); d != "" {
-					return runs, fail("value", "%s: %s", cfg, d)
-				}
-				dig := sess.Recorder().Digest()
-				if wantCfg == "" {
-					wantDig, wantCfg = dig, cfg
-				} else if dig != wantDig {
-					return runs, fail("digest",
-						"%s: digest %#x differs from %#x of %s", cfg, dig, wantDig, wantCfg)
-				}
+		for _, ffwd := range opt.FFwd {
+			cfg := fmt.Sprintf("cores=%d ffwd=%v", cores, ffwd)
+			sess, err := sim.New(sim.Spec{
+				Program:       prog,
+				Cores:         cores,
+				MaxCycles:     opt.MaxCycles,
+				Trace:         sim.TraceSpec{Digest: true},
+				NoFastForward: !ffwd,
+			})
+			if err != nil {
+				return runs, fail("run", "%s: %v", cfg, err)
+			}
+			res, err := sess.Run()
+			if err != nil {
+				return runs, fail("run", "%s: %v", cfg, err)
+			}
+			runs++
+			if res.Halt != "exit" {
+				return runs, fail("run", "%s: halt %q after %d cycles",
+					cfg, res.Halt, res.Stats.Cycles)
+			}
+			if d := compareState(sess, prog.Symbols, expect); d != "" {
+				return runs, fail("value", "%s: %s", cfg, d)
+			}
+			dig := sess.Recorder().Digest()
+			if wantCfg == "" {
+				wantDig, wantCfg = dig, cfg
+			} else if dig != wantDig {
+				return runs, fail("digest",
+					"%s: digest %#x differs from %#x of %s", cfg, dig, wantDig, wantCfg)
 			}
 		}
 	}

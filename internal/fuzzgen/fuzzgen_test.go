@@ -41,7 +41,7 @@ func TestGeneratedProgramsCompile(t *testing.T) {
 }
 
 // TestCampaignFixedSeed is the in-tree fuzzing smoke: a small fixed-
-// seed campaign across the full {cores}x{workers}x{ffwd} matrix must
+// seed campaign across the full {cores}x{ffwd} matrix must
 // find zero divergences.
 func TestCampaignFixedSeed(t *testing.T) {
 	n := 25
@@ -64,7 +64,7 @@ func TestCampaignFixedSeed(t *testing.T) {
 // compares values: a deliberately wrong reference must fail.
 func TestCheckRejectsWrongExpectation(t *testing.T) {
 	src := "int out;\nvoid main() { out = 7; }\n"
-	opt := CheckOptions{Workers: []int{1}, FFwd: []bool{true}, MaxCores: 1}
+	opt := CheckOptions{FFwd: []bool{true}, MaxCores: 1}
 	if _, f := CheckSource(src, 1, State{"out": {7}}, opt); f != nil {
 		t.Fatalf("correct expectation rejected: %v", f)
 	}

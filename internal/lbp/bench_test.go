@@ -100,14 +100,10 @@ func BenchmarkFigRow(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseBCommit measures the commit-lane merge on a message-
-// dense workload: the placed set/get program at 256 cores, where every
-// hart forks, sends and joins, so phase B replays a pending item on
-// most cores most cycles. The serial sub-benchmark drives the single
-// coordinator lane (inline effects, lane replay); the sharded ones add
-// per-worker lane pre-materialization and the deterministic core-order
-// merge. Digests are identical across all three — only the host
-// throughput moves.
+// BenchmarkPhaseBCommit measures the effect path on a message-dense
+// workload: the placed set/get program at 256 cores, where every hart
+// forks, sends and joins, so most cores apply an effect most cycles and
+// every p_fn cycle replays deferred streams in phase B.
 func BenchmarkPhaseBCommit(b *testing.B) {
 	src := `
 #define H 1024
@@ -145,49 +141,37 @@ void main() {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"lanes-2w", 2},
-		{"lanes-4w", 4},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			sess, err := sim.New(sim.Spec{
-				Program:    prog,
-				Cores:      256,
-				MaxCycles:  50_000_000,
-				Trace:      sim.TraceSpec{Digest: true},
-				SimWorkers: bc.workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var cycles uint64
-			var digest uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sess.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Stats.Cycles
-				d := sess.Recorder().Digest()
-				if digest == 0 {
-					digest = d
-				} else if d != digest {
-					b.Fatalf("digest drifted: %#x != %#x", d, digest)
-				}
-				b.StopTimer()
-				if err := sess.Reset(prog); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-		})
+	sess, err := sim.New(sim.Spec{
+		Program:   prog,
+		Cores:     256,
+		MaxCycles: 50_000_000,
+		Trace:     sim.TraceSpec{Digest: true},
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	var cycles uint64
+	var digest uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sess.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Stats.Cycles
+		d := sess.Recorder().Digest()
+		if digest == 0 {
+			digest = d
+		} else if d != digest {
+			b.Fatalf("digest drifted: %#x != %#x", d, digest)
+		}
+		b.StopTimer()
+		if err := sess.Reset(prog); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // sanity: the bench sessions run and produce a nonempty digest trace.

@@ -20,18 +20,15 @@ type core struct {
 
 	perf *perf.CoreCounters // stage-occupancy counters (always counted)
 
-	// Phase-A outputs: the ordered stream of deferred cross-core/global
-	// effects and the cycle's trace events, both drained by
-	// Machine.applyPending (phase B); whole-run statistic counters
-	// folded into the totals by Machine.result; and the
-	// did-any-hart-commit flag. activeEdge
-	// marks a busy-count 0<->nonzero transition (active-list rebuild);
+	// Effects and trace events deferred behind a p_fn of this cycle,
+	// drained by Machine.applyDeferred (phase B); whole-run statistic
+	// counters folded into the totals by Machine.result. activeEdge marks
+	// a busy-count 0<->nonzero transition (active-list rebuild);
 	// freeSnap is the cycle-start "has a free hart" snapshot the
-	// *previous* core's p_fn issue check reads race-free.
+	// *previous* core's p_fn issue check reads.
 	pend                              []pendItem
 	evbuf                             []trace.Event
 	statFetched, statForks, statSends uint64
-	committed                         bool
 	activeEdge                        bool
 	freeSnap                          bool
 }
@@ -39,9 +36,9 @@ type core struct {
 // stepCompute advances the core by one cycle (phase A). Stages run in
 // reverse pipeline order so that a stage's output is consumed by the
 // next stage one cycle later at the earliest. It mutates only this
-// core's state — everything cross-core or machine-global lands in the
-// pending stream (or, on a serial cycle, applies inline; see
-// core.effect) — and reports whether any stage did work.
+// core's state and the machine's progress stamp — everything else
+// cross-core or machine-global goes through core.effect — and reports
+// whether any stage did work.
 func (c *core) stepCompute(now uint64) bool {
 	start := c.perf.StageBusy
 	c.commit(now)
@@ -238,9 +235,8 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		if c.idx+1 >= len(c.m.cores) {
 			return true
 		}
-		// The cycle-start snapshot, not live state: the next core's own
-		// compute phase may be allocating or freeing harts concurrently.
-		// The allocation itself re-resolves in phase B, in core order.
+		// The cycle-start snapshot: cross-core state is read as of the
+		// cycle boundary. The allocation itself resolves in phase B.
 		return c.m.cores[c.idx+1].freeSnap
 	}
 	return true
@@ -310,10 +306,10 @@ func (c *core) execLoad(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "load from unmapped address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	// Arm the hart's reusable load client here in phase A: at most one
-	// load is in flight per hart (the 1-deep result buffer holds the
-	// previous one in the exec slot until delivery), so the slot is
-	// idle, and nothing reads it before phase B submits it.
+	// Arm the hart's reusable load client: at most one load is in
+	// flight per hart (the 1-deep result buffer holds the previous one
+	// in the exec slot until delivery), so the slot is idle, and nothing
+	// reads it before the effect submits it.
 	h.ldc.u, h.ldc.v = u, 0
 	c.effect(pendItem{kind: pendLoad, h: h,
 		a: addr, w: mem.Width(d.MemW), signed: d.MemSigned()})
@@ -398,7 +394,7 @@ func (c *core) commit(now uint64) {
 	h.perf.Commits++
 	h.perf.Retired[u.d.Cls]++
 	c.perf.StageBusy[perf.StageCommit]++
-	c.committed = true
+	c.m.progress = now
 	c.emit(trace.KindCommit, h.idx, uint64(u.pc))
 	switch {
 	case u.isRet:

@@ -22,7 +22,7 @@ type Machine struct {
 	// are stepped. The list is kept in core-index order (so skipping is
 	// bit-identical to stepping every core: an all-free core's pipeline
 	// stages are no-ops) and rebuilt on hart lifecycle edges, which cores
-	// flag race-free on their own activeEdge bit.
+	// flag on their activeEdge bit.
 	active []*core
 
 	cycle    uint64
@@ -51,22 +51,17 @@ type Machine struct {
 	profiling bool
 
 	// Host-side execution knobs (never affect simulated results):
-	// tracing mirrors rec != nil for the phase-A emit guard, simWorkers
-	// shards the compute phase across host threads, fastFwd enables
-	// idle-cycle fast-forward, pool is the lazily-built worker pool.
-	tracing    bool
-	seqTrace   bool // this cycle's phase A is serial: emit folds events live
-	inlineFx   bool // this cycle's phase A is serial: effects apply inline
-	deferred   bool // an effect of this cycle deferred; later ones must too
-	simWorkers int
-	fastFwd    bool
-	pool       *stepPool
+	// tracing mirrors rec != nil for the core.emit guard, fastFwd enables
+	// idle-cycle fast-forward.
+	tracing bool
+	fastFwd bool
 
-	// lane is the coordinator's commit lane: the dirty cores of the
-	// cycle, collected during phase A (serial path, or the coordinator's
-	// own shard) and drained — followed by the pool's worker lanes — by
-	// applyLanes in ascending core order.
-	lane []*core
+	// deferred is set by the cycle's first p_fn: from there to the cycle
+	// boundary effects and trace events queue on their cores instead of
+	// applying (phase.go). lane lists the cores that queued any, in
+	// ascending core order, for applyDeferred.
+	deferred bool
+	lane     []*core
 }
 
 // emitFn receives one machine event. Keeping the disabled path behind a
@@ -280,13 +275,12 @@ type Result struct {
 // from a checkpoint or paused by Advance, cycles already simulated count
 // against it.
 //
-// Each cycle: memory events and devices step first (serial), then phase A
-// computes every active core — inline, or sharded across the worker pool —
-// and phase B applies the pending streams in core-index order. A cycle on
-// which no pipeline stage did work cannot make progress until the next
-// memory event, device arm or hart time gate, so the clock fast-forwards
-// there (see phase.go). Simulated results are identical for every worker
-// count and with fast-forward on or off.
+// Each cycle: memory events and devices step first, then phase A steps
+// every active core in core-index order and phase B replays whatever a
+// p_fn deferred (see phase.go). A cycle on which no pipeline stage did
+// work cannot make progress until the next memory event, device arm or
+// hart time gate, so the clock fast-forwards there. Simulated results
+// are identical with fast-forward on or off.
 func (m *Machine) Run(maxCycles uint64) (*Result, error) {
 	var n uint64
 	if maxCycles > m.cycle {
@@ -318,18 +312,6 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 		m.running = true
 		m.progress = m.cycle
 	}
-	if w := m.SimWorkers(); w > 1 && m.pool == nil {
-		m.pool = newStepPool(w)
-	}
-	if p := m.pool; p != nil {
-		// The pool lives for one Advance call: a paused machine holds no
-		// goroutines, and the next leg may run under a different worker
-		// setting (worker count never affects simulated results).
-		defer func() {
-			p.stop()
-			m.pool = nil
-		}()
-	}
 	hasDevices := len(m.devices) > 0
 	for !m.exited {
 		if m.cycle >= stop {
@@ -352,43 +334,23 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 				dirty = true
 			}
 			// Cycle-start snapshot read by the previous core's p_fn issue
-			// check — the same value the old sequential step observed,
-			// since only Mem.Step and devices ran since the last phase B.
+			// check: only Mem.Step and devices ran since the last phase B.
 			c.freeSnap = c.busy < HartsPerCore
 		}
 		if dirty {
 			m.rebuildActive()
 		}
 		activity := false
-		if m.pool != nil && len(m.active) >= minShardCores {
-			// Sharded cycle: every core buffers its events and defers its
-			// effects; both flags are settled before the workers start and
-			// only read by them.
-			m.seqTrace = false
-			m.inlineFx = false
-			activity = m.pool.stepParallel(m, m.cycle)
-		} else {
-			// Serial cycle: the cores step in exactly the order phase B
-			// would replay, so events fold into the recorder live and
-			// effects apply inline (core.effect) — the common case runs
-			// the whole cycle in one tight pass with empty commit lanes
-			// for applyLanes to skip.
-			m.seqTrace = m.tracing
-			m.inlineFx = true
-			m.deferred = false
-			prog := false
-			for _, c := range m.active {
-				if c.stepCompute(m.cycle) {
-					activity = true
-				}
-				m.lane = laneScan(c, m.lane, &prog)
+		m.deferred = false
+		for _, c := range m.active {
+			if c.stepCompute(m.cycle) {
+				activity = true
 			}
-			m.inlineFx = false
-			if prog {
-				m.progress = m.cycle
+			if m.deferred && (len(c.pend) > 0 || len(c.evbuf) > 0) {
+				m.lane = append(m.lane, c)
 			}
 		}
-		m.applyLanes(m.cycle)
+		m.applyDeferred(m.cycle)
 		m.tick(m.cycle)
 		if m.cycle-m.progress > m.cfg.LivelockWindow {
 			m.faultf(-1, -1, "no progress for %d cycles (deadlock?)%s",
@@ -489,8 +451,8 @@ func (m *Machine) ReadSharedSlice(addr uint32, n int) ([]uint32, bool) {
 // Reset returns the machine to its post-New state — keeping every
 // allocation warm — and loads a new program, for machine reuse across
 // the runs of a sweep. Host-side knobs (trace recorder, profiling,
-// worker count, fast-forward) survive; a run on a reset machine is
-// bit-identical to the same run on a freshly built one.
+// fast-forward) survive; a run on a reset machine is bit-identical to
+// the same run on a freshly built one.
 func (m *Machine) Reset(p *asm.Program) error {
 	m.Mem.Reset()
 	for _, h := range m.harts {
@@ -508,7 +470,6 @@ func (m *Machine) Reset(p *asm.Program) error {
 	for _, c := range m.cores {
 		c.fetchRR, c.renameRR, c.issueRR, c.wbRR, c.commitRR = 0, 0, 0, 0, 0
 		c.statFetched, c.statForks, c.statSends = 0, 0, 0
-		c.committed = false
 		c.activeEdge = false
 		c.freeSnap = false
 		clear(c.pend)

@@ -2,32 +2,28 @@ package lbp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// Two-phase stepping. Each cycle the active cores first run a compute
-// phase (phase A) that reads only core-local state plus immutable or
-// cycle-start-snapshot views of the rest of the machine, and records
+// Two-phase stepping. Each cycle the active cores step in core-index
+// order on the calling goroutine (phase A). A core mutates only its own
+// state and reads the rest of the machine as of the cycle boundary;
 // every cross-core or machine-global effect — memory submissions,
-// forward/backward control messages, next-core fork allocations, trace
-// events, statistic deltas, faults and halts — as an ordered per-core
-// pending stream. A commit phase (phase B) then applies the streams
-// serially in core-index order.
+// forward/backward control messages, faults and halts — goes through
+// core.effect, which applies it on the spot: core order is already the
+// order the machine defines for link-slot allocation, event scheduling
+// and the trace digest.
 //
-// Because phase A of one core neither reads nor writes another core's
-// mutable state, the compute phase can be sharded across host threads,
-// and because phase B replays the streams in the exact order the old
-// single-threaded step would have performed the underlying operations
-// (cores ascending, stage order within a core), link-slot allocation,
-// event scheduling and the trace digest are bit-identical for any
-// worker count — including worker count one, which runs the same two
-// phases inline. DESIGN.md §"Two-phase stepping" documents the one
-// deliberate semantic choice: cross-core effects become visible at the
-// cycle boundary, never mid-cycle.
+// The one effect that cannot apply on the spot is p_fn's hart
+// allocation on the next core: it mutates a neighbor that has not
+// stepped yet this cycle, and cross-core effects become visible at the
+// cycle boundary, never mid-cycle (DESIGN.md §"Two-phase stepping").
+// So a p_fn defers to the end of the cycle, and from that point every
+// later effect and trace event of the cycle defers behind it — first
+// fault wins and memory submissions stay FIFO — into per-core pending
+// streams that phase B replays in core-index order.
 
 // pendKind tags one entry of a core's pending stream.
 type pendKind uint8
@@ -45,15 +41,12 @@ const (
 	pendHalt                     // clean halt (exit, ebreak)
 )
 
-// pendItem is one deferred effect. The fields are a small union: a/b
-// carry (addr, value), t the target core, h/u the issuing hart and
+// pendItem is one effect. The fields are a small union: a/b carry
+// (addr, value), t the target core, h/u the issuing hart and
 // instruction when the apply step must write back into them. Control
-// messages (pendSwre/Start/Signal/Join) arrive pre-materialized: dc is
-// the delivery client, built in phase A — where construction can run
-// on a worker — so the serial phase-B merge only performs the
-// link-slot allocation that must stay ordered. For pendForkNext, a
-// holds 1 + the core's evbuf index of the placeholder fork event (0
-// when tracing is off).
+// messages (pendSwre/Start/Signal/Join) carry their delivery client in
+// dc. For pendForkNext, a holds 1 + the core's evbuf index of the
+// placeholder fork event (0 when tracing is off).
 type pendItem struct {
 	kind   pendKind
 	w      mem.Width
@@ -66,17 +59,13 @@ type pendItem struct {
 	msg    string
 }
 
-// emit records a trace event (phase A side of Machine.event). On a
-// sharded cycle events go to the core's event buffer — pointer-free and
-// an order of magnitude more frequent than actions, so a flat
-// trace.Event slice keeps the hot path free of GC write barriers — and
-// phase B drains the buffers in core order. Pending actions never reach
-// the recorder at the current cycle (their callbacks fire during later
-// Mem.Steps), so the drain reproduces the exact sequential emission
-// order. On a serial cycle (seqTrace) the same order is the live order,
-// and events fold straight into the recorder with no double handling —
-// until a p_fn, whose fork event value only exists in phase B, flips
-// the rest of the cycle onto the buffered path.
+// emit records a trace event. Events fold straight into the recorder
+// until a p_fn, whose fork event value only exists in phase B, defers
+// the rest of the cycle: from there they go to the core's event buffer,
+// which phase B drains in core order after the core's pending stream.
+// Pending actions never reach the recorder at the current cycle (their
+// callbacks fire during later Mem.Steps), so the drain reproduces the
+// live emission order exactly.
 func (c *core) emit(kind trace.Kind, hartIdx int, value uint64) {
 	if !c.m.tracing {
 		return
@@ -85,84 +74,45 @@ func (c *core) emit(kind trace.Kind, hartIdx int, value uint64) {
 		Cycle: c.m.cycle, Core: uint16(c.idx), Hart: uint8(hartIdx),
 		Kind: kind, Value: value,
 	}
-	if c.m.seqTrace {
-		c.m.rec.Add(e)
+	if c.m.deferred {
+		c.evbuf = append(c.evbuf, e)
 		return
 	}
-	c.evbuf = append(c.evbuf, e)
+	c.m.rec.Add(e)
 }
 
-// effect disposes of one phase-A effect. On a sharded cycle it always
-// defers to the core's pending stream, replayed by phase B in core
-// order. On a serial cycle (inlineFx) the cores already run in exactly
-// that order, so the effect applies immediately — skipping the stream
-// round-trip — with one exception: pendForkNext must still defer,
-// because its hart allocation re-resolves against the target core's
-// post-phase-A state. Once any item of the cycle has deferred, every
-// later item defers too (m.deferred), so relative order within the
-// stream — first fault wins, mem submissions FIFO — is preserved
-// exactly. inlineFx is false on sharded cycles, settled before the
-// workers start, so they never observe a true value or touch deferred.
+// effect disposes of one cross-core or machine-global effect: applied
+// immediately, or — once a p_fn has deferred the cycle (execPFN) —
+// appended to the core's pending stream, so relative order within the
+// cycle is preserved exactly.
 func (c *core) effect(it pendItem) {
-	m := c.m
-	if m.inlineFx && !m.deferred {
-		if it.kind != pendForkNext {
-			m.applyItem(c, &it, m.cycle)
-			return
-		}
-		m.deferred = true
+	if c.m.deferred {
+		c.pend = append(c.pend, it)
+		return
 	}
-	c.pend = append(c.pend, it)
+	c.m.applyItem(c, &it, c.m.cycle)
 }
 
-// faultf records a machine fault at its position in the stream, so that
-// the first fault in (core, stage) order wins exactly as it did under
-// sequential stepping. The message — identical to Machine.faultf's — is
-// fully formatted here; the fault path is cold.
+// faultf raises a machine fault at its position in the cycle's effect
+// order, so that the first fault in (core, stage) order wins. The
+// message — identical to Machine.faultf's — is fully formatted here;
+// the fault path is cold.
 func (c *core) faultf(hartIdx int, format string, args ...any) {
 	c.effect(pendItem{kind: pendFault, msg: fmt.Sprintf(
 		"lbp: cycle %d core %d hart %d: %s",
 		c.m.cycle, c.idx, hartIdx, fmt.Sprintf(format, args...))})
 }
 
-// deferHalt records a clean halt (p_ret exit identity, ecall/ebreak).
+// deferHalt raises a clean halt (p_ret exit identity, ecall/ebreak).
 func (c *core) deferHalt(msg string) {
 	c.effect(pendItem{kind: pendHalt, msg: msg})
 }
 
-// applyLanes is phase B: it replays the pending streams of the cycle's
-// dirty cores — collected into per-shard commit lanes during phase A —
-// in core-index order. It must run on the coordinating goroutine,
-// after the phase-A barrier. The lanes exist so phase B is O(dirty
-// cores), not O(active cores): on a 1024-core machine most cycles
-// leave the vast majority of cores with empty streams, and walking
-// them all serially per cycle dominates the host profile. The
-// coordinator's lane holds the lowest core shard and the worker lanes
-// follow in shard order, with each lane filled in iteration order over
-// a contiguous ascending shard — so the concatenation is exactly
-// ascending core order, and the merge is bit-identical to the full
-// walk. (The per-core statistic counters are cumulative and folded
-// into the totals once, by Machine.result — a per-cycle merge over 64
-// cores is measurable.)
-func (m *Machine) applyLanes(now uint64) {
+// applyDeferred is phase B: it replays the pending streams of the cores
+// that stepped after the cycle's first p_fn — collected in m.lane, in
+// ascending core order, during phase A.
+func (m *Machine) applyDeferred(now uint64) {
 	for _, c := range m.lane {
-		m.applyCore(c, now)
-	}
-	m.lane = m.lane[:0]
-	if p := m.pool; p != nil {
-		for i := 0; i < p.n; i++ {
-			for _, c := range p.lanes[i] {
-				m.applyCore(c, now)
-			}
-			p.lanes[i] = p.lanes[i][:0]
-		}
-	}
-}
-
-// applyCore drains one lane entry: the core's pending stream, then its
-// event buffer.
-func (m *Machine) applyCore(c *core, now uint64) {
-	if len(c.pend) > 0 {
 		for i := range c.pend {
 			m.applyItem(c, &c.pend[i], now)
 		}
@@ -170,40 +120,22 @@ func (m *Machine) applyCore(c *core, now uint64) {
 		// then reuse the backing array next cycle.
 		clear(c.pend)
 		c.pend = c.pend[:0]
+		// Events drain after the actions so pendForkNext has patched its
+		// placeholder; see the ordering argument on emit. evbuf is only
+		// filled when tracing, which implies a recorder.
+		if len(c.evbuf) > 0 {
+			m.rec.AddBatch(c.evbuf)
+			c.evbuf = c.evbuf[:0]
+		}
 	}
-	// Events drain after the actions so pendForkNext has patched its
-	// placeholder; see the ordering argument on emit. evbuf is only
-	// filled when tracing, which implies a recorder.
-	if len(c.evbuf) > 0 {
-		m.rec.AddBatch(c.evbuf)
-		c.evbuf = c.evbuf[:0]
-	}
+	m.lane = m.lane[:0]
 }
 
-// laneScan is the phase-A postlude for one core, shared by the serial
-// path, the coordinator shard and the workers: fold the
-// did-any-hart-commit flag into the caller's progress accumulator and
-// enroll the core in a commit lane when it produced effects or events.
-// It runs on the goroutine that stepped the core, so the committed
-// reset stays data-race-free.
-func laneScan(c *core, lane []*core, prog *bool) []*core {
-	if c.committed {
-		c.committed = false
-		*prog = true
-	}
-	if len(c.pend) > 0 || len(c.evbuf) > 0 {
-		lane = append(lane, c)
-	}
-	return lane
-}
-
-// applyItem performs one deferred effect. The mutations here are the
-// exact statements the pre-two-phase pipeline executed inline, in the
-// same order relative to each other.
+// applyItem performs one effect.
 func (m *Machine) applyItem(c *core, it *pendItem, now uint64) {
 	switch it.kind {
 	case pendLoad:
-		// The hart's reusable load client was armed in phase A (execLoad):
+		// The hart's reusable load client was armed at issue (execLoad):
 		// the 1-deep result buffer guarantees at most one load in flight
 		// per hart, so the slot was necessarily idle there.
 		m.Mem.SubmitLoad(now, c.idx, it.a, it.w, it.signed, &it.h.ldc)
@@ -211,10 +143,9 @@ func (m *Machine) applyItem(c *core, it *pendItem, now uint64) {
 		m.Mem.SubmitStore(now, c.idx, it.a, it.b, it.w, &it.h.stc)
 	case pendCV:
 		m.Mem.SubmitCVWrite(now, c.idx, int(it.t), it.a, it.b, &it.h.stc)
-	// The four control-message kinds carry their delivery client
-	// pre-materialized from phase A; here only the ordered link-slot
-	// allocation runs. The direction checks are mem-level invariants —
-	// the issue sites already validated the targets in phase A.
+	// The direction checks of the four control-message kinds are
+	// mem-level invariants — the issue sites already validated the
+	// targets.
 	case pendSwre:
 		if err := m.Mem.SendBackward(now, c.idx, int(it.t), it.dc); err != nil {
 			m.faultf(c.idx, it.h.idx, "p_swre: %v", err)
@@ -232,15 +163,15 @@ func (m *Machine) applyItem(c *core, it *pendItem, now uint64) {
 			m.faultf(c.idx, it.h.idx, "join: %v", err)
 		}
 	case pendForkNext:
-		// p_fn: the allocation happens here so the target core's own
-		// phase A never races it; the result value is patched before the
-		// earliest cycle writeback can read it.
+		// p_fn: always replayed from phase B, after the target core's own
+		// phase A; the result value is patched before the earliest cycle
+		// writeback can read it.
 		target := m.cores[c.idx+1]
 		fh := target.freeHart()
 		if fh == nil {
-			// Drop the placeholder fork event: the sequential path emitted
-			// none on this fault. At most one p_fn executes per core per
-			// cycle, so no later item's index shifts.
+			// Drop the placeholder fork event: a failed fork emits none. At
+			// most one p_fn executes per core per cycle, so no later item's
+			// index shifts.
 			if it.a != 0 {
 				c.evbuf = append(c.evbuf[:it.a-1], c.evbuf[it.a:]...)
 			}
@@ -261,143 +192,6 @@ func (m *Machine) applyItem(c *core, it *pendItem, now uint64) {
 	case pendHalt:
 		m.halt(it.msg)
 	}
-}
-
-// ---- sharded phase-A worker pool --------------------------------------
-
-// minShardCores is the smallest active-core count worth fanning out: a
-// per-cycle channel barrier costs on the order of a microsecond, so tiny
-// machines step inline even when -simworkers asks for more. The choice
-// never affects results — phase A is embarrassingly parallel.
-const minShardCores = 8
-
-// stepPool runs phase A across persistent worker goroutines with a
-// per-cycle start/finish barrier. Each worker owns a commit lane: the
-// dirty cores of its shard, in shard (= ascending core) order, handed
-// to the coordinator's phase-B merge at the barrier.
-type stepPool struct {
-	n     int            // worker goroutine count (excluding coordinator)
-	start []chan uint64  // per-worker cycle kick
-	act   []bool         // per-worker activity result
-	prog  []bool         // per-worker did-any-hart-commit result
-	shard [][]*core      // per-worker core slice, rebuilt with the active list
-	lanes [][]*core      // per-worker commit lane, drained by applyLanes
-	wg    sync.WaitGroup // per-cycle completion
-	quit  chan struct{}
-}
-
-// newStepPool spawns workers-1 goroutines (the coordinator steps the
-// first shard itself).
-func newStepPool(workers int) *stepPool {
-	p := &stepPool{
-		n:     workers - 1,
-		start: make([]chan uint64, workers-1),
-		act:   make([]bool, workers-1),
-		prog:  make([]bool, workers-1),
-		shard: make([][]*core, workers-1),
-		lanes: make([][]*core, workers-1),
-		quit:  make(chan struct{}),
-	}
-	for i := 0; i < p.n; i++ {
-		p.start[i] = make(chan uint64, 1)
-		go p.worker(i)
-	}
-	return p
-}
-
-func (p *stepPool) worker(i int) {
-	for {
-		select {
-		case now := <-p.start[i]:
-			act, prog := false, false
-			lane := p.lanes[i][:0]
-			for _, c := range p.shard[i] {
-				if c.stepCompute(now) {
-					act = true
-				}
-				lane = laneScan(c, lane, &prog)
-			}
-			p.lanes[i] = lane
-			p.act[i] = act
-			p.prog[i] = prog
-			p.wg.Done()
-		case <-p.quit:
-			return
-		}
-	}
-}
-
-func (p *stepPool) stop() { close(p.quit) }
-
-// partition splits the active list into contiguous shards: shard 0 for
-// the coordinator, shards 1..n for the workers. Shard boundaries have no
-// observable effect — they only balance phase-A work.
-func (p *stepPool) partition(active []*core) []*core {
-	parts := p.n + 1
-	per := (len(active) + parts - 1) / parts
-	own := active[:per]
-	rest := active[per:]
-	for i := 0; i < p.n; i++ {
-		k := per
-		if k > len(rest) {
-			k = len(rest)
-		}
-		p.shard[i] = rest[:k]
-		rest = rest[k:]
-	}
-	return own
-}
-
-// stepParallel runs phase A for one cycle across the pool and reports
-// whether any stage on any core did work. The coordinator steps the
-// lowest shard into m.lane; worker lanes follow it in applyLanes, so
-// the merged order is ascending core index.
-func (p *stepPool) stepParallel(m *Machine, now uint64) bool {
-	own := p.partition(m.active)
-	p.wg.Add(p.n)
-	for i := 0; i < p.n; i++ {
-		p.start[i] <- now
-	}
-	activity, prog := false, false
-	for _, c := range own {
-		if c.stepCompute(now) {
-			activity = true
-		}
-		m.lane = laneScan(c, m.lane, &prog)
-	}
-	p.wg.Wait()
-	for i := 0; i < p.n; i++ {
-		if p.act[i] {
-			activity = true
-		}
-		if p.prog[i] {
-			prog = true
-		}
-	}
-	if prog {
-		m.progress = now
-	}
-	return activity
-}
-
-// SetSimWorkers sets the host worker count for intra-run sharded
-// stepping: 1 (the default) steps every core on the calling goroutine,
-// n > 1 fans the compute phase across n host threads, n <= 0 selects
-// GOMAXPROCS. Results, cycle counts, perf snapshots and trace digests
-// are identical for every value. Must be called before Run.
-func (m *Machine) SetSimWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	m.simWorkers = n
-}
-
-// SimWorkers reports the configured intra-run worker count.
-func (m *Machine) SimWorkers() int {
-	if m.simWorkers <= 0 {
-		return 1
-	}
-	return m.simWorkers
 }
 
 // SetFastForward enables or disables idle-cycle fast-forward (on by
@@ -494,8 +288,7 @@ func (m *Machine) fastForward(now, stop uint64) {
 	m.cycle += skipped
 }
 
-// faultError adapts a preformatted phase-A fault message to the error
-// the sequential faultf path produces.
+// faultError is a preformatted core.faultf message as an error.
 type faultError string
 
 func (e faultError) Error() string { return string(e) }

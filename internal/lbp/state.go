@@ -205,8 +205,8 @@ type checkpointShard struct {
 // memory events and link-allocator state, device state, cycle and
 // performance counters, and the trace-digest chain. Restoring the
 // stream with Restore (or ReadCheckpoint) and advancing reproduces the
-// uninterrupted run bit-exactly. Host-side execution knobs (worker
-// count, fast-forward) are not part of the state — they never affect
+// uninterrupted run bit-exactly. Host-side execution knobs
+// (fast-forward) are not part of the state — they never affect
 // simulated results.
 //
 // The stream is the version-2 format: the magic tag, a gob-encoded

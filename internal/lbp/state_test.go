@@ -2,6 +2,7 @@ package lbp
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -18,6 +19,71 @@ func ignoreFastForwarded(s Stats) Stats {
 	return s
 }
 
+// teamMachine builds a traced machine loaded with prog.
+func teamMachine(t *testing.T, cores int, prog *asm.Program, ffwd bool) *Machine {
+	t.Helper()
+	m := New(DefaultConfig(cores))
+	m.SetTrace(trace.New(0))
+	m.SetFastForward(ffwd)
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return m
+}
+
+// checkSplitRun advances a fresh machine k cycles, checkpoints it,
+// restores it and runs it to the end — each leg under its own
+// fast-forward setting — and requires the outcome of the uninterrupted
+// run base/baseRes: halt, stats, memory stats, trace and team result.
+func checkSplitRun(t *testing.T, label string, prog *asm.Program, cores, nt int, budget, k uint64,
+	ffwd1, ffwd2 bool, base *Machine, baseRes *Result) {
+	t.Helper()
+	m := teamMachine(t, cores, prog, ffwd1)
+	if res, err := m.Advance(k); err != nil || res != nil {
+		t.Fatalf("%s: advance to %d: res=%v err=%v", label, k, res, err)
+	}
+	cp, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("%s: checkpoint: %v", label, err)
+	}
+	m2, err := Restore(cp)
+	if err != nil {
+		t.Fatalf("%s: restore: %v", label, err)
+	}
+	if m2.Cycle() != k {
+		t.Fatalf("%s: restored cycle = %d", label, m2.Cycle())
+	}
+	// A checkpoint of the restored machine must be byte-identical:
+	// restore loses nothing.
+	cp2, err := m2.Checkpoint()
+	if err != nil {
+		t.Fatalf("%s: re-checkpoint: %v", label, err)
+	}
+	if !bytes.Equal(cp, cp2) {
+		t.Errorf("%s: re-checkpoint differs from the original", label)
+	}
+	m2.SetFastForward(ffwd2)
+	res2, err := m2.Run(budget)
+	if err != nil {
+		t.Fatalf("%s: resumed run: %v", label, err)
+	}
+	if res2.Halt != baseRes.Halt {
+		t.Errorf("%s: halt = %q, want %q", label, res2.Halt, baseRes.Halt)
+	}
+	if !reflect.DeepEqual(ignoreFastForwarded(res2.Stats), ignoreFastForwarded(baseRes.Stats)) {
+		t.Errorf("%s: stats diverge:\n  split  %+v\n  single %+v", label, res2.Stats, baseRes.Stats)
+	}
+	if res2.Mem != baseRes.Mem {
+		t.Errorf("%s: memory stats diverge:\n  split  %+v\n  single %+v", label, res2.Mem, baseRes.Mem)
+	}
+	if !trace.Same(m2.Trace(), base.Trace()) {
+		t.Errorf("%s: trace diverges: digest %#x/%d, want %#x/%d", label,
+			m2.Trace().Digest(), m2.Trace().Count(),
+			base.Trace().Digest(), base.Trace().Count())
+	}
+	checkTeamResult(t, m2, nt)
+}
+
 func TestCheckpointResumeTeam(t *testing.T) {
 	const cores, nt = 2, 8
 	const budget = 2_000_000
@@ -25,70 +91,15 @@ func TestCheckpointResumeTeam(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	base := New(DefaultConfig(cores))
-	base.SetTrace(trace.New(0))
-	if err := base.LoadProgram(prog); err != nil {
-		t.Fatalf("load: %v", err)
-	}
+	base := teamMachine(t, cores, prog, true)
 	baseRes, err := base.Run(budget)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkTeamResult(t, base, nt)
 	total := baseRes.Stats.Cycles
-
 	for _, k := range []uint64{1, 17, total / 3, total / 2, total - 1} {
-		m := New(DefaultConfig(cores))
-		m.SetTrace(trace.New(0))
-		if err := m.LoadProgram(prog); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		res, err := m.Advance(k)
-		if err != nil {
-			t.Fatalf("k=%d: advance: %v", k, err)
-		}
-		if res != nil {
-			t.Fatalf("k=%d: program finished before the split point", k)
-		}
-		cp, err := m.Checkpoint()
-		if err != nil {
-			t.Fatalf("k=%d: checkpoint: %v", k, err)
-		}
-		m2, err := Restore(cp)
-		if err != nil {
-			t.Fatalf("k=%d: restore: %v", k, err)
-		}
-		if m2.Cycle() != k {
-			t.Fatalf("k=%d: restored cycle = %d", k, m2.Cycle())
-		}
-		// A checkpoint of the restored machine must be byte-identical:
-		// restore loses nothing.
-		cp2, err := m2.Checkpoint()
-		if err != nil {
-			t.Fatalf("k=%d: re-checkpoint: %v", k, err)
-		}
-		if !bytes.Equal(cp, cp2) {
-			t.Errorf("k=%d: re-checkpoint differs from the original", k)
-		}
-		res2, err := m2.Run(budget)
-		if err != nil {
-			t.Fatalf("k=%d: resumed run: %v", k, err)
-		}
-		if res2.Halt != baseRes.Halt {
-			t.Errorf("k=%d: halt = %q, want %q", k, res2.Halt, baseRes.Halt)
-		}
-		if !reflect.DeepEqual(ignoreFastForwarded(res2.Stats), ignoreFastForwarded(baseRes.Stats)) {
-			t.Errorf("k=%d: stats diverge:\n  split  %+v\n  single %+v", k, res2.Stats, baseRes.Stats)
-		}
-		if res2.Mem != baseRes.Mem {
-			t.Errorf("k=%d: memory stats diverge:\n  split  %+v\n  single %+v", k, res2.Mem, baseRes.Mem)
-		}
-		if !trace.Same(m2.Trace(), base.Trace()) {
-			t.Errorf("k=%d: trace diverges: digest %#x/%d, want %#x/%d", k,
-				m2.Trace().Digest(), m2.Trace().Count(),
-				base.Trace().Digest(), base.Trace().Count())
-		}
-		checkTeamResult(t, m2, nt)
+		checkSplitRun(t, fmt.Sprintf("k=%d", k), prog, cores, nt, budget, k, true, true, base, baseRes)
 	}
 }
 
@@ -242,80 +253,28 @@ func TestCheckpointV2Format(t *testing.T) {
 }
 
 // TestCheckpointResumeHostKnobMatrix splits one run at its midpoint and
-// resumes it under every crossing of the host-side execution knobs
-// (worker count x fast-forward), with the checkpoint leg itself run
-// under every crossing too. The machine is large enough that worker
-// counts above 1 genuinely engage the sharded compute phase, so the
-// matrix proves the checkpoint format and the batched stepper agree on
-// bit-identical state no matter which stepping mode produced or
-// consumes a checkpoint.
+// resumes it with fast-forward on and off, with the checkpoint leg
+// itself run under both settings too: the checkpoint format and the
+// stepper agree on bit-identical state no matter which setting produced
+// or consumes a checkpoint.
 func TestCheckpointResumeHostKnobMatrix(t *testing.T) {
 	const cores, nt = 16, 48
 	const budget = 4_000_000
-	type knobs struct {
-		workers int
-		ffwd    bool
-	}
-	settings := []knobs{{1, true}, {1, false}, {3, true}, {3, false}}
-
 	prog, err := asm.Assemble(sprintf(teamProgram, nt, nt), asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	newM := func(k knobs) *Machine {
-		m := New(DefaultConfig(cores))
-		m.SetTrace(trace.New(0))
-		m.SetSimWorkers(k.workers)
-		m.SetFastForward(k.ffwd)
-		if err := m.LoadProgram(prog); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		return m
-	}
-	base := newM(knobs{1, true})
+	base := teamMachine(t, cores, prog, true)
 	baseRes, err := base.Run(budget)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	checkTeamResult(t, base, nt)
 	split := baseRes.Stats.Cycles / 2
-
-	for _, kc := range settings {
-		m := newM(kc)
-		if res, err := m.Advance(split); err != nil || res != nil {
-			t.Fatalf("%+v: advance to %d: res=%v err=%v", kc, split, res, err)
-		}
-		cp, err := m.Checkpoint()
-		if err != nil {
-			t.Fatalf("%+v: checkpoint: %v", kc, err)
-		}
-		for _, kr := range settings {
-			m2, err := Restore(cp)
-			if err != nil {
-				t.Fatalf("%+v->%+v: restore: %v", kc, kr, err)
-			}
-			m2.SetSimWorkers(kr.workers)
-			m2.SetFastForward(kr.ffwd)
-			res2, err := m2.Run(budget)
-			if err != nil {
-				t.Fatalf("%+v->%+v: resumed run: %v", kc, kr, err)
-			}
-			if res2.Halt != baseRes.Halt {
-				t.Errorf("%+v->%+v: halt = %q, want %q", kc, kr, res2.Halt, baseRes.Halt)
-			}
-			if !reflect.DeepEqual(ignoreFastForwarded(res2.Stats), ignoreFastForwarded(baseRes.Stats)) {
-				t.Errorf("%+v->%+v: stats diverge:\n  split  %+v\n  single %+v",
-					kc, kr, res2.Stats, baseRes.Stats)
-			}
-			if res2.Mem != baseRes.Mem {
-				t.Errorf("%+v->%+v: memory stats diverge", kc, kr)
-			}
-			if !trace.Same(m2.Trace(), base.Trace()) {
-				t.Errorf("%+v->%+v: trace diverges: digest %#x/%d, want %#x/%d", kc, kr,
-					m2.Trace().Digest(), m2.Trace().Count(),
-					base.Trace().Digest(), base.Trace().Count())
-			}
-			checkTeamResult(t, m2, nt)
+	for _, kc := range []bool{true, false} {
+		for _, kr := range []bool{true, false} {
+			checkSplitRun(t, fmt.Sprintf("ffwd %v->%v", kc, kr), prog, cores, nt, budget, split,
+				kc, kr, base, baseRes)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func (c *core) freeHartAfter(after int) *hart {
 }
 
 // execPFC performs a same-core fork: the allocation is core-local, so it
-// happens in phase A like every other own-state mutation.
+// happens on the spot like every other own-state mutation.
 func (c *core) execPFC(h *hart, u *uop, now uint64) {
 	fh := c.freeHartAfter(h.idx)
 	if fh == nil {
@@ -71,26 +71,20 @@ func (c *core) execPFC(h *hart, u *uop, now uint64) {
 }
 
 // execPFN performs a next-core fork: the allocation mutates the neighbor,
-// so it is deferred to phase B, which re-resolves the free hart in core
-// order and patches u.value before writeback can read it. The fork
-// event's value (the new gid) is unknown until then, so a placeholder is
-// reserved at the event's sequential position and patched by the same
-// item.
+// so it is deferred to phase B, which resolves the free hart after the
+// neighbor's own step and patches u.value before writeback can read it.
+// Everything the cycle does from here on defers behind it (see
+// core.effect). The fork event's value (the new gid) is unknown until
+// then, so a placeholder is reserved at the event's position in the
+// stream and patched by the same item.
 func (c *core) execPFN(h *hart, u *uop, now uint64) {
 	if c.idx+1 >= len(c.m.cores) {
 		c.faultf(h.idx, "p_fn past the last core (pc %#x)", u.pc)
 		return
 	}
+	c.m.deferred = true
 	var evIdx uint32
 	if c.m.tracing {
-		if c.m.seqTrace {
-			// Serial cycles fold events live; from here to the cycle
-			// boundary they must buffer instead, so the placeholder can
-			// be patched before it reaches the digest. (Read-guarded:
-			// on sharded cycles the flag is already false and workers
-			// only read it.)
-			c.m.seqTrace = false
-		}
 		c.emit(trace.KindFork, h.idx, 0)
 		evIdx = uint32(len(c.evbuf))
 	}
@@ -157,8 +151,6 @@ func (c *core) execSwre(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "p_swre target hart %d is on a later core (pc %#x)", tgt, u.pc)
 		return
 	}
-	// The delivery client materializes here, in phase A, so the serial
-	// phase-B merge only allocates the backward-line slots.
 	c.effect(pendItem{kind: pendSwre, h: h, t: uint32(th.core.idx),
 		dc: &swreMsg{m: c.m, fromCore: c.idx, fromHart: h.idx,
 			tgt: tgt, idx: uint32(u.d.Inst.Imm), val: u.src2, pc: u.pc}})
@@ -168,7 +160,7 @@ func (c *core) execSwre(h *hart, u *uop, now uint64) {
 }
 
 // sendStart delivers a start pc to an allocated hart (fork continuation).
-// The validation runs in phase A; the forward-link traversal is deferred.
+// The validation runs here; the forward-link traversal is the effect.
 func (c *core) sendStart(h *hart, tgt uint32, pc uint32) {
 	th := c.m.Hart(tgt)
 	if th == nil {

@@ -1,16 +1,12 @@
 // Package runner fans independent simulations across host CPUs.
 //
 // The simulated LBP machine is cycle-deterministic by construction
-// (DESIGN.md §6): host parallelism between whole simulations is always
-// safe, and since the two-phase cycle loop (DESIGN.md §6, "Two-phase
-// stepping") a machine can additionally shard its own compute phase via
-// lbp.Machine.SetSimWorkers without changing any simulated result. This
-// package provides the outer layer: a fixed-size worker pool that maps a
-// job function over an index space and returns the results in index
-// order, so a parallel sweep is observably identical to the sequential
-// loop it replaces. The two layers compose — each job may itself run a
-// sharded machine — but on a fully loaded host the outer fan-out alone
-// is usually the better use of cores.
+// (DESIGN.md §6), so host parallelism between whole simulations is
+// always safe — and it is the only host parallelism the repo uses: one
+// machine steps on one goroutine. This package is a fixed-size worker
+// pool that maps a job function over an index space and returns the
+// results in index order, so a parallel sweep is observably identical
+// to the sequential loop it replaces.
 //
 // Determinism contract for job functions:
 //

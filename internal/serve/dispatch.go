@@ -53,16 +53,24 @@ func (s *Server) runRemote(w http.ResponseWriter, r *http.Request, req *JobReque
 		Profile:    req.Profile,
 		DeadlineMs: deadline.Milliseconds(),
 	}
-	s.met.accepted.Add(1)
 	s.met.inflight.Add(1)
 	start := time.Now()
 	res, err := s.cfg.Dispatcher.Do(r.Context(), job)
 	elapsed := time.Since(start)
 	s.met.inflight.Add(-1)
 
+	// The counters follow the local path (admit): a refusal is not an
+	// accepted job and not a failed one — 429 counts as rejected, 503 as
+	// nothing — so accepted is only known once Do has not refused.
+	refused := errors.Is(err, dispatch.ErrQueueFull) || errors.Is(err, dispatch.ErrClosed)
+	if !refused {
+		s.met.accepted.Add(1)
+	}
 	out := &JobResult{ID: id, RunMs: float64(elapsed) / float64(time.Millisecond)}
 	if err != nil {
-		s.met.failed.Add(1)
+		if !refused {
+			s.met.failed.Add(1)
+		}
 		out.Error = err.Error()
 		switch {
 		case errors.Is(err, dispatch.ErrQueueFull):

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -228,5 +230,55 @@ func TestDistributedAllBackendsDead(t *testing.T) {
 	code, res := postJob(t, ts.URL, JobRequest{Source: vecsumSource, Cores: 2})
 	if code != http.StatusBadGateway || res.Status != StatusError {
 		t.Errorf("dead fleet: HTTP %d status %q, want 502 %q", code, res.Status, StatusError)
+	}
+}
+
+// refusingDispatcher answers every Do with a fixed error.
+type refusingDispatcher struct{ err error }
+
+func (d refusingDispatcher) Do(context.Context, *dispatch.Job) (*dispatch.Result, error) {
+	return nil, d.err
+}
+
+func (refusingDispatcher) Metrics() dispatch.Metrics { return dispatch.Metrics{} }
+
+// TestDistributedRefusalCounters: a fleet refusal counts like the local
+// path's — 429 (queue full) as rejected only, 503 (closed) as nothing —
+// and only a job the fleet took and then lost counts as accepted and
+// failed.
+func TestDistributedRefusalCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name                       string
+		err                        error
+		code                       int
+		accepted, rejected, failed int
+	}{
+		{"queue full", dispatch.ErrQueueFull, http.StatusTooManyRequests, 0, 1, 0},
+		{"closed", dispatch.ErrClosed, http.StatusServiceUnavailable, 0, 0, 0},
+		{"exhausted", errors.New("every backend failed"), http.StatusBadGateway, 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(Config{Dispatcher: refusingDispatcher{tc.err}})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Shutdown(context.Background())
+			if code, _ := postJob(t, ts.URL, JobRequest{Source: vecsumSource, Cores: 2}); code != tc.code {
+				t.Errorf("HTTP %d, want %d", code, tc.code)
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := readAll(t, resp)
+			for _, series := range []string{
+				fmt.Sprintf("lbp_serve_jobs_accepted_total %d\n", tc.accepted),
+				fmt.Sprintf("lbp_serve_jobs_rejected_total %d\n", tc.rejected),
+				fmt.Sprintf("lbp_serve_jobs_failed_total %d\n", tc.failed),
+			} {
+				if !strings.Contains(page, series) {
+					t.Errorf("metrics page missing %q", strings.TrimSpace(series))
+				}
+			}
+		})
 	}
 }

@@ -22,9 +22,8 @@ import (
 //     declaring the equivalent Cores/SharedBankBytes hash the resolved
 //     lbp.Config, not the request syntax.
 //   - A zero MaxCycles hashes as the resolved default budget.
-//   - Host-side knobs (SimWorkers, NoFastForward) are excluded: they
-//     are results-neutral by construction, proven by the equivalence
-//     matrix tests.
+//   - The host-side knob NoFastForward is excluded: it is results-
+//     neutral by construction, proven by the equivalence matrix tests.
 //   - Programs hash by serialized image, so MiniC source and the
 //     lbp-asm image it compiles to share a key.
 //

@@ -16,7 +16,6 @@ type poolKey struct {
 	profile bool
 	digest  bool
 	ring    int
-	workers int
 	noffwd  bool
 	max     uint64
 }
@@ -27,7 +26,6 @@ func specKey(spec *Spec, cfg lbp.Config) poolKey {
 		profile: spec.Profile,
 		digest:  spec.Trace.Digest,
 		ring:    spec.Trace.Ring,
-		workers: spec.SimWorkers,
 		noffwd:  spec.NoFastForward,
 		max:     spec.MaxCycles,
 	}

@@ -43,20 +43,40 @@ func runToEnd(t *testing.T, sess *Session) (*lbp.Result, outcome) {
 	}
 }
 
-// knobs is one host-side configuration of a run leg.
-type knobs struct {
-	workers int
-	ffwd    bool
+// splitRun advances a fresh session of spec k cycles, checkpoints it,
+// resumes it and runs it to the end, each leg under its own
+// fast-forward setting; it returns the resumed session and its outcome.
+func splitRun(t *testing.T, label string, spec Spec, k uint64, ffwd1, ffwd2 bool) (*Session, outcome) {
+	t.Helper()
+	spec.NoFastForward = !ffwd1
+	sess, err := New(spec)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if res, err := sess.Advance(k); err != nil || res != nil {
+		t.Fatalf("%s: advance to %d: res=%v err=%v", label, k, res, err)
+	}
+	cp, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatalf("%s: checkpoint: %v", label, err)
+	}
+	resumed, err := Resume(cp, ResumeSpec{MaxCycles: spec.MaxCycles, NoFastForward: !ffwd2})
+	if err != nil {
+		t.Fatalf("%s: resume: %v", label, err)
+	}
+	if resumed.Machine().Cycle() != k {
+		t.Fatalf("%s: resumed at cycle %d, want %d", label, resumed.Machine().Cycle(), k)
+	}
+	_, got := runToEnd(t, resumed)
+	return resumed, got
 }
 
-// TestCheckpointResumeEquivalenceMatrix is the tentpole acceptance
+// TestCheckpointResumeEquivalenceMatrix is the checkpoint acceptance
 // test: Run(N) must equal Run(k) + Checkpoint + Resume + run-to-end —
 // same halt, stats, memory stats, digest, event count and perf
-// snapshot — for every combination of SimWorkers × fast-forward on
-// both sides of the split. Runs under -race in tier-1, so it also
-// asserts the sharded legs touch no shared mutable state.
+// snapshot — for fast-forward on and off on both sides of the split.
 func TestCheckpointResumeEquivalenceMatrix(t *testing.T) {
-	legs := []knobs{{1, true}, {1, false}, {2, true}, {2, false}}
+	legs := []bool{true, false} // fast-forward
 	for _, h := range []int{4, 16, 64} {
 		h := h
 		if h == 64 && testing.Short() {
@@ -81,50 +101,15 @@ func TestCheckpointResumeEquivalenceMatrix(t *testing.T) {
 		baseRes, want := runToEnd(t, base)
 		k := baseRes.Stats.Cycles / 2
 
-		// The full 4x4 leg matrix at the small sizes; rotated pairs at
-		// h=64 to keep the -race run affordable.
-		for i, first := range legs {
-			for j, second := range legs {
-				if h == 64 && j != (i+1)%len(legs) {
-					continue
-				}
-				sp := spec
-				sp.SimWorkers = first.workers
-				sp.NoFastForward = !first.ffwd
-				sess, err := New(sp)
-				if err != nil {
-					t.Fatalf("h=%d %v|%v: %v", h, first, second, err)
-				}
-				res, err := sess.Advance(k)
-				if err != nil {
-					t.Fatalf("h=%d %v|%v: advance: %v", h, first, second, err)
-				}
-				if res != nil {
-					t.Fatalf("h=%d %v|%v: finished before the split point", h, first, second)
-				}
-				cp, err := sess.Checkpoint()
-				if err != nil {
-					t.Fatalf("h=%d %v|%v: checkpoint: %v", h, first, second, err)
-				}
-				resumed, err := Resume(cp, ResumeSpec{
-					MaxCycles:     workloads.MaxMatmulCycles(h),
-					SimWorkers:    second.workers,
-					NoFastForward: !second.ffwd,
-				})
-				if err != nil {
-					t.Fatalf("h=%d %v|%v: resume: %v", h, first, second, err)
-				}
-				if resumed.Machine().Cycle() != k {
-					t.Fatalf("h=%d %v|%v: resumed at cycle %d, want %d",
-						h, first, second, resumed.Machine().Cycle(), k)
-				}
-				_, got := runToEnd(t, resumed)
+		for _, first := range legs {
+			for _, second := range legs {
+				label := fmt.Sprintf("h=%d ffwd %v|%v", h, first, second)
+				resumed, got := splitRun(t, label, spec, k, first, second)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("h=%d %v|%v: split run diverged:\n got %+v\nwant %+v",
-						h, first, second, got, want)
+					t.Errorf("%s: split run diverged:\n got %+v\nwant %+v", label, got, want)
 				}
 				if err := workloads.VerifyMatmul(resumed.Machine(), prog, workloads.Base, h); err != nil {
-					t.Errorf("h=%d %v|%v: %v", h, first, second, err)
+					t.Errorf("%s: %v", label, err)
 				}
 			}
 		}
@@ -178,10 +163,8 @@ void main() {
 }
 
 // TestEquivalence256Cores: on a 256-core machine — two router levels
-// deeper than the paper's 64-core chip — every {-simworkers} × {-ffwd}
-// crossing must produce one outcome, digest included. Runs under -race
-// in tier-1, so the sharded compute phase and the per-worker commit
-// lanes are also checked for data races at depth.
+// deeper than the paper's 64-core chip — fast-forward on and off must
+// produce one outcome, digest included.
 func TestEquivalence256Cores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: 256-core machine")
@@ -194,13 +177,12 @@ func TestEquivalence256Cores(t *testing.T) {
 		Trace:     TraceSpec{Digest: true},
 	}
 	var want outcome
-	for i, k := range []knobs{{1, true}, {1, false}, {2, true}, {2, false}} {
+	for i, ffwd := range []bool{true, false} {
 		sp := spec
-		sp.SimWorkers = k.workers
-		sp.NoFastForward = !k.ffwd
+		sp.NoFastForward = !ffwd
 		sess, err := New(sp)
 		if err != nil {
-			t.Fatalf("%+v: %v", k, err)
+			t.Fatalf("ffwd %v: %v", ffwd, err)
 		}
 		_, got := runToEnd(t, sess)
 		if i == 0 {
@@ -208,16 +190,16 @@ func TestEquivalence256Cores(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%+v diverged from {1 true}:\n got %+v\nwant %+v", k, got, want)
+			t.Errorf("ffwd %v diverged from ffwd true:\n got %+v\nwant %+v", ffwd, got, want)
 		}
 	}
 }
 
 // TestCheckpointResume1024Cores: split-run bit-identity at the largest
-// supported geometry. The split leg advances under one host-knob
-// setting, checkpoints through the sharded v2 format (16 shards of 64
-// cores), and resumes under another; halt, stats, memory stats and
-// digest must match the uninterrupted run exactly.
+// supported geometry. The split leg advances with fast-forward off,
+// checkpoints through the sharded v2 format (16 shards of 64 cores),
+// and resumes with it on; halt, stats, memory stats and digest must
+// match the uninterrupted run exactly.
 func TestCheckpointResume1024Cores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: 1024-core machine")
@@ -236,32 +218,7 @@ func TestCheckpointResume1024Cores(t *testing.T) {
 	baseRes, want := runToEnd(t, base)
 	k := baseRes.Stats.Cycles / 2
 
-	sp := spec
-	sp.SimWorkers = 2
-	sp.NoFastForward = true
-	sess, err := New(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := sess.Advance(k); err != nil || res != nil {
-		t.Fatalf("advance to %d: res=%v err=%v", k, res, err)
-	}
-	cp, err := sess.Checkpoint()
-	if err != nil {
-		t.Fatalf("checkpoint: %v", err)
-	}
-	resumed, err := Resume(cp, ResumeSpec{
-		MaxCycles:  50_000_000,
-		SimWorkers: 3,
-	})
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if resumed.Machine().Cycle() != k {
-		t.Fatalf("resumed at cycle %d, want %d", resumed.Machine().Cycle(), k)
-	}
-	_, got := runToEnd(t, resumed)
-	if !reflect.DeepEqual(got, want) {
+	if _, got := splitRun(t, "1024 cores", spec, k, false, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("split run diverged:\n got %+v\nwant %+v", got, want)
 	}
 }

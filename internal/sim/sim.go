@@ -62,9 +62,10 @@ type Spec struct {
 	Trace   TraceSpec
 	Profile bool // enable the deterministic performance counters
 
-	// SimWorkers is the intra-run host worker count: 0 or 1 steps the
-	// machine single-threaded, n > 1 shards the compute phase across n
-	// threads, negative selects all host CPUs. Never affects results.
+	// Deprecated: SimWorkers selected the sharded stepper, which is
+	// gone; nothing reads the field. It stays only because the frozen
+	// benchmark probe (bench/lbp-load/trace.go, lbp.sharded_speedup_1024c)
+	// still assigns it, and goes when that probe does.
 	SimWorkers int
 
 	// NoFastForward disables idle-cycle fast-forward (also results-
@@ -130,16 +131,8 @@ func (s *Session) attachObservers() {
 	}
 }
 
-// applyHostKnobs installs the results-neutral execution settings.
+// applyHostKnobs installs the results-neutral execution setting.
 func (s *Session) applyHostKnobs() {
-	switch {
-	case s.spec.SimWorkers < 0:
-		s.m.SetSimWorkers(0) // all host CPUs
-	case s.spec.SimWorkers > 1:
-		s.m.SetSimWorkers(s.spec.SimWorkers)
-	default:
-		s.m.SetSimWorkers(1)
-	}
 	s.m.SetFastForward(!s.spec.NoFastForward)
 }
 
@@ -253,8 +246,8 @@ func (s *Session) Reset(prog *asm.Program) error {
 	return nil
 }
 
-// Machine exposes the underlying machine (shared-memory reads,
-// SimWorkers introspection). The session owns its lifecycle.
+// Machine exposes the underlying machine (shared-memory reads). The
+// session owns its lifecycle.
 func (s *Session) Machine() *lbp.Machine { return s.m }
 
 // Recorder returns the attached trace recorder, nil when tracing is off.
@@ -274,13 +267,12 @@ func (s *Session) PerfSnapshot() *perf.Snapshot { return s.m.PerfSnapshot() }
 type ResumeSpec struct {
 	Devices       []lbp.Device
 	MaxCycles     uint64 // absolute budget, counting already-simulated cycles
-	SimWorkers    int
 	NoFastForward bool
 }
 
 // Resume rebuilds a session from Checkpoint bytes. Advancing it
-// reproduces the uninterrupted run bit-exactly, for any SimWorkers and
-// fast-forward combination on either side of the split.
+// reproduces the uninterrupted run bit-exactly, for either fast-forward
+// setting on either side of the split.
 func Resume(cp []byte, rs ResumeSpec) (*Session, error) {
 	m, err := lbp.Restore(cp, rs.Devices...)
 	if err != nil {
@@ -290,7 +282,6 @@ func Resume(cp []byte, rs ResumeSpec) (*Session, error) {
 		spec: Spec{
 			Devices:       rs.Devices,
 			MaxCycles:     rs.MaxCycles,
-			SimWorkers:    rs.SimWorkers,
 			NoFastForward: rs.NoFastForward,
 		},
 		cfg: m.Config(),

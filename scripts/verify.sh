@@ -2,7 +2,8 @@
 # verify.sh — the tier-1 verification gate (see ROADMAP.md).
 #
 #   scripts/verify.sh            build + vet + gofmt + tests + race subset
-#                                + lbp-serve smoke test
+#                                + bench module + lbp-serve smoke test
+#                                + lbp-fuzz smoke
 #   scripts/verify.sh -bench N   ...then regenerate figure N and benchdiff
 #                                it against the recorded BENCH_figN.json
 #                                (fails on any simulated-result change).
@@ -24,6 +25,18 @@ if [ -n "$unformatted" ]; then
 fi
 go test ./...
 go test -race ./internal/runner ./internal/figures ./internal/sim ./internal/serve ./internal/cache ./internal/rpc ./internal/dispatch ./internal/fuzzgen ./cmd/lbp-bench
+
+# bench/ is its own module (the frozen benchmark, see BENCHMARK.json):
+# the root ./... never compiles it, so an API it uses could vanish
+# unnoticed. Same Go settings as bench/drive.sh; -o /dev/null because
+# the module's one binary shares its name with its directory.
+(
+    cd bench
+    export GOFLAGS=-mod=mod GOPROXY=off
+    go build -o /dev/null ./...
+    go vet ./...
+    go test ./...
+)
 
 # Smoke-test the serving daemon over real HTTP: ephemeral port, the
 # same job twice (the repeat must be a cache hit with an identical
@@ -142,14 +155,14 @@ wait "$w2pid" 2>/dev/null || true
 echo "verify: distributed smoke OK"
 
 # Determinism fuzzing smoke: a small fixed-seed campaign across the
-# {cores} x {-simworkers} x {-ffwd} matrix must find zero divergences
-# from the sequential reference evaluator.
-go run ./cmd/lbp-fuzz -n 25 -seed 1 -crashdir "$smokedir/fuzz"
+# {cores} x {-ffwd} matrix must find zero divergences from the
+# sequential reference evaluator.
+go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
 echo "verify: lbp-fuzz smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
-# the cores ladder enabled, so the generalized router hierarchy and the
-# sharded commit lanes are exercised at depth on every verify run.
+# the cores ladder enabled, so the generalized router hierarchy is
+# exercised at depth on every verify run.
 go run ./cmd/lbp-fuzz -n 5 -seed 2 -maxcores 256 -crashdir "$smokedir/fuzz256"
 echo "verify: 256-core smoke OK"
 
