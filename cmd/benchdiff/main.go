@@ -1,8 +1,9 @@
 // benchdiff compares two BENCH_fig<N>.json records produced by lbp-bench.
 //
 // Simulated results are deterministic, so any change in cycles, retired
-// instructions, IPC, access mix, trace digests or event counts between the
-// two records is a failure — the simulator's behavior drifted. Host-side
+// instructions, IPC, access mix, trace digests, event counts or (when both
+// records were taken with -profile) perf snapshots between the two records
+// is a failure — the simulator's behavior drifted. Host-side
 // throughput (simulated cycles per host second) is allowed to vary, but a
 // regression of more than -tolerance (default 10%) also fails, so the
 // performance trajectory of the simulator itself is guarded.
@@ -20,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 
 	"repro/internal/figures"
 )
@@ -102,6 +104,11 @@ func main() {
 		if o.Remote != w.Remote || o.Local != w.Local {
 			fail("%s: access mix changed: remote %d/local %d vs remote %d/local %d",
 				id, o.Remote, o.Local, w.Remote, w.Local)
+		}
+		// Counter snapshots (lbp-bench -profile) are as deterministic as
+		// digests; compared when both records carry them.
+		if o.Perf != nil && w.Perf != nil && !reflect.DeepEqual(o.Perf, w.Perf) {
+			fail("%s: perf snapshot changed", id)
 		}
 		if o.Host == nil || w.Host == nil {
 			continue // throughput not recorded on one side; nothing to guard

@@ -5,15 +5,17 @@ package lbp_test
 // per host second inside Machine.Run — on the fig-19 workloads, plus the
 // raw stepping rate of a single machine. Run them with
 //
-//	go test -bench 'MachineStep|FigRow' -run @ ./internal/lbp
+//	go test -bench 'MachineStep|FigRow|PhaseBCommit' -run @ ./internal/lbp
 //
 // (scripts/verify.sh -bench N runs them alongside the benchdiff gate).
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cc"
+	"repro/internal/lbp"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -100,13 +102,12 @@ func BenchmarkFigRow(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseBCommit measures the effect path on a message-dense
-// workload: the placed set/get program at 256 cores, where every hart
-// forks, sends and joins, so most cores apply an effect most cycles and
-// every p_fn cycle replays deferred streams in phase B.
-func BenchmarkPhaseBCommit(b *testing.B) {
-	src := `
-#define H 1024
+// phaseBSource is the placed set/get program for h harts: every hart
+// forks, sends and joins, so the fork wave replays deferred streams in
+// phase B on every p_fn cycle.
+func phaseBSource(h int) string {
+	return fmt.Sprintf(`
+#define H %d
 #define CHUNK 16
 #define RESW 128
 
@@ -129,49 +130,64 @@ void main() {
 		*vchunk(t) = acc;
 	}
 }
-`
-	opt := cc.DefaultOptions()
-	opt.Cores = 256
-	opt.BankReserveBytes = 512
-	asmText, err := cc.BuildProgram(src, opt)
-	if err != nil {
-		b.Fatal(err)
+`, h)
+}
+
+// BenchmarkPhaseBCommit measures the effect path on a message-dense
+// workload — the placed set/get program — at 64, 256 and 1024 cores. The
+// number of live harts is about the same at every size (the fork wave
+// is a few cores wide), so cycles/s and ns/cycle should be flat across
+// the three: a curve that falls with the core count is per-cycle work
+// proportional to the machine, not to its live harts.
+func BenchmarkPhaseBCommit(b *testing.B) {
+	for _, cores := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("%dc", cores), func(b *testing.B) {
+			opt := cc.DefaultOptions()
+			opt.Cores = cores
+			opt.BankReserveBytes = 512
+			asmText, err := cc.BuildProgram(phaseBSource(cores*lbp.HartsPerCore), opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := asm.Assemble(asmText, asm.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sess, err := sim.New(sim.Spec{
+				Program:   prog,
+				Cores:     cores,
+				MaxCycles: 50_000_000,
+				Trace:     sim.TraceSpec{Digest: true},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var cycles uint64
+			var digest uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sess.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles += res.Stats.Cycles
+				d := sess.Recorder().Digest()
+				if digest == 0 {
+					digest = d
+				} else if d != digest {
+					b.Fatalf("digest drifted: %#x != %#x", d, digest)
+				}
+				b.StopTimer()
+				if err := sess.Reset(prog); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(cycles)/sec, "cycles/s")
+			b.ReportMetric(sec*1e9/float64(cycles), "ns/cycle")
+		})
 	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := sim.New(sim.Spec{
-		Program:   prog,
-		Cores:     256,
-		MaxCycles: 50_000_000,
-		Trace:     sim.TraceSpec{Digest: true},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cycles uint64
-	var digest uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sess.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Stats.Cycles
-		d := sess.Recorder().Digest()
-		if digest == 0 {
-			digest = d
-		} else if d != digest {
-			b.Fatalf("digest drifted: %#x != %#x", d, digest)
-		}
-		b.StopTimer()
-		if err := sess.Reset(prog); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // sanity: the bench sessions run and produce a nonempty digest trace.

@@ -22,15 +22,15 @@ type core struct {
 
 	// Effects and trace events deferred behind a p_fn of this cycle,
 	// drained by Machine.applyDeferred (phase B); whole-run statistic
-	// counters folded into the totals by Machine.result. activeEdge marks
-	// a busy-count 0<->nonzero transition (active-list rebuild);
-	// freeSnap is the cycle-start "has a free hart" snapshot the
-	// *previous* core's p_fn issue check reads.
+	// counters folded into the totals by Machine.result.
 	pend                              []pendItem
 	evbuf                             []trace.Event
 	statFetched, statForks, statSends uint64
-	activeEdge                        bool
-	freeSnap                          bool
+
+	// idleFrom is the first cycle whose stall attribution this core's
+	// harts have not yet received while the core is off Machine.active
+	// (creditIdle pays the span in bulk); 0 while the core is listed.
+	idleFrom uint64
 }
 
 // stepCompute advances the core by one cycle (phase A). Stages run in
@@ -235,9 +235,15 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		if c.idx+1 >= len(c.m.cores) {
 			return true
 		}
-		// The cycle-start snapshot: cross-core state is read as of the
-		// cycle boundary. The allocation itself resolves in phase B.
-		return c.m.cores[c.idx+1].freeSnap
+		// Cross-core state is read as of the cycle boundary, and the live
+		// count is that value: busy changes only in a core's own phase-A
+		// step (execPFC, doRet), in phase B (pendForkNext) and outside the
+		// cycle loop (LoadProgram, Reset, Restore) — Mem.Step deliveries
+		// (startMsg, joinMsg) never cross the free/non-free line — and
+		// this core steps before the next one, so nothing has touched the
+		// neighbor's count since the last cycle ended. The allocation
+		// itself resolves in phase B.
+		return c.m.cores[c.idx+1].busy < HartsPerCore
 	}
 	return true
 }

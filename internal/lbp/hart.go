@@ -168,7 +168,8 @@ func (h *hart) itFull(cfg *Config) bool { return len(h.it) >= cfg.ITEntries }
 // setState transitions the hart lifecycle state, maintaining the owning
 // core's busy-hart count so the machine can skip fully-idle cores (the
 // active-core fast path; skipping is exact because every pipeline stage is
-// a no-op on a core whose harts are all free).
+// a no-op on a core whose harts are all free). A core gaining its first
+// busy hart or losing its last one marks the machine's active list stale.
 func (h *hart) setState(s hartState) {
 	old := h.state
 	h.state = s
@@ -179,12 +180,12 @@ func (h *hart) setState(s hartState) {
 	if s == hartFree {
 		c.busy--
 		if c.busy == 0 {
-			c.activeEdge = true
+			c.m.activeDirty = true
 		}
 	} else {
 		c.busy++
 		if c.busy == 1 {
-			c.activeEdge = true
+			c.m.activeDirty = true
 		}
 	}
 }

@@ -19,11 +19,17 @@ type Machine struct {
 	harts []*hart // flat, index = global hart number
 
 	// Active-core fast path: only cores with at least one non-free hart
-	// are stepped. The list is kept in core-index order (so skipping is
-	// bit-identical to stepping every core: an all-free core's pipeline
-	// stages are no-ops) and rebuilt on hart lifecycle edges, which cores
-	// flag on their activeEdge bit.
-	active []*core
+	// are stepped, profiled and scanned for the next wake-up, so a cycle
+	// costs host time in proportion to the live cores, not to cfg.Cores.
+	// The list is kept in core-index order (so skipping is bit-identical
+	// to stepping every core: an all-free core's pipeline stages are
+	// no-ops). rebuildActive is its only writer. hart.setState raises
+	// activeDirty when a core gains its first busy hart or loses its
+	// last; Advance rebuilds on entry and after every phase B — the last
+	// point of a cycle at which that can happen — so the list is exact
+	// whenever it is read.
+	active      []*core
+	activeDirty bool
 
 	cycle    uint64
 	running  bool
@@ -136,7 +142,7 @@ func New(cfg Config) *Machine {
 	m.hperf = make([]perf.HartCounters, cfg.Cores*HartsPerCore)
 	m.cperf = make([]perf.CoreCounters, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
-		co := &core{m: m, idx: c, perf: &m.cperf[c]}
+		co := &core{m: m, idx: c, perf: &m.cperf[c], idleFrom: 1}
 		for hi := 0; hi < HartsPerCore; hi++ {
 			h := &hart{
 				core:   co,
@@ -210,12 +216,21 @@ func (m *Machine) event(kind trace.Kind, core int, hartIdx int, value uint64) {
 	m.emit(kind, core, hartIdx, value)
 }
 
-// rebuildActive refreshes the active-core list in core-index order.
-func (m *Machine) rebuildActive() {
+// rebuildActive refreshes the active-core list in core-index order. now
+// is the first cycle profTick has not walked yet: a core joining the list
+// is paid the hart-free cycles it sat out up to there, a core leaving it
+// starts its idle span there.
+func (m *Machine) rebuildActive(now uint64) {
+	m.activeDirty = false
 	m.active = m.active[:0]
 	for _, c := range m.cores {
-		if c.busy > 0 {
+		switch {
+		case c.busy > 0:
+			m.creditIdle(c, now)
+			c.idleFrom = 0
 			m.active = append(m.active, c)
+		case c.idleFrom == 0:
+			c.idleFrom = now
 		}
 	}
 }
@@ -312,6 +327,10 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 		m.running = true
 		m.progress = m.cycle
 	}
+	if m.activeDirty {
+		// LoadProgram, Reset or Restore moved harts since the last cycle.
+		m.rebuildActive(m.cycle + 1)
+	}
 	hasDevices := len(m.devices) > 0
 	for !m.exited {
 		if m.cycle >= stop {
@@ -327,19 +346,6 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 				d.Step(m, m.cycle)
 			}
 		}
-		dirty := false
-		for _, c := range m.cores {
-			if c.activeEdge {
-				c.activeEdge = false
-				dirty = true
-			}
-			// Cycle-start snapshot read by the previous core's p_fn issue
-			// check: only Mem.Step and devices ran since the last phase B.
-			c.freeSnap = c.busy < HartsPerCore
-		}
-		if dirty {
-			m.rebuildActive()
-		}
 		activity := false
 		m.deferred = false
 		for _, c := range m.active {
@@ -351,6 +357,14 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 			}
 		}
 		m.applyDeferred(m.cycle)
+		if m.activeDirty {
+			// Before the tick: a core whose first hart phase B just
+			// allocated is attributed this cycle like any listed core (its
+			// new hart stalls on the fork, not hart-free). Mem.Step and
+			// devices never free or allocate a hart, so the next cycle's
+			// phase A steps exactly this list.
+			m.rebuildActive(m.cycle)
+		}
 		m.tick(m.cycle)
 		if m.cycle-m.progress > m.cfg.LivelockWindow {
 			m.faultf(-1, -1, "no progress for %d cycles (deadlock?)%s",
@@ -393,13 +407,25 @@ func (m *Machine) result() *Result {
 	return &Result{Stats: st, Mem: m.Mem.Stats, Halt: m.haltMsg}
 }
 
-// stuckReport describes non-free harts, to diagnose deadlocks and timeouts.
+// stuckReportHarts bounds stuckReport: the report travels inside the run
+// error (lbp-serve returns it in a 422 body), and a 1024-core machine
+// has 4096 harts.
+const stuckReportHarts = 16
+
+// stuckReport describes the first stuckReportHarts non-free harts and
+// counts the rest, to diagnose deadlocks and timeouts.
 func (m *Machine) stuckReport() string {
 	var out strings.Builder
+	shown, more := 0, 0
 	for _, h := range m.harts {
 		if h.state == hartFree {
 			continue
 		}
+		if shown == stuckReportHarts {
+			more++
+			continue
+		}
+		shown++
 		fmt.Fprintf(&out, "\n  core %d hart %d: state=%d pc=%#x pcValid=%v rob=%d it=%d inflight=%d hasPred=%v sig=%v",
 			h.core.idx, h.idx, h.state, h.pc, h.pcValid, h.robN, len(h.it),
 			h.inflightMem, h.hasPred, h.predSignal)
@@ -407,6 +433,9 @@ func (m *Machine) stuckReport() string {
 			u := h.robFront()
 			fmt.Fprintf(&out, " head=%s done=%v", isa.Disassemble(u.d.Inst, u.pc), u.done)
 		}
+	}
+	if more > 0 {
+		fmt.Fprintf(&out, "\n  … and %d more", more)
 	}
 	return out.String()
 }
@@ -470,8 +499,7 @@ func (m *Machine) Reset(p *asm.Program) error {
 	for _, c := range m.cores {
 		c.fetchRR, c.renameRR, c.issueRR, c.wbRR, c.commitRR = 0, 0, 0, 0, 0
 		c.statFetched, c.statForks, c.statSends = 0, 0, 0
-		c.activeEdge = false
-		c.freeSnap = false
+		c.idleFrom = 0 // restamped by rebuildActive below
 		clear(c.pend)
 		c.pend = c.pend[:0]
 		c.evbuf = c.evbuf[:0]
@@ -488,6 +516,6 @@ func (m *Machine) Reset(p *asm.Program) error {
 	clear(m.hperf)
 	clear(m.cperf)
 	m.img = nil // the image is shared and immutable; just drop the reference
-	m.rebuildActive()
+	m.rebuildActive(1)
 	return m.LoadProgram(p)
 }

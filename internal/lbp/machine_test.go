@@ -420,6 +420,53 @@ main:
 	}
 }
 
+// TestStuckReportBounded: a budget-exceeded run describes its non-free
+// harts inside the error, which lbp-serve hands back in a 422 body. A
+// fork chain that leaves one spinning hart on every core it passes has
+// far more than 16 of them live when a 256-core machine is cut off at
+// cycle 1000; the report lists the first 16 and counts the rest.
+func TestStuckReportBounded(t *testing.T) {
+	p, err := asm.Assemble(`
+main:
+	p_fn t6
+	p_jal ra, t6, spin       # the new hart continues below and forks on
+	j main
+spin:
+	j spin
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(256))
+	if err := m.LoadProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run(1000)
+	if err == nil {
+		t.Fatal("the chain should outlive a 1000-cycle budget")
+	}
+	live := 0
+	for _, h := range m.harts {
+		if h.state != hartFree {
+			live++
+		}
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if lines[0] != "lbp: exceeded 1000 cycles without exiting" {
+		t.Errorf("first line = %q", lines[0])
+	}
+	for _, l := range lines[1 : len(lines)-1] {
+		if !strings.HasPrefix(l, "  core ") {
+			t.Errorf("not a hart line: %q", l)
+		}
+	}
+	if want := sprintf("  … and %d more", live-stuckReportHarts); live <= stuckReportHarts ||
+		len(lines) != stuckReportHarts+2 || lines[len(lines)-1] != want {
+		t.Errorf("%d live harts, %d report lines ending %q, want %d ending %q",
+			live, len(lines), lines[len(lines)-1], stuckReportHarts+2, want)
+	}
+}
+
 func TestEbreakHalts(t *testing.T) {
 	_, res := buildAndRun(t, 1, "main:\n\tebreak\n", 1000)
 	if res.Halt != "ebreak" {

@@ -11,6 +11,13 @@ import (
 // per-cycle stall-attribution walk, which classifies every hart-cycle
 // that did not commit into exactly one perf.StallCause. The accounting is
 // therefore exact: CommitCycles + sum(StallCycles) == Cycles * NumHarts.
+//
+// The walk visits the harts of the active cores only. A core off the
+// active list has four free harts, each owed one hart-free cycle per
+// cycle; that span is counted from the core's idleFrom stamp and paid in
+// bulk when the core is listed again or the counters are read — the same
+// real counting fastForward does for a skipped span, so the accounting
+// identity stays an independent check.
 
 // EnableProfiling turns on per-cycle stall attribution. It must be called
 // before Run; profiling never changes a run's cycle count, results or
@@ -30,19 +37,53 @@ func (m *Machine) PerfSnapshot() *perf.Snapshot {
 	if !m.profiling {
 		return nil
 	}
+	m.flushIdle()
 	return perf.Build(m.cycle, HartsPerCore, m.hperf, m.cperf, &m.Mem.Perf)
 }
 
-// profTick attributes the current cycle of every hart (free harts
-// included — an idle machine is itself a finding) to a stall cause.
-// It runs after the pipeline stages, so a hart whose commit stage retired
-// an instruction this cycle is counted as committing, not stalled.
+// profTick attributes the current cycle of every hart of an active core
+// (free harts included — an idle machine is itself a finding; those of
+// idle cores are paid by creditIdle) to a stall cause. It runs after the
+// pipeline stages, so a hart whose commit stage retired an instruction
+// this cycle is counted as committing, not stalled.
 func (m *Machine) profTick(now uint64) {
-	for _, h := range m.harts {
-		if h.lastCommit == now {
-			continue // counted by Commits at the commit stage
+	for _, c := range m.active {
+		for _, h := range c.harts {
+			if h.lastCommit == now {
+				continue // counted by Commits at the commit stage
+			}
+			h.perf.Stalls[classifyStall(h)]++
 		}
-		h.perf.Stalls[classifyStall(h)]++
+	}
+}
+
+// creditIdle pays the harts of a core that is off the active list the
+// hart-free cycles [c.idleFrom, upto) and restarts the span at upto. A
+// core that left the list in cycle t did so before t's tick, so its span
+// starts at t — where the hart whose p_ret emptied the core is already
+// counted as committing.
+func (m *Machine) creditIdle(c *core, upto uint64) {
+	if !m.profiling || c.idleFrom == 0 {
+		return
+	}
+	for _, h := range c.harts {
+		n := upto - c.idleFrom
+		if h.lastCommit == c.idleFrom {
+			n--
+		}
+		h.perf.Stalls[perf.StallHartFree] += n
+	}
+	c.idleFrom = upto
+}
+
+// flushIdle settles every idle core's span through the current cycle, so
+// the hart counters read as if each hart had been walked every cycle.
+func (m *Machine) flushIdle() {
+	if !m.profiling {
+		return
+	}
+	for _, c := range m.cores {
+		m.creditIdle(c, m.cycle+1)
 	}
 }
 

@@ -279,9 +279,12 @@ func (m *Machine) fastForward(now, stop uint64) {
 	if m.profiling {
 		// classifyStall is a pure function of hart state, which is frozen
 		// across the skipped span, so one classification per hart stands
-		// for every skipped cycle.
-		for _, h := range m.harts {
-			h.perf.Stalls[classifyStall(h)] += skipped
+		// for every skipped cycle. The harts of idle cores are paid from
+		// their core's idleFrom stamp (creditIdle).
+		for _, c := range m.active {
+			for _, h := range c.harts {
+				h.perf.Stalls[classifyStall(h)] += skipped
+			}
 		}
 	}
 	m.stats.FastForwarded += skipped

@@ -214,6 +214,7 @@ type checkpointShard struct {
 // the same encoder. Shards are captured one at a time, so peak host
 // memory is bounded by one group, not the machine size.
 func (m *Machine) WriteCheckpoint(w io.Writer) error {
+	m.flushIdle()
 	for _, c := range m.cores {
 		if len(c.pend) > 0 || len(c.evbuf) > 0 {
 			return fmt.Errorf("lbp: checkpoint mid-cycle: core %d has unapplied effects", c.idx)
@@ -518,10 +519,12 @@ func finishRestore(m *Machine, decodedLen uint32, hasTrace bool,
 		// machines that loaded the identical program directly.
 		m.img = sharedImage(words)
 	}
+	// The restored counters are settled through m.cycle (WriteCheckpoint
+	// flushes the idle credit), so every idle span restarts after it.
 	for _, c := range m.cores {
-		c.activeEdge = false
+		c.idleFrom = 0
 	}
-	m.rebuildActive()
+	m.rebuildActive(m.cycle + 1)
 	if hasTrace {
 		m.SetTrace(trace.NewFromState(ts))
 	}

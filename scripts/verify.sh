@@ -171,6 +171,10 @@ if [ -n "$fig" ]; then
     go run ./cmd/benchdiff "BENCH_fig$fig.json" "out/BENCH_fig$fig.json"
     # Host-side interpreter throughput (cycles/s): steady-state numbers
     # from the Go microbenchmarks, for eyeballing against EXPERIMENTS E17.
+    # BenchmarkPhaseBCommit runs at 64, 256 and 1024 cores: its three
+    # cycles/s (and ns/cycle) lines should read about the same — a curve
+    # that falls with the core count is per-cycle work proportional to
+    # the machine size (EXPERIMENTS E21).
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkPhaseBCommit' -benchtime 1s
 fi
 
