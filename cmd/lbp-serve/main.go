@@ -1,6 +1,8 @@
 // lbp-serve is the batching simulation service: a long-running
-// HTTP/JSON daemon that accepts simulation jobs and runs them on warm
-// machines from a shared sim.Pool through a bounded worker pool.
+// HTTP/JSON daemon that accepts simulation jobs, answers repeats from a
+// result cache, and runs the rest through one job path — a bounded
+// coordinator queue in front of an executor on warm pooled machines,
+// in this process by default, in worker processes with -backends.
 //
 // Usage:
 //
@@ -33,24 +35,26 @@
 //
 // Admission is bounded: when the queue is full the server answers 429
 // with Retry-After instead of queueing without limit. On SIGINT or
-// SIGTERM the server stops admitting, drains queued and in-flight jobs
-// for up to -drain, then preempts still-running jobs at their next
-// slice boundary and checkpoints them to -ckptdir (resume offline with
-// lbp-run -resume).
+// SIGTERM the server stops admitting (503), drains queued and in-flight
+// jobs for up to -drain, then preempts what is left (503 "preempted"):
+// a job running in this process pauses at its next slice boundary and
+// is checkpointed to -ckptdir (resume offline with lbp-run -resume), a
+// job on a remote worker is abandoned.
 //
 // -addr :0 picks an ephemeral port; -addrfile writes the bound address
 // to a file once listening, for scripts that need to find the port.
 //
 // Distributed serving splits the binary into two roles. `-worker
-// HOST:PORT` runs a headless worker: a JSON-RPC server executing
-// dispatched jobs on its own warm pool, no HTTP. `-backends A,B,C`
-// runs the HTTP front end as a coordinator: jobs that miss the result
-// cache are sharded across the named workers with digest-affine
-// routing (repeat jobs land on the worker whose pool is warm for
-// them), work stealing when a queue runs deep, and checkpoint
-// migration — a job whose worker dies mid-run resumes from its last
-// streamed checkpoint on another worker, bit-identical to an
-// uninterrupted run. The HTTP surface is unchanged in either mode.
+// HOST:PORT` runs a headless worker: the same executor behind a
+// JSON-RPC server, no HTTP. `-backends A,B,C` points the HTTP front
+// end's coordinator at the named workers instead of its in-process
+// executor: jobs that miss the result cache are sharded across them
+// with digest-affine routing (repeat jobs land on the worker whose pool
+// is warm for them), work stealing when a queue runs deep, and
+// checkpoint migration — a job whose worker dies mid-run resumes from
+// its last streamed checkpoint on another worker, bit-identical to an
+// uninterrupted run. The HTTP surface — schema, status codes, metric
+// names — does not depend on where jobs run.
 package main
 
 import (
@@ -133,22 +137,6 @@ func main() {
 		}
 	}
 
-	var coord *dispatch.Coordinator
-	if *backends != "" {
-		var err error
-		coord, err = dispatch.New(dispatch.Config{
-			Backends:        strings.Split(*backends, ","),
-			PerBackend:      *perBackend,
-			QueueDepth:      *queue,
-			StealDepth:      *stealDepth,
-			Attempts:        *retries,
-			CheckpointEvery: *ckptEvery,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	cfg := serve.Config{
 		Workers:       *workers,
 		QueueDepth:    *queue,
@@ -160,50 +148,37 @@ func main() {
 		PoolTotal:     *poolTotal,
 		Cache:         store,
 	}
-	if coord != nil {
+	if *backends != "" {
+		coord, err := dispatch.New(dispatch.Config{
+			Backends:        strings.Split(*backends, ","),
+			PerBackend:      *perBackend,
+			QueueDepth:      *queue,
+			StealDepth:      *stealDepth,
+			Attempts:        *retries,
+			CheckpointEvery: *ckptEvery,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		defer coord.Close()
 		cfg.Dispatcher = coord
 	}
 	srv := serve.New(cfg)
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fatal(err)
-	}
-	bound := ln.Addr().String()
-	fmt.Printf("lbp-serve: listening on http://%s\n", bound)
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-
+	ln := listen(*addr, *addrFile, "listening on http://")
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		fmt.Printf("lbp-serve: %s: draining (grace %s)\n", sig, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
-		if err := srv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "lbp-serve:", err)
-		}
-		cancel()
-		ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "lbp-serve:", err)
-		}
-		if coord != nil {
-			if err := coord.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "lbp-serve:", err)
-			}
-		}
-		fmt.Println("lbp-serve: drained, bye")
-	case err := <-errc:
-		fatal(err)
+	sig := serveUntilSignal(func() error { return httpSrv.Serve(ln) })
+	fmt.Printf("lbp-serve: %s: draining (grace %s)\n", sig, *drain)
+	ctx, cancel := context.WithTimeout(context.Background(), *drain)
+	if err := srv.Shutdown(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "lbp-serve:", err)
 	}
+	cancel()
+	ctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "lbp-serve:", err)
+	}
+	fmt.Println("lbp-serve: drained, bye")
 }
 
 // runWorker is the -worker mode: a headless JSON-RPC job executor on
@@ -216,30 +191,45 @@ func runWorker(addr, addrFile string, slice uint64, poolPerKey, poolTotal int) {
 		PoolPerKey: poolPerKey,
 		PoolTotal:  poolTotal,
 	})
+	ln := listen(addr, addrFile, "worker listening on ")
+	sig := serveUntilSignal(func() error { return w.Serve(ln) })
+	fmt.Printf("lbp-serve: worker: %s: closing\n", sig)
+	if err := w.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "lbp-serve:", err)
+	}
+	fmt.Println("lbp-serve: worker: bye")
+}
+
+// listen binds addr, announces it after banner and, for scripts that
+// need to find an ephemeral port, writes it to addrFile.
+func listen(addr, addrFile, banner string) net.Listener {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal(err)
 	}
 	bound := ln.Addr().String()
-	fmt.Printf("lbp-serve: worker listening on %s\n", bound)
+	fmt.Printf("lbp-serve: %s%s\n", banner, bound)
 	if addrFile != "" {
 		if err := os.WriteFile(addrFile, []byte(bound+"\n"), 0o644); err != nil {
 			fatal(err)
 		}
 	}
+	return ln
+}
+
+// serveUntilSignal runs serve in the background and returns the
+// SIGINT/SIGTERM that ends it; serve failing first is fatal.
+func serveUntilSignal(serve func() error) os.Signal {
 	errc := make(chan error, 1)
-	go func() { errc <- w.Serve(ln) }()
+	go func() { errc <- serve() }()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
-		fmt.Printf("lbp-serve: worker: %s: closing\n", sig)
-		if err := w.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lbp-serve:", err)
-		}
-		fmt.Println("lbp-serve: worker: bye")
+		return sig
 	case err := <-errc:
 		fatal(err)
+		return nil
 	}
 }
 

@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/rpc"
 )
 
 // Config parameterizes a Coordinator. The zero value of every field
@@ -62,10 +58,7 @@ func (c *Config) normalize() {
 		c.StealDepth = 2
 	}
 	if c.Attempts <= 0 {
-		c.Attempts = len(c.Backends)
-		if c.Attempts < 2 {
-			c.Attempts = 2
-		}
+		c.Attempts = max(len(c.Backends), 2)
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 50 * time.Millisecond
@@ -93,7 +86,9 @@ type Metrics struct {
 	Migrations  uint64 // retries that resumed from a streamed checkpoint
 	Steals      uint64 // jobs run by a non-affine backend to balance load
 	Checkpoints uint64 // streamed checkpoints received
-	BackendsUp  int    // backends with a live connection right now
+	BackendsUp  int    // backends reachable right now (an in-process one always is)
+	Queued      int    // jobs admitted and waiting in a backend queue right now
+	Running     int    // jobs inside a backend call right now
 }
 
 // outcome is what a pending job resolves to.
@@ -109,54 +104,42 @@ type pending struct {
 	done  chan outcome // buffered(1): delivery never blocks a dispatcher
 	order []int        // ring walk: order[0] is affine, the rest failover
 
-	abandoned atomic.Bool // client gave up; skip instead of dispatching
+	// Owned by whoever holds the job — the queue (under Coordinator.mu)
+	// or the one dispatcher that popped it.
+	enqueued time.Time     // when it last entered a queue
+	queued   time.Duration // total wait in queues
+	ran      time.Duration // total time inside backend calls
+	attempts int           // dispatch attempts consumed
+	image    []byte        // job.Program serialized for the wire, once
 
-	mu       sync.Mutex
-	attempts int    // dispatch attempts consumed
-	ckpt     []byte // latest streamed checkpoint
-	ckptAt   uint64 // its cycle
+	// Guarded by Coordinator.mu: written from connection read loops.
+	ckpt   []byte // latest streamed checkpoint
+	ckptAt uint64 // its cycle
 }
 
 // deliver resolves the job exactly once.
 func (p *pending) deliver(out outcome) {
+	if out.res != nil {
+		out.res.QueueMs = float64(p.queued) / float64(time.Millisecond)
+		out.res.RunMs = float64(p.ran) / float64(time.Millisecond)
+	}
 	select {
 	case p.done <- out:
 	default:
 	}
 }
 
-// setCheckpoint records a newer streamed checkpoint.
-func (p *pending) setCheckpoint(note *CheckpointNote) {
-	p.mu.Lock()
-	if note.Cycle > p.ckptAt || p.ckpt == nil {
-		p.ckpt = note.State
-		p.ckptAt = note.Cycle
-	}
-	p.mu.Unlock()
-}
-
-// backend is the coordinator's view of one worker.
+// backend is one bounded queue of jobs and the link that runs them.
 type backend struct {
-	idx  int
-	addr string
-
+	addr  string     // Result.Worker; "" for the in-process backend
 	queue []*pending // guarded by Coordinator.mu
-
-	mu   sync.Mutex
-	conn *rpc.Conn // nil until dialed; dropped on transport death
-	down bool      // the last dial failed or the last conn died; cleared by the next successful dial
+	link
 }
 
-// isDown reports whether the backend was last seen dead.
-func (b *backend) isDown() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.down
-}
-
-// Coordinator shards jobs across worker backends with digest-affine
-// routing, work stealing, retry-with-backoff and checkpoint migration.
-// It is safe for concurrent use; create with New, stop with Close.
+// Coordinator queues jobs and runs them on its backends: digest-affine
+// routing, work stealing, retry-with-backoff and checkpoint migration
+// across several, a plain bounded queue in front of one. It is safe for
+// concurrent use; create with New or NewLocal, stop with Close.
 type Coordinator struct {
 	cfg   Config
 	ring  ring
@@ -167,18 +150,12 @@ type Coordinator struct {
 	pending map[string]*pending // running or queued, by job ID
 	closed  bool
 
-	wg sync.WaitGroup
+	m Metrics // the lifetime counters and Running
 
-	dispatched  atomic.Uint64
-	completed   atomic.Uint64
-	failed      atomic.Uint64
-	retries     atomic.Uint64
-	migrations  atomic.Uint64
-	steals      atomic.Uint64
-	checkpoints atomic.Uint64
+	wg sync.WaitGroup
 }
 
-// New builds a coordinator over the configured backends and starts its
+// New builds a coordinator over remote Worker backends and starts its
 // dispatchers. No connection is attempted until the first job.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
@@ -194,6 +171,23 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		seen[a] = true
 	}
+	return start(cfg, func(c *Coordinator, addr string) link {
+		return &remote{addr: addr, dialTimeout: c.cfg.DialTimeout, onNote: c.handleNote}
+	}), nil
+}
+
+// NewLocal builds a coordinator over one in-process backend: up to
+// workers jobs run concurrently on exec and queueDepth more wait.
+// Nothing is serialized — jobs run from Job.Program and no checkpoint
+// is taken unless a job is preempted (ErrPreempted).
+func NewLocal(exec *Executor, workers, queueDepth int) *Coordinator {
+	cfg := Config{Backends: []string{""}, PerBackend: workers, QueueDepth: queueDepth, CheckpointEvery: -1}
+	return start(cfg, func(*Coordinator, string) link { return local{exec} })
+}
+
+// start builds the coordinator and its dispatchers, PerBackend per
+// backend, each backend reaching its Executor through mklink's link.
+func start(cfg Config, mklink func(*Coordinator, string) link) *Coordinator {
 	cfg.normalize()
 	c := &Coordinator{
 		cfg:     cfg,
@@ -201,8 +195,8 @@ func New(cfg Config) (*Coordinator, error) {
 		pending: make(map[string]*pending),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	for i, addr := range cfg.Backends {
-		c.backs = append(c.backs, &backend{idx: i, addr: addr})
+	for _, addr := range cfg.Backends {
+		c.backs = append(c.backs, &backend{addr: addr, link: mklink(c, addr)})
 	}
 	for _, b := range c.backs {
 		for w := 0; w < cfg.PerBackend; w++ {
@@ -210,11 +204,12 @@ func New(cfg Config) (*Coordinator, error) {
 			go c.dispatcher(b)
 		}
 	}
-	return c, nil
+	return c
 }
 
 // Close stops the coordinator: queued jobs fail with ErrClosed,
-// in-flight RPCs sever, dispatchers exit.
+// in-flight RPCs sever, dispatchers exit. An in-process run is not
+// severed — its caller's context stops it — so Close waits for it.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -222,23 +217,16 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	var queued []*pending
 	for _, b := range c.backs {
-		queued = append(queued, b.queue...)
+		for _, p := range b.queue {
+			p.deliver(outcome{err: ErrClosed})
+		}
 		b.queue = nil
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, p := range queued {
-		p.deliver(outcome{err: ErrClosed})
-	}
 	for _, b := range c.backs {
-		b.mu.Lock()
-		if b.conn != nil {
-			b.conn.Close()
-			b.conn = nil
-		}
-		b.mu.Unlock()
+		b.close()
 	}
 	c.wg.Wait()
 	return nil
@@ -246,53 +234,46 @@ func (c *Coordinator) Close() error {
 
 // Metrics returns a snapshot of the coordinator counters.
 func (c *Coordinator) Metrics() Metrics {
-	up := 0
+	c.mu.Lock()
+	m := c.m
 	for _, b := range c.backs {
-		b.mu.Lock()
-		if b.conn != nil && b.conn.Err() == nil {
-			up++
+		m.Queued += len(b.queue)
+	}
+	c.mu.Unlock()
+	for _, b := range c.backs {
+		if b.up() {
+			m.BackendsUp++
 		}
-		b.mu.Unlock()
 	}
-	return Metrics{
-		Dispatched:  c.dispatched.Load(),
-		Completed:   c.completed.Load(),
-		Failed:      c.failed.Load(),
-		Retries:     c.retries.Load(),
-		Migrations:  c.migrations.Load(),
-		Steals:      c.steals.Load(),
-		Checkpoints: c.checkpoints.Load(),
-		BackendsUp:  up,
-	}
+	return m
 }
 
-// Backends returns the configured backend addresses (for /metrics).
-func (c *Coordinator) Backends() []string { return c.cfg.Backends }
-
-// affinityKey is what routes the job: its canonical content address
-// when it has one, its ID otherwise (uniform spread; an uncacheable
-// job has no warm state worth chasing).
-func affinityKey(job *Job) string {
-	if job.Key != "" {
-		return job.Key
-	}
-	return job.ID
-}
-
-// Do runs one job on the fleet and blocks until it resolves: a Result
+// Do runs one job on a backend and blocks until it resolves: a Result
 // (whose Status may still be an error status — those are the job's own
 // outcome, never retried), ErrQueueFull when the affine backend's
-// queue is at bound, ctx's error when the client gives up, or a
-// dispatch failure once every attempt is exhausted.
+// queue is at bound, ErrClosed after Close, or a dispatch failure once
+// every attempt is exhausted. When ctx ends first, a job still queued
+// resolves at once to ctx's cause; a running one resolves as its
+// backend does — an in-process Executor stops at the next slice
+// boundary and still answers (StatusCanceled, or StatusPreempted with
+// the machine state), a remote call is abandoned with ctx's cause.
 func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 	if job.CheckpointEvery == 0 && c.cfg.CheckpointEvery > 0 {
 		job.CheckpointEvery = uint64(c.cfg.CheckpointEvery)
 	}
+	// The job routes by its canonical content address when it has one,
+	// by its ID otherwise (uniform spread; an uncacheable job has no
+	// warm state worth chasing).
+	key := job.Key
+	if key == "" {
+		key = job.ID
+	}
 	p := &pending{
-		job:   job,
-		ctx:   ctx,
-		done:  make(chan outcome, 1),
-		order: c.ring.walk(affinityKey(job)),
+		job:      job,
+		ctx:      ctx,
+		done:     make(chan outcome, 1),
+		order:    c.ring.walk(key),
+		enqueued: time.Now(),
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -310,31 +291,56 @@ func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 	}
 	affine.queue = append(affine.queue, p)
 	c.pending[job.ID] = p
+	c.m.Dispatched++
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.dispatched.Add(1)
 
-	defer func() {
-		c.mu.Lock()
-		delete(c.pending, job.ID)
-		c.mu.Unlock()
-	}()
+	var out outcome
 	select {
-	case out := <-p.done:
-		if out.err != nil {
-			c.failed.Add(1)
-			return nil, out.err
-		}
-		c.completed.Add(1)
-		return out.res, nil
+	case out = <-p.done:
 	case <-ctx.Done():
-		// The client is gone. A queued job is skipped when a dispatcher
-		// reaches it; a running one is canceled by the dispatcher's own
-		// ctx watch. Either way nobody is waiting for the outcome.
-		p.abandoned.Store(true)
-		c.failed.Add(1)
-		return nil, ctx.Err()
+		if c.unqueue(p) {
+			out.err = context.Cause(ctx)
+		} else {
+			// A dispatcher holds it, and every path out of a dispatcher
+			// delivers: promptly, since they all watch p.ctx.
+			out = <-p.done
+		}
 	}
+	c.mu.Lock()
+	delete(c.pending, job.ID)
+	if out.err != nil {
+		c.m.Failed++
+	} else {
+		c.m.Completed++
+	}
+	c.mu.Unlock()
+	return out.res, out.err
+}
+
+// unqueue removes p from whichever backend queue holds it, freeing its
+// slot, and reports whether it was queued at all.
+func (c *Coordinator) unqueue(p *pending) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, b := range c.backs {
+		for i, q := range b.queue {
+			if q == p {
+				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pop takes the head of b's queue, closing its queue-wait interval.
+// Callers hold c.mu.
+func (b *backend) pop() *pending {
+	p := b.queue[0]
+	b.queue = b.queue[1:]
+	p.queued += time.Since(p.enqueued)
+	return p
 }
 
 // next blocks until a job is available for backend b — its own queue
@@ -351,9 +357,7 @@ func (c *Coordinator) next(b *backend) *pending {
 			return nil
 		}
 		if len(b.queue) > 0 {
-			p := b.queue[0]
-			b.queue = b.queue[1:]
-			return p
+			return b.pop()
 		}
 		var victim *backend
 		if !b.isDown() {
@@ -365,10 +369,8 @@ func (c *Coordinator) next(b *backend) *pending {
 			}
 		}
 		if victim != nil {
-			p := victim.queue[0]
-			victim.queue = victim.queue[1:]
-			c.steals.Add(1)
-			return p
+			c.m.Steals++
+			return victim.pop()
 		}
 		c.cond.Wait()
 	}
@@ -382,39 +384,12 @@ func (c *Coordinator) dispatcher(b *backend) {
 		if p == nil {
 			return
 		}
-		if p.abandoned.Load() || p.ctx.Err() != nil {
+		if p.ctx.Err() != nil {
+			p.deliver(outcome{err: context.Cause(p.ctx)})
 			continue
 		}
 		c.runOn(b, p)
 	}
-}
-
-// connect returns b's live connection, dialing if needed. Checkpoint
-// notifications from the worker route to their pending job.
-func (c *Coordinator) connect(b *backend) (*rpc.Conn, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.conn != nil && b.conn.Err() == nil {
-		return b.conn, nil
-	}
-	nc, err := net.DialTimeout("tcp", b.addr, c.cfg.DialTimeout)
-	b.down = err != nil
-	if err != nil {
-		return nil, err
-	}
-	b.conn = rpc.NewConn(nc, c.handleNote)
-	return b.conn, nil
-}
-
-// drop discards a dead connection (unless a new one already replaced it).
-func (c *Coordinator) drop(b *backend, conn *rpc.Conn) {
-	conn.Close()
-	b.mu.Lock()
-	if b.conn == conn {
-		b.conn = nil
-		b.down = true
-	}
-	b.mu.Unlock()
 }
 
 // handleNote routes worker notifications. It runs on a connection read
@@ -428,78 +403,66 @@ func (c *Coordinator) handleNote(method string, params json.RawMessage) {
 		return
 	}
 	c.mu.Lock()
-	p := c.pending[note.ID]
-	c.mu.Unlock()
-	if p != nil {
-		p.setCheckpoint(&note)
-		c.checkpoints.Add(1)
+	defer c.mu.Unlock()
+	if p := c.pending[note.ID]; p != nil {
+		c.m.Checkpoints++
+		if note.Cycle > p.ckptAt || p.ckpt == nil {
+			p.ckpt, p.ckptAt = note.State, note.Cycle
+		}
 	}
 }
 
-// runOn dispatches p to backend b and resolves or re-routes it.
+// runOn runs one attempt of p on backend b and resolves or re-routes it.
 func (c *Coordinator) runOn(b *backend, p *pending) {
-	p.mu.Lock()
 	p.attempts++
-	attempt := p.attempts
 	job := *p.job
+	c.mu.Lock()
+	c.m.Running++
 	if p.ckpt != nil {
 		// Migration: resume from the freshest streamed checkpoint
 		// instead of restarting at cycle zero. Determinism makes the
 		// spliced run bit-identical to an uninterrupted one.
 		job.Checkpoint = p.ckpt
 	}
-	p.mu.Unlock()
+	c.mu.Unlock()
 
-	conn, err := c.connect(b)
-	if err != nil {
-		c.retryElsewhere(p, fmt.Errorf("dialing %s: %w", b.addr, err))
-		return
+	start := time.Now()
+	res, err := b.run(p, &job)
+	p.ran += time.Since(start)
+	c.mu.Lock()
+	c.m.Running--
+	if err == nil && job.Checkpoint != nil && p.attempts > 1 {
+		c.m.Migrations++
 	}
-	var res Result
-	err = conn.Call(p.ctx, MethodRun, &job, &res)
+	c.mu.Unlock()
 	switch {
 	case err == nil:
 		res.Worker = b.addr
-		if job.Checkpoint != nil && attempt > 1 {
-			c.migrations.Add(1)
-		}
-		p.deliver(outcome{res: &res})
+		p.deliver(outcome{res: res})
 	case p.ctx.Err() != nil:
-		// The client gave up mid-run: tell the worker to stop (its
-		// machine flows back to its pool) and resolve with the ctx
-		// error; Do has already returned it.
-		_ = conn.Notify(MethodCancel, &CancelNote{ID: job.ID})
-		p.deliver(outcome{err: p.ctx.Err()})
-	case isRemote(err):
-		// The worker ran the job and refused it (bad image, restore
-		// failure). Terminal: another backend would refuse identically.
-		p.deliver(outcome{err: fmt.Errorf("backend %s: %w", b.addr, err)})
+		p.deliver(outcome{err: context.Cause(p.ctx)})
+	case isRefusal(err):
+		// The executor refused the job (bad image, restore failure).
+		// Terminal: another backend would refuse identically.
+		p.deliver(outcome{err: err})
 	default:
-		// Transport death: the backend is gone mid-job. Re-dispatch.
-		c.drop(b, conn)
-		c.retryElsewhere(p, fmt.Errorf("backend %s: %w", b.addr, err))
+		// The link died mid-job. Re-dispatch.
+		c.retryElsewhere(p, err)
 	}
-}
-
-// isRemote reports whether err is the remote handler's refusal rather
-// than a transport failure.
-func isRemote(err error) bool {
-	var re *rpc.Error
-	return errors.As(err, &re)
 }
 
 // retryElsewhere re-queues p on its next failover backend after a
 // backoff, or fails it once attempts are exhausted.
 func (c *Coordinator) retryElsewhere(p *pending, cause error) {
-	p.mu.Lock()
 	attempt := p.attempts
-	p.mu.Unlock()
 	if attempt >= c.cfg.Attempts {
 		p.deliver(outcome{err: fmt.Errorf("dispatch: job %s failed after %d attempts: %w",
 			p.job.ID, attempt, cause)})
 		return
 	}
-	c.retries.Add(1)
+	c.mu.Lock()
+	c.m.Retries++
+	c.mu.Unlock()
 	// Exponential backoff, capped: a dead backend should not turn into
 	// a tight redial loop, but a healthy failover must not idle long.
 	pause := c.cfg.RetryBackoff << (attempt - 1)
@@ -509,17 +472,19 @@ func (c *Coordinator) retryElsewhere(p *pending, cause error) {
 	select {
 	case <-time.After(pause):
 	case <-p.ctx.Done():
-		p.deliver(outcome{err: p.ctx.Err()})
-		return
 	}
 	target := c.backs[p.order[attempt%len(p.order)]]
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	switch {
+	case c.closed:
 		p.deliver(outcome{err: ErrClosed})
-		return
+	case p.ctx.Err() != nil:
+		// Do found p in no queue and is waiting on this delivery.
+		p.deliver(outcome{err: context.Cause(p.ctx)})
+	default:
+		p.enqueued = time.Now()
+		target.queue = append(target.queue, p)
+		c.cond.Broadcast()
 	}
-	target.queue = append(target.queue, p)
-	c.cond.Broadcast()
-	c.mu.Unlock()
 }

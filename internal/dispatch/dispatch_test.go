@@ -380,74 +380,127 @@ func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestMachineLeakAccounting drives every failure path the serving
-// fleet can hit — clean finish, budget fault, attempt deadline, client
-// cancel mid-run, coordinator connection death mid-run — and verifies
-// the worker's machine accounting balances to zero afterward.
+// TestMachineLeakAccounting drives every failure path a job can take —
+// clean finish, budget fault, attempt deadline, client cancel mid-run,
+// then coordinator connection death mid-run (rpc worker) or shutdown
+// preemption mid-run (in-process backend) — and verifies the executor's
+// machine accounting balances to zero afterward, whichever kind of
+// backend reached it.
 func TestMachineLeakAccounting(t *testing.T) {
-	w, addr := startWorker(t, WorkerConfig{Slice: 1024})
-	c, err := New(Config{Backends: []string{addr}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, inProcess := range []bool{false, true} {
+		name := "rpc worker"
+		if inProcess {
+			name = "in process"
+		}
+		t.Run(name, func(t *testing.T) {
+			var exec *Executor
+			var c *Coordinator
+			if inProcess {
+				exec = NewExecutor(WorkerConfig{Slice: 1024})
+				c = NewLocal(exec, 1, 4)
+			} else {
+				w, addr := startWorker(t, WorkerConfig{Slice: 1024})
+				exec = w.Executor
+				var err error
+				if c, err = New(Config{Backends: []string{addr}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer c.Close()
 
-	quick := imageOf(t, quickSource)
-	spin := imageOf(t, spinSource)
+			quick := imageOf(t, quickSource)
+			spin := imageOf(t, spinSource)
 
-	// Clean finish.
-	if res, err := c.Do(context.Background(), &Job{ID: "ok", Image: quick, Cores: 1,
-		MaxCycles: 1_000_000, Digest: true}); err != nil || res.Status != StatusOK {
-		t.Fatalf("ok job: %v / %+v", err, res)
-	}
-	// Budget exceeded: the machine stops, the worker is healthy.
-	if res, err := c.Do(context.Background(), &Job{ID: "budget", Image: spin, Cores: 1,
-		MaxCycles: 10_000}); err != nil || res.Status != StatusError {
-		t.Fatalf("budget job: %v / %+v", err, res)
-	}
-	// Attempt deadline.
-	if res, err := c.Do(context.Background(), &Job{ID: "deadline", Image: spin, Cores: 1,
-		MaxCycles: 500_000_000, DeadlineMs: 30}); err != nil || res.Status != StatusDeadline {
-		t.Fatalf("deadline job: %v / %+v", err, res)
-	}
-	// Client cancel mid-run.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancelDone := make(chan error, 1)
-	go func() {
-		_, err := c.Do(ctx, &Job{ID: "cancel", Image: spin, Cores: 1, MaxCycles: 500_000_000})
-		cancelDone <- err
-	}()
-	waitFor(t, "cancel job running", func() bool { return w.Metrics().MachinesOut == 1 })
-	cancel()
-	if err := <-cancelDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled job returned %v, want context.Canceled", err)
-	}
-	waitFor(t, "canceled job released", func() bool { return w.Metrics().MachinesOut == 0 })
+			// Clean finish.
+			if res, err := c.Do(context.Background(), &Job{ID: "ok", Image: quick, Cores: 1,
+				MaxCycles: 1_000_000, Digest: true}); err != nil || res.Status != StatusOK {
+				t.Fatalf("ok job: %v / %+v", err, res)
+			}
+			// Budget exceeded: the machine stops, the executor is healthy.
+			if res, err := c.Do(context.Background(), &Job{ID: "budget", Image: spin, Cores: 1,
+				MaxCycles: 10_000}); err != nil || res.Status != StatusError {
+				t.Fatalf("budget job: %v / %+v", err, res)
+			}
+			// Attempt deadline.
+			if res, err := c.Do(context.Background(), &Job{ID: "deadline", Image: spin, Cores: 1,
+				MaxCycles: 500_000_000, DeadlineMs: 30}); err != nil || res.Status != StatusDeadline {
+				t.Fatalf("deadline job: %v / %+v", err, res)
+			}
+			// Client cancel mid-run: an rpc call is abandoned with the
+			// context's error, an in-process run still answers.
+			ctx, cancel := context.WithCancel(context.Background())
+			type reply struct {
+				res *Result
+				err error
+			}
+			replies := make(chan reply, 1)
+			go func() {
+				res, err := c.Do(ctx, &Job{ID: "cancel", Image: spin, Cores: 1, MaxCycles: 500_000_000})
+				replies <- reply{res, err}
+			}()
+			waitFor(t, "cancel job running", func() bool { return exec.Metrics().MachinesOut == 1 })
+			cancel()
+			if r := <-replies; inProcess && (r.err != nil || r.res.Status != StatusCanceled) {
+				t.Fatalf("canceled job: %v / %+v, want a canceled result", r.err, r.res)
+			} else if !inProcess && !errors.Is(r.err, context.Canceled) {
+				t.Fatalf("canceled job returned %v, want context.Canceled", r.err)
+			}
+			waitFor(t, "canceled job released", func() bool { return exec.Metrics().MachinesOut == 0 })
 
-	// Coordinator dies mid-run: the worker's connection context
-	// cancels and the running machine must still flow back.
-	midrunDone := make(chan struct{})
-	go func() {
-		defer close(midrunDone)
-		c.Do(context.Background(), &Job{ID: "conn-death", Image: spin, Cores: 1, MaxCycles: 500_000_000})
-	}()
-	waitFor(t, "conn-death job running", func() bool { return w.Metrics().MachinesOut == 1 })
-	c.Close()
-	<-midrunDone
-	waitFor(t, "conn-death job released", func() bool { return w.Metrics().MachinesOut == 0 })
+			want := ExecutorMetrics{Completed: 1, Errored: 1, Deadline: 1, CheckedOut: 5}
+			if inProcess {
+				// Shutdown preemption mid-run: the job answers with its
+				// machine state, which resumes bit-exactly, and the
+				// machine counts as discarded, not leaked.
+				job := &Job{ID: "preempt", Image: spin, Cores: 1, MaxCycles: 50_000_000, Digest: true}
+				ctx, preempt := context.WithCancelCause(context.Background())
+				go func() {
+					res, err := c.Do(ctx, job)
+					replies <- reply{res, err}
+				}()
+				waitFor(t, "preempt job running", func() bool { return exec.Metrics().MachinesOut == 1 })
+				preempt(ErrPreempted)
+				r := <-replies
+				if r.err != nil || r.res.Status != StatusPreempted || r.res.Checkpoint == nil {
+					t.Fatalf("preempted job: %v / %+v, want a preempted result with a checkpoint", r.err, r.res)
+				}
+				resumed := *job
+				resumed.ID, resumed.Checkpoint = "resumed", r.res.Checkpoint
+				res, err := c.Do(context.Background(), &resumed)
+				if err != nil || res.Status != StatusOK || !res.Resumed {
+					t.Fatalf("resumed job: %v / %+v", err, res)
+				}
+				sameDeterministic(t, "preempted and resumed job", res, directRun(t, job))
+				want.Canceled, want.Preempted, want.Resumed, want.Completed = 1, 1, 1, 2
+				want.CheckedOut, want.PoolDiscarded = 6, 2 // the preempted machine and the restored one
+			} else {
+				// Coordinator dies mid-run: the worker's connection context
+				// cancels and the running machine must still flow back.
+				midrunDone := make(chan struct{})
+				go func() {
+					defer close(midrunDone)
+					c.Do(context.Background(), &Job{ID: "conn-death", Image: spin, Cores: 1, MaxCycles: 500_000_000})
+				}()
+				waitFor(t, "conn-death job running", func() bool { return exec.Metrics().MachinesOut == 1 })
+				c.Close()
+				<-midrunDone
+				waitFor(t, "conn-death job released", func() bool { return exec.Metrics().MachinesOut == 0 })
+				want.Canceled = 2
+			}
 
-	m := w.Metrics()
-	if m.CheckedOut != m.PoolReturned+m.PoolDiscarded {
-		t.Errorf("accounting does not balance: %+v", m)
-	}
-	if m.CheckedOut != 5 {
-		t.Errorf("checked out %d machines, want 5 (%+v)", m.CheckedOut, m)
-	}
-	if m.Completed != 1 || m.Errored != 1 || m.Deadline != 1 || m.Canceled != 2 {
-		t.Errorf("outcome counters off: %+v", m)
-	}
-	// Every returned machine is actually in the pool, idle.
-	if idle := w.pool.Idle(); idle == 0 {
-		t.Error("no idle machines pooled after returns")
+			m := exec.Metrics()
+			if m.CheckedOut != m.PoolReturned+m.PoolDiscarded || m.MachinesOut != 0 {
+				t.Errorf("accounting does not balance: %+v", m)
+			}
+			want.PoolReturned = want.CheckedOut - want.PoolDiscarded
+			if m != want {
+				t.Errorf("counters = %+v, want %+v", m, want)
+			}
+			// Every returned machine is actually in the pool, idle.
+			if idle := exec.PoolIdle(); idle == 0 {
+				t.Error("no idle machines pooled after returns")
+			}
+		})
 	}
 }
 

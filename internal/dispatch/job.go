@@ -1,8 +1,10 @@
-// Package dispatch shards simulation jobs across worker processes: the
-// distributed half of lbp-serve. A Coordinator owns a set of backend
-// addresses and routes each Job to one over the internal/rpc protocol;
-// a Worker executes jobs on its local warm sim.Pool and answers with
-// the deterministic result.
+// Package dispatch is lbp-serve's job path behind the HTTP edge. An
+// Executor runs one Job on a warm sim.Pool machine — the only place in
+// the serving stack that simulates. A Coordinator queues jobs and hands
+// each to a backend, which reaches an Executor one of two ways: in
+// process (NewLocal: a plain call, nothing serialized) or over
+// internal/rpc to a Worker, the rpc handler around a remote Executor
+// (New: one backend per address).
 //
 // Determinism is what makes the whole design safe: every job is a pure
 // function of its canonical content (sim.CacheKey hashes the program
@@ -21,8 +23,14 @@
 package dispatch
 
 import (
+	"bytes"
+	"fmt"
+
+	"repro/internal/asm"
 	"repro/internal/mem"
 	"repro/internal/perf"
+	"repro/internal/rpc"
+	"repro/internal/sim"
 )
 
 // Protocol method names (coordinator → worker over internal/rpc).
@@ -41,11 +49,17 @@ const (
 	MethodCheckpoint = "lbp.checkpoint"
 )
 
-// Job is the wire form of one simulation: the program travels as a
-// serialized image (the coordinator compiles source exactly once, at
-// the HTTP edge), plus the resolved result-affecting parameters.
+// Job is one simulation: the program (compiled exactly once, at the
+// HTTP edge) plus the resolved result-affecting parameters. Its JSON
+// form is the wire form, where the program travels as a serialized
+// image.
 type Job struct {
 	ID string `json:"id"`
+
+	// Program is the compiled program, for callers that have one: an
+	// in-process backend runs it as is, a remote backend serializes it
+	// into Image once per job. Nil means Image carries the program.
+	Program *asm.Program `json:"-"`
 
 	// Key is the job's canonical content address (sim.CacheKey): the
 	// affinity routing key, and the proof that two jobs with equal keys
@@ -81,19 +95,48 @@ type Job struct {
 	CheckpointEvery uint64 `json:"checkpointEvery,omitempty"`
 }
 
+// refusal is an Executor's terminal "cannot run this job" (bad image,
+// bad checkpoint, bad geometry). It is an *rpc.Error so it crosses the
+// wire verbatim and classifies the same from either kind of backend:
+// never retried, because every Executor would refuse identically.
+func refusal(what string, err error) error {
+	return &rpc.Error{Code: rpc.CodeInvalidParams, Message: fmt.Sprintf("%s: %v", what, err)}
+}
+
+// Spec is the machine the job runs on. Image is decoded only when no
+// compiled program was handed over, i.e. when the job crossed the wire.
+func (j *Job) Spec() (sim.Spec, error) {
+	prog := j.Program
+	if prog == nil {
+		var err error
+		if prog, err = asm.ReadImage(bytes.NewReader(j.Image)); err != nil {
+			return sim.Spec{}, refusal("decoding program image", err)
+		}
+	}
+	return sim.Spec{
+		Program:         prog,
+		Cores:           j.Cores,
+		SharedBankBytes: j.BankBytes,
+		MaxCycles:       j.MaxCycles,
+		Trace:           sim.TraceSpec{Digest: j.Digest, Ring: j.Ring},
+		Profile:         j.Profile,
+	}, nil
+}
+
 // Job outcome statuses (Result.Status). They mirror the serving
-// layer's values so the coordinator can map them 1:1 onto HTTP codes.
+// layer's values so it can map them 1:1 onto HTTP codes.
 const (
-	StatusOK       = "ok"       // run completed (Halt says how)
-	StatusError    = "error"    // machine fault or cycle budget exceeded
-	StatusDeadline = "deadline" // the attempt's wall-clock deadline elapsed
-	StatusCanceled = "canceled" // coordinator canceled the job mid-run
+	StatusOK        = "ok"        // run completed (Halt says how)
+	StatusError     = "error"     // machine fault or cycle budget exceeded
+	StatusDeadline  = "deadline"  // the attempt's wall-clock deadline elapsed
+	StatusCanceled  = "canceled"  // the caller canceled the job mid-run
+	StatusPreempted = "preempted" // stopped by ErrPreempted; see Result.Checkpoint
 )
 
 // Result is the outcome of one Job. Halt, Cycles, Retired, IPC,
 // Digest, Events, Tail, Mem and Perf are fully deterministic — equal
-// for any worker, any attempt, resumed or not. Worker, PoolWarm and
-// Resumed are host-side diagnostics.
+// for any worker, any attempt, resumed or not. Everything from Worker
+// down is host-side.
 type Result struct {
 	Status string `json:"status"`
 	Error  string `json:"error,omitempty"`
@@ -113,6 +156,15 @@ type Result struct {
 	Worker   string `json:"worker,omitempty"`  // address that produced the result
 	PoolWarm bool   `json:"poolWarm"`          // served by a warm pooled machine
 	Resumed  bool   `json:"resumed,omitempty"` // ran from a migrated checkpoint
+
+	// Stamped by the Coordinator, never sent: the job's wait in backend
+	// queues and its time inside backend calls, summed over attempts.
+	QueueMs float64 `json:"-"`
+	RunMs   float64 `json:"-"`
+
+	// Checkpoint is the machine state of a StatusPreempted job (nil if
+	// serializing it failed — Error says why). Never sent.
+	Checkpoint []byte `json:"-"`
 }
 
 // CheckpointNote is the payload of a MethodCheckpoint notification.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lbp"
 	"repro/internal/mem"
 	"repro/internal/perf"
-	"repro/internal/sim"
 )
 
 // JobRequest is the body of POST /jobs: one simulation to run. Exactly
@@ -118,7 +117,7 @@ const (
 	StatusDeadline  = "deadline"  // wall-clock deadline elapsed mid-run
 	StatusCanceled  = "canceled"  // client went away mid-run
 	StatusPreempted = "preempted" // server shut down mid-run; see Checkpoint
-	StatusRejected  = "rejected"  // never ran (draining before start)
+	StatusRejected  = "rejected"  // never ran (bad request, queue full, draining)
 )
 
 // JobResult is the response body for one job. Cycles, Retired, IPC,
@@ -149,31 +148,13 @@ type JobResult struct {
 	// state of a preempted job; lbp-run -resume picks it back up.
 	Checkpoint string `json:"checkpoint,omitempty"`
 
-	// Worker is the backend address that ran a dispatched job
-	// (coordinator mode only; host-side, zeroed in cached payloads).
+	// Worker is the address of the worker process that ran the job
+	// (absent when it ran in process; host-side, zeroed in cached
+	// payloads).
 	Worker string `json:"worker,omitempty"`
 
 	Cached   bool    `json:"cached,omitempty"` // served from the result cache, no cycles simulated
 	PoolWarm bool    `json:"poolWarm"`         // served by a warm pooled machine
-	QueueMs  float64 `json:"queueMs"`          // admission-to-start wait
-	RunMs    float64 `json:"runMs"`            // wall time inside the simulator
-}
-
-// fill copies the deterministic outcome of a finished run into the
-// result.
-func (jr *JobResult) fill(sess *sim.Session, res *lbp.Result, ring int) {
-	jr.Halt = res.Halt
-	jr.Cycles = res.Stats.Cycles
-	jr.Retired = res.Stats.Retired
-	jr.IPC = res.Stats.IPC()
-	memStats := res.Mem
-	jr.Mem = &memStats
-	if rec := sess.Recorder(); rec != nil {
-		jr.Digest = rec.Digest()
-		jr.Events = rec.Count()
-		for _, e := range rec.Last(ring) {
-			jr.Tail = append(jr.Tail, e.String())
-		}
-	}
-	jr.Perf = sess.PerfSnapshot()
+	QueueMs  float64 `json:"queueMs"`          // wait in the coordinator's queue
+	RunMs    float64 `json:"runMs"`            // wall time inside the backend call
 }

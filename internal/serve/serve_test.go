@@ -57,6 +57,11 @@ loop:
 	p_ret
 `
 
+// busySource is spinSource at half the length: it keeps a worker busy
+// long enough (a few million cycles) for a test to line jobs up
+// behind it, then exits cleanly.
+var busySource = strings.Replace(spinSource, "2000000", "1000000", 1)
+
 // postJob submits one job and decodes the response, whatever the code.
 func postJob(t *testing.T, url string, req JobRequest) (int, *JobResult) {
 	t.Helper()
@@ -100,10 +105,17 @@ func directRun(t *testing.T, req JobRequest, maxCycles uint64) *JobResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr JobResult
-	jr.fill(sess, res, req.Ring)
-	return &jr
+	memStats := res.Mem
+	return &JobResult{
+		Halt: res.Halt, Cycles: res.Stats.Cycles, Retired: res.Stats.Retired, IPC: res.Stats.IPC(),
+		Digest: sess.Recorder().Digest(), Events: sess.Recorder().Count(),
+		Mem: &memStats, Perf: sess.PerfSnapshot(),
+	}
 }
+
+// running and queued read the two job gauges the way /metrics does.
+func running(s *Server) int { return s.disp.Metrics().Running }
+func queued(s *Server) int  { return s.disp.Metrics().Queued }
 
 // TestDeterminismUnderLoad is the acceptance test: the same job
 // submitted by many concurrent clients must return, for every one of
@@ -158,7 +170,7 @@ func TestDeterminismUnderLoad(t *testing.T) {
 	wg.Wait()
 	// Let the server finish the canceled jobs before reading counters.
 	waitFor(t, "canceled jobs drained", func() bool {
-		return srv.met.inflight.Load() == 0 && srv.met.queueDepth.Load() == 0
+		return running(srv) == 0 && queued(srv) == 0
 	})
 	for i, jr := range results {
 		if codes[i] != http.StatusOK || jr.Status != StatusOK {
@@ -182,7 +194,7 @@ func TestDeterminismUnderLoad(t *testing.T) {
 	}
 	// The pool must have been exercised: 12 jobs over 4 workers cannot
 	// all have built fresh machines... but every reuse was invisible.
-	st := srv.pool.Stats()
+	st := srv.exec.PoolStats()
 	if st.Hits == 0 {
 		t.Error("no warm-pool hits under load")
 	}
@@ -190,38 +202,34 @@ func TestDeterminismUnderLoad(t *testing.T) {
 		t.Errorf("reset failures = %d, want 0", st.ResetFailures)
 	}
 	// Canceled jobs hand their machines back instead of discarding.
-	if got := srv.met.poolDiscarded.Load(); got != 0 {
+	if got := srv.exec.Metrics().PoolDiscarded; got != 0 {
 		t.Errorf("pool_discarded = %d under cancel-heavy load, want 0", got)
 	}
 }
 
-// TestQueueOverflow: with one worker held at the gate and a single
-// queue slot filled, the next job must be answered 429 with Retry-After
-// — backpressure instead of unbounded queueing.
+// TestQueueOverflow: with the one worker busy on a long job and the
+// single queue slot filled, the next job must be answered 429 with
+// Retry-After — backpressure instead of unbounded queueing.
 func TestQueueOverflow(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	srv := New(Config{
-		Workers: 1, QueueDepth: 1, Slice: 1024,
-		testGate: func() { started <- struct{}{}; <-release },
-	})
+	srv := New(Config{Workers: 1, QueueDepth: 1, Slice: 1024})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	long := JobRequest{Source: busySource, Lang: "s", Cores: 1, MaxCycles: 50_000_000}
 	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true}
 	type reply struct {
 		code int
 		jr   *JobResult
 	}
 	replies := make(chan reply, 2)
-	submit := func() {
+	submit := func(req JobRequest) {
 		code, jr := postJob(t, ts.URL, req)
 		replies <- reply{code, jr}
 	}
-	go submit() // runs, blocked at the gate
-	<-started
-	go submit() // sits in the queue
-	waitFor(t, "queued job", func() bool { return srv.met.queueDepth.Load() == 1 })
+	go submit(long) // occupies the worker
+	waitFor(t, "running job", func() bool { return running(srv) == 1 })
+	go submit(req) // sits in the queue
+	waitFor(t, "queued job", func() bool { return queued(srv) == 1 })
 
 	code, jr := postJob(t, ts.URL, req) // overflow
 	if code != http.StatusTooManyRequests || jr.Status != StatusRejected {
@@ -237,7 +245,6 @@ func TestQueueOverflow(t *testing.T) {
 		t.Errorf("bad JSON: HTTP %d, want 400", resp.StatusCode)
 	}
 
-	close(release)
 	for i := 0; i < 2; i++ {
 		r := <-replies
 		if r.code != http.StatusOK || r.jr.Status != StatusOK {
@@ -255,22 +262,17 @@ func TestQueueOverflow(t *testing.T) {
 // TestShutdownDrain: shutdown refuses new work immediately but lets the
 // in-flight job finish and answer 200.
 func TestShutdownDrain(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	srv := New(Config{
-		Workers: 1, QueueDepth: 4, Slice: 1024,
-		testGate: func() { started <- struct{}{}; <-release },
-	})
+	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 1024})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true}
+	req := JobRequest{Source: busySource, Lang: "s", Cores: 1, MaxCycles: 50_000_000}
 	got := make(chan *JobResult, 1)
 	go func() {
 		_, jr := postJob(t, ts.URL, req)
 		got <- jr
 	}()
-	<-started
+	waitFor(t, "running job", func() bool { return running(srv) == 1 })
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -292,7 +294,6 @@ func TestShutdownDrain(t *testing.T) {
 		}
 	}
 
-	close(release)
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -322,7 +323,7 @@ func TestShutdownPreemptsAndCheckpointResumes(t *testing.T) {
 		codec <- code
 		got <- jr
 	}()
-	waitFor(t, "job running", func() bool { return srv.met.inflight.Load() == 1 })
+	waitFor(t, "job running", func() bool { return running(srv) == 1 })
 	time.Sleep(50 * time.Millisecond) // let some slices elapse
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -572,7 +573,7 @@ func TestCacheHitRoundTrip(t *testing.T) {
 		t.Fatalf("cold run: HTTP %d status %q cached=%v (%s)", code, cold.Status, cold.Cached, cold.Error)
 	}
 	cyclesAfterCold := srv.met.simCycles.Load()
-	poolAfterCold := srv.pool.Stats()
+	poolAfterCold := srv.exec.PoolStats()
 
 	code, warmRaw, warm := postJobRaw(t, ts.URL, req)
 	if code != http.StatusOK || warm.Status != StatusOK || !warm.Cached {
@@ -584,7 +585,7 @@ func TestCacheHitRoundTrip(t *testing.T) {
 	if got := srv.met.simCycles.Load(); got != cyclesAfterCold {
 		t.Errorf("cache hit simulated %d cycles, want 0", got-cyclesAfterCold)
 	}
-	if pool := srv.pool.Stats(); pool != poolAfterCold {
+	if pool := srv.exec.PoolStats(); pool != poolAfterCold {
 		t.Errorf("cache hit touched the machine pool: %+v -> %+v", poolAfterCold, pool)
 	}
 	if hits, misses := srv.met.cacheHits.Load(), srv.met.cacheMisses.Load(); hits != 1 || misses != 1 {
@@ -612,6 +613,58 @@ func TestCacheHitRoundTrip(t *testing.T) {
 		if !strings.Contains(page, series) {
 			t.Errorf("metrics page missing %q", series)
 		}
+	}
+}
+
+// parentCacheKey is the content address, and
+// testdata/parent_cache_payload.json the bytes, of the cache entry the
+// commit before the one-executor refactor (PR 13) stored for the request
+// in TestCachePayloadCompatible.
+const parentCacheKey = "771b58416a2b4b22543d70c00b126fa8f5341da508405b0a116c342573b2e2f0"
+
+// TestCachePayloadCompatible pins the cache contract across the
+// refactor of the job path: the same request still hashes to the same
+// key, a cold run still stores byte-identical payload bytes, and a
+// cache written by the parent is hit and answered with exactly its
+// deterministic fields.
+func TestCachePayloadCompatible(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_cache_payload.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, Ring: 4, Profile: true}
+
+	srv, _, dir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if code, _, jr := postJobRaw(t, ts.URL, req); code != http.StatusOK || jr.Cached {
+		t.Fatalf("cold run: HTTP %d cached=%v (%s)", code, jr.Cached, jr.Error)
+	}
+	stored, err := os.ReadFile(filepath.Join(dir, parentCacheKey[:2], parentCacheKey+".json"))
+	if err != nil {
+		t.Fatalf("the cold run stored nothing under the parent's key: %v", err)
+	}
+	if !bytes.Equal(stored, fixture) {
+		t.Errorf("stored payload differs from the parent's:\nparent: %s\nnow:    %s", fixture, stored)
+	}
+
+	seeded, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	defer seeded.Shutdown(context.Background())
+	if err := store.Put(parentCacheKey, fixture); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(seeded.Handler())
+	defer ts2.Close()
+	code, raw, jr := postJobRaw(t, ts2.URL, req)
+	if code != http.StatusOK || !jr.Cached {
+		t.Fatalf("job against the parent's cache: HTTP %d cached=%v, want a hit", code, jr.Cached)
+	}
+	if got, want := stripHostFields(t, raw), stripHostFields(t, fixture); got != want {
+		t.Errorf("hit differs from the parent's payload:\nparent: %s\nhit:    %s", want, got)
+	}
+	if got := seeded.exec.Metrics().CheckedOut; got != 0 {
+		t.Errorf("the hit checked out %d machines, want 0", got)
 	}
 }
 
@@ -775,25 +828,25 @@ func TestCanceledJobReturnsMachineToPool(t *testing.T) {
 			}
 			close(done)
 		}()
-		waitFor(t, "job running", func() bool { return srv.met.inflight.Load() == 1 })
+		waitFor(t, "job running", func() bool { return running(srv) == 1 })
 		cancel()
 		<-done
-		waitFor(t, "job finished", func() bool { return srv.met.inflight.Load() == 0 })
+		waitFor(t, "job finished", func() bool { return running(srv) == 0 })
 	}
 
 	cancelOne()
-	if idle := srv.pool.Idle(); idle != 1 {
+	if idle := srv.exec.PoolIdle(); idle != 1 {
 		t.Fatalf("pool idle = %d after canceled job, want 1 (machine returned)", idle)
 	}
 	cancelOne() // the second canceled job must reuse the returned machine
-	st := srv.pool.Stats()
+	st := srv.exec.PoolStats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("pool stats = %+v, want the second canceled job served warm (1 hit, 1 miss)", st)
 	}
 	if got := srv.met.failed.Load(); got != 2 {
 		t.Errorf("failed counter = %d, want 2 canceled jobs", got)
 	}
-	if got := srv.met.poolDiscarded.Load(); got != 0 {
+	if got := srv.exec.Metrics().PoolDiscarded; got != 0 {
 		t.Errorf("pool_discarded = %d, want 0 (nothing was preempted)", got)
 	}
 }
@@ -810,7 +863,7 @@ func TestDeadlineAndErrorJobsReturnMachines(t *testing.T) {
 	if code, jr := postJob(t, ts.URL, deadline); code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline job: HTTP %d (%s), want 504", code, jr.Error)
 	}
-	if idle := srv.pool.Idle(); idle != 1 {
+	if idle := srv.exec.PoolIdle(); idle != 1 {
 		t.Errorf("pool idle = %d after deadline, want 1", idle)
 	}
 
@@ -821,10 +874,10 @@ func TestDeadlineAndErrorJobsReturnMachines(t *testing.T) {
 	}
 	// Same spec key as the deadline job? No — MaxCycles differs, so this
 	// was a fresh build; what matters is both machines are idle now.
-	if idle := srv.pool.Idle(); idle != 2 {
+	if idle := srv.exec.PoolIdle(); idle != 2 {
 		t.Errorf("pool idle = %d after budget fault, want 2", idle)
 	}
-	if got := srv.met.poolDiscarded.Load(); got != 0 {
+	if got := srv.exec.Metrics().PoolDiscarded; got != 0 {
 		t.Errorf("pool_discarded = %d, want 0", got)
 	}
 }

@@ -1,15 +1,19 @@
-// Package serve is the batching simulation service over sim.Pool: a
-// long-running HTTP/JSON front end that runs simulation jobs on warm
-// machines through a bounded worker pool with a bounded admission
-// queue.
+// Package serve is the HTTP/JSON edge of the simulation service: it
+// validates a job, compiles its program once, consults the result
+// cache, and hands a miss to a Dispatcher — by default a
+// dispatch.NewLocal coordinator over an in-process Executor (Workers
+// concurrent jobs, QueueDepth waiting), with lbp-serve -backends a
+// coordinator over worker processes. Nothing in this package simulates,
+// and nothing in it depends on which of the two it is talking to
+// (DESIGN.md §8 draws the whole job path).
 //
 // The serving layer preserves the simulator's determinism guarantee
-// end to end: any client, any concurrency, any queue state — the
-// deterministic fields of a JobResult (cycles, retired, digest, perf)
-// are bit-identical to a local sim.Session run of the same request.
-// Everything host-side (admission, slicing, deadlines, preemption)
-// happens between Advance legs at cycle boundaries, where it cannot
-// perturb simulated state.
+// end to end: any client, any concurrency, any queue state, any
+// backend — the deterministic fields of a JobResult (cycles, retired,
+// digest, perf) are bit-identical to a local sim.Session run of the
+// same request. Everything host-side (admission, slicing, deadlines,
+// preemption) happens between Advance legs at cycle boundaries, where
+// it cannot perturb simulated state.
 //
 // Because results are pure functions of the canonical job
 // (sim.CacheKey), the server consults a content-addressed result cache
@@ -19,14 +23,14 @@
 //
 // Backpressure and lifecycle:
 //
-//   - Admission is a bounded queue; overflow answers 429 with
-//     Retry-After instead of queueing unboundedly.
+//   - Admission is the coordinator's bounded queue; overflow answers
+//     429 with Retry-After instead of queueing unboundedly.
 //   - Each job runs under a simulated-cycle budget and a host
-//     wall-clock deadline, enforced cooperatively between Advance
-//     slices (sim.Session.RunSliced).
-//   - Shutdown stops admission, drains queued and running jobs, and —
-//     once the grace context expires — preempts still-running jobs,
-//     checkpointing their machine state to disk for lbp-run -resume.
+//     wall-clock deadline, enforced between Advance slices.
+//   - Shutdown stops admission (503), waits for the jobs in flight,
+//     and — once the grace context expires — preempts them: a job
+//     running in process is checkpointed to disk for lbp-run -resume,
+//     any other is answered 503 "preempted" without one.
 package serve
 
 import (
@@ -34,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,14 +48,18 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/dispatch"
 	"repro/internal/sim"
 )
 
 // Config parameterizes a Server. The zero value of every field selects
 // a sensible default.
 type Config struct {
-	Workers    int // concurrent simulations (0 = GOMAXPROCS)
-	QueueDepth int // jobs admitted but not yet running (0 = 64)
+	// Workers and QueueDepth size the in-process backend: concurrent
+	// simulations (0 = GOMAXPROCS) and jobs admitted but not yet running
+	// (0 = 64). A Dispatcher brings its own.
+	Workers    int
+	QueueDepth int
 
 	DefaultMaxCycles uint64 // budget when a request omits maxCycles (0 = 100M)
 	MaxCyclesCap     uint64 // largest acceptable per-job budget (0 = 1G)
@@ -64,11 +73,11 @@ type Config struct {
 	// less host time on checks; simulated results never depend on it.
 	Slice uint64
 
-	// CheckpointDir receives the serialized machine state of jobs
-	// preempted by shutdown ("" = discard preempted state).
+	// CheckpointDir receives the serialized machine state of in-process
+	// jobs preempted by shutdown ("" = discard preempted state).
 	CheckpointDir string
 
-	// PoolPerKey/PoolTotal bound the warm-machine pool
+	// PoolPerKey/PoolTotal bound the in-process warm-machine pool
 	// (0 = sim.DefaultPoolPerKey / sim.DefaultPoolTotal).
 	PoolPerKey int
 	PoolTotal  int
@@ -77,27 +86,19 @@ type Config struct {
 	// consulted before any cycle is simulated (nil = no caching).
 	Cache *cache.Store
 
-	// Dispatcher, when non-nil, turns the server into a coordinator:
-	// jobs that miss the cache are sharded across worker backends
-	// instead of running on the local pool. The HTTP surface is
-	// unchanged; the shared cache is still consulted (and filled)
-	// before any job is dispatched.
+	// Dispatcher is where jobs that miss the cache run: nil selects an
+	// in-process backend sized by the fields above, a
+	// *dispatch.Coordinator over -backends shards them across worker
+	// processes. The HTTP surface is the same either way.
 	Dispatcher Dispatcher
 
 	MaxBodyBytes int64 // request body cap (0 = 8 MiB)
-
-	// testGate, when set, is called by a worker after dequeuing a job
-	// and before running it; tests use it to hold jobs at a known point.
-	testGate func()
 }
 
 // normalize fills in the defaults.
 func (c *Config) normalize() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.DefaultMaxCycles == 0 {
 		c.DefaultMaxCycles = 100_000_000
@@ -108,83 +109,68 @@ func (c *Config) normalize() {
 	if c.Deadline <= 0 {
 		c.Deadline = 60 * time.Second
 	}
-	if c.Slice == 0 {
-		c.Slice = 1 << 20
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
 }
 
-// Sentinel errors returned by the slice check to classify why a run
-// stopped early.
-var (
-	errPreempted = errors.New("preempted by server shutdown")
-	errDeadline  = errors.New("wall-clock deadline elapsed")
-	errCanceled  = errors.New("client canceled the request")
-)
-
 // statusClientClosedRequest is the de-facto code for "client went away"
 // (the client never sees it; it keeps access logs honest).
 const statusClientClosedRequest = 499
 
-// job is one admitted simulation request flowing through the queue.
-type job struct {
-	id       string
-	req      JobRequest
-	spec     sim.Spec
-	cacheKey string // content address of the result ("" = uncacheable)
-	deadline time.Duration
-	ctx      context.Context // the client's request context
-	enqueued time.Time
-	done     chan struct{} // closed by the worker when res/code are final
-	res      JobResult
-	code     int
+// Dispatcher runs the jobs that miss the cache: a *dispatch.Coordinator
+// in production — over an in-process Executor or over -backends
+// workers — in tests anything that answers Do.
+type Dispatcher interface {
+	// Do runs one job and blocks until it resolves. See
+	// dispatch.Coordinator.Do for the error contract.
+	Do(ctx context.Context, job *dispatch.Job) (*dispatch.Result, error)
+	// Metrics snapshots the dispatch counters for /metrics.
+	Metrics() dispatch.Metrics
 }
 
-// fail records a terminal non-OK outcome.
-func (j *job) fail(code int, status string, err error) {
-	j.code = code
-	j.res.Status = status
-	j.res.Error = err.Error()
-}
-
-// Server runs simulation jobs from an admission queue on a bounded
-// worker pool over a shared warm-machine sim.Pool.
+// Server is the HTTP edge: it answers repeat jobs from the result
+// cache and hands every other job to its Dispatcher.
 type Server struct {
 	cfg  Config
-	pool sim.Pool
+	disp Dispatcher
 	met  metrics
 	mux  *http.ServeMux
 
-	queue  chan *job
-	wg     sync.WaitGroup // the workers
-	nextID atomic.Uint64  // lock-free: ID allocation must not contend with admission
+	// The in-process backend; with a configured Dispatcher local is nil
+	// and exec idle (its pool series read zero).
+	exec  *dispatch.Executor
+	local *dispatch.Coordinator // over exec; Shutdown closes it
 
-	admitMu  sync.Mutex // guards drain + queue sends vs close
-	drain    bool
-	drainCtx context.Context // canceled when the shutdown grace expires
-	stopNow  context.CancelFunc
+	nextID atomic.Uint64 // lock-free: ID allocation must not contend with admission
+
+	admitMu sync.Mutex     // guards drain + jobs.Add vs Shutdown's jobs.Wait
+	drain   bool           // Shutdown has begun: admit nothing
+	jobs    sync.WaitGroup // Dispatcher.Do calls in flight
+
+	// stop is canceled with cause dispatch.ErrPreempted when the
+	// shutdown grace expires; every job's context inherits it.
+	stop    context.Context
+	preempt context.CancelCauseFunc
 }
 
-// New builds a Server and starts its workers. Stop it with Shutdown.
+// New builds a Server (and, without a Dispatcher, its in-process
+// backend). Stop it with Shutdown.
 func New(cfg Config) *Server {
 	cfg.normalize()
-	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *job, cfg.QueueDepth),
+	s := &Server{cfg: cfg, disp: cfg.Dispatcher}
+	s.exec = dispatch.NewExecutor(dispatch.WorkerConfig{
+		Slice: cfg.Slice, PoolPerKey: cfg.PoolPerKey, PoolTotal: cfg.PoolTotal})
+	if s.disp == nil {
+		s.local = dispatch.NewLocal(s.exec, cfg.Workers, cfg.QueueDepth)
+		s.disp = s.local
 	}
-	s.pool.SetCapacity(cfg.PoolPerKey, cfg.PoolTotal)
-	s.drainCtx, s.stopNow = context.WithCancel(context.Background())
+	s.stop, s.preempt = context.WithCancelCause(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleJobs)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux = mux
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
@@ -193,10 +179,12 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Shutdown gracefully stops the server: admission closes immediately
-// (new jobs get 503), queued and running jobs drain to completion, and
-// when ctx expires first, still-running jobs are preempted at their
-// next slice boundary and checkpointed to Config.CheckpointDir.
-// Shutdown returns once every admitted job has been answered.
+// (new jobs get 503), jobs in flight drain to completion, and when ctx
+// expires first they are preempted — an in-process job pauses at its
+// next slice boundary and is checkpointed to Config.CheckpointDir, a
+// queued or remote one is abandoned — and answered 503 "preempted".
+// Shutdown returns once every admitted job has been answered. A
+// configured Dispatcher is the caller's to close.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.admitMu.Lock()
 	if s.drain {
@@ -204,22 +192,27 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return errors.New("serve: already shut down")
 	}
 	s.drain = true
-	close(s.queue)
 	s.admitMu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.stopNow() // preempt in-flight jobs at their next slice
-		<-done
+	graceOver := context.AfterFunc(ctx, func() { s.preempt(dispatch.ErrPreempted) })
+	s.jobs.Wait()
+	graceOver()
+	s.preempt(dispatch.ErrPreempted) // nothing is left to preempt: release stop
+	if s.local != nil {
+		return s.local.Close()
 	}
-	s.stopNow()
 	return nil
+}
+
+// admit opens one job's slot in Shutdown's wait set, refusing once
+// Shutdown has begun. The caller owes a jobs.Done.
+func (s *Server) admit() bool {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if !s.drain {
+		s.jobs.Add(1)
+	}
+	return !s.drain
 }
 
 // draining reports whether Shutdown has begun.
@@ -227,125 +220,6 @@ func (s *Server) draining() bool {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	return s.drain
-}
-
-// Errors distinguishing the two admission refusals.
-var (
-	errDraining  = errors.New("server is shutting down")
-	errQueueFull = errors.New("admission queue is full")
-)
-
-// admit enqueues a job without blocking, refusing when the queue is
-// full or the server is draining.
-func (s *Server) admit(j *job) error {
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	if s.drain {
-		return errDraining
-	}
-	select {
-	case s.queue <- j:
-		s.met.accepted.Add(1)
-		s.met.queueDepth.Add(1)
-		return nil
-	default:
-		s.met.rejected.Add(1)
-		return errQueueFull
-	}
-}
-
-// worker drains the queue until Shutdown closes it.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.queue {
-		s.met.queueDepth.Add(-1)
-		if gate := s.cfg.testGate; gate != nil {
-			gate()
-		}
-		s.met.inflight.Add(1)
-		s.runJob(j)
-		s.met.inflight.Add(-1)
-		close(j.done)
-	}
-}
-
-// runJob executes one admitted job and fills its result.
-func (s *Server) runJob(j *job) {
-	start := time.Now()
-	j.res.QueueMs = float64(start.Sub(j.enqueued)) / float64(time.Millisecond)
-	if s.drainCtx.Err() != nil {
-		// The grace period expired while the job sat in the queue: it
-		// never started, so there is no state worth checkpointing.
-		s.met.failed.Add(1)
-		j.fail(http.StatusServiceUnavailable, StatusRejected,
-			errors.New("server shut down before the job started"))
-		return
-	}
-	sess, warm, err := s.pool.GetWarm(j.spec)
-	if err != nil {
-		s.met.failed.Add(1)
-		j.fail(http.StatusInternalServerError, StatusError, err)
-		return
-	}
-	j.res.PoolWarm = warm
-	startCycle := sess.Machine().Cycle() // nonzero when resuming a checkpoint
-	runCtx, cancel := context.WithTimeout(j.ctx, j.deadline)
-	defer cancel()
-	res, err := sess.RunSliced(s.cfg.Slice, func(uint64) error {
-		select {
-		case <-s.drainCtx.Done():
-			return errPreempted
-		case <-runCtx.Done():
-			if errors.Is(runCtx.Err(), context.DeadlineExceeded) {
-				return errDeadline
-			}
-			return errCanceled
-		default:
-			return nil
-		}
-	})
-	elapsed := time.Since(start)
-	j.res.RunMs = float64(elapsed) / float64(time.Millisecond)
-	s.met.runNanos.Add(uint64(elapsed))
-	s.met.simCycles.Add(sess.Machine().Cycle())
-
-	// Any machine the pool handed out goes back to it — GetWarm resets
-	// machines on checkout, so a deadline-stopped, canceled or faulted
-	// machine is exactly as reusable as a cleanly finished one, and
-	// cancel-heavy traffic keeps its warm hit rate. The one exception
-	// is shutdown preemption: the process is exiting, so returning the
-	// machine would only delay it; those count as pool_discarded.
-	switch {
-	case err == nil:
-		j.code = http.StatusOK
-		j.res.Status = StatusOK
-		j.res.fill(sess, res, j.req.Ring)
-		s.met.completed.Add(1)
-		s.met.recordJobThroughput(sess.Machine().Cycle()-startCycle, elapsed.Seconds())
-		s.pool.Put(sess)
-		s.storeResult(j)
-	case errors.Is(err, errPreempted):
-		s.met.preempted.Add(1)
-		j.code = http.StatusServiceUnavailable
-		j.res.Status = StatusPreempted
-		j.res.Error = s.checkpointPreempted(j, sess)
-		s.met.poolDiscarded.Add(1)
-	case errors.Is(err, errDeadline):
-		s.met.failed.Add(1)
-		j.fail(http.StatusGatewayTimeout, StatusDeadline,
-			fmt.Errorf("deadline %s elapsed at cycle %d", j.deadline, sess.Machine().Cycle()))
-		s.pool.Put(sess)
-	case errors.Is(err, errCanceled):
-		s.met.failed.Add(1)
-		j.fail(statusClientClosedRequest, StatusCanceled, errCanceled)
-		s.pool.Put(sess)
-	default:
-		// The machine itself stopped: a deterministic fault or the
-		// simulated-cycle budget. The service worked; the run did not.
-		s.met.failed.Add(1)
-		j.fail(http.StatusUnprocessableEntity, StatusError, err)
-		s.pool.Put(sess)
-	}
 }
 
 // lookupCached answers a job from the result cache. The stored payload
@@ -373,11 +247,11 @@ func (s *Server) lookupCached(key string) (*JobResult, bool) {
 // every future hit returns exactly the deterministic fields of this
 // run. Concurrent identical jobs race benignly: they store identical
 // bytes and the cache write is atomic (last-write-wins).
-func (s *Server) storeResult(j *job) {
-	if s.cfg.Cache == nil || j.cacheKey == "" {
+func (s *Server) storeResult(cacheKey string, res *JobResult) {
+	if s.cfg.Cache == nil || cacheKey == "" {
 		return
 	}
-	payload := j.res
+	payload := *res
 	payload.ID, payload.Checkpoint, payload.Worker = "", "", ""
 	payload.Cached, payload.PoolWarm = false, false
 	payload.QueueMs, payload.RunMs = 0, 0
@@ -387,32 +261,34 @@ func (s *Server) storeResult(j *job) {
 	}
 	// A failed store is a full cache miss next time — worth no more
 	// than the re-simulation it costs.
-	_ = s.cfg.Cache.Put(j.cacheKey, b)
+	_ = s.cfg.Cache.Put(cacheKey, b)
 }
 
-// checkpointPreempted serializes a preempted job's machine state and
-// returns the message describing where (or why not). The machine is
-// paused at a cycle boundary, so the checkpoint resumes bit-exactly.
-func (s *Server) checkpointPreempted(j *job, sess *sim.Session) string {
-	cycle := sess.Machine().Cycle()
+// saveCheckpoint writes a preempted job's machine state to
+// CheckpointDir and completes the response's account of where it went.
+// The machine was paused at a cycle boundary, so the checkpoint resumes
+// bit-exactly. A nil state (a remote job, or a failed serialization
+// that Error already reports) leaves the response as it is.
+func (s *Server) saveCheckpoint(out *JobResult, state []byte) {
+	if state == nil {
+		return
+	}
 	if s.cfg.CheckpointDir == "" {
-		return fmt.Sprintf("preempted by shutdown at cycle %d; state discarded (no checkpoint dir)", cycle)
+		out.Error += "; state discarded (no checkpoint dir)"
+		return
 	}
-	cp, err := sess.Checkpoint()
-	if err != nil {
-		return fmt.Sprintf("preempted by shutdown at cycle %d; checkpoint failed: %v", cycle, err)
+	path := filepath.Join(s.cfg.CheckpointDir, out.ID+".ckpt")
+	if err := os.WriteFile(path, state, 0o644); err != nil {
+		out.Error += fmt.Sprintf("; checkpoint failed: %v", err)
+		return
 	}
-	path := filepath.Join(s.cfg.CheckpointDir, j.id+".ckpt")
-	if err := os.WriteFile(path, cp, 0o644); err != nil {
-		return fmt.Sprintf("preempted by shutdown at cycle %d; checkpoint failed: %v", cycle, err)
-	}
-	j.res.Checkpoint = path
-	return fmt.Sprintf("preempted by shutdown at cycle %d; resume with lbp-run -resume %s", cycle, path)
+	out.Checkpoint = path
+	out.Error += "; resume with lbp-run -resume " + path
 }
 
-// handleJobs admits one job and answers with its JobResult — or, for a
-// repeat job, answers from the result cache without consuming a queue
-// slot or simulating a cycle.
+// handleJobs answers one job with its JobResult: from the result cache
+// for a repeat job, without consuming a queue slot or simulating a
+// cycle; through the dispatcher otherwise.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -448,55 +324,107 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("program: %w", err))
 		return
 	}
-	spec := sim.Spec{
-		Program:         prog,
-		Cores:           req.Cores,
-		SharedBankBytes: req.BankBytes,
-		MaxCycles:       maxCycles,
-		Trace:           sim.TraceSpec{Digest: req.Digest, Ring: req.Ring},
-		Profile:         req.Profile,
+	job := &dispatch.Job{
+		Program:    prog,
+		Cores:      req.Cores,
+		BankBytes:  req.BankBytes,
+		MaxCycles:  maxCycles,
+		Digest:     req.Digest,
+		Ring:       req.Ring,
+		Profile:    req.Profile,
+		DeadlineMs: deadline.Milliseconds(),
 	}
-	var cacheKey string
 	if s.cfg.Cache != nil {
+		spec, _ := job.Spec() // cannot fail: the program is already compiled
 		if key, err := sim.CacheKey(spec); err == nil {
-			cacheKey = key
+			job.Key = key
 			if res, ok := s.lookupCached(key); ok {
-				res.ID = fmt.Sprintf("job-%06d", s.jobID())
+				res.ID = s.jobID()
 				writeJSON(w, http.StatusOK, res)
 				return
 			}
 		}
 	}
-	if s.cfg.Dispatcher != nil {
-		s.runRemote(w, r, &req, prog, cacheKey, maxCycles, deadline)
+	if !s.admit() {
+		writeError(w, http.StatusServiceUnavailable, errors.New("server is shutting down"))
 		return
 	}
-	j := &job{
-		id:       fmt.Sprintf("job-%06d", s.jobID()),
-		req:      req,
-		spec:     spec,
-		cacheKey: cacheKey,
-		deadline: deadline,
-		ctx:      r.Context(),
-		enqueued: time.Now(),
-		done:     make(chan struct{}),
-	}
-	j.res.ID = j.id
-	switch err := s.admit(j); {
-	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	<-j.done
-	writeJSON(w, j.code, &j.res)
+	defer s.jobs.Done()
+	job.ID = s.jobID()
+	ctx, cancel := context.WithCancelCause(r.Context())
+	defer cancel(nil)
+	defer context.AfterFunc(s.stop, func() { cancel(dispatch.ErrPreempted) })()
+	res, err := s.disp.Do(ctx, job)
+	s.answer(w, r, job, res, err)
 }
 
-// jobID hands out monotonically increasing job numbers.
-func (s *Server) jobID() uint64 { return s.nextID.Add(1) }
+// answer maps what the dispatcher made of a job onto the HTTP status
+// table and the response body, and counts it. A refusal is not an
+// accepted job and not a failed one — 429 counts as rejected, 503
+// (closed) as nothing — so accepted is only known here, once Do has
+// not refused.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, job *dispatch.Job, res *dispatch.Result, err error) {
+	out := &JobResult{ID: job.ID}
+	if err != nil {
+		out.Error = err.Error()
+	} else {
+		out.Status, out.Error = res.Status, res.Error
+		out.Worker, out.PoolWarm = res.Worker, res.PoolWarm
+		out.QueueMs, out.RunMs = res.QueueMs, res.RunMs
+	}
+	var code int
+	outcome, refused := &s.met.failed, false
+	switch {
+	case errors.Is(err, dispatch.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		code, out.Status = http.StatusTooManyRequests, StatusRejected
+		outcome, refused = &s.met.rejected, true
+	case errors.Is(err, dispatch.ErrClosed):
+		code, out.Status = http.StatusServiceUnavailable, StatusRejected
+		outcome, refused = nil, true
+	case errors.Is(err, dispatch.ErrPreempted):
+		// Preempted in a queue or on a remote backend: no machine state.
+		code, out.Status = http.StatusServiceUnavailable, StatusPreempted
+		outcome = &s.met.preempted
+	case err != nil && r.Context().Err() != nil:
+		code, out.Status = statusClientClosedRequest, StatusCanceled
+	case err != nil:
+		// Every attempt exhausted: the backends, not the job, failed.
+		code, out.Status = http.StatusBadGateway, StatusError
+	case res.Status == dispatch.StatusOK:
+		code, outcome = http.StatusOK, &s.met.completed
+		s.met.runNanos.Add(uint64(res.RunMs * 1e6))
+		s.met.simCycles.Add(res.Cycles)
+		if res.RunMs > 0 {
+			s.met.lastJobCPS.Store(math.Float64bits(float64(res.Cycles) / (res.RunMs / 1e3)))
+		}
+		out.Halt, out.Cycles, out.Retired, out.IPC = res.Halt, res.Cycles, res.Retired, res.IPC
+		out.Digest, out.Events, out.Tail = res.Digest, res.Events, res.Tail
+		out.Mem, out.Perf = res.Mem, res.Perf
+		s.storeResult(job.Key, out)
+	case res.Status == dispatch.StatusPreempted:
+		code, outcome = http.StatusServiceUnavailable, &s.met.preempted
+		s.saveCheckpoint(out, res.Checkpoint)
+	case res.Status == dispatch.StatusDeadline:
+		code = http.StatusGatewayTimeout
+	case res.Status == dispatch.StatusCanceled:
+		code = statusClientClosedRequest
+	default:
+		// The machine faulted or ran out of cycle budget: the job's own
+		// deterministic outcome. The service worked; the run did not.
+		code = http.StatusUnprocessableEntity
+	}
+	if outcome != nil {
+		outcome.Add(1)
+	}
+	if !refused {
+		s.met.accepted.Add(1)
+	}
+	writeJSON(w, code, out)
+}
+
+// jobID hands out monotonically increasing job IDs.
+func (s *Server) jobID() string { return fmt.Sprintf("job-%06d", s.nextID.Add(1)) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining() {
@@ -513,10 +441,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Cache != nil {
 		cs = s.cfg.Cache.Stats()
 	}
-	s.met.writePrometheus(w, s.pool.Stats(), s.pool.Idle(), cs)
-	if s.cfg.Dispatcher != nil {
-		writeDispatchMetrics(w, s.cfg.Dispatcher.Metrics())
-	}
+	s.met.writePrometheus(w, s.exec, cs, s.disp.Metrics())
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
