@@ -136,7 +136,17 @@ func main() {
 	var res *lbp.Result
 	var err error
 	if *ckptFile != "" {
-		res, err = sess.RunWithCheckpoints(*every, func(cp []byte) error {
+		// Overwrite the file at every -every boundary the run pauses on:
+		// not where it starts, not where the budget ends it.
+		start := sess.Machine().Cycle()
+		res, err = sess.RunSliced(*every, func(cycle uint64) error {
+			if cycle == start || cycle >= sess.MaxCycles() {
+				return nil
+			}
+			cp, err := sess.Checkpoint()
+			if err != nil {
+				return err
+			}
 			return os.WriteFile(*ckptFile, cp, 0o644)
 		})
 	} else {

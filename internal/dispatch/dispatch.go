@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 )
@@ -172,7 +173,8 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[a] = true
 	}
 	return start(cfg, func(c *Coordinator, addr string) link {
-		return &remote{addr: addr, dialTimeout: c.cfg.DialTimeout, onNote: c.handleNote}
+		dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, c.cfg.DialTimeout) }
+		return &remote{addr: addr, dial: dial, onNote: c.handleNote}
 	}), nil
 }
 

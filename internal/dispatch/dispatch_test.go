@@ -569,3 +569,68 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("empty backend address accepted")
 	}
 }
+
+// TestHangingDialDoesNotStallOtherBackends: while one backend's dial
+// hangs (a partitioned host, up to DialTimeout), jobs routed to another
+// backend still resolve and Metrics still answers. The hung backend's
+// idle dispatchers wake on every admission and ask their link isDown
+// under the coordinator lock; that read used to wait for the dialing
+// dispatcher's mutex, stalling every Do for the length of the dial.
+func TestHangingDialDoesNotStallOtherBackends(t *testing.T) {
+	_, live := startWorker(t, WorkerConfig{Slice: 1024})
+	const hung = "hung.invalid:1"
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enter, unhang sync.Once
+	c := start(Config{Backends: []string{hung, live}, StealDepth: 1 << 30, RetryBackoff: time.Millisecond},
+		func(c *Coordinator, addr string) link {
+			dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, c.cfg.DialTimeout) }
+			if addr == hung {
+				dial = func() (net.Conn, error) {
+					enter.Do(func() { close(entered) })
+					<-release
+					return nil, errors.New("dial timed out")
+				}
+			}
+			return &remote{addr: addr, dial: dial, onNote: c.handleNote}
+		})
+	defer c.Close()
+	defer unhang.Do(func() { close(release) }) // before Close, which waits for the dial
+
+	keyFor := func(backend int) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprintf("key-%d", i); c.ring.walk(k)[0] == backend {
+				return k
+			}
+		}
+	}
+	image := imageOf(t, quickSource)
+	do := func(id string, backend int) chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := c.Do(context.Background(), &Job{ID: id, Key: keyFor(backend),
+				Image: image, Cores: 1, MaxCycles: 1_000_000})
+			done <- err
+		}()
+		return done
+	}
+	stuck := do("to-hung", 0)
+	<-entered
+	for i := 0; i < 8; i++ {
+		select {
+		case err := <-do(fmt.Sprintf("to-live-%d", i), 1):
+			if err != nil {
+				t.Fatalf("job %d on the live backend: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %d on the live backend stalled behind the other backend's dial", i)
+		}
+	}
+	if m := c.Metrics(); m.BackendsUp != 1 || m.Completed != 8 {
+		t.Errorf("metrics during the hung dial: %+v, want 1 backend up, 8 completed", m)
+	}
+	// The dial gives up: the job fails over to the live backend.
+	unhang.Do(func() { close(release) })
+	if err := <-stuck; err != nil {
+		t.Errorf("job behind the hung dial did not fail over: %v", err)
+	}
+}

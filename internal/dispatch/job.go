@@ -38,8 +38,6 @@ const (
 	// MethodRun executes one Job and returns a Result. While it is
 	// pending the worker may push MethodCheckpoint notifications.
 	MethodRun = "lbp.run"
-	// MethodPing returns WorkerStats (liveness + load).
-	MethodPing = "lbp.ping"
 	// MethodCancel is a client-to-worker notification: stop the named
 	// job at its next slice boundary (the pending MethodRun answers
 	// with StatusCanceled).
@@ -177,12 +175,4 @@ type CheckpointNote struct {
 // CancelNote is the payload of a MethodCancel notification.
 type CancelNote struct {
 	ID string `json:"id"`
-}
-
-// WorkerStats is MethodPing's result: enough load signal for health
-// checks and dashboards.
-type WorkerStats struct {
-	Inflight    int64  `json:"inflight"`    // jobs currently running
-	Completed   uint64 `json:"completed"`   // jobs finished since start (any status)
-	MachinesOut int64  `json:"machinesOut"` // pool machines checked out right now
 }

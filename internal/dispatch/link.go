@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/rpc"
 )
@@ -43,15 +43,17 @@ func (local) isDown() bool                                { return false }
 func (local) close()                                      {}
 
 // remote runs jobs on a Worker over one multiplexed rpc connection,
-// dialed on first use and redialed after a transport death.
+// dialed on first use and redialed after a transport death. up and
+// isDown read atomics: the coordinator calls them under its own lock
+// (Coordinator.next), so they must never wait behind a dial.
 type remote struct {
-	addr        string
-	dialTimeout time.Duration
-	onNote      func(method string, params json.RawMessage) // checkpoint notifications
+	addr   string
+	dial   func() (net.Conn, error)                    // one bounded connection attempt to addr
+	onNote func(method string, params json.RawMessage) // checkpoint notifications
 
-	mu   sync.Mutex
-	conn *rpc.Conn // nil until dialed; dropped on transport death
-	down bool      // the last dial failed or the last conn died; cleared by the next successful dial
+	dialing sync.Mutex               // serializes (re)dials and close
+	conn    atomic.Pointer[rpc.Conn] // nil until dialed; dropped on transport death
+	down    atomic.Bool              // the last dial failed or the last conn died; cleared by the next successful dial
 }
 
 func (r *remote) run(p *pending, job *Job) (*Result, error) {
@@ -86,50 +88,49 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 	return nil, fmt.Errorf("backend %s: %w", r.addr, err)
 }
 
+// live returns the connection if there is one and it has not died.
+func (r *remote) live() *rpc.Conn {
+	if c := r.conn.Load(); c != nil && c.Err() == nil {
+		return c
+	}
+	return nil
+}
+
 // connect returns the live connection, dialing if needed.
 func (r *remote) connect() (*rpc.Conn, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn != nil && r.conn.Err() == nil {
-		return r.conn, nil
+	if c := r.live(); c != nil {
+		return c, nil
 	}
-	nc, err := net.DialTimeout("tcp", r.addr, r.dialTimeout)
-	r.down = err != nil
+	r.dialing.Lock()
+	defer r.dialing.Unlock()
+	if c := r.live(); c != nil {
+		return c, nil // another dispatcher dialed while this one waited
+	}
+	nc, err := r.dial()
+	r.down.Store(err != nil)
 	if err != nil {
 		return nil, err
 	}
-	r.conn = rpc.NewConn(nc, r.onNote)
-	return r.conn, nil
+	c := rpc.NewConn(nc, r.onNote)
+	r.conn.Store(c)
+	return c, nil
 }
 
 // drop discards a dead connection (unless a new one already replaced it).
 func (r *remote) drop(conn *rpc.Conn) {
 	conn.Close()
-	r.mu.Lock()
-	if r.conn == conn {
-		r.conn = nil
-		r.down = true
+	if r.conn.CompareAndSwap(conn, nil) {
+		r.down.Store(true)
 	}
-	r.mu.Unlock()
 }
 
-func (r *remote) up() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.conn != nil && r.conn.Err() == nil
-}
-
-func (r *remote) isDown() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.down
-}
+func (r *remote) up() bool     { return r.live() != nil }
+func (r *remote) isDown() bool { return r.down.Load() }
 
 func (r *remote) close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
+	r.dialing.Lock()
+	defer r.dialing.Unlock()
+	if c := r.conn.Swap(nil); c != nil {
+		c.Close()
 	}
 }

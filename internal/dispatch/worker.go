@@ -29,7 +29,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // ServeRPC dispatches one protocol method. MethodRun runs in the
 // per-request goroutine internal/rpc already provides, so a long job
-// never blocks a ping on the same connection.
+// never blocks a cancel on the same connection.
 func (w *Worker) ServeRPC(ctx context.Context, conn *rpc.ServerConn, method string, params json.RawMessage) (any, error) {
 	switch method {
 	case MethodRun:
@@ -59,15 +59,6 @@ func (w *Worker) ServeRPC(ctx context.Context, conn *rpc.ServerConn, method stri
 			stop.(context.CancelFunc)()
 		}
 		return nil, nil
-	case MethodPing:
-		m := w.Metrics()
-		var inflight int64
-		w.running.Range(func(_, _ any) bool { inflight++; return true })
-		return &WorkerStats{
-			Inflight:    inflight,
-			Completed:   m.Completed + m.Canceled + m.Deadline + m.Errored,
-			MachinesOut: m.MachinesOut,
-		}, nil
 	}
 	return nil, &rpc.Error{Code: rpc.CodeMethodNotFound, Message: method}
 }

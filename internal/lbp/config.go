@@ -84,15 +84,60 @@ const MaxCores = 1024
 
 // ValidateGeometry rejects machine shapes no entry point should build:
 // a core count outside [1, MaxCores], or a router degree that is set
-// (non-zero) but below 2 and therefore cannot form a tree. It is called
-// by sim.New and by every CLI/serving front end so that a bad -cores or
-// job spec fails with a message instead of a normalized surprise.
+// (non-zero) but below 2 and therefore cannot form a tree. Every
+// CLI/serving front end calls it (and sim.New through Validate) so that
+// a bad -cores or job spec fails with a message instead of a normalized
+// surprise.
 func ValidateGeometry(cores, routerDegree int) error {
 	if cores < 1 || cores > MaxCores {
 		return fmt.Errorf("lbp: cores must be in [1, %d], got %d", MaxCores, cores)
 	}
 	if routerDegree != 0 && routerDegree < 2 {
 		return fmt.Errorf("lbp: router degree must be at least 2 (or 0 for the default), got %d", routerDegree)
+	}
+	return nil
+}
+
+// Bounds of Validate. The paper's per-hart structures hold 4 to 16
+// entries and the largest machine in the tree (1024 default cores) owns
+// 129 MiB of banks; the caps sit well clear of both, and exist so that a
+// configuration read from a file cannot size an allocation at will.
+const (
+	maxStructEntries = 1 << 10 // ITEntries, ROBEntries, RemoteRBs
+	maxRBDepth       = 1 << 20
+	maxBankBytes     = 1 << 30 // code bank + every core's local and shared bank
+)
+
+// Validate rejects configurations New must not be handed: a geometry
+// ValidateGeometry refuses, a per-hart structure size or bank size that
+// is zero, negative or beyond the bounds above. sim.New and
+// ReadCheckpoint both call it, so every machine that can be
+// checkpointed can be restored and nothing else can.
+func (c *Config) Validate() error {
+	if err := ValidateGeometry(c.Cores, c.Mem.RouterDegree); err != nil {
+		return err
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"ITEntries", c.ITEntries, maxStructEntries},
+		{"ROBEntries", c.ROBEntries, maxStructEntries},
+		{"RemoteRBs", c.RemoteRBs, maxStructEntries},
+		{"RBDepth", c.RBDepth, maxRBDepth},
+	} {
+		if f.v < 1 || f.v > f.max {
+			return fmt.Errorf("lbp: %s must be in [1, %d], got %d", f.name, f.max, f.v)
+		}
+	}
+	mc := &c.Mem
+	if mc.CodeBytes == 0 || mc.LocalBytes == 0 || mc.SharedBytes == 0 {
+		return fmt.Errorf("lbp: bank sizes must be positive, got code %d, local %d, shared %d",
+			mc.CodeBytes, mc.LocalBytes, mc.SharedBytes)
+	}
+	total := uint64(mc.CodeBytes) + uint64(c.Cores)*(uint64(mc.LocalBytes)+uint64(mc.SharedBytes))
+	if total > maxBankBytes {
+		return fmt.Errorf("lbp: %d bytes of banks exceed the %d-byte bound", total, maxBankBytes)
 	}
 	return nil
 }

@@ -22,30 +22,28 @@ import (
 // global number, ROB index) names it — and the third is recomputed from
 // the code bank. Everything else serializes by value with encoding/gob.
 //
-// Versioning rules (DESIGN.md §"Serializable machine state"): any change
-// to the meaning, order or encoding of a saved field bumps
-// checkpointVersion, and Restore refuses unknown versions outright.
-// Version 2 is the sharded streamed format below; the monolithic
-// version-1 images older builds wrote remain restorable (they are the
-// one cross-version path — the serve-side result cache holds them).
+// One format, one rule (DESIGN.md §"Serializable machine state"): any
+// change to a saved struct — a field added, removed, renamed, retyped or
+// reordered, or the meaning or replay order of one — bumps
+// checkpointVersion, and ReadCheckpoint, the only decoder of machine
+// state, refuses every other version outright. gob names each exported
+// field of each saved struct in the stream's type descriptors, so even
+// deleting a never-written field changes the bytes.
 
 // checkpointVersion is the format number embedded in every checkpoint
 // this build writes.
 const checkpointVersion = 2
 
-// checkpointMagic prefixes every version-2 checkpoint stream. A
-// version-1 image is a bare gob stream, which starts with a type
-// descriptor, never these eight bytes — so the prefix discriminates
-// the formats reliably.
+// checkpointMagic prefixes every checkpoint stream; bytes that do not
+// start with it are not a checkpoint of this format.
 var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '2'}
 
-// checkpointShardCores is the core-group granularity of a version-2
-// checkpoint: each group's cores, harts, performance counters and
-// memory banks encode as one self-contained gob value on the shared
-// stream. The version-1 encoder materialized the whole machine as a
-// single struct — at 1024 cores that is thousands of hart images and
-// bank arrays held live at once — while the sharded writer only ever
-// holds one 64-core group between stream writes.
+// checkpointShardCores is the core-group granularity of a checkpoint:
+// each group's cores, harts, performance counters and memory banks
+// encode as one self-contained gob value on the shared stream, so the
+// writer and the reader only ever hold one 64-core group between stream
+// operations — at 1024 cores a whole-machine struct would be thousands
+// of hart images and bank arrays live at once.
 const checkpointShardCores = 64
 
 // savedUop flattens a uop: the instruction rebuilds from its raw word,
@@ -134,32 +132,6 @@ type savedClient struct {
 	PC       uint32
 	Addr     uint32
 	Idx      uint32
-}
-
-// checkpointV1 is the monolithic serialized machine image of format
-// version 1, kept for decoding old images only — this build never
-// writes it.
-type checkpointV1 struct {
-	Version    int
-	Cfg        Config
-	Cycle      uint64
-	Running    bool
-	Exited     bool
-	HaltMsg    string
-	ErrMsg     string
-	Progress   uint64
-	Stats      Stats
-	Profiling  bool
-	DecodedLen uint32
-	Cores      []savedCore
-	Harts      []savedHart
-	HPerf      []perf.HartCounters
-	CPerf      []perf.CoreCounters
-	Mem        mem.State
-	MemClients []savedClient
-	HasTrace   bool
-	Trace      trace.RecorderState
-	Devices    [][]byte
 }
 
 // checkpointManifest heads a version-2 stream: everything global —
@@ -329,29 +301,40 @@ func (m *Machine) captureShard(lo, hi int) (*checkpointShard, error) {
 	return sh, nil
 }
 
-// Restore rebuilds a machine from Checkpoint bytes, accepting both the
-// sharded version-2 stream this build writes and the monolithic
-// version-1 images of older builds. Devices are not serializable as
+// CheckpointError is the type of every error Restore and ReadCheckpoint
+// return: whatever the bytes — another format or version, a truncated
+// stream, a manifest no entry point would build, state that contradicts
+// its own configuration — the caller gets one of these or a machine.
+type CheckpointError struct{ Err error }
+
+func (e *CheckpointError) Error() string { return e.Err.Error() }
+func (e *CheckpointError) Unwrap() error { return e.Err }
+
+// Restore is ReadCheckpoint over Checkpoint bytes.
+func Restore(data []byte, devices ...Device) (*Machine, error) {
+	return ReadCheckpoint(bytes.NewReader(data), devices...)
+}
+
+// ReadCheckpoint rebuilds a machine from a checkpoint stream, decoding
+// one core-group shard at a time. Devices are not serializable as
 // configuration, so the caller passes freshly built, identically
 // configured devices in the original AddDevice order; their mutable
 // state is restored from the checkpoint before attachment.
-func Restore(data []byte, devices ...Device) (*Machine, error) {
-	if len(data) >= len(checkpointMagic) &&
-		bytes.Equal(data[:len(checkpointMagic)], checkpointMagic[:]) {
-		return ReadCheckpoint(bytes.NewReader(data), devices...)
+func ReadCheckpoint(r io.Reader, devices ...Device) (*Machine, error) {
+	m, err := readCheckpoint(r, devices)
+	if err != nil {
+		return nil, &CheckpointError{err}
 	}
-	return restoreV1(data, devices...)
+	return m, nil
 }
 
-// ReadCheckpoint rebuilds a machine from a version-2 checkpoint
-// stream, decoding one core-group shard at a time.
-func ReadCheckpoint(r io.Reader, devices ...Device) (*Machine, error) {
+func readCheckpoint(r io.Reader, devices []Device) (*Machine, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("lbp: reading checkpoint magic: %w", err)
 	}
 	if magic != checkpointMagic {
-		return nil, fmt.Errorf("lbp: stream is not a version-%d checkpoint", checkpointVersion)
+		return nil, fmt.Errorf("lbp: not a version-%d checkpoint (no %q magic)", checkpointVersion, checkpointMagic)
 	}
 	dec := gob.NewDecoder(r)
 	var man checkpointManifest
@@ -366,8 +349,11 @@ func ReadCheckpoint(r io.Reader, devices ...Device) (*Machine, error) {
 		return nil, fmt.Errorf("lbp: checkpoint was taken with %d devices, restore got %d",
 			len(man.Devices), len(devices))
 	}
-	if man.Cfg.Cores <= 0 {
-		return nil, fmt.Errorf("lbp: checkpoint has a non-positive core count")
+	// The manifest's configuration sizes every allocation New makes, so
+	// it is held to the bounds of a machine an entry point would build
+	// before anything is built from it.
+	if err := man.Cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("lbp: checkpoint configuration: %w", err)
 	}
 	if man.ShardCores <= 0 ||
 		man.NumShards != (man.Cfg.Cores+man.ShardCores-1)/man.ShardCores {
@@ -411,7 +397,10 @@ func ReadCheckpoint(r io.Reader, devices ...Device) (*Machine, error) {
 	if err := m.Mem.RestoreGlobalState(&man.Mem, clients); err != nil {
 		return nil, err
 	}
-	return finishRestore(m, man.DecodedLen, man.HasTrace, man.Trace, man.Devices, devices)
+	if err := m.finishRestore(&man, devices); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // restoreShard rebuilds the core group the shard claims, after checking
@@ -439,80 +428,17 @@ func (m *Machine) restoreShard(sh *checkpointShard, lo, hi int) error {
 	return m.Mem.RestoreBankRange(lo, sh.Local, sh.Shared)
 }
 
-// restoreV1 rebuilds a machine from a monolithic version-1 image.
-func restoreV1(data []byte, devices ...Device) (*Machine, error) {
-	var cp checkpointV1
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
-		return nil, fmt.Errorf("lbp: decoding checkpoint: %w", err)
-	}
-	if cp.Version != 1 {
-		return nil, fmt.Errorf("lbp: checkpoint version %d, this build supports %d",
-			cp.Version, checkpointVersion)
-	}
-	if len(devices) != len(cp.Devices) {
-		return nil, fmt.Errorf("lbp: checkpoint was taken with %d devices, restore got %d",
-			len(cp.Devices), len(devices))
-	}
-	if cp.Cfg.Cores <= 0 {
-		return nil, fmt.Errorf("lbp: checkpoint has a non-positive core count")
-	}
-	m := New(cp.Cfg)
-	if len(cp.Cores) != len(m.cores) || len(cp.Harts) != len(m.harts) ||
-		len(cp.HPerf) != len(m.hperf) || len(cp.CPerf) != len(m.cperf) {
-		return nil, fmt.Errorf("lbp: checkpoint geometry does not match its configuration")
-	}
-	m.cycle = cp.Cycle
-	m.running = cp.Running
-	m.exited = cp.Exited
-	m.haltMsg = cp.HaltMsg
-	if cp.ErrMsg != "" {
-		m.err = faultError(cp.ErrMsg)
-	}
-	m.progress = cp.Progress
-	m.stats = cp.Stats
-	copy(m.hperf, cp.HPerf)
-	copy(m.cperf, cp.CPerf)
-	if cp.Profiling {
-		m.EnableProfiling()
-	}
-	for i, sc := range cp.Cores {
-		c := m.cores[i]
-		c.fetchRR, c.renameRR = int(sc.FetchRR), int(sc.RenameRR)
-		c.issueRR, c.wbRR, c.commitRR = int(sc.IssueRR), int(sc.WbRR), int(sc.CommitRR)
-		c.statFetched, c.statForks, c.statSends = sc.Fetched, sc.Forks, sc.Sends
-	}
-	for i := range cp.Harts {
-		if err := restoreHart(m.harts[i], &cp.Harts[i]); err != nil {
-			return nil, err
+// finishRestore is the restore tail: rebuild the shared decoded image
+// from the restored code bank, refresh the active list, reattach the
+// trace recorder and the caller's devices.
+func (m *Machine) finishRestore(man *checkpointManifest, devices []Device) error {
+	if n := man.DecodedLen; n > 0 {
+		if n > m.cfg.Mem.CodeBytes/4 {
+			return fmt.Errorf("lbp: checkpoint decoded image exceeds the code bank")
 		}
-	}
-	clients := make([]any, len(cp.MemClients))
-	for i := range cp.MemClients {
-		cl, err := m.restoreClient(&cp.MemClients[i])
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = cl
-	}
-	if err := m.Mem.RestoreState(&cp.Mem, clients); err != nil {
-		return nil, err
-	}
-	return finishRestore(m, cp.DecodedLen, cp.HasTrace, cp.Trace, cp.Devices, devices)
-}
-
-// finishRestore is the version-independent restore tail: rebuild the
-// shared decoded image from the restored code bank, refresh the active
-// list, reattach the trace recorder and the caller's devices.
-func finishRestore(m *Machine, decodedLen uint32, hasTrace bool,
-	ts trace.RecorderState, devState [][]byte, devices []Device) (*Machine, error) {
-	if decodedLen > 0 {
-		words := make([]uint32, decodedLen)
+		words := make([]uint32, n)
 		for i := range words {
-			w, ok := m.Mem.FetchWord(uint32(4 * i))
-			if !ok {
-				return nil, fmt.Errorf("lbp: checkpoint decoded image exceeds the code bank")
-			}
-			words[i] = w
+			words[i], _ = m.Mem.FetchWord(uint32(4 * i))
 		}
 		// Same canonical key as LoadProgram (the full word image from
 		// address 0), so a restored machine shares the decoded image with
@@ -525,28 +451,27 @@ func finishRestore(m *Machine, decodedLen uint32, hasTrace bool,
 		c.idleFrom = 0
 	}
 	m.rebuildActive(m.cycle + 1)
-	if hasTrace {
-		m.SetTrace(trace.NewFromState(ts))
+	if man.HasTrace {
+		m.SetTrace(trace.NewFromState(man.Trace))
 	}
 	for i, d := range devices {
 		s, ok := d.(Stateful)
 		if !ok {
-			return nil, fmt.Errorf("lbp: restore device %d (%T) does not support checkpointing", i, d)
+			return fmt.Errorf("lbp: restore device %d (%T) does not support checkpointing", i, d)
 		}
-		if err := s.RestoreDeviceState(devState[i]); err != nil {
-			return nil, fmt.Errorf("lbp: restore device %d: %w", i, err)
+		if err := s.RestoreDeviceState(man.Devices[i]); err != nil {
+			return fmt.Errorf("lbp: restore device %d: %w", i, err)
 		}
 		m.AddDevice(d)
 	}
-	return m, nil
+	return nil
 }
 
 // robIndex finds u in h's reorder buffer and returns its logical
 // position in ROB order (0 = oldest; -1 for nil). The buffer is at most
 // a few dozen entries, so the scan is fine on the cold path. Logical
 // positions keep the saved format independent of the ring's physical
-// head, so checkpoints from before the ring representation restore
-// identically.
+// head.
 func robIndex(h *hart, u *uop) (int32, error) {
 	if u == nil {
 		return -1, nil

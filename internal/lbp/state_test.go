@@ -2,9 +2,13 @@ package lbp
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -184,25 +188,70 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// TestRestoreV1Checkpoint: checkpoints written before the sharded v2
-// format — a bare gob stream with no magic prefix — must keep restoring
-// bit-exactly. The fixture is an 8-core placed set/get run stopped at
-// cycle 4000 with a digest recorder attached; the expected constants
-// are the outcome of the original uninterrupted run.
-func TestRestoreV1Checkpoint(t *testing.T) {
-	cp, err := os.ReadFile("testdata/checkpoint_v1_8core.bin")
+// The checkpoint fixtures. checkpoint_v2_8core.bin was written by the
+// build before the version-1 reader was deleted (EXPERIMENTS E23 has the
+// recipe): an 8-core placed set/get run stopped at cycle 4000 with a
+// digest recorder attached. checkpoint_v1_prefix.bin is the first KiB of
+// the same machine in the retired magic-less version-1 format.
+func fixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile("testdata/" + name)
 	if err != nil {
 		t.Fatalf("fixture: %v", err)
 	}
-	if bytes.HasPrefix(cp, checkpointMagic[:]) {
-		t.Fatal("fixture has the v2 magic; it no longer exercises the v1 path")
+	return data
+}
+
+// manifestOnly is a stream that ends after its manifest: what a hostile
+// or damaged checkpoint needs to reach the configuration checks.
+func manifestOnly(t testing.TB, mutate func(*Config)) []byte {
+	t.Helper()
+	man := checkpointManifest{Version: checkpointVersion, Cfg: DefaultConfig(8),
+		ShardCores: checkpointShardCores}
+	mutate(&man.Cfg)
+	man.NumShards = (man.Cfg.Cores + checkpointShardCores - 1) / checkpointShardCores
+	buf := bytes.NewBuffer(checkpointMagic[:])
+	if err := gob.NewEncoder(buf).Encode(&man); err != nil {
+		t.Fatal(err)
 	}
-	m, err := Restore(cp)
+	return buf.Bytes()
+}
+
+const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
+
+// TestCheckpointV2Format is the cross-build pin on the one checkpoint
+// format: a stream another build wrote restores, re-checkpoints to the
+// very same bytes — so the test fails whenever a saved struct changes
+// without a checkpointVersion bump — and runs to the end of the
+// original uninterrupted run.
+//
+// gob numbers types process-wide in first-use order, so any gob value
+// an earlier test encoded would renumber the stream; the comparison
+// runs in a process of its own.
+func TestCheckpointV2Format(t *testing.T) {
+	if os.Getenv(pinChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV2Format$")
+		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("%v\n%s", err, out)
+		}
+		return
+	}
+	want := fixture(t, "checkpoint_v2_8core.bin")
+	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if m.Cycle() != 4000 {
 		t.Fatalf("restored cycle = %d, want 4000", m.Cycle())
+	}
+	got, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("re-checkpoint: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-checkpoint (%d bytes) differs from the fixture (%d bytes):"+
+			" a saved struct changed without a checkpointVersion bump", len(got), len(want))
 	}
 	res, err := m.Run(50_000_000)
 	if err != nil {
@@ -219,37 +268,63 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointV2Format: new checkpoints lead with the v2 magic, and a
-// machine restored from the v1 fixture re-checkpoints in v2 form that
-// restores to the same outcome — the upgrade path is lossless.
-func TestCheckpointV2Format(t *testing.T) {
-	v1, err := os.ReadFile("testdata/checkpoint_v1_8core.bin")
-	if err != nil {
-		t.Fatalf("fixture: %v", err)
+// TestRestoreV1Checkpoint: the magic-less version-1 format is refused
+// by name, like any other bytes that are not a checkpoint.
+func TestRestoreV1Checkpoint(t *testing.T) {
+	_, err := Restore(fixture(t, "checkpoint_v1_prefix.bin"))
+	var ce *CheckpointError
+	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-2 checkpoint") {
+		t.Fatalf("restore of version-1 bytes: %v, want the not-a-version-2-checkpoint CheckpointError", err)
 	}
-	m, err := Restore(v1)
-	if err != nil {
-		t.Fatalf("restore v1: %v", err)
+}
+
+// TestReadCheckpointRefusals: streams that stop short and manifests no
+// entry point would build get a CheckpointError before any machine is
+// allocated from them — RemoteRBs = -1 used to panic inside New, and
+// 4096 cores (above MaxCores) used to be built.
+func TestReadCheckpointRefusals(t *testing.T) {
+	v2 := fixture(t, "checkpoint_v2_8core.bin")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "magic"},
+		{"magic only", v2[:8], "manifest"},
+		{"mid-manifest", v2[:400], "manifest"},
+		{"mid-shard", v2[:len(v2)/2], "shard"},
+		{"RemoteRBs=-1", manifestOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
+		{"Cores=4096", manifestOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
+		{"ROBEntries=0", manifestOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
+		{"4 GiB banks", manifestOnly(t, func(c *Config) { c.Mem.SharedBytes = 1 << 29 }), "bound"},
+		{"sane manifest, no shards", manifestOnly(t, func(*Config) {}), "shard"},
+	} {
+		m, err := ReadCheckpoint(bytes.NewReader(tc.data))
+		var ce *CheckpointError
+		if m != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: machine=%v err=%v, want a CheckpointError mentioning %q", tc.name, m != nil, err, tc.want)
+		}
 	}
-	v2, err := m.Checkpoint()
-	if err != nil {
-		t.Fatalf("re-checkpoint: %v", err)
-	}
-	if !bytes.HasPrefix(v2, checkpointMagic[:]) {
-		t.Fatal("re-checkpoint of a v1 machine must use the v2 format")
-	}
-	m2, err := Restore(v2)
-	if err != nil {
-		t.Fatalf("restore v2: %v", err)
-	}
-	res, err := m2.Run(50_000_000)
-	if err != nil {
-		t.Fatalf("run after upgrade: %v", err)
-	}
-	if res.Stats.Cycles != 8683 || m2.Trace().Digest() != 0xb22e8eda05ed9d50 {
-		t.Errorf("upgraded checkpoint diverged: cycles=%d digest=%#x",
-			res.Stats.Cycles, m2.Trace().Digest())
-	}
+}
+
+// FuzzReadCheckpoint: whatever the bytes, ReadCheckpoint returns a
+// machine or a CheckpointError — never a panic, never another error.
+func FuzzReadCheckpoint(f *testing.F) {
+	v2 := fixture(f, "checkpoint_v2_8core.bin")
+	f.Add(v2)
+	f.Add(v2[:8])
+	f.Add(v2[:400])
+	f.Add(v2[:len(v2)/2])
+	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
+	f.Add(manifestOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
+	f.Add(manifestOnly(f, func(c *Config) { c.Cores = 4096 }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := ReadCheckpoint(bytes.NewReader(data))
+		var ce *CheckpointError
+		if (err == nil) == (m == nil) || (err != nil && !errors.As(err, &ce)) {
+			t.Fatalf("machine=%v err=%v (%T)", m != nil, err, err)
+		}
+	})
 }
 
 // TestCheckpointResumeHostKnobMatrix splits one run at its midpoint and

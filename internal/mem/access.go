@@ -228,8 +228,7 @@ func (s *System) LocalMapped(addr uint32) bool {
 
 // reqClass attributes a request-link wait at tree level index k (0 =
 // the paper's r1 links). Levels beyond r2 exist only on machines above
-// 64 cores and share the r2 bucket (see the note in internal/perf on
-// why the LinkClass enum cannot grow).
+// 64 cores and share the r2 bucket (see the note on perf.LinkClass).
 func reqClass(k int) perf.LinkClass {
 	if k == 0 {
 		return perf.LinkR1Req

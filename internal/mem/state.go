@@ -23,18 +23,23 @@ import (
 // materializing one contiguous snapshot of every bank.
 
 // State is the serializable state of a System at a cycle boundary,
-// minus the per-core bank images when produced by CaptureGlobalState.
-// Bank images are trimmed of trailing zero words; the events slice is
-// the heap's backing array verbatim (a heap restored in array order is
-// the same heap, so pop order is preserved bit-exactly).
+// minus the per-core bank images (CaptureBankRange). The code image is
+// trimmed of trailing zero words; the events slice is the heap's
+// backing array verbatim (a heap restored in array order is the same
+// heap, so pop order is preserved bit-exactly).
 type State struct {
 	Seq   uint64
 	Stats Stats
 	Perf  perf.MemCounters
 
-	Code   []uint32
-	Local  [][]uint32 // per core; nil in a global-only snapshot
-	Shared [][]uint32 // per core; nil in a global-only snapshot
+	Code []uint32
+
+	// Reserved: never written, never read. gob names every exported
+	// field in the type descriptor of each checkpoint stream, so
+	// deleting these (or the R1*/R2* block below) would change the
+	// bytes of the version-2 format; they go with the next
+	// checkpointVersion bump (internal/lbp/state.go).
+	Local, Shared [][]uint32
 
 	CoreUp, CoreDown, BankPort, BankLocal, LocalPort []uint64
 
@@ -44,10 +49,7 @@ type State struct {
 	UpReq, UpResp, DownReq, DownResp [][]uint64
 	BackUp, BackDown                 [][]uint64
 
-	// Legacy fixed-tree link arrays. Version-1 checkpoints carry the
-	// two levels in these named fields; they are never written by the
-	// current capture paths but must stay declared so gob decodes old
-	// streams into them for RestoreState's legacy mapping.
+	// Reserved, see Local/Shared.
 	R1UpReq, R1UpResp, R1DownReq, R1DownResp []uint64
 	R2UpReq, R2UpResp, R2DownReq, R2DownResp []uint64
 
@@ -158,14 +160,6 @@ func (s *System) CaptureBankRange(lo, hi int) (local, shared [][]uint32) {
 	return local, shared
 }
 
-// CaptureState snapshots the whole system, bank images included, as one
-// State (the version-1 monolithic layout).
-func (s *System) CaptureState() (*State, []any) {
-	st, clients := s.CaptureGlobalState()
-	st.Local, st.Shared = s.CaptureBankRange(0, s.cfg.Cores)
-	return st, clients
-}
-
 // RestoreBankRange installs captured bank images for cores starting at
 // lo.
 func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
@@ -186,63 +180,6 @@ func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
 		}
 		if err := restoreBank(s.shared[lo+i], shared[i], "shared", lo+i); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// restoreTreeLinks installs the router-tree link levels. A version-1
-// snapshot carries no level-indexed arrays; its two fixed levels arrive
-// in the legacy R1*/R2* fields instead, and deeper levels or express
-// backward links cannot exist in such a snapshot (the format predates
-// machines above 64 cores).
-func (s *System) restoreTreeLinks(st *State) error {
-	restoreLevels := func(dst [][]uint64, src [][]uint64, name string) error {
-		if len(src) != len(dst) {
-			return fmt.Errorf("mem: state link levels %s do not match the configuration", name)
-		}
-		for k := range dst {
-			if len(src[k]) != len(dst[k]) {
-				return fmt.Errorf("mem: state link level %s[%d] does not match the configuration", name, k)
-			}
-			copy(dst[k], src[k])
-		}
-		return nil
-	}
-	if st.UpReq != nil || st.R1UpReq == nil {
-		for _, l := range []struct {
-			dst  [][]uint64
-			src  [][]uint64
-			name string
-		}{
-			{s.upReq, st.UpReq, "upReq"}, {s.upResp, st.UpResp, "upResp"},
-			{s.downReq, st.DownReq, "downReq"}, {s.downResp, st.DownResp, "downResp"},
-			{s.backUp, st.BackUp, "backUp"}, {s.backDown, st.BackDown, "backDown"},
-		} {
-			if err := restoreLevels(l.dst, l.src, l.name); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// Legacy layout: level 1 = r1 arrays, level 2 = r2 arrays. The old
-	// format always allocated both levels (length >= 1) even when the
-	// machine was too small to route through them; such unused arrays
-	// hold only zeros and are dropped.
-	legacy := [][4][]uint64{
-		{st.R1UpReq, st.R1UpResp, st.R1DownReq, st.R1DownResp},
-		{st.R2UpReq, st.R2UpResp, st.R2DownReq, st.R2DownResp},
-	}
-	for k, fam := range legacy {
-		if k >= len(s.upReq) {
-			continue
-		}
-		dst := [4][]uint64{s.upReq[k], s.upResp[k], s.downReq[k], s.downResp[k]}
-		for f := range dst {
-			if len(fam[f]) != len(dst[f]) {
-				return fmt.Errorf("mem: state legacy link level %d does not match the configuration", k+1)
-			}
-			copy(dst[f], fam[f])
 		}
 	}
 	return nil
@@ -269,9 +206,8 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 		s.ensureBackward()
 	}
 	for _, l := range []struct {
-		dst  []uint64
-		src  []uint64
-		name string
+		dst, src []uint64
+		name     string
 	}{
 		{s.coreUp, st.CoreUp, "coreUp"}, {s.coreDown, st.CoreDown, "coreDown"},
 		{s.bankPort, st.BankPort, "bankPort"}, {s.bankLocal, st.BankLocal, "bankLocal"},
@@ -284,8 +220,22 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 			return err
 		}
 	}
-	if err := s.restoreTreeLinks(st); err != nil {
-		return err
+	for _, l := range []struct {
+		dst, src [][]uint64
+		name     string
+	}{
+		{s.upReq, st.UpReq, "upReq"}, {s.upResp, st.UpResp, "upResp"},
+		{s.downReq, st.DownReq, "downReq"}, {s.downResp, st.DownResp, "downResp"},
+		{s.backUp, st.BackUp, "backUp"}, {s.backDown, st.BackDown, "backDown"},
+	} {
+		if len(l.src) != len(l.dst) {
+			return fmt.Errorf("mem: state link levels %s do not match the configuration", l.name)
+		}
+		for k := range l.dst {
+			if err := restoreLinks(l.dst[k], l.src[k], l.name); err != nil {
+				return err
+			}
+		}
 	}
 	s.seq = st.Seq
 	s.Stats = st.Stats
@@ -321,18 +271,6 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 		s.events = append(s.events, e)
 	}
 	return nil
-}
-
-// RestoreState installs a monolithic snapshot (global state plus all
-// bank images) into a freshly built System of the same configuration.
-func (s *System) RestoreState(st *State, clients []any) error {
-	if len(st.Local) != len(s.local) || len(st.Shared) != len(s.shared) {
-		return fmt.Errorf("mem: state bank count does not match the configuration")
-	}
-	if err := s.RestoreBankRange(0, st.Local, st.Shared); err != nil {
-		return err
-	}
-	return s.RestoreGlobalState(st, clients)
 }
 
 // Reset returns the system to its post-New state, keeping allocations,

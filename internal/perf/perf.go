@@ -132,12 +132,10 @@ const (
 )
 
 // Router levels beyond r2 — which exist only on machines above 64
-// cores — attribute their waits to the r2 classes: LinkWait is a fixed
-// array inside every serialized checkpoint, and gob ties a fixed
-// array's identity to its length, so growing the enum would make
-// version-1 checkpoints undecodable. The upper tree is one aggregate
-// contention bucket; per-level granularity lives in the timing model,
-// not the counters.
+// cores — attribute their waits to the r2 classes: the upper tree is
+// one aggregate contention bucket. LinkWait is a fixed array inside
+// every checkpoint, so giving those levels classes of their own is a
+// saved-struct change like any other: it bumps lbp's checkpointVersion.
 
 var linkNames = [NumLinkClasses]string{
 	"core-up", "core-down", "local-port", "bank-port", "bank-local",

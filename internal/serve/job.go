@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/asm"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/lbp"
 	"repro/internal/mem"
 	"repro/internal/perf"
+	"repro/internal/sim"
 )
 
 // JobRequest is the body of POST /jobs: one simulation to run. Exactly
@@ -87,27 +87,15 @@ func (r *JobRequest) validate() error {
 	return nil
 }
 
-// compile builds the program, mirroring sim.LoadFile's handling of the
-// three input forms.
+// compile builds the program (validate has vetted the form fields).
 func (r *JobRequest) compile() (*asm.Program, error) {
-	if len(r.Image) > 0 {
-		return asm.ReadImage(bytes.NewReader(r.Image))
+	switch {
+	case len(r.Image) > 0:
+		return sim.Compile("img", r.Image, 0, 0)
+	case r.Lang == "s":
+		return sim.Compile("s", []byte(r.Source), 0, 0)
 	}
-	if r.Lang == "s" {
-		return asm.Assemble(r.Source, asm.Options{})
-	}
-	opt := cc.DefaultOptions()
-	if r.Cores > 0 {
-		opt.Cores = r.Cores
-	}
-	if r.BankBytes != 0 {
-		opt.SharedBankBytes = r.BankBytes
-	}
-	asmText, err := cc.BuildProgram(r.Source, opt)
-	if err != nil {
-		return nil, err
-	}
-	return asm.Assemble(asmText, asm.Options{})
+	return sim.Compile("c", []byte(r.Source), r.Cores, r.BankBytes)
 }
 
 // Job status values.

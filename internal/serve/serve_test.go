@@ -872,10 +872,11 @@ func TestDeadlineAndErrorJobsReturnMachines(t *testing.T) {
 	if code != http.StatusUnprocessableEntity || jr.Status != StatusError {
 		t.Fatalf("budget job: HTTP %d status %q (%s), want 422 error", code, jr.Status, jr.Error)
 	}
-	// Same spec key as the deadline job? No — MaxCycles differs, so this
-	// was a fresh build; what matters is both machines are idle now.
-	if idle := srv.exec.PoolIdle(); idle != 2 {
-		t.Errorf("pool idle = %d after budget fault, want 2", idle)
+	// Same pool key as the deadline job — MaxCycles is not part of it —
+	// so this ran on that machine, warm, under its own 10k budget, and
+	// handed it back.
+	if idle := srv.exec.PoolIdle(); idle != 1 || !jr.PoolWarm {
+		t.Errorf("pool idle = %d, warm = %v after budget fault, want the one machine reused and idle", idle, jr.PoolWarm)
 	}
 	if got := srv.exec.Metrics().PoolDiscarded; got != 0 {
 		t.Errorf("pool_discarded = %d, want 0", got)

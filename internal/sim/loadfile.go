@@ -1,43 +1,53 @@
 package sim
 
 import (
+	"bytes"
+	"fmt"
 	"os"
-	"strings"
+	"path/filepath"
 
 	"repro/internal/asm"
 	"repro/internal/cc"
 )
 
-// LoadFile builds a program from a .c, .s or .img file; the format is
-// chosen by extension. cores and bank parameterize the MiniC runtime
-// (.c only) and should match the machine the program will run on.
-func LoadFile(path string, cores int, bank uint32) (*asm.Program, error) {
-	switch {
-	case strings.HasSuffix(path, ".img"):
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return asm.ReadImage(f)
-	case strings.HasSuffix(path, ".c"):
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
+// Compile builds a program from one of its three input forms: lang
+// "img" is a serialized image (lbp-asm output), "s" LBP assembly, "c"
+// MiniC. cores and bank parameterize the MiniC runtime (0 = the
+// compiler's default) and should match the machine the program will
+// run on; the other two forms ignore them.
+func Compile(lang string, src []byte, cores int, bank uint32) (*asm.Program, error) {
+	switch lang {
+	case "img":
+		return asm.ReadImage(bytes.NewReader(src))
+	case "s":
+		return asm.Assemble(string(src), asm.Options{})
+	case "c":
 		opt := cc.DefaultOptions()
-		opt.Cores = cores
-		opt.SharedBankBytes = bank
+		if cores > 0 {
+			opt.Cores = cores
+		}
+		if bank != 0 {
+			opt.SharedBankBytes = bank
+		}
 		asmText, err := cc.BuildProgram(string(src), opt)
 		if err != nil {
 			return nil, err
 		}
 		return asm.Assemble(asmText, asm.Options{})
-	default: // .s
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return asm.Assemble(string(src), asm.Options{})
 	}
+	return nil, fmt.Errorf("sim: unknown program form %q (want c, s or img)", lang)
+}
+
+// LoadFile is Compile over a .c, .s or .img file; the extension names
+// the form.
+func LoadFile(path string, cores int, bank uint32) (*asm.Program, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lang := "s" // the default: any other extension is assembly
+	if ext := filepath.Ext(path); ext == ".c" || ext == ".img" {
+		lang = ext[1:]
+	}
+	return Compile(lang, src, cores, bank)
 }

@@ -9,6 +9,8 @@ import (
 
 // poolKey identifies the sessions that are interchangeable after a
 // Reset: same machine configuration and same observer/knob settings.
+// The cycle budget is not part of it — a warm checkout adopts the
+// requesting Spec's MaxCycles.
 // The resolved lbp.Config is comparable (it is all scalars), so the key
 // can be a map key directly.
 type poolKey struct {
@@ -17,7 +19,6 @@ type poolKey struct {
 	digest  bool
 	ring    int
 	noffwd  bool
-	max     uint64
 }
 
 func specKey(spec *Spec, cfg lbp.Config) poolKey {
@@ -27,7 +28,6 @@ func specKey(spec *Spec, cfg lbp.Config) poolKey {
 		digest:  spec.Trace.Digest,
 		ring:    spec.Trace.Ring,
 		noffwd:  spec.NoFastForward,
-		max:     spec.MaxCycles,
 	}
 }
 
@@ -193,6 +193,7 @@ func (p *Pool) GetWarm(spec Spec) (*Session, bool, error) {
 	if s != nil {
 		err := reset(s, spec.Program)
 		if err == nil {
+			s.spec.MaxCycles = spec.MaxCycles
 			p.mu.Lock()
 			p.stats.Hits++
 			p.mu.Unlock()

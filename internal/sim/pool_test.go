@@ -22,17 +22,18 @@ func exitProgram(t *testing.T) *asm.Program {
 	return prog
 }
 
-// tinySpec builds distinct pool keys cheaply: MaxCycles is part of the
-// key, so varying it yields incompatible specs on the same geometry.
-func tinySpec(prog *asm.Program, maxCycles uint64) Spec {
-	return Spec{Program: prog, Cores: 1, MaxCycles: maxCycles}
+// tinySpec builds distinct pool keys cheaply: the trace ring size is
+// part of the key, so varying it yields incompatible specs on the same
+// geometry.
+func tinySpec(prog *asm.Program, ring int) Spec {
+	return Spec{Program: prog, Cores: 1, Trace: TraceSpec{Ring: ring}}
 }
 
 // TestPoolEvictsOldestPerKey: the per-key bound drops the oldest idle
 // session, keeping the most recently returned machines warm.
 func TestPoolEvictsOldestPerKey(t *testing.T) {
 	prog := exitProgram(t)
-	spec := tinySpec(prog, 10_000)
+	spec := tinySpec(prog, 8)
 	var p Pool
 	p.SetCapacity(2, 64)
 	var sess [3]*Session
@@ -75,7 +76,7 @@ func TestPoolEvictsOldestPerKey(t *testing.T) {
 // globally oldest idle session, whatever key it belongs to.
 func TestPoolTotalCapacityEvictsAcrossKeys(t *testing.T) {
 	prog := exitProgram(t)
-	specs := []Spec{tinySpec(prog, 1000), tinySpec(prog, 2000), tinySpec(prog, 3000)}
+	specs := []Spec{tinySpec(prog, 1), tinySpec(prog, 2), tinySpec(prog, 3)}
 	var p Pool
 	p.SetCapacity(4, 2)
 	var sess [3]*Session
@@ -113,7 +114,7 @@ func TestPoolShrinkOnSetCapacity(t *testing.T) {
 	var p Pool
 	var sess [6]*Session
 	for i := range sess {
-		s, err := p.Get(tinySpec(prog, uint64(1000*(1+i%3))))
+		s, err := p.Get(tinySpec(prog, 1+i%3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestPoolShrinkOnSetCapacity(t *testing.T) {
 // Runs under -race in tier-1.
 func TestPoolBoundUnderConcurrentGetPut(t *testing.T) {
 	prog := exitProgram(t)
-	specs := []Spec{tinySpec(prog, 1000), tinySpec(prog, 2000), tinySpec(prog, 3000)}
+	specs := []Spec{tinySpec(prog, 1), tinySpec(prog, 2), tinySpec(prog, 3)}
 	var p Pool
 	p.SetCapacity(2, 3)
 	var wg sync.WaitGroup
@@ -191,7 +192,7 @@ func TestPoolBoundUnderConcurrentGetPut(t *testing.T) {
 // counts the Get as a miss, and bumps ResetFailures.
 func TestPoolResetFailureFallsBackCold(t *testing.T) {
 	prog := exitProgram(t)
-	spec := tinySpec(prog, 10_000)
+	spec := tinySpec(prog, 8)
 	var p Pool
 	warmed, err := p.Get(spec)
 	if err != nil {
@@ -229,5 +230,50 @@ func TestPoolResetFailureFallsBackCold(t *testing.T) {
 	}
 	if !warm || again != s {
 		t.Errorf("recovery get: warm=%v session=%p, want warm %p", warm, again, s)
+	}
+}
+
+// TestPoolSharesMachineAcrossBudgets: MaxCycles is not a pool key —
+// two checkouts differing only in their cycle budget share one warm
+// machine, and the second run stops at the second budget, not the
+// first's (lbp-serve's fig-19 jobs each carry a distinct maxCycles and
+// used to strand one cold machine apiece, bench/README).
+func TestPoolSharesMachineAcrossBudgets(t *testing.T) {
+	prog, err := asm.Assemble("main:\n\tli t1, 2000\nloop:\n\taddi t1, t1, -1\n\tbne t1, zero, loop\n"+
+		"\tli ra, 0\n\tli t0, -1\n\tp_ret\n", asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Pool
+	first, warm, err := p.GetWarm(Spec{Program: prog, Cores: 1, MaxCycles: 1_000_000})
+	if err != nil || warm {
+		t.Fatalf("first checkout: warm=%v err=%v", warm, err)
+	}
+	res, err := first.Run()
+	if err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	p.Put(first)
+
+	const budget = 500
+	if res.Stats.Cycles <= budget {
+		t.Fatalf("program ends after %d cycles; the second budget (%d) must cut it short", res.Stats.Cycles, budget)
+	}
+	second, warm, err := p.GetWarm(Spec{Program: prog, Cores: 1, MaxCycles: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm || second != first {
+		t.Fatalf("second checkout: warm=%v session=%p, want the warm machine %p", warm, second, first)
+	}
+	if got := second.MaxCycles(); got != budget {
+		t.Errorf("warm session budget = %d, want %d", got, budget)
+	}
+	if _, err := second.Run(); err == nil || second.Machine().Cycle() != budget {
+		t.Errorf("second run: err=%v at cycle %d, want the budget error at cycle %d",
+			err, second.Machine().Cycle(), budget)
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v, want 1 hit, 1 miss", st)
 	}
 }

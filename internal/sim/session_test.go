@@ -319,7 +319,8 @@ func TestCheckpointResumeDevices(t *testing.T) {
 	}
 }
 
-// TestRunWithCheckpointsResume is E13 end to end at the library level:
+// TestRunWithCheckpointsResume is E13 end to end at the library level,
+// in lbp-run -checkpoint's call shape (RunSliced with a saving check):
 // periodic checkpointing does not disturb the run, and resuming the
 // last saved checkpoint finishes with the single-run digest.
 func TestRunWithCheckpointsResume(t *testing.T) {
@@ -346,10 +347,14 @@ func TestRunWithCheckpointsResume(t *testing.T) {
 	}
 	var last []byte
 	var saves int
-	res, err := sess.RunWithCheckpoints(1000, func(cp []byte) error {
+	res, err := sess.RunSliced(1000, func(cycle uint64) error {
+		if cycle == 0 || cycle >= sess.MaxCycles() {
+			return nil
+		}
+		cp, err := sess.Checkpoint()
 		last = cp
 		saves++
-		return nil
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -517,8 +522,8 @@ func TestSpecValidation(t *testing.T) {
 	if got := sess.MaxCycles(); got != defaultMaxCycles {
 		t.Errorf("default budget = %d, want %d", got, defaultMaxCycles)
 	}
-	if _, err := sess.RunWithCheckpoints(0, func([]byte) error { return nil }); err == nil {
-		t.Error("RunWithCheckpoints must reject a zero interval")
+	if _, err := sess.RunSliced(0, func(uint64) error { return nil }); err == nil {
+		t.Error("RunSliced must reject a zero slice")
 	}
 }
 

@@ -3,7 +3,7 @@
 // geometry, devices, cycle budget, observers and host execution knobs —
 // and a Session builds, runs, checkpoints, resumes and resets the
 // underlying machine. Every runner in this repository (cmd/lbp-run,
-// cmd/lbp-bench, internal/figures, internal/core) builds machines
+// cmd/lbp-bench, internal/figures, examples/) builds machines
 // through this package, so the build-attach-knob ordering that
 // determinism depends on lives in exactly one place.
 //
@@ -103,7 +103,7 @@ func New(spec Spec) (*Session, error) {
 		return nil, fmt.Errorf("sim: Spec.Program is required")
 	}
 	s := &Session{spec: spec, cfg: spec.machineConfig()}
-	if err := lbp.ValidateGeometry(s.cfg.Cores, s.cfg.Mem.RouterDegree); err != nil {
+	if err := s.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	s.m = lbp.New(s.cfg)
@@ -185,44 +185,6 @@ func (s *Session) RunSliced(slice uint64, check func(cycle uint64) error) (*lbp.
 		res, err := s.m.Advance(n)
 		if res != nil || err != nil {
 			return res, err
-		}
-	}
-}
-
-// RunWithCheckpoints runs to completion like Run, but pauses every
-// `every` cycles and hands a freshly serialized checkpoint to save.
-// Resuming the last saved checkpoint reproduces the remainder of the
-// run bit-exactly.
-func (s *Session) RunWithCheckpoints(every uint64, save func(cp []byte) error) (*lbp.Result, error) {
-	if every == 0 {
-		return nil, fmt.Errorf("sim: checkpoint interval must be positive")
-	}
-	max := s.MaxCycles()
-	for {
-		n := every
-		if c := s.m.Cycle(); c+n > max {
-			n = 0
-			if max > c {
-				n = max - c
-			}
-		}
-		res, err := s.m.Advance(n)
-		if err != nil {
-			return nil, err
-		}
-		if res != nil {
-			return res, nil
-		}
-		if s.m.Cycle() >= max {
-			// Budget exhausted: Run produces the canonical error.
-			return s.m.Run(max)
-		}
-		cp, err := s.m.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		if err := save(cp); err != nil {
-			return nil, err
 		}
 	}
 }

@@ -3,7 +3,7 @@
 #
 #   scripts/verify.sh            build + vet + gofmt + tests + race subset
 #                                + bench module + lbp-serve smoke test
-#                                + lbp-fuzz smoke
+#                                + lbp-fuzz smoke + native fuzz smoke
 #   scripts/verify.sh -bench N   ...then regenerate figure N and benchdiff
 #                                it against the recorded BENCH_figN.json
 #                                (fails on any simulated-result change).
@@ -21,6 +21,13 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed:" >&2
     echo "$unformatted" >&2
+    exit 1
+fi
+# One checkpoint format, one job protocol: the deleted second paths must
+# not grow back. (mem.State's R1*/R2* names are not on the list: they
+# are reserved words of the version-2 wire format, DESIGN.md §7.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing' -- '*.go'; then
+    echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
 go test ./...
@@ -159,6 +166,12 @@ echo "verify: distributed smoke OK"
 # sequential reference evaluator.
 go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
 echo "verify: lbp-fuzz smoke OK"
+
+# Native fuzzing smoke: hostile checkpoint bytes get a typed error or a
+# machine, never a panic. The seeds include a 144 KB fixture, so the
+# minimizer is capped — by default it may spend a minute on one input.
+go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzReadCheckpoint smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
