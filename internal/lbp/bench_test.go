@@ -5,7 +5,7 @@ package lbp_test
 // per host second inside Machine.Run — on the fig-19 workloads, plus the
 // raw stepping rate of a single machine. Run them with
 //
-//	go test -bench 'MachineStep|FigRow|PhaseBCommit' -run @ ./internal/lbp
+//	go test -bench 'MachineStep|FigRow|Matmul64|PhaseBCommit' -run @ ./internal/lbp
 //
 // (scripts/verify.sh -bench N runs them alongside the benchdiff gate).
 
@@ -66,17 +66,17 @@ func BenchmarkMachineStep(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-// BenchmarkFigRow measures each fig-19 row end to end on a warm pool
-// machine — the same measurement the BENCH_fig19.json throughput field
-// records — reporting simulated cycles per second per variant.
-func BenchmarkFigRow(b *testing.B) {
+// benchMatmulRows runs every matmul variant at h harts end to end on a
+// warm pool machine, one sub-benchmark per variant, reporting simulated
+// cycles per second and host nanoseconds per simulated cycle.
+func benchMatmulRows(b *testing.B, h int) {
 	for _, v := range workloads.Variants {
 		b.Run(string(v), func(b *testing.B) {
-			prog, err := workloads.BuildMatmul(v, 16)
+			prog, err := workloads.BuildMatmul(v, h)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := workloads.MatmulConfig(16)
+			cfg := workloads.MatmulConfig(h)
 			var pool sim.Pool
 			var cycles uint64
 			b.ResetTimer()
@@ -84,7 +84,7 @@ func BenchmarkFigRow(b *testing.B) {
 				sess, err := pool.Get(sim.Spec{
 					Program:   prog,
 					Config:    &cfg,
-					MaxCycles: workloads.MaxMatmulCycles(16),
+					MaxCycles: workloads.MaxMatmulCycles(h),
 					Trace:     sim.TraceSpec{Digest: true},
 				})
 				if err != nil {
@@ -97,10 +97,21 @@ func BenchmarkFigRow(b *testing.B) {
 				cycles += res.Stats.Cycles
 				pool.Put(sess)
 			}
-			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+			sec := b.Elapsed().Seconds()
+			b.ReportMetric(float64(cycles)/sec, "cycles/s")
+			b.ReportMetric(sec*1e9/float64(cycles), "ns/cycle")
 		})
 	}
 }
+
+// BenchmarkFigRow measures each fig-19 row (16 harts, 4 cores) — the
+// same measurement the BENCH_fig19.json throughput field records.
+func BenchmarkFigRow(b *testing.B) { benchMatmulRows(b, 16) }
+
+// BenchmarkMatmul64 measures the five programs at 64 harts on 16 cores,
+// all of them live: the shape of the sim_matmul64 benchmark workload,
+// where stage selection among the harts is most of the cycle.
+func BenchmarkMatmul64(b *testing.B) { benchMatmulRows(b, 64) }
 
 // phaseBSource is the placed set/get program for h harts: every hart
 // forks, sends and joins, so the fork wave replays deferred streams in

@@ -25,6 +25,7 @@ func (lc *loadClient) LoadDone(done uint64) {
 	lc.u.memWait = false
 	lc.h.execReadyAt = done
 	lc.h.inflightMem--
+	lc.h.core.wbC |= lc.h.bit
 }
 
 // storeClient acknowledges a store or continuation-value write back at
@@ -53,6 +54,7 @@ func (s *swreMsg) Done(uint64) {
 		s.m.faultf(s.fromCore, s.fromHart,
 			"p_swre overflowed result buffer %d of hart %d (pc %#x)", s.idx, s.tgt, s.pc)
 	}
+	th.core.issueC |= th.bit // a p_lwre may be waiting for the value
 }
 
 // startMsg delivers a start pc to an allocated hart (fork continuation).

@@ -1,6 +1,8 @@
 package lbp
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/perf"
@@ -17,6 +19,26 @@ type core struct {
 	busy  int // harts not in hartFree state (maintained by hart.setState)
 
 	fetchRR, renameRR, issueRR, wbRR, commitRR int
+
+	// Candidate masks, one per stage: bit i is set while hart i might be
+	// selectable by that stage. The paper's core holds these as ready
+	// signals (Figures 10-12); here they spare a stage the walk over harts
+	// that cannot act. One rule keeps them exact: only the stage itself
+	// clears a hart's bit, and only where it has just seen — scanning the
+	// hart, or acting on it — that the hart is ineligible for a reason no
+	// clock can lift (nothing fetched to rename, nothing executing to
+	// write back, ...); every event that can lift such a reason sets the
+	// bit where it happens (DESIGN.md §11 has the table). A hart waiting on
+	// a time gate or a compound condition (p_ret gating, p_syncm drain)
+	// keeps its bit. A set bit promises nothing — the stage still
+	// evaluates its full predicate — so over-setting is always exact:
+	// ReadCheckpoint, where harts arrive mid-flight, just sets every bit.
+	// New and Reset need nothing: they leave every hart free and empty,
+	// where no predicate holds and so any mask is exact. The masks are
+	// host-side hints, not simulated state: they are not checkpointed, and
+	// a hart freeing itself may set the previous core's issue mask
+	// mid-cycle without that being a cross-core effect.
+	fetchC, renameC, issueC, wbC, commitC uint8
 
 	perf *perf.CoreCounters // stage-occupancy counters (always counted)
 
@@ -49,11 +71,30 @@ func (c *core) stepCompute(now uint64) bool {
 	return c.perf.StageBusy != start
 }
 
-// Each stage scans the harts with rotating priority (deterministic round
-// robin) and takes the first eligible one, updating the rotation pointer.
-// The selection loops are written out per stage, without predicate
-// closures, to keep the per-cycle hot path free of function values and
-// allocations.
+// Each stage scans its candidate harts with rotating priority
+// (deterministic round robin) and takes the first eligible one, updating
+// the rotation pointer. The selection loops are written out per stage,
+// without predicate closures, to keep the per-cycle hot path free of
+// function values and allocations. The predicates, with the walk over
+// all four harts the masks replaced, are kept as the reference in
+// stage_ref_test.go.
+
+// allHarts is a candidate mask with every hart's bit set.
+const allHarts = 1<<HartsPerCore - 1
+
+// scanOrder rotates a candidate mask into the stage's priority order for
+// this cycle: bit i of the result is hart (rr+1+i)%HartsPerCore, so the
+// lowest set bit is the first candidate after the last selected hart.
+func scanOrder(mask uint8, rr int) uint8 {
+	s := uint(rr+1) % HartsPerCore
+	return (mask>>s | mask<<(HartsPerCore-s)) & allHarts
+}
+
+// scanHart returns the hart the lowest set bit of a scanOrder mask
+// stands for.
+func (c *core) scanHart(order uint8, rr int) *hart {
+	return c.harts[(rr+1+bits.TrailingZeros8(order))%HartsPerCore]
+}
 
 // ---- fetch stage ----------------------------------------------------
 
@@ -64,12 +105,13 @@ func (c *core) stepCompute(now uint64) bool {
 // latency with multithreading instead of prediction.
 func (c *core) fetch(now uint64) {
 	var h *hart
-	for i := 1; i <= HartsPerCore; i++ {
-		cand := c.harts[(c.fetchRR+i)%HartsPerCore]
-		if cand.state != hartRunning || !cand.pcValid || cand.pcReadyCycle > now || cand.ib != nil {
+	for o := scanOrder(c.fetchC, c.fetchRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.fetchRR)
+		if cand.state != hartRunning || !cand.pcValid || cand.ib != nil {
+			c.fetchC &^= cand.bit
 			continue
 		}
-		if cand.syncmWait && cand.inflightMem > 0 {
+		if cand.pcReadyCycle > now || (cand.syncmWait && cand.inflightMem > 0) {
 			continue
 		}
 		h = cand
@@ -95,6 +137,8 @@ func (c *core) fetch(now uint64) {
 	u.pc = h.pc
 	h.ib = u
 	h.pcValid = false
+	c.fetchC &^= h.bit
+	c.renameC |= h.bit
 	c.statFetched++
 	c.emit(trace.KindFetch, h.idx, uint64(u.pc))
 }
@@ -106,9 +150,10 @@ func (c *core) fetch(now uint64) {
 // next pc when it is knowable at decode.
 func (c *core) rename(now uint64) {
 	var h *hart
-	for i := 1; i <= HartsPerCore; i++ {
-		cand := c.harts[(c.renameRR+i)%HartsPerCore]
+	for o := scanOrder(c.renameC, c.renameRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.renameRR)
 		if cand.ib == nil || cand.itFull(&c.m.cfg) || cand.robFull(&c.m.cfg) {
+			c.renameC &^= cand.bit
 			continue
 		}
 		h = cand
@@ -121,6 +166,7 @@ func (c *core) rename(now uint64) {
 	c.perf.StageBusy[perf.StageRename]++
 	u := h.ib
 	h.ib = nil
+	c.renameC &^= h.bit
 	d := u.d
 	in := &d.Inst
 
@@ -149,6 +195,9 @@ func (c *core) rename(now uint64) {
 	}
 	h.it = append(h.it, u)
 	h.robPush(u)
+	if u.ready() {
+		c.issueC |= h.bit // else the producer's write back wakes it
+	}
 
 	// Next-pc production (Figure 10: nextPC leaves the decode stage).
 	switch {
@@ -170,6 +219,9 @@ func (c *core) rename(now uint64) {
 		h.pcValid = true
 		h.pcReadyCycle = now + 1
 	}
+	if h.pcValid {
+		c.fetchC |= h.bit
+	}
 }
 
 // ---- issue stage -----------------------------------------------------
@@ -179,12 +231,13 @@ func (c *core) rename(now uint64) {
 func (c *core) issue(now uint64) {
 	var ih *hart
 	var iu *uop
-	for i := 1; i <= HartsPerCore; i++ {
-		h := c.harts[(c.issueRR+i)%HartsPerCore]
+	for o := scanOrder(c.issueC, c.issueRR); o != 0; o &= o - 1 {
+		h := c.scanHart(o, c.issueRR)
 		if u := c.issuable(h); u != nil {
 			ih, iu = h, u
 			break
 		}
+		c.issueC &^= h.bit
 	}
 	if ih == nil {
 		return
@@ -192,6 +245,27 @@ func (c *core) issue(now uint64) {
 	c.issueRR = ih.idx
 	c.perf.StageBusy[perf.StageIssue]++
 	c.execute(ih, iu, now)
+	// Hand-offs: the instruction left the table (rename may have been
+	// blocked on it), a branch or indirect jump produced its pc, and the
+	// instruction either completed on the spot or occupies the result
+	// buffer until write back — a load only once its response is in
+	// (loadClient.LoadDone).
+	if len(ih.it) == 0 {
+		c.issueC &^= ih.bit
+	}
+	if ih.ib != nil {
+		c.renameC |= ih.bit
+	}
+	if ih.pcValid {
+		c.fetchC |= ih.bit
+	}
+	if iu.done {
+		if ih.robFront() == iu {
+			c.commitC |= ih.bit
+		}
+	} else if !iu.memWait {
+		c.wbC |= ih.bit
+	}
 }
 
 // issuable returns the oldest instruction of h that can issue this cycle.
@@ -226,8 +300,11 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 	}
 	switch d.Inst.Op {
 	case isa.OpPLWRE:
+		// A buffer the hart does not have never fills — no event could
+		// ever make the instruction a candidate again — so that is a
+		// program fault, raised at execute, not a wait.
 		idx := int(d.Inst.Imm)
-		return idx >= 0 && idx < len(h.remote) && len(h.remote[idx].vals) > 0
+		return idx < 0 || idx >= len(h.remote) || len(h.remote[idx].vals) > 0
 	case isa.OpPFC:
 		return c.freeHart() != nil
 	case isa.OpPFN:
@@ -343,9 +420,13 @@ func (c *core) execStore(h *hart, u *uop, now uint64) {
 // value is written to the register file and dependents are woken.
 func (c *core) writeback(now uint64) {
 	var h *hart
-	for i := 1; i <= HartsPerCore; i++ {
-		cand := c.harts[(c.wbRR+i)%HartsPerCore]
-		if cand.exec == nil || cand.exec.memWait || cand.execReadyAt > now {
+	for o := scanOrder(c.wbC, c.wbRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.wbRR)
+		if cand.exec == nil || cand.exec.memWait {
+			c.wbC &^= cand.bit
+			continue
+		}
+		if cand.execReadyAt > now {
 			continue
 		}
 		h = cand
@@ -358,6 +439,15 @@ func (c *core) writeback(now uint64) {
 	c.perf.StageBusy[perf.StageWriteback]++
 	u := h.exec
 	h.exec = nil
+	// The result buffer is free and dependents have their operand (issue);
+	// u is complete (commit).
+	c.wbC &^= h.bit
+	if len(h.it) > 0 {
+		c.issueC |= h.bit
+	}
+	if h.robFront() == u {
+		c.commitC |= h.bit
+	}
 	if u.d.WritesRd() {
 		rd := u.d.Inst.Rd
 		if h.lastWriter[rd] == u {
@@ -377,9 +467,10 @@ func (c *core) writeback(now uint64) {
 // hardware barrier between a parallel section and its sequel.
 func (c *core) commit(now uint64) {
 	var h *hart
-	for i := 1; i <= HartsPerCore; i++ {
-		cand := c.harts[(c.commitRR+i)%HartsPerCore]
+	for o := scanOrder(c.commitC, c.commitRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.commitRR)
 		if cand.robN == 0 || !cand.robFront().done {
+			c.commitC &^= cand.bit
 			continue
 		}
 		if u := cand.robFront(); u.isRet {
@@ -395,6 +486,12 @@ func (c *core) commit(now uint64) {
 		return
 	}
 	u := h.robPopFront()
+	if h.robN == 0 || !h.robFront().done {
+		c.commitC &^= h.bit
+	}
+	if h.ib != nil {
+		c.renameC |= h.bit // a reorder-buffer slot came free
+	}
 	h.retired++
 	h.lastCommit = now
 	h.perf.Commits++

@@ -56,6 +56,7 @@ type remoteRB struct {
 type hart struct {
 	core *core
 	idx  int    // hart index within the core
+	bit  uint8  // 1 << idx: the hart's bit in the core's candidate masks
 	gid  uint32 // global hart number (4*core+idx)
 
 	state        hartState
@@ -182,6 +183,12 @@ func (h *hart) setState(s hartState) {
 		if c.busy == 0 {
 			c.m.activeDirty = true
 		}
+		// A free hart is what a p_fc on this core or a p_fn on the
+		// previous one may be waiting for.
+		c.issueC = allHarts
+		if c.idx > 0 {
+			c.m.cores[c.idx-1].issueC = allHarts
+		}
 	} else {
 		c.busy++
 		if c.busy == 1 {
@@ -224,6 +231,7 @@ func (h *hart) start(pc uint32, now uint64) {
 	h.pc = pc
 	h.pcValid = true
 	h.pcReadyCycle = now
+	h.core.fetchC |= h.bit
 	h.endingEpoch = now
 }
 

@@ -147,6 +147,7 @@ func New(cfg Config) *Machine {
 			h := &hart{
 				core:   co,
 				idx:    hi,
+				bit:    1 << hi,
 				gid:    isa.GlobalHart(c, hi),
 				remote: make([]remoteRB, cfg.RemoteRBs),
 				rob:    make([]*uop, cfg.ROBEntries),
@@ -271,9 +272,7 @@ func (m *Machine) LoadProgram(p *asm.Program) error {
 	}
 	h0 := m.harts[0]
 	h0.reset(&m.cfg)
-	h0.setState(hartRunning)
-	h0.pc = p.Entry
-	h0.pcValid = true
+	h0.start(p.Entry, 0)
 	h0.regs[2] = m.cfg.SPInit(0)
 	return nil
 }

@@ -57,10 +57,11 @@ main:
 	}
 }
 
-func TestStoreAndArithmetic(t *testing.T) {
-	m, _ := buildAndRun(t, 1, `
+// arithProgram stores mul/div/rem/sub/srai results: every functional-unit
+// latency class on one hart.
+const arithProgram = `
 main:
-`+prologue+`
+` + prologue + `
 	la a0, out
 	li a1, 6
 	li a2, 7
@@ -76,10 +77,13 @@ main:
 	sw t1, 12(a0)
 	srai t2, t1, 31
 	sw t2, 16(a0)
-`+exitSeq+`
+` + exitSeq + `
 	.data
 out:	.space 20
-`, 10000)
+`
+
+func TestStoreAndArithmetic(t *testing.T) {
+	m, _ := buildAndRun(t, 1, arithProgram, 10000)
 	want := []uint32{42, 12, 4, 0xFFFFFFFF, 0xFFFFFFFF}
 	got, _ := m.ReadSharedSlice(0x80000000, 5)
 	for i := range want {
@@ -474,11 +478,9 @@ func TestEbreakHalts(t *testing.T) {
 	}
 }
 
-func TestSwreLwreReduction(t *testing.T) {
-	// A 4-member team computes partial values; each member p_swre-sends
-	// its value to the creator hart's result buffers; the creator sums
-	// them after the join.
-	m, _ := buildAndRun(t, 1, `
+// swreReductionProgram: a 4-member team p_swre-sends partial values to
+// the creator's result buffer 0; the creator p_lwre-collects and sums them.
+const swreReductionProgram = `
 main:
 	li t0, -1
 	addi sp, sp, -8
@@ -549,16 +551,20 @@ thread:                      # sends (index+1)*10 to hart 0 (the creator), buffe
 
 	.data
 result:	.word 0
-`, 2_000_000)
+`
+
+func TestSwreLwreReduction(t *testing.T) {
+	// A 4-member team computes partial values; each member p_swre-sends
+	// its value to the creator hart's result buffers; the creator sums
+	// them after the join.
+	m, _ := buildAndRun(t, 1, swreReductionProgram, 2_000_000)
 	if v, _ := m.ReadShared(0x80000000); v != 100 {
 		t.Errorf("reduction = %d, want 100", v)
 	}
 }
 
-func TestHartsReusableAcrossTeams(t *testing.T) {
-	// Two successive parallel sections (Figure 4): the second team reuses
-	// the harts freed by the first; the hardware barrier orders them.
-	m, res := buildAndRun(t, 1, `
+// reuseTeamsProgram runs two successive 4-member teams on one core.
+const reuseTeamsProgram = `
 main:
 	li t0, -1
 	addi sp, sp, -8
@@ -637,7 +643,12 @@ get_thread:                  # out[i] = vec[i] * 2
 	.data
 vec:	.fill 4, 0
 out:	.fill 4, 0
-`, 2_000_000)
+`
+
+func TestHartsReusableAcrossTeams(t *testing.T) {
+	// Two successive parallel sections (Figure 4): the second team reuses
+	// the harts freed by the first; the hardware barrier orders them.
+	m, res := buildAndRun(t, 1, reuseTeamsProgram, 2_000_000)
 	got, _ := m.ReadSharedSlice(0x80000000+16, 4)
 	for i := 0; i < 4; i++ {
 		if got[i] != uint32(2*(i+1)) {
@@ -722,10 +733,8 @@ func TestTraceMatchesStats(t *testing.T) {
 	}
 }
 
-// p_jal: the direct-target parallelized call (Figure 5) — the callee runs
-// locally while the continuation starts on the allocated hart.
-func TestPJalParallelCall(t *testing.T) {
-	m, res := buildAndRun(t, 1, `
+// pjalProgram is the direct-target parallelized call of Figure 5.
+const pjalProgram = `
 main:
 	li t0, -1
 	addi sp, sp, -8
@@ -764,7 +773,12 @@ worker:                     # out[0] = 7 (runs on main's hart, ra = 0)
 
 	.data
 out:	.fill 2, 0
-`, 100000)
+`
+
+// p_jal: the direct-target parallelized call (Figure 5) — the callee runs
+// locally while the continuation starts on the allocated hart.
+func TestPJalParallelCall(t *testing.T) {
+	m, res := buildAndRun(t, 1, pjalProgram, 100000)
 	if v, _ := m.ReadShared(0x80000000); v != 7 {
 		t.Errorf("worker result = %d", v)
 	}

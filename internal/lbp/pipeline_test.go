@@ -148,8 +148,7 @@ shared:	.word 0
 
 // The ROB bounds the number of in-flight instructions per hart: with a
 // tiny ROB the machine still runs correctly, just slower.
-func TestTinyROBStillCorrect(t *testing.T) {
-	src := `
+const tinyROBProgram = `
 main:
 	li a0, 0
 	li a1, 100
@@ -162,9 +161,20 @@ loop:
 	.data
 out:	.word 0
 `
+
+// tinyROBConfig is a one-core machine whose harts hold two instructions
+// in flight: rename waits on a full reorder buffer or instruction table
+// most of the time.
+func tinyROBConfig() Config {
 	cfg := DefaultConfig(1)
 	cfg.ROBEntries = 2
 	cfg.ITEntries = 2
+	return cfg
+}
+
+func TestTinyROBStillCorrect(t *testing.T) {
+	src := tinyROBProgram
+	cfg := tinyROBConfig()
 	p, _ := asm.Assemble(src, asm.Options{})
 	m := New(cfg)
 	if err := m.LoadProgram(p); err != nil {

@@ -412,6 +412,12 @@ func (m *Machine) restoreShard(sh *checkpointShard, lo, hi int) error {
 		return fmt.Errorf("lbp: checkpoint shard at core %d has mismatched geometry", sh.FirstCore)
 	}
 	for i, sc := range sh.Cores {
+		for _, rr := range []int32{sc.FetchRR, sc.RenameRR, sc.IssueRR, sc.WbRR, sc.CommitRR} {
+			// The stages index the core's harts from these.
+			if rr < 0 || rr >= HartsPerCore {
+				return fmt.Errorf("lbp: checkpoint core %d has a round-robin pointer of %d", lo+i, rr)
+			}
+		}
 		c := m.cores[lo+i]
 		c.fetchRR, c.renameRR = int(sc.FetchRR), int(sc.RenameRR)
 		c.issueRR, c.wbRR, c.commitRR = int(sc.IssueRR), int(sc.WbRR), int(sc.CommitRR)
@@ -449,6 +455,9 @@ func (m *Machine) finishRestore(man *checkpointManifest, devices []Device) error
 	// flushes the idle credit), so every idle span restarts after it.
 	for _, c := range m.cores {
 		c.idleFrom = 0
+		// The harts arrived mid-flight: every one is a candidate of every
+		// stage until the stage's scan says otherwise.
+		c.fetchC, c.renameC, c.issueC, c.wbC, c.commitC = allHarts, allHarts, allHarts, allHarts, allHarts
 	}
 	m.rebuildActive(m.cycle + 1)
 	if man.HasTrace {

@@ -298,6 +298,7 @@ func TestReadCheckpointRefusals(t *testing.T) {
 		{"ROBEntries=0", manifestOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
 		{"4 GiB banks", manifestOnly(t, func(c *Config) { c.Mem.SharedBytes = 1 << 29 }), "bound"},
 		{"sane manifest, no shards", manifestOnly(t, func(*Config) {}), "shard"},
+		{"round-robin pointer -9", badRoundRobin(t), "round-robin"},
 	} {
 		m, err := ReadCheckpoint(bytes.NewReader(tc.data))
 		var ce *CheckpointError
@@ -307,8 +308,26 @@ func TestReadCheckpointRefusals(t *testing.T) {
 	}
 }
 
+// badRoundRobin is a checkpoint whose first core claims a stage rotation
+// pointer outside [0, HartsPerCore): stepping would index the core's
+// harts with it.
+func badRoundRobin(t testing.TB) []byte {
+	t.Helper()
+	m := New(DefaultConfig(1))
+	m.cores[0].issueRR = -9
+	data, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // FuzzReadCheckpoint: whatever the bytes, ReadCheckpoint returns a
-// machine or a CheckpointError — never a panic, never another error.
+// machine or a CheckpointError — never a panic, never another error —
+// and a machine it returns can be stepped: Advance may fault or make
+// progress, never panic. Restore is where every piece of derived state
+// (busy counts, the active list, the candidate masks) is rebuilt from
+// whatever the stream claimed, so stepping is the property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
 	v2 := fixture(f, "checkpoint_v2_8core.bin")
 	f.Add(v2)
@@ -318,11 +337,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
 	f.Add(manifestOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
 	f.Add(manifestOnly(f, func(c *Config) { c.Cores = 4096 }))
+	f.Add(badRoundRobin(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadCheckpoint(bytes.NewReader(data))
 		var ce *CheckpointError
 		if (err == nil) == (m == nil) || (err != nil && !errors.As(err, &ce)) {
 			t.Fatalf("machine=%v err=%v (%T)", m != nil, err, err)
+		}
+		if m != nil {
+			_, _ = m.Advance(256) // any outcome but a panic
 		}
 	})
 }

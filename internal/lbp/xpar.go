@@ -103,9 +103,15 @@ func execPMERGE(c *core, h *hart, u *uop, now uint64) {
 }
 
 func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
-	v, ok := h.popRemote(int(u.d.Inst.Imm))
+	idx := int(u.d.Inst.Imm)
+	if idx < 0 || idx >= len(h.remote) {
+		c.faultf(h.idx, "p_lwre from nonexistent result buffer %d (pc %#x)", idx, u.pc)
+		return
+	}
+	v, ok := h.popRemote(idx)
 	if !ok {
-		c.faultf(h.idx, "p_lwre from empty result buffer %d (pc %#x)", u.d.Inst.Imm, u.pc)
+		// canIssue guarantees a value
+		c.faultf(h.idx, "p_lwre from empty result buffer %d (pc %#x)", idx, u.pc)
 		return
 	}
 	u.value = v
@@ -217,6 +223,7 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 		h.pc = ra
 		h.pcValid = true
 		h.pcReadyCycle = now + 1
+		c.fetchC |= h.bit
 	case valid:
 		// ending type 4: send the join address backward to the home hart
 		c.sendJoin(h, home, ra)

@@ -121,6 +121,7 @@ type Stats struct {
 type System struct {
 	cfg    Config
 	code   []uint32
+	codeHi int        // words of code that may be non-zero: all Reset has to clear
 	local  [][]uint32 // per core
 	shared [][]uint32 // per core
 
@@ -235,6 +236,9 @@ func (s *System) LoadCode(base uint32, words []uint32) error {
 		return fmt.Errorf("mem: code image of %d words overflows code bank", len(words))
 	}
 	copy(s.code[idx:], words)
+	if end := int(idx) + len(words); end > s.codeHi {
+		s.codeHi = end
+	}
 	return nil
 }
 

@@ -230,6 +230,59 @@ func TestLoadCodeAndFetch(t *testing.T) {
 	}
 }
 
+// TestResetClearsLoadedCode: Reset clears the code bank up to the highest
+// word LoadCode or RestoreGlobalState ever wrote, not the whole bank. A
+// stale tail would not show in fetch — the simulator reads the decoded
+// image — but in checkpoints, whose code image is the bank minus trailing
+// zeros; so the property is that a machine reset from a long program to a
+// short one captures the same code as a fresh one.
+func TestResetClearsLoadedCode(t *testing.T) {
+	long := make([]uint32, 5000)
+	for i := range long {
+		long[i] = uint32(i + 1)
+	}
+	short := []uint32{7, 8, 9}
+	fresh := newSys(2)
+	if err := fresh.LoadCode(0, short); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fresh.CaptureGlobalState()
+
+	check := func(label string, s *System) {
+		t.Helper()
+		s.Reset()
+		if err := s.LoadCode(0, short); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.CaptureGlobalState()
+		if len(got.Code) != len(want.Code) {
+			t.Fatalf("%s: %d code words captured after Reset to a 3-word program, a fresh system captures %d",
+				label, len(got.Code), len(want.Code))
+		}
+		for i := range want.Code {
+			if got.Code[i] != want.Code[i] {
+				t.Fatalf("%s: code[%d] = %d, want %d", label, i, got.Code[i], want.Code[i])
+			}
+		}
+	}
+
+	loaded := newSys(2)
+	if err := loaded.LoadCode(0, short); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadCode(4096, long); err != nil { // not from word 0: the mark is an end, not a length
+		t.Fatal(err)
+	}
+	longState, clients := loaded.CaptureGlobalState()
+	check("after LoadCode", loaded)
+
+	restored := newSys(2)
+	if err := restored.RestoreGlobalState(longState, clients); err != nil {
+		t.Fatal(err)
+	}
+	check("after RestoreGlobalState", restored)
+}
+
 func TestLoadShared(t *testing.T) {
 	s := newSys(4)
 	// span a bank boundary

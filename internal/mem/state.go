@@ -200,8 +200,8 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 		copy(dst, src)
 		return nil
 	}
-	clear(s.code)
-	copy(s.code, st.Code)
+	clear(s.code[:s.codeHi])
+	s.codeHi = copy(s.code, st.Code)
 	if len(st.Backward) > 0 {
 		s.ensureBackward()
 	}
@@ -276,7 +276,10 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 // Reset returns the system to its post-New state, keeping allocations,
 // for warm-machine reuse across runs.
 func (s *System) Reset() {
-	clear(s.code)
+	// The code bank is 1 MiB and a program a few KiB: clear what was
+	// written, not the bank.
+	clear(s.code[:s.codeHi])
+	s.codeHi = 0
 	for i := range s.local {
 		clear(s.local[i])
 	}

@@ -168,8 +168,9 @@ go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
 echo "verify: lbp-fuzz smoke OK"
 
 # Native fuzzing smoke: hostile checkpoint bytes get a typed error or a
-# machine, never a panic. The seeds include a 144 KB fixture, so the
-# minimizer is capped — by default it may spend a minute on one input.
+# machine that can be stepped, never a panic. The seeds include a 144 KB
+# fixture, so the minimizer is capped — by default it may spend a minute
+# on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
 
@@ -187,8 +188,10 @@ if [ -n "$fig" ]; then
     # BenchmarkPhaseBCommit runs at 64, 256 and 1024 cores: its three
     # cycles/s (and ns/cycle) lines should read about the same — a curve
     # that falls with the core count is per-cycle work proportional to
-    # the machine size (EXPERIMENTS E21).
-    go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkPhaseBCommit' -benchtime 1s
+    # the machine size (EXPERIMENTS E21). BenchmarkMatmul64 is the
+    # sim_matmul64 shape — 64 harts on 16 cores, all live — where stage
+    # selection is most of a cycle (EXPERIMENTS E24 has its ns/cycle).
+    go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkMatmul64|BenchmarkPhaseBCommit' -benchtime 1s
 fi
 
 echo "verify: OK"
