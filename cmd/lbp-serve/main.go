@@ -12,8 +12,8 @@
 //	          [-cachedir DIR] [-cachemax BYTES]
 //	lbp-serve -worker HOST:PORT [-slice N] [-pool-per-key N]
 //	          [-pool-total N] [-addrfile FILE]
-//	lbp-serve -backends A,B,C [-per-backend N] [-steal-depth N]
-//	          [-ckpt-every N] [-retries N] [...front-end flags]
+//	lbp-serve -backends A,B,C [-per-backend N] [-ckpt-every N]
+//	          [-retries N] [...front-end flags]
 //
 // Endpoints:
 //
@@ -48,13 +48,15 @@
 // HOST:PORT` runs a headless worker: the same executor behind a
 // JSON-RPC server, no HTTP. `-backends A,B,C` points the HTTP front
 // end's coordinator at the named workers instead of its in-process
-// executor: jobs that miss the result cache are sharded across them
-// with digest-affine routing (repeat jobs land on the worker whose pool
-// is warm for them), work stealing when a queue runs deep, and
-// checkpoint migration — a job whose worker dies mid-run resumes from
-// its last streamed checkpoint on another worker, bit-identical to an
-// uninterrupted run. The HTTP surface — schema, status codes, metric
-// names — does not depend on where jobs run.
+// executor: jobs that miss the result cache wait in one queue (-queue
+// per backend) and start, oldest first, on whichever connected worker
+// has a free slot — any worker gives the same answer, so placement is
+// free. A worker that cannot be reached takes no work and is re-dialed
+// in the background until it is back; a job whose worker dies mid-run
+// returns to the front of the queue and resumes from its last streamed
+// checkpoint on another worker, bit-identical to an uninterrupted run.
+// The HTTP surface — schema, status codes, metric names — does not
+// depend on where jobs run.
 package main
 
 import (
@@ -78,7 +80,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addrfile", "", "write the bound address to `file` once listening")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "admission queue depth (overflow answers 429)")
+	queue := flag.Int("queue", 64, "admission queue depth, per backend with -backends (overflow answers 429)")
 	deadline := flag.Duration("deadline", 60*time.Second, "default and maximum per-job wall-clock run time")
 	maxCycles := flag.Uint64("maxcycles", 1_000_000_000, "largest acceptable per-job cycle budget")
 	slice := flag.Uint64("slice", 1<<20, "cycles per Advance slice between cancellation checks")
@@ -91,7 +93,6 @@ func main() {
 	workerAddr := flag.String("worker", "", "run as a headless worker listening on `host:port` (no HTTP)")
 	backends := flag.String("backends", "", "run as a coordinator over comma-separated worker `addresses`")
 	perBackend := flag.Int("per-backend", 0, "concurrent dispatches per backend (0 = 4)")
-	stealDepth := flag.Int("steal-depth", 0, "queue depth before idle backends steal work (0 = 2)")
 	ckptEvery := flag.Int64("ckpt-every", 0, "cycles between streamed migration checkpoints (0 = 4M, negative = never)")
 	retries := flag.Int("retries", 0, "dispatch attempts before a job fails (0 = one per backend)")
 	flag.Parse()
@@ -153,7 +154,6 @@ func main() {
 			Backends:        strings.Split(*backends, ","),
 			PerBackend:      *perBackend,
 			QueueDepth:      *queue,
-			StealDepth:      *stealDepth,
 			Attempts:        *retries,
 			CheckpointEvery: *ckptEvery,
 		})

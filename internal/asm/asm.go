@@ -30,25 +30,6 @@ type Program struct {
 	Segments []Segment
 	Symbols  map[string]uint32
 	Entry    uint32 // address of the "main" symbol (or TextBase)
-	Source   []SourceLoc
-}
-
-// SourceLoc maps a text word index back to its source line, for traces.
-type SourceLoc struct {
-	Line int
-	Text string
-}
-
-// DataEnd returns the first address past all initialized data segments.
-func (p *Program) DataEnd() uint32 {
-	end := uint32(0)
-	for _, s := range p.Segments {
-		e := s.Addr + uint32(4*len(s.Words))
-		if e > end {
-			end = e
-		}
-	}
-	return end
 }
 
 // SymbolsSorted returns symbol names in deterministic order.
@@ -101,7 +82,6 @@ func Assemble(source string, opt Options) (*Program, error) {
 		Text:     a.text,
 		Segments: a.closeSegments(),
 		Symbols:  a.symbols,
-		Source:   a.source,
 	}
 	if e, ok := a.symbols["main"]; ok {
 		p.Entry = e
@@ -142,7 +122,6 @@ type assembler struct {
 	symbols map[string]uint32
 	equs    map[string]int64
 	text    []uint32
-	source  []SourceLoc
 	segs    []Segment
 	curSeg  *Segment
 	liSize  map[int]int // line -> instruction count decided in pass 1
@@ -153,7 +132,6 @@ func (a *assembler) reset() {
 	a.dloc = a.opt.DataBase
 	a.inData = false
 	a.text = nil
-	a.source = nil
 	a.segs = nil
 	a.curSeg = nil
 	a.pass2 = true
@@ -277,7 +255,7 @@ func (a *assembler) doDirective(l line, text string) error {
 			}
 		} else {
 			for a.pc%al != 0 {
-				a.emitText(l, 0x00000013) // nop
+				a.emitText(0x00000013) // nop
 			}
 		}
 	case ".word":
@@ -324,10 +302,9 @@ func (a *assembler) doDirective(l line, text string) error {
 	return nil
 }
 
-func (a *assembler) emitText(l line, word uint32) {
+func (a *assembler) emitText(word uint32) {
 	if a.pass2 {
 		a.text = append(a.text, word)
-		a.source = append(a.source, SourceLoc{Line: l.num, Text: l.text})
 	}
 	a.pc += 4
 }

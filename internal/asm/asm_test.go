@@ -207,9 +207,6 @@ func TestDirectives(t *testing.T) {
 	if p.Segments[1].Addr != 0x80010000 || p.Segments[1].Words[0] != 42 {
 		t.Errorf("far segment: %+v", p.Segments[1])
 	}
-	if p.DataEnd() != 0x80010004 {
-		t.Errorf("DataEnd = %#x", p.DataEnd())
-	}
 }
 
 func TestErrors(t *testing.T) {

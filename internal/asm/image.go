@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -45,86 +46,99 @@ func writeWords(w io.Writer, words []uint32) {
 	}
 }
 
-// ReadImage parses a serialized program.
+// ReadImage parses a serialized program. The bytes are untrusted — POST
+// /jobs hands it a request field, a worker whatever its coordinator
+// sent — so every malformed record is an error, never a panic, and a
+// declared word count never sizes an allocation: memory follows the
+// input actually read.
 func ReadImage(r io.Reader) (*Program, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24) // WriteImage's lines are short; a symbol name need not be
+	p, err := readImage(sc)
+	if scErr := sc.Err(); scErr != nil {
+		return nil, fmt.Errorf("asm: reading image: %w", scErr)
+	}
+	return p, err
+}
+
+func readImage(sc *bufio.Scanner) (*Program, error) {
 	var fields []string
+	// next loads the fields of the next non-blank line.
 	next := func() bool {
 		for sc.Scan() {
-			line := strings.TrimSpace(sc.Text())
-			if line == "" {
-				continue
+			if fields = strings.Fields(sc.Text()); len(fields) > 0 {
+				return true
 			}
-			fields = strings.Fields(line)
-			return true
 		}
 		return false
 	}
+	hex := func(f string) (uint32, error) {
+		v, err := strconv.ParseUint(f, 16, 32)
+		if err != nil {
+			return 0, fmt.Errorf("asm: bad word %q", f)
+		}
+		return uint32(v), nil
+	}
+	// block reads the header "<kind> <addr-hex> <nwords>" in fields and
+	// the n words after it, whole lines at a time.
+	block := func() (addr uint32, words []uint32, err error) {
+		if addr, err = hex(fields[1]); err != nil {
+			return 0, nil, err
+		}
+		n, err := strconv.ParseUint(fields[2], 10, 31)
+		if err != nil {
+			return 0, nil, fmt.Errorf("asm: bad word count %q", fields[2])
+		}
+		words = make([]uint32, 0, min(n, 1<<12))
+		for uint64(len(words)) < n {
+			if !next() {
+				return 0, nil, fmt.Errorf("asm: truncated image (want %d words, got %d)", n, len(words))
+			}
+			if uint64(len(words)+len(fields)) > n {
+				return 0, nil, fmt.Errorf("asm: word count mismatch: %d vs %d", len(words)+len(fields), n)
+			}
+			for _, f := range fields {
+				v, err := hex(f)
+				if err != nil {
+					return 0, nil, err
+				}
+				words = append(words, v)
+			}
+		}
+		return addr, words, nil
+	}
+
 	if !next() || len(fields) != 2 || fields[0] != "lbpimage" || fields[1] != "1" {
 		return nil, fmt.Errorf("asm: not an lbpimage v1 file")
 	}
 	p := &Program{Symbols: map[string]uint32{}}
-	readWords := func(n int) ([]uint32, error) {
-		out := make([]uint32, 0, n)
-		for len(out) < n {
-			if !next() {
-				return nil, fmt.Errorf("asm: truncated image (want %d words, got %d)", n, len(out))
-			}
-			for _, f := range fields {
-				var v uint32
-				if _, err := fmt.Sscanf(f, "%x", &v); err != nil {
-					return nil, fmt.Errorf("asm: bad word %q", f)
-				}
-				out = append(out, v)
-			}
-		}
-		if len(out) != n {
-			return nil, fmt.Errorf("asm: word count mismatch: %d vs %d", len(out), n)
-		}
-		return out, nil
-	}
 	for next() {
-		switch fields[0] {
+		kind, want := fields[0], 3
+		switch kind {
 		case "entry":
-			if _, err := fmt.Sscanf(fields[1], "%x", &p.Entry); err != nil {
-				return nil, err
-			}
-		case "text":
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%x", &p.TextBase); err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil {
-				return nil, err
-			}
-			words, err := readWords(n)
-			if err != nil {
-				return nil, err
-			}
-			p.Text = words
-		case "seg":
-			var addr uint32
-			var n int
-			if _, err := fmt.Sscanf(fields[1], "%x", &addr); err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &n); err != nil {
-				return nil, err
-			}
-			words, err := readWords(n)
-			if err != nil {
-				return nil, err
-			}
-			p.Segments = append(p.Segments, Segment{Addr: addr, Words: words})
-		case "sym":
-			var v uint32
-			if _, err := fmt.Sscanf(fields[2], "%x", &v); err != nil {
-				return nil, err
-			}
-			p.Symbols[fields[1]] = v
+			want = 2
+		case "text", "seg", "sym":
 		default:
-			return nil, fmt.Errorf("asm: unknown image record %q", fields[0])
+			return nil, fmt.Errorf("asm: unknown image record %q", kind)
+		}
+		if len(fields) != want {
+			return nil, fmt.Errorf("asm: %s record has %d fields, want %d", kind, len(fields), want)
+		}
+		var err error
+		switch kind {
+		case "entry":
+			p.Entry, err = hex(fields[1])
+		case "text":
+			p.TextBase, p.Text, err = block()
+		case "seg":
+			var seg Segment
+			seg.Addr, seg.Words, err = block()
+			p.Segments = append(p.Segments, seg)
+		case "sym":
+			p.Symbols[fields[1]], err = hex(fields[2])
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	return p, nil

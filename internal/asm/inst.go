@@ -17,7 +17,7 @@ func (a *assembler) doInst(l line, text string) error {
 		if err != nil {
 			return a.errf(l, "%v", err)
 		}
-		a.emitText(l, word)
+		a.emitText(word)
 		return nil
 	}
 	reg := func(i int) (uint8, error) {
@@ -577,7 +577,7 @@ func (a *assembler) expandLoadImm(l line, mn string, rd uint8, expr string) erro
 		if err != nil {
 			return a.errf(l, "%v", err)
 		}
-		a.emitText(l, word)
+		a.emitText(word)
 		return nil
 	}
 	if !a.pass2 {

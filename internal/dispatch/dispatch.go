@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -20,22 +21,18 @@ type Config struct {
 	// backend (0 = 4). Multiplexed over one connection per backend.
 	PerBackend int
 
-	// QueueDepth bounds each backend's pending (admitted, not yet
-	// dispatched) queue; overflow returns ErrQueueFull (0 = 64).
+	// QueueDepth sizes the queue of admitted jobs no backend has taken
+	// yet, per backend: it holds QueueDepth × len(Backends) in all,
+	// beyond which Do returns ErrQueueFull (0 = 64).
 	QueueDepth int
 
-	// StealDepth is the minimum depth an affine queue must reach
-	// before an idle backend steals from it (0 = 2). Stealing trades
-	// warm-pool affinity for latency; it never affects results.
-	StealDepth int
-
-	// Attempts bounds how many backends a job may be dispatched to
+	// Attempts bounds how many times a job may be charged a dead link
 	// before it fails (0 = one per backend, minimum 2). Only transport
 	// deaths consume attempts; job-level outcomes are terminal.
 	Attempts int
 
-	// RetryBackoff is the pause before re-dispatching a job whose
-	// backend died, doubling per attempt (0 = 50ms).
+	// RetryBackoff is the pause before a backend whose dial failed
+	// dials again, doubling per failure up to maxBackoff (0 = 50ms).
 	RetryBackoff time.Duration
 
 	// CheckpointEvery asks workers to stream a migration checkpoint
@@ -55,9 +52,6 @@ func (c *Config) normalize() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.StealDepth <= 0 {
-		c.StealDepth = 2
-	}
 	if c.Attempts <= 0 {
 		c.Attempts = max(len(c.Backends), 2)
 	}
@@ -72,6 +66,11 @@ func (c *Config) normalize() {
 	}
 }
 
+// maxBackoff caps the pause between re-dials: a dead backend must not
+// turn into a tight redial loop, and a restarted one must not stay out
+// for long.
+const maxBackoff = 2 * time.Second
+
 // Admission and lifecycle errors.
 var (
 	ErrQueueFull = errors.New("dispatch: backend queue is full")
@@ -83,13 +82,18 @@ type Metrics struct {
 	Dispatched  uint64 // jobs admitted
 	Completed   uint64 // jobs answered with a Result
 	Failed      uint64 // jobs that exhausted their attempts (or died with the coordinator)
-	Retries     uint64 // re-dispatches after a backend transport death
+	Retries     uint64 // attempts lost to a dead link and tried again
 	Migrations  uint64 // retries that resumed from a streamed checkpoint
-	Steals      uint64 // jobs run by a non-affine backend to balance load
 	Checkpoints uint64 // streamed checkpoints received
 	BackendsUp  int    // backends reachable right now (an in-process one always is)
-	Queued      int    // jobs admitted and waiting in a backend queue right now
+	Queued      int    // jobs admitted and waiting in the queue right now
 	Running     int    // jobs inside a backend call right now
+
+	// Deprecated: Steals is always 0 — there is one queue and nothing to
+	// steal from. It survives because the frozen benchmark
+	// (bench/lbp-load/trace.go) reads it; the next benchmark PR drops
+	// the probe and this field together.
+	Steals uint64
 }
 
 // outcome is what a pending job resolves to.
@@ -100,15 +104,14 @@ type outcome struct {
 
 // pending is one admitted job waiting for, or undergoing, dispatch.
 type pending struct {
-	job   *Job
-	ctx   context.Context
-	done  chan outcome // buffered(1): delivery never blocks a dispatcher
-	order []int        // ring walk: order[0] is affine, the rest failover
+	job  *Job
+	ctx  context.Context
+	done chan outcome // buffered(1): delivery never blocks a dispatcher
 
 	// Owned by whoever holds the job — the queue (under Coordinator.mu)
 	// or the one dispatcher that popped it.
-	enqueued time.Time     // when it last entered a queue
-	queued   time.Duration // total wait in queues
+	enqueued time.Time     // when it last entered the queue
+	queued   time.Duration // total wait in the queue
 	ran      time.Duration // total time inside backend calls
 	attempts int           // dispatch attempts consumed
 	image    []byte        // job.Program serialized for the wire, once
@@ -130,24 +133,34 @@ func (p *pending) deliver(out outcome) {
 	}
 }
 
-// backend is one bounded queue of jobs and the link that runs them.
+// backend is one link to an Executor and the PerBackend dispatchers
+// that feed it from the coordinator's queue.
 type backend struct {
-	addr  string     // Result.Worker; "" for the in-process backend
-	queue []*pending // guarded by Coordinator.mu
+	addr string // Result.Worker; "" for the in-process backend
 	link
+
+	// Guarded by Coordinator.mu. While the link is not up, one of the
+	// backend's dispatchers at a time establishes it (Coordinator.connect)
+	// and the others wait, so a dial that hangs or fails holds up no job.
+	connecting bool
+	backoff    time.Duration // pause before the next dial; 0 = the last one did not fail
 }
 
-// Coordinator queues jobs and runs them on its backends: digest-affine
-// routing, work stealing, retry-with-backoff and checkpoint migration
-// across several, a plain bounded queue in front of one. It is safe for
-// concurrent use; create with New or NewLocal, stop with Close.
+// Coordinator queues jobs and runs them on its backends: one bounded
+// FIFO from which every dispatcher of a connected backend takes the
+// head, re-queueing at the front and checkpoint migration when a link
+// dies. Any backend serves any job — results are a pure function of the
+// job, and a worker's warm machines are keyed by geometry, not program.
+// It is safe for concurrent use; create with New or NewLocal, stop with
+// Close.
 type Coordinator struct {
 	cfg   Config
-	ring  ring
 	backs []*backend
+	stop  chan struct{} // closed by Close: ends a backoff pause early
 
 	mu      sync.Mutex
 	cond    *sync.Cond
+	queue   []*pending          // admitted jobs no dispatcher holds, oldest first
 	pending map[string]*pending // running or queued, by job ID
 	closed  bool
 
@@ -193,7 +206,7 @@ func start(cfg Config, mklink func(*Coordinator, string) link) *Coordinator {
 	cfg.normalize()
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    buildRing(cfg.Backends),
+		stop:    make(chan struct{}),
 		pending: make(map[string]*pending),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -219,12 +232,11 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, b := range c.backs {
-		for _, p := range b.queue {
-			p.deliver(outcome{err: ErrClosed})
-		}
-		b.queue = nil
+	for _, p := range c.queue {
+		p.deliver(outcome{err: ErrClosed})
 	}
+	c.queue = nil
+	close(c.stop)
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	for _, b := range c.backs {
@@ -238,9 +250,7 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) Metrics() Metrics {
 	c.mu.Lock()
 	m := c.m
-	for _, b := range c.backs {
-		m.Queued += len(b.queue)
-	}
+	m.Queued = len(c.queue)
 	c.mu.Unlock()
 	for _, b := range c.backs {
 		if b.up() {
@@ -252,9 +262,10 @@ func (c *Coordinator) Metrics() Metrics {
 
 // Do runs one job on a backend and blocks until it resolves: a Result
 // (whose Status may still be an error status — those are the job's own
-// outcome, never retried), ErrQueueFull when the affine backend's
-// queue is at bound, ErrClosed after Close, or a dispatch failure once
-// every attempt is exhausted. When ctx ends first, a job still queued
+// outcome, never retried), ErrQueueFull when the queue is at bound,
+// ErrClosed after Close, or a dispatch failure once every attempt is
+// exhausted. Jobs start in admission order on whichever connected
+// backend has a free dispatcher. When ctx ends first, a job still queued
 // resolves at once to ctx's cause; a running one resolves as its
 // backend does — an in-process Executor stops at the next slice
 // boundary and still answers (StatusCanceled, or StatusPreempted with
@@ -263,18 +274,10 @@ func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 	if job.CheckpointEvery == 0 && c.cfg.CheckpointEvery > 0 {
 		job.CheckpointEvery = uint64(c.cfg.CheckpointEvery)
 	}
-	// The job routes by its canonical content address when it has one,
-	// by its ID otherwise (uniform spread; an uncacheable job has no
-	// warm state worth chasing).
-	key := job.Key
-	if key == "" {
-		key = job.ID
-	}
 	p := &pending{
 		job:      job,
 		ctx:      ctx,
 		done:     make(chan outcome, 1),
-		order:    c.ring.walk(key),
 		enqueued: time.Now(),
 	}
 	c.mu.Lock()
@@ -286,12 +289,11 @@ func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("dispatch: duplicate job ID %q", job.ID)
 	}
-	affine := c.backs[p.order[0]]
-	if len(affine.queue) >= c.cfg.QueueDepth {
+	if len(c.queue) >= c.cfg.QueueDepth*len(c.backs) {
 		c.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	affine.queue = append(affine.queue, p)
+	c.queue = append(c.queue, p)
 	c.pending[job.ID] = p
 	c.m.Dispatched++
 	c.cond.Broadcast()
@@ -320,62 +322,108 @@ func (c *Coordinator) Do(ctx context.Context, job *Job) (*Result, error) {
 	return out.res, out.err
 }
 
-// unqueue removes p from whichever backend queue holds it, freeing its
-// slot, and reports whether it was queued at all.
+// unqueue removes p from the queue, freeing its slot, and reports
+// whether it was queued at all.
 func (c *Coordinator) unqueue(p *pending) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, b := range c.backs {
-		for i, q := range b.queue {
-			if q == p {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
-				return true
-			}
+	for i, q := range c.queue {
+		if q == p {
+			c.queue = slices.Delete(c.queue, i, i+1)
+			return true
 		}
 	}
 	return false
 }
 
-// pop takes the head of b's queue, closing its queue-wait interval.
+// pop takes the head of the queue, closing its queue-wait interval.
 // Callers hold c.mu.
-func (b *backend) pop() *pending {
-	p := b.queue[0]
-	b.queue = b.queue[1:]
+func (c *Coordinator) pop() *pending {
+	p := c.queue[0]
+	c.queue = c.queue[1:]
 	p.queued += time.Since(p.enqueued)
 	return p
 }
 
-// next blocks until a job is available for backend b — its own queue
-// first, then a steal from the deepest queue at or beyond StealDepth —
-// or the coordinator closes (nil). A backend last seen dead does not
-// steal: it would burn the attempts of jobs that were failing over to a
-// live backend. Its own queue still probes it, so it rejoins when the
-// worker comes back.
+// next blocks until backend b is connected and the queue has a job for
+// it — the head: jobs start in admission order — or the coordinator
+// closes (nil). A backend that is not connected takes no work: a job
+// handed to it would only wait out a dial another backend can spare it.
 func (c *Coordinator) next(b *backend) *pending {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for {
-		if c.closed {
-			return nil
-		}
-		if len(b.queue) > 0 {
-			return b.pop()
-		}
-		var victim *backend
-		if !b.isDown() {
-			for _, o := range c.backs {
-				if o != b && len(o.queue) >= c.cfg.StealDepth &&
-					(victim == nil || len(o.queue) > len(victim.queue)) {
-					victim = o
-				}
+	for !c.closed {
+		switch {
+		case b.up():
+			if len(c.queue) > 0 {
+				return c.pop()
 			}
-		}
-		if victim != nil {
-			c.m.Steals++
-			return victim.pop()
+		case !b.connecting && (b.backoff > 0 || len(c.queue) > 0):
+			c.connect(b)
+			continue
 		}
 		c.cond.Wait()
 	}
+	return nil
+}
+
+// connect dials backend b from the calling dispatcher: at once when
+// there is work and b's last dial did not fail, after b's backoff
+// otherwise — a dead backend re-dials on its own clock, queue or no
+// queue, and rejoins on the first success. A failed dial costs no job
+// anything while another backend can still run the queue; once every
+// backend is in backoff it is an attempt lost by every queued job, so a
+// dead fleet fails its jobs after Attempts instead of holding them.
+// Called with c.mu held; releases it around the pause and the dial.
+func (c *Coordinator) connect(b *backend) {
+	b.connecting = true
+	pause := time.NewTimer(b.backoff)
+	c.mu.Unlock()
+	var err error
+	select {
+	case <-pause.C:
+		err = b.link.connect()
+	case <-c.stop:
+		pause.Stop()
+	}
+	c.mu.Lock()
+	b.connecting = false
+	switch {
+	case c.closed:
+		return
+	case err == nil:
+		b.backoff = 0
+		c.cond.Broadcast() // b's other dispatchers may take work now
+		return
+	}
+	b.backoff = min(max(2*b.backoff, c.cfg.RetryBackoff), maxBackoff)
+	for _, o := range c.backs {
+		if o.backoff == 0 {
+			return // o is connected, or will dial for the head itself
+		}
+	}
+	cause := fmt.Errorf("dialing %s: %w", b.addr, err)
+	keep := c.queue[:0]
+	for _, p := range c.queue {
+		p.attempts++
+		if !c.exhausted(p, cause) {
+			c.m.Retries++
+			keep = append(keep, p)
+		}
+	}
+	clear(c.queue[len(keep):])
+	c.queue = keep
+}
+
+// exhausted fails p if it has used up its attempts, the last one lost
+// to cause, and reports whether it did.
+func (c *Coordinator) exhausted(p *pending, cause error) bool {
+	if p.attempts < c.cfg.Attempts {
+		return false
+	}
+	p.deliver(outcome{err: fmt.Errorf("dispatch: job %s failed after %d attempts: %w",
+		p.job.ID, p.attempts, cause)})
+	return true
 }
 
 // dispatcher is one backend-bound worker loop.
@@ -414,7 +462,7 @@ func (c *Coordinator) handleNote(method string, params json.RawMessage) {
 	}
 }
 
-// runOn runs one attempt of p on backend b and resolves or re-routes it.
+// runOn runs one attempt of p on backend b and resolves or re-queues it.
 func (c *Coordinator) runOn(b *backend, p *pending) {
 	p.attempts++
 	job := *p.job
@@ -448,45 +496,29 @@ func (c *Coordinator) runOn(b *backend, p *pending) {
 		// Terminal: another backend would refuse identically.
 		p.deliver(outcome{err: err})
 	default:
-		// The link died mid-job. Re-dispatch.
-		c.retryElsewhere(p, err)
+		// The link died mid-job: whichever backend is free next resumes
+		// it, ahead of everything admitted after it.
+		c.mu.Lock()
+		c.requeue(p, err)
+		c.mu.Unlock()
 	}
 }
 
-// retryElsewhere re-queues p on its next failover backend after a
-// backoff, or fails it once attempts are exhausted.
-func (c *Coordinator) retryElsewhere(p *pending, cause error) {
-	attempt := p.attempts
-	if attempt >= c.cfg.Attempts {
-		p.deliver(outcome{err: fmt.Errorf("dispatch: job %s failed after %d attempts: %w",
-			p.job.ID, attempt, cause)})
-		return
-	}
-	c.mu.Lock()
-	c.m.Retries++
-	c.mu.Unlock()
-	// Exponential backoff, capped: a dead backend should not turn into
-	// a tight redial loop, but a healthy failover must not idle long.
-	pause := c.cfg.RetryBackoff << (attempt - 1)
-	if max := 2 * time.Second; pause > max {
-		pause = max
-	}
-	select {
-	case <-time.After(pause):
-	case <-p.ctx.Done():
-	}
-	target := c.backs[p.order[attempt%len(p.order)]]
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// requeue puts p, whose latest attempt died with its link, back at the
+// front of the queue, or fails it once its attempts are exhausted.
+// Callers hold c.mu.
+func (c *Coordinator) requeue(p *pending, cause error) {
 	switch {
+	case c.exhausted(p, cause):
 	case c.closed:
 		p.deliver(outcome{err: ErrClosed})
 	case p.ctx.Err() != nil:
 		// Do found p in no queue and is waiting on this delivery.
 		p.deliver(outcome{err: context.Cause(p.ctx)})
 	default:
+		c.m.Retries++
 		p.enqueued = time.Now()
-		target.queue = append(target.queue, p)
+		c.queue = slices.Insert(c.queue, 0, p)
 		c.cond.Broadcast()
 	}
 }

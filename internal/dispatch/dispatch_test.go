@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -161,147 +162,151 @@ func TestSingleBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDigestAffinityRouting: jobs with the same key land on the same
-// backend (warming its pool), jobs overall use both backends.
-func TestDigestAffinityRouting(t *testing.T) {
+// holdJobs starts n copies of the long spinSource job, every one with
+// the same Key, and returns a func that cancels them and waits for
+// their Do calls to return.
+func holdJobs(t *testing.T, c *Coordinator, n int) (release func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		job := &Job{ID: fmt.Sprintf("hold-%d", i), Key: "one-key", Image: imageOf(t, spinSource),
+			Cores: 1, MaxCycles: 500_000_000}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Do(ctx, job)
+		}()
+	}
+	return func() { cancel(); wg.Wait() }
+}
+
+// TestIdleBackendTakesQueuedWork: no connected backend idles while a
+// job is queued. Two backends of one slot each, two long jobs with the
+// same key: both must be running at once, one per worker.
+func TestIdleBackendTakesQueuedWork(t *testing.T) {
 	w1, addr1 := startWorker(t, WorkerConfig{Slice: 1024})
 	w2, addr2 := startWorker(t, WorkerConfig{Slice: 1024})
-	c, err := New(Config{Backends: []string{addr1, addr2}, StealDepth: 1 << 30})
+	c, err := New(Config{Backends: []string{addr1, addr2}, PerBackend: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	release := holdJobs(t, c, 2)
+	defer release()
+	waitFor(t, "both workers running one job each", func() bool {
+		return w1.Metrics().MachinesOut == 1 && w2.Metrics().MachinesOut == 1
+	})
+	if m := c.Metrics(); m.Running != 2 || m.Queued != 0 {
+		t.Errorf("metrics with both jobs running: %+v, want 2 running, 0 queued", m)
+	}
+}
+
+// gatedLink is a backend that reports each job it is handed and holds
+// it until the gate opens.
+type gatedLink struct {
+	started chan string
+	gate    chan struct{}
+}
+
+func (l gatedLink) run(p *pending, job *Job) (*Result, error) {
+	l.started <- job.ID
+	<-l.gate
+	return &Result{Status: StatusOK}, nil
+}
+func (gatedLink) connect() error { return nil }
+func (gatedLink) up() bool       { return true }
+func (gatedLink) close()         {}
+
+// TestQueueIsFIFO: queued jobs start in admission order.
+func TestQueueIsFIFO(t *testing.T) {
+	const jobs = 6
+	l := gatedLink{started: make(chan string, jobs+1), gate: make(chan struct{})}
+	c := start(Config{Backends: []string{""}, PerBackend: 1}, func(*Coordinator, string) link { return l })
+	defer c.Close()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	do := func(id string) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Do(context.Background(), &Job{ID: id}); err != nil {
+				t.Errorf("job %s: %v", id, err)
+			}
+		}()
+	}
+	do("holder") // occupies the one slot while the others queue
+	<-l.started
+	for i := 0; i < jobs; i++ {
+		do(fmt.Sprintf("fifo-%d", i))
+		waitFor(t, "job queued", func() bool { return c.Metrics().Queued == i+1 })
+	}
+	close(l.gate)
+	for i := 0; i < jobs; i++ {
+		if got, want := <-l.started, fmt.Sprintf("fifo-%d", i); got != want {
+			t.Fatalf("start %d was job %s, want %s: the queue is not FIFO", i, got, want)
+		}
+	}
+}
+
+// TestDeadBackendTakesNoWorkAndRejoins: with one of two backends dead,
+// jobs neither fail over from it nor wait out a backoff — it is handed
+// none, its failed dials charge nobody — and once its worker is back it
+// rejoins on its own re-dial clock and runs jobs again.
+func TestDeadBackendTakesNoWorkAndRejoins(t *testing.T) {
+	// A port with nothing behind it yet: the worker "restarts" there.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := ln.Addr().String()
+	ln.Close()
+	live, liveAddr := startWorker(t, WorkerConfig{Slice: 1024})
+
+	const backoff = 300 * time.Millisecond
+	c, err := New(Config{Backends: []string{deadAddr, liveAddr}, PerBackend: 1,
+		RetryBackoff: backoff, DialTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	image := imageOf(t, quickSource)
-	// Repeats of one key always hit one backend; the second run there
-	// must be served by a warm pooled machine.
-	workers := make(map[string]bool)
-	for i := 0; i < 3; i++ {
-		res, err := c.Do(context.Background(), &Job{
-			ID: fmt.Sprintf("rep-%d", i), Key: "same-key", Image: image,
-			Cores: 1, MaxCycles: 1_000_000, Digest: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[res.Worker] = true
-		if i > 0 && !res.PoolWarm {
-			t.Errorf("repeat %d not served warm: affinity broken", i)
-		}
-	}
-	if len(workers) != 1 {
-		t.Errorf("one key used %d backends %v, want 1", len(workers), workers)
-	}
-	// Distinct keys spread across the fleet.
-	spread := make(map[string]bool)
-	for i := 0; i < 32; i++ {
-		res, err := c.Do(context.Background(), &Job{
-			ID: fmt.Sprintf("spread-%d", i), Key: fmt.Sprintf("key-%d", i),
+	const jobs = 12
+	for i := 0; i < jobs; i++ {
+		res, err := c.Do(context.Background(), &Job{ID: fmt.Sprintf("job-%d", i), Key: fmt.Sprintf("key-%d", i),
 			Image: image, Cores: 1, MaxCycles: 1_000_000})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("job %d: %v", i, err)
 		}
-		spread[res.Worker] = true
+		if res.Worker != liveAddr {
+			t.Errorf("job %d ran on %q, want the live backend %q", i, res.Worker, liveAddr)
+		}
+		if wait := time.Duration(res.QueueMs * float64(time.Millisecond)); wait >= backoff {
+			t.Errorf("job %d waited %v in the queue: it sat out a %v backoff", i, wait, backoff)
+		}
 	}
-	if len(spread) != 2 {
-		t.Errorf("32 distinct keys used backends %v, want both", spread)
+	if m := c.Metrics(); m.Retries != 0 || m.Completed != jobs || m.BackendsUp != 1 {
+		t.Errorf("metrics = %+v, want no retry, %d completed, 1 backend up", m, jobs)
 	}
-	if out1, out2 := w1.Metrics().MachinesOut, w2.Metrics().MachinesOut; out1 != 0 || out2 != 0 {
-		t.Errorf("machines still out after all jobs done: %d, %d", out1, out2)
+	if n := live.Metrics().Completed; n != jobs {
+		t.Errorf("the live worker completed %d jobs, want all %d", n, jobs)
 	}
-}
 
-// TestWorkStealing: with every job affine to one backend and that
-// backend limited to one slot, the other backend steals from the deep
-// queue — and stolen runs stay bit-identical.
-func TestWorkStealing(t *testing.T) {
-	_, addr1 := startWorker(t, WorkerConfig{Slice: 1024})
-	_, addr2 := startWorker(t, WorkerConfig{Slice: 1024})
-	c, err := New(Config{Backends: []string{addr1, addr2}, PerBackend: 1, StealDepth: 1})
+	// The worker comes back on the same address.
+	ln, err = net.Listen("tcp", deadAddr)
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("cannot listen on %s again: %v", deadAddr, err)
 	}
-	defer c.Close()
-
-	job := &Job{Image: imageOf(t, quickSource), Cores: 1, MaxCycles: 1_000_000, Digest: true}
-	want := directRun(t, job)
-
-	const jobs = 16
-	results := make([]*Result, jobs)
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			j := *job
-			j.ID = fmt.Sprintf("steal-%d", i)
-			j.Key = "hot-key" // every job affine to the same backend
-			results[i], errs[i] = c.Do(context.Background(), &j)
-		}(i)
-	}
-	wg.Wait()
-	workers := make(map[string]int)
-	for i := 0; i < jobs; i++ {
-		if errs[i] != nil {
-			t.Fatalf("job %d: %v", i, errs[i])
-		}
-		sameDeterministic(t, fmt.Sprintf("job %d", i), results[i], want)
-		workers[results[i].Worker]++
-	}
-	if c.Metrics().Steals == 0 || len(workers) != 2 {
-		t.Errorf("no stealing happened: steals=%d spread=%v", c.Metrics().Steals, workers)
-	}
-}
-
-// TestDeadBackendDoesNotSteal: a backend whose dial was refused must not
-// steal from a live backend's deep queue — each steal would burn an
-// attempt of a job that was never routed to it, and with two attempts
-// fail it outright.
-func TestDeadBackendDoesNotSteal(t *testing.T) {
-	_, live := startWorker(t, WorkerConfig{Slice: 1024})
-	c, err := New(Config{
-		Backends: []string{"127.0.0.1:1", live}, PerBackend: 1, StealDepth: 2,
-		Attempts: 2, RetryBackoff: time.Millisecond, DialTimeout: 50 * time.Millisecond,
+	back := NewWorker(WorkerConfig{Slice: 1024})
+	go back.Serve(ln)
+	defer back.Close()
+	waitFor(t, "the restarted backend to rejoin", func() bool { return c.Metrics().BackendsUp == 2 })
+	release := holdJobs(t, c, 2)
+	defer release()
+	waitFor(t, "both workers running one job each", func() bool {
+		return live.Metrics().MachinesOut == 1 && back.Metrics().MachinesOut == 1
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	keyFor := func(backend int) string {
-		for i := 0; ; i++ {
-			if k := fmt.Sprintf("key-%d", i); c.ring.walk(k)[0] == backend {
-				return k
-			}
-		}
-	}
-	// The first job is affine to the dead backend (alone in its queue, so
-	// below StealDepth): it discovers the backend is down and fails over.
-	// The rest pile up on the live backend's single slot.
-	const jobs = 17
-	errs := make([]error, jobs)
-	var wg sync.WaitGroup
-	for i := 0; i < jobs; i++ {
-		job := &Job{ID: fmt.Sprintf("job-%d", i), Key: keyFor(min(i, 1)),
-			Image: imageOf(t, quickSource), Cores: 1, MaxCycles: 1_000_000}
-		if i == 0 {
-			_, errs[0] = c.Do(context.Background(), job)
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Do(context.Background(), job)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("job %d: %v", i, err)
-		}
-	}
-	if s := c.Metrics().Steals; s != 0 {
-		t.Errorf("dead backend stole %d jobs", s)
-	}
 }
 
 // TestWorkerLossMigratesFromCheckpoint is the tentpole acceptance
@@ -311,26 +316,15 @@ func TestDeadBackendDoesNotSteal(t *testing.T) {
 func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
 	w1, addr1 := startWorker(t, WorkerConfig{Slice: 4096})
 	w2, addr2 := startWorker(t, WorkerConfig{Slice: 4096})
-	backends := []string{addr1, addr2}
-	c, err := New(Config{Backends: backends, CheckpointEvery: 64 << 10, StealDepth: 1 << 30})
+	c, err := New(Config{Backends: []string{addr1, addr2}, CheckpointEvery: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	job := &Job{Image: imageOf(t, spinSource), Cores: 1, MaxCycles: 50_000_000, Digest: true}
+	job := &Job{ID: "migrating-job", Key: "migrating-key", Image: imageOf(t, spinSource),
+		Cores: 1, MaxCycles: 50_000_000, Digest: true}
 	want := directRun(t, job)
-
-	// Pick a key whose affine backend is the worker we will kill.
-	r := buildRing(backends)
-	var key string
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("victim-key-%d", i)
-		if r.walk(key)[0] == 0 {
-			break
-		}
-	}
-	job.ID, job.Key = "migrating-job", key
 
 	done := make(chan struct{})
 	var res *Result
@@ -339,9 +333,16 @@ func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
 		defer close(done)
 		res, doErr = c.Do(context.Background(), job)
 	}()
-	// Kill the affine worker only after a checkpoint has streamed, so
-	// the retry is a true mid-run migration, not a cold restart.
+	// Kill the worker only after a checkpoint has streamed, so the retry
+	// is a true mid-run migration, not a cold restart. The victim is
+	// whichever worker holds the job's machine.
 	waitFor(t, "first streamed checkpoint", func() bool { return c.Metrics().Checkpoints > 0 })
+	if w2.Metrics().MachinesOut == 1 {
+		w1, w2, addr2 = w2, w1, addr1
+	}
+	if out := w1.Metrics().MachinesOut; out != 1 {
+		t.Fatalf("no worker holds the job's machine (victim has %d out)", out)
+	}
 	w1.Close()
 	<-done
 
@@ -504,13 +505,14 @@ func TestMachineLeakAccounting(t *testing.T) {
 	}
 }
 
-// TestQueueFullRefusesAdmission: a backend whose queue is at bound
-// answers ErrQueueFull instead of queueing unboundedly.
+// TestQueueFullRefusesAdmission: a queue at bound answers ErrQueueFull
+// instead of queueing unboundedly.
 func TestQueueFullRefusesAdmission(t *testing.T) {
-	// No worker listens: the single dispatcher sits in dial-retry
-	// backoff holding one job while the queue holds the next.
+	// No worker listens: the backend sits in re-dial backoff while the
+	// queue holds the job its first failed dial was charged to, and the
+	// next.
 	c, err := New(Config{
-		Backends: []string{"127.0.0.1:1"}, PerBackend: 1, QueueDepth: 1,
+		Backends: []string{"127.0.0.1:1"}, PerBackend: 1, QueueDepth: 2,
 		Attempts: 2, RetryBackoff: 30 * time.Second, DialTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -522,14 +524,10 @@ func TestQueueFullRefusesAdmission(t *testing.T) {
 	launch := func(id string) {
 		go c.Do(context.Background(), &Job{ID: id, Image: image, Cores: 1, MaxCycles: 1000})
 	}
-	launch("held") // picked up by the dispatcher, stuck in backoff
-	waitFor(t, "first job picked up", func() bool { return c.Metrics().Retries == 1 })
-	launch("queued") // fills the one queue slot
-	waitFor(t, "queue depth 1", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return len(c.backs[0].queue) == 1
-	})
+	launch("held") // charged the failed dial, back in the queue
+	waitFor(t, "first job charged", func() bool { return c.Metrics().Retries == 1 })
+	launch("queued") // fills the other queue slot
+	waitFor(t, "queue depth 2", func() bool { return c.Metrics().Queued == 2 })
 	_, err = c.Do(context.Background(), &Job{ID: "overflow", Image: image, Cores: 1, MaxCycles: 1000})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow returned %v, want ErrQueueFull", err)
@@ -549,8 +547,8 @@ func TestAllBackendsDeadFailsAfterAttempts(t *testing.T) {
 	defer c.Close()
 	_, err = c.Do(context.Background(), &Job{ID: "doomed", Image: imageOf(t, quickSource),
 		Cores: 1, MaxCycles: 1000})
-	if err == nil || errors.Is(err, ErrQueueFull) {
-		t.Fatalf("dead fleet returned %v, want a dispatch failure", err)
+	if err == nil || !strings.Contains(err.Error(), "dispatch: job doomed failed after 2 attempts: dialing 127.0.0.1:") {
+		t.Fatalf("dead fleet returned %v, want a dispatch failure after 2 attempts", err)
 	}
 	if m := c.Metrics(); m.Failed != 1 || m.Completed != 0 {
 		t.Errorf("metrics = %+v, want 1 failed", m)
@@ -571,17 +569,18 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestHangingDialDoesNotStallOtherBackends: while one backend's dial
-// hangs (a partitioned host, up to DialTimeout), jobs routed to another
-// backend still resolve and Metrics still answers. The hung backend's
-// idle dispatchers wake on every admission and ask their link isDown
-// under the coordinator lock; that read used to wait for the dialing
-// dispatcher's mutex, stalling every Do for the length of the dial.
+// hangs (a partitioned host, up to DialTimeout), jobs still resolve on
+// the other backend — the dialing backend holds none — and Metrics still
+// answers. The hung backend's idle dispatchers wake on every admission
+// and ask their link whether it is up under the coordinator lock; that
+// read used to wait for the dialing dispatcher's mutex, stalling every
+// Do for the length of the dial.
 func TestHangingDialDoesNotStallOtherBackends(t *testing.T) {
-	_, live := startWorker(t, WorkerConfig{Slice: 1024})
+	live, liveAddr := startWorker(t, WorkerConfig{Slice: 1024})
 	const hung = "hung.invalid:1"
 	entered, release := make(chan struct{}), make(chan struct{})
 	var enter, unhang sync.Once
-	c := start(Config{Backends: []string{hung, live}, StealDepth: 1 << 30, RetryBackoff: time.Millisecond},
+	c := start(Config{Backends: []string{hung, liveAddr}, RetryBackoff: time.Millisecond},
 		func(c *Coordinator, addr string) link {
 			dial := func() (net.Conn, error) { return net.DialTimeout("tcp", addr, c.cfg.DialTimeout) }
 			if addr == hung {
@@ -596,41 +595,31 @@ func TestHangingDialDoesNotStallOtherBackends(t *testing.T) {
 	defer c.Close()
 	defer unhang.Do(func() { close(release) }) // before Close, which waits for the dial
 
-	keyFor := func(backend int) string {
-		for i := 0; ; i++ {
-			if k := fmt.Sprintf("key-%d", i); c.ring.walk(k)[0] == backend {
-				return k
-			}
-		}
-	}
 	image := imageOf(t, quickSource)
-	do := func(id string, backend int) chan error {
+	const jobs = 9
+	for i := 0; i < jobs; i++ {
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.Do(context.Background(), &Job{ID: id, Key: keyFor(backend),
+			_, err := c.Do(context.Background(), &Job{ID: fmt.Sprintf("job-%d", i), Key: fmt.Sprintf("key-%d", i),
 				Image: image, Cores: 1, MaxCycles: 1_000_000})
 			done <- err
 		}()
-		return done
-	}
-	stuck := do("to-hung", 0)
-	<-entered
-	for i := 0; i < 8; i++ {
 		select {
-		case err := <-do(fmt.Sprintf("to-live-%d", i), 1):
+		case err := <-done:
 			if err != nil {
-				t.Fatalf("job %d on the live backend: %v", i, err)
+				t.Fatalf("job %d: %v", i, err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("job %d on the live backend stalled behind the other backend's dial", i)
+			t.Fatalf("job %d stalled behind the other backend's dial", i)
+		}
+		if i == 0 {
+			<-entered // the first admission woke the hung backend into its dial
 		}
 	}
-	if m := c.Metrics(); m.BackendsUp != 1 || m.Completed != 8 {
-		t.Errorf("metrics during the hung dial: %+v, want 1 backend up, 8 completed", m)
+	if m := c.Metrics(); m.BackendsUp != 1 || m.Completed != jobs || m.Retries != 0 {
+		t.Errorf("metrics during the hung dial: %+v, want 1 backend up, %d completed, no retry", m, jobs)
 	}
-	// The dial gives up: the job fails over to the live backend.
-	unhang.Do(func() { close(release) })
-	if err := <-stuck; err != nil {
-		t.Errorf("job behind the hung dial did not fail over: %v", err)
+	if n := live.Metrics().Completed; n != jobs {
+		t.Errorf("the live worker completed %d jobs, want all %d", n, jobs)
 	}
 }

@@ -13,13 +13,13 @@
 // attempt, and a job migrated mid-run via a checkpoint finishes with
 // exactly the digest of an uninterrupted run.
 //
-// Routing is digest-affine: the coordinator consistent-hashes the
-// job's content address onto the backend ring, so repeats of the same
-// job land on the same worker, whose warm sim.Pool machines and
-// decode-cache images stay hot for it. Affinity is a performance
-// preference, never a correctness requirement — work stealing moves
-// queued jobs to idle backends when an affine queue runs deep, and
-// failover re-dispatches to the ring successor when a backend dies.
+// It is also what makes placement free: the coordinator keeps one FIFO
+// and any dispatcher of a connected backend takes its head. Nothing a
+// worker holds is keyed by program — its warm machines are pooled by
+// geometry, and loading a program is one cheap decode — so there is
+// nothing for a job to be affine to. A backend that cannot be reached
+// takes no work and re-dials on its own clock; a job whose link died
+// goes back to the front of the queue with its freshest checkpoint.
 package dispatch
 
 import (
@@ -60,8 +60,8 @@ type Job struct {
 	Program *asm.Program `json:"-"`
 
 	// Key is the job's canonical content address (sim.CacheKey): the
-	// affinity routing key, and the proof that two jobs with equal keys
-	// are the same pure function.
+	// result-cache key, and the proof that two jobs with equal keys are
+	// the same pure function. Dispatch does not route by it.
 	Key string `json:"key"`
 
 	// Image is the serialized program (asm.Program.WriteImage bytes);

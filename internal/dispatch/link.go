@@ -20,8 +20,8 @@ type link interface {
 	// terminal answer; any other error, while p.ctx is live, means the
 	// link died and the job may be retried elsewhere.
 	run(p *pending, job *Job) (*Result, error)
-	up() bool     // reachable right now (Metrics.BackendsUp)
-	isDown() bool // last seen dead: it must not steal work
+	connect() error // establish the connection if there is none: the one place a dial happens
+	up() bool       // connected right now: only then do its dispatchers take work
 	close()
 }
 
@@ -38,22 +38,21 @@ func isRefusal(err error) bool {
 type local struct{ exec *Executor }
 
 func (l local) run(p *pending, job *Job) (*Result, error) { return l.exec.Run(p.ctx, job, nil) }
+func (local) connect() error                              { return nil }
 func (local) up() bool                                    { return true }
-func (local) isDown() bool                                { return false }
 func (local) close()                                      {}
 
 // remote runs jobs on a Worker over one multiplexed rpc connection,
-// dialed on first use and redialed after a transport death. up and
-// isDown read atomics: the coordinator calls them under its own lock
-// (Coordinator.next), so they must never wait behind a dial.
+// dialed by Coordinator.connect and dropped on a transport death. up
+// reads an atomic: the coordinator calls it under its own lock
+// (Coordinator.next), so it must never wait behind a dial.
 type remote struct {
 	addr   string
 	dial   func() (net.Conn, error)                    // one bounded connection attempt to addr
 	onNote func(method string, params json.RawMessage) // checkpoint notifications
 
-	dialing sync.Mutex               // serializes (re)dials and close
+	dialing sync.Mutex               // serializes dials and close
 	conn    atomic.Pointer[rpc.Conn] // nil until dialed; dropped on transport death
-	down    atomic.Bool              // the last dial failed or the last conn died; cleared by the next successful dial
 }
 
 func (r *remote) run(p *pending, job *Job) (*Result, error) {
@@ -69,12 +68,13 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 		}
 		job.Image = p.image
 	}
-	conn, err := r.connect()
-	if err != nil {
-		return nil, fmt.Errorf("dialing %s: %w", r.addr, err)
+	conn := r.live()
+	if conn == nil {
+		// The connection died between the queue and here.
+		return nil, fmt.Errorf("backend %s: %w", r.addr, rpc.ErrClosed)
 	}
 	var res Result
-	err = conn.Call(p.ctx, MethodRun, job, &res)
+	err := conn.Call(p.ctx, MethodRun, job, &res)
 	switch {
 	case err == nil:
 		return &res, nil
@@ -96,36 +96,28 @@ func (r *remote) live() *rpc.Conn {
 	return nil
 }
 
-// connect returns the live connection, dialing if needed.
-func (r *remote) connect() (*rpc.Conn, error) {
-	if c := r.live(); c != nil {
-		return c, nil
-	}
+// connect dials unless there is a live connection already.
+func (r *remote) connect() error {
 	r.dialing.Lock()
 	defer r.dialing.Unlock()
-	if c := r.live(); c != nil {
-		return c, nil // another dispatcher dialed while this one waited
+	if r.live() != nil {
+		return nil
 	}
 	nc, err := r.dial()
-	r.down.Store(err != nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c := rpc.NewConn(nc, r.onNote)
-	r.conn.Store(c)
-	return c, nil
+	r.conn.Store(rpc.NewConn(nc, r.onNote))
+	return nil
 }
 
 // drop discards a dead connection (unless a new one already replaced it).
 func (r *remote) drop(conn *rpc.Conn) {
 	conn.Close()
-	if r.conn.CompareAndSwap(conn, nil) {
-		r.down.Store(true)
-	}
+	r.conn.CompareAndSwap(conn, nil)
 }
 
-func (r *remote) up() bool     { return r.live() != nil }
-func (r *remote) isDown() bool { return r.down.Load() }
+func (r *remote) up() bool { return r.live() != nil }
 
 func (r *remote) close() {
 	r.dialing.Lock()

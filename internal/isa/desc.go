@@ -6,8 +6,8 @@ package isa
 // precomputed once at decode so fetch/rename/issue/execute do flag tests
 // and one indexed dispatch instead of re-deriving everything from the
 // opcode with switches ("threaded code"). A Desc is immutable after
-// DescOf; predecoded descriptor images are shared read-only across
-// machines (see internal/lbp's decode cache).
+// DescOf; each machine predecodes its code bank into an image of them
+// when a program is loaded (internal/lbp's decodeCode).
 
 // DescFlags packs the boolean instruction properties.
 type DescFlags uint8

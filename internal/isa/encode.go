@@ -181,6 +181,17 @@ func Encode(in Inst) (uint32, error) {
 	return 0, fmt.Errorf("isa: unknown format for %v", in.Op)
 }
 
+// Decode tables: the opcode each funct3 selects under one major opcode
+// (and, for R-type, one funct7); OpInvalid marks an unassigned encoding.
+var (
+	branchOps = [8]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
+	loadOps   = [8]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
+	storeOps  = [8]Op{0: OpSB, 1: OpSH, 2: OpSW}
+	opOps     = [8]Op{OpADD, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpOR, OpAND} // funct7 0x00
+	opAltOps  = [8]Op{0: OpSUB, 5: OpSRA}                                     // funct7 0x20
+	mulDivOps = [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU}
+)
+
 func signExtend(v uint32, bits uint) int32 {
 	shift := 32 - bits
 	return int32(v<<shift) >> shift
@@ -215,18 +226,15 @@ func Decode(raw uint32) Inst {
 			in.Op, in.Rd, in.Rs1, in.Imm = OpJALR, rd, rs1, immI
 		}
 	case opcBranch:
-		ops := map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-		if op, ok := ops[f3]; ok {
+		if op := branchOps[f3]; op != OpInvalid {
 			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immB
 		}
 	case opcLoad:
-		ops := map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-		if op, ok := ops[f3]; ok {
+		if op := loadOps[f3]; op != OpInvalid {
 			in.Op, in.Rd, in.Rs1, in.Imm = op, rd, rs1, immI
 		}
 	case opcStore:
-		ops := map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-		if op, ok := ops[f3]; ok {
+		if op := storeOps[f3]; op != OpInvalid {
 			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immS
 		}
 	case opcOpImm:
@@ -257,19 +265,16 @@ func Decode(raw uint32) Inst {
 			in.Imm = int32(rs2) // shamt
 		}
 	case opcOp:
-		type key struct {
-			f3, f7 uint32
+		var op Op
+		switch f7 {
+		case 0x00:
+			op = opOps[f3]
+		case 0x20:
+			op = opAltOps[f3]
+		case funct7MulDiv:
+			op = mulDivOps[f3]
 		}
-		ops := map[key]Op{
-			{0, 0x00}: OpADD, {0, 0x20}: OpSUB, {1, 0x00}: OpSLL,
-			{2, 0x00}: OpSLT, {3, 0x00}: OpSLTU, {4, 0x00}: OpXOR,
-			{5, 0x00}: OpSRL, {5, 0x20}: OpSRA, {6, 0x00}: OpOR,
-			{7, 0x00}: OpAND,
-			{0, 0x01}: OpMUL, {1, 0x01}: OpMULH, {2, 0x01}: OpMULHSU,
-			{3, 0x01}: OpMULHU, {4, 0x01}: OpDIV, {5, 0x01}: OpDIVU,
-			{6, 0x01}: OpREM, {7, 0x01}: OpREMU,
-		}
-		if op, ok := ops[key{f3, f7}]; ok {
+		if op != OpInvalid {
 			in.Op, in.Rd, in.Rs1, in.Rs2 = op, rd, rs1, rs2
 		}
 	case opcMiscMem:

@@ -9,103 +9,111 @@ import (
 
 const decodeTestProg = "main:\n\tli ra, 0\n\tli t0, -1\n\taddi a0, zero, 7\n\tp_ret\n"
 
-// TestDecodeImageShared: two machines loading the identical program must
-// end up with the same (pointer-identical) decoded image, and the cache
-// counters must reflect the hit.
-func TestDecodeImageShared(t *testing.T) {
-	p, err := asm.Assemble(decodeTestProg, asm.Options{})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
+// checkImage requires the machine's descriptor image to be exactly the
+// decode of the first n words of its code bank, and nothing to resolve
+// past them.
+func checkImage(t *testing.T, label string, m *Machine, n int) {
+	t.Helper()
+	if len(m.descs) != n {
+		t.Fatalf("%s: image holds %d descriptors, want %d", label, len(m.descs), n)
 	}
-	h0, m0, _ := DecodeCacheStats()
-	m1 := New(DefaultConfig(1))
-	if err := m1.LoadProgram(p); err != nil {
-		t.Fatalf("load 1: %v", err)
+	for i, w := range m.Mem.Code(n) {
+		d := m.descAt(uint32(4 * i))
+		if d == nil {
+			t.Fatalf("%s: word %d does not resolve", label, i)
+		}
+		if ref := isa.DecodeDesc(w); *d != ref {
+			t.Fatalf("%s: word %d (%#08x): descAt = %+v, DecodeDesc = %+v", label, i, w, *d, ref)
+		}
 	}
-	m2 := New(DefaultConfig(2)) // different geometry, same code image
-	if err := m2.LoadProgram(p); err != nil {
-		t.Fatalf("load 2: %v", err)
-	}
-	if m1.img == nil || m1.img != m2.img {
-		t.Fatalf("machines loading the same program hold different images: %p vs %p", m1.img, m2.img)
-	}
-	h1, mi1, entries := DecodeCacheStats()
-	if h1 <= h0 {
-		t.Errorf("expected a cache hit: hits %d -> %d", h0, h1)
-	}
-	if mi1 <= m0 {
-		t.Errorf("expected a cache miss for the first load: misses %d -> %d", m0, mi1)
-	}
-	if entries == 0 {
-		t.Error("cache reports zero entries after a load")
-	}
-
-	// A different program must not share the image.
-	p2, err := asm.Assemble("main:\n\tli ra, 0\n\tli t0, -1\n\taddi a0, zero, 8\n\tp_ret\n", asm.Options{})
-	if err != nil {
-		t.Fatalf("assemble 2: %v", err)
-	}
-	m3 := New(DefaultConfig(1))
-	if err := m3.LoadProgram(p2); err != nil {
-		t.Fatalf("load 3: %v", err)
-	}
-	if m3.img == m1.img {
-		t.Error("different programs share a decoded image")
+	if d := m.descAt(uint32(4 * n)); d != nil {
+		t.Errorf("%s: pc past the image resolves to %+v", label, *d)
 	}
 }
 
-// TestDecodeImageRestoreShared: a machine restored from a checkpoint must
-// share the cached image with machines that loaded the program directly.
-func TestDecodeImageRestoreShared(t *testing.T) {
-	p, err := asm.Assemble(decodeTestProg, asm.Options{})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
+// TestLoadDecodesCodeBank: every way code gets into a machine — a load,
+// a second load on top, a Reset to a shorter program, a checkpoint
+// restore — leaves the descriptor image equal to the decode of the code
+// bank, and a warm Reset reuses the image's storage.
+func TestLoadDecodesCodeBank(t *testing.T) {
+	assemble := func(src string, base uint32) *asm.Program {
+		t.Helper()
+		p, err := asm.Assemble(src, asm.Options{TextBase: base})
+		if err != nil {
+			t.Fatalf("assemble: %v", err)
+		}
+		return p
 	}
-	m1 := New(DefaultConfig(1))
-	if err := m1.LoadProgram(p); err != nil {
+	short := assemble(decodeTestProg, 0)
+	long := assemble("main:\n\tli ra, 0\n\tli t0, -1\n\tmul a0, a1, a2\n\tlw a3, 0(sp)\n\tbne a0, a3, main\n\tp_ret\n", 0)
+	high := assemble(decodeTestProg, 0x100) // leaves a gap of zero words above long
+
+	m := New(DefaultConfig(2))
+	if err := m.LoadProgram(long); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	cp, err := m1.Checkpoint()
+	checkImage(t, "after LoadProgram", m, len(long.Text))
+	if got := m.descAt(long.Entry).Inst.Raw; got != long.Text[0] {
+		t.Errorf("entry descriptor decodes %#08x, the program starts with %#08x", got, long.Text[0])
+	}
+
+	if err := m.LoadProgram(high); err != nil {
+		t.Fatalf("second load: %v", err)
+	}
+	checkImage(t, "after a second LoadProgram on top", m, 0x100/4+len(high.Text))
+	if op := m.descAt(4 * uint32(len(long.Text))).Op(); op != isa.OpInvalid {
+		t.Errorf("gap word between the two programs decodes to %v", op)
+	}
+
+	cp, err := m.Checkpoint()
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	m2, err := Restore(cp)
+	restored, err := Restore(cp)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if m2.img != m1.img {
-		t.Errorf("restored machine rebuilt a private image: %p vs %p", m2.img, m1.img)
+	checkImage(t, "after Restore", restored, len(m.descs))
+
+	if err := m.Reset(short); err != nil {
+		t.Fatalf("reset: %v", err)
 	}
-	if _, err := m2.Run(100000); err != nil {
-		t.Fatalf("restored run: %v", err)
+	checkImage(t, "after Reset to a shorter program", m, len(short.Text))
+	if _, err := m.Run(100000); err != nil {
+		t.Fatalf("run after reset: %v", err)
+	}
+
+	// A warm Reset decodes into the storage the machine already has:
+	// alternating between a long and a short program allocates nothing.
+	progs := [2]*asm.Program{long, short}
+	i := 0
+	if n := testing.AllocsPerRun(20, func() {
+		if err := m.Reset(progs[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("a warm Reset allocates %v times, want 0", n)
 	}
 }
 
-// TestDescAt: descriptor lookups mirror the old per-word decode.
+// TestDescAt: descriptor lookups refuse what fetch must fault on.
 func TestDescAt(t *testing.T) {
 	p, err := asm.Assemble(decodeTestProg, asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	m := New(DefaultConfig(1))
+	if d := m.descAt(0); d != nil {
+		t.Error("a machine with no program resolves pc 0")
+	}
 	if err := m.LoadProgram(p); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	if d := m.descAt(2); d != nil {
 		t.Error("misaligned pc must not resolve")
 	}
-	if d := m.descAt(uint32(len(m.img.descs) * 4)); d != nil {
-		t.Error("pc past the image must not resolve")
-	}
-	d := m.descAt(p.TextBase)
-	if d == nil {
-		t.Fatal("entry pc does not resolve")
-	}
-	w, ok := m.Mem.FetchWord(p.TextBase)
-	if !ok {
-		t.Fatal("entry word not fetchable")
-	}
-	if ref := isa.DecodeDesc(w); *d != ref {
-		t.Errorf("descAt = %+v, DecodeDesc = %+v", *d, ref)
+	if d := m.descAt(p.TextBase); d == nil || d.Inst.Raw != p.Text[0] {
+		t.Errorf("entry pc resolves to %+v, want the decode of %#08x", d, p.Text[0])
 	}
 }

@@ -42,7 +42,7 @@ type Machine struct {
 	rec     *trace.Recorder
 	emit    emitFn // trace sink, never nil (no-op when tracing is off)
 
-	img    *progImage                // predecoded descriptor image (decode.go), shared read-only
+	descs  []isa.Desc                // predecoded code bank, indexed by pc/4: the fetch source (decodeCode)
 	latTab [isa.NumLatClasses]uint64 // functional-unit latency by descriptor class
 	stats  Stats
 
@@ -193,16 +193,29 @@ func (m *Machine) AddDevice(d Device) { m.devices = append(m.devices, d) }
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
 // descAt returns the predecoded descriptor at pc, or nil when pc is
-// unmapped. The returned descriptor aliases the shared immutable image.
+// unmapped. The returned descriptor aliases the machine's image, which
+// the next program load overwrites.
 func (m *Machine) descAt(pc uint32) *isa.Desc {
-	if pc%4 != 0 || m.img == nil {
-		return nil
-	}
 	idx := pc >> 2
-	if uint64(idx) >= uint64(len(m.img.descs)) {
+	if pc%4 != 0 || uint64(idx) >= uint64(len(m.descs)) {
 		return nil
 	}
-	return &m.img.descs[idx]
+	return &m.descs[idx]
+}
+
+// decodeCode makes the first n words of the code bank the descriptor
+// image (words below a text base decode to OpInvalid, like the zeroed
+// bank there). Every way code gets into the bank — LoadProgram, Reset,
+// checkpoint restore — ends here; the image is the machine's own and
+// keeps its backing array, so a warm load allocates nothing for it.
+func (m *Machine) decodeCode(n int) {
+	if cap(m.descs) < n {
+		m.descs = make([]isa.Desc, n)
+	}
+	m.descs = m.descs[:n]
+	for i, w := range m.Mem.Code(n) {
+		m.descs[i] = isa.DecodeDesc(w)
+	}
 }
 
 // Hart returns the hart with the given global number.
@@ -262,9 +275,8 @@ func (m *Machine) LoadProgram(p *asm.Program) error {
 		return err
 	}
 	// Predecode the image: fetch is on the critical path of every cycle.
-	// The descriptor image is content-addressed and shared across
-	// machines running the same program (decode.go).
-	m.installProgram(int(p.TextBase/4), p.Text)
+	// A program loaded on top of another extends or overwrites the image.
+	m.decodeCode(max(len(m.descs), int(p.TextBase/4)+len(p.Text)))
 	for _, seg := range p.Segments {
 		if err := m.Mem.LoadShared(seg.Addr, seg.Words); err != nil {
 			return err
@@ -514,7 +526,7 @@ func (m *Machine) Reset(p *asm.Program) error {
 	m.stats = Stats{}
 	clear(m.hperf)
 	clear(m.cperf)
-	m.img = nil // the image is shared and immutable; just drop the reference
+	m.descs = m.descs[:0]
 	m.rebuildActive(1)
 	return m.LoadProgram(p)
 }

@@ -192,10 +192,6 @@ func (m *Machine) WriteCheckpoint(w io.Writer) error {
 			return fmt.Errorf("lbp: checkpoint mid-cycle: core %d has unapplied effects", c.idx)
 		}
 	}
-	decodedLen := 0
-	if m.img != nil {
-		decodedLen = len(m.img.descs)
-	}
 	memState, clients := m.Mem.CaptureGlobalState()
 	man := checkpointManifest{
 		Version:    checkpointVersion,
@@ -207,7 +203,7 @@ func (m *Machine) WriteCheckpoint(w io.Writer) error {
 		Progress:   m.progress,
 		Stats:      m.stats,
 		Profiling:  m.profiling,
-		DecodedLen: uint32(decodedLen),
+		DecodedLen: uint32(len(m.descs)),
 		Mem:        *memState,
 		ShardCores: checkpointShardCores,
 		NumShards:  (len(m.cores) + checkpointShardCores - 1) / checkpointShardCores,
@@ -434,23 +430,14 @@ func (m *Machine) restoreShard(sh *checkpointShard, lo, hi int) error {
 	return m.Mem.RestoreBankRange(lo, sh.Local, sh.Shared)
 }
 
-// finishRestore is the restore tail: rebuild the shared decoded image
-// from the restored code bank, refresh the active list, reattach the
-// trace recorder and the caller's devices.
+// finishRestore is the restore tail: decode the restored code bank,
+// refresh the active list, reattach the trace recorder and the caller's
+// devices.
 func (m *Machine) finishRestore(man *checkpointManifest, devices []Device) error {
-	if n := man.DecodedLen; n > 0 {
-		if n > m.cfg.Mem.CodeBytes/4 {
-			return fmt.Errorf("lbp: checkpoint decoded image exceeds the code bank")
-		}
-		words := make([]uint32, n)
-		for i := range words {
-			words[i], _ = m.Mem.FetchWord(uint32(4 * i))
-		}
-		// Same canonical key as LoadProgram (the full word image from
-		// address 0), so a restored machine shares the decoded image with
-		// machines that loaded the identical program directly.
-		m.img = sharedImage(words)
+	if man.DecodedLen > m.cfg.Mem.CodeBytes/4 {
+		return fmt.Errorf("lbp: checkpoint decoded image exceeds the code bank")
 	}
+	m.decodeCode(int(man.DecodedLen))
 	// The restored counters are settled through m.cycle (WriteCheckpoint
 	// flushes the idle credit), so every idle span restarts after it.
 	for _, c := range m.cores {
@@ -526,7 +513,7 @@ func saveUop(h *hart, u *uop) (savedUop, error) {
 
 // restoreUopInto fills everything but the dependence edges, which need
 // the whole ROB rebuilt first. The descriptor is decoded standalone
-// (content-identical to the shared image's entry) because harts restore
+// (content-identical to the image.s entry) because harts restore
 // before the code image does.
 func restoreUopInto(u *uop, su *savedUop) {
 	d := isa.DecodeDesc(su.Raw)

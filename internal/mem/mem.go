@@ -255,18 +255,10 @@ func (s *System) LoadShared(addr uint32, words []uint32) error {
 	return nil
 }
 
-// FetchWord reads an instruction word from the code bank. Instruction
-// fetch has a dedicated port per core and never contends.
-func (s *System) FetchWord(addr uint32) (uint32, bool) {
-	if addr%4 != 0 || RegionOf(addr) != RegionCode {
-		return 0, false
-	}
-	idx := addr / 4
-	if int(idx) >= len(s.code) {
-		return 0, false
-	}
-	return s.code[idx], true
-}
+// Code returns the first n words of the code bank, for the machine to
+// predecode: the simulator fetches from its decoded image, never from
+// the bank. The slice aliases the bank and must not be written.
+func (s *System) Code(n int) []uint32 { return s.code[:n] }
 
 // sharedSlot maps a shared address to (bank, word offset).
 func (s *System) sharedSlot(addr uint32) (int, uint32, bool) {

@@ -216,14 +216,11 @@ func TestLoadCodeAndFetch(t *testing.T) {
 	if err := s.LoadCode(0, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if w, ok := s.FetchWord(8); !ok || w != 3 {
-		t.Errorf("FetchWord(8) = %d,%v", w, ok)
+	if code := s.Code(4); code[0] != 1 || code[2] != 3 || code[3] != 0 {
+		t.Errorf("Code(4) = %v, want the image and a zero word past it", code)
 	}
-	if _, ok := s.FetchWord(2); ok {
-		t.Error("unaligned fetch must fail")
-	}
-	if _, ok := s.FetchWord(LocalBase); ok {
-		t.Error("fetch outside code must fail")
+	if err := s.LoadCode(2, []uint32{9}); err == nil {
+		t.Error("unaligned code base must fail")
 	}
 	if err := s.LoadCode(0, make([]uint32, 1<<20)); err == nil {
 		t.Error("oversized code image must fail")

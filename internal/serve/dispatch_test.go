@@ -115,8 +115,9 @@ func TestDistributedDeterminismUnderLoad(t *testing.T) {
 		}
 	}
 	// Kill one worker once the campaign is demonstrably in flight:
-	// whatever it was running re-dispatches (from a checkpoint when one
-	// streamed in time), and whatever routes to it afterward fails over.
+	// whatever it was running goes back to the front of the queue (to
+	// resume from a checkpoint when one streamed in time) and the dead
+	// backend takes nothing further.
 	waitFor(t, "campaign in flight", func() bool {
 		return coord.Metrics().Dispatched >= backendsN
 	})
@@ -160,7 +161,7 @@ func TestDistributedDeterminismUnderLoad(t *testing.T) {
 		t.Errorf("completed counter = %d, want %d", got, rounds*len(reqs))
 	}
 	// The surviving workers must not leak a single machine, whatever
-	// mix of clean runs, steals and re-dispatched jobs they absorbed.
+	// mix of clean runs and re-dispatched jobs they absorbed.
 	waitFor(t, "surviving workers idle", func() bool {
 		return workers[1].Metrics().MachinesOut == 0 && workers[2].Metrics().MachinesOut == 0
 	})

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dispatch"
-	"repro/internal/lbp"
 )
 
 // metrics holds the edge's own counters exported at /metrics (queue,
@@ -78,16 +77,11 @@ func (m *metrics) writePrometheus(w io.Writer, exec *dispatch.Executor, cs cache
 	p.gauge("lbp_serve_sim_cycles_per_second", "Lifetime simulated cycles per host second of run time.", cps)
 	p.gauge("lbp_serve_last_job_sim_cycles_per_second", "Simulated cycles per host second of the most recently completed job.",
 		math.Float64frombits(m.lastJobCPS.Load()))
-	dh, dmiss, de := lbp.DecodeCacheStats()
-	p.counter("lbp_serve_decode_cache_hits_total", "Program loads served by an already-decoded shared image.", dh)
-	p.counter("lbp_serve_decode_cache_misses_total", "Program loads that decoded a fresh image.", dmiss)
-	p.gauge("lbp_serve_decode_cache_entries", "Decoded program images currently cached.", float64(de))
 	p.counter("lbp_serve_dispatch_jobs_total", "Jobs admitted to the dispatcher.", dm.Dispatched)
 	p.counter("lbp_serve_dispatch_completed_total", "Dispatched jobs answered with a backend result.", dm.Completed)
 	p.counter("lbp_serve_dispatch_failed_total", "Dispatched jobs that exhausted their attempts or were abandoned.", dm.Failed)
 	p.counter("lbp_serve_dispatch_retries_total", "Re-dispatches after a backend transport death.", dm.Retries)
 	p.counter("lbp_serve_dispatch_migrations_total", "Retries that resumed from a streamed checkpoint.", dm.Migrations)
-	p.counter("lbp_serve_dispatch_steals_total", "Jobs run by a non-affine backend to balance load.", dm.Steals)
 	p.counter("lbp_serve_dispatch_checkpoints_total", "Migration checkpoints streamed by workers.", dm.Checkpoints)
 	p.gauge("lbp_serve_dispatch_backends_up", "Backends reachable right now.", float64(dm.BackendsUp))
 }

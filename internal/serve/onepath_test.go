@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,18 +26,18 @@ loop:
 
 // servingMode builds one server per backend kind, both sized to one
 // running job and one queued job per backend, both with a result cache
-// (so jobs route by content address: identical programs share a queue)
 // and a checkpoint directory.
 type servingMode struct {
-	name  string
-	start func(t *testing.T, store *cache.Store, ckptDir string) *Server
+	name     string
+	backends int // running slots, and queue slots, in all
+	start    func(t *testing.T, store *cache.Store, ckptDir string) *Server
 }
 
 var servingModes = []servingMode{
-	{"local", func(t *testing.T, store *cache.Store, ckptDir string) *Server {
+	{"local", 1, func(t *testing.T, store *cache.Store, ckptDir string) *Server {
 		return New(Config{Workers: 1, QueueDepth: 1, Slice: 1024, Cache: store, CheckpointDir: ckptDir})
 	}},
-	{"coordinator+2workers", func(t *testing.T, store *cache.Store, ckptDir string) *Server {
+	{"coordinator+2workers", 2, func(t *testing.T, store *cache.Store, ckptDir string) *Server {
 		var addrs []string
 		for i := 0; i < 2; i++ {
 			_, addr, stop := startWorkerBackend(t, dispatch.WorkerConfig{Slice: 1024})
@@ -173,14 +174,22 @@ func TestOneJobPathBothBackends(t *testing.T) {
 
 		t.Run(mode.name+"/queue full", func(t *testing.T) {
 			srv, ts, _ := setup(t)
-			first := hold(t, srv, holdReq)
-			waitFor(t, "first job running", func() bool { return running(srv) == 1 })
-			// Same program, so the same queue; it will run once the first
-			// job is gone and be stopped by its own deadline.
+			// Every running slot of every backend, then every queue slot:
+			// the queued jobs run once the first are gone and are stopped
+			// by their own deadline.
+			n := mode.backends
+			var first []*held
+			for i := 0; i < n; i++ {
+				first = append(first, hold(t, srv, holdReq))
+			}
+			waitFor(t, "first jobs running", func() bool { return running(srv) == n })
 			req := holdReq
 			req.DeadlineMs = 50
-			second := hold(t, srv, req)
-			waitFor(t, "second job queued", func() bool { return queued(srv) == 1 })
+			var second []*held
+			for i := 0; i < n; i++ {
+				second = append(second, hold(t, srv, req))
+			}
+			waitFor(t, "second jobs queued", func() bool { return queued(srv) == n })
 
 			body, err := json.Marshal(holdReq)
 			if err != nil {
@@ -204,19 +213,24 @@ func TestOneJobPathBothBackends(t *testing.T) {
 			}
 			page := readAll(t, resp)
 			for _, series := range []string{
-				"lbp_serve_queue_depth 1\n", "lbp_serve_jobs_inflight 1\n", "lbp_serve_jobs_rejected_total 1\n",
+				fmt.Sprintf("lbp_serve_queue_depth %d\n", n), fmt.Sprintf("lbp_serve_jobs_inflight %d\n", n),
+				"lbp_serve_jobs_rejected_total 1\n",
 			} {
 				if !strings.Contains(page, series) {
 					t.Errorf("metrics page missing %q", strings.TrimSpace(series))
 				}
 			}
 
-			first.cancel()
-			code, res := second.result(t)
-			expect(t, "queued job", code, res, http.StatusGatewayTimeout, StatusDeadline)
-			if res.QueueMs <= 0 || res.RunMs < 50 {
-				t.Errorf("queueMs = %g, runMs = %g for a job that queued and then ran into a 50 ms deadline",
-					res.QueueMs, res.RunMs)
+			for _, h := range first {
+				h.cancel()
+			}
+			for _, h := range second {
+				code, res := h.result(t)
+				expect(t, "queued job", code, res, http.StatusGatewayTimeout, StatusDeadline)
+				if res.QueueMs <= 0 || res.RunMs < 50 {
+					t.Errorf("queueMs = %g, runMs = %g for a job that queued and then ran into a 50 ms deadline",
+						res.QueueMs, res.RunMs)
+				}
 			}
 		})
 

@@ -464,12 +464,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"lbp_serve_sim_cycles_total",
 		"lbp_serve_sim_cycles_per_second",
 		"lbp_serve_last_job_sim_cycles_per_second",
-		"lbp_serve_decode_cache_hits_total",
-		"lbp_serve_decode_cache_misses_total",
-		"lbp_serve_decode_cache_entries",
 	} {
 		if !strings.Contains(page, series) {
 			t.Errorf("metrics page missing %q:\n%s", series, page)
+		}
+	}
+	// Nothing behind the result cache is keyed by program any more.
+	for _, gone := range []string{"decode_cache", "dispatch_steals"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("metrics page still has a %q series:\n%s", gone, page)
 		}
 	}
 	// A job completed, so the per-job throughput gauge must be nonzero.

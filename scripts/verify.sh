@@ -23,10 +23,11 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
-# One checkpoint format, one job protocol: the deleted second paths must
-# not grow back. (mem.State's R1*/R2* names are not on the list: they
-# are reserved words of the version-2 wire format, DESIGN.md §7.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing' -- '*.go'; then
+# One checkpoint format, one job protocol, one decode per load, one
+# queue: the deleted second paths must not grow back. (mem.State's
+# R1*/R2* names are not on the list: they are reserved words of the
+# version-2 wire format, DESIGN.md §7.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -93,11 +94,11 @@ wait "$servepid"
 grep -q "drained" "$smokedir/serve.log"
 echo "verify: lbp-serve smoke OK"
 
-# Distributed smoke: a coordinator sharding jobs over two worker
-# processes via JSON-RPC. The same job is run cold, repeated (no result
-# cache here, so the repeat re-executes on a warm affine machine), and
-# again after one worker is killed (failing over to the survivor) —
-# all three responses must carry byte-identical deterministic fields.
+# Distributed smoke: a coordinator feeding two worker processes via
+# JSON-RPC. The same job is run cold, repeated (no result cache here,
+# so the repeat re-executes), and again after one worker is killed (the
+# survivor takes everything) — every response must carry byte-identical
+# deterministic fields.
 wait_addr() {
     i=0
     while [ ! -s "$1" ]; do
@@ -132,8 +133,8 @@ curl -fsS -X POST "http://$caddr/jobs" -d "$djob" >"$smokedir/djob2.json"
 grep -q '"status": "ok"' "$smokedir/djob2.json"
 kill -TERM "$w1pid"
 wait "$w1pid" 2>/dev/null || true
-# Several posts after the kill: uncacheable jobs route by ID, so some
-# of these land on the dead backend and must fail over to the survivor.
+# Several posts after the kill: the dead backend must take none of
+# them, and none may fail.
 for n in 3 4 5; do
     curl -fsS -X POST "http://$caddr/jobs" -d "$djob" >"$smokedir/djob$n.json"
     grep -q '"status": "ok"' "$smokedir/djob$n.json"
@@ -173,6 +174,11 @@ echo "verify: lbp-fuzz smoke OK"
 # on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
+# Hostile program images (POST /jobs "image", and what a worker reads
+# off the wire): an error, or a program that round-trips through
+# WriteImage.
+go test ./internal/asm -run '^$' -fuzz FuzzReadImage -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzReadImage smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
@@ -192,6 +198,9 @@ if [ -n "$fig" ]; then
     # sim_matmul64 shape — 64 harts on 16 cores, all live — where stage
     # selection is most of a cycle (EXPERIMENTS E24 has its ns/cycle).
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkMatmul64|BenchmarkPhaseBCommit' -benchtime 1s
+    # The two per-request decoders a cold job pays (EXPERIMENTS E25):
+    # program image text -> words, code words -> descriptors.
+    go test ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s
 fi
 
 echo "verify: OK"
