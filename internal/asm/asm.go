@@ -1,4 +1,4 @@
-// Package asm implements a two-pass assembler for the RV32IM + X_PAR
+// Package asm implements the assembler for the RV32IM + X_PAR
 // instruction set of the LBP processor.
 //
 // The accepted syntax is the usual RISC-V assembler syntax plus the X_PAR
@@ -6,6 +6,15 @@
 // .data, .word, .space, .fill, .align, .org, .equ, .global) and the common
 // pseudo-instructions (li, la, mv, j, jr, call, ret, nop, p_ret, branches
 // against zero, ...).
+//
+// A source is parsed once, line by line, into a statement list (parse:
+// comments, labels, the mnemonic's form, registers, directive arguments);
+// layout walks the list to give every statement its size and every label
+// its address; encode walks it again, now that every symbol is known, to
+// evaluate the operand expressions and emit words. What an instruction
+// looks like — mnemonic, operand order, which operand is which field —
+// comes from internal/isa's instruction table through the forms table of
+// inst.go; nothing else in the package names an instruction.
 //
 // Programs are assembled into a Program: a text image based at TextBase
 // and a list of initialized data segments in the shared address space.
@@ -15,6 +24,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/isa"
 )
 
 // Segment is a contiguous initialized region of the data space.
@@ -59,6 +70,13 @@ type Options struct {
 // DefaultDataBase is the beginning of the shared global address space.
 const DefaultDataBase = 0x80000000
 
+// maxWords bounds the words (text plus data) one program may emit:
+// 64 MiB, the whole default shared space of a 1024-core machine. A
+// directive names its size in a few bytes of source (.space, .fill,
+// .align), so layout refuses a larger program before anything is
+// allocated for it.
+const maxWords = 1 << 24
+
 // Assemble assembles source into a Program.
 func Assemble(source string, opt Options) (*Program, error) {
 	if opt.DataBase == 0 {
@@ -69,129 +87,358 @@ func Assemble(source string, opt Options) (*Program, error) {
 		symbols: map[string]uint32{},
 		equs:    map[string]int64{},
 	}
-	lines := splitLines(source)
-	if err := a.pass(lines, 1); err != nil {
+	if err := a.parse(source); err != nil {
 		return nil, err
 	}
-	a.reset()
-	if err := a.pass(lines, 2); err != nil {
+	if err := a.layout(); err != nil {
+		return nil, err
+	}
+	if err := a.encode(); err != nil {
 		return nil, err
 	}
 	p := &Program{
 		TextBase: opt.TextBase,
 		Text:     a.text,
-		Segments: a.closeSegments(),
+		Segments: a.segs,
 		Symbols:  a.symbols,
+		Entry:    opt.TextBase,
 	}
 	if e, ok := a.symbols["main"]; ok {
 		p.Entry = e
-	} else {
-		p.Entry = opt.TextBase
 	}
 	return p, nil
 }
 
-type line struct {
-	num  int
-	text string
+// A stmt is one parsed statement: a label, an instruction or a
+// directive that sizes, places or emits something.
+type stmt struct {
+	line int
+	kind stmtKind
+	data bool     // stands in the .data section
+	form *form    // stInst
+	in   isa.Inst // stInst: the form's fixed fields and the operand registers
+	// arg is the label's name, the instruction's expression operand ("" if
+	// it has none, or once layout has put its value in val), or the
+	// directive's argument text; arg2 is the value of .equ and .fill.
+	arg, arg2 string
+	// Set by layout. n is the words the statement emits; val is the
+	// directive's evaluated argument (.equ and .fill value, .org address)
+	// or the li value when it was known where it stands.
+	n   uint32
+	val int64
 }
 
-func splitLines(src string) []line {
-	raw := strings.Split(src, "\n")
-	out := make([]line, 0, len(raw))
-	for i, l := range raw {
-		// strip comments: '#' and '//' and ';'
-		if idx := strings.IndexAny(l, "#;"); idx >= 0 {
-			l = l[:idx]
-		}
-		if idx := strings.Index(l, "//"); idx >= 0 {
-			l = l[:idx]
-		}
-		l = strings.TrimSpace(l)
-		out = append(out, line{num: i + 1, text: l})
-	}
-	return out
+type stmtKind uint8
+
+const (
+	stLabel stmtKind = iota
+	stInst
+	stText // .text and .data leave no statement: parse stamps each with its section
+	stData
+	stIgnored // directives accepted and ignored
+	stEqu
+	stOrg
+	stAlign
+	stWord
+	stSpace
+	stFill
+)
+
+var directives = map[string]stmtKind{
+	".text": stText, ".data": stData,
+	".global": stIgnored, ".globl": stIgnored, ".type": stIgnored, ".size": stIgnored, ".file": stIgnored,
+	".ident": stIgnored, ".section": stIgnored, ".option": stIgnored, ".attribute": stIgnored,
+	".equ": stEqu, ".set": stEqu, ".org": stOrg, ".align": stAlign,
+	".word": stWord, ".space": stSpace, ".zero": stSpace, ".fill": stFill,
 }
 
 type assembler struct {
 	opt     Options
-	pass2   bool
-	pc      uint32 // text location counter
-	dloc    uint32 // data location counter
-	inData  bool
+	stmts   []stmt
 	symbols map[string]uint32
 	equs    map[string]int64
-	text    []uint32
-	segs    []Segment
-	curSeg  *Segment
-	liSize  map[int]int // line -> instruction count decided in pass 1
+	undef   string // the symbol behind the last errUndefined
+
+	// encode's output and cursor
+	text   []uint32
+	segs   []Segment
+	dloc   uint32 // data location counter
+	newSeg bool   // the next data word opens a segment (first word, or after .org)
 }
 
-func (a *assembler) reset() {
-	a.pc = a.opt.TextBase
-	a.dloc = a.opt.DataBase
-	a.inData = false
-	a.text = nil
-	a.segs = nil
-	a.curSeg = nil
-	a.pass2 = true
+func errf(line int, format string, args ...any) error {
+	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (a *assembler) pass(lines []line, n int) error {
-	a.pc = a.opt.TextBase
-	a.dloc = a.opt.DataBase
-	if n == 1 {
-		a.liSize = map[int]int{}
-	}
-	for _, l := range lines {
-		if l.text == "" {
+// parse turns the source into a.stmts. Everything that needs no symbol
+// value is checked here: mnemonics, operand counts and shapes, register
+// names, directive names and argument counts, the section a statement
+// stands in.
+func (a *assembler) parse(source string) error {
+	lines := strings.Count(source, "\n") + 1
+	a.stmts = make([]stmt, 0, lines+lines/4)
+	inData := false
+	for num, more := 1, true; more; num++ {
+		var text string
+		text, source, more = strings.Cut(source, "\n")
+		text = strings.TrimSpace(stripComment(text))
+		// Labels (possibly several on one line).
+		for {
+			idx := strings.IndexByte(text, ':')
+			if idx < 0 {
+				break
+			}
+			name := strings.TrimSpace(text[:idx])
+			if !isIdent(name) {
+				break
+			}
+			a.stmts = append(a.stmts, stmt{line: num, kind: stLabel, data: inData, arg: name})
+			text = strings.TrimSpace(text[idx+1:])
+		}
+		if text == "" {
 			continue
 		}
-		if err := a.doLine(l); err != nil {
-			return err
+		name, rest, _ := strings.Cut(text, " ")
+		rest = strings.TrimSpace(rest)
+		st := stmt{line: num, data: inData}
+		if text[0] != '.' {
+			if inData {
+				return errf(num, "instruction %q in .data section", text)
+			}
+			if err := parseInst(&st, name, rest); err != nil {
+				return err
+			}
+			a.stmts = append(a.stmts, st)
+			continue
+		}
+		kind, ok := directives[name]
+		if !ok {
+			return errf(num, "unknown directive %q", name)
+		}
+		st.kind, st.arg = kind, rest
+		switch kind {
+		case stText, stData:
+			inData = kind == stData
+			continue
+		case stIgnored:
+			continue
+		case stEqu:
+			if st.arg, st.arg2, ok = cutOperand(rest); !ok {
+				return errf(num, ".equ wants name, value")
+			}
+		case stFill:
+			if countOperands(rest) != 2 {
+				return errf(num, ".fill wants count, value")
+			}
+			st.arg, st.arg2, _ = cutOperand(rest)
+		case stOrg, stWord:
+			if !inData {
+				return errf(num, "%s only supported in .data", name)
+			}
+		}
+		a.stmts = append(a.stmts, st)
+	}
+	return nil
+}
+
+// layout gives every statement its size and every label its address,
+// and defines the .equ names; a directive's size, address or value must
+// be known where it stands. It allocates nothing per emitted word: a
+// program over maxWords, or one that runs off the end of the address
+// space, is refused here.
+func (a *assembler) layout() error {
+	// 64-bit location counters, so that running past 2^32 shows.
+	pc, dloc := uint64(a.opt.TextBase), uint64(a.opt.DataBase)
+	var words uint32
+	for i := range a.stmts {
+		st := &a.stmts[i]
+		loc := &dloc // what the statement's words advance
+		switch st.kind {
+		case stLabel:
+			if _, dup := a.symbols[st.arg]; dup {
+				return errf(st.line, "duplicate label %q", st.arg)
+			}
+			addr := pc
+			if st.data {
+				addr = dloc
+			}
+			a.symbols[st.arg] = uint32(addr)
+		case stInst:
+			loc, st.n = &pc, 1
+			if wide := st.form.imm; wide == 'l' || wide == 'a' {
+				// li is one addi when its value is known here and fits;
+				// la, and any forward reference, is always lui+addi.
+				v, err := a.eval(st.line, st.arg)
+				switch {
+				case err == errUndefined:
+					st.n = 2
+				case err != nil:
+					return err
+				default:
+					st.arg, st.val = "", v
+					if wide == 'a' || v < -2048 || v > 2047 {
+						st.n = 2
+					}
+				}
+			}
+		case stEqu:
+			v, err := a.evalNow(st.line, st.arg2)
+			if err != nil {
+				return err
+			}
+			st.val, a.equs[st.arg] = v, v
+		case stOrg:
+			v, err := a.evalNow(st.line, st.arg)
+			if err != nil {
+				return err
+			}
+			st.val, dloc = v, uint64(uint32(v))
+		case stAlign:
+			v, err := a.evalNow(st.line, st.arg)
+			if err != nil {
+				return err
+			}
+			if v < 0 || v > 31 {
+				return errf(st.line, ".align %d: want an exponent from 0 to 31 (the alignment is 2^n bytes)", v)
+			}
+			if !st.data {
+				loc = &pc
+			}
+			al := uint64(1) << uint(v)
+			pad := (al - *loc%al) % al
+			if pad%4 != 0 { // only a misaligned TextBase/DataBase or .org gets here
+				return errf(st.line, ".align %d from the unaligned address %#x", v, *loc)
+			}
+			st.n = uint32(pad / 4)
+		case stWord:
+			st.n = uint32(countOperands(st.arg))
+		case stSpace, stFill:
+			v, err := a.evalNow(st.line, st.arg)
+			if err != nil {
+				return err
+			}
+			if v < 0 {
+				return errf(st.line, "negative count %d", v)
+			}
+			if st.kind == stSpace {
+				if v%4 != 0 {
+					return errf(st.line, ".space must be a multiple of 4 bytes")
+				}
+				v /= 4
+			} else if st.val, err = a.evalNow(st.line, st.arg2); err != nil {
+				return err
+			}
+			if v > maxWords {
+				v = maxWords + 1
+			}
+			st.n = uint32(v)
+		}
+		if st.n > maxWords-words {
+			return errf(st.line, "program larger than %d words", maxWords)
+		}
+		words += st.n
+		if *loc += 4 * uint64(st.n); *loc > 1<<32 {
+			return errf(st.line, "location counter runs past the end of the address space")
+		}
+	}
+	a.text = make([]uint32, 0, (pc-uint64(a.opt.TextBase))/4)
+	return nil
+}
+
+// encode emits the words. Every label is defined by now; an .equ name
+// has, at each line, the value the lines above gave it (or, above its
+// first definition, its last).
+func (a *assembler) encode() error {
+	a.dloc, a.newSeg = a.opt.DataBase, true
+	for i := range a.stmts {
+		st := &a.stmts[i]
+		switch st.kind {
+		case stInst:
+			if err := a.encodeInst(st); err != nil {
+				return err
+			}
+		case stEqu:
+			a.equs[st.arg] = st.val
+		case stOrg:
+			a.dloc, a.newSeg = uint32(st.val), true
+		case stAlign:
+			if st.data {
+				a.data(st.n)
+				continue
+			}
+			for n := st.n; n > 0; n-- {
+				a.text = append(a.text, 0x00000013) // nop
+			}
+		case stWord:
+			words := a.data(st.n)
+			for i, rest := 0, st.arg; i < len(words); i++ {
+				var opnd string
+				opnd, rest, _ = cutOperand(rest)
+				v, err := a.evalNow(st.line, opnd)
+				if err != nil {
+					return err
+				}
+				words[i] = uint32(v)
+			}
+		case stSpace:
+			a.data(st.n)
+		case stFill:
+			words := a.data(st.n)
+			for i := range words {
+				words[i] = uint32(st.val)
+			}
 		}
 	}
 	return nil
 }
 
-func (a *assembler) errf(l line, format string, args ...any) error {
-	return &Error{Line: l.num, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (a *assembler) doLine(l line) error {
-	text := l.text
-	// Labels (possibly several on one line).
-	for {
-		idx := strings.Index(text, ":")
-		if idx < 0 {
-			break
-		}
-		name := strings.TrimSpace(text[:idx])
-		if !isIdent(name) {
-			break
-		}
-		if !a.pass2 {
-			if _, dup := a.symbols[name]; dup {
-				return a.errf(l, "duplicate label %q", name)
-			}
-			if a.inData {
-				a.symbols[name] = a.dloc
-			} else {
-				a.symbols[name] = a.pc
-			}
-		}
-		text = strings.TrimSpace(text[idx+1:])
-	}
-	if text == "" {
+// data appends n zero words at the data location counter — to the
+// current segment, or to a new one when none is open there — and
+// returns them for the caller to fill.
+func (a *assembler) data(n uint32) []uint32 {
+	if n == 0 {
 		return nil
 	}
-	if strings.HasPrefix(text, ".") {
-		return a.doDirective(l, text)
+	if a.newSeg {
+		a.segs = append(a.segs, Segment{Addr: a.dloc})
+		a.newSeg = false
 	}
-	if a.inData {
-		return a.errf(l, "instruction %q in .data section", text)
+	seg := &a.segs[len(a.segs)-1]
+	start := len(seg.Words)
+	seg.Words = append(seg.Words, make([]uint32, n)...)
+	a.dloc += 4 * n
+	return seg.Words[start:]
+}
+
+// stripComment cuts the line at the first '#', ';' or "//" that is not
+// inside a char literal.
+func stripComment(l string) string {
+	for i := 0; i < len(l); i++ {
+		switch l[i] {
+		case '#', ';':
+			return l[:i]
+		case '/':
+			if i+1 < len(l) && l[i+1] == '/' {
+				return l[:i]
+			}
+		case '\'':
+			i = skipCharLit(l, i) - 1
+		}
 	}
-	return a.doInst(l, text)
+	return l
+}
+
+// skipCharLit returns the index just past the char literal ('x' or
+// '\x') whose opening quote is s[i], or i+1 when the quote opens none.
+func skipCharLit(s string, i int) int {
+	end := i + 2
+	if end < len(s) && s[i+1] == '\\' {
+		end++
+	}
+	if end < len(s) && s[end] == '\'' {
+		return end + 1
+	}
+	return i + 1
 }
 
 func isIdent(s string) bool {
@@ -212,143 +459,37 @@ func isIdent(s string) bool {
 	return true
 }
 
-func (a *assembler) doDirective(l line, text string) error {
-	name, rest, _ := strings.Cut(text, " ")
-	rest = strings.TrimSpace(rest)
-	switch name {
-	case ".text":
-		a.inData = false
-	case ".data":
-		a.inData = true
-	case ".global", ".globl", ".type", ".size", ".file", ".ident", ".section", ".option", ".attribute":
-		// accepted and ignored
-	case ".equ", ".set":
-		parts := strings.SplitN(rest, ",", 2)
-		if len(parts) != 2 {
-			return a.errf(l, ".equ wants name, value")
-		}
-		nm := strings.TrimSpace(parts[0])
-		v, err := a.eval(l, strings.TrimSpace(parts[1]))
-		if err != nil {
-			return err
-		}
-		a.equs[nm] = v
-	case ".org":
-		v, err := a.eval(l, rest)
-		if err != nil {
-			return err
-		}
-		if !a.inData {
-			return a.errf(l, ".org only supported in .data")
-		}
-		a.dloc = uint32(v)
-		a.curSeg = nil
-	case ".align":
-		v, err := a.eval(l, rest)
-		if err != nil {
-			return err
-		}
-		al := uint32(1) << uint(v)
-		if a.inData {
-			for a.dloc%al != 0 {
-				a.emitDataWordPadding()
-			}
-		} else {
-			for a.pc%al != 0 {
-				a.emitText(0x00000013) // nop
-			}
-		}
-	case ".word":
-		if !a.inData {
-			return a.errf(l, ".word only supported in .data")
-		}
-		for _, f := range splitOperands(rest) {
-			v, err := a.evalInst(l, f)
-			if err != nil {
-				return err
-			}
-			a.emitDataWord(uint32(v))
-		}
-	case ".space", ".zero":
-		v, err := a.eval(l, rest)
-		if err != nil {
-			return err
-		}
-		if v%4 != 0 {
-			return a.errf(l, ".space must be a multiple of 4 bytes")
-		}
-		for i := int64(0); i < v; i += 4 {
-			a.emitDataWord(0)
-		}
-	case ".fill":
-		parts := splitOperands(rest)
-		if len(parts) != 2 {
-			return a.errf(l, ".fill wants count, value")
-		}
-		cnt, err := a.eval(l, parts[0])
-		if err != nil {
-			return err
-		}
-		val, err := a.eval(l, parts[1])
-		if err != nil {
-			return err
-		}
-		for i := int64(0); i < cnt; i++ {
-			a.emitDataWord(uint32(val))
-		}
-	default:
-		return a.errf(l, "unknown directive %q", name)
-	}
-	return nil
-}
-
-func (a *assembler) emitText(word uint32) {
-	if a.pass2 {
-		a.text = append(a.text, word)
-	}
-	a.pc += 4
-}
-
-func (a *assembler) emitDataWord(w uint32) {
-	if a.pass2 {
-		if a.curSeg == nil || a.curSeg.Addr+uint32(4*len(a.curSeg.Words)) != a.dloc {
-			a.segs = append(a.segs, Segment{Addr: a.dloc})
-			a.curSeg = &a.segs[len(a.segs)-1]
-		}
-		a.curSeg.Words = append(a.curSeg.Words, w)
-		// re-take the pointer: append may have grown a.segs
-		a.curSeg = &a.segs[len(a.segs)-1]
-	}
-	a.dloc += 4
-}
-
-func (a *assembler) emitDataWordPadding() { a.emitDataWord(0) }
-
-func (a *assembler) closeSegments() []Segment {
-	return a.segs
-}
-
-// splitOperands splits on commas that are not inside parentheses.
-func splitOperands(s string) []string {
-	var out []string
+// cutOperand cuts the first operand off a comma-separated list; a comma
+// inside parentheses or a char literal does not separate. more reports
+// whether a comma (and so another operand, possibly empty) followed.
+func cutOperand(s string) (first, rest string, more bool) {
 	depth := 0
-	start := 0
-	for i, c := range s {
-		switch c {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
 		case '(':
 			depth++
 		case ')':
 			depth--
+		case '\'':
+			i = skipCharLit(s, i) - 1
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
+				return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:]), true
 			}
 		}
 	}
-	last := strings.TrimSpace(s[start:])
-	if last != "" || len(out) > 0 {
-		out = append(out, last)
+	return strings.TrimSpace(s), "", false
+}
+
+// countOperands counts the operands of a trimmed operand list.
+func countOperands(s string) int {
+	if s == "" {
+		return 0
 	}
-	return out
+	for n := 1; ; n++ {
+		var more bool
+		if _, s, more = cutOperand(s); !more {
+			return n
+		}
+	}
 }

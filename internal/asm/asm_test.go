@@ -1,8 +1,11 @@
 package asm
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -209,25 +212,93 @@ func TestDirectives(t *testing.T) {
 	}
 }
 
+// errorCases are sources Assemble must refuse, with the line and a piece
+// of the message. The second group used to panic, hang, take seconds
+// and gigabytes, or assemble to something else than was written; they
+// are FuzzAssemble's hostile seeds too.
+var errorCases = []struct {
+	src     string
+	line    int
+	wantSub string
+}{
+	{"main:\n\tfrobnicate a0", 2, "unknown mnemonic"},
+	{"main:\n\taddi a0, a0", 2, "want 3 operands"},
+	{"main:\n\tlw a0, nope", 2, "want off(reg)"},
+	{"main:\n\tj nowhere", 2, "undefined symbol"},
+	{"main:\nmain:\n\tret", 2, "duplicate label"},
+	{"main:\n\taddi a0, q7, 1", 2, "bad register"},
+	{".data\n\taddi a0, a0, 1", 2, "in .data section"},
+	{"main:\n\tli a0, 1/0", 2, "division by zero"},
+	{"main:\n\t.bogus 3", 2, "unknown directive"},
+
+	// an alignment that is no power of two below 2^32 (divide by zero)
+	{"main:\n\tnop\n\t.align 32", 3, ".align 32"},
+	{".data\n.align 40", 2, ".align 40"},
+	{".data\n.align -1", 2, ".align -1"},
+	{".data\n.org 0x80000002\n.align 2", 3, "unaligned"},
+	// negative counts (taken for zero), a location counter that wraps, a
+	// value lui cannot hold (assembled as lui a0, 0), a register number
+	// that overflows int (taken for ra)
+	{".data\n.space -8", 2, "negative count"},
+	{".data\n.fill -1, 0", 2, "negative count"},
+	{".data\n.org 0xfffffffc\n.word 1, 2, 3", 3, "past the end of the address space"},
+	{"main:\n\tlui a0, 0x100000", 2, "does not fit"},
+	{"main:\n\tauipc a0, -0x80001", 2, "does not fit"},
+	{"main:\n\tmv x18446744073709551617, a0", 2, "bad register"},
+	// a few bytes of source sizing the output (.space 0x10000000: 7 s
+	// and 256 MiB; 0xfffffffc: 4 GiB)
+	{".data\n.space 0x10000000", 2, "larger than"},
+	{".data\n.space 0xfffffffc", 2, "larger than"},
+	{".data\n.fill 50000000, 7", 2, "larger than"},
+	{"main:\n\tnop\n\t.align 31", 3, "larger than"},
+	{".data\nx: .space 0x3fffffc\n.word 1, 2", 3, "larger than"},
+	// operands the zero-operand forms used to ignore
+	{"main:\n\tfence a0, a1", 2, "want 0 operands"},
+	{"main:\n\tecall 1,2", 2, "want 0 operands"},
+	{"main:\n\tret a0", 2, "want 0 operands"},
+	{"main:\n\tnop x", 2, "want 0 operands"},
+	{"main:\n\tp_syncm x", 2, "want 0 operands"},
+	{"main:\n\tp_ret ra", 2, "want 0 or 2 operands"},
+	{"main:\n\taddi a0, a0, ", 2, "operand 3 is empty"},
+	// one parser recursion per '(' or unary operator
+	{"main:\n\tli a0, " + strings.Repeat("(", 1<<16), 2, "nested deeper"},
+	{"main:\n\tli a0, " + strings.Repeat("-~", 1<<15) + "1", 2, "nested deeper"},
+}
+
+// TestErrors: every refusal is an *Error on the faulty line, made in
+// bounded time and without allocating more than the order of the source.
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		src, wantSub string
-	}{
-		{"main:\n\tfrobnicate a0", "unknown mnemonic"},
-		{"main:\n\taddi a0, a0", "want 3 operands"},
-		{"main:\n\tlw a0, nope", "want off(reg)"},
-		{"main:\n\tj nowhere", "undefined symbol"},
-		{"main:\nmain:\n\tret", "duplicate label"},
-		{"main:\n\taddi a0, q7, 1", "bad register"},
-		{".data\n\taddi a0, a0, 1", "in .data section"},
-		{"main:\n\tli a0, 1/0", "division by zero"},
-		{"main:\n\t.bogus 3", "unknown directive"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
 		_, err := Assemble(c.src, Options{})
-		if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-			t.Errorf("Assemble(%q) error = %v, want containing %q", c.src, err, c.wantSub)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		src := c.src
+		if len(src) > 60 {
+			src = src[:60] + "..."
 		}
+		var ae *Error
+		if !errors.As(err, &ae) || ae.Line != c.line || !strings.Contains(ae.Msg, c.wantSub) {
+			t.Errorf("Assemble(%q) error = %v, want an *Error on line %d containing %q", src, err, c.line, c.wantSub)
+		}
+		if spent, bound := after.TotalAlloc-before.TotalAlloc, uint64(128*len(c.src)+64<<10); spent > bound || took > 50*time.Millisecond {
+			t.Errorf("Assemble(%q): refused in %v with %d bytes allocated, want under 50ms and %d bytes", src, took, spent, bound)
+		}
+	}
+}
+
+// TestSizeBound: a program may fill the bound exactly, and alignment
+// padding below it is a bounded amount of work.
+func TestSizeBound(t *testing.T) {
+	p := mustAssemble(t, "main:\n\tnop\n\t.align 20\n\t.data\n\t.space 0x3f00000\n")
+	if len(p.Text) != 1<<18 || p.Text[1<<18-1] != 0x13 || len(p.Segments[0].Words) != maxWords-1<<18 {
+		t.Errorf("text %d words, data %d words", len(p.Text), len(p.Segments[0].Words))
+	}
+	p = mustAssemble(t, ".data\n.org 0xfffffff8\n.word 1, 2\nend:\n")
+	if got := p.Segments[0]; got.Addr != 0xfffffff8 || len(got.Words) != 2 {
+		t.Errorf("the last two words of the address space: %+v", got)
 	}
 }
 
@@ -273,6 +344,14 @@ func TestCommentsAndBlankLines(t *testing.T) {
 	`)
 	if len(p.Text) != 2 {
 		t.Errorf("got %d instructions, want 2", len(p.Text))
+	}
+	// A comment character, a comma or a colon inside a char literal is
+	// the character.
+	p = mustAssemble(t, "main:\n\tli a0, '#' # hash\n\tli a1, ';'\n\tli a2, ','\n\tli a3, ':'\n\tli a4, '/'// slash\n")
+	for i, want := range "#;,:/" {
+		if in := isa.Decode(p.Text[i]); len(p.Text) != 5 || in.Op != isa.OpADDI || in.Imm != int32(want) {
+			t.Errorf("li of %q: %d words, word %d = %+v", want, len(p.Text), i, in)
+		}
 	}
 }
 
@@ -367,42 +446,58 @@ func TestReadImageErrors(t *testing.T) {
 	}
 }
 
-// Property: the disassembly of an assembled program re-assembles to the
-// identical text image (modulo label names, which the disassembler
-// renders as absolute addresses the assembler accepts as literals).
+// Property: the disassembly of a program re-assembles to the identical
+// text image (labels come back as the absolute addresses the assembler
+// accepts as literals). The program is made from the instruction table:
+// every Op, with each operand its shape lists set, at a few values of
+// its immediate.
 func TestDisassemblyReassembles(t *testing.T) {
-	src := `
-main:
-	addi sp, sp, -16
-	sw ra, 0(sp)
-	li a0, 5
-	li a1, 0x12345678
-	la a2, buf
-	lw a3, 4(a2)
-	sw a3, 8(a2)
-	beq a3, zero, skip
-	mul a4, a3, a0
-	div a5, a4, a0
-skip:
-	p_fc t6
-	p_swcv t6, ra, 0
-	p_merge t0, t0, t6
-	p_syncm
-	p_lwcv a1, 8
-	p_swre zero, a4, 1
-	p_lwre a6, 1
-	lw ra, 0(sp)
-	addi sp, sp, 16
-	p_ret
-	.data
-buf:	.word 1, 2, 3
-`
-	p := mustAssemble(t, src)
+	var text []uint32
+	for op := isa.OpInvalid + 1; op < isa.NumOps; op++ {
+		in := isa.Inst{Op: op}
+		imms := []int32{0}
+		for _, k := range op.Shape() {
+			switch k {
+			case 'd':
+				in.Rd = 5
+			case '1', 'm':
+				in.Rs1 = 6
+			case '2':
+				in.Rs2 = 7
+			case 's':
+				in.Rs1 = 2
+			}
+			switch k {
+			case 'i', 'm':
+				imms = []int32{0, 5, 31, -8, 2047, -2048} // a shift takes the first three
+			case 'u':
+				imms = []int32{0, 0x12345 << 12, -1 << 12}
+			case 't':
+				imms = []int32{0, 16, -4, 2046, -2048}
+			}
+		}
+		encoded := 0
+		for _, imm := range imms {
+			in.Imm = imm
+			if w, err := isa.Encode(in); err == nil {
+				text = append(text, w)
+				encoded++
+			}
+		}
+		if encoded == 0 || encoded < len(imms) && len(imms)-encoded != 3 {
+			t.Fatalf("%v: %d of %d instances encode", op, encoded, len(imms))
+		}
+	}
+	pret, err := isa.Encode(isa.Inst{Op: isa.OpPJALR, Rs1: 1, Rs2: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text = append(text, pret)
+
 	var listing strings.Builder
 	listing.WriteString("main:\n")
-	for i, w := range p.Text {
-		pc := p.TextBase + uint32(4*i)
-		listing.WriteString("\t" + isa.Disassemble(isa.Decode(w), pc) + "\n")
+	for i, w := range text {
+		listing.WriteString("\t" + isa.Disassemble(isa.Decode(w), uint32(4*i)) + "\n")
 	}
 	// p_ret disassembles with parenthesized operands; normalize
 	norm := strings.ReplaceAll(listing.String(), "p_ret (ra, t0)", "p_ret ra, t0")
@@ -410,14 +505,41 @@ buf:	.word 1, 2, 3
 	if err != nil {
 		t.Fatalf("reassemble: %v\n%s", err, norm)
 	}
-	if len(q.Text) != len(p.Text) {
-		t.Fatalf("length %d vs %d", len(q.Text), len(p.Text))
+	if len(q.Text) != len(text) {
+		t.Fatalf("length %d vs %d", len(q.Text), len(text))
 	}
-	for i := range p.Text {
-		if q.Text[i] != p.Text[i] {
-			t.Errorf("word %d: %08x vs %08x (%s)", i, q.Text[i], p.Text[i],
-				isa.Disassemble(isa.Decode(p.Text[i]), uint32(4*i)))
+	for i := range text {
+		if q.Text[i] != text[i] {
+			t.Errorf("word %d: %08x vs %08x (%s)", i, q.Text[i], text[i],
+				isa.Disassemble(isa.Decode(text[i]), uint32(4*i)))
 		}
+	}
+}
+
+// TestFormsTable: the forms table holds every instruction of the isa
+// table under its own mnemonic and shape, and the pseudo-instructions;
+// 82 mnemonics in all (internal/cc's TestAsmoptRolesMatchParentLists
+// walks the same 82 by name).
+func TestFormsTable(t *testing.T) {
+	for op := isa.OpInvalid + 1; op < isa.NumOps; op++ {
+		shape := strings.ReplaceAll(op.Shape(), "s", "")
+		if shape == "dm" && op == isa.OpJALR {
+			shape = "dM" // the one real form a pseudo row replaces
+		}
+		if got, gotShape, ok := Operands(op.String(), len(shape)); !ok || got != op || gotShape != shape {
+			t.Errorf("Operands(%q, %d) = %v, %q, %v; want %v, %q", op.String(), len(shape), got, gotShape, ok, op, shape)
+		}
+	}
+	for _, f := range pseudo {
+		if got, shape, ok := Operands(f.mn, len(f.shape)); !ok || got != f.fix.Op || shape != f.shape {
+			t.Errorf("Operands(%q, %d) = %v, %q, %v; want %v, %q", f.mn, len(f.shape), got, shape, ok, f.fix.Op, f.shape)
+		}
+	}
+	if len(forms) != 82 {
+		t.Errorf("the forms table has %d mnemonics, want 82", len(forms))
+	}
+	if _, _, ok := Operands("addi", 2); ok {
+		t.Error("Operands accepts addi with two operands")
 	}
 }
 
@@ -444,7 +566,7 @@ func TestExpressionEvaluator(t *testing.T) {
 		p := mustAssemble(t, ".equ V, "+expr+"\nmain:\n\tret\n")
 		_ = p
 		a := &assembler{symbols: map[string]uint32{}, equs: map[string]int64{}}
-		got, err := a.eval(line{num: 1}, expr)
+		got, err := a.eval(1, expr)
 		if err != nil {
 			t.Errorf("eval(%q): %v", expr, err)
 			continue
@@ -457,9 +579,9 @@ func TestExpressionEvaluator(t *testing.T) {
 
 func TestExpressionEvaluatorErrors(t *testing.T) {
 	bad := []string{"", "1+", "(1", "1//2", "nope", "%mid(1)", "1 2"}
-	a := &assembler{symbols: map[string]uint32{}, equs: map[string]int64{}, pass2: true}
+	a := &assembler{symbols: map[string]uint32{}, equs: map[string]int64{}}
 	for _, expr := range bad {
-		if _, err := a.eval(line{num: 1}, expr); err == nil {
+		if _, err := a.eval(1, expr); err == nil {
 			t.Errorf("eval(%q) succeeded", expr)
 		}
 	}

@@ -2,46 +2,51 @@ package asm
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"strings"
 )
 
-// errForward marks a pass-1 failure to resolve a not-yet-defined symbol.
-var errForward = errors.New("forward reference")
+// errUndefined is eval's answer to a symbol that has no value (yet);
+// a.undef names it. Layout takes it for a forward reference where one is
+// allowed (li, la); evalNow turns it into the error the user sees.
+var errUndefined = errors.New("undefined symbol")
 
-// evalInst evaluates an instruction operand. In pass 1, forward references
-// evaluate to 0 (the layout does not depend on them); in pass 2 they are
-// errors if still undefined.
-func (a *assembler) evalInst(l line, s string) (int64, error) {
-	v, err := a.eval(l, s)
-	if err != nil && !a.pass2 && errors.Is(err, errForward) {
-		return 0, nil
+// evalNow evaluates an expression whose every symbol must be defined.
+func (a *assembler) evalNow(line int, s string) (int64, error) {
+	v, err := a.eval(line, s)
+	if err == errUndefined {
+		return 0, errf(line, "undefined symbol %q", a.undef)
 	}
 	return v, err
 }
 
+// maxExprDepth bounds the nesting of parentheses and unary operators:
+// the parser recurses once per level, and a request body may be 8 MiB
+// of '('.
+const maxExprDepth = 256
+
 // eval evaluates an assembler expression: integer literals (decimal, hex,
 // char), symbols, %hi(...)/%lo(...), unary -/~, binary + - * / % << >> & | ^
 // with C precedence, and parentheses.
-func (a *assembler) eval(l line, s string) (int64, error) {
-	p := &exprParser{a: a, l: l, s: s}
+func (a *assembler) eval(line int, s string) (int64, error) {
+	p := &exprParser{a: a, l: line, s: s}
 	v, err := p.parse(0)
 	if err != nil {
 		return 0, err
 	}
 	p.skipSpace()
 	if p.pos != len(p.s) {
-		return 0, a.errf(l, "trailing garbage in expression %q", s)
+		return 0, errf(line, "trailing garbage in expression %q", s)
 	}
 	return v, nil
 }
 
 type exprParser struct {
-	a   *assembler
-	l   line
-	s   string
-	pos int
+	a     *assembler
+	l     int // source line
+	s     string
+	pos   int
+	depth int
 }
 
 // binary operator precedence levels (higher binds tighter)
@@ -102,12 +107,12 @@ func (p *exprParser) parse(minPrec int) (int64, error) {
 			lhs *= rhs
 		case "/":
 			if rhs == 0 {
-				return 0, p.a.errf(p.l, "division by zero in expression")
+				return 0, errf(p.l, "division by zero in expression")
 			}
 			lhs /= rhs
 		case "%":
 			if rhs == 0 {
-				return 0, p.a.errf(p.l, "modulo by zero in expression")
+				return 0, errf(p.l, "modulo by zero in expression")
 			}
 			lhs %= rhs
 		case "<<":
@@ -124,10 +129,22 @@ func (p *exprParser) parse(minPrec int) (int64, error) {
 	}
 }
 
+// parseUnary parses one operand of a binary operator. Every recursion
+// of the parser comes through here, so this is where depth is counted.
 func (p *exprParser) parseUnary() (int64, error) {
+	if p.depth == maxExprDepth {
+		return 0, errf(p.l, "expression nested deeper than %d levels", maxExprDepth)
+	}
+	p.depth++
+	v, err := p.unary()
+	p.depth--
+	return v, err
+}
+
+func (p *exprParser) unary() (int64, error) {
 	p.skipSpace()
 	if p.pos >= len(p.s) {
-		return 0, p.a.errf(p.l, "unexpected end of expression %q", p.s)
+		return 0, errf(p.l, "unexpected end of expression %q", p.s)
 	}
 	switch p.s[p.pos] {
 	case '-':
@@ -146,7 +163,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 		}
 		p.skipSpace()
 		if p.pos >= len(p.s) || p.s[p.pos] != ')' {
-			return 0, p.a.errf(p.l, "missing ')' in expression %q", p.s)
+			return 0, errf(p.l, "missing ')' in expression %q", p.s)
 		}
 		p.pos++
 		return v, nil
@@ -159,7 +176,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 			hi = true
 		case strings.HasPrefix(rest, "%lo("):
 		default:
-			return 0, p.a.errf(p.l, "bad %% function in %q", p.s)
+			return 0, errf(p.l, "bad %% function in %q", p.s)
 		}
 		p.pos += 4
 		v, err := p.parse(0)
@@ -168,7 +185,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 		}
 		p.skipSpace()
 		if p.pos >= len(p.s) || p.s[p.pos] != ')' {
-			return 0, p.a.errf(p.l, "missing ')' after %%hi/%%lo")
+			return 0, errf(p.l, "missing ')' after %%hi/%%lo")
 		}
 		p.pos++
 		u := uint32(v)
@@ -181,7 +198,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 		// char literal
 		end := strings.IndexByte(p.s[p.pos+1:], '\'')
 		if end < 0 {
-			return 0, p.a.errf(p.l, "unterminated char literal")
+			return 0, errf(p.l, "unterminated char literal")
 		}
 		lit := p.s[p.pos+1 : p.pos+1+end]
 		p.pos += end + 2
@@ -200,7 +217,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 				return '\\', nil
 			}
 		}
-		return 0, p.a.errf(p.l, "bad char literal %q", lit)
+		return 0, errf(p.l, "bad char literal %q", lit)
 	}
 	start := p.pos
 	c := p.s[p.pos]
@@ -214,7 +231,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 			// try unsigned (e.g. 0xFFFFFFFF)
 			u, uerr := strconv.ParseUint(lit, 0, 64)
 			if uerr != nil {
-				return 0, p.a.errf(p.l, "bad number %q", lit)
+				return 0, errf(p.l, "bad number %q", lit)
 			}
 			v = int64(u)
 		}
@@ -226,7 +243,7 @@ func (p *exprParser) parseUnary() (int64, error) {
 	}
 	name := p.s[start:p.pos]
 	if name == "" {
-		return 0, p.a.errf(p.l, "bad expression %q at %q", p.s, p.s[p.pos:])
+		return 0, errf(p.l, "bad expression %q at %q", p.s, p.s[p.pos:])
 	}
 	if v, ok := p.a.equs[name]; ok {
 		return v, nil
@@ -234,10 +251,8 @@ func (p *exprParser) parseUnary() (int64, error) {
 	if v, ok := p.a.symbols[name]; ok {
 		return int64(v), nil
 	}
-	if !p.a.pass2 {
-		return 0, fmt.Errorf("asm: line %d: symbol %q: %w", p.l.num, name, errForward)
-	}
-	return 0, p.a.errf(p.l, "undefined symbol %q", name)
+	p.a.undef = name
+	return 0, errUndefined
 }
 
 func isNumChar(c byte) bool {

@@ -1,610 +1,233 @@
 package asm
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/isa"
 )
 
-// doInst assembles one instruction or pseudo-instruction statement.
-func (a *assembler) doInst(l line, text string) error {
-	mn, rest, _ := strings.Cut(text, " ")
-	mn = strings.ToLower(strings.TrimSpace(mn))
-	ops := splitOperands(strings.TrimSpace(rest))
+// A form is one spelling of a mnemonic: the operands it takes, in
+// source order, and the instruction they fill in. A real instruction's
+// form is its row of internal/isa's table; a pseudo-instruction is a row
+// of pseudo below.
+type form struct {
+	mn string
+	// shape has one isa.Shape letter per operand, plus four only the
+	// assembler knows:
+	//
+	//	b  a register that is both rd and rs1
+	//	M  off(rs1), or a bare rs1
+	//	l  a 32-bit value loaded by addi, or by lui+addi when it needs it
+	//	a  an address: always lui+addi
+	shape isa.Shape
+	fix   isa.Inst // the Op, and the fields the spelling fixes
 
-	emit := func(in isa.Inst) error {
-		word, err := isa.Encode(in)
-		if err != nil {
-			return a.errf(l, "%v", err)
-		}
-		a.emitText(word)
-		return nil
-	}
-	reg := func(i int) (uint8, error) {
-		if i >= len(ops) {
-			return 0, a.errf(l, "%s: missing operand %d", mn, i+1)
-		}
-		r, ok := isa.RegByName(ops[i])
-		if !ok {
-			return 0, a.errf(l, "%s: bad register %q", mn, ops[i])
-		}
-		return r, nil
-	}
-	imm := func(i int) (int64, error) {
-		if i >= len(ops) {
-			return 0, a.errf(l, "%s: missing operand %d", mn, i+1)
-		}
-		return a.evalInst(l, ops[i])
-	}
-	// off(rs1) addressing
-	memOperand := func(i int) (int64, uint8, error) {
-		if i >= len(ops) {
-			return 0, 0, a.errf(l, "%s: missing operand %d", mn, i+1)
-		}
-		s := ops[i]
-		open := strings.LastIndex(s, "(")
-		if open < 0 || !strings.HasSuffix(s, ")") {
-			return 0, 0, a.errf(l, "%s: want off(reg), got %q", mn, s)
-		}
-		base, ok := isa.RegByName(strings.TrimSpace(s[open+1 : len(s)-1]))
-		if !ok {
-			return 0, 0, a.errf(l, "%s: bad base register in %q", mn, s)
-		}
-		offStr := strings.TrimSpace(s[:open])
-		var off int64
-		if offStr != "" {
-			var err error
-			off, err = a.evalInst(l, offStr)
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		return off, base, nil
-	}
-	branchTarget := func(i int) (int32, error) {
-		v, err := imm(i)
-		if err != nil {
-			return 0, err
-		}
-		if !a.pass2 {
-			return 0, nil // offset computed properly only in pass 2
-		}
-		return int32(uint32(v) - a.pc), nil
-	}
-	nargs := func(n int) error {
-		if len(ops) != n {
-			return a.errf(l, "%s: want %d operands, got %d", mn, n, len(ops))
-		}
-		return nil
-	}
-
-	switch mn {
-	// ---- U-type
-	case "lui", "auipc":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		v, err := imm(1)
-		if err != nil {
-			return err
-		}
-		op := isa.OpLUI
-		if mn == "auipc" {
-			op = isa.OpAUIPC
-		}
-		return emit(isa.Inst{Op: op, Rd: rd, Imm: int32(v << 12)})
-
-	// ---- jumps
-	case "jal":
-		var rd uint8 = 1
-		ti := 0
-		if len(ops) == 2 {
-			r, err := reg(0)
-			if err != nil {
-				return err
-			}
-			rd, ti = r, 1
-		} else if err := nargs(1); err != nil {
-			return err
-		}
-		off, err := branchTarget(ti)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpJAL, Rd: rd, Imm: off})
-	case "j":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		off, err := branchTarget(0)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpJAL, Rd: 0, Imm: off})
-	case "call":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		off, err := branchTarget(0)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpJAL, Rd: 1, Imm: off})
-	case "jalr":
-		switch len(ops) {
-		case 1: // jalr rs1
-			rs1, err := reg(0)
-			if err != nil {
-				return err
-			}
-			return emit(isa.Inst{Op: isa.OpJALR, Rd: 1, Rs1: rs1})
-		case 2: // jalr rd, off(rs1)  or  jalr rd, rs1
-			rd, err := reg(0)
-			if err != nil {
-				return err
-			}
-			if strings.Contains(ops[1], "(") {
-				off, rs1, err := memOperand(1)
-				if err != nil {
-					return err
-				}
-				return emit(isa.Inst{Op: isa.OpJALR, Rd: rd, Rs1: rs1, Imm: int32(off)})
-			}
-			rs1, err := reg(1)
-			if err != nil {
-				return err
-			}
-			return emit(isa.Inst{Op: isa.OpJALR, Rd: rd, Rs1: rs1})
-		case 3: // jalr rd, rs1, imm
-			rd, err := reg(0)
-			if err != nil {
-				return err
-			}
-			rs1, err := reg(1)
-			if err != nil {
-				return err
-			}
-			v, err := imm(2)
-			if err != nil {
-				return err
-			}
-			return emit(isa.Inst{Op: isa.OpJALR, Rd: rd, Rs1: rs1, Imm: int32(v)})
-		}
-		return a.errf(l, "jalr: bad operands")
-	case "jr":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpJALR, Rd: 0, Rs1: rs1})
-	case "ret":
-		return emit(isa.Inst{Op: isa.OpJALR, Rd: 0, Rs1: 1})
-
-	// ---- branches
-	case "beq", "bne", "blt", "bge", "bltu", "bgeu":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		off, err := branchTarget(2)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"beq": isa.OpBEQ, "bne": isa.OpBNE, "blt": isa.OpBLT,
-			"bge": isa.OpBGE, "bltu": isa.OpBLTU, "bgeu": isa.OpBGEU}[mn]
-		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: off})
-	case "bgt", "ble", "bgtu", "bleu": // swapped-operand pseudos
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		off, err := branchTarget(2)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"bgt": isa.OpBLT, "ble": isa.OpBGE,
-			"bgtu": isa.OpBLTU, "bleu": isa.OpBGEU}[mn]
-		return emit(isa.Inst{Op: op, Rs1: rs2, Rs2: rs1, Imm: off})
-	case "beqz", "bnez", "bltz", "bgez":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, err := branchTarget(1)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"beqz": isa.OpBEQ, "bnez": isa.OpBNE,
-			"bltz": isa.OpBLT, "bgez": isa.OpBGE}[mn]
-		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: 0, Imm: off})
-	case "blez", "bgtz":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, err := branchTarget(1)
-		if err != nil {
-			return err
-		}
-		// blez rs: bge x0, rs  ; bgtz rs: blt x0, rs
-		op := isa.OpBGE
-		if mn == "bgtz" {
-			op = isa.OpBLT
-		}
-		return emit(isa.Inst{Op: op, Rs1: 0, Rs2: rs1, Imm: off})
-
-	// ---- loads/stores
-	case "lb", "lh", "lw", "lbu", "lhu":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, rs1, err := memOperand(1)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"lb": isa.OpLB, "lh": isa.OpLH, "lw": isa.OpLW,
-			"lbu": isa.OpLBU, "lhu": isa.OpLHU}[mn]
-		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(off)})
-	case "sb", "sh", "sw":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rs2, err := reg(0)
-		if err != nil {
-			return err
-		}
-		off, rs1, err := memOperand(1)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"sb": isa.OpSB, "sh": isa.OpSH, "sw": isa.OpSW}[mn]
-		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: int32(off)})
-
-	// ---- op-imm
-	case "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		v, err := imm(2)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"addi": isa.OpADDI, "slti": isa.OpSLTI,
-			"sltiu": isa.OpSLTIU, "xori": isa.OpXORI, "ori": isa.OpORI,
-			"andi": isa.OpANDI, "slli": isa.OpSLLI, "srli": isa.OpSRLI,
-			"srai": isa.OpSRAI}[mn]
-		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(v)})
-
-	// ---- op
-	case "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
-		"mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(2)
-		if err != nil {
-			return err
-		}
-		op := map[string]isa.Op{"add": isa.OpADD, "sub": isa.OpSUB,
-			"sll": isa.OpSLL, "slt": isa.OpSLT, "sltu": isa.OpSLTU,
-			"xor": isa.OpXOR, "srl": isa.OpSRL, "sra": isa.OpSRA,
-			"or": isa.OpOR, "and": isa.OpAND, "mul": isa.OpMUL,
-			"mulh": isa.OpMULH, "mulhsu": isa.OpMULHSU, "mulhu": isa.OpMULHU,
-			"div": isa.OpDIV, "divu": isa.OpDIVU, "rem": isa.OpREM,
-			"remu": isa.OpREMU}[mn]
-		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-
-	// ---- simple pseudos
-	case "nop":
-		return emit(isa.Inst{Op: isa.OpADDI})
-	case "mv":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpADDI, Rd: rd, Rs1: rs1})
-	case "not":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpXORI, Rd: rd, Rs1: rs1, Imm: -1})
-	case "neg":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpSUB, Rd: rd, Rs2: rs2})
-	case "seqz":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpSLTIU, Rd: rd, Rs1: rs1, Imm: 1})
-	case "snez":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpSLTU, Rd: rd, Rs1: 0, Rs2: rs2})
-
-	// ---- li / la
-	case "li", "la":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		return a.expandLoadImm(l, mn, rd, ops[1])
-
-	// ---- system
-	case "fence":
-		return emit(isa.Inst{Op: isa.OpFENCE})
-	case "ecall":
-		return emit(isa.Inst{Op: isa.OpECALL})
-	case "ebreak":
-		return emit(isa.Inst{Op: isa.OpEBREAK})
-
-	// ---- X_PAR
-	case "p_fc", "p_fn":
-		if err := nargs(1); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		op := isa.OpPFC
-		if mn == "p_fn" {
-			op = isa.OpPFN
-		}
-		return emit(isa.Inst{Op: op, Rd: rd})
-	case "p_set":
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1 := rd
-		if len(ops) == 2 {
-			if rs1, err = reg(1); err != nil {
-				return err
-			}
-		} else if len(ops) != 1 {
-			return a.errf(l, "p_set: want 1 or 2 operands")
-		}
-		return emit(isa.Inst{Op: isa.OpPSET, Rd: rd, Rs1: rs1})
-	case "p_merge":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(2)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpPMERGE, Rd: rd, Rs1: rs1, Rs2: rs2})
-	case "p_syncm":
-		return emit(isa.Inst{Op: isa.OpPSYNCM})
-	case "p_jalr":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(2)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpPJALR, Rd: rd, Rs1: rs1, Rs2: rs2})
-	case "p_ret":
-		rs1, rs2 := uint8(1), uint8(5) // ra, t0
-		if len(ops) == 2 {
-			var err error
-			if rs1, err = reg(0); err != nil {
-				return err
-			}
-			if rs2, err = reg(1); err != nil {
-				return err
-			}
-		} else if len(ops) != 0 {
-			return a.errf(l, "p_ret: want 0 or 2 operands")
-		}
-		return emit(isa.Inst{Op: isa.OpPJALR, Rd: 0, Rs1: rs1, Rs2: rs2})
-	case "p_jal":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs1, err := reg(1)
-		if err != nil {
-			return err
-		}
-		off, err := branchTarget(2)
-		if err != nil {
-			return err
-		}
-		return emit(isa.Inst{Op: isa.OpPJAL, Rd: rd, Rs1: rs1, Imm: off})
-	case "p_swcv", "p_swre":
-		if err := nargs(3); err != nil {
-			return err
-		}
-		rs1, err := reg(0)
-		if err != nil {
-			return err
-		}
-		rs2, err := reg(1)
-		if err != nil {
-			return err
-		}
-		v, err := imm(2)
-		if err != nil {
-			return err
-		}
-		op := isa.OpPSWCV
-		if mn == "p_swre" {
-			op = isa.OpPSWRE
-		}
-		return emit(isa.Inst{Op: op, Rs1: rs1, Rs2: rs2, Imm: int32(v)})
-	case "p_lwcv", "p_lwre":
-		if err := nargs(2); err != nil {
-			return err
-		}
-		rd, err := reg(0)
-		if err != nil {
-			return err
-		}
-		v, err := imm(1)
-		if err != nil {
-			return err
-		}
-		op := isa.OpPLWCV
-		rs1 := uint8(2)
-		if mn == "p_lwre" {
-			op, rs1 = isa.OpPLWRE, 0
-		}
-		return emit(isa.Inst{Op: op, Rd: rd, Rs1: rs1, Imm: int32(v)})
-	}
-	return a.errf(l, "unknown mnemonic %q", mn)
+	// Worked out by init, which also turns the implied sp (isa.Shape's
+	// letter s) into a fixed field.
+	n   int  // operands
+	imm byte // shape letter of the expression operand, 0 if none
 }
 
-// expandLoadImm emits li/la as one instruction when the value fits a
-// signed 12-bit immediate and is fully resolvable in pass 1, and as a
-// lui+addi pair otherwise. The decision is recorded in pass 1 so both
-// passes agree on instruction addresses.
-func (a *assembler) expandLoadImm(l line, mn string, rd uint8, expr string) error {
-	emit := func(in isa.Inst) error {
-		word, err := isa.Encode(in)
-		if err != nil {
-			return a.errf(l, "%v", err)
+// pseudo lists the pseudo-instructions and the short spellings of real
+// ones. A row with a real instruction's mnemonic and operand count
+// replaces that instruction's own form (jalr's second operand may be a
+// bare register).
+var pseudo = []form{
+	{mn: "nop", fix: isa.Inst{Op: isa.OpADDI}},
+	{mn: "mv", shape: "d1", fix: isa.Inst{Op: isa.OpADDI}},
+	{mn: "not", shape: "d1", fix: isa.Inst{Op: isa.OpXORI, Imm: -1}},
+	{mn: "neg", shape: "d2", fix: isa.Inst{Op: isa.OpSUB}},
+	{mn: "seqz", shape: "d1", fix: isa.Inst{Op: isa.OpSLTIU, Imm: 1}},
+	{mn: "snez", shape: "d2", fix: isa.Inst{Op: isa.OpSLTU}},
+	{mn: "li", shape: "dl", fix: isa.Inst{Op: isa.OpADDI}},
+	{mn: "la", shape: "da", fix: isa.Inst{Op: isa.OpADDI}},
+
+	{mn: "j", shape: "t", fix: isa.Inst{Op: isa.OpJAL}},
+	{mn: "jal", shape: "t", fix: isa.Inst{Op: isa.OpJAL, Rd: 1}},
+	{mn: "call", shape: "t", fix: isa.Inst{Op: isa.OpJAL, Rd: 1}},
+	{mn: "jr", shape: "1", fix: isa.Inst{Op: isa.OpJALR}},
+	{mn: "jalr", shape: "1", fix: isa.Inst{Op: isa.OpJALR, Rd: 1}},
+	{mn: "jalr", shape: "dM", fix: isa.Inst{Op: isa.OpJALR}},
+	{mn: "jalr", shape: "d1i", fix: isa.Inst{Op: isa.OpJALR}},
+	{mn: "ret", fix: isa.Inst{Op: isa.OpJALR, Rs1: 1}},
+
+	{mn: "bgt", shape: "21t", fix: isa.Inst{Op: isa.OpBLT}},
+	{mn: "ble", shape: "21t", fix: isa.Inst{Op: isa.OpBGE}},
+	{mn: "bgtu", shape: "21t", fix: isa.Inst{Op: isa.OpBLTU}},
+	{mn: "bleu", shape: "21t", fix: isa.Inst{Op: isa.OpBGEU}},
+	{mn: "beqz", shape: "1t", fix: isa.Inst{Op: isa.OpBEQ}},
+	{mn: "bnez", shape: "1t", fix: isa.Inst{Op: isa.OpBNE}},
+	{mn: "bltz", shape: "1t", fix: isa.Inst{Op: isa.OpBLT}},
+	{mn: "bgez", shape: "1t", fix: isa.Inst{Op: isa.OpBGE}},
+	{mn: "blez", shape: "2t", fix: isa.Inst{Op: isa.OpBGE}},
+	{mn: "bgtz", shape: "2t", fix: isa.Inst{Op: isa.OpBLT}},
+
+	{mn: "p_set", shape: "b", fix: isa.Inst{Op: isa.OpPSET}},
+	{mn: "p_ret", fix: isa.Inst{Op: isa.OpPJALR, Rs1: 1, Rs2: 5}}, // ra, t0
+	{mn: "p_ret", shape: "12", fix: isa.Inst{Op: isa.OpPJALR}},
+}
+
+// forms is the one table of what the assembler accepts: every spelling
+// of every mnemonic, by mnemonic.
+var forms = map[string][]form{}
+
+func init() {
+	add := func(f form) {
+		if strings.Contains(f.shape, "s") { // the implied sp is one more fixed field
+			f.shape, f.fix.Rs1 = strings.ReplaceAll(f.shape, "s", ""), 2
 		}
-		a.emitText(word)
-		return nil
-	}
-	if !a.pass2 {
-		size := 2
-		if v, err := a.eval(l, expr); err == nil && v >= -2048 && v <= 2047 && mn == "li" {
-			size = 1
+		f.n = len(f.shape)
+		if i := strings.IndexAny(f.shape, "iutmMla"); i >= 0 {
+			f.imm = f.shape[i]
 		}
-		a.liSize[l.num] = size
-		a.pc += uint32(4 * size)
-		return nil
+		fs, i := forms[f.mn], 0
+		for i < len(fs) && fs[i].n < f.n {
+			i++
+		}
+		if i < len(fs) && fs[i].n == f.n {
+			fs[i] = f
+			return
+		}
+		forms[f.mn] = slices.Insert(fs, i, f)
 	}
-	v, err := a.eval(l, expr)
+	for op := isa.OpInvalid + 1; op < isa.NumOps; op++ {
+		add(form{mn: op.String(), shape: op.Shape(), fix: isa.Inst{Op: op}})
+	}
+	for _, f := range pseudo {
+		add(f)
+	}
+}
+
+// Operands reports how the statement "mn op1, ..., opN" uses its
+// operands: the instruction it assembles to and one shape letter per
+// operand (isa.Shape's, and the assembler's own: b is a register both
+// written and read, M a base register with or without an offset, l and
+// a an expression). ok is false when the assembler would refuse the
+// mnemonic or the operand count.
+func Operands(mn string, n int) (op isa.Op, shape isa.Shape, ok bool) {
+	f := lookup(mn, n)
+	if f == nil {
+		return 0, "", false
+	}
+	return f.fix.Op, f.shape, true
+}
+
+// lookup finds the spelling of mn that takes n operands, nil if none.
+func lookup(mn string, n int) *form {
+	fs := forms[mn]
+	for i := range fs {
+		if fs[i].n == n {
+			return &fs[i]
+		}
+	}
+	return nil
+}
+
+// parseInst parses one instruction statement: it finds the form and
+// walks its shape over the operands, the only operand loop there is.
+// Registers are resolved here; the expression operand, if the form has
+// one, is kept for encode.
+func parseInst(st *stmt, mn, operands string) error {
+	mn = strings.ToLower(mn)
+	n := countOperands(operands)
+	f := lookup(mn, n)
+	if f == nil {
+		fs := forms[mn]
+		if fs == nil {
+			return errf(st.line, "unknown mnemonic %q", mn)
+		}
+		want := fmt.Sprint(fs[0].n)
+		for _, g := range fs[1:] {
+			want += fmt.Sprintf(" or %d", g.n)
+		}
+		return errf(st.line, "%s: want %s operands, got %d", mn, want, n)
+	}
+	st.kind, st.form, st.in = stInst, f, f.fix
+	for i := 0; i < len(f.shape); i++ {
+		k := f.shape[i]
+		var opnd string
+		opnd, operands, _ = cutOperand(operands)
+		regName := opnd
+		switch {
+		case k == 'm' || k == 'M' && strings.Contains(opnd, "("):
+			open := strings.LastIndexByte(opnd, '(')
+			if open < 0 || !strings.HasSuffix(opnd, ")") {
+				return errf(st.line, "%s: want off(reg), got %q", mn, opnd)
+			}
+			regName = strings.TrimSpace(opnd[open+1 : len(opnd)-1])
+			if st.arg = strings.TrimSpace(opnd[:open]); st.arg == "" {
+				st.arg = "0"
+			}
+		case strings.IndexByte("iutla", k) >= 0: // the expression operand
+			if opnd == "" {
+				return errf(st.line, "%s: operand %d is empty", mn, i+1)
+			}
+			st.arg = opnd
+			continue
+		}
+		r, ok := isa.RegByName(regName)
+		if !ok {
+			return errf(st.line, "%s: bad register %q", mn, regName)
+		}
+		switch k {
+		case 'd':
+			st.in.Rd = r
+		case '1', 'm', 'M':
+			st.in.Rs1 = r
+		case '2':
+			st.in.Rs2 = r
+		case 'b':
+			st.in.Rd, st.in.Rs1 = r, r
+		}
+	}
+	return nil
+}
+
+// encodeInst evaluates the statement's expression operand, now that
+// every symbol has its address, and emits the instruction.
+func (a *assembler) encodeInst(st *stmt) error {
+	in, v := st.in, st.val
+	if st.arg != "" {
+		var err error
+		if v, err = a.evalNow(st.line, st.arg); err != nil {
+			return err
+		}
+	}
+	switch st.form.imm {
+	case 'i', 'm', 'M':
+		in.Imm = int32(v)
+	case 'u':
+		if v < -1<<19 || v >= 1<<20 {
+			return errf(st.line, "%s: value %d does not fit the upper 20 bits", st.form.mn, v)
+		}
+		in.Imm = int32(v << 12)
+	case 't':
+		in.Imm = int32(uint32(v) - (a.opt.TextBase + uint32(4*len(a.text))))
+	case 'l', 'a':
+		if st.n == 1 {
+			in.Imm = int32(v)
+			break
+		}
+		hi, lo := uint32(v)&0xFFFFF000, int32(v&0xFFF)
+		if lo >= 2048 { // addi sign-extends: borrow from the upper part
+			lo -= 4096
+			hi += 0x1000
+		}
+		if err := a.emit(st.line, isa.Inst{Op: isa.OpLUI, Rd: in.Rd, Imm: int32(hi)}); err != nil {
+			return err
+		}
+		in.Rs1, in.Imm = in.Rd, lo
+	}
+	return a.emit(st.line, in)
+}
+
+func (a *assembler) emit(line int, in isa.Inst) error {
+	word, err := isa.Encode(in)
 	if err != nil {
-		return err
+		return errf(line, "%v", err)
 	}
-	if a.liSize[l.num] == 1 {
-		return emit(isa.Inst{Op: isa.OpADDI, Rd: rd, Imm: int32(v)})
-	}
-	u := uint32(v)
-	hi := u & 0xFFFFF000
-	lo := int32(u & 0xFFF)
-	if lo >= 2048 {
-		lo -= 4096
-		hi += 0x1000
-	}
-	if err := emit(isa.Inst{Op: isa.OpLUI, Rd: rd, Imm: int32(hi)}); err != nil {
-		return err
-	}
-	return emit(isa.Inst{Op: isa.OpADDI, Rd: rd, Rs1: rd, Imm: lo})
+	a.text = append(a.text, word)
+	return nil
 }

@@ -1,6 +1,12 @@
 package cc
 
-import "strings"
+import (
+	"slices"
+	"strings"
+
+	"repro/internal/asm"
+	"repro/internal/isa"
+)
 
 // Peephole optimization of the emitted body lines. Two conservative local
 // rewrites remove the register-shuffling `mv` instructions the stack-based
@@ -16,13 +22,24 @@ import "strings"
 //
 // Both run only on straight-line code: any label or control transfer ends
 // the analysis window.
+//
+// What an instruction writes, what it reads and whether it transfers
+// control is not stated here: parseLine asks the assembler's forms table
+// (asm.Operands, itself built from internal/isa's instruction table) for
+// the role of each operand of the line's mnemonic.
 
 // instLine is a parsed assembly line.
 type instLine struct {
-	raw  string
-	mn   string
-	ops  []string
-	memB string // base register of a memory operand, "" if none
+	raw string
+	mn  string   // "" for a label, directive, comment or blank line
+	ops []string // operands; a memory operand off(base) is held as off, base in memB
+	// shape has one letter per operand: d is written; 1, 2 and a bare M
+	// are read; m and M with a base are the offset of memB; the others
+	// name no register. It is "" for a line the assembler would refuse,
+	// whose every operand then counts as read.
+	shape   isa.Shape
+	memB    string // base register of the memory operand, "" if none
+	barrier bool   // ends a peephole window
 }
 
 func parseLine(l string) instLine {
@@ -34,50 +51,61 @@ func parseLine(l string) instLine {
 	}
 	mn, rest, _ := strings.Cut(t, " ")
 	il.mn = mn
-	for _, f := range strings.Split(rest, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+	for more := rest != ""; more; {
+		var f string
+		f, rest, more = strings.Cut(rest, ",")
+		if f = strings.TrimSpace(f); f != "" {
+			il.ops = append(il.ops, f)
 		}
+	}
+	op, shape, ok := asm.Operands(mn, len(il.ops))
+	if !ok {
+		il.barrier = true
+		return il
+	}
+	if shape == "b" { // "p_set X" is "p_set X, X"
+		shape, il.ops = "d1", append(il.ops, il.ops[0])
+	}
+	il.shape = shape
+	if i := strings.IndexAny(shape, "mM"); i >= 0 {
+		f := il.ops[i]
 		if open := strings.IndexByte(f, '('); open >= 0 && strings.HasSuffix(f, ")") {
-			il.memB = f[open+1 : len(f)-1]
-			il.ops = append(il.ops, f[:open])
-			continue
+			il.ops[i], il.memB = f[:open], f[open+1:len(f)-1]
 		}
-		il.ops = append(il.ops, f)
+	}
+	switch isa.ClassOf(op) {
+	case isa.ClassBranch, isa.ClassJump:
+		il.barrier = true
+	}
+	// The optimizer's own choice, not a fact of the instruction set:
+	// these also end a window.
+	switch op {
+	case isa.OpECALL, isa.OpEBREAK, isa.OpPSYNCM:
+		il.barrier = true
 	}
 	return il
 }
 
-// control mnemonics that terminate a peephole window.
-var controlMn = map[string]bool{
-	"j": true, "jal": true, "jalr": true, "jr": true, "call": true,
-	"ret": true, "p_ret": true, "p_jal": true, "p_jalr": true,
-	"beq": true, "bne": true, "blt": true, "bge": true, "bltu": true,
-	"bgeu": true, "bgt": true, "ble": true, "bgtu": true, "bleu": true,
-	"beqz": true, "bnez": true, "bltz": true, "bgez": true, "blez": true,
-	"bgtz": true, "ecall": true, "ebreak": true, "p_syncm": true,
-}
-
-// writesDest reports whether the mnemonic's first operand is a destination
-// register.
-func writesDest(mn string) bool {
-	switch mn {
-	case "sw", "sh", "sb", "p_swcv", "p_swre", "fence", "nop", "p_syncm":
-		return false
-	}
-	if controlMn[mn] {
-		return mn == "jal" || mn == "jalr" // write ra forms handled as barriers anyway
-	}
-	return true
-}
-
 // destOf returns the destination register of a line ("" if none).
 func (il *instLine) destOf() string {
-	if il.mn == "" || !writesDest(il.mn) || len(il.ops) == 0 {
-		return ""
+	if il.shape != "" && il.shape[0] == 'd' {
+		return il.ops[0]
 	}
-	return il.ops[0]
+	return ""
+}
+
+// reads reports whether operand i is a register the line reads.
+func (il *instLine) reads(i int) bool {
+	if i >= len(il.shape) {
+		return true
+	}
+	switch il.shape[i] {
+	case '1', '2':
+		return true
+	case 'M':
+		return il.memB == ""
+	}
+	return false
 }
 
 // usesReg reports whether the line reads register r.
@@ -85,52 +113,49 @@ func (il *instLine) usesReg(r string) bool {
 	if il.memB == r {
 		return true
 	}
-	start := 0
-	if il.destOf() != "" {
-		start = 1
-	}
-	for i := start; i < len(il.ops); i++ {
-		if il.ops[i] == r {
+	for i, o := range il.ops {
+		if o == r && il.reads(i) {
 			return true
-		}
-	}
-	// stores read their first operand too
-	switch il.mn {
-	case "sw", "sh", "sb":
-		return len(il.ops) > 0 && il.ops[0] == r
-	case "p_swcv", "p_swre":
-		for _, o := range il.ops {
-			if o == r {
-				return true
-			}
 		}
 	}
 	return false
 }
 
+// render writes the line back with the given operands and base register.
+func (il *instLine) render(ops []string, memB string) string {
+	var b strings.Builder
+	b.WriteString("\t" + il.mn + " ")
+	for i, o := range ops {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(o)
+		if memB != "" && (il.shape[i] == 'm' || il.shape[i] == 'M') {
+			b.WriteString("(" + memB + ")")
+		}
+	}
+	return b.String()
+}
+
 // substReg replaces reads of `from` with `to`, returning the new raw line.
 func (il *instLine) substReg(from, to string) string {
-	t := strings.TrimSpace(il.raw)
-	mn, rest, _ := strings.Cut(t, " ")
-	parts := strings.Split(rest, ",")
-	dest := il.destOf()
-	first := true
-	for i := range parts {
-		p := strings.TrimSpace(parts[i])
-		isDest := first && dest != ""
-		first = false
-		switch {
-		case strings.Contains(p, "(") && strings.HasSuffix(p, ")"):
-			open := strings.IndexByte(p, '(')
-			if p[open+1:len(p)-1] == from {
-				p = p[:open+1] + to + ")"
-			}
-		case p == from && (!isDest || !writesDest(mn) || mn == "sw" || mn == "sh" || mn == "sb"):
-			p = to
+	ops, memB := slices.Clone(il.ops), il.memB
+	for i, o := range ops {
+		if o == from && il.reads(i) {
+			ops[i] = to
 		}
-		parts[i] = p
 	}
-	return "\t" + mn + " " + strings.Join(parts, ", ")
+	if memB == from {
+		memB = to
+	}
+	return il.render(ops, memB)
+}
+
+// substDest rewrites the destination register of the line.
+func (il *instLine) substDest(to string) string {
+	ops := slices.Clone(il.ops)
+	ops[0] = to
+	return il.render(ops, il.memB)
 }
 
 const peepholeWindow = 16
@@ -196,24 +221,6 @@ func peepholeOnce(lines []string) ([]string, bool) {
 	return out, changed
 }
 
-// substDest rewrites the destination register of the line.
-func (il *instLine) substDest(to string) string {
-	t := strings.TrimSpace(il.raw)
-	mn, rest, _ := strings.Cut(t, " ")
-	parts := strings.Split(rest, ",")
-	if len(parts) == 0 {
-		return il.raw
-	}
-	from := strings.TrimSpace(parts[0])
-	parts[0] = to
-	// same register may appear as a source; keep sources intact
-	for i := 1; i < len(parts); i++ {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	_ = from
-	return "\t" + mn + " " + strings.Join(parts, ", ")
-}
-
 // deadAfter reports whether temp register r is dead in the window
 // starting at index i. When allowBoundary is set, a label or control
 // transfer (after its own register reads) counts as death — valid only
@@ -224,7 +231,7 @@ func deadAfter(parsed []instLine, i int, r string, allowBoundary bool) bool {
 		if il.usesReg(r) {
 			return false // branches and calls read their sources first
 		}
-		if il.mn == "" || controlMn[il.mn] {
+		if il.mn == "" || il.barrier {
 			return allowBoundary
 		}
 		if il.destOf() == r {
@@ -247,7 +254,7 @@ func tryForwardProp(parsed []instLine, i int, x, y string) ([]string, bool) {
 		if il.mn == "" {
 			return nil, false // label: conservative (x may be live-in there)
 		}
-		if controlMn[il.mn] {
+		if il.barrier {
 			if !il.usesReg(x) {
 				// x may carry a live value across the transfer (the
 				// ?:/&&/|| value patterns do exactly that): keep the copy

@@ -1,6 +1,10 @@
 package cc
 
-import "repro/internal/detomp"
+import (
+	"strings"
+
+	"repro/internal/detomp"
+)
 
 // BuildProgram compiles MiniC source into a complete assembly program,
 // appending the Deterministic OpenMP runtime when the code launches
@@ -20,17 +24,8 @@ func BuildProgram(src string, opt Options) (string, error) {
 
 func insertBeforeData(asmText, runtime string) string {
 	const marker = "\t.data\n"
-	if i := indexOf(asmText, marker); i >= 0 {
+	if i := strings.Index(asmText, marker); i >= 0 {
 		return asmText[:i] + runtime + "\n" + asmText[i:]
 	}
 	return asmText + runtime
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }

@@ -65,20 +65,13 @@ func (d *Desc) MemSigned() bool { return d.Flags&DescMemSigned != 0 }
 // Op returns the opcode.
 func (d *Desc) Op() Op { return d.Inst.Op }
 
-// DescOf precomputes the descriptor of a decoded instruction. It is the
-// single source of the metadata: every field is derived from the
-// existing Inst predicates and ClassOf, so descriptor-driven execution
-// agrees with the switch-driven reference semantics by construction.
+// DescOf precomputes the descriptor of a decoded instruction from its
+// row of the instruction table, the same source the Inst predicates and
+// ClassOf read.
 func DescOf(in Inst) Desc {
-	d := Desc{Inst: in, Cls: ClassOf(in.Op), MemW: 4}
-	if in.ReadsRs1() {
-		d.Flags |= DescReadsRs1
-	}
-	if in.ReadsRs2() {
-		d.Flags |= DescReadsRs2
-	}
-	if in.WritesRd() {
-		d.Flags |= DescWritesRd
+	d := Desc{Inst: in, Cls: ClassOf(in.Op), Flags: uses[known(in.Op)].flags, MemW: 4}
+	if in.Rd == 0 {
+		d.Flags &^= DescWritesRd
 	}
 	if in.IsPRet() {
 		d.Flags |= DescIsPRet

@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // RISC-V major opcodes used by the encoder/decoder.
 const (
@@ -15,27 +19,9 @@ const (
 	opcOp        = 0x33
 	opcMiscMem   = 0x0F
 	opcSystem    = 0x73
-	opcXParCtl   = 0x0B // custom-0: p_fc, p_fn, p_set, p_merge, p_syncm, p_jalr, p_lwre, p_jal
-	opcXParMem   = 0x2B // custom-1: p_swcv, p_lwcv, p_swre
+	opcXParCtl   = 0x0B // custom-0
+	opcXParMem   = 0x2B // custom-1
 	funct7MulDiv = 0x01
-)
-
-// X_PAR funct3 assignments inside custom-0.
-const (
-	xf3Fork  = 0 // p_fc (funct7=0), p_fn (funct7=1)
-	xf3Set   = 1
-	xf3Merge = 2
-	xf3Syncm = 3
-	xf3Jalr  = 4
-	xf3Lwre  = 5
-	xf3Jal   = 6 // I-type: rd, rs1, imm12 (pc-relative)
-)
-
-// X_PAR funct3 assignments inside custom-1.
-const (
-	xf3Swcv = 0 // S-type
-	xf3Lwcv = 1 // I-type
-	xf3Swre = 2 // S-type
 )
 
 func encR(opc, f3, f7 uint32, rd, rs1, rs2 uint8) uint32 {
@@ -67,84 +53,9 @@ func encJ(opc uint32, rd uint8, imm int32) uint32 {
 		uint32(rd)<<7 | opc
 }
 
-// iType describes how each opcode is encoded.
-type encSpec struct {
-	opc uint32
-	f3  uint32
-	f7  uint32
-	fmt byte // 'R','I','S','B','U','J','N' (none), special letters for shifts
-}
-
-var encTable = map[Op]encSpec{
-	OpLUI:    {opcLUI, 0, 0, 'U'},
-	OpAUIPC:  {opcAUIPC, 0, 0, 'U'},
-	OpJAL:    {opcJAL, 0, 0, 'J'},
-	OpJALR:   {opcJALR, 0, 0, 'I'},
-	OpBEQ:    {opcBranch, 0, 0, 'B'},
-	OpBNE:    {opcBranch, 1, 0, 'B'},
-	OpBLT:    {opcBranch, 4, 0, 'B'},
-	OpBGE:    {opcBranch, 5, 0, 'B'},
-	OpBLTU:   {opcBranch, 6, 0, 'B'},
-	OpBGEU:   {opcBranch, 7, 0, 'B'},
-	OpLB:     {opcLoad, 0, 0, 'I'},
-	OpLH:     {opcLoad, 1, 0, 'I'},
-	OpLW:     {opcLoad, 2, 0, 'I'},
-	OpLBU:    {opcLoad, 4, 0, 'I'},
-	OpLHU:    {opcLoad, 5, 0, 'I'},
-	OpSB:     {opcStore, 0, 0, 'S'},
-	OpSH:     {opcStore, 1, 0, 'S'},
-	OpSW:     {opcStore, 2, 0, 'S'},
-	OpADDI:   {opcOpImm, 0, 0, 'I'},
-	OpSLTI:   {opcOpImm, 2, 0, 'I'},
-	OpSLTIU:  {opcOpImm, 3, 0, 'I'},
-	OpXORI:   {opcOpImm, 4, 0, 'I'},
-	OpORI:    {opcOpImm, 6, 0, 'I'},
-	OpANDI:   {opcOpImm, 7, 0, 'I'},
-	OpSLLI:   {opcOpImm, 1, 0x00, 'H'},
-	OpSRLI:   {opcOpImm, 5, 0x00, 'H'},
-	OpSRAI:   {opcOpImm, 5, 0x20, 'H'},
-	OpADD:    {opcOp, 0, 0x00, 'R'},
-	OpSUB:    {opcOp, 0, 0x20, 'R'},
-	OpSLL:    {opcOp, 1, 0x00, 'R'},
-	OpSLT:    {opcOp, 2, 0x00, 'R'},
-	OpSLTU:   {opcOp, 3, 0x00, 'R'},
-	OpXOR:    {opcOp, 4, 0x00, 'R'},
-	OpSRL:    {opcOp, 5, 0x00, 'R'},
-	OpSRA:    {opcOp, 5, 0x20, 'R'},
-	OpOR:     {opcOp, 6, 0x00, 'R'},
-	OpAND:    {opcOp, 7, 0x00, 'R'},
-	OpFENCE:  {opcMiscMem, 0, 0, 'I'},
-	OpECALL:  {opcSystem, 0, 0, 'I'},
-	OpEBREAK: {opcSystem, 0, 0, 'E'},
-
-	OpMUL:    {opcOp, 0, funct7MulDiv, 'R'},
-	OpMULH:   {opcOp, 1, funct7MulDiv, 'R'},
-	OpMULHSU: {opcOp, 2, funct7MulDiv, 'R'},
-	OpMULHU:  {opcOp, 3, funct7MulDiv, 'R'},
-	OpDIV:    {opcOp, 4, funct7MulDiv, 'R'},
-	OpDIVU:   {opcOp, 5, funct7MulDiv, 'R'},
-	OpREM:    {opcOp, 6, funct7MulDiv, 'R'},
-	OpREMU:   {opcOp, 7, funct7MulDiv, 'R'},
-
-	OpPFC:    {opcXParCtl, xf3Fork, 0x00, 'R'},
-	OpPFN:    {opcXParCtl, xf3Fork, 0x01, 'R'},
-	OpPSET:   {opcXParCtl, xf3Set, 0, 'R'},
-	OpPMERGE: {opcXParCtl, xf3Merge, 0, 'R'},
-	OpPSYNCM: {opcXParCtl, xf3Syncm, 0, 'R'},
-	OpPJALR:  {opcXParCtl, xf3Jalr, 0, 'R'},
-	OpPLWRE:  {opcXParCtl, xf3Lwre, 0, 'I'},
-	OpPJAL:   {opcXParCtl, xf3Jal, 0, 'I'},
-	OpPSWCV:  {opcXParMem, xf3Swcv, 0, 'S'},
-	OpPLWCV:  {opcXParMem, xf3Lwcv, 0, 'I'},
-	OpPSWRE:  {opcXParMem, xf3Swre, 0, 'S'},
-}
-
 // Encode produces the 32-bit binary encoding of a decoded instruction.
 func Encode(in Inst) (uint32, error) {
-	spec, ok := encTable[in.Op]
-	if !ok {
-		return 0, fmt.Errorf("isa: cannot encode op %v", in.Op)
-	}
+	spec := &ops[known(in.Op)]
 	switch spec.fmt {
 	case 'R':
 		return encR(spec.opc, spec.f3, spec.f7, in.Rd, in.Rs1, in.Rs2), nil
@@ -178,19 +89,66 @@ func Encode(in Inst) (uint32, error) {
 	case 'E': // ebreak
 		return encI(spec.opc, spec.f3, 0, 0, 1), nil
 	}
-	return 0, fmt.Errorf("isa: unknown format for %v", in.Op)
+	return 0, fmt.Errorf("isa: cannot encode op %v", in.Op)
 }
 
-// Decode tables: the opcode each funct3 selects under one major opcode
-// (and, for R-type, one funct7); OpInvalid marks an unassigned encoding.
+// opUse is what Decode and DescOf need of a row, worked out from its
+// shape once.
+type opUse struct {
+	flags                    DescFlags // DescReadsRs1 | DescReadsRs2 | DescWritesRd (before the rd != x0 test)
+	rdMask, rs1Mask, rs2Mask uint8     // 0x1F where the field carries meaning
+	rs1Fix                   uint8     // sp for shape letter s
+	immFmt                   byte      // the row's fmt when its shape has an immediate
+}
+
 var (
-	branchOps = [8]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-	loadOps   = [8]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-	storeOps  = [8]Op{0: OpSB, 1: OpSH, 2: OpSW}
-	opOps     = [8]Op{OpADD, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpOR, OpAND} // funct7 0x00
-	opAltOps  = [8]Op{0: OpSUB, 5: OpSRA}                                     // funct7 0x20
-	mulDivOps = [8]Op{OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU}
+	uses [NumOps]opUse
+	// decodeTab is the decoder: the Op of every major opcode × funct3 ×
+	// funct7, filled from the rows' own opc/f3/f7 — the fields Encode
+	// writes — so the two cannot disagree. A row that selects on less
+	// than all three owns every value of the fields it ignores.
+	decodeTab [128][8][128]Op
 )
+
+func init() {
+	// An unassigned word has no operands; its row keeps the answers the
+	// predicates have always given it (rs1 read, rd written). Nothing
+	// observes them: Decode leaves both registers x0.
+	uses[OpInvalid].flags = DescReadsRs1 | DescWritesRd
+	for op := OpInvalid + 1; op < NumOps; op++ {
+		u := &uses[op]
+		for _, k := range ops[op].shape {
+			switch k {
+			case 'd':
+				u.rdMask, u.flags = 0x1F, u.flags|DescWritesRd
+			case '1', 'm':
+				u.rs1Mask, u.flags = 0x1F, u.flags|DescReadsRs1
+			case 's':
+				u.rs1Fix, u.flags = 2, u.flags|DescReadsRs1
+			case '2':
+				u.rs2Mask, u.flags = 0x1F, u.flags|DescReadsRs2
+			}
+			if strings.ContainsRune("iutm", k) {
+				u.immFmt = ops[op].fmt
+			}
+		}
+	}
+	for sel := selOpc; sel <= selF7; sel++ {
+		for op := OpInvalid + 1; op < NumOps; op++ {
+			r := &ops[op]
+			if r.sel != sel || r.fmt == 'E' {
+				continue // ebreak is ecall with immediate 1: Decode tells them apart
+			}
+			for f3 := uint32(0); f3 < 8; f3++ {
+				for f7 := uint32(0); f7 < 128; f7++ {
+					if (sel < selF3 || f3 == r.f3) && (sel < selF7 || f7 == r.f7) {
+						decodeTab[r.opc][f3][f7] = op
+					}
+				}
+			}
+		}
+	}
+}
 
 func signExtend(v uint32, bits uint) int32 {
 	shift := 32 - bits
@@ -201,172 +159,73 @@ func signExtend(v uint32, bits uint) int32 {
 // to an Inst with Op == OpInvalid; no error is returned so that the
 // pipeline can raise a deterministic machine fault instead.
 func Decode(raw uint32) Inst {
-	in := Inst{Raw: raw}
-	opc := raw & 0x7F
-	rd := uint8(raw >> 7 & 0x1F)
-	f3 := raw >> 12 & 0x7
-	rs1 := uint8(raw >> 15 & 0x1F)
-	rs2 := uint8(raw >> 20 & 0x1F)
-	f7 := raw >> 25 & 0x7F
-	immI := signExtend(raw>>20, 12)
-	immS := signExtend(raw>>25<<5|raw>>7&0x1F, 12)
-	immB := signExtend((raw>>31&1)<<12|(raw>>7&1)<<11|(raw>>25&0x3F)<<5|(raw>>8&0xF)<<1, 13)
-	immU := int32(raw & 0xFFFFF000)
-	immJ := signExtend((raw>>31&1)<<20|(raw>>12&0xFF)<<12|(raw>>20&1)<<11|(raw>>21&0x3FF)<<1, 21)
-
-	switch opc {
-	case opcLUI:
-		in.Op, in.Rd, in.Imm = OpLUI, rd, immU
-	case opcAUIPC:
-		in.Op, in.Rd, in.Imm = OpAUIPC, rd, immU
-	case opcJAL:
-		in.Op, in.Rd, in.Imm = OpJAL, rd, immJ
-	case opcJALR:
-		if f3 == 0 {
-			in.Op, in.Rd, in.Rs1, in.Imm = OpJALR, rd, rs1, immI
-		}
-	case opcBranch:
-		if op := branchOps[f3]; op != OpInvalid {
-			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immB
-		}
-	case opcLoad:
-		if op := loadOps[f3]; op != OpInvalid {
-			in.Op, in.Rd, in.Rs1, in.Imm = op, rd, rs1, immI
-		}
-	case opcStore:
-		if op := storeOps[f3]; op != OpInvalid {
-			in.Op, in.Rs1, in.Rs2, in.Imm = op, rs1, rs2, immS
-		}
-	case opcOpImm:
-		switch f3 {
-		case 0:
-			in.Op = OpADDI
-		case 2:
-			in.Op = OpSLTI
-		case 3:
-			in.Op = OpSLTIU
-		case 4:
-			in.Op = OpXORI
-		case 6:
-			in.Op = OpORI
-		case 7:
-			in.Op = OpANDI
-		case 1:
-			in.Op = OpSLLI
-		case 5:
-			if f7 == 0x20 {
-				in.Op = OpSRAI
-			} else {
-				in.Op = OpSRLI
-			}
-		}
-		in.Rd, in.Rs1, in.Imm = rd, rs1, immI
-		if in.Op == OpSLLI || in.Op == OpSRLI || in.Op == OpSRAI {
-			in.Imm = int32(rs2) // shamt
-		}
-	case opcOp:
-		var op Op
-		switch f7 {
-		case 0x00:
-			op = opOps[f3]
-		case 0x20:
-			op = opAltOps[f3]
-		case funct7MulDiv:
-			op = mulDivOps[f3]
-		}
-		if op != OpInvalid {
-			in.Op, in.Rd, in.Rs1, in.Rs2 = op, rd, rs1, rs2
-		}
-	case opcMiscMem:
-		in.Op = OpFENCE
-	case opcSystem:
-		if raw>>20&0xFFF == 1 {
-			in.Op = OpEBREAK
-		} else {
-			in.Op = OpECALL
-		}
-	case opcXParCtl:
-		switch f3 {
-		case xf3Fork:
-			if f7 == 0 {
-				in.Op, in.Rd = OpPFC, rd
-			} else if f7 == 1 {
-				in.Op, in.Rd = OpPFN, rd
-			}
-		case xf3Set:
-			in.Op, in.Rd, in.Rs1 = OpPSET, rd, rs1
-		case xf3Merge:
-			in.Op, in.Rd, in.Rs1, in.Rs2 = OpPMERGE, rd, rs1, rs2
-		case xf3Syncm:
-			in.Op = OpPSYNCM
-		case xf3Jalr:
-			in.Op, in.Rd, in.Rs1, in.Rs2 = OpPJALR, rd, rs1, rs2
-		case xf3Lwre:
-			in.Op, in.Rd, in.Imm = OpPLWRE, rd, immI
-		case xf3Jal:
-			in.Op, in.Rd, in.Rs1, in.Imm = OpPJAL, rd, rs1, immI
-		}
-	case opcXParMem:
-		switch f3 {
-		case xf3Swcv:
-			in.Op, in.Rs1, in.Rs2, in.Imm = OpPSWCV, rs1, rs2, immS
-		case xf3Lwcv:
-			in.Op, in.Rd, in.Imm = OpPLWCV, rd, immI
-			in.Rs1 = 2 // implicit sp
-		case xf3Swre:
-			in.Op, in.Rs1, in.Rs2, in.Imm = OpPSWRE, rs1, rs2, immS
-		}
+	op := decodeTab[raw&0x7F][raw>>12&7][raw>>25]
+	if op == OpECALL && raw>>20 == 1 {
+		op = OpEBREAK
+	}
+	u := &uses[op]
+	in := Inst{
+		Op:  op,
+		Rd:  uint8(raw>>7) & u.rdMask,
+		Rs1: uint8(raw>>15)&u.rs1Mask | u.rs1Fix,
+		Rs2: uint8(raw>>20) & u.rs2Mask,
+		Raw: raw,
+	}
+	switch u.immFmt {
+	case 'I':
+		in.Imm = signExtend(raw>>20, 12)
+	case 'H':
+		in.Imm = int32(raw >> 20 & 0x1F) // shamt
+	case 'S':
+		in.Imm = signExtend(raw>>25<<5|raw>>7&0x1F, 12)
+	case 'B':
+		in.Imm = signExtend((raw>>31&1)<<12|(raw>>7&1)<<11|(raw>>25&0x3F)<<5|(raw>>8&0xF)<<1, 13)
+	case 'U':
+		in.Imm = int32(raw & 0xFFFFF000)
+	case 'J':
+		in.Imm = signExtend((raw>>31&1)<<20|(raw>>12&0xFF)<<12|(raw>>20&1)<<11|(raw>>21&0x3FF)<<1, 21)
 	}
 	return in
 }
 
-// Disassemble renders the instruction in assembler syntax. pc is used to
-// print absolute targets for pc-relative instructions.
+// Disassemble renders the instruction in assembler syntax, operand by
+// operand as its shape lists them. pc is used to print absolute targets
+// for pc-relative instructions.
 func Disassemble(in Inst, pc uint32) string {
-	r := func(n uint8) string { return RegNames[n] }
-	switch in.Op {
-	case OpInvalid:
+	switch {
+	case in.Op == OpInvalid:
 		return fmt.Sprintf(".word 0x%08x", in.Raw)
-	case OpLUI, OpAUIPC:
-		return fmt.Sprintf("%s %s, 0x%x", in.Op, r(in.Rd), uint32(in.Imm)>>12)
-	case OpJAL:
-		return fmt.Sprintf("jal %s, 0x%x", r(in.Rd), pc+uint32(in.Imm))
-	case OpJALR:
-		return fmt.Sprintf("jalr %s, %d(%s)", r(in.Rd), in.Imm, r(in.Rs1))
-	case OpBEQ, OpBNE, OpBLT, OpBGE, OpBLTU, OpBGEU:
-		return fmt.Sprintf("%s %s, %s, 0x%x", in.Op, r(in.Rs1), r(in.Rs2), pc+uint32(in.Imm))
-	case OpLB, OpLH, OpLW, OpLBU, OpLHU:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, r(in.Rd), in.Imm, r(in.Rs1))
-	case OpSB, OpSH, OpSW:
-		return fmt.Sprintf("%s %s, %d(%s)", in.Op, r(in.Rs2), in.Imm, r(in.Rs1))
-	case OpADDI, OpSLTI, OpSLTIU, OpXORI, OpORI, OpANDI, OpSLLI, OpSRLI, OpSRAI:
-		return fmt.Sprintf("%s %s, %s, %d", in.Op, r(in.Rd), r(in.Rs1), in.Imm)
-	case OpADD, OpSUB, OpSLL, OpSLT, OpSLTU, OpXOR, OpSRL, OpSRA, OpOR, OpAND,
-		OpMUL, OpMULH, OpMULHSU, OpMULHU, OpDIV, OpDIVU, OpREM, OpREMU:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, r(in.Rd), r(in.Rs1), r(in.Rs2))
-	case OpFENCE, OpECALL, OpEBREAK, OpPSYNCM:
-		return in.Op.String()
-	case OpPFC, OpPFN:
-		return fmt.Sprintf("%s %s", in.Op, r(in.Rd))
-	case OpPSET:
-		return fmt.Sprintf("p_set %s, %s", r(in.Rd), r(in.Rs1))
-	case OpPMERGE:
-		return fmt.Sprintf("p_merge %s, %s, %s", r(in.Rd), r(in.Rs1), r(in.Rs2))
-	case OpPJALR:
-		if in.IsPRet() {
-			return fmt.Sprintf("p_ret (%s, %s)", r(in.Rs1), r(in.Rs2))
-		}
-		return fmt.Sprintf("p_jalr %s, %s, %s", r(in.Rd), r(in.Rs1), r(in.Rs2))
-	case OpPJAL:
-		return fmt.Sprintf("p_jal %s, %s, 0x%x", r(in.Rd), r(in.Rs1), pc+uint32(in.Imm))
-	case OpPSWCV:
-		return fmt.Sprintf("p_swcv %s, %s, %d", r(in.Rs1), r(in.Rs2), in.Imm)
-	case OpPLWCV:
-		return fmt.Sprintf("p_lwcv %s, %d", r(in.Rd), in.Imm)
-	case OpPSWRE:
-		return fmt.Sprintf("p_swre %s, %s, %d", r(in.Rs1), r(in.Rs2), in.Imm)
-	case OpPLWRE:
-		return fmt.Sprintf("p_lwre %s, %d", r(in.Rd), in.Imm)
+	case in.Op >= NumOps:
+		return fmt.Sprintf("%s ???", in.Op)
+	case in.IsPRet():
+		return fmt.Sprintf("p_ret (%s, %s)", RegNames[in.Rs1], RegNames[in.Rs2])
 	}
-	return fmt.Sprintf("%s ???", in.Op)
+	b := make([]byte, 0, 32)
+	b = append(b, ops[in.Op].name...)
+	sep := " "
+	for _, k := range ops[in.Op].shape {
+		if k == 's' {
+			continue
+		}
+		b = append(b, sep...)
+		sep = ", "
+		switch k {
+		case 'd':
+			b = append(b, RegNames[in.Rd]...)
+		case '1':
+			b = append(b, RegNames[in.Rs1]...)
+		case '2':
+			b = append(b, RegNames[in.Rs2]...)
+		case 'i':
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+		case 'u':
+			b = strconv.AppendUint(append(b, "0x"...), uint64(uint32(in.Imm)>>12), 16)
+		case 't':
+			b = strconv.AppendUint(append(b, "0x"...), uint64(pc+uint32(in.Imm)), 16)
+		case 'm':
+			b = strconv.AppendInt(b, int64(in.Imm), 10)
+			b = append(append(append(b, '('), RegNames[in.Rs1]...), ')')
+		}
+	}
+	return string(b)
 }

@@ -1,63 +1,88 @@
 package isa
 
-import "testing"
-
-// The decoder's opcode tables as Decode used to build them, one map
-// literal per call: the reference the fixed tables are checked against.
-type rKey struct {
-	f3, f7 uint32
-}
-
-var (
-	refBranchOps = map[uint32]Op{0: OpBEQ, 1: OpBNE, 4: OpBLT, 5: OpBGE, 6: OpBLTU, 7: OpBGEU}
-	refLoadOps   = map[uint32]Op{0: OpLB, 1: OpLH, 2: OpLW, 4: OpLBU, 5: OpLHU}
-	refStoreOps  = map[uint32]Op{0: OpSB, 1: OpSH, 2: OpSW}
-	refOpOps     = map[rKey]Op{
-		{0, 0x00}: OpADD, {0, 0x20}: OpSUB, {1, 0x00}: OpSLL,
-		{2, 0x00}: OpSLT, {3, 0x00}: OpSLTU, {4, 0x00}: OpXOR,
-		{5, 0x00}: OpSRL, {5, 0x20}: OpSRA, {6, 0x00}: OpOR,
-		{7, 0x00}: OpAND,
-		{0, 0x01}: OpMUL, {1, 0x01}: OpMULH, {2, 0x01}: OpMULHSU,
-		{3, 0x01}: OpMULHU, {4, 0x01}: OpDIV, {5, 0x01}: OpDIVU,
-		{6, 0x01}: OpREM, {7, 0x01}: OpREMU,
-	}
+import (
+	"fmt"
+	"testing"
 )
 
-// TestDecodeMatchesReferenceTables walks every funct3 × funct7 of the
-// four table-decoded major opcodes: the opcode is the reference maps',
-// operands are filled in exactly when the encoding is assigned, and
-// decoding allocates nothing.
-func TestDecodeMatchesReferenceTables(t *testing.T) {
-	const rd, rs1, rs2 = 5, 6, 7
-	for f3 := uint32(0); f3 < 8; f3++ {
-		for f7 := uint32(0); f7 < 128; f7++ {
-			want := map[uint32]Op{
-				opcBranch: refBranchOps[f3],
-				opcLoad:   refLoadOps[f3],
-				opcStore:  refStoreOps[f3],
-				opcOp:     refOpOps[rKey{f3, f7}],
-			}
-			for opc, op := range want {
-				raw := encR(opc, f3, f7, rd, rs1, rs2)
-				got := Decode(raw)
-				if got.Op != op {
-					t.Fatalf("opcode %#x funct3 %d funct7 %#x decodes to %v, reference says %v", opc, f3, f7, got.Op, op)
-				}
-				if op == OpInvalid {
-					if got != (Inst{Raw: raw}) {
-						t.Fatalf("unassigned encoding %#08x decodes with operands: %+v", raw, got)
+// TestTableMatchesReference walks every major opcode x funct3 x funct7
+// under a few register-field patterns — every assigned, unassigned and
+// don't-care encoding — and every Op at the edges of every immediate
+// range: whatever is computed from the instruction table equals the
+// switch-based reference of reference_test.go, field for field and
+// string for string.
+func TestTableMatchesReference(t *testing.T) {
+	regs := [][3]uint32{{0, 0, 0}, {31, 31, 31}, {1, 2, 3}, {21, 10, 1}, {0, 1, 1}, {5, 0, 30}}
+	for opc := uint32(0); opc < 128; opc++ {
+		for f3 := uint32(0); f3 < 8; f3++ {
+			for f7 := uint32(0); f7 < 128; f7++ {
+				for _, r := range regs {
+					raw := encR(opc, f3, f7, uint8(r[0]), uint8(r[1]), uint8(r[2]))
+					got, want := Decode(raw), refDecode(raw)
+					if got != want {
+						t.Fatalf("Decode(%#08x) = %+v, reference %+v", raw, got, want)
 					}
-					continue
-				}
-				if enc, err := Encode(got); err != nil || enc != raw {
-					t.Fatalf("%#08x (%v) re-encodes to %#08x, %v", raw, op, enc, err)
+					checkAgainstReference(t, got)
+					enc, err := Encode(got)
+					if got.Op == OpInvalid {
+						if err == nil {
+							t.Fatalf("%#08x: an invalid instruction encodes to %#08x", raw, enc)
+						}
+						continue
+					}
+					// Don't-care bits are lost, nothing else: the word the
+					// table encodes decodes to the same instruction.
+					back := Decode(enc)
+					back.Raw = raw
+					if err != nil || back != got {
+						t.Fatalf("%#08x (%v) re-encodes to %#08x, %v, which decodes to %+v", raw, got.Op, enc, err, back)
+					}
+					switch opc {
+					case opcBranch, opcLoad, opcStore, opcOp: // every bit carries meaning
+						if enc != raw {
+							t.Fatalf("%#08x (%v) re-encodes to %#08x", raw, got.Op, enc)
+						}
+					}
 				}
 			}
 		}
 	}
-	word := encR(opcOp, 5, 0x20, rd, rs1, rs2)
+	imms := []int32{-1 << 31, -1<<20 - 2, -1 << 20, -4098, -4096, -4095, -2049, -2048, -2, -1, 0, 1, 2,
+		31, 32, 2047, 2048, 4094, 4095, 4096, 1<<20 - 2, 1<<20 - 1, 1 << 20, 0x7FFFF000, 1<<31 - 1}
+	for op := Op(0); op <= NumOps+1; op++ {
+		for _, imm := range imms {
+			for _, r := range regs {
+				checkAgainstReference(t, Inst{Op: op, Rd: uint8(r[0]), Rs1: uint8(r[1]), Rs2: uint8(r[2]), Imm: imm, Raw: 0xdeadbeef})
+			}
+		}
+	}
+	word := encR(opcOp, 5, 0x20, 5, 6, 7)
 	if n := testing.AllocsPerRun(100, func() { decodeSink = Decode(word) }); n != 0 {
 		t.Errorf("Decode allocates %v times per call, want 0", n)
+	}
+}
+
+// checkAgainstReference compares everything the table says about one
+// instruction — encoding (or the refusal's text), disassembly, class,
+// operand predicates — with the reference's answers.
+func checkAgainstReference(t *testing.T, in Inst) {
+	t.Helper()
+	enc, err := Encode(in)
+	renc, rerr := refEncode(in)
+	if enc != renc || fmt.Sprint(err) != fmt.Sprint(rerr) {
+		t.Fatalf("Encode(%+v) = %#08x, %v; reference %#08x, %v", in, enc, err, renc, rerr)
+	}
+	for _, pc := range []uint32{0, 0x1000, 0xFFFFFFF0} {
+		if got, want := Disassemble(in, pc), refDisassemble(in, pc); got != want {
+			t.Fatalf("Disassemble(%+v, %#x) = %q, reference %q", in, pc, got, want)
+		}
+	}
+	if got, want := ClassOf(in.Op), refClassOf(in.Op); got != want {
+		t.Fatalf("ClassOf(%v) = %d, reference %d", in.Op, got, want)
+	}
+	if in.ReadsRs1() != refReadsRs1(&in) || in.ReadsRs2() != refReadsRs2(&in) || in.WritesRd() != refWritesRd(&in) {
+		t.Fatalf("%+v: reads rs1 %v, reads rs2 %v, writes rd %v; reference %v, %v, %v", in,
+			in.ReadsRs1(), in.ReadsRs2(), in.WritesRd(), refReadsRs1(&in), refReadsRs2(&in), refWritesRd(&in))
 	}
 }
 

@@ -1,16 +1,19 @@
 package lbp_test
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cc"
 	"repro/internal/fuzzgen"
 	"repro/internal/lbp"
-	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // The parent-written timing fixture. lbp-fuzz checks determinism and
@@ -19,7 +22,14 @@ import (
 // invisible to it. testdata/parent_timing.json holds (cycles, retired,
 // digest, events, outcome) for a fixed corpus as the commit before the
 // candidate-mask stepper computed them; this build must reproduce every
-// row. To re-record on a trusted commit (recipe in EXPERIMENTS E24):
+// row. Each row also pins what the toolchain made of the source before
+// the machine saw it — image is the SHA-256 of the program's WriteImage
+// bytes, asm (compiled rows) that of cc.BuildProgram's text, both as the
+// commit before the one-table assembler produced them — so a compiler,
+// peephole or assembler change that moves one byte fails here by name.
+// Rows with cores 0 (the matmul variants, testdata/hello.s) are built
+// and hashed but not run. To re-record on a trusted commit (recipe in
+// EXPERIMENTS E24):
 //
 //	LBP_WRITE_PARENT_TIMING=1 go test ./internal/lbp -run TestParentTiming
 
@@ -37,44 +47,91 @@ type timingRow struct {
 	Digest  string `json:"digest"`
 	Events  uint64 `json:"events"`
 	Outcome string `json:"outcome"` // halt message, or the run error
+	Image   string `json:"image"`
+	Asm     string `json:"asm,omitempty"`
 }
 
 type timingCase struct {
-	name string
-	cfg  lbp.Config
-	prog *asm.Program
+	name  string
+	cfg   lbp.Config // Cores == 0: build only
+	prog  *asm.Program
+	image string
+	asm   string
+}
+
+// buildTimingCase assembles asmText (compiles src first when asmText is
+// empty) and hashes both artifacts.
+func buildTimingCase(t *testing.T, name, src, asmText string, opt cc.Options) timingCase {
+	t.Helper()
+	c := timingCase{name: name}
+	if asmText == "" {
+		var err error
+		if asmText, err = cc.BuildProgram(src, opt); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c.asm = fmt.Sprintf("%x", sha256.Sum256([]byte(asmText)))
+	}
+	prog, err := asm.Assemble(asmText, asm.Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	var img strings.Builder
+	if err := prog.WriteImage(&img); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	c.prog, c.image = prog, fmt.Sprintf("%x", sha256.Sum256([]byte(img.String())))
+	return c
 }
 
 // timingCorpus is the X_PAR programs of this package's tests plus
 // parentTimingSeeds generated OpenMP programs, each on every machine of
-// {1, 4, 16} cores its team fits on.
+// {1, 4, 16} cores its team fits on, plus the build-only rows: the five
+// matmul variants at 16, 64 and 256 harts and testdata/hello.s.
 func timingCorpus(t *testing.T) []timingCase {
 	t.Helper()
 	var out []timingCase
 	for _, x := range lbp.XParPrograms {
-		prog, err := sim.Compile("s", []byte(x.Src), 0, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", x.Name, err)
-		}
-		out = append(out, timingCase{"xpar/" + x.Name, x.Config(), prog})
+		c := buildTimingCase(t, "xpar/"+x.Name, "", x.Src, cc.Options{})
+		c.cfg = x.Config()
+		out = append(out, c)
 	}
 	for seed := int64(1); seed <= parentTimingSeeds; seed++ {
 		p := fuzzgen.Generate(seed, fuzzgen.GenConfig{})
-		prog, err := sim.Compile("c", []byte(p.Render()), p.MinCores, 0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		opt := cc.DefaultOptions() // as sim.Compile("c", src, p.MinCores, 0) builds it
+		if p.MinCores > 0 {
+			opt.Cores = p.MinCores
 		}
+		c := buildTimingCase(t, fmt.Sprintf("fuzz/%d", seed), p.Render(), "", opt)
 		for _, cores := range []int{1, 4, 16} {
 			if cores >= p.MinCores {
-				out = append(out, timingCase{fmt.Sprintf("fuzz/%d", seed), lbp.DefaultConfig(cores), prog})
+				c.cfg = lbp.DefaultConfig(cores)
+				out = append(out, c)
 			}
 		}
 	}
-	return out
+	for _, h := range []int{16, 64, 256} {
+		for _, v := range workloads.Variants {
+			src, err := workloads.MatmulSource(v, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt := cc.DefaultOptions() // as workloads.BuildMatmul builds it
+			opt.Cores, opt.SharedBankBytes, opt.BankReserveBytes = h/4, workloads.SharedBankBytes(h), 4*128
+			out = append(out, buildTimingCase(t, fmt.Sprintf("matmul/%s/%d", v, h), src, "", opt))
+		}
+	}
+	hello, err := os.ReadFile("../../testdata/hello.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, buildTimingCase(t, "testdata/hello.s", "", string(hello), cc.Options{}))
 }
 
 func runTimingCase(t *testing.T, c timingCase, ffwd bool) timingRow {
 	t.Helper()
+	if c.cfg.Cores == 0 {
+		return timingRow{Name: c.name, Image: c.image, Asm: c.asm}
+	}
 	m := lbp.New(c.cfg)
 	rec := trace.New(0)
 	m.SetTrace(rec)
@@ -86,6 +143,7 @@ func runTimingCase(t *testing.T, c timingCase, ffwd bool) timingRow {
 	row := timingRow{
 		Name: c.name, Cores: c.cfg.Cores, Cycles: m.Cycle(),
 		Digest: fmt.Sprintf("%#016x", rec.Digest()), Events: rec.Count(),
+		Image: c.image, Asm: c.asm,
 	}
 	if err != nil {
 		row.Outcome = err.Error()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -422,6 +423,35 @@ func TestRequestValidation(t *testing.T) {
 	}
 	if got := srv.met.accepted.Load(); got != 0 {
 		t.Errorf("accepted counter = %d after validation failures, want 0", got)
+	}
+}
+
+// TestSizingDirectiveRefused: a few bytes of assembly that name a huge
+// output (.space 0x10000000 used to cost 7 s and a 256 MiB slice,
+// .space 0xfffffffc 4 GiB and the process) — directly or as a MiniC
+// array — are refused by the assembler's layout step with 400, before
+// anything is allocated for them.
+func TestSizingDirectiveRefused(t *testing.T) {
+	srv := New(Config{Workers: 1, QueueDepth: 1})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, req := range []JobRequest{
+		{Source: ".data\n.space 0x10000000", Lang: "s"},
+		{Source: ".data\n.space 0xfffffffc", Lang: "s"},
+		{Source: "int a[268435456];\nvoid main() { a[0] = 1; }"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, jr := postJob(t, ts.URL, req)
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest || !strings.Contains(jr.Error, "program larger than") {
+			t.Errorf("%q: HTTP %d error %q, want 400 from the assembler's size bound", req.Source, code, jr.Error)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > 1<<20 {
+			t.Errorf("%q: refusing it allocated %d bytes", req.Source, spent)
+		}
 	}
 }
 

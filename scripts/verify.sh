@@ -3,7 +3,7 @@
 #
 #   scripts/verify.sh            build + vet + gofmt + tests + race subset
 #                                + bench module + lbp-serve smoke test
-#                                + lbp-fuzz smoke + native fuzz smoke
+#                                + lbp-fuzz smoke + native fuzz smokes
 #   scripts/verify.sh -bench N   ...then regenerate figure N and benchdiff
 #                                it against the recorded BENCH_figN.json
 #                                (fails on any simulated-result change).
@@ -24,10 +24,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 # One checkpoint format, one job protocol, one decode per load, one
-# queue: the deleted second paths must not grow back. (mem.State's
-# R1*/R2* names are not on the list: they are reserved words of the
-# version-2 wire format, DESIGN.md §7.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth' -- '*.go'; then
+# queue, one instruction table: the deleted second paths must not grow
+# back. (mem.State's R1*/R2* names are not on the list: they are
+# reserved words of the version-2 wire format, DESIGN.md §7. The parent's
+# encTable and controlMn live on as the test references refEncTable and
+# parentControlMn, which the case-sensitive pattern does not match.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -179,6 +181,11 @@ echo "verify: FuzzReadCheckpoint smoke OK"
 # WriteImage.
 go test ./internal/asm -run '^$' -fuzz FuzzReadImage -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadImage smoke OK"
+# Hostile assembly text (POST /jobs "lang":"s", lbp-asm, lbp-run): an
+# *asm.Error, or a program within the size bound made of instructions
+# the table encodes back, in bounded time.
+go test ./internal/asm -run '^$' -fuzz FuzzAssemble -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzAssemble smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
@@ -198,9 +205,10 @@ if [ -n "$fig" ]; then
     # sim_matmul64 shape — 64 harts on 16 cores, all live — where stage
     # selection is most of a cycle (EXPERIMENTS E24 has its ns/cycle).
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkMatmul64|BenchmarkPhaseBCommit' -benchtime 1s
-    # The two per-request decoders a cold job pays (EXPERIMENTS E25):
-    # program image text -> words, code words -> descriptors.
-    go test ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s
+    # The per-request decoders a cold job pays (EXPERIMENTS E25, E26):
+    # assembly text -> program, program image text -> words, code words
+    # -> descriptors.
+    go test ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkAssemble|BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s
 fi
 
 echo "verify: OK"
