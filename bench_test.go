@@ -14,7 +14,6 @@ package repro_test
 import (
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/figures"
 	"repro/internal/lbp"
@@ -23,11 +22,15 @@ import (
 	"repro/internal/workloads"
 )
 
+// seq runs every experiment on the benchmark's own goroutine, so the
+// time per iteration is the time of the simulations.
+var seq = figures.Runner{Workers: 1}
+
 // benchVariant runs one matmul variant at h harts, reporting the
 // simulated metrics.
 func benchVariant(b *testing.B, v workloads.MatmulVariant, h int) {
 	for i := 0; i < b.N; i++ {
-		row, err := figures.RunMatmul(v, h)
+		row, err := seq.RunMatmul(v, h)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +82,7 @@ func BenchmarkFigure21(b *testing.B) {
 // BenchmarkDeterminism measures E4: three traced runs compared by digest.
 func BenchmarkDeterminism(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := figures.RunDeterminism(workloads.Base, 16, 3)
+		rep, err := seq.RunDeterminism(workloads.Base, 16, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,12 +95,12 @@ func BenchmarkDeterminism(b *testing.B) {
 // BenchmarkHartAblation measures E5: core IPC with 1..4 active harts.
 func BenchmarkHartAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := figures.RunHartAblation(5000)
+		rows, err := seq.RunHartAblation(5000)
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			b.ReportMetric(r.IPC, "IPC-"+itoa(r.Harts)+"hart")
+			b.ReportMetric(r.IPC, "IPC-"+r.Label+"hart")
 		}
 	}
 }
@@ -105,19 +108,12 @@ func BenchmarkHartAblation(b *testing.B) {
 // BenchmarkLocality measures E7: the placed two-phase set/get program.
 func BenchmarkLocality(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		row, err := figures.RunLocality(16, 128)
+		rows, err := seq.RunLocality([]int{16}, 128)
 		if err != nil {
-			b.Fatal(err)
+			b.Fatal(err) // a routed access fails the row's check
 		}
-		if !row.AllZero {
-			b.Fatal("remote accesses in the placed program")
-		}
-		b.ReportMetric(float64(row.Cycles), "lbp-cycles")
+		b.ReportMetric(float64(rows[0].Cycles), "lbp-cycles")
 	}
-}
-
-func itoa(v int) string {
-	return string(rune('0' + v))
 }
 
 // BenchmarkAblations measures the design-choice sweeps of DESIGN.md:
@@ -126,7 +122,7 @@ func itoa(v int) string {
 func BenchmarkAblations(b *testing.B) {
 	b.Run("hop-latency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := figures.RunHopLatAblation(workloads.Base, 16, []int{1, 2, 4})
+			pts, err := seq.RunHopLatAblation(workloads.Base, 16, []int{1, 2, 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -137,7 +133,7 @@ func BenchmarkAblations(b *testing.B) {
 	})
 	b.Run("bank-latency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := figures.RunBankLatAblation(workloads.Base, 16, []int{1, 3, 6})
+			pts, err := seq.RunBankLatAblation(workloads.Base, 16, []int{1, 3, 6})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -148,7 +144,7 @@ func BenchmarkAblations(b *testing.B) {
 	})
 	b.Run("mem-order", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := figures.RunMemOrderAblation(workloads.Copy, 16)
+			pts, err := seq.RunMemOrderAblation(workloads.Copy, 16)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -159,7 +155,7 @@ func BenchmarkAblations(b *testing.B) {
 	})
 	b.Run("div-latency", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pts, err := figures.RunFULatAblation(workloads.Base, 16, []int{17, 68})
+			pts, err := seq.RunFULatAblation(workloads.Base, 16, []int{17, 68})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -173,23 +169,13 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkSensorIO measures E6: the Figure 16 deterministic I/O run.
 func BenchmarkSensorIO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		src := workloads.SensorFusionSource(1)
-		asmText, err := cc.BuildProgram(src, cc.DefaultOptions())
+		prog, err := cc.Build(workloads.SensorFusionSource(1), cc.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog, err := asm.Assemble(asmText, asm.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var devices []lbp.Device
-		for s := 0; s < 4; s++ {
-			devices = append(devices, &lbp.Sensor{
-				ValueAddr: prog.Symbols["sval"] + uint32(4*s),
-				FlagAddr:  prog.Symbols["sflag"] + uint32(4*s),
-				Events:    []lbp.SensorEvent{{Cycle: 500 + uint64(97*s), Value: uint32(s + 1)}},
-			})
-		}
+		devices, _ := workloads.SensorRig(prog, func(s int) []lbp.SensorEvent {
+			return []lbp.SensorEvent{{Cycle: 500 + uint64(97*s), Value: uint32(s + 1)}}
+		})
 		sess, err := sim.New(sim.Spec{
 			Program:   prog,
 			Cores:     1,

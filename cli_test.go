@@ -5,6 +5,7 @@ package repro_test
 // testdata/.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -146,15 +147,19 @@ func TestCLIBenchUnknownFig(t *testing.T) {
 }
 
 // TestCLIBenchParallelIdentical: the same figure run sequentially and on a
-// worker pool must emit byte-identical JSON rows (digests included), and
-// both runs must leave a parseable BENCH_fig19.json behind.
+// worker pool must emit byte-identical records (digests included), on
+// stdout under -json and in BENCH_fig19.json — and both are the tracked
+// record: nothing in a record depends on the host.
 func TestCLIBenchParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
 	bench := buildTool(t, dir, "lbp-bench")
-	outputs := make(map[string][]byte)
+	tracked, err := os.ReadFile("BENCH_fig19.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []string{"1", "0"} {
 		cmd := exec.Command(bench, "-fig", "19", "-json", "-parallel", par, "-outdir", dir)
 		cmd.Stderr = nil
@@ -162,41 +167,14 @@ func TestCLIBenchParallelIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-parallel %s: %v", par, err)
 		}
-		outputs[par] = stdout
-	}
-	if string(outputs["1"]) != string(outputs["0"]) {
-		t.Errorf("-parallel 0 JSON differs from -parallel 1:\n%s\n---\n%s", outputs["0"], outputs["1"])
-	}
-	var rec struct {
-		Figure int `json:"figure"`
-		Rows   []struct {
-			Variant string `json:"Variant"`
-			Cycles  uint64 `json:"Cycles"`
-			Digest  uint64 `json:"Digest"`
-		} `json:"rows"`
-		WallTimeSec float64 `json:"wallTimeSec"`
-		Host        struct {
-			NumCPU    int    `json:"numCPU"`
-			GoVersion string `json:"goVersion"`
-		} `json:"host"`
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_fig19.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		t.Fatalf("BENCH_fig19.json: %v", err)
-	}
-	if rec.Figure != 19 || len(rec.Rows) != 5 {
-		t.Errorf("record: figure %d, %d rows", rec.Figure, len(rec.Rows))
-	}
-	for _, r := range rec.Rows {
-		if r.Cycles == 0 || r.Digest == 0 {
-			t.Errorf("row %s: cycles %d digest %#x", r.Variant, r.Cycles, r.Digest)
+		file, err := os.ReadFile(filepath.Join(dir, "BENCH_fig19.json"))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rec.WallTimeSec <= 0 || rec.Host.NumCPU < 1 || rec.Host.GoVersion == "" {
-		t.Errorf("host/wall metadata incomplete: %+v", rec)
+		if !bytes.Equal(stdout, tracked) || !bytes.Equal(file, tracked) {
+			t.Errorf("-parallel %s: record differs from the tracked BENCH_fig19.json:\nstdout:\n%s\nfile:\n%s",
+				par, stdout, file)
+		}
 	}
 }
 
@@ -324,15 +302,18 @@ func TestCLIBenchProfileRecord(t *testing.T) {
 	}
 }
 
-// TestCLIRunBankValidation: -bank promises a power of two; reject the rest.
+// TestCLIRunBankValidation: -bank promises a power of two; reject the
+// rest — and, like lbp-cc and POST /jobs (cc.CheckBank is the one
+// answer), a bank the compiler's reserve does not fit in: -bank 1024
+// used to run here while the other two refused it.
 func TestCLIRunBankValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
 	lbprun := buildTool(t, dir, "lbp-run")
-	for _, bad := range []string{"12345", "0", "4294967296"} {
-		out, err := exec.Command(lbprun, "-bank", bad, "testdata/hello.s").CombinedOutput()
+	for _, bad := range []string{"12345", "0", "4294967296", "1024"} {
+		out, err := exec.Command(lbprun, "-bank", bad, "testdata/vecsum.c").CombinedOutput()
 		var exitErr *exec.ExitError
 		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
 			t.Errorf("-bank %s: err = %v, want exit code 2\n%s", bad, err, out)
@@ -361,6 +342,9 @@ func TestCLIRunWorkersValidation(t *testing.T) {
 	}{
 		{[]string{"-simworkers", "2", "testdata/hello.s"}, "flag provided but not defined: -simworkers"},
 		{[]string{"-tail", "-3", "testdata/hello.s"}, "must not be negative"},
+		// sim.MaxTraceRing + 1: the ring is allocated up front (a -tail of
+		// 1<<40 used to end the process in the allocator).
+		{[]string{"-tail", "1048577", "testdata/hello.s"}, "above 1048576"},
 	} {
 		out, err := exec.Command(lbprun, tc.args...).CombinedOutput()
 		var exitErr *exec.ExitError
@@ -518,29 +502,74 @@ func TestCLIResumeChromeNeedsRing(t *testing.T) {
 	}
 }
 
-// TestCLIBenchdiffToleranceValidation: -tolerance outside [0, 1) is a
-// usage error — negative fails every comparison, >= 1 silently disables
-// the throughput guard.
-func TestCLIBenchdiffToleranceValidation(t *testing.T) {
+// TestCLIBenchdiff: a record agrees with itself; any changed simulated
+// field, and a pair of records with nothing in them, exits 1; the
+// throughput half and its -tolerance flag are gone (exit 2, by name).
+func TestCLIBenchdiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	dir := t.TempDir()
 	benchdiff := buildTool(t, dir, "benchdiff")
-	for _, bad := range []string{"-0.1", "1", "1.5"} {
-		out, err := exec.Command(benchdiff, "-tolerance", bad, "BENCH_fig19.json", "BENCH_fig19.json").CombinedOutput()
-		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-			t.Errorf("-tolerance %s: err = %v, want exit code 2\n%s", bad, err, out)
-		}
-		if !strings.Contains(string(out), "must be in [0, 1)") {
-			t.Errorf("-tolerance %s error message: %s", bad, out)
-		}
+	tracked, err := os.ReadFile("BENCH_fig19.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A record always agrees with itself under a valid tolerance.
-	out := runTool(t, benchdiff, "-tolerance", "0.5", "BENCH_fig19.json", "BENCH_fig19.json")
-	if !strings.Contains(out, "OK") {
-		t.Errorf("self-compare: %s", out)
+	// variant writes the tracked record with every row given a perf
+	// snapshot and one field of row 0 replaced.
+	variant := func(name, field string, value any) string {
+		var rec map[string]any
+		dec := json.NewDecoder(bytes.NewReader(tracked))
+		dec.UseNumber() // a digest does not survive float64
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rec["rows"].([]any) {
+			row.(map[string]any)["Perf"] = map[string]any{"cycles": 7}
+		}
+		if field != "" {
+			rec["rows"].([]any)[0].(map[string]any)[field] = value
+		}
+		data, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	same := variant("same", "", nil)
+	empty := filepath.Join(dir, "empty.json")
+	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new string
+		exit     int
+		want     string
+	}{
+		{"self", "BENCH_fig19.json", "BENCH_fig19.json", 0, "OK (5 rows identical)"},
+		{"perf on one side only", "BENCH_fig19.json", same, 0, "OK"},
+		{"cycles", same, variant("cycles", "Cycles", 6949), 1, "cycles changed"},
+		{"digest", same, variant("digest", "Digest", 1), 1, "trace digest changed"},
+		{"perf", same, variant("perf", "Perf", map[string]any{"cycles": 8}), 1, "perf snapshot changed"},
+		{"no rows", empty, empty, 1, "no rows"},
+		{"tolerance is gone", "-tolerance", "0.5", 2, "not defined: -tolerance"},
+	} {
+		out, err := exec.Command(benchdiff, tc.old, tc.new).CombinedOutput()
+		code := 0
+		var exitErr *exec.ExitError
+		if errors.As(err, &exitErr) {
+			code = exitErr.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if code != tc.exit || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: exit %d, want %d with %q in:\n%s", tc.name, code, tc.exit, tc.want, out)
+		}
 	}
 }
 
@@ -639,6 +668,7 @@ func TestCLICCBankValidation(t *testing.T) {
 		{"-bank", "0", "testdata/vecsum.c"},
 		{"-bank", "4294967296", "testdata/vecsum.c"},
 		{"-bank", "8192", "-reserve", "8192", "testdata/vecsum.c"},
+		{"-bank", "1024", "testdata/vecsum.c"}, // below the default reserve
 	} {
 		out, err := exec.Command(lbpcc, args...).CombinedOutput()
 		var exitErr *exec.ExitError

@@ -10,10 +10,12 @@
 // Independent simulations (matmul variants, sweep points, determinism
 // repeats) fan out across -parallel worker goroutines; each simulated
 // machine stays single-threaded, so every figure row and trace digest is
-// identical for any -parallel value. The matmul figures additionally
-// record a machine-readable BENCH_fig<N>.json (rows, wall time, host
-// info) next to -outdir so the performance trajectory can be tracked
-// across changes.
+// identical for any -parallel value. The matmul and scaling figures
+// additionally record a machine-readable BENCH_fig<N>.json in -outdir.
+// A record holds simulated quantities only, so regenerating it on any
+// host, with any -parallel, reproduces the file byte for byte; how fast
+// the simulator ran is bench/'s business (sim_cycles_per_s), not a
+// record's.
 //
 // Usage:
 //
@@ -21,8 +23,8 @@
 //
 // -profile embeds a deterministic performance-counter snapshot (cycle
 // attribution by stall cause, retired mix, stage occupancy, per-link-class
-// wait cycles, local/remote latency histograms) in every matmul figure row
-// and therefore in the BENCH_fig<N>.json records. Counters never feed back
+// wait cycles, local/remote latency histograms) in every row and
+// therefore in the BENCH_fig<N>.json records. Counters never feed back
 // into simulated timing, so rows and digests are byte-identical with and
 // without -profile, for any -parallel value.
 //
@@ -37,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/figures"
 	"repro/internal/lbp"
@@ -56,12 +58,22 @@ import (
 // figNames lists the valid -fig values in run order.
 var figNames = []string{"19", "20", "21", "22", "det", "harts", "io", "locality", "ablate", "chips", "response"}
 
+// bench is one lbp-bench invocation: the experiment runner and where
+// its results go.
+type bench struct {
+	figures.Runner
+	out    io.Writer // tables, or the records under -json
+	json   bool
+	outdir string
+	phases int
+}
+
 func main() {
 	fig := flag.String("fig", "all", "which figure/experiment to run: "+strings.Join(figNames, "|")+"|all")
-	asJSON := flag.Bool("json", false, "emit matmul figure rows as JSON instead of tables")
+	asJSON := flag.Bool("json", false, "emit the BENCH records on stdout instead of tables")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker goroutines for independent simulations (0 = all CPUs, 1 = sequential)")
 	outdir := flag.String("outdir", ".", "directory receiving the BENCH_fig<N>.json records")
-	profile := flag.Bool("profile", false, "embed deterministic perf-counter snapshots in matmul rows and BENCH records")
+	profile := flag.Bool("profile", false, "embed deterministic perf-counter snapshots in rows and BENCH records")
 	phases := flag.Int("phases", 24, "arrival phases for the -fig response sweep (must be positive)")
 	cpuProfile := flag.String("cpuprofile", "", "write a host-side CPU pprof profile of the simulator to `file`")
 	memProfile := flag.String("memprofile", "", "write a host-side heap pprof profile of the simulator to `file`")
@@ -73,12 +85,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbp-bench: -phases %d must be positive\n", *phases)
 		os.Exit(2)
 	}
-	jsonMode = *asJSON
-	benchDir = *outdir
-	responsePhases = *phases
-	figures.Parallelism = *parallel
-	figures.Profile = *profile
-	figures.RecordThroughput = true
+	b := &bench{
+		Runner: figures.Runner{Workers: *parallel, Profile: *profile},
+		out:    os.Stdout,
+		json:   *asJSON,
+		outdir: *outdir,
+		phases: *phases,
+	}
 	// A profile that fails to flush or close is silently truncated and
 	// useless; report the error and make the run exit nonzero. The exit
 	// check is registered first so it runs after every profile defer.
@@ -136,25 +149,25 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lbp-bench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-		// In JSON mode stdout carries only machine-readable rows (so two
-		// runs diff byte-identically); progress goes to stderr.
+		// In JSON mode stdout carries only the records (so two runs diff
+		// byte-identically); progress goes to stderr.
 		progress := os.Stdout
-		if jsonMode {
+		if b.json {
 			progress = os.Stderr
 		}
 		fmt.Fprintf(progress, "[%s done in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	run("19", func() error { return matmulFigure(16) })
-	run("20", func() error { return matmulFigure(64) })
-	run("21", func() error { return matmulFigure(256) })
-	run("22", scaleFigure)
-	run("det", determinism)
-	run("harts", ablation)
-	run("io", ioExperiment)
-	run("locality", locality)
-	run("ablate", designAblations)
-	run("chips", chips)
-	run("response", response)
+	run("19", func() error { return b.matmulFigure(16) })
+	run("20", func() error { return b.matmulFigure(64) })
+	run("21", func() error { return b.matmulFigure(256) })
+	run("22", b.scaleFigure)
+	run("det", b.determinism)
+	run("harts", b.ablation)
+	run("io", b.ioExperiment)
+	run("locality", b.locality)
+	run("ablate", b.designAblations)
+	run("chips", b.chips)
+	run("response", b.response)
 	if !matched {
 		fmt.Fprintf(os.Stderr, "lbp-bench: unknown -fig %q (valid: %s, all)\n",
 			*fig, strings.Join(figNames, ", "))
@@ -162,267 +175,169 @@ func main() {
 	}
 }
 
-var (
-	jsonMode       bool
-	benchDir       string
-	responsePhases int
-)
-
-// benchRecord is the persisted, machine-readable form of one matmul
-// figure run: the figure rows plus enough host context to compare wall
-// times across changes. Rows and digests are deterministic; wall time and
-// host fields are the only parts expected to differ between hosts.
+// benchRecord is the persisted, machine-readable form of one figure.
+// Everything in it is simulated, hence deterministic: the tracked
+// BENCH_fig19.json and BENCH_fig22.json are reproduced byte for byte by
+// any build that has not changed the simulator's behaviour
+// (TestBenchRecordsReproduce), and benchdiff compares two of them.
 type benchRecord struct {
-	Figure      int                 `json:"figure"`
-	Rows        []figures.MatmulRow `json:"rows"`
-	Phi         *phimodel.Result    `json:"xeonPhiModel,omitempty"`
-	WallTimeSec float64             `json:"wallTimeSec"`
-	Parallel    int                 `json:"parallel"` // the -parallel setting
-	Profile     bool                `json:"profile"`  // rows carry perf snapshots
-	Host        hostInfo            `json:"host"`
-	GeneratedAt string              `json:"generatedAt"`
+	Figure  int              `json:"figure"`
+	Rows    []figures.Row    `json:"rows"`
+	Phi     *phimodel.Result `json:"xeonPhiModel,omitempty"`
+	Profile bool             `json:"profile"` // rows carry perf snapshots
 }
 
-type hostInfo struct {
-	GoOS       string `json:"goos"`
-	GoArch     string `json:"goarch"`
-	NumCPU     int    `json:"numCPU"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"goVersion"`
-}
-
-// writeBenchRecord saves BENCH_fig<N>.json into benchDir.
-func writeBenchRecord(figNo int, rows []figures.MatmulRow, phi *phimodel.Result, wall time.Duration) error {
-	rec := benchRecord{
-		Figure:      figNo,
-		Rows:        rows,
-		Phi:         phi,
-		WallTimeSec: wall.Seconds(),
-		Parallel:    figures.Parallelism,
-		Profile:     figures.Profile,
-		Host: hostInfo{
-			GoOS:       runtime.GOOS,
-			GoArch:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-			GoVersion:  runtime.Version(),
-		},
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
+// record saves BENCH_fig<N>.json into outdir and shows the figure: the
+// same bytes under -json, else the table.
+func (b *bench) record(figNo int, rows []figures.Row, phi *phimodel.Result, table string) error {
+	data, err := json.MarshalIndent(benchRecord{figNo, rows, phi, b.Profile}, "", "  ")
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(benchDir, 0o755); err != nil {
+	data = append(data, '\n')
+	if err := os.MkdirAll(b.outdir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(benchDir, fmt.Sprintf("BENCH_fig%d.json", figNo))
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	path := filepath.Join(b.outdir, fmt.Sprintf("BENCH_fig%d.json", figNo))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return err
+	}
+	if !b.json {
+		data = []byte(table)
+	}
+	_, err = b.out.Write(data)
+	return err
 }
 
-func matmulFigure(h int) error {
-	start := time.Now()
-	rows, err := figures.RunMatmulFigure(h)
+func (b *bench) matmulFigure(h int) error {
+	rows, err := b.RunMatmulFigure(h)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 	var phi *phimodel.Result
 	if h == 256 {
 		r := phimodel.Default().TiledMatmul(256)
 		phi = &r
 	}
-	if err := writeBenchRecord(figures.FigureForHarts(h), rows, phi, wall); err != nil {
-		return err
-	}
-	if jsonMode {
-		// stdout stays byte-identical across runs: drop the host-side
-		// throughput (the only nondeterministic row content) — it is
-		// recorded in the BENCH_fig<N>.json file instead.
-		det := make([]figures.MatmulRow, len(rows))
-		copy(det, rows)
-		for i := range det {
-			det[i].Host = nil
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Figure int                 `json:"figure"`
-			Rows   []figures.MatmulRow `json:"rows"`
-			Phi    *phimodel.Result    `json:"xeonPhiModel,omitempty"`
-		}{figures.FigureForHarts(h), det, phi})
-	}
-	fmt.Print(figures.FormatMatmulFigure(rows, phi))
-	return nil
+	return b.record(figures.FigureForHarts(h), rows, phi, figures.FormatMatmulFigure(rows, phi))
 }
 
 // scaleFigure runs the E18 weak-scaling sweep (64/256/1024 cores) and
-// records it as BENCH_fig22.json, reusing the matmul-figure row shape
-// so benchdiff tracks its cycles, digests and host throughput.
-func scaleFigure() error {
-	start := time.Now()
-	rows, err := figures.RunScaleFigure()
+// records it as BENCH_fig22.json, in the matmul figures' row shape.
+func (b *bench) scaleFigure() error {
+	rows, err := b.RunScaleFigure()
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
-	if err := writeBenchRecord(figures.FigureScale, rows, nil, wall); err != nil {
-		return err
-	}
-	if jsonMode {
-		det := make([]figures.MatmulRow, len(rows))
-		copy(det, rows)
-		for i := range det {
-			det[i].Host = nil
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(struct {
-			Figure int                 `json:"figure"`
-			Rows   []figures.MatmulRow `json:"rows"`
-		}{figures.FigureScale, det})
-	}
-	fmt.Print(figures.FormatScaleFigure(rows))
-	return nil
+	return b.record(figures.FigureScale, rows, nil, figures.FormatScaleFigure(rows))
 }
 
-func determinism() error {
+func (b *bench) determinism() error {
 	var reports []figures.DetReport
 	for _, v := range workloads.Variants {
-		rep, err := figures.RunDeterminism(v, 16, 3)
+		rep, err := b.RunDeterminism(v, 16, 3)
 		if err != nil {
 			return err
 		}
 		reports = append(reports, rep)
 	}
-	fmt.Print(figures.FormatDeterminism(reports))
+	fmt.Fprint(b.out, figures.FormatDeterminism(reports))
 	return nil
 }
 
-func ablation() error {
-	rows, err := figures.RunHartAblation(20000)
+func (b *bench) ablation() error {
+	rows, err := b.RunHartAblation(20000)
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblation(rows))
+	fmt.Fprint(b.out, figures.FormatAblation(rows))
 	return nil
 }
 
-func locality() error {
-	var rows []figures.LocalityRow
-	for _, h := range []int{16, 64} {
-		row, err := figures.RunLocality(h, 128)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, row)
+func (b *bench) locality() error {
+	rows, err := b.RunLocality([]int{16, 64}, 128)
+	if err != nil {
+		return err
 	}
-	fmt.Print(figures.FormatLocality(rows))
+	fmt.Fprint(b.out, figures.FormatLocality(rows))
 	return nil
 }
 
 // designAblations sweeps the machine parameters DESIGN.md calls out.
-func designAblations() error {
-	hop, err := figures.RunHopLatAblation(workloads.Base, 16, []int{1, 2, 4, 8})
+func (b *bench) designAblations() error {
+	hop, err := b.RunHopLatAblation(workloads.Base, 16, []int{1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblationPoints("E8a — router hop latency sweep (base, 16 harts)", hop))
-	bank, err := figures.RunBankLatAblation(workloads.Base, 16, []int{1, 3, 6, 12})
+	fmt.Fprint(b.out, figures.FormatAblationPoints("E8a — router hop latency sweep (base, 16 harts)", hop))
+	bank, err := b.RunBankLatAblation(workloads.Base, 16, []int{1, 3, 6, 12})
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblationPoints("E8b — shared-bank latency sweep (base, 16 harts)", bank))
-	mo, err := figures.RunMemOrderAblation(workloads.Copy, 16)
+	fmt.Fprint(b.out, figures.FormatAblationPoints("E8b — shared-bank latency sweep (base, 16 harts)", bank))
+	mo, err := b.RunMemOrderAblation(workloads.Copy, 16)
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblationPoints("E8c — per-hart memory issue order (copy, 16 harts)", mo))
-	fu, err := figures.RunFULatAblation(workloads.Base, 16, []int{17, 68})
+	fmt.Fprint(b.out, figures.FormatAblationPoints("E8c — per-hart memory issue order (copy, 16 harts)", mo))
+	fu, err := b.RunFULatAblation(workloads.Base, 16, []int{17, 68})
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblationPoints("E8d — divider latency (off the matmul critical path)", fu))
+	fmt.Fprint(b.out, figures.FormatAblationPoints("E8d — divider latency (off the matmul critical path)", fu))
 	return nil
 }
 
 // response runs the E10 input-to-actuation sweep.
-func response() error {
-	rep, err := figures.RunResponseSweep(responsePhases)
+func (b *bench) response() error {
+	rep, err := b.RunResponseSweep(b.phases)
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatResponse(rep))
+	fmt.Fprint(b.out, figures.FormatResponse(rep))
 	return nil
 }
 
 // chips runs the Figure 15 multi-chip experiment.
-func chips() error {
-	pts, err := figures.RunChipAblation(workloads.Base, 16, []int{0, 2, 1}, 25)
+func (b *bench) chips() error {
+	pts, err := b.RunChipAblation(workloads.Base, 16, []int{0, 2, 1}, 25)
 	if err != nil {
 		return err
 	}
-	fmt.Print(figures.FormatAblationPoints(
+	fmt.Fprint(b.out, figures.FormatAblationPoints(
 		"E9 — Figure 15 chip lines (4 cores as 1, 2 or 4 chips; 25-cycle edges)", pts))
 	return nil
 }
 
 // ioExperiment runs the Figure 16 sensor fusion with two different input
 // schedules: same fused outputs, different cycle counts (E6).
-func ioExperiment() error {
-	src := workloads.SensorFusionSource(2)
-	asmText, err := cc.BuildProgram(src, cc.DefaultOptions())
+func (b *bench) ioExperiment() error {
+	prog, err := cc.Build(workloads.SensorFusionSource(2), cc.DefaultOptions())
 	if err != nil {
 		return err
 	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
-	if err != nil {
-		return err
-	}
-	runOnce := func(base uint64) (uint64, []lbp.ActuatorWrite, error) {
-		var devices []lbp.Device
-		for i := 0; i < 4; i++ {
-			devices = append(devices, &lbp.Sensor{
-				ValueAddr: prog.Symbols["sval"] + uint32(4*i),
-				FlagAddr:  prog.Symbols["sflag"] + uint32(4*i),
-				Events: []lbp.SensorEvent{
-					{Cycle: base + uint64(101*i), Value: uint32(10 * (i + 1))},
-					{Cycle: 4*base + uint64(57*i), Value: uint32(20 * (i + 1))},
-				},
-			})
-		}
-		act := &lbp.Actuator{
-			ValueAddr: prog.Symbols["factuator"],
-			SeqAddr:   prog.Symbols["aseq"],
-		}
-		devices = append(devices, act)
-		sess, err := sim.New(sim.Spec{
-			Program:   prog,
-			Cores:     1,
-			Devices:   devices,
-			MaxCycles: 50_000_000,
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := sess.Run()
-		if err != nil {
-			return 0, nil, err
-		}
-		return res.Stats.Cycles, act.Writes, nil
-	}
-	fmt.Println("E6 — Figure 16 sensor fusion under two input schedules")
+	fmt.Fprintln(b.out, "E6 — Figure 16 sensor fusion under two input schedules")
 	for _, base := range []uint64{1000, 9000} {
-		cycles, writes, err := runOnce(base)
+		devices, act := workloads.SensorRig(prog, func(i int) []lbp.SensorEvent {
+			return []lbp.SensorEvent{
+				{Cycle: base + uint64(101*i), Value: uint32(10 * (i + 1))},
+				{Cycle: 4*base + uint64(57*i), Value: uint32(20 * (i + 1))},
+			}
+		})
+		sess, err := sim.New(sim.Spec{Program: prog, Cores: 1, Devices: devices, MaxCycles: 50_000_000})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("schedule base=%5d: cycles=%8d actuator:", base, cycles)
-		for _, w := range writes {
-			fmt.Printf(" (%d @%d)", w.Value, w.Cycle)
+		res, err := sess.Run()
+		if err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintf(b.out, "schedule base=%5d: cycles=%8d actuator:", base, res.Stats.Cycles)
+		for _, w := range act.Writes {
+			fmt.Fprintf(b.out, " (%d @%d)", w.Value, w.Cycle)
+		}
+		fmt.Fprintln(b.out)
 	}
-	fmt.Println("(same fused values, cycle counts follow the inputs; ordering is preserved)")
+	fmt.Fprintln(b.out, "(same fused values, cycle counts follow the inputs; ordering is preserved)")
 	return nil
 }

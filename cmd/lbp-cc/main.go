@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"repro/internal/cc"
@@ -27,15 +26,8 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	// The flag help promises a power of two; enforce it (and the uint32
-	// address-space bound) instead of silently truncating the bank size,
-	// matching lbp-run. The reserve must leave room inside the bank.
-	if *bank == 0 || *bank > math.MaxUint32 || *bank&(*bank-1) != 0 {
-		fmt.Fprintf(os.Stderr, "lbp-cc: -bank %d must be a power of two that fits in 32 bits\n", *bank)
-		os.Exit(2)
-	}
-	if *reserve >= *bank {
-		fmt.Fprintf(os.Stderr, "lbp-cc: -reserve %d must be smaller than the %d-byte bank\n", *reserve, *bank)
+	if err := cc.CheckBank(uint64(*bank), uint64(*reserve)); err != nil {
+		fmt.Fprintf(os.Stderr, "lbp-cc: -bank: %v\n", err)
 		os.Exit(2)
 	}
 	if *cores != 0 {

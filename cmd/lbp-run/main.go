@@ -34,9 +34,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
+	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -60,8 +60,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbp-run: -cores: %v\n", err)
 		os.Exit(2)
 	}
-	if *tail < 0 {
-		fmt.Fprintf(os.Stderr, "lbp-run: -tail %d must not be negative\n", *tail)
+	if *tail < 0 || *tail > sim.MaxTraceRing {
+		fmt.Fprintf(os.Stderr, "lbp-run: -tail %d must not be negative or above %d\n", *tail, sim.MaxTraceRing)
 		os.Exit(2)
 	}
 	if (*ckptFile == "") != (*every == 0) {
@@ -105,10 +105,10 @@ func main() {
 			flag.PrintDefaults()
 			os.Exit(2)
 		}
-		// The flag help promises a power of two; enforce it (and the uint32
-		// address-space bound) instead of silently truncating the bank size.
-		if *bank == 0 || *bank > math.MaxUint32 || *bank&(*bank-1) != 0 {
-			fmt.Fprintf(os.Stderr, "lbp-run: -bank %d must be a power of two that fits in 32 bits\n", *bank)
+		// The same answer lbp-cc and lbp-serve give: sim.LoadFile compiles
+		// a .c file with the compiler's default reserve.
+		if err := cc.CheckBank(uint64(*bank), uint64(cc.DefaultOptions().BankReserveBytes)); err != nil {
+			fmt.Fprintf(os.Stderr, "lbp-run: -bank: %v\n", err)
 			os.Exit(2)
 		}
 		prog, err := sim.LoadFile(flag.Arg(0), *cores, uint32(*bank))

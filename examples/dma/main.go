@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/sim"
@@ -23,11 +22,7 @@ func main() {
 	opt := cc.DefaultOptions()
 	opt.Cores = nt / 4
 	opt.BankReserveBytes = 512
-	asmText, err := cc.BuildProgram(src, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(src, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func main() {
 	harts := flag.Int("harts", 16, "team size (16, 64 or 256)")
 	flag.Parse()
 	v := workloads.MatmulVariant(*variant)
-	row, err := figures.RunMatmul(v, *harts)
+	row, err := figures.Runner{}.RunMatmul(v, *harts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/detmpi"
 	"repro/internal/sim"
@@ -41,11 +40,7 @@ func main() {
 	}
 	opt := cc.DefaultOptions()
 	opt.Cores = 2
-	asmText, err := cc.BuildProgram(src, opt)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(src, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/sim"
 )
@@ -36,13 +35,9 @@ void main() {
 `
 
 func main() {
-	// compile MiniC -> X_PAR assembly (the detomp runtime is appended)
-	asmText, err := cc.BuildProgram(source, cc.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
+	// compile MiniC -> X_PAR assembly (the detomp runtime is appended),
 	// assemble -> program image
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(source, cc.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

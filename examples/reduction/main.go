@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/sim"
 )
@@ -41,11 +40,7 @@ void main() {
 `
 
 func main() {
-	asmText, err := cc.BuildProgram(source, cc.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(source, cc.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

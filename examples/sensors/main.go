@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/sim"
@@ -20,34 +19,18 @@ import (
 )
 
 func main() {
-	asmText, err := cc.BuildProgram(workloads.SensorFusionSource(3), cc.DefaultOptions())
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(workloads.SensorFusionSource(3), cc.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
 	// three rounds of sensor inputs; note round 2 arrives in reverse order
-	var devices []lbp.Device
-	for i := 0; i < 4; i++ {
-		devices = append(devices, &lbp.Sensor{
-			Name:      fmt.Sprintf("sensor%d", i),
-			ValueAddr: prog.Symbols["sval"] + uint32(4*i),
-			FlagAddr:  prog.Symbols["sflag"] + uint32(4*i),
-			Events: []lbp.SensorEvent{
-				{Cycle: 1000 + uint64(211*i), Value: uint32(10 + i)},
-				{Cycle: 20000 + uint64(211*(3-i)), Value: uint32(100 * (i + 1))},
-				{Cycle: 40000, Value: uint32(7)},
-			},
-		})
-	}
-	act := &lbp.Actuator{
-		Name:      "actuator",
-		ValueAddr: prog.Symbols["factuator"],
-		SeqAddr:   prog.Symbols["aseq"],
-	}
-	devices = append(devices, act)
+	devices, act := workloads.SensorRig(prog, func(i int) []lbp.SensorEvent {
+		return []lbp.SensorEvent{
+			{Cycle: 1000 + uint64(211*i), Value: uint32(10 + i)},
+			{Cycle: 20000 + uint64(211*(3-i)), Value: uint32(100 * (i + 1))},
+			{Cycle: 40000, Value: uint32(7)},
+		}
+	})
 	sess, err := sim.New(sim.Spec{
 		Program:   prog,
 		Cores:     1,

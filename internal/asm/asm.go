@@ -70,12 +70,12 @@ type Options struct {
 // DefaultDataBase is the beginning of the shared global address space.
 const DefaultDataBase = 0x80000000
 
-// maxWords bounds the words (text plus data) one program may emit:
+// MaxWords bounds the words (text plus data) one program may emit:
 // 64 MiB, the whole default shared space of a 1024-core machine. A
 // directive names its size in a few bytes of source (.space, .fill,
 // .align), so layout refuses a larger program before anything is
 // allocated for it.
-const maxWords = 1 << 24
+const MaxWords = 1 << 24
 
 // Assemble assembles source into a Program.
 func Assemble(source string, opt Options) (*Program, error) {
@@ -244,7 +244,7 @@ func (a *assembler) parse(source string) error {
 // layout gives every statement its size and every label its address,
 // and defines the .equ names; a directive's size, address or value must
 // be known where it stands. It allocates nothing per emitted word: a
-// program over maxWords, or one that runs off the end of the address
+// program over MaxWords, or one that runs off the end of the address
 // space, is refused here.
 func (a *assembler) layout() error {
 	// 64-bit location counters, so that running past 2^32 shows.
@@ -328,13 +328,13 @@ func (a *assembler) layout() error {
 			} else if st.val, err = a.evalNow(st.line, st.arg2); err != nil {
 				return err
 			}
-			if v > maxWords {
-				v = maxWords + 1
+			if v > MaxWords {
+				v = MaxWords + 1
 			}
 			st.n = uint32(v)
 		}
-		if st.n > maxWords-words {
-			return errf(st.line, "program larger than %d words", maxWords)
+		if st.n > MaxWords-words {
+			return errf(st.line, "program larger than %d words", MaxWords)
 		}
 		words += st.n
 		if *loc += 4 * uint64(st.n); *loc > 1<<32 {

@@ -293,7 +293,7 @@ func TestErrors(t *testing.T) {
 // padding below it is a bounded amount of work.
 func TestSizeBound(t *testing.T) {
 	p := mustAssemble(t, "main:\n\tnop\n\t.align 20\n\t.data\n\t.space 0x3f00000\n")
-	if len(p.Text) != 1<<18 || p.Text[1<<18-1] != 0x13 || len(p.Segments[0].Words) != maxWords-1<<18 {
+	if len(p.Text) != 1<<18 || p.Text[1<<18-1] != 0x13 || len(p.Segments[0].Words) != MaxWords-1<<18 {
 		t.Errorf("text %d words, data %d words", len(p.Text), len(p.Segments[0].Words))
 	}
 	p = mustAssemble(t, ".data\n.org 0xfffffff8\n.word 1, 2\nend:\n")

@@ -3,6 +3,8 @@ package cc
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/asm"
 )
 
 // genCall generates a function call or builtin. Reports whether a result
@@ -193,10 +195,7 @@ func (g *codegen) genData() error {
 		return nil
 	}
 	g.out.WriteString("\t.data\n")
-	bankSize := g.opt.SharedBankBytes
-	if bankSize == 0 {
-		bankSize = 1 << 16
-	}
+	bankSize := g.bankBytes()
 	cursor := uint32(sharedBase)
 	var banked []*VarDecl
 	for _, d := range g.prog.Globals {
@@ -240,6 +239,14 @@ func (g *codegen) genData() error {
 	return nil
 }
 
+// bankBytes is the shared bank size the options describe.
+func (g *codegen) bankBytes() uint32 {
+	if g.opt.SharedBankBytes == 0 {
+		return 1 << 16
+	}
+	return g.opt.SharedBankBytes
+}
+
 func (g *codegen) emitGlobal(d *VarDecl) error {
 	g.out.WriteString(d.Name + ":\n")
 	size := d.Type.Size()
@@ -248,8 +255,19 @@ func (g *codegen) emitGlobal(d *VarDecl) error {
 		v, _ := foldConst(d.Init)
 		g.out.WriteString(fmt.Sprintf("\t.word %d\n", int32(v)))
 	case d.List != nil:
-		// expand entries into a dense image
+		// expand entries into a dense image — of a global that can exist:
+		// the declared length sizes the allocation, so one larger than
+		// any program the assembler takes, or than the shared space of
+		// the machine the options describe, is refused first
 		n := d.Type.Len
+		limit := 4 * asm.MaxWords
+		if space := g.opt.Cores * int(g.bankBytes()); 0 < space && space < limit {
+			limit = space
+		}
+		if size > limit {
+			return errf(d.Line, 1, "initialized global %q (%d bytes) is larger than the %d-byte shared space",
+				d.Name, size, limit)
+		}
 		vals := make([]int64, n)
 		for _, ent := range d.List {
 			if ent.Lo < 0 || ent.Hi >= n || ent.Lo > ent.Hi {

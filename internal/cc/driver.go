@@ -3,8 +3,20 @@ package cc
 import (
 	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/detomp"
 )
+
+// Build compiles MiniC source and assembles the result into a loadable
+// program: BuildProgram, then asm.Assemble. A compile failure is an
+// *Error; an *asm.Error means the assembler refused the generated text.
+func Build(src string, opt Options) (*asm.Program, error) {
+	asmText, err := BuildProgram(src, opt)
+	if err != nil {
+		return nil, err
+	}
+	return asm.Assemble(asmText, asm.Options{})
+}
 
 // BuildProgram compiles MiniC source into a complete assembly program,
 // appending the Deterministic OpenMP runtime when the code launches

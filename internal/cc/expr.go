@@ -34,10 +34,14 @@ func (p *parser) parseAssign() (*Expr, error) {
 	t := p.cur()
 	if t.Kind == TPunct && assignOps[t.Val] {
 		p.next()
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseAssign()
 		if err != nil {
 			return nil, err
 		}
+		p.depth--
 		return &Expr{Kind: EAssign, Op: t.Val, Lhs: lhs, Rhs: rhs, Line: t.Line, Col: t.Col}, nil
 	}
 	return lhs, nil
@@ -52,6 +56,9 @@ func (p *parser) parseCond() (*Expr, error) {
 		return cond, nil
 	}
 	t := p.next()
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
 	then, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -63,6 +70,7 @@ func (p *parser) parseCond() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.depth--
 	return &Expr{Kind: ECond, Lhs: cond, Rhs: then, Third: els, Line: t.Line, Col: t.Col}, nil
 }
 
@@ -81,6 +89,9 @@ func (p *parser) parseBinary(minPrec int) (*Expr, error) {
 			return lhs, nil
 		}
 		p.next()
+		if err := p.deeper(); err != nil {
+			return nil, err
+		}
 		rhs, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
@@ -89,7 +100,19 @@ func (p *parser) parseBinary(minPrec int) (*Expr, error) {
 	}
 }
 
+// parseUnary is where every operand starts, so every way an expression
+// nests — parentheses, unary operators, casts, arguments, subscripts —
+// passes here once per level.
 func (p *parser) parseUnary() (*Expr, error) {
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	e, err := p.unary()
+	p.depth--
+	return e, err
+}
+
+func (p *parser) unary() (*Expr, error) {
 	t := p.cur()
 	if t.Kind == TPunct {
 		switch t.Val {
@@ -223,6 +246,9 @@ func (p *parser) parsePostfix() (*Expr, error) {
 			e = &Expr{Kind: EIncDec, Op: t.Val, Lhs: e, Line: t.Line, Col: t.Col}
 		default:
 			return e, nil
+		}
+		if err := p.deeper(); err != nil { // one more postfix operator on the chain
+			return nil, err
 		}
 	}
 }

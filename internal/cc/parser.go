@@ -4,34 +4,93 @@ import "math"
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks    []Token
+	lex     *lexer
+	toks    []Token // the tokens lexed so far
+	lexErr  error   // what ended the token stream early
 	pos     int
 	structs map[string]*Type // by typedef/struct name
+	depth   int              // tree depth charged on the way to the current token (maxDepth)
+}
+
+// deeper charges one level against maxDepth. A recursive production
+// releases its level when it returns (p.depth--). An operator that
+// extends a left-deep chain does not: the chain ends up above everything
+// parsed before it, so its levels stay charged until the statement (or
+// the constant expression, which is folded and dropped) is complete.
+func (p *parser) deeper() error {
+	if p.depth++; p.depth > maxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+// tooDeep is deeper's refusal, apart so that deeper inlines.
+func (p *parser) tooDeep() error {
+	t := p.cur()
+	return errf(t.Line, t.Col, "nesting or operator chain deeper than %d levels", maxDepth)
 }
 
 // Parse builds the AST of a MiniC translation unit.
 func Parse(src string) (*Program, error) {
-	toks, includes, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, structs: map[string]*Type{}}
-	prog := &Program{Structs: p.structs, Includes: includes}
-	for !p.at(TEOF) {
+	p := &parser{lex: newLexer(src), structs: map[string]*Type{}}
+	p.fill()
+	prog := &Program{Structs: p.structs}
+	var err error
+	for err == nil && !p.at(TEOF) {
 		if p.atPragma() {
 			// top-level pragmas (e.g. GCC stuff) are ignored
 			p.next()
 			continue
 		}
-		if err := p.topLevel(prog); err != nil {
-			return nil, err
-		}
+		p.depth = 0
+		err = p.topLevel(prog)
 	}
+	// A lexical error reads as end of input to the parser; whatever it
+	// made of that, the lexical error is the one to report.
+	if p.lexErr != nil {
+		err = p.lexErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	prog.Includes = p.lex.includes
 	return prog, nil
 }
 
+// fill lexes one more token. The parser pulls tokens as it goes, so a
+// source it refuses is not tokenized past the refusal. A lexical error
+// ends the stream: it is kept for Parse to report, and the parser reads
+// end of input from there on.
+func (p *parser) fill() {
+	var t Token
+	if p.lexErr == nil {
+		t, p.lexErr = p.lex.next()
+	}
+	if p.lexErr != nil {
+		t = Token{Kind: TEOF, Line: p.lex.line, Col: p.lex.col}
+	}
+	p.toks = append(p.toks, t)
+}
+
+// advance moves to the next token; the current token is always lexed
+// (isCastAhead backtracks, so it may have been lexed before).
+func (p *parser) advance() {
+	if p.pos++; p.pos == len(p.toks) {
+		p.fill()
+	}
+}
+
+// peek returns the token k places ahead; past the end of input every
+// token is EOF.
+func (p *parser) peek(k int) Token {
+	for len(p.toks) <= p.pos+k {
+		p.fill()
+	}
+	return p.toks[p.pos+k]
+}
+
 func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) next() Token { t := p.toks[p.pos]; p.advance(); return t }
 
 func (p *parser) at(k TokKind) bool { return p.cur().Kind == k }
 func (p *parser) atPragma() bool    { return p.cur().Kind == TPragma }
@@ -46,7 +105,7 @@ func (p *parser) atIdent(v string) bool {
 
 func (p *parser) acceptPunct(v string) bool {
 	if p.atPunct(v) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -54,7 +113,7 @@ func (p *parser) acceptPunct(v string) bool {
 
 func (p *parser) acceptIdent(v string) bool {
 	if p.atIdent(v) {
-		p.pos++
+		p.advance()
 		return true
 	}
 	return false
@@ -72,7 +131,7 @@ func (p *parser) expectIdent() (Token, error) {
 	if t.Kind != TIdent || keywords[t.Val] {
 		return t, errf(t.Line, t.Col, "expected identifier, got %q", t)
 	}
-	p.pos++
+	p.advance()
 	return t, nil
 }
 
@@ -115,7 +174,7 @@ func (p *parser) parseTypeSpec() (*Type, error) {
 		return st, nil
 	case t.Kind == TIdent:
 		if st, ok := p.structs[t.Val]; ok {
-			p.pos++
+			p.advance()
 			return st, nil
 		}
 	}
@@ -197,7 +256,7 @@ func (p *parser) topLevel(prog *Program) error {
 		p.structs[alias.Val] = st
 		return p.expectPunct(";")
 	}
-	if p.atIdent("struct") && p.toks[p.pos+2].Kind == TPunct && p.toks[p.pos+2].Val == "{" {
+	if t := p.peek(2); p.atIdent("struct") && t.Kind == TPunct && t.Val == "{" {
 		p.next() // struct
 		name, err := p.expectIdent()
 		if err != nil {
@@ -342,10 +401,12 @@ func (p *parser) parseArrayInit(vd *VarDecl) ([]InitEntry, error) {
 
 // parseConstExpr parses and folds a constant expression.
 func (p *parser) parseConstExpr() (int64, error) {
+	depth := p.depth
 	e, err := p.parseCond()
 	if err != nil {
 		return 0, err
 	}
+	p.depth = depth
 	v, ok := foldConst(e)
 	if !ok {
 		return 0, errf(e.Line, e.Col, "expression is not constant")
@@ -470,7 +531,7 @@ func (p *parser) parseFunc(ret *Type, name Token) (*FuncDecl, error) {
 	}
 	fn := &FuncDecl{Name: name.Val, Ret: ret, Line: name.Line}
 	if !p.acceptPunct(")") {
-		if p.atIdent("void") && p.toks[p.pos+1].Val == ")" {
+		if p.atIdent("void") && p.peek(1).Val == ")" {
 			p.next()
 			p.next()
 		} else {
@@ -541,7 +602,20 @@ func (p *parser) parseBlock() (*Stmt, error) {
 	return blk, nil
 }
 
+// parseStmt charges the statement's own level and, when the statement is
+// complete, releases it together with whatever its operator chains left
+// charged (see deeper).
 func (p *parser) parseStmt() (*Stmt, error) {
+	depth := p.depth
+	if err := p.deeper(); err != nil {
+		return nil, err
+	}
+	st, err := p.stmt()
+	p.depth = depth
+	return st, err
+}
+
+func (p *parser) stmt() (*Stmt, error) {
 	t := p.cur()
 	switch {
 	case t.Kind == TPragma:

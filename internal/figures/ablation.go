@@ -5,153 +5,91 @@ import (
 	"strings"
 
 	"repro/internal/lbp"
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/workloads"
 )
 
-// Design ablations (E8+): measure how the paper's architectural choices
-// affect the headline experiment. Each ablation reruns a matmul variant
-// with one machine parameter changed. The sweep points are independent
-// machines, so each sweep compiles its program once and fans the
-// simulations across the worker pool (see Parallelism).
+// Design ablations (E8, E9): measure how the paper's architectural
+// choices affect the headline experiment. Each sweep reruns one matmul
+// variant with one machine parameter changed per point; the rows carry
+// digests, so sweep results compare exactly across worker counts and
+// across PRs.
 
-// AblationPoint is one (configuration, measurement) pair. Digest is the
-// event-trace digest of the run, so sweep results can be compared exactly
-// across worker counts and across PRs.
-type AblationPoint struct {
-	Label   string
-	Cycles  uint64
-	Retired uint64
-	IPC     float64
-	Digest  uint64
-}
-
-// cfgPoint is one sweep point: a label and a machine-config mutation.
-type cfgPoint struct {
-	label  string
-	mutate func(*lbp.Config)
-}
-
-// runPoints builds variant v at h harts once, then runs one machine per
-// sweep point. mutate must only touch the fresh Config it is handed.
-func runPoints(v workloads.MatmulVariant, h int, points []cfgPoint) ([]AblationPoint, error) {
-	prog, err := workloads.BuildMatmul(v, h)
+// sweep builds variant v at h harts once and runs it on n machines;
+// vary edits point i's own copy of the experiment's Config and names it.
+func (r Runner) sweep(v workloads.MatmulVariant, h, n int, vary func(i int, c *lbp.Config) string) ([]Row, error) {
+	base, err := matmulPoint(v, h)
 	if err != nil {
 		return nil, err
 	}
-	return runner.Map(Parallelism, len(points), func(i int) (AblationPoint, error) {
-		pt := points[i]
-		cfg := workloads.MatmulConfig(h)
-		pt.mutate(&cfg)
-		sess, err := sim.New(sim.Spec{
-			Program:   prog,
-			Config:    &cfg,
-			MaxCycles: workloads.MaxMatmulCycles(h),
-			Trace:     sim.TraceSpec{Digest: true},
-		})
-		if err != nil {
-			return AblationPoint{}, err
-		}
-		res, err := sess.Run()
-		if err != nil {
-			return AblationPoint{}, fmt.Errorf("figures: ablation %q: %w", pt.label, err)
-		}
-		if err := workloads.VerifyMatmul(sess.Machine(), prog, v, h); err != nil {
-			return AblationPoint{}, fmt.Errorf("figures: ablation %q: %w", pt.label, err)
-		}
-		return AblationPoint{
-			Label:   pt.label,
-			Cycles:  res.Stats.Cycles,
-			Retired: res.Stats.Retired,
-			IPC:     res.Stats.IPC(),
-			Digest:  sess.Recorder().Digest(),
-		}, nil
-	})
+	points := make([]point, n)
+	for i := range points {
+		cfg := *base.spec.Config
+		points[i] = base
+		points[i].label = vary(i, &cfg)
+		points[i].spec.Config = &cfg
+	}
+	return r.runAll(points)
 }
 
 // RunHopLatAblation sweeps the per-link router latency: LBP's tree must
 // keep remote latency low enough for the 1-deep result buffers to hide.
-func RunHopLatAblation(v workloads.MatmulVariant, h int, hops []int) ([]AblationPoint, error) {
-	var points []cfgPoint
-	for _, hop := range hops {
-		hop := hop
-		points = append(points, cfgPoint{fmt.Sprintf("hop=%d", hop), func(c *lbp.Config) {
-			c.Mem.HopLat = hop
-		}})
-	}
-	return runPoints(v, h, points)
+func (r Runner) RunHopLatAblation(v workloads.MatmulVariant, h int, hops []int) ([]Row, error) {
+	return r.sweep(v, h, len(hops), func(i int, c *lbp.Config) string {
+		c.Mem.HopLat = hops[i]
+		return fmt.Sprintf("hop=%d", hops[i])
+	})
 }
 
 // RunBankLatAblation sweeps the shared-bank access latency.
-func RunBankLatAblation(v workloads.MatmulVariant, h int, lats []int) ([]AblationPoint, error) {
-	var points []cfgPoint
-	for _, lat := range lats {
-		lat := lat
-		points = append(points, cfgPoint{fmt.Sprintf("bankLat=%d", lat), func(c *lbp.Config) {
-			c.Mem.SharedLat = lat
-		}})
-	}
-	return runPoints(v, h, points)
+func (r Runner) RunBankLatAblation(v workloads.MatmulVariant, h int, lats []int) ([]Row, error) {
+	return r.sweep(v, h, len(lats), func(i int, c *lbp.Config) string {
+		c.Mem.SharedLat = lats[i]
+		return fmt.Sprintf("bankLat=%d", lats[i])
+	})
 }
 
 // RunMemOrderAblation compares the strict per-hart memory issue order
 // with fully relaxed issue (the paper's bare hardware; safe here because
 // the matmul kernels have no same-address hazards inside a hart).
-func RunMemOrderAblation(v workloads.MatmulVariant, h int) ([]AblationPoint, error) {
-	var points []cfgPoint
-	for _, strict := range []bool{true, false} {
-		strict := strict
-		label := "relaxed"
-		if strict {
-			label = "strict"
-		}
-		points = append(points, cfgPoint{label, func(c *lbp.Config) {
-			c.StrictMemOrder = strict
-		}})
-	}
-	return runPoints(v, h, points)
+func (r Runner) RunMemOrderAblation(v workloads.MatmulVariant, h int) ([]Row, error) {
+	labels := []string{"strict", "relaxed"}
+	return r.sweep(v, h, len(labels), func(i int, c *lbp.Config) string {
+		c.StrictMemOrder = i == 0
+		return labels[i]
+	})
 }
 
 // RunFULatAblation sweeps the divider latency to show it is off the
 // critical path of the matmul (no divisions in the inner loops).
-func RunFULatAblation(v workloads.MatmulVariant, h int, divLats []int) ([]AblationPoint, error) {
-	var points []cfgPoint
-	for _, d := range divLats {
-		d := d
-		points = append(points, cfgPoint{fmt.Sprintf("div=%d", d), func(c *lbp.Config) {
-			c.DivLat = d
-		}})
-	}
-	return runPoints(v, h, points)
-}
-
-// FormatAblationPoints renders one ablation table.
-func FormatAblationPoints(title string, pts []AblationPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-14s %12s %12s %8s\n", "config", "cycles", "retired", "IPC")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%-14s %12d %12d %8.2f\n", p.Label, p.Cycles, p.Retired, p.IPC)
-	}
-	return b.String()
+func (r Runner) RunFULatAblation(v workloads.MatmulVariant, h int, divLats []int) ([]Row, error) {
+	return r.sweep(v, h, len(divLats), func(i int, c *lbp.Config) string {
+		c.DivLat = divLats[i]
+		return fmt.Sprintf("div=%d", divLats[i])
+	})
 }
 
 // RunChipAblation compares one monolithic machine against the same core
 // count split into chips (Figure 15): the team spans the chip edges, the
 // program result is unchanged, the cycles grow with the edge latency.
-func RunChipAblation(v workloads.MatmulVariant, h int, chipSizes []int, chipHop int) ([]AblationPoint, error) {
-	var points []cfgPoint
-	for _, cs := range chipSizes {
-		cs := cs
-		label := "monolithic"
+func (r Runner) RunChipAblation(v workloads.MatmulVariant, h int, chipSizes []int, chipHop int) ([]Row, error) {
+	return r.sweep(v, h, len(chipSizes), func(i int, c *lbp.Config) string {
+		cs := chipSizes[i]
+		c.Mem.CoresPerChip = cs
+		c.Mem.ChipHopLat = chipHop
 		if cs > 0 && cs < h/4 {
-			label = fmt.Sprintf("chips-of-%d", cs)
+			return fmt.Sprintf("chips-of-%d", cs)
 		}
-		points = append(points, cfgPoint{label, func(c *lbp.Config) {
-			c.Mem.CoresPerChip = cs
-			c.Mem.ChipHopLat = chipHop
-		}})
+		return "monolithic"
+	})
+}
+
+// FormatAblationPoints renders one sweep table.
+func FormatAblationPoints(title string, rows []Row) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", title)
+	fmt.Fprintf(&b, "%-14s %12s %12s %8s\n", "config", "cycles", "retired", "IPC")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-14s %12d %12d %8.2f\n", r.Label, r.Cycles, r.Retired, r.IPC)
 	}
-	return runPoints(v, h, points)
+	return b.String()
 }

@@ -8,7 +8,8 @@ import (
 )
 
 func TestHopLatAblationMonotone(t *testing.T) {
-	pts, err := RunHopLatAblation(workloads.Base, 16, []int{1, 2, 6})
+	t.Parallel()
+	pts, err := Runner{}.RunHopLatAblation(workloads.Base, 16, []int{1, 2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,8 @@ func TestHopLatAblationMonotone(t *testing.T) {
 }
 
 func TestBankLatAblationMonotone(t *testing.T) {
-	pts, err := RunBankLatAblation(workloads.Base, 16, []int{1, 3, 9})
+	t.Parallel()
+	pts, err := Runner{}.RunBankLatAblation(workloads.Base, 16, []int{1, 3, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,8 @@ func TestBankLatAblationMonotone(t *testing.T) {
 }
 
 func TestMemOrderAblation(t *testing.T) {
-	pts, err := RunMemOrderAblation(workloads.Copy, 16)
+	t.Parallel()
+	pts, err := Runner{}.RunMemOrderAblation(workloads.Copy, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,9 +56,10 @@ func TestMemOrderAblation(t *testing.T) {
 }
 
 func TestFULatAblationOffCriticalPath(t *testing.T) {
+	t.Parallel()
 	// The matmul thread does no division in its inner loops (base
 	// version); a slower divider must barely move the cycle count.
-	pts, err := RunFULatAblation(workloads.Base, 16, []int{17, 68})
+	pts, err := Runner{}.RunFULatAblation(workloads.Base, 16, []int{17, 68})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +70,8 @@ func TestFULatAblationOffCriticalPath(t *testing.T) {
 }
 
 func TestFormatAblation(t *testing.T) {
-	out := FormatAblationPoints("hop sweep", []AblationPoint{
+	t.Parallel()
+	out := FormatAblationPoints("hop sweep", []Row{
 		{Label: "hop=1", Cycles: 100, Retired: 50, IPC: 0.5},
 	})
 	if !strings.Contains(out, "hop=1") || !strings.Contains(out, "cycles") {
@@ -75,7 +80,8 @@ func TestFormatAblation(t *testing.T) {
 }
 
 func TestChipAblation(t *testing.T) {
-	pts, err := RunChipAblation(workloads.Base, 16, []int{0, 2, 1}, 25)
+	t.Parallel()
+	pts, err := Runner{}.RunChipAblation(workloads.Base, 16, []int{0, 2, 1}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

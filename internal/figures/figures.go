@@ -3,16 +3,19 @@
 // multiplication versions on 4-, 16- and 64-core LBP machines, plus the
 // Xeon-Phi-like model for Figure 21), and the supporting experiments of
 // DESIGN.md: cycle determinism (E4), hart-count latency hiding (E5),
-// deterministic I/O (E6) and the locality of placed two-phase programs
-// (E7).
+// deterministic I/O (E6), the locality of placed two-phase programs
+// (E7), the design-parameter sweeps (E8, E9), the response-time sweep
+// (E10) and the weak-scaling sweep (E18).
+//
+// Every experiment is a list of points — a label, a sim.Spec and a check
+// of the finished machine — and every point goes through Runner.run.
 package figures
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/perf"
@@ -22,63 +25,46 @@ import (
 	"repro/internal/workloads"
 )
 
-// Parallelism is the worker count the figure runners hand to
-// internal/runner when fanning out independent simulations: 1 (the
-// default) runs strictly sequentially, 0 uses all host CPUs, any other
-// value caps the pool at that many goroutines.
+// Runner runs the experiments; its methods are the experiments. The
+// zero value uses all host CPUs and does not profile.
 //
-// Parallelism never reaches inside a simulated machine — each worker
-// builds and runs its own single-threaded lbp.Machine — so results,
-// cycle counts and event-trace digests are identical for every setting
-// (asserted by the equivalence tests in parallel_test.go). Programs are
-// compiled before the fan-out; workers only simulate.
-var Parallelism = 1
+// Neither field reaches the simulated results: each worker builds and
+// runs its own single-threaded machine and the counters never feed back
+// into timing, so rows — cycles, digests, perf snapshots — are identical
+// for every Runner (asserted by parallel_test.go and hostknobs_test.go).
+type Runner struct {
+	// Workers is the number of goroutines independent simulations fan
+	// out over (see internal/runner): 1 runs sequentially, 0 uses all
+	// host CPUs. Programs are compiled before the fan-out.
+	Workers int
+	// Profile snapshots the deterministic performance counters of every
+	// run into Row.Perf.
+	Profile bool
 
-// Profile, when true, enables per-run performance counters on every
-// matmul figure machine: stall attribution, stage occupancy, retired mix
-// and memory-side counters are snapshotted into MatmulRow.Perf. Counters
-// are deterministic — a pure function of the program and configuration —
-// so snapshots, like digests, are byte-identical for any Parallelism.
-var Profile = false
-
-// FastForward toggles idle-cycle fast-forward on the figure machines
-// (on by default, matching lbp.New). Exposed for the equivalence tests.
-var FastForward = true
-
-// RecordThroughput, when true, attaches host-side wall-time and
-// simulated-cycles-per-second to each figure row (MatmulRow.Host).
-// Off by default: throughput is the only nondeterministic content a row
-// can carry, and the equivalence tests compare rows with DeepEqual.
-var RecordThroughput = false
-
-// ThroughputRepeats is how many times a row's simulation runs when
-// RecordThroughput is on; the reported wall time is the fastest run.
-// A single 5-20ms run is dominated by cold-start noise (first-touch
-// page faults, GC warm-up), so a best-of-N over a reset warm machine is
-// what the throughput comparison in benchdiff needs. The repeats double
-// as a determinism check: every run must reproduce the first digest.
-var ThroughputRepeats = 3
-
-// pool recycles warm machines across the figure sweeps: every run of
-// the same variant size reuses a reset machine instead of reallocating
-// banks, link queues and reorder buffers. sim.Pool is safe for the
-// Parallelism-sized fan-out.
-var pool sim.Pool
-
-// Throughput records the host-side execution speed of one simulation.
-type Throughput struct {
-	WallSec       float64 // host seconds inside Machine.Run
-	CyclesPerSec  float64 // simulated cycles per host second
-	FastForwarded uint64  // simulated cycles covered by fast-forward
+	// noFastForward single-steps idle cycles; the host-knob equivalence
+	// test is its only user.
+	noFastForward bool
 }
 
-// MatmulRow is one bar group of Figures 19-21. Digest and Events identify
-// the full event trace of the run (experiment E4): two runs of the same
-// variant and machine size must agree on them exactly, regardless of the
-// host-side worker count that produced the row.
-type MatmulRow struct {
-	Variant workloads.MatmulVariant
-	Harts   int
+// pool recycles warm machines across the sweeps: runs of the same
+// geometry reuse a reset machine instead of reallocating banks, link
+// queues and reorder buffers. sim.Pool is safe for the fan-out.
+var pool sim.Pool
+
+// maxPooledCores is the largest machine run hands back to the pool. A
+// 1024-core machine holds about 200 MiB and nothing after the scaling
+// figure asks for one again.
+const maxPooledCores = 256
+
+// Row is the outcome of one simulation. Digest and Events identify the
+// full event trace of the run (experiment E4): two runs of the same
+// point must agree on them exactly, whatever Runner produced the row.
+type Row struct {
+	// Label names the point within its experiment: the matmul version,
+	// a sweep setting ("hop=4"), "scale-64c". The BENCH records call
+	// it Variant.
+	Label   string `json:"Variant"`
+	Harts   int    // harts of the machine
 	Cycles  uint64
 	Retired uint64
 	IPC     float64
@@ -87,110 +73,104 @@ type MatmulRow struct {
 	Digest  uint64 // event-trace digest of the run
 	Events  uint64 // number of trace events folded into Digest
 
-	// Perf is the deterministic counter snapshot of the run; nil unless
-	// the Profile knob (lbp-bench -profile) is on.
+	// Perf is the counter snapshot of the run; nil unless Runner.Profile.
 	Perf *perf.Snapshot `json:",omitempty"`
-
-	// Host is the host-side throughput of the run; nil unless the
-	// RecordThroughput knob (lbp-bench) is on.
-	Host *Throughput `json:",omitempty"`
 }
 
-// RunMatmul builds, runs and verifies one variant at h harts.
-func RunMatmul(v workloads.MatmulVariant, h int) (MatmulRow, error) {
-	prog, err := workloads.BuildMatmul(v, h)
-	if err != nil {
-		return MatmulRow{}, err
-	}
-	return runMatmulProg(prog, v, h)
+// point is one simulation of an experiment. check, when non-nil, judges
+// the finished machine: a wrong result must fail the row, since a digest
+// alone would happily reproduce it.
+type point struct {
+	label string
+	spec  sim.Spec
+	check func(*lbp.Machine, *lbp.Result) error
 }
 
-// runMatmulProg runs a pre-assembled variant on a pooled machine with a
-// digest-only trace recorder attached. prog is only read, so concurrent
-// calls may share it.
-func runMatmulProg(prog *asm.Program, v workloads.MatmulVariant, h int) (MatmulRow, error) {
-	cfg := workloads.MatmulConfig(h)
-	sess, err := pool.Get(sim.Spec{
-		Program:       prog,
-		Config:        &cfg,
-		MaxCycles:     workloads.MaxMatmulCycles(h),
-		Trace:         sim.TraceSpec{Digest: true},
-		Profile:       Profile,
-		NoFastForward: !FastForward,
-	})
+// run is the one path from a Spec to a Row: a pooled machine with the
+// digest recorder (and, under Profile, the counters) attached, one Run,
+// the point's check, the counters copied out.
+func (r Runner) run(pt point) (Row, error) {
+	spec := pt.spec
+	spec.Trace.Digest = true
+	spec.Profile = r.Profile
+	spec.NoFastForward = r.noFastForward
+	sess, err := pool.Get(spec)
 	if err != nil {
-		return MatmulRow{}, err
+		return Row{}, fmt.Errorf("figures: %s: %w", pt.label, err)
 	}
-	start := time.Now()
 	res, err := sess.Run()
-	wall := time.Since(start).Seconds()
+	if err == nil && pt.check != nil {
+		err = pt.check(sess.Machine(), res)
+	}
 	if err != nil {
-		return MatmulRow{}, fmt.Errorf("figures: %s/%d: %w", v, h, err)
+		return Row{}, fmt.Errorf("figures: %s: %w", pt.label, err)
 	}
-	if err := workloads.VerifyMatmul(sess.Machine(), prog, v, h); err != nil {
-		return MatmulRow{}, err
-	}
-	rec := sess.Recorder()
-	row := MatmulRow{
-		Variant: v,
-		Harts:   h,
+	cores := sess.Config().Cores
+	row := Row{
+		Label:   pt.label,
+		Harts:   cores * lbp.HartsPerCore,
 		Cycles:  res.Stats.Cycles,
 		Retired: res.Stats.Retired,
-		Perf:    sess.PerfSnapshot(),
 		IPC:     res.Stats.IPC(),
 		Remote:  res.Mem.SharedRemote,
 		Local:   res.Mem.SharedLocal + res.Mem.LocalAccesses,
-		Digest:  rec.Digest(),
-		Events:  rec.Count(),
+		Digest:  sess.Recorder().Digest(),
+		Events:  sess.Recorder().Count(),
+		Perf:    sess.PerfSnapshot(),
 	}
-	if RecordThroughput {
-		for i := 1; i < ThroughputRepeats; i++ {
-			if err := sess.Reset(prog); err != nil {
-				return MatmulRow{}, fmt.Errorf("figures: %s/%d: rerun reset: %w", v, h, err)
-			}
-			rstart := time.Now()
-			rres, err := sess.Run()
-			rwall := time.Since(rstart).Seconds()
-			if err != nil {
-				return MatmulRow{}, fmt.Errorf("figures: %s/%d: rerun: %w", v, h, err)
-			}
-			if d := sess.Recorder().Digest(); d != row.Digest {
-				return MatmulRow{}, fmt.Errorf("figures: %s/%d: rerun digest %#x != %#x",
-					v, h, d, row.Digest)
-			}
-			if rwall < wall {
-				wall = rwall
-				res = rres
-			}
-		}
-		t := &Throughput{
-			WallSec:       wall,
-			FastForwarded: res.Stats.FastForwarded,
-		}
-		if wall > 0 {
-			t.CyclesPerSec = float64(res.Stats.Cycles) / wall
-		}
-		row.Host = t
+	if cores <= maxPooledCores {
+		pool.Put(sess)
 	}
-	pool.Put(sess)
 	return row, nil
 }
 
-// RunMatmulFigure runs all five variants for one machine size. The
-// variants compile sequentially, then simulate on the Parallelism-sized
-// worker pool; rows come back in Variants order either way.
-func RunMatmulFigure(h int) ([]MatmulRow, error) {
-	progs := make([]*asm.Program, len(workloads.Variants))
+// runAll simulates the points on the worker pool; rows come back in
+// point order for any worker count.
+func (r Runner) runAll(points []point) ([]Row, error) {
+	return runner.Map(r.Workers, len(points), func(i int) (Row, error) {
+		return r.run(points[i])
+	})
+}
+
+// ---- Figures 19-21: the five matmul versions -------------------------------
+
+// matmulPoint builds variant v for h harts on the machine of the
+// paper's experiment; the check is Z == h/2 everywhere.
+func matmulPoint(v workloads.MatmulVariant, h int) (point, error) {
+	prog, err := workloads.BuildMatmul(v, h)
+	if err != nil {
+		return point{}, err
+	}
+	cfg := workloads.MatmulConfig(h)
+	return point{
+		label: string(v),
+		spec:  sim.Spec{Program: prog, Config: &cfg, MaxCycles: workloads.MaxMatmulCycles(h)},
+		check: func(m *lbp.Machine, _ *lbp.Result) error {
+			return workloads.VerifyMatmul(m, prog, v, h)
+		},
+	}, nil
+}
+
+// RunMatmul builds, runs and verifies one variant at h harts.
+func (r Runner) RunMatmul(v workloads.MatmulVariant, h int) (Row, error) {
+	pt, err := matmulPoint(v, h)
+	if err != nil {
+		return Row{}, err
+	}
+	return r.run(pt)
+}
+
+// RunMatmulFigure runs all five variants for one machine size; rows come
+// back in workloads.Variants order.
+func (r Runner) RunMatmulFigure(h int) ([]Row, error) {
+	points := make([]point, len(workloads.Variants))
 	for i, v := range workloads.Variants {
-		p, err := workloads.BuildMatmul(v, h)
-		if err != nil {
+		var err error
+		if points[i], err = matmulPoint(v, h); err != nil {
 			return nil, err
 		}
-		progs[i] = p
 	}
-	return runner.Map(Parallelism, len(progs), func(i int) (MatmulRow, error) {
-		return runMatmulProg(progs[i], workloads.Variants[i], h)
-	})
+	return r.runAll(points)
 }
 
 // FigureForHarts maps a hart count to the paper's figure number.
@@ -209,13 +189,19 @@ func FigureForHarts(h int) int {
 // FormatMatmulFigure renders a figure like the paper's histograms
 // (number of cycles, IPC, retired instructions per version). For
 // Figure 21 pass the Phi model result; otherwise phi may be nil.
-func FormatMatmulFigure(rows []MatmulRow, phi *phimodel.Result) string {
+func FormatMatmulFigure(rows []Row, phi *phimodel.Result) string {
 	var b strings.Builder
-	h := rows[0].Harts
+	h := 0
+	if len(rows) > 0 {
+		h = rows[0].Harts
+	}
 	fmt.Fprintf(&b, "Figure %d — matrix multiplication on a %d-core LBP (%d harts)\n",
 		FigureForHarts(h), h/4, h)
 	fmt.Fprintf(&b, "%-14s %14s %8s %14s %10s %10s\n",
 		"version", "cycles", "IPC", "retired", "remote", "local")
+	if len(rows) == 0 {
+		return b.String()
+	}
 	best := rows[0]
 	for _, r := range rows {
 		if r.Cycles < best.Cycles {
@@ -224,11 +210,11 @@ func FormatMatmulFigure(rows []MatmulRow, phi *phimodel.Result) string {
 	}
 	for _, r := range rows {
 		mark := " "
-		if r.Variant == best.Variant {
+		if r.Label == best.Label {
 			mark = "*"
 		}
 		fmt.Fprintf(&b, "%-13s%s %14d %8.2f %14d %10d %10d\n",
-			r.Variant, mark, r.Cycles, r.IPC, r.Retired, r.Remote, r.Local)
+			r.Label, mark, r.Cycles, r.IPC, r.Retired, r.Remote, r.Local)
 	}
 	if phi != nil {
 		fmt.Fprintf(&b, "%-14s %14d %8.2f %14d %10s %10s   (calibrated model)\n",
@@ -250,46 +236,26 @@ type DetReport struct {
 	AllEqual bool
 }
 
-// RunDeterminism runs a variant `n` times with full event tracing and
-// compares the digests and cycle counts. The repeats are independent
-// whole-machine simulations, so they fan out across the worker pool; the
-// comparison happens after all runs, in run order.
-func RunDeterminism(v workloads.MatmulVariant, h, n int) (DetReport, error) {
+// RunDeterminism runs a variant n times and compares the event-trace
+// digests and cycle counts, in run order, after all runs.
+func (r Runner) RunDeterminism(v workloads.MatmulVariant, h, n int) (DetReport, error) {
 	rep := DetReport{Variant: v, Harts: h, Runs: n, AllEqual: true}
-	prog, err := workloads.BuildMatmul(v, h)
+	pt, err := matmulPoint(v, h)
 	if err != nil {
 		return rep, err
 	}
-	type detRun struct {
-		digest uint64
-		cycles uint64
+	points := make([]point, n)
+	for i := range points {
+		points[i] = pt
 	}
-	runs, err := runner.Map(Parallelism, n, func(int) (detRun, error) {
-		cfg := workloads.MatmulConfig(h)
-		sess, err := pool.Get(sim.Spec{
-			Program:   prog,
-			Config:    &cfg,
-			MaxCycles: workloads.MaxMatmulCycles(h),
-			Trace:     sim.TraceSpec{Digest: true},
-		})
-		if err != nil {
-			return detRun{}, err
-		}
-		res, err := sess.Run()
-		if err != nil {
-			return detRun{}, err
-		}
-		r := detRun{digest: sess.Recorder().Digest(), cycles: res.Stats.Cycles}
-		pool.Put(sess)
-		return r, nil
-	})
+	rows, err := r.runAll(points)
 	if err != nil {
 		return rep, err
 	}
-	for i, r := range runs {
-		rep.Digests = append(rep.Digests, r.digest)
-		rep.Cycles = append(rep.Cycles, r.cycles)
-		if rep.Digests[i] != rep.Digests[0] || rep.Cycles[i] != rep.Cycles[0] {
+	for _, row := range rows {
+		rep.Digests = append(rep.Digests, row.Digest)
+		rep.Cycles = append(rep.Cycles, row.Cycles)
+		if row.Digest != rows[0].Digest || row.Cycles != rows[0].Cycles {
 			rep.AllEqual = false
 		}
 	}
@@ -303,6 +269,9 @@ func FormatDeterminism(reports []DetReport) string {
 	fmt.Fprintf(&b, "%-14s %6s %6s %18s %12s %s\n",
 		"version", "harts", "runs", "digest", "cycles", "identical")
 	for _, r := range reports {
+		if len(r.Digests) == 0 {
+			continue // a report of zero runs has nothing to show
+		}
 		fmt.Fprintf(&b, "%-14s %6d %6d %#18x %12d %v\n",
 			r.Variant, r.Harts, r.Runs, r.Digests[0], r.Cycles[0], r.AllEqual)
 	}
@@ -310,14 +279,6 @@ func FormatDeterminism(reports []DetReport) string {
 }
 
 // ---- E5: latency hiding through multithreading -----------------------------
-
-// AblationRow is one point of the hart-count ablation.
-type AblationRow struct {
-	Harts   int // team size on a single core
-	Cycles  uint64
-	Retired uint64
-	IPC     float64
-}
 
 // ablationSource runs k harts on one core, each over a dependent ALU
 // chain, so the IPC reflects pure pipeline filling (no memory effects).
@@ -342,71 +303,46 @@ void main() {
 
 // RunHartAblation measures core IPC with 1..4 active harts (E5: the
 // paper's claim that ~1 IPC/core needs all four harts; a single hart is
-// limited by the fetch suspension after every instruction). The four
-// team sizes compile sequentially and simulate in parallel.
-func RunHartAblation(iters int) ([]AblationRow, error) {
-	progs := make([]*asm.Program, lbp.HartsPerCore)
-	for k := 1; k <= lbp.HartsPerCore; k++ {
-		asmText, err := cc.BuildProgram(ablationSource(k, iters), cc.DefaultOptions())
-		if err != nil {
-			return nil, err
-		}
-		prog, err := asm.Assemble(asmText, asm.Options{})
-		if err != nil {
-			return nil, err
-		}
-		progs[k-1] = prog
-	}
-	return runner.Map(Parallelism, len(progs), func(i int) (AblationRow, error) {
+// limited by the fetch suspension after every instruction). Row k-1 is
+// the team of k harts on one core, labelled k.
+func (r Runner) RunHartAblation(iters int) ([]Row, error) {
+	points := make([]point, lbp.HartsPerCore)
+	for i := range points {
 		k := i + 1
-		sess, err := sim.New(sim.Spec{
-			Program:   progs[i],
-			Cores:     1,
-			MaxCycles: uint64(200*iters*k + 1_000_000),
-		})
+		prog, err := cc.Build(ablationSource(k, iters), cc.DefaultOptions())
 		if err != nil {
-			return AblationRow{}, err
+			return nil, err
 		}
-		res, err := sess.Run()
-		if err != nil {
-			return AblationRow{}, err
+		points[i] = point{
+			label: strconv.Itoa(k),
+			spec:  sim.Spec{Program: prog, Cores: 1, MaxCycles: uint64(200*iters*k + 1_000_000)},
 		}
-		return AblationRow{
-			Harts:   k,
-			Cycles:  res.Stats.Cycles,
-			Retired: res.Stats.Retired,
-			IPC:     res.Stats.IPC(),
-		}, nil
-	})
+	}
+	return r.runAll(points)
 }
 
 // FormatAblation renders E5.
-func FormatAblation(rows []AblationRow) string {
+func FormatAblation(rows []Row) string {
 	var b strings.Builder
 	b.WriteString("E5 — core IPC vs active harts (dependent ALU chains, one core)\n")
 	fmt.Fprintf(&b, "%6s %12s %12s %8s\n", "harts", "cycles", "retired", "IPC")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %12d %12d %8.2f\n", r.Harts, r.Cycles, r.Retired, r.IPC)
+		fmt.Fprintf(&b, "%6s %12d %12d %8.2f\n", r.Label, r.Cycles, r.Retired, r.IPC)
 	}
 	b.WriteString("(peak 1 IPC/core; a lone hart is bounded by the per-fetch suspension)\n")
 	return b.String()
 }
 
-// ---- E7: locality of the placed two-phase program --------------------------
+// ---- E7, E18: the placed two-phase program ---------------------------------
 
-// LocalityRow reports the Figure 4 experiment.
-type LocalityRow struct {
-	Harts   int
-	Cycles  uint64
-	Remote  uint64
-	Local   uint64
-	AllZero bool // no routed accesses at all
-}
+// placedReserveBytes keeps the compiler's bank reserve below the RESW
+// offset the placed program addresses past (128 words).
+const placedReserveBytes = 512
 
-// localitySource is the Figure 4 program: a set phase then a get phase
+// placedSource is the Figure 4 program: a set phase then a get phase
 // over a vector whose chunk t lives in the bank of the core running
 // hart t — every access is local.
-func localitySource(h, chunk int) string {
+func placedSource(h, chunk int) string {
 	return fmt.Sprintf(`
 #define H %d
 #define CHUNK %d
@@ -434,47 +370,102 @@ void main() {
 `, h, chunk)
 }
 
-// RunLocality runs the placed set/get program and reports the access mix.
-func RunLocality(h, chunk int) (LocalityRow, error) {
+// placedPoint compiles the placed set/get program for an h-hart machine,
+// every hart owning chunk words of its core's bank. The check reads
+// back every hart's get-phase reduction — chunk t must end holding
+// sum(t..t+chunk-1), through the same placement arithmetic the program
+// uses — and requires that no access was routed.
+func placedPoint(label string, h, chunk int) (point, error) {
 	opt := cc.DefaultOptions()
-	opt.Cores = h / 4
-	opt.BankReserveBytes = 512
-	asmText, err := cc.BuildProgram(localitySource(h, chunk), opt)
+	opt.Cores = h / lbp.HartsPerCore
+	opt.BankReserveBytes = placedReserveBytes
+	prog, err := cc.Build(placedSource(h, chunk), opt)
 	if err != nil {
-		return LocalityRow{}, err
+		return point{}, fmt.Errorf("figures: %s: %w", label, err)
 	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
-	if err != nil {
-		return LocalityRow{}, err
-	}
-	sess, err := sim.New(sim.Spec{
-		Program:   prog,
-		Cores:     h / 4,
-		MaxCycles: uint64(h*chunk*1000 + 1_000_000),
-	})
-	if err != nil {
-		return LocalityRow{}, err
-	}
-	res, err := sess.Run()
-	if err != nil {
-		return LocalityRow{}, err
-	}
-	return LocalityRow{
-		Harts:   h,
-		Cycles:  res.Stats.Cycles,
-		Remote:  res.Mem.SharedRemote,
-		Local:   res.Mem.SharedLocal + res.Mem.LocalAccesses,
-		AllZero: res.Mem.SharedRemote == 0,
+	return point{
+		label: label,
+		spec: sim.Spec{
+			Program:   prog,
+			Cores:     opt.Cores,
+			MaxCycles: uint64(h*chunk*1000 + 1_000_000),
+		},
+		check: func(m *lbp.Machine, res *lbp.Result) error {
+			bankBytes := m.Config().Mem.SharedBytes
+			for t := 0; t < h; t++ {
+				addr := 0x80000000 + uint32(t>>2)*bankBytes + 4*uint32(128+(t&3)*chunk)
+				val, ok := m.ReadShared(addr)
+				if !ok {
+					return fmt.Errorf("chunk %d unmapped at %#x", t, addr)
+				}
+				if want := uint32(chunk*t + chunk*(chunk-1)/2); val != want {
+					return fmt.Errorf("chunk %d = %d, want %d", t, val, want)
+				}
+			}
+			if res.Mem.SharedRemote != 0 {
+				return fmt.Errorf("%d routed accesses in an all-local placement", res.Mem.SharedRemote)
+			}
+			return nil
+		},
 	}, nil
 }
 
+// RunLocality runs the placed set/get program (E7) once per entry of
+// harts, each hart owning chunk words.
+func (r Runner) RunLocality(harts []int, chunk int) ([]Row, error) {
+	points := make([]point, len(harts))
+	for i, h := range harts {
+		var err error
+		if points[i], err = placedPoint(fmt.Sprintf("placed-%d", h), h, chunk); err != nil {
+			return nil, err
+		}
+	}
+	return r.runAll(points)
+}
+
 // FormatLocality renders E7.
-func FormatLocality(rows []LocalityRow) string {
+func FormatLocality(rows []Row) string {
 	var b strings.Builder
 	b.WriteString("E7 — Figure 4 placement: set/get phases on aligned harts and banks\n")
 	fmt.Fprintf(&b, "%6s %12s %10s %10s %s\n", "harts", "cycles", "remote", "local", "all-local")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %12d %10d %10d %v\n", r.Harts, r.Cycles, r.Remote, r.Local, r.AllZero)
+		fmt.Fprintf(&b, "%6d %12d %10d %10d %v\n", r.Harts, r.Cycles, r.Remote, r.Local, r.Remote == 0)
+	}
+	return b.String()
+}
+
+// FigureScale is the figure number the scaling sweep is recorded under.
+const FigureScale = 22
+
+// RunScaleFigure runs the weak-scaling sweep (E18, BENCH_fig22.json):
+// the placed program at 64, 256 and 1024 cores with a fixed 64-word
+// chunk per hart, so the per-hart work is constant. Cycles and digests
+// are the deterministic anchors of the scaling tests. Largest last, so
+// a progress-watching run fails fast on the cheap points.
+func (r Runner) RunScaleFigure() ([]Row, error) {
+	var points []point
+	for _, n := range []int{64, 256, 1024} {
+		pt, err := placedPoint(fmt.Sprintf("scale-%dc", n), n*lbp.HartsPerCore, 64)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, pt)
+	}
+	return r.runAll(points)
+}
+
+// FormatScaleFigure renders the sweep as a weak-scaling table: cycles
+// should grow roughly linearly in the core count (the serpentine
+// backward line of the fork/join wave), IPC should stay near flat, and
+// every access stays local.
+func FormatScaleFigure(rows []Row) string {
+	var b strings.Builder
+	b.WriteString("E18 — weak-scaling set/get sweep (fixed chunk per hart)\n")
+	fmt.Fprintf(&b, "%6s %6s %12s %12s %7s %10s %8s\n",
+		"cores", "harts", "cycles", "retired", "IPC", "local", "remote")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%6d %6d %12d %12d %7.2f %10d %8d\n",
+			r.Harts/lbp.HartsPerCore, r.Harts, r.Cycles, r.Retired, r.IPC, r.Local, r.Remote)
 	}
 	return b.String()
 }

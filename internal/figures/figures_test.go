@@ -9,13 +9,14 @@ import (
 )
 
 func TestFigure19ShapeHolds(t *testing.T) {
-	rows, err := RunMatmulFigure(16)
+	t.Parallel()
+	rows, err := Runner{}.RunMatmulFigure(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	by := map[workloads.MatmulVariant]MatmulRow{}
+	by := map[workloads.MatmulVariant]Row{}
 	for _, r := range rows {
-		by[r.Variant] = r
+		by[workloads.MatmulVariant(r.Label)] = r
 	}
 	// Paper, Figure 19: on 4 cores the base version is the fastest even
 	// though tiled has the highest IPC; tiled is about twice slower.
@@ -43,16 +44,17 @@ func TestFigure19ShapeHolds(t *testing.T) {
 }
 
 func TestFigure20ShapeHolds(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows, err := RunMatmulFigure(64)
+	rows, err := Runner{}.RunMatmulFigure(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	by := map[workloads.MatmulVariant]MatmulRow{}
+	by := map[workloads.MatmulVariant]Row{}
 	for _, r := range rows {
-		by[r.Variant] = r
+		by[workloads.MatmulVariant(r.Label)] = r
 	}
 	// Paper, Figure 20: at 16 cores the copy version is the fastest and
 	// base is clearly slower than copy.
@@ -67,9 +69,10 @@ func TestFigure20ShapeHolds(t *testing.T) {
 }
 
 func TestCycleDeterminismAcrossVariants(t *testing.T) {
+	t.Parallel()
 	reports := []DetReport{}
 	for _, v := range []workloads.MatmulVariant{workloads.Base, workloads.Tiled} {
-		rep, err := RunDeterminism(v, 16, 3)
+		rep, err := Runner{}.RunDeterminism(v, 16, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +88,8 @@ func TestCycleDeterminismAcrossVariants(t *testing.T) {
 }
 
 func TestHartAblationScales(t *testing.T) {
-	rows, err := RunHartAblation(2000)
+	t.Parallel()
+	rows, err := Runner{}.RunHartAblation(2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +114,13 @@ func TestHartAblationScales(t *testing.T) {
 }
 
 func TestLocalityAllLocal(t *testing.T) {
-	row, err := RunLocality(16, 64)
+	t.Parallel()
+	rows, err := Runner{}.RunLocality([]int{16}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !row.AllZero {
+	row := rows[0]
+	if row.Remote != 0 || !strings.Contains(FormatLocality(rows), "true") {
 		t.Errorf("placed set/get must make no routed accesses: %+v", row)
 	}
 	if row.Local == 0 {
@@ -123,7 +129,8 @@ func TestLocalityAllLocal(t *testing.T) {
 }
 
 func TestPhiRowInFigure21Format(t *testing.T) {
-	rows := []MatmulRow{{Variant: workloads.Tiled, Harts: 256, Cycles: 3_400_000,
+	t.Parallel()
+	rows := []Row{{Label: string(workloads.Tiled), Harts: 256, Cycles: 3_400_000,
 		Retired: 200_000_000, IPC: 60}}
 	phi := phimodel.Default().TiledMatmul(256)
 	out := FormatMatmulFigure(rows, &phi)
@@ -133,7 +140,8 @@ func TestPhiRowInFigure21Format(t *testing.T) {
 }
 
 func TestResponseTimeBounded(t *testing.T) {
-	rep, err := RunResponseSweep(24)
+	t.Parallel()
+	rep, err := Runner{}.RunResponseSweep(24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +168,38 @@ func TestResponseTimeBounded(t *testing.T) {
 // produce a zero-sample report whose Min stayed at ^uint64(0), so Jitter
 // wrapped around to ~1.8e19 cycles instead of failing.
 func TestResponseSweepRejectsNonPositivePhases(t *testing.T) {
+	t.Parallel()
 	for _, phases := range []int{0, -3} {
-		rep, err := RunResponseSweep(phases)
+		rep, err := Runner{}.RunResponseSweep(phases)
 		if err == nil {
 			t.Fatalf("phases=%d: no error (report %+v, jitter %d)", phases, rep, rep.Jitter())
 		}
 		if !strings.Contains(err.Error(), "at least one phase") {
 			t.Errorf("phases=%d: unexpected error %v", phases, err)
+		}
+	}
+}
+
+// The formatters used to index [0] of whatever they were handed: a figure
+// with no rows, or a determinism report of zero runs, is the header alone.
+func TestFormatMatmulFigureNoRows(t *testing.T) {
+	t.Parallel()
+	out := FormatMatmulFigure(nil, nil)
+	if !strings.Contains(out, "version") || strings.Count(out, "\n") != 2 {
+		t.Errorf("want the two header lines, got:\n%s", out)
+	}
+}
+
+func TestFormatDeterminismNoRuns(t *testing.T) {
+	t.Parallel()
+	rep, err := Runner{}.RunDeterminism(workloads.Base, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, reports := range [][]DetReport{nil, {rep}} {
+		out := FormatDeterminism(reports)
+		if !strings.Contains(out, "identical") || strings.Count(out, "\n") != 2 {
+			t.Errorf("want the two header lines, got:\n%s", out)
 		}
 	}
 }

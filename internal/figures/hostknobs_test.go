@@ -17,29 +17,17 @@ import (
 // digests, perf snapshots — must be bit-identical across {fast-forward
 // on/off} × {profiling on/off}.
 
-// withSimConfig runs f with the host knobs set, restoring them after.
-func withSimConfig(t *testing.T, ffwd, profile bool, f func()) {
-	t.Helper()
-	oldF, oldP := FastForward, Profile
-	FastForward, Profile = ffwd, profile
-	defer func() { FastForward, Profile = oldF, oldP }()
-	f()
-}
-
 func TestHostKnobEquivalenceMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence matrix is long")
 	}
 	const h = 64
-	var base *MatmulRow
+	t.Parallel()
+	var base *Row
 	var basePerf *perf.Snapshot
 	for _, ffwd := range []bool{false, true} {
 		for _, profile := range []bool{false, true} {
-			var row MatmulRow
-			var err error
-			withSimConfig(t, ffwd, profile, func() {
-				row, err = RunMatmul(workloads.Distributed, h)
-			})
+			row, err := Runner{Profile: profile, noFastForward: !ffwd}.RunMatmul(workloads.Distributed, h)
 			if err != nil {
 				t.Fatalf("ffwd=%v profile=%v: %v", ffwd, profile, err)
 			}
@@ -87,21 +75,15 @@ func runSensorFusion(t *testing.T, prog *asm.Program, ffwd bool, extra lbp.Devic
 	if err := m.LoadProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		m.AddDevice(&lbp.Sensor{
-			ValueAddr: prog.Symbols["sval"] + uint32(4*i),
-			FlagAddr:  prog.Symbols["sflag"] + uint32(4*i),
-			Events: []lbp.SensorEvent{
-				{Cycle: 1000 + uint64(101*i), Value: uint32(10 * (i + 1))},
-				{Cycle: 4000 + uint64(57*i), Value: uint32(20 * (i + 1))},
-			},
-		})
+	devices, act := workloads.SensorRig(prog, func(i int) []lbp.SensorEvent {
+		return []lbp.SensorEvent{
+			{Cycle: 1000 + uint64(101*i), Value: uint32(10 * (i + 1))},
+			{Cycle: 4000 + uint64(57*i), Value: uint32(20 * (i + 1))},
+		}
+	})
+	for _, d := range devices {
+		m.AddDevice(d)
 	}
-	act := &lbp.Actuator{
-		ValueAddr: prog.Symbols["factuator"],
-		SeqAddr:   prog.Symbols["aseq"],
-	}
-	m.AddDevice(act)
 	if extra != nil {
 		m.AddDevice(extra)
 	}
@@ -126,11 +108,8 @@ type opaqueDevice struct{}
 func (opaqueDevice) Step(m *lbp.Machine, now uint64) {}
 
 func TestSensorFastForwardEquivalence(t *testing.T) {
-	asmText, err := cc.BuildProgram(workloads.SensorFusionSource(2), cc.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	t.Parallel()
+	prog, err := cc.Build(workloads.SensorFusionSource(2), cc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,40 +13,31 @@ import (
 // The comparison is reflect.DeepEqual over the full result structures, so
 // any divergence in ordering, cycles, digests or statistics fails.
 
-// withWorkers runs f with the package Parallelism knob set to n.
-func withWorkers(t *testing.T, n int, f func()) {
-	t.Helper()
-	old := Parallelism
-	Parallelism = n
-	defer func() { Parallelism = old }()
-	f()
-}
-
 func TestFigureRunnersParallelEquivalence(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		name string
-		run  func() (any, error)
+		run  func(Runner) (any, error)
 	}{
-		{"matmul-figure-16", func() (any, error) { return RunMatmulFigure(16) }},
-		{"determinism-base-16", func() (any, error) { return RunDeterminism(workloads.Base, 16, 3) }},
-		{"hart-ablation", func() (any, error) { return RunHartAblation(2000) }},
-		{"hop-latency", func() (any, error) { return RunHopLatAblation(workloads.Base, 16, []int{1, 2}) }},
-		{"bank-latency", func() (any, error) { return RunBankLatAblation(workloads.Base, 16, []int{1, 3}) }},
-		{"mem-order", func() (any, error) { return RunMemOrderAblation(workloads.Copy, 16) }},
-		{"div-latency", func() (any, error) { return RunFULatAblation(workloads.Base, 16, []int{17, 68}) }},
-		{"chips", func() (any, error) { return RunChipAblation(workloads.Base, 16, []int{0, 2}, 25) }},
-		{"response-sweep", func() (any, error) { return RunResponseSweep(8) }},
+		{"matmul-figure-16", func(r Runner) (any, error) { return r.RunMatmulFigure(16) }},
+		{"determinism-base-16", func(r Runner) (any, error) { return r.RunDeterminism(workloads.Base, 16, 3) }},
+		{"hart-ablation", func(r Runner) (any, error) { return r.RunHartAblation(2000) }},
+		{"locality", func(r Runner) (any, error) { return r.RunLocality([]int{16, 64}, 32) }},
+		{"hop-latency", func(r Runner) (any, error) { return r.RunHopLatAblation(workloads.Base, 16, []int{1, 2}) }},
+		{"bank-latency", func(r Runner) (any, error) { return r.RunBankLatAblation(workloads.Base, 16, []int{1, 3}) }},
+		{"mem-order", func(r Runner) (any, error) { return r.RunMemOrderAblation(workloads.Copy, 16) }},
+		{"div-latency", func(r Runner) (any, error) { return r.RunFULatAblation(workloads.Base, 16, []int{17, 68}) }},
+		{"chips", func(r Runner) (any, error) { return r.RunChipAblation(workloads.Base, 16, []int{0, 2}, 25) }},
+		{"response-sweep", func(r Runner) (any, error) { return r.RunResponseSweep(8) }},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			var seq, par any
-			var seqErr, parErr error
-			withWorkers(t, 1, func() { seq, seqErr = tc.run() })
+			t.Parallel()
+			seq, seqErr := tc.run(Runner{Workers: 1})
 			if seqErr != nil {
 				t.Fatalf("sequential: %v", seqErr)
 			}
-			withWorkers(t, 4, func() { par, parErr = tc.run() })
+			par, parErr := tc.run(Runner{Workers: 4})
 			if parErr != nil {
 				t.Fatalf("parallel: %v", parErr)
 			}
@@ -57,30 +48,18 @@ func TestFigureRunnersParallelEquivalence(t *testing.T) {
 	}
 }
 
-// withProfile runs f with the package Profile knob set.
-func withProfile(t *testing.T, f func()) {
-	t.Helper()
-	old := Profile
-	Profile = true
-	defer func() { Profile = old }()
-	f()
-}
-
 // TestProfiledParallelEquivalence extends the equivalence property to the
 // counter layer: with profiling on, the embedded perf snapshots — stall
 // attribution, stage occupancy, retired mix, link waits, latency
-// histograms — must be byte-identical for any Parallelism, because the
+// histograms — must be byte-identical for any Workers, because the
 // counters are a pure function of each single-threaded simulation.
 func TestProfiledParallelEquivalence(t *testing.T) {
-	var seq, par []MatmulRow
-	var seqErr, parErr error
-	withProfile(t, func() {
-		withWorkers(t, 1, func() { seq, seqErr = RunMatmulFigure(16) })
-		withWorkers(t, 4, func() { par, parErr = RunMatmulFigure(16) })
-	})
+	t.Parallel()
+	seq, seqErr := Runner{Workers: 1, Profile: true}.RunMatmulFigure(16)
 	if seqErr != nil {
 		t.Fatalf("sequential: %v", seqErr)
 	}
+	par, parErr := Runner{Workers: 4, Profile: true}.RunMatmulFigure(16)
 	if parErr != nil {
 		t.Fatalf("parallel: %v", parErr)
 	}
@@ -89,19 +68,19 @@ func TestProfiledParallelEquivalence(t *testing.T) {
 	}
 	for i := range seq {
 		if seq[i].Perf == nil || par[i].Perf == nil {
-			t.Fatalf("row %s: snapshot missing with Profile on", seq[i].Variant)
+			t.Fatalf("row %s: snapshot missing with Profile on", seq[i].Label)
 		}
 		if !reflect.DeepEqual(seq[i].Perf, par[i].Perf) {
-			t.Errorf("row %s: counter snapshot diverges between Parallelism=1 and 4",
-				seq[i].Variant)
+			t.Errorf("row %s: counter snapshot diverges between Workers 1 and 4",
+				seq[i].Label)
 		}
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Error("profiled rows diverge between Parallelism=1 and 4")
+		t.Error("profiled rows diverge between Workers 1 and 4")
 	}
 	// And the knob must stay opt-in: with Profile off, rows carry no
 	// snapshot and the run is unchanged.
-	plain, err := RunMatmul(workloads.Base, 16)
+	plain, err := Runner{}.RunMatmul(workloads.Base, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,9 +98,8 @@ func TestProfiledParallelEquivalence(t *testing.T) {
 // variant, at least 90% of non-retiring hart-cycles carry a named stall
 // cause (the implementation is exact, so the fraction is 1.0).
 func TestProfiledAttribution(t *testing.T) {
-	var row MatmulRow
-	var err error
-	withProfile(t, func() { row, err = RunMatmul(workloads.Base, 16) })
+	t.Parallel()
+	row, err := Runner{Profile: true}.RunMatmul(workloads.Base, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +134,17 @@ func TestProfiledAttribution(t *testing.T) {
 // figure records a non-empty event trace, and equal machines yield equal
 // digests run-to-run (the E4 property surfaced through the figure API).
 func TestMatmulRowsCarryDigests(t *testing.T) {
-	rows, err := RunMatmulFigure(16)
+	t.Parallel()
+	rows, err := Runner{}.RunMatmulFigure(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
 		if r.Digest == 0 || r.Events == 0 {
-			t.Errorf("%s: digest %#x over %d events — trace not attached?", r.Variant, r.Digest, r.Events)
+			t.Errorf("%s: digest %#x over %d events — trace not attached?", r.Label, r.Digest, r.Events)
 		}
 	}
-	again, err := RunMatmul(workloads.Base, 16)
+	again, err := Runner{}.RunMatmul(workloads.Base, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +156,8 @@ func TestMatmulRowsCarryDigests(t *testing.T) {
 
 // TestAblationPointsCarryDigests does the same for the sweep API.
 func TestAblationPointsCarryDigests(t *testing.T) {
-	pts, err := RunMemOrderAblation(workloads.Copy, 16)
+	t.Parallel()
+	pts, err := Runner{}.RunMemOrderAblation(workloads.Copy, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +173,7 @@ func TestAblationPointsCarryDigests(t *testing.T) {
 	// the issue order is off this kernel's critical path), so equal
 	// digests across points are not an error. A config change that does
 	// matter must show up:
-	hop, err := RunHopLatAblation(workloads.Base, 16, []int{1, 8})
+	hop, err := Runner{}.RunHopLatAblation(workloads.Base, 16, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/lbp"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -40,12 +41,8 @@ func TestProfileSnapshotUnchanged(t *testing.T) {
 	}
 	scale := func(n int) func() (sim.Spec, error) {
 		return func() (sim.Spec, error) {
-			prog, err := buildScaleProgram(n)
-			return sim.Spec{
-				Program:   prog,
-				Cores:     n,
-				MaxCycles: uint64(n)*4*scaleChunk*1000 + 1_000_000,
-			}, err
+			pt, err := placedPoint("scale", n*lbp.HartsPerCore, 64)
+			return pt.spec, err
 		}
 	}
 	pins := []pin{
@@ -56,13 +53,8 @@ func TestProfileSnapshotUnchanged(t *testing.T) {
 		{name: "fig22/1024c", spec: scale(1024), long: true,
 			want: "961a21198d68db6a34de4ea99fd5ac29e44358208f3e39f2b6fe622622559d35"},
 		{name: "fig19/base", spec: func() (sim.Spec, error) {
-			prog, err := workloads.BuildMatmul(workloads.Base, 16)
-			cfg := workloads.MatmulConfig(16)
-			return sim.Spec{
-				Program:   prog,
-				Config:    &cfg,
-				MaxCycles: workloads.MaxMatmulCycles(16),
-			}, err
+			pt, err := matmulPoint(workloads.Base, 16)
+			return pt.spec, err
 		}, want: "d8af320f66cf87e708384aa40e3dc33e69a3746584a3d1f8b2059bd9630f89a1"},
 	}
 	for _, p := range pins {

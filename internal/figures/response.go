@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/runner"
@@ -39,57 +38,40 @@ func (r *ResponseReport) Jitter() uint64 { return r.Max - r.Min }
 // over zero phases has no samples, and the Min fold below starts at
 // ^uint64(0), so letting it through would report Min=2^64-1, Max=0 and a
 // wrapped-around Jitter of ~1.8e19 cycles.
-func RunResponseSweep(phases int) (*ResponseReport, error) {
+func (r Runner) RunResponseSweep(phases int) (*ResponseReport, error) {
 	if phases <= 0 {
 		return nil, fmt.Errorf("figures: response sweep needs at least one phase, got %d", phases)
 	}
-	src := workloads.SensorFusionSource(1)
-	asmText, err := cc.BuildProgram(src, cc.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(workloads.SensorFusionSource(1), cc.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	// Each phase is an independent machine (own devices, own run), so the
 	// sweep fans out across the worker pool; the min/max fold happens
 	// after all phases, in phase order.
-	samples, err := runner.Map(Parallelism, phases, func(p int) (uint64, error) {
+	samples, err := runner.Map(r.Workers, phases, func(p int) (uint64, error) {
 		// three sensors answer early; the last one arrives late, at a
 		// phase-swept cycle, so the fusion waits only on it
 		last := uint64(3000 + p)
-		var devices []lbp.Device
-		for i := 0; i < 4; i++ {
+		devices, act := workloads.SensorRig(prog, func(i int) []lbp.SensorEvent {
 			cyc := uint64(500 + 13*i)
 			if i == 3 {
 				cyc = last
 			}
-			devices = append(devices, &lbp.Sensor{
-				ValueAddr: prog.Symbols["sval"] + uint32(4*i),
-				FlagAddr:  prog.Symbols["sflag"] + uint32(4*i),
-				Events:    []lbp.SensorEvent{{Cycle: cyc, Value: uint32(4 * (i + 1))}},
-			})
-		}
-		act := &lbp.Actuator{
-			ValueAddr: prog.Symbols["factuator"],
-			SeqAddr:   prog.Symbols["aseq"],
-		}
-		devices = append(devices, act)
-		sess, err := sim.New(sim.Spec{
-			Program:   prog,
-			Cores:     1,
-			Devices:   devices,
-			MaxCycles: 50_000_000,
+			return []lbp.SensorEvent{{Cycle: cyc, Value: uint32(4 * (i + 1))}}
+		})
+		_, err := r.run(point{
+			label: fmt.Sprintf("response/%d", p),
+			spec:  sim.Spec{Program: prog, Cores: 1, Devices: devices, MaxCycles: 50_000_000},
+			check: func(*lbp.Machine, *lbp.Result) error {
+				if len(act.Writes) != 1 {
+					return fmt.Errorf("%d actuator writes", len(act.Writes))
+				}
+				return nil
+			},
 		})
 		if err != nil {
 			return 0, err
-		}
-		if _, err := sess.Run(); err != nil {
-			return 0, err
-		}
-		if len(act.Writes) != 1 {
-			return 0, fmt.Errorf("figures: response sweep: %d actuator writes", len(act.Writes))
 		}
 		return act.Writes[0].Cycle - last, nil
 	})

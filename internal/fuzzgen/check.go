@@ -1,6 +1,7 @@
 package fuzzgen
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -91,13 +92,14 @@ func CheckSource(src string, minCores int, expect State, opt CheckOptions) (int,
 	}
 	ccOpt := cc.DefaultOptions()
 	ccOpt.Cores = minCores
-	asmText, err := cc.BuildProgram(src, ccOpt)
+	prog, err := cc.Build(src, ccOpt)
 	if err != nil {
-		return 0, fail("compile", "%v", err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
-	if err != nil {
-		return 0, fail("assemble", "%v", err)
+		stage := "compile"
+		var asmErr *asm.Error
+		if errors.As(err, &asmErr) {
+			stage = "assemble"
+		}
+		return 0, fail(stage, "%v", err)
 	}
 	runs := 0
 	for _, cores := range coresLadder(minCores, opt.MaxCores) {

@@ -67,19 +67,13 @@ func (r *JobRequest) validate() error {
 			return err
 		}
 	}
-	if b := r.BankBytes; b != 0 {
-		if b&(b-1) != 0 {
-			return fmt.Errorf("bankBytes %d must be a power of two", b)
-		}
-		// The compiler reserves the first BankReserveBytes of every
-		// bank for __bank(n) globals; a bank smaller than the reserve
-		// cannot hold any program data.
-		if min := cc.DefaultOptions().BankReserveBytes; b < min {
-			return fmt.Errorf("bankBytes %d is below the minimum bank size %d", b, min)
+	if r.BankBytes != 0 {
+		if err := cc.CheckBank(uint64(r.BankBytes), uint64(cc.DefaultOptions().BankReserveBytes)); err != nil {
+			return fmt.Errorf("bankBytes: %v", err)
 		}
 	}
-	if r.Ring < 0 {
-		return fmt.Errorf("ring %d must not be negative", r.Ring)
+	if r.Ring < 0 || r.Ring > sim.MaxTraceRing {
+		return fmt.Errorf("ring %d must be between 0 and %d", r.Ring, sim.MaxTraceRing)
 	}
 	if r.DeadlineMs < 0 {
 		return fmt.Errorf("deadlineMs %d must not be negative", r.DeadlineMs)

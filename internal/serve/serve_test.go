@@ -409,6 +409,7 @@ func TestRequestValidation(t *testing.T) {
 		{"cores beyond MaxCores", JobRequest{Source: "x", Cores: 1025}},
 		{"bank not power of two", JobRequest{Source: "x", BankBytes: 12345}},
 		{"bank below the compiler reserve", JobRequest{Source: "x", BankBytes: 1024}},
+		{"bank equal to the compiler reserve", JobRequest{Source: "x", BankBytes: 4096}},
 		{"negative ring", JobRequest{Source: "x", Ring: -1}},
 		{"negative deadline", JobRequest{Source: "x", DeadlineMs: -1}},
 		{"budget over cap", JobRequest{Source: "x", MaxCycles: 1 << 62}},

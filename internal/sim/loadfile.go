@@ -29,11 +29,7 @@ func Compile(lang string, src []byte, cores int, bank uint32) (*asm.Program, err
 		if bank != 0 {
 			opt.SharedBankBytes = bank
 		}
-		asmText, err := cc.BuildProgram(string(src), opt)
-		if err != nil {
-			return nil, err
-		}
-		return asm.Assemble(asmText, asm.Options{})
+		return cc.Build(string(src), opt)
 	}
 	return nil, fmt.Errorf("sim: unknown program form %q (want c, s or img)", lang)
 }

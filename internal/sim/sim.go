@@ -26,10 +26,17 @@ import (
 // defaultMaxCycles bounds a run when the Spec does not.
 const defaultMaxCycles = 100_000_000
 
+// MaxTraceRing bounds TraceSpec.Ring. The ring is allocated when the
+// session is built and a serving layer returns it whole, so the size is
+// checked in New, where every entry point (lbp-run -tail, POST /jobs
+// "ring", a worker handed the job over rpc) passes: 1 Mi events is
+// 24 MiB of recorder, 16 times what lbp-run -chrome retains.
+const MaxTraceRing = 1 << 20
+
 // TraceSpec configures event tracing. The zero value records nothing.
 type TraceSpec struct {
 	Digest bool // fold every event into the determinism digest
-	Ring   int  // retain the last Ring events for inspection
+	Ring   int  // retain the last Ring events for inspection (at most MaxTraceRing)
 }
 
 func (t TraceSpec) enabled() bool { return t.Digest || t.Ring > 0 }
@@ -101,6 +108,9 @@ type Session struct {
 func New(spec Spec) (*Session, error) {
 	if spec.Program == nil {
 		return nil, fmt.Errorf("sim: Spec.Program is required")
+	}
+	if spec.Trace.Ring > MaxTraceRing {
+		return nil, fmt.Errorf("sim: trace ring of %d events exceeds the maximum %d", spec.Trace.Ring, MaxTraceRing)
 	}
 	s := &Session{spec: spec, cfg: spec.machineConfig()}
 	if err := s.cfg.Validate(); err != nil {

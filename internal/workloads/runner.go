@@ -19,13 +19,9 @@ func BuildMatmul(v MatmulVariant, h int) (*asm.Program, error) {
 	opt.Cores = h / 4
 	opt.SharedBankBytes = SharedBankBytes(h)
 	opt.BankReserveBytes = 4 * reserveWords
-	asmText, err := cc.BuildProgram(src, opt)
+	prog, err := cc.Build(src, opt)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: compile %s/%d: %w", v, h, err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("workloads: assemble %s/%d: %w", v, h, err)
+		return nil, fmt.Errorf("workloads: build %s/%d: %w", v, h, err)
 	}
 	return prog, nil
 }

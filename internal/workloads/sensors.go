@@ -1,6 +1,11 @@
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/asm"
+	"repro/internal/lbp"
+)
 
 // SensorFusionSource generates the Figure 16 program: `rounds` iterations
 // of a parallel-sections team in which four harts each poll one sensor
@@ -9,9 +14,7 @@ import "fmt"
 // position of the reads fixes the semantics, so the fused output is
 // deterministic even though the run's cycle count is not.
 //
-// The machine-side devices (lbp.Sensor, lbp.Actuator) attach to the
-// sflag/sval and factuator/aseq globals; resolve their addresses from the
-// assembled program's symbol table.
+// SensorRig builds the machine-side devices.
 func SensorFusionSource(rounds int) string {
 	return fmt.Sprintf(`/* sensor fusion, Figure 16 */
 #include <det_omp.h>
@@ -47,4 +50,28 @@ void main() {
 	}
 }
 `, rounds)
+}
+
+// SensorRig is the machine side of SensorFusionSource: four sensors on
+// the sflag/sval ports of the assembled program and the actuator
+// watching factuator/aseq. arrivals(i) is the input schedule of sensor
+// i. The devices come back in attach order (sensors 0-3, then the
+// actuator), with the actuator again on its own so the caller can read
+// its Writes after the run.
+func SensorRig(prog *asm.Program, arrivals func(i int) []lbp.SensorEvent) ([]lbp.Device, *lbp.Actuator) {
+	var devices []lbp.Device
+	for i := 0; i < 4; i++ {
+		devices = append(devices, &lbp.Sensor{
+			Name:      fmt.Sprintf("sensor%d", i),
+			ValueAddr: prog.Symbols["sval"] + uint32(4*i),
+			FlagAddr:  prog.Symbols["sflag"] + uint32(4*i),
+			Events:    arrivals(i),
+		})
+	}
+	act := &lbp.Actuator{
+		Name:      "actuator",
+		ValueAddr: prog.Symbols["factuator"],
+		SeqAddr:   prog.Symbols["aseq"],
+	}
+	return append(devices, act), act
 }

@@ -3,7 +3,6 @@ package workloads
 import (
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/trace"
@@ -13,12 +12,7 @@ import (
 // given per-round arrival cycles (one slice per sensor).
 func buildSensors(t *testing.T, rounds int, arrivals [4][]lbp.SensorEvent) (*lbp.Machine, *lbp.Actuator) {
 	t.Helper()
-	src := SensorFusionSource(rounds)
-	asmText, err := cc.BuildProgram(src, cc.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := asm.Assemble(asmText, asm.Options{})
+	prog, err := cc.Build(SensorFusionSource(rounds), cc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,21 +20,10 @@ func buildSensors(t *testing.T, rounds int, arrivals [4][]lbp.SensorEvent) (*lbp
 	if err := m.LoadProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	sflag, sval := prog.Symbols["sflag"], prog.Symbols["sval"]
-	for i := 0; i < 4; i++ {
-		m.AddDevice(&lbp.Sensor{
-			Name:      "sensor",
-			ValueAddr: sval + uint32(4*i),
-			FlagAddr:  sflag + uint32(4*i),
-			Events:    arrivals[i],
-		})
+	devices, act := SensorRig(prog, func(i int) []lbp.SensorEvent { return arrivals[i] })
+	for _, d := range devices {
+		m.AddDevice(d)
 	}
-	act := &lbp.Actuator{
-		Name:      "actuator",
-		ValueAddr: prog.Symbols["factuator"],
-		SeqAddr:   prog.Symbols["aseq"],
-	}
-	m.AddDevice(act)
 	return m, act
 }
 

@@ -6,7 +6,10 @@
 #                                + lbp-fuzz smoke + native fuzz smokes
 #   scripts/verify.sh -bench N   ...then regenerate figure N and benchdiff
 #                                it against the recorded BENCH_figN.json
-#                                (fails on any simulated-result change).
+#                                (fails on any simulated-result change;
+#                                figs 19 and 22 are also compared byte
+#                                for byte by go test, TestBenchRecordsReproduce),
+#                                and print the host-side microbenchmarks.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -24,12 +27,12 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 # One checkpoint format, one job protocol, one decode per load, one
-# queue, one instruction table: the deleted second paths must not grow
-# back. (mem.State's R1*/R2* names are not on the list: they are
+# queue, one instruction table, one experiment path: the deleted second
+# paths must not grow back. (mem.State's R1*/R2* names are not on the list: they are
 # reserved words of the version-2 wire format, DESIGN.md §7. The parent's
 # encTable and controlMn live on as the test references refEncTable and
 # parentControlMn, which the case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize' -- '*.go'; then
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -186,6 +189,14 @@ echo "verify: FuzzReadImage smoke OK"
 # the table encodes back, in bounded time.
 go test ./internal/asm -run '^$' -fuzz FuzzAssemble -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzAssemble smoke OK"
+# Hostile MiniC (POST /jobs with the default "lang", lbp-cc, lbp-run): a
+# *cc.Error, or text the assembler takes or refuses with an *asm.Error.
+go test ./internal/cc -run '^$' -fuzz FuzzCompile -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzCompile smoke OK"
+# Hostile request bodies: any bytes through POST /jobs answer a status
+# of DESIGN.md §8's table with a JobResult.
+go test ./internal/serve -run '^$' -fuzz FuzzJobRequest -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzJobRequest smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
