@@ -77,19 +77,29 @@ const DefaultDataBase = 0x80000000
 // allocated for it.
 const MaxWords = 1 << 24
 
-// Assemble assembles source into a Program.
+// Assemble assembles source into a Program: Parse, then List.Assemble.
 func Assemble(source string, opt Options) (*Program, error) {
+	l, err := Parse(source)
+	if err != nil {
+		return nil, err
+	}
+	return l.Assemble(opt)
+}
+
+// Assemble lays the list out and encodes it. An error names the line
+// the statement has in the list's text (String). Layout writes into the
+// statements, so a list is assembled once.
+func (l *List) Assemble(opt Options) (*Program, error) {
 	if opt.DataBase == 0 {
 		opt.DataBase = DefaultDataBase
 	}
 	a := &assembler{
 		opt:     opt,
+		stmts:   l.Stmts,
 		symbols: map[string]uint32{},
 		equs:    map[string]int64{},
 	}
-	if err := a.parse(source); err != nil {
-		return nil, err
-	}
+	a.number()
 	if err := a.layout(); err != nil {
 		return nil, err
 	}
@@ -109,33 +119,40 @@ func Assemble(source string, opt Options) (*Program, error) {
 	return p, nil
 }
 
-// A stmt is one parsed statement: a label, an instruction or a
-// directive that sizes, places or emits something.
-type stmt struct {
-	line int
-	kind stmtKind
-	data bool     // stands in the .data section
-	form *form    // stInst
-	in   isa.Inst // stInst: the form's fixed fields and the operand registers
+// A Stmt is one statement: a label, an instruction, a directive that
+// sizes, places or emits something, or text that renders as itself.
+type Stmt struct {
+	line  int
+	n     uint32 // set by layout: the words the statement emits
+	kind  stmtKind
+	data  bool     // stands in the .data section
+	built bool     // made by a List method: an argument without text has its value already
+	form  *Form    // stInst
+	In    isa.Inst // stInst: the form's fixed fields and the operand registers
 	// arg is the label's name, the instruction's expression operand ("" if
-	// it has none, or once layout has put its value in val), or the
-	// directive's argument text; arg2 is the value of .equ and .fill.
+	// it has none, or once its value is in val), the directive's argument
+	// text or the verbatim text; arg2 is the value of .equ and .fill.
 	arg, arg2 string
-	// Set by layout. n is the words the statement emits; val is the
-	// directive's evaluated argument (.equ and .fill value, .org address)
-	// or the li value when it was known where it stands.
-	n   uint32
-	val int64
+	// val and val2 are the values of arg and arg2: given by the builder, or
+	// set by layout where the value must be known where the statement
+	// stands (.equ, .fill, .org, a li of a known value). A verbatim
+	// statement's val counts the statements after it that its text covers.
+	val, val2 int64
 }
+
+// Form returns the spelling of an instruction statement, nil for any
+// other statement.
+func (st *Stmt) Form() *Form { return st.form }
 
 type stmtKind uint8
 
 const (
 	stLabel stmtKind = iota
 	stInst
-	stText // .text and .data leave no statement: parse stamps each with its section
-	stData
+	stVerbatim
 	stIgnored // directives accepted and ignored
+	stText    // parse stamps each statement with its section and keeps neither
+	stData
 	stEqu
 	stOrg
 	stAlign
@@ -154,7 +171,7 @@ var directives = map[string]stmtKind{
 
 type assembler struct {
 	opt     Options
-	stmts   []stmt
+	stmts   []Stmt
 	symbols map[string]uint32
 	equs    map[string]int64
 	undef   string // the symbol behind the last errUndefined
@@ -170,13 +187,15 @@ func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
-// parse turns the source into a.stmts. Everything that needs no symbol
-// value is checked here: mnemonics, operand counts and shapes, register
-// names, directive names and argument counts, the section a statement
-// stands in.
-func (a *assembler) parse(source string) error {
+// Parse turns the source into a list that renders as the source: one
+// verbatim statement holding the text, covering the statements read from
+// it. Everything that needs no symbol value is checked here: mnemonics,
+// operand counts and shapes, register names, directive names and
+// argument counts, the section a statement stands in.
+func Parse(source string) (*List, error) {
 	lines := strings.Count(source, "\n") + 1
-	a.stmts = make([]stmt, 0, lines+lines/4)
+	stmts := make([]Stmt, 1, 1+lines+lines/4)
+	stmts[0] = Stmt{kind: stVerbatim, arg: source}
 	inData := false
 	for num, more := 1, true; more; num++ {
 		var text string
@@ -192,7 +211,7 @@ func (a *assembler) parse(source string) error {
 			if !isIdent(name) {
 				break
 			}
-			a.stmts = append(a.stmts, stmt{line: num, kind: stLabel, data: inData, arg: name})
+			stmts = append(stmts, Stmt{line: num, kind: stLabel, data: inData, arg: name})
 			text = strings.TrimSpace(text[idx+1:])
 		}
 		if text == "" {
@@ -200,20 +219,20 @@ func (a *assembler) parse(source string) error {
 		}
 		name, rest, _ := strings.Cut(text, " ")
 		rest = strings.TrimSpace(rest)
-		st := stmt{line: num, data: inData}
+		st := Stmt{line: num, data: inData}
 		if text[0] != '.' {
 			if inData {
-				return errf(num, "instruction %q in .data section", text)
+				return nil, errf(num, "instruction %q in .data section", text)
 			}
 			if err := parseInst(&st, name, rest); err != nil {
-				return err
+				return nil, err
 			}
-			a.stmts = append(a.stmts, st)
+			stmts = append(stmts, st)
 			continue
 		}
 		kind, ok := directives[name]
 		if !ok {
-			return errf(num, "unknown directive %q", name)
+			return nil, errf(num, "unknown directive %q", name)
 		}
 		st.kind, st.arg = kind, rest
 		switch kind {
@@ -224,21 +243,51 @@ func (a *assembler) parse(source string) error {
 			continue
 		case stEqu:
 			if st.arg, st.arg2, ok = cutOperand(rest); !ok {
-				return errf(num, ".equ wants name, value")
+				return nil, errf(num, ".equ wants name, value")
 			}
 		case stFill:
 			if countOperands(rest) != 2 {
-				return errf(num, ".fill wants count, value")
+				return nil, errf(num, ".fill wants count, value")
 			}
 			st.arg, st.arg2, _ = cutOperand(rest)
 		case stOrg, stWord:
 			if !inData {
-				return errf(num, "%s only supported in .data", name)
+				return nil, errf(num, "%s only supported in .data", name)
 			}
 		}
-		a.stmts = append(a.stmts, st)
+		stmts = append(stmts, st)
 	}
-	return nil
+	stmts[0].val = int64(len(stmts) - 1)
+	return &List{Stmts: stmts}, nil
+}
+
+// number gives every statement the line it has in the list's text. A
+// statement is one line; one that verbatim text covers keeps its line
+// within that text.
+func (a *assembler) number() {
+	line := 1
+	for i := 0; i < len(a.stmts); i++ {
+		st := &a.stmts[i]
+		if st.kind != stVerbatim {
+			st.line = line
+			line++
+			continue
+		}
+		for j := i + 1; line > 1 && j <= i+int(st.val); j++ {
+			a.stmts[j].line += line - 1
+		}
+		i += int(st.val)
+		line += strings.Count(st.arg, "\n")
+	}
+}
+
+// value is a directive argument's value where the statement stands: the
+// builder's, or that of its text, every symbol of which is defined by now.
+func (a *assembler) value(st *Stmt, expr string, built int64) (int64, error) {
+	if st.built && expr == "" {
+		return built, nil
+	}
+	return a.evalNow(st.line, expr)
 }
 
 // layout gives every statement its size and every label its address,
@@ -268,7 +317,10 @@ func (a *assembler) layout() error {
 			if wide := st.form.imm; wide == 'l' || wide == 'a' {
 				// li is one addi when its value is known here and fits;
 				// la, and any forward reference, is always lui+addi.
-				v, err := a.eval(st.line, st.arg)
+				v, err := st.val, error(nil)
+				if st.arg != "" {
+					v, err = a.eval(st.line, st.arg)
+				}
 				switch {
 				case err == errUndefined:
 					st.n = 2
@@ -286,15 +338,15 @@ func (a *assembler) layout() error {
 			if err != nil {
 				return err
 			}
-			st.val, a.equs[st.arg] = v, v
+			st.val2, a.equs[st.arg] = v, v
 		case stOrg:
-			v, err := a.evalNow(st.line, st.arg)
+			v, err := a.value(st, st.arg, st.val)
 			if err != nil {
 				return err
 			}
 			st.val, dloc = v, uint64(uint32(v))
 		case stAlign:
-			v, err := a.evalNow(st.line, st.arg)
+			v, err := a.value(st, st.arg, st.val)
 			if err != nil {
 				return err
 			}
@@ -311,9 +363,11 @@ func (a *assembler) layout() error {
 			}
 			st.n = uint32(pad / 4)
 		case stWord:
-			st.n = uint32(countOperands(st.arg))
+			if st.n = 1; !st.built {
+				st.n = uint32(countOperands(st.arg))
+			}
 		case stSpace, stFill:
-			v, err := a.evalNow(st.line, st.arg)
+			v, err := a.value(st, st.arg, st.val)
 			if err != nil {
 				return err
 			}
@@ -325,7 +379,7 @@ func (a *assembler) layout() error {
 					return errf(st.line, ".space must be a multiple of 4 bytes")
 				}
 				v /= 4
-			} else if st.val, err = a.evalNow(st.line, st.arg2); err != nil {
+			} else if st.val2, err = a.value(st, st.arg2, st.val2); err != nil {
 				return err
 			}
 			if v > MaxWords {
@@ -358,7 +412,7 @@ func (a *assembler) encode() error {
 				return err
 			}
 		case stEqu:
-			a.equs[st.arg] = st.val
+			a.equs[st.arg] = st.val2
 		case stOrg:
 			a.dloc, a.newSeg = uint32(st.val), true
 		case stAlign:
@@ -371,6 +425,10 @@ func (a *assembler) encode() error {
 			}
 		case stWord:
 			words := a.data(st.n)
+			if st.built {
+				words[0] = uint32(st.val)
+				continue
+			}
 			for i, rest := 0, st.arg; i < len(words); i++ {
 				var opnd string
 				opnd, rest, _ = cutOperand(rest)
@@ -385,7 +443,7 @@ func (a *assembler) encode() error {
 		case stFill:
 			words := a.data(st.n)
 			for i := range words {
-				words[i] = uint32(st.val)
+				words[i] = uint32(st.val2)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -526,20 +527,20 @@ func TestFormsTable(t *testing.T) {
 		if shape == "dm" && op == isa.OpJALR {
 			shape = "dM" // the one real form a pseudo row replaces
 		}
-		if got, gotShape, ok := Operands(op.String(), len(shape)); !ok || got != op || gotShape != shape {
-			t.Errorf("Operands(%q, %d) = %v, %q, %v; want %v, %q", op.String(), len(shape), got, gotShape, ok, op, shape)
+		if f := FormOf(op.String(), len(shape)); f == nil || f.Op() != op || f.Shape() != shape {
+			t.Errorf("FormOf(%q, %d) = %+v; want %v, %q", op.String(), len(shape), f, op, shape)
 		}
 	}
-	for _, f := range pseudo {
-		if got, shape, ok := Operands(f.mn, len(f.shape)); !ok || got != f.fix.Op || shape != f.shape {
-			t.Errorf("Operands(%q, %d) = %v, %q, %v; want %v, %q", f.mn, len(f.shape), got, shape, ok, f.fix.Op, f.shape)
+	for _, p := range pseudo {
+		if f := FormOf(p.mn, len(p.shape)); f == nil || f.Op() != p.fix.Op || f.Shape() != p.shape {
+			t.Errorf("FormOf(%q, %d) = %+v; want %v, %q", p.mn, len(p.shape), f, p.fix.Op, p.shape)
 		}
 	}
 	if len(forms) != 82 {
 		t.Errorf("the forms table has %d mnemonics, want 82", len(forms))
 	}
-	if _, _, ok := Operands("addi", 2); ok {
-		t.Error("Operands accepts addi with two operands")
+	if FormOf("addi", 2) != nil {
+		t.Error("FormOf accepts addi with two operands")
 	}
 }
 
@@ -583,6 +584,95 @@ func TestExpressionEvaluatorErrors(t *testing.T) {
 	for _, expr := range bad {
 		if _, err := a.eval(1, expr); err == nil {
 			t.Errorf("eval(%q) succeeded", expr)
+		}
+	}
+}
+
+// TestListBuiltEqualsText: a list made with the builder renders as the
+// text one would have written, and assembles to what that text
+// assembles to — labels, both sections, every directive the builder
+// has, integer and symbol operands, a hexadecimal upper immediate, and a
+// parsed block (its comments kept) appended in the middle.
+func TestListBuiltEqualsText(t *testing.T) {
+	block := "# a parsed block\nhelper:\n\taddi a0, a0, 1   # trailing comment\n\tret\n"
+	parsed, err := Parse(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(mn string, n int) *Form {
+		if f := FormOf(mn, n); f != nil {
+			return f
+		}
+		t.Fatalf("no form %s/%d", mn, n)
+		return nil
+	}
+	var l List
+	l.Verbatim("# built\n")
+	l.Text()
+	l.Label("main")
+	l.Inst(f("li", 2), -1, "", 5)
+	l.Inst(f("la", 2), 0, "table", 10)
+	l.Inst(f("lw", 2), 8, "", 11, 10)
+	l.Inst(f("sw", 2), 0, "", 11, 2)
+	l.Inst(f("lui", 2), 0x80000, "", 16)
+	l.Inst(f("bgt", 3), 0, "main", 11, 0)
+	l.Inst(f("jal", 1), 0, "helper")
+	l.Inst(f("p_ret", 0), 0, "")
+	l.Append(parsed)
+	l.Verbatim("\n")
+	l.Data()
+	l.Label("table")
+	l.Word(-7)
+	l.Fill(5, 3)
+	l.Space(16)
+	l.Org(0x80010000)
+	l.Label("far")
+	l.Word(1)
+	want := "# built\n\t.text\nmain:\n\tli t0, -1\n\tla a0, table\n\tlw a1, 8(a0)\n\tsw a1, 0(sp)\n" +
+		"\tlui a6, 0x80000\n\tbgt a1, zero, main\n\tjal helper\n\tp_ret\n" + block +
+		"\n\t.data\ntable:\n\t.word -7\n\t.fill 5, 3\n\t.space 16\n\t.org 0x80010000\nfar:\n\t.word 1\n"
+	if got := l.String(); got != want {
+		t.Fatalf("renders as\n%s\nwant\n%s", got, want)
+	}
+	if parsed.String() != block {
+		t.Errorf("the parsed block renders as %q", parsed.String())
+	}
+	fromText := mustAssemble(t, want)
+	built, err := l.Assemble(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	if fromText.WriteImage(&a) != nil || built.WriteImage(&b) != nil || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("the built list assembles to\n%s\nits text to\n%s", b.String(), a.String())
+	}
+}
+
+// TestListErrorLines: an error from a built list names the line the
+// statement has in the list's text — also inside and after an appended
+// block, whose text has lines (comments, blanks) that are no statement.
+func TestListErrorLines(t *testing.T) {
+	for name, c := range map[string]struct {
+		block string
+		after func(*List)
+	}{
+		"inside the block": {"# comment\n\n\tj nowhere\n", func(*List) {}},
+		"after the block":  {"# comment\n\n\tnop\n", func(l *List) { l.Inst(FormOf("j", 1), 0, "nowhere") }},
+		"a directive":      {"# comment\n", func(l *List) { l.Data(); l.Space(6) }},
+	} {
+		parsed, err := Parse(c.block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var l List
+		l.Label("main")
+		l.Append(parsed)
+		c.after(&l)
+		text := l.String()
+		_, terr := Assemble(text, Options{})
+		_, lerr := l.Assemble(Options{})
+		if terr == nil || lerr == nil || terr.Error() != lerr.Error() {
+			t.Errorf("%s: the list says %v, its text %v\n%s", name, lerr, terr, text)
 		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/isa"
 )
 
-// A form is one spelling of a mnemonic: the operands it takes, in
+// A Form is one spelling of a mnemonic: the operands it takes, in
 // source order, and the instruction they fill in. A real instruction's
 // form is its row of internal/isa's table; a pseudo-instruction is a row
 // of pseudo below.
-type form struct {
+type Form struct {
 	mn string
 	// shape has one isa.Shape letter per operand, plus four only the
 	// assembler knows:
@@ -34,7 +34,7 @@ type form struct {
 // ones. A row with a real instruction's mnemonic and operand count
 // replaces that instruction's own form (jalr's second operand may be a
 // bare register).
-var pseudo = []form{
+var pseudo = []Form{
 	{mn: "nop", fix: isa.Inst{Op: isa.OpADDI}},
 	{mn: "mv", shape: "d1", fix: isa.Inst{Op: isa.OpADDI}},
 	{mn: "not", shape: "d1", fix: isa.Inst{Op: isa.OpXORI, Imm: -1}},
@@ -71,10 +71,10 @@ var pseudo = []form{
 
 // forms is the one table of what the assembler accepts: every spelling
 // of every mnemonic, by mnemonic.
-var forms = map[string][]form{}
+var forms = map[string][]Form{}
 
 func init() {
-	add := func(f form) {
+	add := func(f Form) {
 		if strings.Contains(f.shape, "s") { // the implied sp is one more fixed field
 			f.shape, f.fix.Rs1 = strings.ReplaceAll(f.shape, "s", ""), 2
 		}
@@ -93,29 +93,16 @@ func init() {
 		forms[f.mn] = slices.Insert(fs, i, f)
 	}
 	for op := isa.OpInvalid + 1; op < isa.NumOps; op++ {
-		add(form{mn: op.String(), shape: op.Shape(), fix: isa.Inst{Op: op}})
+		add(Form{mn: op.String(), shape: op.Shape(), fix: isa.Inst{Op: op}})
 	}
 	for _, f := range pseudo {
 		add(f)
 	}
 }
 
-// Operands reports how the statement "mn op1, ..., opN" uses its
-// operands: the instruction it assembles to and one shape letter per
-// operand (isa.Shape's, and the assembler's own: b is a register both
-// written and read, M a base register with or without an offset, l and
-// a an expression). ok is false when the assembler would refuse the
-// mnemonic or the operand count.
-func Operands(mn string, n int) (op isa.Op, shape isa.Shape, ok bool) {
-	f := lookup(mn, n)
-	if f == nil {
-		return 0, "", false
-	}
-	return f.fix.Op, f.shape, true
-}
-
-// lookup finds the spelling of mn that takes n operands, nil if none.
-func lookup(mn string, n int) *form {
+// FormOf finds the spelling of mn that takes n operands, nil if the
+// assembler would refuse the mnemonic or the operand count.
+func FormOf(mn string, n int) *Form {
 	fs := forms[mn]
 	for i := range fs {
 		if fs[i].n == n {
@@ -125,14 +112,34 @@ func lookup(mn string, n int) *form {
 	return nil
 }
 
+// Op is the instruction the form assembles to.
+func (f *Form) Op() isa.Op { return f.fix.Op }
+
+// Shape has one letter per operand, as listed at the shape field.
+func (f *Form) Shape() isa.Shape { return f.shape }
+
+// setReg puts register r where operand letter k of a shape says.
+func setReg(in *isa.Inst, k byte, r uint8) {
+	switch k {
+	case 'd':
+		in.Rd = r
+	case '1', 'm', 'M':
+		in.Rs1 = r
+	case '2':
+		in.Rs2 = r
+	case 'b':
+		in.Rd, in.Rs1 = r, r
+	}
+}
+
 // parseInst parses one instruction statement: it finds the form and
 // walks its shape over the operands, the only operand loop there is.
 // Registers are resolved here; the expression operand, if the form has
 // one, is kept for encode.
-func parseInst(st *stmt, mn, operands string) error {
+func parseInst(st *Stmt, mn, operands string) error {
 	mn = strings.ToLower(mn)
 	n := countOperands(operands)
-	f := lookup(mn, n)
+	f := FormOf(mn, n)
 	if f == nil {
 		fs := forms[mn]
 		if fs == nil {
@@ -144,7 +151,7 @@ func parseInst(st *stmt, mn, operands string) error {
 		}
 		return errf(st.line, "%s: want %s operands, got %d", mn, want, n)
 	}
-	st.kind, st.form, st.in = stInst, f, f.fix
+	st.kind, st.form, st.In = stInst, f, f.fix
 	for i := 0; i < len(f.shape); i++ {
 		k := f.shape[i]
 		var opnd string
@@ -171,24 +178,15 @@ func parseInst(st *stmt, mn, operands string) error {
 		if !ok {
 			return errf(st.line, "%s: bad register %q", mn, regName)
 		}
-		switch k {
-		case 'd':
-			st.in.Rd = r
-		case '1', 'm', 'M':
-			st.in.Rs1 = r
-		case '2':
-			st.in.Rs2 = r
-		case 'b':
-			st.in.Rd, st.in.Rs1 = r, r
-		}
+		setReg(&st.In, k, r)
 	}
 	return nil
 }
 
 // encodeInst evaluates the statement's expression operand, now that
 // every symbol has its address, and emits the instruction.
-func (a *assembler) encodeInst(st *stmt) error {
-	in, v := st.in, st.val
+func (a *assembler) encodeInst(st *Stmt) error {
+	in, v := st.In, st.val
 	if st.arg != "" {
 		var err error
 		if v, err = a.evalNow(st.line, st.arg); err != nil {

@@ -10,8 +10,9 @@ import (
 
 // The optimizer's view of the instruction set as the commit before the
 // one-table rewrite stated it: three hand-kept string lists, verbatim
-// under a parent prefix. They are the reference the roles parseLine now
-// derives from the assembler's forms table are checked against.
+// under a parent prefix. They are the reference the roles the peephole
+// now reads off a statement's form (a row of the assembler's forms
+// table) are checked against.
 
 type parentLine struct {
 	mn   string
@@ -127,10 +128,11 @@ func TestAsmoptRolesMatchParentLists(t *testing.T) {
 	for _, mn := range mnemonics {
 		known := false
 		for n := 0; n <= 4; n++ {
-			_, shape, ok := asm.Operands(mn, n)
-			if !ok {
+			form := asm.FormOf(mn, n)
+			if form == nil {
 				continue
 			}
+			shape := form.Shape()
 			known = true
 			spellings++
 			var lines []string
@@ -145,15 +147,27 @@ func TestAsmoptRolesMatchParentLists(t *testing.T) {
 				lines = append(lines, "\t"+mn+" "+strings.Join(ops, ", "))
 			}
 			for _, line := range lines {
-				il, old := parseLine(line), parentParseLine(line)
-				same := il.barrier == parentControlMn[mn] && il.destOf() == old.destOf()
-				for _, r := range []string{"s1", "s2", "s3", "s4"} {
-					same = same && il.usesReg(r) == old.usesReg(r)
+				l, err := asm.Parse(line)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				st, old := &l.Stmts[1], parentParseLine(line)
+				if st.Form() != form || (inst(st) == nil) != (shape == "b") {
+					t.Fatalf("%q: parsed to form %+v, inst %v", line, st.Form(), inst(st))
+				}
+				dest := ""
+				if d, ok := destOf(st); ok {
+					dest = isa.RegNames[d]
+				}
+				same := barrier(form) == parentControlMn[mn] && dest == old.destOf()
+				for _, name := range []string{"s1", "s2", "s3", "s4"} {
+					r, _ := isa.RegByName(name)
+					same = same && usesReg(st, r) == old.usesReg(name)
 				}
 				key := mn + "/" + string(rune('0'+n))
 				if why, wrong := parentListsWrong[key]; wrong == same {
 					t.Errorf("%q: derived roles equal the parent lists': %v, listed as differing: %v (%s)\n derived: dest %q barrier %v shape %q\n parent:  dest %q barrier %v",
-						line, same, wrong, why, il.destOf(), il.barrier, il.shape, old.destOf(), parentControlMn[mn])
+						line, same, wrong, why, dest, barrier(form), shape, old.destOf(), parentControlMn[mn])
 				}
 			}
 		}

@@ -3,14 +3,29 @@ package cc
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/asm"
 )
+
+// peepholeLines runs the peephole over the statements of the given
+// assembly lines and returns what is left, one rendered line each.
+func peepholeLines(t *testing.T, lines []string) []string {
+	t.Helper()
+	l, err := asm.Parse(strings.Join(lines, "\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := l.Stmts[1:] // past the statement that holds the text
+	left := asm.List{Stmts: s[:peephole(s)]}
+	return strings.Split(strings.TrimSuffix(left.String(), "\n"), "\n")
+}
 
 func TestPeepholeForwardProp(t *testing.T) {
 	in := []string{
 		"\tmv t1, s0",
 		"\tlw t1, 0(t1)",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if len(out) != 1 || strings.TrimSpace(out[0]) != "lw t1, 0(s0)" {
 		t.Errorf("got %q", out)
 	}
@@ -22,7 +37,7 @@ func TestPeepholeBackwardCollapse(t *testing.T) {
 		"\tmv s0, t1",
 		"\tli t1, 0", // t1 dead between mv and redefinition
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if len(out) != 2 || strings.TrimSpace(out[0]) != "addi s0, s0, 4" {
 		t.Errorf("got %q", out)
 	}
@@ -35,7 +50,7 @@ func TestPeepholeBranchConsumesCopy(t *testing.T) {
 		"\tmv t1, s0",
 		"\tbeq t1, zero, .Lx",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if len(out) != 1 || strings.TrimSpace(out[0]) != "beq s0, zero, .Lx" {
 		t.Errorf("got %q", out)
 	}
@@ -48,7 +63,7 @@ func TestPeepholeLabelStopsProp(t *testing.T) {
 		"\tadd t2, t1, t1",
 		"\tli t1, 0",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if strings.TrimSpace(out[0]) != "mv t1, s0" {
 		t.Errorf("got %q", out)
 	}
@@ -61,7 +76,7 @@ func TestPeepholeSourceOverwriteAborts(t *testing.T) {
 		"\tadd t2, t1, t1",
 		"\tli t1, 0",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if strings.TrimSpace(out[0]) != "mv t1, s0" {
 		t.Errorf("mv must survive: %q", out)
 	}
@@ -73,7 +88,7 @@ func TestPeepholeStoreUse(t *testing.T) {
 		"\tsw t1, 0(t2)",
 		"\tli t1, 7",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if len(out) != 2 || strings.TrimSpace(out[0]) != "sw s3, 0(t2)" {
 		t.Errorf("got %q", out)
 	}
@@ -85,7 +100,7 @@ func TestPeepholeMemBaseUse(t *testing.T) {
 		"\tsw s0, 4(t2)",
 		"\tli t2, 0",
 	}
-	out := peephole(in)
+	out := peepholeLines(t, in)
 	if len(out) != 2 || strings.TrimSpace(out[0]) != "sw s0, 4(s1)" {
 		t.Errorf("got %q", out)
 	}

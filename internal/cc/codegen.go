@@ -3,7 +3,10 @@ package cc
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
+
+	"repro/internal/asm"
+	"repro/internal/detomp"
 )
 
 // Options configure compilation.
@@ -18,13 +21,11 @@ type Options struct {
 	// (the low part of each bank is reserved for default-placement
 	// globals of bank 0 and for program-managed layouts).
 	BankReserveBytes uint32
-	// EmitComments adds source-level comments to the assembly.
-	EmitComments bool
 }
 
 // DefaultOptions matches lbp.DefaultConfig / mem.DefaultConfig.
 func DefaultOptions() Options {
-	return Options{SharedBankBytes: 1 << 16, BankReserveBytes: 4096, EmitComments: true}
+	return Options{SharedBankBytes: 1 << 16, BankReserveBytes: 4096}
 }
 
 // CheckBank is the one answer to "is this shared bank size legal" for
@@ -44,57 +45,100 @@ func CheckBank(bank, reserve uint64) error {
 
 const sharedBase = 0x80000000
 
-// Compile translates MiniC source to RV32 X_PAR assembly (without the
-// detomp runtime; the driver appends it when parallel constructs are used).
-func Compile(src string, opt Options) (string, error) {
+// compile translates MiniC source to a statement list of RV32 X_PAR
+// assembly; with the runtime, the Deterministic OpenMP runtime's
+// statements follow the functions of a program that launches teams.
+func compile(src string, opt Options, runtime bool) (*asm.List, error) {
 	prog, err := Parse(src)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := ompPass(prog); err != nil {
-		return "", err
+		return nil, err
 	}
 	if err := Analyze(prog); err != nil {
-		return "", err
+		return nil, err
 	}
 	g := &codegen{prog: prog, opt: opt}
-	return g.run()
+	// about a statement for every three bytes of source, and the runtime's
+	g.list.Stmts = make([]asm.Stmt, 0, min(len(src)/2+64, 1<<12))
+	if err := g.run(runtime); err != nil {
+		return nil, err
+	}
+	return &g.list, nil
 }
 
-// UsesParallel reports whether the generated assembly launches teams.
-func UsesParallel(asmText string) bool {
-	return strings.Contains(asmText, "jal LBP_parallel_start")
-}
+// Registers, by number (isa.RegNames).
+type reg = uint8
+
+const (
+	zero, ra, sp, t0, t1, t2 reg = 0, 1, 2, 5, 6, 7
+	a0, a1, a2, a3, a4, a5   reg = 10, 11, 12, 13, 14, 15
+	a6, a7                   reg = 16, 17
+	t3, t4, t5, t6           reg = 28, 29, 30, 31
+)
 
 // Register conventions of the generated code.
 var (
-	tempRegs = []string{"t1", "t2", "t3", "t4", "t5"} // expression stack
-	saveRegs = []string{"s0", "s1", "s2", "s3", "s4", "s5", "s6",
-		"s7", "s8", "s9", "s10", "s11"} // register locals
-	argRegs = []string{"a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"}
+	tempRegs = []reg{t1, t2, t3, t4, t5}                           // expression stack
+	saveRegs = []reg{8, 9, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27} // s0-s11: register locals
+	argRegs  = []reg{a0, a1, a2, a3, a4, a5, a6, a7}
 )
 
-const scratch = "t6" // second scratch: a7 outside of call sequences
+const (
+	scratch = t6 // second scratch: a7 outside of call sequences
+	teamOff = 8  // frame slot holding a4 (threads)
+)
+
+// form is the assembler's spelling of mn with n operands: what every
+// emitted instruction is made from.
+func form(mn string, n int) *asm.Form {
+	if f := asm.FormOf(mn, n); f != nil {
+		return f
+	}
+	panic(fmt.Sprintf("cc: the assembler has no %s with %d operands", mn, n))
+}
+
+var (
+	fMv, fNeg, fNot, fSeqz, fSnez = form("mv", 2), form("neg", 2), form("not", 2), form("seqz", 2), form("snez", 2)
+	fLi, fLa, fLui                = form("li", 2), form("la", 2), form("lui", 2)
+	fLw, fSw                      = form("lw", 2), form("sw", 2)
+	fAddi, fAndi, fOri, fXori     = form("addi", 3), form("andi", 3), form("ori", 3), form("xori", 3)
+	fSlli, fSrli, fSrai           = form("slli", 3), form("srli", 3), form("srai", 3)
+	fAdd, fSub, fMul, fDiv, fRem  = form("add", 3), form("sub", 3), form("mul", 3), form("div", 3), form("rem", 3)
+	fAnd, fOr, fXor               = form("and", 3), form("or", 3), form("xor", 3)
+	fSll, fSra, fSlt              = form("sll", 3), form("sra", 3), form("slt", 3)
+	fJ, fJal, fRet                = form("j", 1), form("jal", 1), form("ret", 0)
+	fBeqz, fBnez                  = form("beqz", 2), form("bnez", 2)
+	fEbreak                       = form("ebreak", 0)
+	fPSet, fPRet, fPSyncm         = form("p_set", 2), form("p_ret", 0), form("p_syncm", 0)
+	fPSwre, fPLwre                = form("p_swre", 3), form("p_lwre", 2)
+
+	// op as one instruction over two registers, or a register and an
+	// immediate; the branch that jumps when "a op b" holds; op's negation
+	binaryOf = map[string]*asm.Form{"+": fAdd, "*": fMul, "/": fDiv, "%": fRem, "&": fAnd, "|": fOr, "^": fXor,
+		"<<": fSll, ">>": fSra, "<": fSlt}
+	immediateOf = map[string]*asm.Form{"&": fAndi, "|": fOri, "^": fXori}
+	branchOf    = map[string]*asm.Form{"==": form("beq", 3), "!=": form("bne", 3), "<": form("blt", 3),
+		">": form("bgt", 3), "<=": form("ble", 3), ">=": form("bge", 3)}
+	negated = map[string]string{"==": "!=", "!=": "==", "<": ">=", ">": "<=", "<=": ">", ">=": "<"}
+)
 
 // codegen emits assembly for a whole program.
 type codegen struct {
-	prog   *Program
-	opt    Options
-	out    strings.Builder
-	labels int
+	prog     *Program
+	opt      Options
+	list     asm.List
+	labels   int
+	parallel bool // some function launches a team
 
 	// per function state
 	fn        *FuncDecl
-	body      []string // buffered body lines (frame size patched later)
 	frameSize int
-	localOff  map[*Symbol]int
 	usedSRegs []int
 	savesRA   bool
 	savesT0   bool
-	teamOff   int // frame slot holding a4 (threads)
 	spillBase int
-	localsEnd int
-	maxSpill  int
 	stack     []stackEntry
 	breakLbl  []string
 	contLbl   []string
@@ -105,17 +149,16 @@ type stackEntry struct {
 	flushed bool // value lives in its frame slot, not its register
 }
 
-func (g *codegen) emit(format string, args ...any) {
-	g.body = append(g.body, "\t"+fmt.Sprintf(format, args...))
-}
-
-func (g *codegen) emitLabel(l string) {
-	g.body = append(g.body, l+":")
-}
+// emit appends an instruction; regs are its register operands in source
+// order. emitI and emitS give it an integer or a symbol for its
+// immediate, offset or target operand.
+func (g *codegen) emit(f *asm.Form, regs ...reg)              { g.list.Inst(f, 0, "", regs...) }
+func (g *codegen) emitI(f *asm.Form, imm int64, regs ...reg)  { g.list.Inst(f, imm, "", regs...) }
+func (g *codegen) emitS(f *asm.Form, sym string, regs ...reg) { g.list.Inst(f, 0, sym, regs...) }
 
 func (g *codegen) newLabel(hint string) string {
 	g.labels++
-	return fmt.Sprintf(".L%s_%d", hint, g.labels)
+	return ".L" + hint + "_" + strconv.Itoa(g.labels)
 }
 
 func (g *codegen) errf(line int, format string, args ...any) error {
@@ -123,43 +166,44 @@ func (g *codegen) errf(line int, format string, args ...any) error {
 }
 
 // run generates the whole module.
-func (g *codegen) run() (string, error) {
-	g.out.WriteString("# generated by MiniC (Deterministic OpenMP dialect)\n")
-	g.out.WriteString("\t.text\n")
+func (g *codegen) run(runtime bool) error {
+	g.list.Verbatim("# generated by MiniC (Deterministic OpenMP dialect)\n")
+	g.list.Text()
 	for _, f := range g.prog.Funcs {
 		if f.Body == nil {
 			continue
 		}
 		if err := g.genFunc(f); err != nil {
-			return "", err
+			return err
 		}
 	}
-	if err := g.genData(); err != nil {
-		return "", err
+	if runtime && g.parallel {
+		// The runtime goes before the data section so it assembles into the
+		// text image. Its statements are copied: layout writes into them.
+		g.list.Append(detomp.Statements())
+		if len(g.prog.Globals) > 0 {
+			g.list.Verbatim("\n")
+		}
 	}
-	return g.out.String(), nil
+	return g.genData()
 }
 
 // ---- frame layout ------------------------------------------------------
 
-// layoutFunc assigns storage to locals and computes the frame skeleton.
+// layoutFunc assigns storage to locals and computes the frame.
 // Frame layout (offsets from sp after the prologue adjustment):
 //
 //	[0]            saved ra
 //	[4]            saved t0
 //	[8]            saved a4 team word (threads)
 //	[12 ...]       saved s-registers
-//	[...]          memory locals (arrays, structs, addr-taken scalars)
 //	[...]          expression spill / call-save area
+//	[...]          memory locals (arrays, structs, addr-taken scalars)
 func (g *codegen) layoutFunc(f *FuncDecl) {
-	g.localOff = map[*Symbol]int{}
 	g.usedSRegs = nil
-	hasCalls := stmtHasCalls(f.Body)
-	hasParallel := stmtCallsName(f.Body, "__lbp_parallel")
-	g.savesRA = hasCalls || f.Name == "main" || f.IsThread
-	g.savesT0 = f.Name == "main" || f.IsThread || hasParallel
+	g.savesRA = stmtCalls(f.Body, "") || f.Name == "main" || f.IsThread
+	g.savesT0 = f.Name == "main" || f.IsThread || stmtCalls(f.Body, "__lbp_parallel")
 	off := 12 // fixed header: ra, t0, team
-	g.teamOff = 8
 
 	nextS := 0
 	for _, sym := range f.locals {
@@ -187,12 +231,9 @@ func (g *codegen) layoutFunc(f *FuncDecl) {
 			size = 4
 		}
 		sym.FrameOff = off
-		g.localOff[sym] = off
 		off += (size + 3) &^ 3
 	}
-	g.localsEnd = off
-	g.maxSpill = 0
-	g.frameSize = 0 // patched after body emission
+	g.frameSize = (off + 15) &^ 15
 }
 
 // maxSpillSlots bounds the expression-stack spill area (entries beyond
@@ -204,57 +245,48 @@ const maxSpillSlots = 24
 type spillOverflow struct{}
 
 // emitFrameAddr materializes sp+off into dst.
-func (g *codegen) emitFrameAddr(dst string, off int) {
+func (g *codegen) emitFrameAddr(dst reg, off int) {
 	if off <= 2047 {
-		g.emit("addi %s, sp, %d", dst, off)
+		g.emitI(fAddi, int64(off), dst, sp)
 		return
 	}
-	g.emit("li %s, %d", dst, off)
-	g.emit("add %s, sp, %s", dst, dst)
+	g.emitI(fLi, int64(off), dst)
+	g.emit(fAdd, dst, sp, dst)
 }
 
 // emitFrameLoad loads a word from sp+off into dst.
-func (g *codegen) emitFrameLoad(dst string, off int) {
+func (g *codegen) emitFrameLoad(dst reg, off int) {
 	if off <= 2047 {
-		g.emit("lw %s, %d(sp)", dst, off)
+		g.emitI(fLw, int64(off), dst, sp)
 		return
 	}
 	g.emitFrameAddr(dst, off)
-	g.emit("lw %s, 0(%s)", dst, dst)
+	g.emitI(fLw, 0, dst, dst)
 }
 
 // emitFrameStore stores src to sp+off, using a6 for long offsets.
-func (g *codegen) emitFrameStore(src string, off int) {
+func (g *codegen) emitFrameStore(src reg, off int) {
 	if off <= 2047 {
-		g.emit("sw %s, %d(sp)", src, off)
+		g.emitI(fSw, int64(off), src, sp)
 		return
 	}
-	g.emitFrameAddr("a6", off)
-	g.emit("sw %s, 0(%s)", src, "a6")
+	g.emitFrameAddr(a6, off)
+	g.emitI(fSw, 0, src, a6)
 }
 
-func stmtHasCalls(st *Stmt) bool {
+// stmtCalls reports whether st calls name — any function, for "".
+func stmtCalls(st *Stmt, name string) bool {
 	found := false
 	rewriteExprs(st, func(e *Expr) {
-		if e.Kind == ECall {
+		if e.Kind == ECall && (name == "" || e.Lhs.Kind == EVar && e.Lhs.Name == name) {
 			found = true
 		}
 	})
 	return found
 }
 
-func stmtCallsName(st *Stmt, name string) bool {
-	found := false
-	rewriteExprs(st, func(e *Expr) {
-		if e.Kind == ECall && e.Lhs.Kind == EVar && e.Lhs.Name == name {
-			found = true
-		}
-	})
-	return found
-}
-
-// sReg returns the register name of a register-assigned symbol.
-func sReg(sym *Symbol) string { return saveRegs[sym.Reg] }
+// sReg returns the register of a register-assigned symbol.
+func sReg(sym *Symbol) reg { return saveRegs[sym.Reg] }
 
 // ---- expression stack ---------------------------------------------------
 
@@ -263,63 +295,59 @@ func (g *codegen) slotOff(i int) int {
 	if i >= maxSpillSlots {
 		panic(spillOverflow{})
 	}
-	off := g.spillBase + 4*i
-	if 4*(i+1) > g.maxSpill {
-		g.maxSpill = 4 * (i + 1)
-	}
-	return off
+	return g.spillBase + 4*i
 }
 
 // push allocates a new stack entry and returns the register to compute
-// into ("" if the entry is frame-resident; compute into scratch and call
-// store()).
-func (g *codegen) push() (reg string, inReg bool) {
+// into: the entry's own, or the scratch for a frame-resident entry,
+// which storeTop then stores.
+func (g *codegen) push() reg {
 	i := len(g.stack)
 	g.stack = append(g.stack, stackEntry{})
 	if i < len(tempRegs) {
-		return tempRegs[i], true
+		return tempRegs[i]
 	}
-	g.slotOff(i) // reserve
-	return "", false
+	g.slotOff(i) // refuse an entry past the spill area
+	return scratch
 }
 
-// pushValue finalizes a push when the value was computed in `computed`
-// (for frame-resident entries it stores; for register entries computed
-// must already be the entry register).
-func (g *codegen) storeTop(computed string) {
+// storeTop finalizes a push when the value was computed in `computed`
+// (for frame-resident entries it stores; for register entries it moves
+// the value to the entry register unless it is there).
+func (g *codegen) storeTop(computed reg) {
 	i := len(g.stack) - 1
 	if i < len(tempRegs) {
 		if computed != tempRegs[i] {
-			g.emit("mv %s, %s", tempRegs[i], computed)
+			g.emit(fMv, tempRegs[i], computed)
 		}
 		return
 	}
-	g.emit("sw %s, %d(sp)", computed, g.slotOff(i))
+	g.emitI(fSw, int64(g.slotOff(i)), computed, sp)
 }
 
 // pop removes the top entry, materializing it in a register: its own
 // temp register when possible, otherwise `want`.
-func (g *codegen) pop(want string) string {
+func (g *codegen) pop(want reg) reg {
 	i := len(g.stack) - 1
 	e := g.stack[i]
 	g.stack = g.stack[:i]
 	if i < len(tempRegs) {
 		r := tempRegs[i]
 		if e.flushed {
-			g.emit("lw %s, %d(sp)", r, g.slotOff(i))
+			g.emitI(fLw, int64(g.slotOff(i)), r, sp)
 		}
 		return r
 	}
-	g.emit("lw %s, %d(sp)", want, g.slotOff(i))
+	g.emitI(fLw, int64(g.slotOff(i)), want, sp)
 	return want
 }
 
-// flushForCall writes every live register entry to its frame slot so a
-// call may clobber the temp registers.
-func (g *codegen) flushForCall() {
-	for i := range g.stack {
+// flushBelow writes every live register entry under stack index n to
+// its frame slot so a call may clobber the temp registers.
+func (g *codegen) flushBelow(n int) {
+	for i := range g.stack[:n] {
 		if i < len(tempRegs) && !g.stack[i].flushed {
-			g.emit("sw %s, %d(sp)", tempRegs[i], g.slotOff(i))
+			g.emitI(fSw, int64(g.slotOff(i)), tempRegs[i], sp)
 			g.stack[i].flushed = true
 		}
 	}
@@ -337,13 +365,36 @@ func (g *codegen) genFunc(f *FuncDecl) (err error) {
 		}
 	}()
 	g.fn = f
-	g.body = nil
 	g.stack = nil
 	g.breakLbl, g.contLbl = nil, nil
 	g.layoutFunc(f)
 
+	g.list.Label(f.Name)
+	if f.Name == "main" {
+		g.emitI(fLi, -1, t0) // bare-metal exit identity (Figure 6)
+	}
+	if g.frameSize <= 2048 {
+		g.emitI(fAddi, int64(-g.frameSize), sp, sp)
+	} else {
+		g.emitI(fLi, int64(g.frameSize), t6)
+		g.emit(fSub, sp, sp, t6)
+	}
+	if g.savesRA {
+		g.emitI(fSw, 0, ra, sp)
+	}
+	if g.savesT0 {
+		g.emitI(fSw, 4, t0, sp)
+	}
+	if f.IsThread {
+		g.emitI(fSw, teamOff, a4, sp)
+	}
+	for _, si := range g.usedSRegs {
+		g.emitI(fSw, int64(12+4*si), saveRegs[si], sp)
+	}
+
+	// the body: parameter homes, then the statements
+	body := len(g.list.Stmts)
 	retLbl := ".Lret_" + f.Name
-	// parameter homes
 	for i, p := range f.Params {
 		argIdx := i
 		if f.IsThread {
@@ -354,7 +405,7 @@ func (g *codegen) genFunc(f *FuncDecl) (err error) {
 		}
 		sym := p.Sym
 		if sym.Reg >= 0 {
-			g.emit("mv %s, %s", sReg(sym), argRegs[argIdx])
+			g.emit(fMv, sReg(sym), argRegs[argIdx])
 		} else {
 			g.emitFrameStore(argRegs[argIdx], sym.FrameOff)
 		}
@@ -362,61 +413,31 @@ func (g *codegen) genFunc(f *FuncDecl) (err error) {
 	if err := g.genStmt(f.Body, retLbl); err != nil {
 		return err
 	}
-	// fall-through return
-	bodyLines := peephole(g.body)
+	g.list.Stmts = g.list.Stmts[:body+peephole(g.list.Stmts[body:])]
 
-	// assemble prologue/epilogue now that maxSpill is known
-	g.frameSize = (g.localsEnd + 15) &^ 15
-	var out []string
-	emitOut := func(format string, args ...any) {
-		out = append(out, "\t"+fmt.Sprintf(format, args...))
-	}
-	out = append(out, f.Name+":")
-	if f.Name == "main" {
-		emitOut("li t0, -1") // bare-metal exit identity (Figure 6)
-	}
-	if g.frameSize <= 2048 {
-		emitOut("addi sp, sp, -%d", g.frameSize)
-	} else {
-		emitOut("li t6, %d", g.frameSize)
-		emitOut("sub sp, sp, t6")
+	// fall-through return
+	g.list.Label(retLbl)
+	for _, si := range g.usedSRegs {
+		g.emitI(fLw, int64(12+4*si), saveRegs[si], sp)
 	}
 	if g.savesRA {
-		emitOut("sw ra, 0(sp)")
+		g.emitI(fLw, 0, ra, sp)
 	}
 	if g.savesT0 {
-		emitOut("sw t0, 4(sp)")
-	}
-	if f.IsThread {
-		emitOut("sw a4, %d(sp)", g.teamOff)
-	}
-	for _, si := range g.usedSRegs {
-		emitOut("sw %s, %d(sp)", saveRegs[si], 12+4*si)
-	}
-	out = append(out, bodyLines...)
-	out = append(out, retLbl+":")
-	for _, si := range g.usedSRegs {
-		emitOut("lw %s, %d(sp)", saveRegs[si], 12+4*si)
-	}
-	if g.savesRA {
-		emitOut("lw ra, 0(sp)")
-	}
-	if g.savesT0 {
-		emitOut("lw t0, 4(sp)")
+		g.emitI(fLw, 4, t0, sp)
 	}
 	if g.frameSize <= 2047 {
-		emitOut("addi sp, sp, %d", g.frameSize)
+		g.emitI(fAddi, int64(g.frameSize), sp, sp)
 	} else {
-		emitOut("li t6, %d", g.frameSize)
-		emitOut("add sp, sp, t6")
+		g.emitI(fLi, int64(g.frameSize), t6)
+		g.emit(fAdd, sp, sp, t6)
 	}
 	if f.IsThread || f.Name == "main" {
-		emitOut("p_ret")
+		g.emit(fPRet)
 	} else {
-		emitOut("ret")
+		g.emit(fRet)
 	}
-	g.out.WriteString(strings.Join(out, "\n"))
-	g.out.WriteString("\n\n")
+	g.list.Verbatim("\n")
 	return nil
 }
 
@@ -457,12 +478,12 @@ func (g *codegen) genStmt(st *Stmt, retLbl string) error {
 			if err := g.genExpr(st.Expr); err != nil {
 				return err
 			}
-			r := g.pop("a0")
-			if r != "a0" {
-				g.emit("mv a0, %s", r)
+			r := g.pop(a0)
+			if r != a0 {
+				g.emit(fMv, a0, r)
 			}
 		}
-		g.emit("j %s", retLbl)
+		g.emitS(fJ, retLbl)
 		return nil
 	case SIf:
 		elseLbl := g.newLabel("else")
@@ -478,50 +499,40 @@ func (g *codegen) genStmt(st *Stmt, retLbl string) error {
 			return err
 		}
 		if st.Else != nil {
-			g.emit("j %s", endLbl)
-			g.emitLabel(elseLbl)
+			g.emitS(fJ, endLbl)
+			g.list.Label(elseLbl)
 			if err := g.genStmt(st.Else, retLbl); err != nil {
 				return err
 			}
 		}
-		g.emitLabel(endLbl)
+		g.list.Label(endLbl)
 		return nil
 	case SWhile:
 		top := g.newLabel("while")
 		end := g.newLabel("wend")
-		g.emitLabel(top)
+		g.list.Label(top)
 		if err := g.genCondBranch(st.Expr, end, false); err != nil {
 			return err
 		}
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, top)
-		err := g.genStmt(st.Body, retLbl)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
+		if err := g.genLoopBody(st.Body, retLbl, end, top); err != nil {
 			return err
 		}
-		g.emit("j %s", top)
-		g.emitLabel(end)
+		g.emitS(fJ, top)
+		g.list.Label(end)
 		return nil
 	case SDoWhile:
 		top := g.newLabel("do")
 		cont := g.newLabel("docond")
 		end := g.newLabel("doend")
-		g.emitLabel(top)
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, cont)
-		err := g.genStmt(st.Body, retLbl)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
+		g.list.Label(top)
+		if err := g.genLoopBody(st.Body, retLbl, end, cont); err != nil {
 			return err
 		}
-		g.emitLabel(cont)
+		g.list.Label(cont)
 		if err := g.genCondBranch(st.Expr, top, true); err != nil {
 			return err
 		}
-		g.emitLabel(end)
+		g.list.Label(end)
 		return nil
 	case SFor:
 		if st.Init != nil {
@@ -532,21 +543,16 @@ func (g *codegen) genStmt(st *Stmt, retLbl string) error {
 		top := g.newLabel("for")
 		cont := g.newLabel("fpost")
 		end := g.newLabel("fend")
-		g.emitLabel(top)
+		g.list.Label(top)
 		if st.Cond != nil {
 			if err := g.genCondBranch(st.Cond, end, false); err != nil {
 				return err
 			}
 		}
-		g.breakLbl = append(g.breakLbl, end)
-		g.contLbl = append(g.contLbl, cont)
-		err := g.genStmt(st.Body, retLbl)
-		g.breakLbl = g.breakLbl[:len(g.breakLbl)-1]
-		g.contLbl = g.contLbl[:len(g.contLbl)-1]
-		if err != nil {
+		if err := g.genLoopBody(st.Body, retLbl, end, cont); err != nil {
 			return err
 		}
-		g.emitLabel(cont)
+		g.list.Label(cont)
 		if st.Post != nil {
 			used, err := g.genExprForEffect(st.Post)
 			if err != nil {
@@ -556,17 +562,26 @@ func (g *codegen) genStmt(st *Stmt, retLbl string) error {
 				g.pop(scratch)
 			}
 		}
-		g.emit("j %s", top)
-		g.emitLabel(end)
+		g.emitS(fJ, top)
+		g.list.Label(end)
 		return nil
 	case SBreak:
-		g.emit("j %s", g.breakLbl[len(g.breakLbl)-1])
+		g.emitS(fJ, g.breakLbl[len(g.breakLbl)-1])
 		return nil
 	case SContinue:
-		g.emit("j %s", g.contLbl[len(g.contLbl)-1])
+		g.emitS(fJ, g.contLbl[len(g.contLbl)-1])
 		return nil
 	}
 	return g.errf(st.Line, "internal: statement kind %d", st.Kind)
+}
+
+// genLoopBody generates a loop's body, in which break jumps to brk and
+// continue to cont.
+func (g *codegen) genLoopBody(body *Stmt, retLbl, brk, cont string) error {
+	g.breakLbl, g.contLbl = append(g.breakLbl, brk), append(g.contLbl, cont)
+	err := g.genStmt(body, retLbl)
+	g.breakLbl, g.contLbl = g.breakLbl[:len(g.breakLbl)-1], g.contLbl[:len(g.contLbl)-1]
+	return err
 }
 
 // genCondBranch evaluates a condition and branches to lbl when the
@@ -582,17 +597,17 @@ func (g *codegen) genCondBranch(e *Expr, lbl string, jumpIfTrue bool) error {
 		case "==", "!=", "<", ">", "<=", ">=":
 			// operand shortcuts: register variables and the constant zero
 			// feed the branch directly, without a temp copy
-			direct := func(x *Expr) (string, bool) {
+			direct := func(x *Expr) (reg, bool) {
 				if x.Kind == EVar && x.Sym != nil && x.Sym.Reg >= 0 {
 					return sReg(x.Sym), true
 				}
 				if v, ok := foldConst(x); ok && v == 0 {
-					return "zero", true
+					return zero, true
 				}
-				return "", false
+				return 0, false
 			}
-			ra, lok := direct(e.Lhs)
-			rb, rok := direct(e.Rhs)
+			lr, lok := direct(e.Lhs)
+			rr, rok := direct(e.Rhs)
 			if !lok {
 				if err := g.genExpr(e.Lhs); err != nil {
 					return err
@@ -604,19 +619,16 @@ func (g *codegen) genCondBranch(e *Expr, lbl string, jumpIfTrue bool) error {
 				}
 			}
 			if !rok {
-				rb = g.pop(scratch)
+				rr = g.pop(scratch)
 			}
 			if !lok {
-				ra = g.pop("a7")
+				lr = g.pop(a7)
 			}
 			op := e.Op
 			if !jumpIfTrue {
-				op = map[string]string{"==": "!=", "!=": "==", "<": ">=",
-					">": "<=", "<=": ">", ">=": "<"}[op]
+				op = negated[op]
 			}
-			br := map[string]string{"==": "beq", "!=": "bne", "<": "blt",
-				">": "bgt", "<=": "ble", ">=": "bge"}[op]
-			g.emit("%s %s, %s, %s", br, ra, rb, lbl)
+			g.emitS(branchOf[op], lbl, lr, rr)
 			return nil
 		case "&&":
 			if jumpIfTrue {
@@ -627,7 +639,7 @@ func (g *codegen) genCondBranch(e *Expr, lbl string, jumpIfTrue bool) error {
 				if err := g.genCondBranch(e.Rhs, lbl, true); err != nil {
 					return err
 				}
-				g.emitLabel(skip)
+				g.list.Label(skip)
 				return nil
 			}
 			if err := g.genCondBranch(e.Lhs, lbl, false); err != nil {
@@ -648,7 +660,7 @@ func (g *codegen) genCondBranch(e *Expr, lbl string, jumpIfTrue bool) error {
 			if err := g.genCondBranch(e.Rhs, lbl, false); err != nil {
 				return err
 			}
-			g.emitLabel(skip)
+			g.list.Label(skip)
 			return nil
 		}
 	}
@@ -657,23 +669,23 @@ func (g *codegen) genCondBranch(e *Expr, lbl string, jumpIfTrue bool) error {
 	}
 	r := g.pop(scratch)
 	if jumpIfTrue {
-		g.emit("bnez %s, %s", r, lbl)
+		g.emitS(fBnez, lbl, r)
 	} else {
-		g.emit("beqz %s, %s", r, lbl)
+		g.emitS(fBeqz, lbl, r)
 	}
 	return nil
 }
 
 // storeVar writes register r into a variable's home.
-func (g *codegen) storeVar(sym *Symbol, r string) error {
+func (g *codegen) storeVar(sym *Symbol, r reg) error {
 	if sym.Reg >= 0 {
-		g.emit("mv %s, %s", sReg(sym), r)
+		g.emit(fMv, sReg(sym), r)
 		return nil
 	}
 	switch sym.Kind {
 	case SymGlobal:
-		g.emit("la %s, %s", scratch2(r), sym.AsmName)
-		g.emit("sw %s, 0(%s)", r, scratch2(r))
+		g.emitS(fLa, sym.AsmName, scratch2(r))
+		g.emitI(fSw, 0, r, scratch2(r))
 	default:
 		g.emitFrameStore(r, sym.FrameOff)
 	}
@@ -681,9 +693,9 @@ func (g *codegen) storeVar(sym *Symbol, r string) error {
 }
 
 // scratch2 picks a scratch register different from r.
-func scratch2(r string) string {
+func scratch2(r reg) reg {
 	if r == scratch {
-		return "a7"
+		return a7
 	}
 	return scratch
 }

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/asm"
@@ -33,7 +32,7 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 			if name == "omp_get_num_threads" {
 				v = 1
 			}
-			g.pushComputed(func(dst string) { g.emit("li %s, %d", dst, v) })
+			g.pushComputed(func(dst reg) { g.emitI(fLi, v, dst) })
 			return true, nil
 		}
 		paramName := "__lbp_nt"
@@ -45,9 +44,9 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 			if sym.Kind == SymParam && sym.Name == paramName {
 				sym := sym
 				if sym.Reg >= 0 {
-					g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, sReg(sym)) })
+					g.pushComputed(func(dst reg) { g.emit(fMv, dst, sReg(sym)) })
 				} else {
-					g.pushComputed(func(dst string) { g.emitFrameLoad(dst, sym.FrameOff) })
+					g.pushComputed(func(dst reg) { g.emitFrameLoad(dst, sym.FrameOff) })
 				}
 				return true, nil
 			}
@@ -65,29 +64,28 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 			return false, err
 		}
 		val := g.pop(scratch)
-		tgt := g.pop("a7")
-		g.emit("p_swre %s, %s, %d", tgt, val, bufv)
+		tgt := g.pop(a7)
+		g.emitI(fPSwre, bufv, tgt, val)
 		return false, nil
 	case "lbp_recv_result":
 		bufv, ok := foldConst(e.Args[0])
 		if !ok {
 			return false, g.errf(e.Line, "lbp_recv_result buffer index must be constant")
 		}
-		g.pushComputed(func(dst string) { g.emit("p_lwre %s, %d", dst, bufv) })
+		g.pushComputed(func(dst reg) { g.emitI(fPLwre, bufv, dst) })
 		return true, nil
 	case "lbp_hart_id":
-		g.pushComputed(func(dst string) {
-			g.emit("p_set %s, zero", dst)
-			g.emit("slli %s, %s, 1", dst, dst)
-			g.emit("srli %s, %s, 17", dst, dst)
+		g.pushComputed(func(dst reg) {
+			g.emit(fPSet, dst, zero)
+			g.emitI(fSlli, 1, dst, dst)
+			g.emitI(fSrli, 17, dst, dst)
 		})
 		return true, nil
 	case "lbp_team":
 		if g.fn.IsThread {
-			off := g.teamOff
-			g.pushComputed(func(dst string) { g.emit("lw %s, %d(sp)", dst, off) })
+			g.pushComputed(func(dst reg) { g.emitI(fLw, teamOff, dst, sp) })
 		} else {
-			g.pushComputed(func(dst string) { g.emit("p_set %s, zero", dst) })
+			g.pushComputed(func(dst reg) { g.emit(fPSet, dst, zero) })
 		}
 		return true, nil
 	case "lbp_bank_ptr":
@@ -99,11 +97,11 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 			return false, err
 		}
 		a := g.pop(scratch)
-		g.emit("slli %s, %s, %d", a, a, k)
-		g.pushComputed(func(dst string) {
+		g.emitI(fSlli, int64(k), a, a)
+		g.pushComputed(func(dst reg) {
 			// dst may alias a; build the base in a6 first
-			g.emit("lui a6, 0x80000")
-			g.emit("add %s, a6, %s", dst, a)
+			g.emitI(fLui, 0x80000, a6)
+			g.emit(fAdd, dst, a6, a)
 		})
 		return true, nil
 	case "lbp_poll":
@@ -111,13 +109,13 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 			return false, err
 		}
 		a := g.pop(scratch)
-		g.pushComputed(func(dst string) { g.emit("lw %s, 0(%s)", dst, a) })
+		g.pushComputed(func(dst reg) { g.emitI(fLw, 0, dst, a) })
 		return true, nil
 	case "lbp_halt":
-		g.emit("ebreak")
+		g.emit(fEbreak)
 		return false, nil
 	case "lbp_syncm":
-		g.emit("p_syncm")
+		g.emit(fPSyncm)
 		return false, nil
 	}
 
@@ -130,29 +128,23 @@ func (g *codegen) genCall(e *Expr, needValue bool) (bool, error) {
 	}
 	n := len(e.Args)
 	base := len(g.stack) - n
-	// entries below the arguments must survive the call: flush them
-	for i := 0; i < base; i++ {
-		if i < len(tempRegs) && !g.stack[i].flushed {
-			g.emit("sw %s, %d(sp)", tempRegs[i], g.slotOff(i))
-			g.stack[i].flushed = true
-		}
-	}
+	g.flushBelow(base) // entries below the arguments must survive the call
 	// arguments move straight from their temp registers when possible
 	for i := 0; i < n; i++ {
 		idx := base + i
 		if idx < len(tempRegs) && !g.stack[idx].flushed {
-			g.emit("mv %s, %s", argRegs[i], tempRegs[idx])
+			g.emit(fMv, argRegs[i], tempRegs[idx])
 		} else {
-			g.emit("lw %s, %d(sp)", argRegs[i], g.slotOff(idx))
+			g.emitI(fLw, int64(g.slotOff(idx)), argRegs[i], sp)
 		}
 	}
 	g.stack = g.stack[:base]
-	g.emit("jal %s", fn.Name)
+	g.emitS(fJal, fn.Name)
 	if fn.Ret.Kind == TypeVoid {
 		return false, nil
 	}
 	if needValue {
-		g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, "a0") })
+		g.pushComputed(func(dst reg) { g.emit(fMv, dst, a0) })
 		return true, nil
 	}
 	return false, nil
@@ -170,18 +162,19 @@ func (g *codegen) genParallelLaunch(e *Expr) error {
 	if err := g.genExpr(e.Args[1]); err != nil {
 		return err
 	}
-	g.flushForCall()
-	trip := g.pop("a3")
-	if trip != "a3" {
-		g.emit("mv a3, %s", trip)
+	g.flushBelow(len(g.stack))
+	trip := g.pop(a3)
+	if trip != a3 {
+		g.emit(fMv, a3, trip)
 	}
-	g.emit("li t0, -1")
-	g.emit("p_set t0, t0")
-	g.emit("la a0, %s", fnArg.Sym.Func.Name)
-	g.emit("li a1, 0")
-	g.emit("jal LBP_parallel_start")
-	g.emit("lw ra, 0(sp)")
-	g.emit("lw t0, 4(sp)")
+	g.emitI(fLi, -1, t0)
+	g.emit(fPSet, t0, t0)
+	g.emitS(fLa, fnArg.Sym.Func.Name, a0)
+	g.emitI(fLi, 0, a1)
+	g.emitS(fJal, "LBP_parallel_start")
+	g.parallel = true
+	g.emitI(fLw, 0, ra, sp)
+	g.emitI(fLw, 4, t0, sp)
 	return nil
 }
 
@@ -194,7 +187,7 @@ func (g *codegen) genData() error {
 	if len(g.prog.Globals) == 0 {
 		return nil
 	}
-	g.out.WriteString("\t.data\n")
+	g.list.Data()
 	bankSize := g.bankBytes()
 	cursor := uint32(sharedBase)
 	var banked []*VarDecl
@@ -225,7 +218,7 @@ func (g *codegen) genData() error {
 					cursor-sharedBase, g.opt.BankReserveBytes, curBank)
 			}
 			bankCursor = start
-			g.out.WriteString(fmt.Sprintf("\t.org 0x%x\n", bankCursor))
+			g.list.Org(bankCursor)
 		}
 		if err := g.emitGlobal(d); err != nil {
 			return err
@@ -248,12 +241,12 @@ func (g *codegen) bankBytes() uint32 {
 }
 
 func (g *codegen) emitGlobal(d *VarDecl) error {
-	g.out.WriteString(d.Name + ":\n")
+	g.list.Label(d.Name)
 	size := d.Type.Size()
 	switch {
 	case d.Init != nil:
 		v, _ := foldConst(d.Init)
-		g.out.WriteString(fmt.Sprintf("\t.word %d\n", int32(v)))
+		g.list.Word(int64(int32(v)))
 	case d.List != nil:
 		// expand entries into a dense image — of a global that can exist:
 		// the declared length sizes the allocation, so one larger than
@@ -285,16 +278,16 @@ func (g *codegen) emitGlobal(d *VarDecl) error {
 				j++
 			}
 			if j-i >= 4 {
-				g.out.WriteString(fmt.Sprintf("\t.fill %d, %d\n", j-i, int32(vals[i])))
+				g.list.Fill(int64(j-i), int64(int32(vals[i])))
 			} else {
 				for k := i; k < j; k++ {
-					g.out.WriteString(fmt.Sprintf("\t.word %d\n", int32(vals[k])))
+					g.list.Word(int64(int32(vals[k])))
 				}
 			}
 			i = j
 		}
 	default:
-		g.out.WriteString(fmt.Sprintf("\t.space %d\n", (size+3)&^3))
+		g.list.Space(int64((size + 3) &^ 3))
 	}
 	return nil
 }

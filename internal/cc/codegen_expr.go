@@ -3,11 +3,8 @@ package cc
 // pushComputed allocates a stack entry and lets f compute the value into
 // the chosen register (the entry's temp register, or the scratch for
 // frame-resident entries).
-func (g *codegen) pushComputed(f func(dst string)) {
-	r, inReg := g.push()
-	if !inReg {
-		r = scratch
-	}
+func (g *codegen) pushComputed(f func(dst reg)) {
+	r := g.push()
 	f(r)
 	g.storeTop(r)
 }
@@ -15,18 +12,13 @@ func (g *codegen) pushComputed(f func(dst string)) {
 // dupTop duplicates the top stack entry.
 func (g *codegen) dupTop() {
 	i := len(g.stack) - 1
-	var src string
-	if i < len(tempRegs) && !g.stack[i].flushed {
-		src = tempRegs[i]
-	} else {
-		src = ""
-	}
+	inReg := i < len(tempRegs) && !g.stack[i].flushed
 	off := g.slotOff(i)
-	g.pushComputed(func(dst string) {
-		if src != "" {
-			g.emit("mv %s, %s", dst, src)
+	g.pushComputed(func(dst reg) {
+		if inReg {
+			g.emit(fMv, dst, tempRegs[i])
 		} else {
-			g.emit("lw %s, %d(sp)", dst, off)
+			g.emitI(fLw, int64(off), dst, sp)
 		}
 	})
 }
@@ -34,12 +26,12 @@ func (g *codegen) dupTop() {
 // genExpr evaluates e and pushes its value (or decayed address).
 func (g *codegen) genExpr(e *Expr) error {
 	if v, ok := foldConst(e); ok {
-		g.pushComputed(func(dst string) { g.emit("li %s, %d", dst, int32(v)) })
+		g.pushComputed(func(dst reg) { g.emitI(fLi, int64(int32(v)), dst) })
 		return nil
 	}
 	switch e.Kind {
 	case ENum:
-		g.pushComputed(func(dst string) { g.emit("li %s, %d", dst, int32(e.Num)) })
+		g.pushComputed(func(dst reg) { g.emitI(fLi, int64(int32(e.Num)), dst) })
 		return nil
 	case ECast:
 		return g.genExpr(e.Lhs)
@@ -64,7 +56,7 @@ func (g *codegen) genExpr(e *Expr) error {
 			return g.errf(e.Line, "void value used in an expression")
 		}
 		return nil
-	case EIndex:
+	case EIndex, EMember:
 		if !e.Type.IsScalar() {
 			// address of an aggregate element
 			return g.genAddr(e)
@@ -73,17 +65,7 @@ func (g *codegen) genExpr(e *Expr) error {
 			return err
 		}
 		a := g.pop(scratch)
-		g.pushComputed(func(dst string) { g.emit("lw %s, 0(%s)", dst, a) })
-		return nil
-	case EMember:
-		if !e.Type.IsScalar() {
-			return g.genAddr(e)
-		}
-		if err := g.genAddr(e); err != nil {
-			return err
-		}
-		a := g.pop(scratch)
-		g.pushComputed(func(dst string) { g.emit("lw %s, 0(%s)", dst, a) })
+		g.pushComputed(func(dst reg) { g.emitI(fLw, 0, dst, a) })
 		return nil
 	}
 	return g.errf(e.Line, "internal: expression kind %d", e.Kind)
@@ -95,23 +77,23 @@ func (g *codegen) genVarValue(e *Expr) error {
 	sym := e.Sym
 	switch {
 	case sym.Kind == SymFunc:
-		g.pushComputed(func(dst string) { g.emit("la %s, %s", dst, sym.Name) })
+		g.pushComputed(func(dst reg) { g.emitS(fLa, sym.Name, dst) })
 	case sym.Reg >= 0:
-		g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, sReg(sym)) })
+		g.pushComputed(func(dst reg) { g.emit(fMv, dst, sReg(sym)) })
 	case sym.Kind == SymGlobal:
 		if sym.Type.IsScalar() {
-			g.pushComputed(func(dst string) {
-				g.emit("la %s, %s", dst, sym.AsmName)
-				g.emit("lw %s, 0(%s)", dst, dst)
+			g.pushComputed(func(dst reg) {
+				g.emitS(fLa, sym.AsmName, dst)
+				g.emitI(fLw, 0, dst, dst)
 			})
 		} else {
-			g.pushComputed(func(dst string) { g.emit("la %s, %s", dst, sym.AsmName) })
+			g.pushComputed(func(dst reg) { g.emitS(fLa, sym.AsmName, dst) })
 		}
 	default: // frame-resident local or param
 		if sym.Type.IsScalar() {
-			g.pushComputed(func(dst string) { g.emitFrameLoad(dst, sym.FrameOff) })
+			g.pushComputed(func(dst reg) { g.emitFrameLoad(dst, sym.FrameOff) })
 		} else {
-			g.pushComputed(func(dst string) { g.emitFrameAddr(dst, sym.FrameOff) })
+			g.pushComputed(func(dst reg) { g.emitFrameAddr(dst, sym.FrameOff) })
 		}
 	}
 	return nil
@@ -124,11 +106,11 @@ func (g *codegen) genAddr(e *Expr) error {
 		sym := e.Sym
 		switch {
 		case sym.Kind == SymGlobal:
-			g.pushComputed(func(dst string) { g.emit("la %s, %s", dst, sym.AsmName) })
+			g.pushComputed(func(dst reg) { g.emitS(fLa, sym.AsmName, dst) })
 		case sym.Reg >= 0:
 			return g.errf(e.Line, "internal: address of register variable %q", sym.Name)
 		default:
-			g.pushComputed(func(dst string) { g.emitFrameAddr(dst, sym.FrameOff) })
+			g.pushComputed(func(dst reg) { g.emitFrameAddr(dst, sym.FrameOff) })
 		}
 		return nil
 	case EUnary:
@@ -152,8 +134,8 @@ func (g *codegen) genAddr(e *Expr) error {
 		}
 		b := g.pop(scratch)
 		g.scaleInPlace(b, decay(e.Lhs.Type).Elem.Size())
-		a := g.pop("a7")
-		g.pushComputed(func(dst string) { g.emit("add %s, %s, %s", dst, a, b) })
+		a := g.pop(a7)
+		g.pushComputed(func(dst reg) { g.emit(fAdd, dst, a, b) })
 		return nil
 	case EMember:
 		var off int
@@ -176,23 +158,23 @@ func (g *codegen) genAddr(e *Expr) error {
 			return err
 		}
 		a := g.pop(scratch)
-		g.pushComputed(func(dst string) { g.emit("addi %s, %s, %d", dst, a, off) })
+		g.pushComputed(func(dst reg) { g.emitI(fAddi, int64(off), dst, a) })
 		return nil
 	}
 	return g.errf(e.Line, "internal: genAddr of kind %d", e.Kind)
 }
 
 // scaleInPlace multiplies register r by size (for pointer arithmetic).
-func (g *codegen) scaleInPlace(r string, size int) {
+func (g *codegen) scaleInPlace(r reg, size int) {
 	if size == 1 {
 		return
 	}
 	if k := log2(size); k > 0 {
-		g.emit("slli %s, %s, %d", r, r, k)
+		g.emitI(fSlli, int64(k), r, r)
 		return
 	}
-	g.emit("li a6, %d", size)
-	g.emit("mul %s, %s, a6", r, r)
+	g.emitI(fLi, int64(size), a6)
+	g.emit(fMul, r, r, a6)
 }
 
 func log2(v int) int {
@@ -216,21 +198,21 @@ func (g *codegen) genUnary(e *Expr) error {
 			return err
 		}
 		a := g.pop(scratch)
-		g.pushComputed(func(dst string) { g.emit("lw %s, 0(%s)", dst, a) })
+		g.pushComputed(func(dst reg) { g.emitI(fLw, 0, dst, a) })
 		return nil
 	}
 	if err := g.genExpr(e.Lhs); err != nil {
 		return err
 	}
 	a := g.pop(scratch)
-	g.pushComputed(func(dst string) {
+	g.pushComputed(func(dst reg) {
 		switch e.Op {
 		case "-":
-			g.emit("neg %s, %s", dst, a)
+			g.emit(fNeg, dst, a)
 		case "~":
-			g.emit("not %s, %s", dst, a)
+			g.emit(fNot, dst, a)
 		case "!":
-			g.emit("seqz %s, %s", dst, a)
+			g.emit(fSeqz, dst, a)
 		}
 	})
 	return nil
@@ -259,7 +241,7 @@ func (g *codegen) genBinary(e *Expr) error {
 					return err
 				}
 				a := g.pop(scratch)
-				g.pushComputed(func(dst string) { g.emit("addi %s, %s, %d", dst, a, v) })
+				g.pushComputed(func(dst reg) { g.emitI(fAddi, v, dst, a) })
 				return nil
 			}
 		case "*":
@@ -268,7 +250,7 @@ func (g *codegen) genBinary(e *Expr) error {
 					return err
 				}
 				a := g.pop(scratch)
-				g.pushComputed(func(dst string) { g.emit("slli %s, %s, %d", dst, a, k) })
+				g.pushComputed(func(dst reg) { g.emitI(fSlli, int64(k), dst, a) })
 				return nil
 			}
 		case "<<", ">>":
@@ -277,11 +259,11 @@ func (g *codegen) genBinary(e *Expr) error {
 					return err
 				}
 				a := g.pop(scratch)
-				op := "slli"
+				op := fSlli
 				if e.Op == ">>" {
-					op = "srai"
+					op = fSrai
 				}
-				g.pushComputed(func(dst string) { g.emit("%s %s, %s, %d", op, dst, a, rv) })
+				g.pushComputed(func(dst reg) { g.emitI(op, rv, dst, a) })
 				return nil
 			}
 		case "&", "|", "^":
@@ -290,8 +272,7 @@ func (g *codegen) genBinary(e *Expr) error {
 					return err
 				}
 				a := g.pop(scratch)
-				op := map[string]string{"&": "andi", "|": "ori", "^": "xori"}[e.Op]
-				g.pushComputed(func(dst string) { g.emit("%s %s, %s, %d", op, dst, a, rv) })
+				g.pushComputed(func(dst reg) { g.emitI(immediateOf[e.Op], rv, dst, a) })
 				return nil
 			}
 		}
@@ -315,57 +296,39 @@ func (g *codegen) genBinaryTop(op string, lt, rt *Type, line int) error {
 			g.scaleInPlace(b, ldt.Elem.Size())
 		}
 	}
-	a := g.pop("a7")
+	a := g.pop(a7)
 	if op == "+" && rdt.Kind == TypePtr && ldt.Kind == TypeInt {
 		g.scaleInPlace(a, rdt.Elem.Size())
 	}
-	g.pushComputed(func(dst string) {
+	g.pushComputed(func(dst reg) {
 		switch op {
-		case "+":
-			g.emit("add %s, %s, %s", dst, a, b)
+		default:
+			g.emit(binaryOf[op], dst, a, b)
 		case "-":
-			g.emit("sub %s, %s, %s", dst, a, b)
+			g.emit(fSub, dst, a, b)
 			if ldt.Kind == TypePtr && rdt.Kind == TypePtr {
 				sz := ldt.Elem.Size()
 				if k := log2(sz); k > 0 {
-					g.emit("srai %s, %s, %d", dst, dst, k)
+					g.emitI(fSrai, int64(k), dst, dst)
 				} else if sz > 1 {
-					g.emit("li a6, %d", sz)
-					g.emit("div %s, %s, a6", dst, dst)
+					g.emitI(fLi, int64(sz), a6)
+					g.emit(fDiv, dst, dst, a6)
 				}
 			}
-		case "*":
-			g.emit("mul %s, %s, %s", dst, a, b)
-		case "/":
-			g.emit("div %s, %s, %s", dst, a, b)
-		case "%":
-			g.emit("rem %s, %s, %s", dst, a, b)
-		case "&":
-			g.emit("and %s, %s, %s", dst, a, b)
-		case "|":
-			g.emit("or %s, %s, %s", dst, a, b)
-		case "^":
-			g.emit("xor %s, %s, %s", dst, a, b)
-		case "<<":
-			g.emit("sll %s, %s, %s", dst, a, b)
-		case ">>":
-			g.emit("sra %s, %s, %s", dst, a, b)
-		case "<":
-			g.emit("slt %s, %s, %s", dst, a, b)
 		case ">":
-			g.emit("slt %s, %s, %s", dst, b, a)
+			g.emit(fSlt, dst, b, a)
 		case "<=":
-			g.emit("slt %s, %s, %s", dst, b, a)
-			g.emit("xori %s, %s, 1", dst, dst)
+			g.emit(fSlt, dst, b, a)
+			g.emitI(fXori, 1, dst, dst)
 		case ">=":
-			g.emit("slt %s, %s, %s", dst, a, b)
-			g.emit("xori %s, %s, 1", dst, dst)
+			g.emit(fSlt, dst, a, b)
+			g.emitI(fXori, 1, dst, dst)
 		case "==":
-			g.emit("sub %s, %s, %s", dst, a, b)
-			g.emit("seqz %s, %s", dst, dst)
+			g.emit(fSub, dst, a, b)
+			g.emit(fSeqz, dst, dst)
 		case "!=":
-			g.emit("sub %s, %s, %s", dst, a, b)
-			g.emit("snez %s, %s", dst, dst)
+			g.emit(fSub, dst, a, b)
+			g.emit(fSnez, dst, dst)
 		}
 	})
 	return nil
@@ -373,32 +336,26 @@ func (g *codegen) genBinaryTop(op string, lt, rt *Type, line int) error {
 
 // genBoolValue materializes a short-circuit expression as 0/1.
 func (g *codegen) genBoolValue(e *Expr) error {
-	r, inReg := g.push()
-	if !inReg {
-		r = scratch
-	}
+	r := g.push()
 	falseL := g.newLabel("bfalse")
 	endL := g.newLabel("bend")
 	// temporarily hide our entry so nested condition codegen balances
 	if err := g.genCondBranch(e, falseL, false); err != nil {
 		return err
 	}
-	g.emit("li %s, 1", r)
+	g.emitI(fLi, 1, r)
 	g.storeTop(r)
-	g.emit("j %s", endL)
-	g.emitLabel(falseL)
-	g.emit("li %s, 0", r)
+	g.emitS(fJ, endL)
+	g.list.Label(falseL)
+	g.emitI(fLi, 0, r)
 	g.storeTop(r)
-	g.emitLabel(endL)
+	g.list.Label(endL)
 	return nil
 }
 
 // genCondValue evaluates c ? a : b.
 func (g *codegen) genCondValue(e *Expr) error {
-	r, inReg := g.push()
-	if !inReg {
-		r = scratch
-	}
+	r := g.push()
 	elseL := g.newLabel("celse")
 	endL := g.newLabel("cend")
 	if err := g.genCondBranch(e.Lhs, elseL, false); err != nil {
@@ -408,17 +365,17 @@ func (g *codegen) genCondValue(e *Expr) error {
 		return err
 	}
 	v := g.pop(scratch2(r))
-	g.emit("mv %s, %s", r, v)
+	g.emit(fMv, r, v)
 	g.storeTop(r)
-	g.emit("j %s", endL)
-	g.emitLabel(elseL)
+	g.emitS(fJ, endL)
+	g.list.Label(elseL)
 	if err := g.genExpr(e.Third); err != nil {
 		return err
 	}
 	v = g.pop(scratch2(r))
-	g.emit("mv %s, %s", r, v)
+	g.emit(fMv, r, v)
 	g.storeTop(r)
-	g.emitLabel(endL)
+	g.list.Label(endL)
 	return nil
 }
 
@@ -433,9 +390,9 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 				return err
 			}
 			r := g.pop(scratch)
-			g.emit("mv %s, %s", sReg(lhs.Sym), r)
+			g.emit(fMv, sReg(lhs.Sym), r)
 			if needValue {
-				g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, sReg(lhs.Sym)) })
+				g.pushComputed(func(dst reg) { g.emit(fMv, dst, sReg(lhs.Sym)) })
 			}
 			return nil
 		}
@@ -446,7 +403,7 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 			r := g.pop(scratch)
 			g.emitFrameStore(r, lhs.Sym.FrameOff)
 			if needValue {
-				g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, r) })
+				g.pushComputed(func(dst reg) { g.emit(fMv, dst, r) })
 			}
 			return nil
 		}
@@ -457,10 +414,10 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 			return err
 		}
 		b := g.pop(scratch)
-		a := g.pop("a7")
-		g.emit("sw %s, 0(%s)", b, a)
+		a := g.pop(a7)
+		g.emitI(fSw, 0, b, a)
 		if needValue {
-			g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, b) })
+			g.pushComputed(func(dst reg) { g.emit(fMv, dst, b) })
 		}
 		return nil
 	}
@@ -477,9 +434,9 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 			return err
 		}
 		r := g.pop(scratch)
-		g.emit("mv %s, %s", sReg(lhs.Sym), r)
+		g.emit(fMv, sReg(lhs.Sym), r)
 		if needValue {
-			g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, sReg(lhs.Sym)) })
+			g.pushComputed(func(dst reg) { g.emit(fMv, dst, sReg(lhs.Sym)) })
 		}
 		return nil
 	}
@@ -488,7 +445,7 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 	}
 	g.dupTop()
 	a := g.pop(scratch)
-	g.pushComputed(func(dst string) { g.emit("lw %s, 0(%s)", dst, a) })
+	g.pushComputed(func(dst reg) { g.emitI(fLw, 0, dst, a) })
 	if err := g.genExpr(e.Rhs); err != nil {
 		return err
 	}
@@ -496,10 +453,10 @@ func (g *codegen) genAssign(e *Expr, needValue bool) error {
 		return err
 	}
 	b := g.pop(scratch)
-	addr := g.pop("a7")
-	g.emit("sw %s, 0(%s)", b, addr)
+	addr := g.pop(a7)
+	g.emitI(fSw, 0, b, addr)
 	if needValue {
-		g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, b) })
+		g.pushComputed(func(dst reg) { g.emit(fMv, dst, b) })
 	}
 	return nil
 }
@@ -517,11 +474,11 @@ func (g *codegen) genIncDec(e *Expr, needValue bool) error {
 	if lhs.Kind == EVar && lhs.Sym.Reg >= 0 {
 		r := sReg(lhs.Sym)
 		if needValue && !e.Prefix {
-			g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, r) })
+			g.pushComputed(func(dst reg) { g.emit(fMv, dst, r) })
 		}
-		g.emit("addi %s, %s, %d", r, r, delta)
+		g.emitI(fAddi, int64(delta), r, r)
 		if needValue && e.Prefix {
-			g.pushComputed(func(dst string) { g.emit("mv %s, %s", dst, r) })
+			g.pushComputed(func(dst reg) { g.emit(fMv, dst, r) })
 		}
 		return nil
 	}
@@ -530,21 +487,21 @@ func (g *codegen) genIncDec(e *Expr, needValue bool) error {
 	}
 	g.dupTop()
 	a := g.pop(scratch)
-	g.pushComputed(func(dst string) {
-		g.emit("lw %s, 0(%s)", dst, a)
-		g.emit("addi %s, %s, %d", dst, dst, delta)
+	g.pushComputed(func(dst reg) {
+		g.emitI(fLw, 0, dst, a)
+		g.emitI(fAddi, int64(delta), dst, dst)
 	})
 	b := g.pop(scratch)
-	addr := g.pop("a7")
-	g.emit("sw %s, 0(%s)", b, addr)
+	addr := g.pop(a7)
+	g.emitI(fSw, 0, b, addr)
 	if needValue {
 		d := delta
 		pre := e.Prefix
-		g.pushComputed(func(dst string) {
+		g.pushComputed(func(dst reg) {
 			if pre {
-				g.emit("mv %s, %s", dst, b)
+				g.emit(fMv, dst, b)
 			} else {
-				g.emit("addi %s, %s, %d", dst, b, -d)
+				g.emitI(fAddi, int64(-d), dst, b)
 			}
 		})
 	}

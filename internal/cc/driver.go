@@ -1,43 +1,32 @@
 package cc
 
-import (
-	"strings"
+import "repro/internal/asm"
 
-	"repro/internal/asm"
-	"repro/internal/detomp"
-)
-
-// Build compiles MiniC source and assembles the result into a loadable
-// program: BuildProgram, then asm.Assemble. A compile failure is an
-// *Error; an *asm.Error means the assembler refused the generated text.
+// Build compiles MiniC source into a loadable program: the code
+// generator's statement list, with the Deterministic OpenMP runtime when
+// the code launches parallel teams, goes to the assembler's layout and
+// encode as it is — the text BuildProgram renders is never made. A
+// compile failure is an *Error; an *asm.Error means the assembler
+// refused the generated code, at the line BuildProgram's text has there.
 func Build(src string, opt Options) (*asm.Program, error) {
-	asmText, err := BuildProgram(src, opt)
+	l, err := compile(src, opt, true)
 	if err != nil {
 		return nil, err
 	}
-	return asm.Assemble(asmText, asm.Options{})
+	return l.Assemble(asm.Options{})
 }
 
-// BuildProgram compiles MiniC source into a complete assembly program,
-// appending the Deterministic OpenMP runtime when the code launches
-// parallel teams.
-func BuildProgram(src string, opt Options) (string, error) {
-	asmText, err := Compile(src, opt)
+// BuildProgram compiles MiniC source into a complete assembly program:
+// the text of the list Build assembles.
+func BuildProgram(src string, opt Options) (string, error) { return compileText(src, opt, true) }
+
+// Compile is BuildProgram without the Deterministic OpenMP runtime.
+func Compile(src string, opt Options) (string, error) { return compileText(src, opt, false) }
+
+func compileText(src string, opt Options, runtime bool) (string, error) {
+	l, err := compile(src, opt, runtime)
 	if err != nil {
 		return "", err
 	}
-	if UsesParallel(asmText) && !detomp.UsesRuntime(asmText) {
-		// Insert the runtime before the data section so it assembles
-		// into the text image.
-		asmText = insertBeforeData(asmText, detomp.Runtime())
-	}
-	return asmText, nil
-}
-
-func insertBeforeData(asmText, runtime string) string {
-	const marker = "\t.data\n"
-	if i := strings.Index(asmText, marker); i >= 0 {
-		return asmText[:i] + runtime + "\n" + asmText[i:]
-	}
-	return asmText + runtime
+	return l.String(), nil
 }

@@ -82,6 +82,17 @@ var hostileSources = []hostileSource{
 	// 38 bytes: a 762 MB dense image before any size check.
 	{"initialized global", 100_000_000,
 		func(n int) string { return fmt.Sprintf("int a[%d] = {1};\nvoid main() {}\n", n) }, "larger than"},
+	// A function or a global named like a label of the runtime used to
+	// compile without a word: a user's LBP_parallel_start kept the
+	// runtime out and was called as the team launcher.
+	{"function named like the team launcher", 1,
+		func(int) string {
+			return "int out[4];\nint LBP_parallel_start(int x) { return x; }\nvoid main() {\n\tint t;\n" +
+				"#pragma omp parallel for\n\tfor (t = 0; t < 4; t++) out[t] = t;\n}\n"
+		}, `"LBP_parallel_start" is a symbol of the Deterministic OpenMP runtime`},
+	{"global named like a runtime label", 1,
+		func(int) string { return "int x;\nint Lps_send;\nvoid main() { x = 1; }\n" },
+		`"Lps_send" is a symbol of the Deterministic OpenMP runtime`},
 }
 
 // TestHostileSources: each source is refused with a *cc.Error carrying a
@@ -165,31 +176,46 @@ func fuzzgenSource(seed int64) (string, cc.Options) {
 	return p.Render(), opt
 }
 
-// BenchmarkBuildProgram compiles the stream the serving benchmark sends
-// (bench/lbp-load's cold jobs): generated OpenMP programs.
-func BenchmarkBuildProgram(b *testing.B) {
-	type job struct {
-		src string
-		opt cc.Options
-	}
-	var jobs []job
+// benchJobs is the stream the serving benchmark sends (bench/lbp-load's
+// cold jobs): generated OpenMP programs.
+func benchJobs() (srcs []string, opts []cc.Options) {
 	for seed := int64(1); seed <= 20; seed++ {
 		src, opt := fuzzgenSource(seed)
-		jobs = append(jobs, job{src, opt})
+		srcs, opts = append(srcs, src), append(opts, opt)
 	}
+	return srcs, opts
+}
+
+// BenchmarkBuild is what a cold job pays before the simulator: source to
+// program through the statement list, no text. BenchmarkBuildProgram is
+// compile plus rendering (lbp-cc, and the text bench/ replays), and
+// internal/asm's BenchmarkAssemble is the text door over its output.
+func BenchmarkBuild(b *testing.B) {
+	srcs, opts := benchJobs()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := jobs[i%len(jobs)]
-		if _, err := cc.BuildProgram(j.src, j.opt); err != nil {
+		if _, err := cc.Build(srcs[i%len(srcs)], opts[i%len(srcs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// FuzzCompile: any source text gets a *cc.Error, or assembly text that
-// the assembler takes or refuses with an *asm.Error; never a panic,
-// never more than a bounded time.
+func BenchmarkBuildProgram(b *testing.B) {
+	srcs, opts := benchJobs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cc.BuildProgram(srcs[i%len(srcs)], opts[i%len(srcs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzCompile: any source text gets a *cc.Error, or code that the
+// assembler takes or refuses with an *asm.Error — the same image or the
+// same error whether it gets the statements or their text
+// (sameAtBothDoors); never a panic, never more than a bounded time.
 func FuzzCompile(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		src, _ := fuzzgenSource(seed)
@@ -219,16 +245,14 @@ func FuzzCompile(f *testing.F) {
 	opt.Cores = 4
 	f.Fuzz(func(t *testing.T, src string) {
 		start := time.Now()
-		text, err := cc.BuildProgram(src, opt)
-		var ce *cc.Error
-		if err != nil && !errors.As(err, &ce) {
-			t.Fatalf("error %v (%T) is not a *cc.Error", err, err)
+		refused, diff := sameAtBothDoors(src, opt)
+		if diff != nil {
+			t.Fatal(diff)
 		}
-		if err == nil {
-			var ae *asm.Error
-			if _, err := asm.Assemble(text, asm.Options{}); err != nil && !errors.As(err, &ae) {
-				t.Fatalf("assembler error %v (%T) is not an *asm.Error", err, err)
-			}
+		var ce *cc.Error
+		var ae *asm.Error
+		if refused != nil && !errors.As(refused, &ce) && !errors.As(refused, &ae) {
+			t.Fatalf("error %v (%T) is neither a *cc.Error nor an *asm.Error", refused, refused)
 		}
 		if d := time.Since(start); d > 2*time.Second {
 			t.Fatalf("took %v", d)

@@ -1,8 +1,13 @@
 package cc
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/detomp"
 )
 
 // Unit tests of the OpenMP transform itself (omp.go): pragma
@@ -159,5 +164,25 @@ void main() {
 	if !strings.Contains(asmText, "__omp_body_1_main") ||
 		!strings.Contains(asmText, "__omp_body_2_main") {
 		t.Error("outlined bodies must get distinct names")
+	}
+}
+
+// TestRuntimeSymbolsReserved: a function (defined or only declared) or a
+// global named like any label of the runtime is refused by name and
+// line; a local of that name is no label and compiles.
+func TestRuntimeSymbolsReserved(t *testing.T) {
+	for _, name := range detomp.RuntimeSymbols() {
+		for _, decl := range []string{"int %s(int x) { return x; }", "int %s(int x);", "int %s;"} {
+			src := "int g;\n" + fmt.Sprintf(decl, name) + "\nvoid main() { g = 1; }\n"
+			_, err := BuildProgram(src, DefaultOptions())
+			var ce *Error
+			if !errors.As(err, &ce) || ce.Line != 2 || !strings.Contains(ce.Msg, strconv.Quote(name)) {
+				t.Errorf("%q: error %v, want a *cc.Error at line 2 naming %s", src, err, name)
+			}
+		}
+		src := "int g;\nvoid main() { int " + name + "; " + name + " = 1; g = " + name + "; }\n"
+		if _, err := Build(src, DefaultOptions()); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
 	}
 }

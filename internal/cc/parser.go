@@ -33,6 +33,9 @@ func (p *parser) tooDeep() error {
 // Parse builds the AST of a MiniC translation unit.
 func Parse(src string) (*Program, error) {
 	p := &parser{lex: newLexer(src), structs: map[string]*Type{}}
+	// room for the tokens of an ordinary source at once; a bounded guess,
+	// so that a huge source refused early has cost little
+	p.toks = make([]Token, 0, min(len(src)/2+16, 1<<12))
 	p.fill()
 	prog := &Program{Structs: p.structs}
 	var err error

@@ -1,5 +1,11 @@
 package cc
 
+import (
+	"slices"
+
+	"repro/internal/detomp"
+)
+
 // Builtin functions of the Deterministic OpenMP dialect.
 type builtin struct {
 	name  string
@@ -30,6 +36,16 @@ func IsBuiltin(name string) bool {
 		}
 	}
 	return false
+}
+
+// checkReserved refuses a function or global named like a label of the
+// Deterministic OpenMP runtime that BuildProgram links in: it would
+// define the label twice — or, worse, once, in the runtime's place.
+func checkReserved(name string, line int) error {
+	if slices.Contains(detomp.RuntimeSymbols(), name) {
+		return errf(line, 1, "%q is a symbol of the Deterministic OpenMP runtime", name)
+	}
+	return nil
 }
 
 // scope is a lexical scope.
@@ -64,6 +80,9 @@ func Analyze(prog *Program) error {
 			Type: b.ret, Func: &FuncDecl{Name: b.name, Ret: b.ret}}
 	}
 	for _, g := range prog.Globals {
+		if err := checkReserved(g.Name, g.Line); err != nil {
+			return err
+		}
 		if prev := s.globals.syms[g.Name]; prev != nil {
 			return errf(g.Line, 1, "redefinition of %q", g.Name)
 		}
@@ -81,6 +100,9 @@ func Analyze(prog *Program) error {
 		}
 	}
 	for _, f := range prog.Funcs {
+		if err := checkReserved(f.Name, f.Line); err != nil {
+			return err
+		}
 		if prev := s.globals.syms[f.Name]; prev != nil {
 			if prev.Kind == SymFunc && prev.Func.Body == nil && f.Body != nil {
 				prev.Func = f // definition after prototype

@@ -71,7 +71,7 @@ var keywords = map[string]bool{
 	"static": true, "const": true, "unsigned": true,
 }
 
-// multi-character punctuators, longest first.
+// punctuators, longest first.
 var puncts = []string{
 	"<<=", ">>=", "...",
 	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "++", "--",
@@ -79,6 +79,15 @@ var puncts = []string{
 	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
 	"(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
 }
+
+// punctsBy lists the punctuators that start with each byte, in puncts'
+// order: the lexer tries only those.
+var punctsBy = func() (by [256][]string) {
+	for _, p := range puncts {
+		by[p[0]] = append(by[p[0]], p)
+	}
+	return by
+}()
 
 // lexer turns source text into tokens, running the preprocessor
 // (object-like #define expansion, #include recording, #pragma capture).
@@ -252,7 +261,7 @@ func (l *lexer) rawToken() (Token, error) {
 		l.advance()
 		return Token{Kind: TNum, Num: v, Line: line, Col: col}, nil
 	}
-	for _, p := range puncts {
+	for _, p := range punctsBy[c] {
 		if strings.HasPrefix(l.src[l.pos:], p) {
 			for range p {
 				l.advance()

@@ -28,8 +28,9 @@ package detomp
 
 import (
 	"fmt"
-	"strings"
+	"sync"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -51,16 +52,25 @@ func runtimeFor(hpc int) string {
 	return fmt.Sprintf(runtimeAsm, hpc-1, hpc-1)
 }
 
-// RuntimeSymbols lists the global symbols defined by Runtime, so that
-// compilers can avoid colliding with them.
-func RuntimeSymbols() []string {
-	return []string{"LBP_parallel_start"}
-}
+// Statements returns Runtime as the assembler's statements, parsed once
+// per process, for a code generator to append to its own list; it
+// renders as Runtime's text, comments and all. Append copies: nobody
+// assembles the shared list, layout writes into what it walks.
+func Statements() *asm.List { return statements() }
 
-// UsesRuntime reports whether an assembly source already includes the
-// runtime (to avoid duplicate definitions when composing sources).
-func UsesRuntime(src string) bool {
-	return strings.Contains(src, "LBP_parallel_start:")
+var statements = sync.OnceValue(func() *asm.List {
+	l, err := asm.Parse(Runtime())
+	if err != nil {
+		panic("detomp: " + err.Error())
+	}
+	return l
+})
+
+// RuntimeSymbols lists every label Runtime defines: a program linked
+// with it can define none of them, so the compiler refuses a function or
+// a global of one of these names.
+func RuntimeSymbols() []string {
+	return []string{"LBP_parallel_start", "Lps_loop", "Lps_fc", "Lps_send", "Lps_last"}
 }
 
 // The team launcher. See the package comment for the ABI. The fork

@@ -2,6 +2,8 @@ package detomp
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -214,15 +216,38 @@ shared:
 	}
 }
 
-func TestUsesRuntime(t *testing.T) {
-	if !UsesRuntime(Runtime()) {
-		t.Error("Runtime must be detected")
+// TestRuntimeSymbols: the list names exactly the labels the assembled
+// runtime defines — a label added to the runtime and not to the list
+// would be one a compiled program could silently redefine.
+func TestRuntimeSymbols(t *testing.T) {
+	p, err := asm.Assemble(Runtime(), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if UsesRuntime("main:\n\tret\n") {
-		t.Error("plain program must not be detected")
+	want := RuntimeSymbols()
+	sort.Strings(want)
+	if got := p.SymbolsSorted(); !slices.Equal(got, want) {
+		t.Errorf("RuntimeSymbols lists %q, the runtime defines %q", want, got)
 	}
-	if len(RuntimeSymbols()) == 0 {
-		t.Error("runtime symbols must be listed")
+}
+
+// TestStatements: the parsed runtime renders as the runtime's text and,
+// appended to a program's list, assembles to what the text assembles to.
+func TestStatements(t *testing.T) {
+	if got := Statements().String(); got != Runtime() {
+		t.Errorf("Statements renders as:\n%s", got)
+	}
+	for range 2 { // the second round would see what the first wrote into a shared statement
+		var l asm.List
+		l.Append(Statements())
+		got, err := l.Assemble(asm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := asm.Assemble(Runtime(), asm.Options{})
+		if !slices.Equal(got.Text, want.Text) {
+			t.Errorf("appended runtime assembles to %d words, its text to %d", len(got.Text), len(want.Text))
+		}
 	}
 }
 

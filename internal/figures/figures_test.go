@@ -1,9 +1,12 @@
 package figures
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
+	"repro/internal/cc"
 	"repro/internal/phimodel"
 	"repro/internal/workloads"
 )
@@ -200,6 +203,40 @@ func TestFormatDeterminismNoRuns(t *testing.T) {
 		out := FormatDeterminism(reports)
 		if !strings.Contains(out, "identical") || strings.Count(out, "\n") != 2 {
 			t.Errorf("want the two header lines, got:\n%s", out)
+		}
+	}
+}
+
+// TestSourcesBuildEqualsText: the two programs this package writes (the
+// E5 ablation and the placed set/get program of Figure 4) assemble to
+// the same image through cc.Build's statement list and through the text
+// cc.BuildProgram renders (internal/cc's TestBuildEqualsText, for the
+// sources it cannot reach).
+func TestSourcesBuildEqualsText(t *testing.T) {
+	placed := cc.DefaultOptions()
+	placed.Cores, placed.BankReserveBytes = 16, placedReserveBytes
+	for name, c := range map[string]struct {
+		src string
+		opt cc.Options
+	}{
+		"ablation": {ablationSource(4, 100), cc.DefaultOptions()},
+		"placed":   {placedSource(64, 32), placed},
+	} {
+		built, err := cc.Build(c.src, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		text, err := cc.BuildProgram(c.src, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assembled, err := asm.Assemble(text, asm.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var b, a bytes.Buffer
+		if built.WriteImage(&b) != nil || assembled.WriteImage(&a) != nil || !bytes.Equal(b.Bytes(), a.Bytes()) {
+			t.Errorf("%s: the statement list's image (%d bytes) differs from the text's (%d bytes)", name, b.Len(), a.Len())
 		}
 	}
 }

@@ -9,7 +9,8 @@
 #                                (fails on any simulated-result change;
 #                                figs 19 and 22 are also compared byte
 #                                for byte by go test, TestBenchRecordsReproduce),
-#                                and print the host-side microbenchmarks.
+#                                and print the host-side microbenchmarks
+#                                (with -benchmem).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,17 +28,19 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 # One checkpoint format, one job protocol, one decode per load, one
-# queue, one instruction table, one experiment path: the deleted second
-# paths must not grow back. (mem.State's R1*/R2* names are not on the list: they are
+# queue, one instruction table, one experiment path, compiled code that
+# never becomes text: the deleted second paths must not grow back.
+# (mem.State's R1*/R2* names are not on the list: they are
 # reserved words of the version-2 wire format, DESIGN.md §7. The parent's
-# encTable and controlMn live on as the test references refEncTable and
-# parentControlMn, which the case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec' -- '*.go'; then
+# encTable, controlMn and parseLine live on as the test references
+# refEncTable, parentControlMn and parentParseLine, which the
+# case-sensitive pattern does not match.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
 go test ./...
-go test -race ./internal/runner ./internal/figures ./internal/sim ./internal/serve ./internal/cache ./internal/rpc ./internal/dispatch ./internal/fuzzgen ./cmd/lbp-bench
+go test -race ./internal/runner ./internal/figures ./internal/sim ./internal/serve ./internal/cache ./internal/rpc ./internal/dispatch ./internal/fuzzgen ./internal/cc ./cmd/lbp-bench
 
 # bench/ is its own module (the frozen benchmark, see BENCHMARK.json):
 # the root ./... never compiles it, so an API it uses could vanish
@@ -216,10 +219,11 @@ if [ -n "$fig" ]; then
     # sim_matmul64 shape — 64 harts on 16 cores, all live — where stage
     # selection is most of a cycle (EXPERIMENTS E24 has its ns/cycle).
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkMatmul64|BenchmarkPhaseBCommit' -benchtime 1s
-    # The per-request decoders a cold job pays (EXPERIMENTS E25, E26):
-    # assembly text -> program, program image text -> words, code words
-    # -> descriptors.
-    go test ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkAssemble|BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s
+    # The per-request toolchain a cold job pays (EXPERIMENTS E25, E26,
+    # E28): MiniC -> program through the statement list (BenchmarkBuild),
+    # MiniC -> text (BenchmarkBuildProgram), assembly text -> program,
+    # program image text -> words, code words -> descriptors.
+    go test ./internal/cc ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkBuild|BenchmarkAssemble|BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s -benchmem
 fi
 
 echo "verify: OK"
