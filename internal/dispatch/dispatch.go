@@ -26,9 +26,10 @@ type Config struct {
 	// beyond which Do returns ErrQueueFull (0 = 64).
 	QueueDepth int
 
-	// Attempts bounds how many times a job may be charged a dead link
+	// Attempts bounds how many times a job may be charged a lost attempt
 	// before it fails (0 = one per backend, minimum 2). Only transport
-	// deaths consume attempts; job-level outcomes are terminal.
+	// deaths and refused migration checkpoints consume attempts;
+	// job-level outcomes are terminal.
 	Attempts int
 
 	// RetryBackoff is the pause before a backend whose dial failed
@@ -468,13 +469,14 @@ func (c *Coordinator) runOn(b *backend, p *pending) {
 	job := *p.job
 	c.mu.Lock()
 	c.m.Running++
-	if p.ckpt != nil {
+	ckpt := p.ckpt
+	c.mu.Unlock()
+	if ckpt != nil {
 		// Migration: resume from the freshest streamed checkpoint
 		// instead of restarting at cycle zero. Determinism makes the
 		// spliced run bit-identical to an uninterrupted one.
-		job.Checkpoint = p.ckpt
+		job.Checkpoint = ckpt
 	}
-	c.mu.Unlock()
 
 	start := time.Now()
 	res, err := b.run(p, &job)
@@ -491,21 +493,28 @@ func (c *Coordinator) runOn(b *backend, p *pending) {
 		p.deliver(outcome{res: res})
 	case p.ctx.Err() != nil:
 		p.deliver(outcome{err: context.Cause(p.ctx)})
-	case isRefusal(err):
-		// The executor refused the job (bad image, restore failure).
+	case isRefusal(err) && ckpt == nil:
+		// The executor refused the job (bad image, bad geometry).
 		// Terminal: another backend would refuse identically.
 		p.deliver(outcome{err: err})
 	default:
-		// The link died mid-job: whichever backend is free next resumes
-		// it, ahead of everything admitted after it.
+		// The link died mid-job, or the executor refused the streamed
+		// checkpoint the attempt carried (another build's format, too
+		// large a frame): an attempt lost either way. Whichever backend
+		// is free next takes the job, ahead of everything admitted after
+		// it — from its freshest checkpoint, or, that checkpoint being
+		// what was refused, from cycle zero, which is always correct.
 		c.mu.Lock()
+		if isRefusal(err) {
+			p.ckpt, p.ckptAt = nil, 0
+		}
 		c.requeue(p, err)
 		c.mu.Unlock()
 	}
 }
 
-// requeue puts p, whose latest attempt died with its link, back at the
-// front of the queue, or fails it once its attempts are exhausted.
+// requeue puts p, whose latest attempt was lost, back at the front of
+// the queue, or fails it once its attempts are exhausted.
 // Callers hold c.mu.
 func (c *Coordinator) requeue(p *pending, cause error) {
 	switch {

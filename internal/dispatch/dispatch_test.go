@@ -381,6 +381,70 @@ func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestUnrestorableCheckpointRestartsJob: a streamed checkpoint no backend
+// can restore — here the LBPCKPT2 bytes a worker of the previous build
+// would have streamed — costs the job its migration point, not its
+// answer. The first backend dies mid-run, the survivor refuses the
+// checkpoint and then runs the job from cycle zero to the digest of a
+// direct run; the refused attempt is charged like one lost to a dead
+// link, so Attempts still bounds the job.
+func TestUnrestorableCheckpointRestartsJob(t *testing.T) {
+	for _, attempts := range []int{3, 2} {
+		w1, addr1 := startWorker(t, WorkerConfig{Slice: 4096})
+		w2, addr2 := startWorker(t, WorkerConfig{Slice: 4096})
+		c, err := New(Config{Backends: []string{addr1, addr2}, CheckpointEvery: 64 << 10, Attempts: attempts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := &Job{ID: "restarting-job", Key: "restarting-key", Image: imageOf(t, spinSource),
+			Cores: 1, MaxCycles: 50_000_000, Digest: true}
+		want := directRun(t, job)
+
+		done := make(chan struct{})
+		var res *Result
+		var doErr error
+		go func() {
+			defer close(done)
+			res, doErr = c.Do(context.Background(), job)
+		}()
+		waitFor(t, "first streamed checkpoint", func() bool { return c.Metrics().Checkpoints > 0 })
+		if w2.Metrics().MachinesOut == 1 {
+			w1, w2 = w2, w1
+		}
+		// Replace what the coordinator holds, at a cycle no later
+		// notification from the doomed worker can supersede.
+		c.mu.Lock()
+		p := c.pending[job.ID]
+		p.ckpt, p.ckptAt = []byte("LBPCKPT2 state of another build"), ^uint64(0)
+		c.mu.Unlock()
+		w1.Close()
+		<-done
+
+		m := c.Metrics()
+		if attempts == 2 {
+			if doErr == nil || !strings.Contains(doErr.Error(), "failed after 2 attempts") ||
+				!strings.Contains(doErr.Error(), "restoring checkpoint") {
+				t.Errorf("Attempts=2: err = %v, want the job failed after 2 attempts, the second refused", doErr)
+			}
+		} else {
+			if doErr != nil || res.Status != StatusOK {
+				t.Fatalf("Attempts=3: res=%+v err=%v, want ok", res, doErr)
+			}
+			sameDeterministic(t, "restarted job", res, want)
+			if res.Resumed {
+				t.Error("result marked resumed: nothing restorable was left to resume from")
+			}
+			if m.Retries != 2 || m.Migrations != 0 {
+				t.Errorf("retries=%d migrations=%d, want 2 and 0", m.Retries, m.Migrations)
+			}
+		}
+		if m2 := w2.Metrics(); m2.MachinesOut != 0 || m2.CheckedOut != m2.PoolReturned+m2.PoolDiscarded {
+			t.Errorf("Attempts=%d: survivor leaked: %+v", attempts, m2)
+		}
+		c.Close()
+	}
+}
+
 // TestMachineLeakAccounting drives every failure path a job can take —
 // clean finish, budget fault, attempt deadline, client cancel mid-run,
 // then coordinator connection death mid-run (rpc worker) or shutdown

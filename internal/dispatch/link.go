@@ -82,6 +82,10 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 		// The caller gave up mid-run: tell the worker to stop (its
 		// machine flows back to its pool).
 		_ = conn.Notify(MethodCancel, &CancelNote{ID: job.ID})
+	case errors.Is(err, rpc.ErrFrameTooLarge):
+		// Nothing was sent and the link is fine: the job, as it stands,
+		// cannot cross it.
+		return nil, refusal("sending job", err)
 	case !isRefusal(err):
 		r.drop(conn)
 	}

@@ -36,81 +36,72 @@ type storeClient struct {
 
 func (sc *storeClient) Done(uint64) { sc.h.inflightMem-- }
 
-// swreMsg delivers a p_swre result value into the target hart's result
-// buffer at the end of its backward-line traversal.
-type swreMsg struct {
+// ctlKind names the four control messages the cores exchange over the
+// inter-core links (Figure 9).
+type ctlKind uint8
+
+const (
+	ctlStart  ctlKind = iota // start pc to an allocated hart, forward link (fork continuation)
+	ctlSignal                // ending-hart signal to the successor team member, forward link
+	ctlJoin                  // join address to a waiting home hart, backward line
+	ctlSwre                  // p_swre result value into a result buffer, backward line
+)
+
+// ctlNames labels a message kind in faults.
+var ctlNames = [...]string{ctlStart: "start", ctlSignal: "ending signal", ctlJoin: "join", ctlSwre: "p_swre"}
+
+// backward reports whether the kind travels on the backward line.
+func (k ctlKind) backward() bool { return k >= ctlJoin }
+
+// ctlMsg is one control message in flight. The exported fields are what
+// a checkpoint saves (savedClient holds the struct by value); the
+// machine pointer is reattached on restore. One is allocated per
+// message, so the sender is packed to keep the struct at 32 bytes.
+type ctlMsg struct {
 	m        *Machine
-	fromCore int
-	fromHart int
-	tgt      uint32 // target hart global number
-	idx      uint32 // result-buffer slot
-	val      uint32
-	pc       uint32 // sending instruction, for the overflow fault
+	Kind     ctlKind
+	FromHart uint8
+	FromCore uint16
+	Tgt      uint32 // target hart global number
+	Idx      uint32 // ctlSwre: result-buffer slot
+	Val      uint32 // ctlSwre: the value
+	// PC is where the target fetches next (ctlStart, ctlJoin) or, for
+	// ctlSwre, the sending instruction, named by the overflow fault.
+	PC uint32
 }
 
-func (s *swreMsg) Done(uint64) {
-	th := s.m.harts[s.tgt]
-	if !th.pushRemote(int(s.idx), s.val, s.m.cfg.RBDepth) {
-		s.m.faultf(s.fromCore, s.fromHart,
-			"p_swre overflowed result buffer %d of hart %d (pc %#x)", s.idx, s.tgt, s.pc)
+// Done delivers the message at the end of its link traversal.
+func (c *ctlMsg) Done(done uint64) {
+	m := c.m
+	th := m.harts[c.Tgt]
+	switch c.Kind {
+	case ctlStart:
+		if th.state != hartAllocated {
+			m.faultf(int(c.FromCore), int(c.FromHart),
+				"start for hart %d in state %d (not allocated)", c.Tgt, th.state)
+			return
+		}
+		th.start(c.PC, done)
+		m.stats.Starts++
+		m.event(trace.KindStart, th.core.idx, th.idx, uint64(c.PC))
+	case ctlSignal:
+		th.predSignal = true
+		m.stats.Signals++
+		m.event(trace.KindSignal, th.core.idx, th.idx, uint64(c.Tgt))
+	case ctlJoin:
+		if th.state != hartWaitJoin {
+			m.faultf(int(c.FromCore), int(c.FromHart),
+				"join for hart %d in state %d (not waiting)", c.Tgt, th.state)
+			return
+		}
+		th.start(c.PC, done)
+		m.stats.Joins++
+		m.event(trace.KindJoin, th.core.idx, th.idx, uint64(c.PC))
+	case ctlSwre:
+		if !th.pushRemote(int(c.Idx), c.Val, m.cfg.RBDepth) {
+			m.faultf(int(c.FromCore), int(c.FromHart),
+				"p_swre overflowed result buffer %d of hart %d (pc %#x)", c.Idx, c.Tgt, c.PC)
+		}
+		th.core.issueC |= th.bit // a p_lwre may be waiting for the value
 	}
-	th.core.issueC |= th.bit // a p_lwre may be waiting for the value
-}
-
-// startMsg delivers a start pc to an allocated hart (fork continuation).
-type startMsg struct {
-	m        *Machine
-	fromCore int
-	fromHart int
-	tgt      uint32
-	pc       uint32
-}
-
-func (s *startMsg) Done(done uint64) {
-	m := s.m
-	th := m.harts[s.tgt]
-	if th.state != hartAllocated {
-		m.faultf(s.fromCore, s.fromHart,
-			"start for hart %d in state %d (not allocated)", s.tgt, th.state)
-		return
-	}
-	th.start(s.pc, done)
-	m.stats.Starts++
-	m.event(trace.KindStart, th.core.idx, th.idx, uint64(s.pc))
-}
-
-// signalMsg delivers the ending-hart signal to the successor team member.
-type signalMsg struct {
-	m   *Machine
-	tgt uint32
-}
-
-func (s *signalMsg) Done(uint64) {
-	m := s.m
-	th := m.harts[s.tgt]
-	th.predSignal = true
-	m.stats.Signals++
-	m.event(trace.KindSignal, th.core.idx, th.idx, uint64(s.tgt))
-}
-
-// joinMsg delivers a join address backward to a waiting home hart.
-type joinMsg struct {
-	m        *Machine
-	fromCore int
-	fromHart int
-	tgt      uint32
-	addr     uint32
-}
-
-func (j *joinMsg) Done(done uint64) {
-	m := j.m
-	th := m.harts[j.tgt]
-	if th.state != hartWaitJoin {
-		m.faultf(j.fromCore, j.fromHart,
-			"join for hart %d in state %d (not waiting)", j.tgt, th.state)
-		return
-	}
-	th.start(j.addr, done)
-	m.stats.Joins++
-	m.event(trace.KindJoin, th.core.idx, th.idx, uint64(j.addr))
 }

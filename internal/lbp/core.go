@@ -316,7 +316,7 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		// count is that value: busy changes only in a core's own phase-A
 		// step (execPFC, doRet), in phase B (pendForkNext) and outside the
 		// cycle loop (LoadProgram, Reset, Restore) — Mem.Step deliveries
-		// (startMsg, joinMsg) never cross the free/non-free line — and
+		// (ctlStart, ctlJoin) never cross the free/non-free line — and
 		// this core steps before the next one, so nothing has touched the
 		// neighbor's count since the last cycle ended. The allocation
 		// itself resolves in phase B.
@@ -356,7 +356,7 @@ func execPJAL(c *core, h *hart, u *uop, now uint64) {
 	// local target pc was produced at rename; start the continuation
 	// on the designated hart.
 	u.value = 0 // "clear rd"
-	c.sendStart(h, resolveLink(u.src1), u.pc+4)
+	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
 }
 
@@ -371,7 +371,7 @@ func execPJALR(c *core, h *hart, u *uop, now uint64) {
 	h.pc = u.src2 &^ 1
 	h.pcValid = true
 	h.pcReadyCycle = now + 1
-	c.sendStart(h, resolveLink(u.src1), u.pc+4)
+	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
 }
 

@@ -40,7 +40,6 @@ type Machine struct {
 
 	devices []Device
 	rec     *trace.Recorder
-	emit    emitFn // trace sink, never nil (no-op when tracing is off)
 
 	descs  []isa.Desc                // predecoded code bank, indexed by pc/4: the fetch source (decodeCode)
 	latTab [isa.NumLatClasses]uint64 // functional-unit latency by descriptor class
@@ -48,17 +47,15 @@ type Machine struct {
 
 	// Performance counters. The inline increments in the pipeline stages
 	// and the memory system are unconditional (they are cheap and cannot
-	// affect timing); only the per-cycle stall-attribution walk is gated,
-	// branch-free, behind the tick function pointer — like the trace emit
-	// function, it is a no-op unless EnableProfiling was called.
+	// affect timing); only the per-cycle stall-attribution walk
+	// (profTick) is gated, behind profiling — set by EnableProfiling.
 	hperf     []perf.HartCounters // indexed by global hart number
 	cperf     []perf.CoreCounters // indexed by core
-	tick      tickFn
 	profiling bool
 
 	// Host-side execution knobs (never affect simulated results):
-	// tracing mirrors rec != nil for the core.emit guard, fastFwd enables
-	// idle-cycle fast-forward.
+	// tracing mirrors rec != nil and gates every trace event, fastFwd
+	// enables idle-cycle fast-forward.
 	tracing bool
 	fastFwd bool
 
@@ -69,19 +66,6 @@ type Machine struct {
 	deferred bool
 	lane     []*core
 }
-
-// emitFn receives one machine event. Keeping the disabled path behind a
-// function value instead of a per-event nil check makes event emission
-// branch-free in the pipeline hot loops.
-type emitFn func(kind trace.Kind, core, hartIdx int, value uint64)
-
-func noopEmit(trace.Kind, int, int, uint64) {}
-
-// tickFn runs once per cycle after the pipeline stages. The enabled
-// version attributes every hart's cycle to a stall cause.
-type tickFn func(now uint64)
-
-func noopTick(uint64) {}
 
 // Device models an external unit (sensor, actuator, timer) attached to
 // the machine. Step is called once per cycle before the cores.
@@ -127,8 +111,6 @@ func New(cfg Config) *Machine {
 	m := &Machine{
 		cfg:     cfg,
 		Mem:     mem.New(cfg.Mem),
-		emit:    noopEmit,
-		tick:    noopTick,
 		fastFwd: true,
 	}
 	if cfg.LivelockWindow == 0 {
@@ -171,16 +153,6 @@ func (m *Machine) Config() Config { return m.cfg }
 func (m *Machine) SetTrace(r *trace.Recorder) {
 	m.rec = r
 	m.tracing = r != nil
-	if r == nil {
-		m.emit = noopEmit
-		return
-	}
-	m.emit = func(kind trace.Kind, core, hartIdx int, value uint64) {
-		r.Add(trace.Event{
-			Cycle: m.cycle, Core: uint16(core), Hart: uint8(hartIdx),
-			Kind: kind, Value: value,
-		})
-	}
 }
 
 // Trace returns the attached recorder, if any.
@@ -226,8 +198,15 @@ func (m *Machine) Hart(gid uint32) *hart {
 	return m.harts[gid]
 }
 
+// event records a trace event raised outside a core's own step (control-
+// message deliveries, during Mem.Step); core.emit is the in-step twin.
 func (m *Machine) event(kind trace.Kind, core int, hartIdx int, value uint64) {
-	m.emit(kind, core, hartIdx, value)
+	if m.tracing {
+		m.rec.Add(trace.Event{
+			Cycle: m.cycle, Core: uint16(core), Hart: uint8(hartIdx),
+			Kind: kind, Value: value,
+		})
+	}
 }
 
 // rebuildActive refreshes the active-core list in core-index order. now
@@ -376,7 +355,9 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 			// phase A steps exactly this list.
 			m.rebuildActive(m.cycle)
 		}
-		m.tick(m.cycle)
+		if m.profiling {
+			m.profTick(m.cycle)
+		}
 		if m.cycle-m.progress > m.cfg.LivelockWindow {
 			m.faultf(-1, -1, "no progress for %d cycles (deadlock?)%s",
 				m.cfg.LivelockWindow, m.stuckReport())

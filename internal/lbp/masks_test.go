@@ -18,7 +18,7 @@ import (
 
 // maskCorpus is chosen so that every wake site is the only thing that
 // lets some program finish: same-core hand-offs and mul/div latencies
-// (arith), LoadDone and p_syncm (every team), swreMsg.Done (the p_swre →
+// (arith), LoadDone and p_syncm (every team), a ctlSwre delivery (the p_swre →
 // p_lwre reduction), hart.start from a start and from a join message
 // (every team), the join-to-self in doRet and a p_fn waiting on a full
 // next core (full-neighbor), a p_fc waiting on a full own core

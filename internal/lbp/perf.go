@@ -22,10 +22,7 @@ import (
 // EnableProfiling turns on per-cycle stall attribution. It must be called
 // before Run; profiling never changes a run's cycle count, results or
 // event-trace digest.
-func (m *Machine) EnableProfiling() {
-	m.profiling = true
-	m.tick = m.profTick
-}
+func (m *Machine) EnableProfiling() { m.profiling = true }
 
 // Profiling reports whether stall attribution is enabled.
 func (m *Machine) Profiling() bool { return m.profiling }

@@ -32,10 +32,7 @@ const (
 	pendLoad     pendKind = iota // mem.SubmitLoad
 	pendStore                    // mem.SubmitStore
 	pendCV                       // mem.SubmitCVWrite
-	pendSwre                     // result value over the backward line
-	pendStart                    // start pc over the forward link
-	pendSignal                   // ending-hart signal over the forward link
-	pendJoin                     // join address over the backward line
+	pendMsg                      // control message over the forward link or the backward line
 	pendForkNext                 // p_fn hart allocation on the next core
 	pendFault                    // deterministic machine fault
 	pendHalt                     // clean halt (exit, ebreak)
@@ -43,10 +40,9 @@ const (
 
 // pendItem is one effect. The fields are a small union: a/b carry
 // (addr, value), t the target core, h/u the issuing hart and
-// instruction when the apply step must write back into them. Control
-// messages (pendSwre/Start/Signal/Join) carry their delivery client in
-// dc. For pendForkNext, a holds 1 + the core's evbuf index of the
-// placeholder fork event (0 when tracing is off).
+// instruction when the apply step must write back into them. A pendMsg
+// carries its message in ctl. For pendForkNext, a holds 1 + the core's
+// evbuf index of the placeholder fork event (0 when tracing is off).
 type pendItem struct {
 	kind   pendKind
 	w      mem.Width
@@ -55,7 +51,7 @@ type pendItem struct {
 	t      uint32
 	h      *hart
 	u      *uop
-	dc     mem.DoneClient
+	ctl    *ctlMsg
 	msg    string
 }
 
@@ -143,24 +139,17 @@ func (m *Machine) applyItem(c *core, it *pendItem, now uint64) {
 		m.Mem.SubmitStore(now, c.idx, it.a, it.b, it.w, &it.h.stc)
 	case pendCV:
 		m.Mem.SubmitCVWrite(now, c.idx, int(it.t), it.a, it.b, &it.h.stc)
-	// The direction checks of the four control-message kinds are
-	// mem-level invariants — the issue sites already validated the
-	// targets.
-	case pendSwre:
-		if err := m.Mem.SendBackward(now, c.idx, int(it.t), it.dc); err != nil {
-			m.faultf(c.idx, it.h.idx, "p_swre: %v", err)
+	case pendMsg:
+		// The direction checks are mem-level invariants — core.send
+		// already validated the target.
+		var err error
+		if it.ctl.Kind.backward() {
+			err = m.Mem.SendBackward(now, c.idx, int(it.t), it.ctl)
+		} else {
+			err = m.Mem.SendForward(now, c.idx, int(it.t), it.ctl)
 		}
-	case pendStart:
-		if err := m.Mem.SendForward(now, c.idx, int(it.t), it.dc); err != nil {
-			m.faultf(c.idx, it.h.idx, "start: %v", err)
-		}
-	case pendSignal:
-		if err := m.Mem.SendForward(now, c.idx, int(it.t), it.dc); err != nil {
-			m.faultf(c.idx, it.h.idx, "ending signal: %v", err)
-		}
-	case pendJoin:
-		if err := m.Mem.SendBackward(now, c.idx, int(it.t), it.dc); err != nil {
-			m.faultf(c.idx, it.h.idx, "join: %v", err)
+		if err != nil {
+			m.faultf(c.idx, it.h.idx, "%s: %v", ctlNames[it.ctl.Kind], err)
 		}
 	case pendForkNext:
 		// p_fn: always replayed from phase B, after the target core's own

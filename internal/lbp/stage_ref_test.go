@@ -158,7 +158,9 @@ func stepAgainstReference(t *testing.T, m *Machine, v *stageVisits) {
 	if m.activeDirty {
 		m.rebuildActive(now)
 	}
-	m.tick(now)
+	if m.profiling {
+		m.profTick(now)
+	}
 }
 
 func hartName(h *hart) string {

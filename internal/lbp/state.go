@@ -32,11 +32,11 @@ import (
 
 // checkpointVersion is the format number embedded in every checkpoint
 // this build writes.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // checkpointMagic prefixes every checkpoint stream; bytes that do not
 // start with it are not a checkpoint of this format.
-var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '2'}
+var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '3'}
 
 // checkpointShardCores is the core-group granularity of a checkpoint:
 // each group's cores, harts, performance counters and memory banks
@@ -113,28 +113,21 @@ type savedCore struct {
 const (
 	clientLoad uint8 = iota
 	clientStore
-	clientSwre
-	clientStart
-	clientSignal
-	clientJoin
+	clientMsg
 )
 
-// savedClient flattens one in-flight memory-event client. The fields
-// are a union keyed by Kind, mirroring the payload structs.
+// savedClient flattens one in-flight memory-event client: the issuing
+// hart of a load or store (and, for a load, its waiting uop and the
+// parked bank value), or a control message as it is.
 type savedClient struct {
-	Kind     uint8
-	Hart     uint32 // clientLoad/clientStore: issuing hart global number
-	Rob      int32  // clientLoad: ROB index of the waiting uop
-	Val      uint32 // clientLoad: parked bank value; clientSwre: sent value
-	FromCore int32
-	FromHart int32
-	Tgt      uint32
-	PC       uint32
-	Addr     uint32
-	Idx      uint32
+	Kind uint8
+	Hart uint32 // clientLoad/clientStore: issuing hart global number
+	Rob  int32  // clientLoad: ROB index of the waiting uop
+	Val  uint32 // clientLoad: parked bank value
+	Msg  ctlMsg // clientMsg
 }
 
-// checkpointManifest heads a version-2 stream: everything global —
+// checkpointManifest heads a version-3 stream: everything global —
 // configuration, clock and counters, the memory system's link and
 // event state (banks travel in the shards), in-flight clients, the
 // trace chain, device state — plus the shard geometry the reader
@@ -151,7 +144,7 @@ type checkpointManifest struct {
 	Stats      Stats
 	Profiling  bool
 	DecodedLen uint32
-	Mem        mem.State // global state only: Local/Shared are nil
+	Mem        mem.State // global state only: the banks travel in the shards
 	MemClients []savedClient
 	HasTrace   bool
 	Trace      trace.RecorderState
@@ -181,7 +174,7 @@ type checkpointShard struct {
 // (fast-forward) are not part of the state — they never affect
 // simulated results.
 //
-// The stream is the version-2 format: the magic tag, a gob-encoded
+// The stream is the version-3 format: the magic tag, a gob-encoded
 // manifest, then one gob value per checkpointShardCores-core group on
 // the same encoder. Shards are captured one at a time, so peak host
 // memory is bounded by one group, not the machine size.
@@ -577,6 +570,17 @@ func restoreHart(h *hart, sh *savedHart) error {
 		return fmt.Errorf("lbp: checkpoint hart %d has %d result buffers, machine has %d",
 			h.gid, len(sh.Remote), len(h.remote))
 	}
+	cfg := &h.core.m.cfg
+	for i := range sh.Remote {
+		if len(sh.Remote[i]) > cfg.RBDepth {
+			return fmt.Errorf("lbp: checkpoint hart %d holds %d values in result buffer %d, depth is %d",
+				h.gid, len(sh.Remote[i]), i, cfg.RBDepth)
+		}
+	}
+	if len(sh.IT) > cfg.ITEntries {
+		return fmt.Errorf("lbp: checkpoint hart %d has %d instruction-table entries, capacity is %d",
+			h.gid, len(sh.IT), cfg.ITEntries)
+	}
 	h.setState(hartState(sh.State)) // keeps the core busy count right
 	h.pc, h.pcValid, h.pcReadyCycle = sh.PC, sh.PCValid, sh.PCReady
 	h.syncmWait = sh.SyncmWait
@@ -660,17 +664,8 @@ func saveClient(cl any) (savedClient, error) {
 		return savedClient{Kind: clientLoad, Hart: c.h.gid, Rob: idx, Val: c.v}, nil
 	case *storeClient:
 		return savedClient{Kind: clientStore, Hart: c.h.gid}, nil
-	case *swreMsg:
-		return savedClient{Kind: clientSwre, FromCore: int32(c.fromCore), FromHart: int32(c.fromHart),
-			Tgt: c.tgt, Idx: c.idx, Val: c.val, PC: c.pc}, nil
-	case *startMsg:
-		return savedClient{Kind: clientStart, FromCore: int32(c.fromCore), FromHart: int32(c.fromHart),
-			Tgt: c.tgt, PC: c.pc}, nil
-	case *signalMsg:
-		return savedClient{Kind: clientSignal, Tgt: c.tgt}, nil
-	case *joinMsg:
-		return savedClient{Kind: clientJoin, FromCore: int32(c.fromCore), FromHart: int32(c.fromHart),
-			Tgt: c.tgt, Addr: c.addr}, nil
+	case *ctlMsg:
+		return savedClient{Kind: clientMsg, Msg: *c}, nil
 	default:
 		return savedClient{}, fmt.Errorf("lbp: cannot checkpoint in-flight memory client %T", cl)
 	}
@@ -707,29 +702,16 @@ func (m *Machine) restoreClient(sc *savedClient) (any, error) {
 			return nil, err
 		}
 		return &h.stc, nil
-	case clientSwre:
-		if _, err := hartAt(sc.Tgt); err != nil {
+	case clientMsg:
+		if sc.Msg.Kind > ctlSwre {
+			return nil, fmt.Errorf("lbp: checkpoint has unknown control-message kind %d", sc.Msg.Kind)
+		}
+		if _, err := hartAt(sc.Msg.Tgt); err != nil {
 			return nil, err
 		}
-		return &swreMsg{m: m, fromCore: int(sc.FromCore), fromHart: int(sc.FromHart),
-			tgt: sc.Tgt, idx: sc.Idx, val: sc.Val, pc: sc.PC}, nil
-	case clientStart:
-		if _, err := hartAt(sc.Tgt); err != nil {
-			return nil, err
-		}
-		return &startMsg{m: m, fromCore: int(sc.FromCore), fromHart: int(sc.FromHart),
-			tgt: sc.Tgt, pc: sc.PC}, nil
-	case clientSignal:
-		if _, err := hartAt(sc.Tgt); err != nil {
-			return nil, err
-		}
-		return &signalMsg{m: m, tgt: sc.Tgt}, nil
-	case clientJoin:
-		if _, err := hartAt(sc.Tgt); err != nil {
-			return nil, err
-		}
-		return &joinMsg{m: m, fromCore: int(sc.FromCore), fromHart: int(sc.FromHart),
-			tgt: sc.Tgt, addr: sc.Addr}, nil
+		msg := sc.Msg
+		msg.m = m
+		return &msg, nil
 	default:
 		return nil, fmt.Errorf("lbp: checkpoint has unknown client kind %d", sc.Kind)
 	}

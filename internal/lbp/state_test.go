@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -188,11 +189,11 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// The checkpoint fixtures. checkpoint_v2_8core.bin was written by the
-// build before the version-1 reader was deleted (EXPERIMENTS E23 has the
-// recipe): an 8-core placed set/get run stopped at cycle 4000 with a
-// digest recorder attached. checkpoint_v1_prefix.bin is the first KiB of
-// the same machine in the retired magic-less version-1 format.
+// The checkpoint fixtures. checkpoint_v3_8core.bin is an 8-core placed
+// set/get run stopped at cycle 4000 with a digest recorder attached,
+// written by the build that introduced version 3 (EXPERIMENTS E29 has
+// the recipe). checkpoint_v2_prefix.bin and checkpoint_v1_prefix.bin are
+// the first KiB of the same machine in the two retired formats.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -219,7 +220,7 @@ func manifestOnly(t testing.TB, mutate func(*Config)) []byte {
 
 const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 
-// TestCheckpointV2Format is the cross-build pin on the one checkpoint
+// TestCheckpointV3Format is the cross-build pin on the one checkpoint
 // format: a stream another build wrote restores, re-checkpoints to the
 // very same bytes — so the test fails whenever a saved struct changes
 // without a checkpointVersion bump — and runs to the end of the
@@ -228,16 +229,16 @@ const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 // gob numbers types process-wide in first-use order, so any gob value
 // an earlier test encoded would renumber the stream; the comparison
 // runs in a process of its own.
-func TestCheckpointV2Format(t *testing.T) {
+func TestCheckpointV3Format(t *testing.T) {
 	if os.Getenv(pinChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV2Format$")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV3Format$")
 		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		return
 	}
-	want := fixture(t, "checkpoint_v2_8core.bin")
+	want := fixture(t, "checkpoint_v3_8core.bin")
 	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -268,13 +269,16 @@ func TestCheckpointV2Format(t *testing.T) {
 	}
 }
 
-// TestRestoreV1Checkpoint: the magic-less version-1 format is refused
-// by name, like any other bytes that are not a checkpoint.
+// TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
+// LBPCKPT2 version 2 — are refused by name, like any other bytes that are
+// not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
-	_, err := Restore(fixture(t, "checkpoint_v1_prefix.bin"))
-	var ce *CheckpointError
-	if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-2 checkpoint") {
-		t.Fatalf("restore of version-1 bytes: %v, want the not-a-version-2-checkpoint CheckpointError", err)
+	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin"} {
+		_, err := Restore(fixture(t, name))
+		var ce *CheckpointError
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-3 checkpoint") {
+			t.Errorf("restore of %s: %v, want the not-a-version-3-checkpoint CheckpointError", name, err)
+		}
 	}
 }
 
@@ -283,16 +287,16 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // allocated from them — RemoteRBs = -1 used to panic inside New, and
 // 4096 cores (above MaxCores) used to be built.
 func TestReadCheckpointRefusals(t *testing.T) {
-	v2 := fixture(t, "checkpoint_v2_8core.bin")
+	v3 := fixture(t, "checkpoint_v3_8core.bin")
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"empty", nil, "magic"},
-		{"magic only", v2[:8], "manifest"},
-		{"mid-manifest", v2[:400], "manifest"},
-		{"mid-shard", v2[:len(v2)/2], "shard"},
+		{"magic only", v3[:8], "manifest"},
+		{"mid-manifest", v3[:400], "manifest"},
+		{"mid-shard", v3[:len(v3)/2], "shard"},
 		{"RemoteRBs=-1", manifestOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
 		{"Cores=4096", manifestOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
 		{"ROBEntries=0", manifestOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
@@ -322,6 +326,186 @@ func badRoundRobin(t testing.TB) []byte {
 	return data
 }
 
+// rewrite decodes a checkpoint stream, lets edit change its manifest and
+// shards, and encodes it again: a well-formed stream saying something no
+// machine ever wrote — what byte mutation of a gob stream almost never
+// produces.
+func rewrite(t testing.TB, data []byte, edit func(*checkpointManifest, []checkpointShard)) []byte {
+	t.Helper()
+	dec := gob.NewDecoder(bytes.NewReader(data[len(checkpointMagic):]))
+	var man checkpointManifest
+	if err := dec.Decode(&man); err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]checkpointShard, man.NumShards)
+	for i := range shards {
+		if err := dec.Decode(&shards[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edit(&man, shards)
+	buf := bytes.NewBuffer(checkpointMagic[:])
+	enc := gob.NewEncoder(buf)
+	if err := enc.Encode(&man); err != nil {
+		t.Fatal(err)
+	}
+	for i := range shards {
+		if err := enc.Encode(&shards[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// hostileCheckpoint is one rewritten stream and the word its refusal
+// must contain.
+type hostileCheckpoint struct {
+	name string
+	data []byte
+	want string
+}
+
+// hostileCheckpoints takes a 2-core team run to the first cycle with a
+// bank read in flight and rewrites that checkpoint once per row.
+// The first four used to restore without a word and end the process in
+// Mem.Step on the first Advance; the over-capacity harts restored too.
+func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
+	t.Helper()
+	prog, err := asm.Assemble(sprintf(teamProgram, 8, 8), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(2))
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	const bankRead = 1 // mem kinds 0 and 1 (evLocalLoad, evSharedRead): the load-kind events that name a bank
+	read := -1
+	for read < 0 {
+		if res, err := m.Advance(1); res != nil || err != nil {
+			t.Fatalf("no bank read in flight before the run ended (res=%v err=%v)", res, err)
+		}
+		st, _ := m.Mem.CaptureGlobalState()
+		for i := range st.Events {
+			if st.Events[i].Kind <= bankRead {
+				read = i
+			}
+		}
+	}
+	base, err := m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	event := func(edit func(*mem.EventState)) func(*checkpointManifest, []checkpointShard) {
+		return func(man *checkpointManifest, _ []checkpointShard) { edit(&man.Mem.Events[read]) }
+	}
+	var out []hostileCheckpoint
+	for _, row := range []struct {
+		name string
+		edit func(*checkpointManifest, []checkpointShard)
+		want string
+	}{
+		{"event bank 9999", event(func(e *mem.EventState) { e.Core = 9999 }), "bank 9999"},
+		{"event bank -1", event(func(e *mem.EventState) { e.Core = -1 }), "bank -1"},
+		{"event word 1<<30", event(func(e *mem.EventState) { e.Off = 1 << 30 }), "word 1073741824"},
+		{"load without a client", event(func(e *mem.EventState) { e.Client = -1 }), "load without a client"},
+		{"event kind 200", event(func(e *mem.EventState) { e.Kind = 200 }), "unknown kind"},
+		{"access width 3", event(func(e *mem.EventState) { e.Width = 3 }), "width 3"},
+		{"one link short", func(man *checkpointManifest, _ []checkpointShard) {
+			man.Mem.Links = man.Mem.Links[1:]
+		}, "links"},
+		{"message kind 9", func(man *checkpointManifest, _ []checkpointShard) {
+			man.MemClients = append(man.MemClients, savedClient{Kind: clientMsg, Msg: ctlMsg{Kind: 9}})
+		}, "control-message kind"},
+		{"result buffer over depth", func(man *checkpointManifest, sh []checkpointShard) {
+			sh[0].Harts[1].Remote[0] = make([]uint32, man.Cfg.RBDepth+1)
+		}, "result buffer"},
+		{"instruction table over capacity", func(man *checkpointManifest, sh []checkpointShard) {
+			sh[0].Harts[1].IT = make([]int32, man.Cfg.ITEntries+1)
+		}, "instruction-table"},
+	} {
+		out = append(out, hostileCheckpoint{row.name, rewrite(t, base, row.edit), row.want})
+	}
+	return out
+}
+
+// TestHostileCheckpoints: a well-formed stream that contradicts its own
+// configuration is a CheckpointError before any machine is returned.
+func TestHostileCheckpoints(t *testing.T) {
+	for _, h := range hostileCheckpoints(t) {
+		m, err := Restore(h.data)
+		var ce *CheckpointError
+		if m != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: machine=%v err=%v, want a CheckpointError mentioning %q", h.name, m != nil, err, h.want)
+		}
+		t.Logf("%s: %v", h.name, err)
+	}
+}
+
+// TestCheckpointCarriesEveryMessageKind: the reduction program puts all
+// four control-message kinds on the links — fork starts, ending signals,
+// p_swre values, the join. At the first cycle each kind is in flight the
+// machine checkpoints, restores to the same bytes and finishes exactly
+// like the uninterrupted run.
+func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
+	const budget = 2_000_000
+	prog, err := asm.Assemble(swreReductionProgram, asm.Options{})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	base := teamMachine(t, 1, prog, true)
+	baseRes, err := base.Run(budget)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	m := teamMachine(t, 1, prog, true)
+	seen := map[ctlKind]bool{}
+	for len(seen) < len(ctlNames) {
+		if res, err := m.Advance(1); res != nil || err != nil {
+			break
+		}
+		_, clients := m.Mem.CaptureGlobalState()
+		var kind ctlKind
+		fresh := false
+		for _, cl := range clients {
+			if msg, ok := cl.(*ctlMsg); ok && !seen[msg.Kind] {
+				kind, fresh = msg.Kind, true
+				seen[kind] = true
+			}
+		}
+		if !fresh {
+			continue
+		}
+		label := fmt.Sprintf("%s in flight at cycle %d", ctlNames[kind], m.Cycle())
+		t.Log(label)
+		cp, err := m.Checkpoint()
+		if err != nil {
+			t.Fatalf("%s: checkpoint: %v", label, err)
+		}
+		m2, err := Restore(cp)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", label, err)
+		}
+		if cp2, err := m2.Checkpoint(); err != nil || !bytes.Equal(cp, cp2) {
+			t.Errorf("%s: re-checkpoint differs from the original (err=%v)", label, err)
+		}
+		res2, err := m2.Run(budget)
+		if err != nil {
+			t.Fatalf("%s: resumed run: %v", label, err)
+		}
+		if !reflect.DeepEqual(ignoreFastForwarded(res2.Stats), ignoreFastForwarded(baseRes.Stats)) ||
+			res2.Mem != baseRes.Mem || !trace.Same(m2.Trace(), base.Trace()) {
+			t.Errorf("%s: resumed run diverges: %+v digest %#x, want %+v digest %#x", label,
+				res2.Stats, m2.Trace().Digest(), baseRes.Stats, base.Trace().Digest())
+		}
+	}
+	for k, name := range ctlNames {
+		if !seen[ctlKind(k)] {
+			t.Errorf("no %s message was ever in flight", name)
+		}
+	}
+}
+
 // FuzzReadCheckpoint: whatever the bytes, ReadCheckpoint returns a
 // machine or a CheckpointError — never a panic, never another error —
 // and a machine it returns can be stepped: Advance may fault or make
@@ -329,15 +513,19 @@ func badRoundRobin(t testing.TB) []byte {
 // (busy counts, the active list, the candidate masks) is rebuilt from
 // whatever the stream claimed, so stepping is the property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
-	v2 := fixture(f, "checkpoint_v2_8core.bin")
-	f.Add(v2)
-	f.Add(v2[:8])
-	f.Add(v2[:400])
-	f.Add(v2[:len(v2)/2])
+	v3 := fixture(f, "checkpoint_v3_8core.bin")
+	f.Add(v3)
+	f.Add(v3[:8])
+	f.Add(v3[:400])
+	f.Add(v3[:len(v3)/2])
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
 	f.Add(manifestOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
 	f.Add(manifestOnly(f, func(c *Config) { c.Cores = 4096 }))
 	f.Add(badRoundRobin(f))
+	f.Add(fixture(f, "checkpoint_v2_prefix.bin"))
+	for _, h := range hostileCheckpoints(f) {
+		f.Add(h.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadCheckpoint(bytes.NewReader(data))
 		var ce *CheckpointError

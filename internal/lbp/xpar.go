@@ -147,39 +147,34 @@ func (c *core) execSwcv(h *hart, u *uop, now uint64) {
 // execSwre sends a result value to a prior hart's result buffer over the
 // backward line.
 func (c *core) execSwre(h *hart, u *uop, now uint64) {
-	tgt := resolveHome(u.src1)
-	th := c.m.Hart(tgt)
-	if th == nil {
-		c.faultf(h.idx, "p_swre to nonexistent hart %d (pc %#x)", tgt, u.pc)
+	if !c.send(h, u, ctlMsg{Kind: ctlSwre, Tgt: resolveHome(u.src1),
+		Idx: uint32(u.d.Inst.Imm), Val: u.src2, PC: u.pc}) {
 		return
 	}
-	if th.core.idx > c.idx {
-		c.faultf(h.idx, "p_swre target hart %d is on a later core (pc %#x)", tgt, u.pc)
-		return
-	}
-	c.effect(pendItem{kind: pendSwre, h: h, t: uint32(th.core.idx),
-		dc: &swreMsg{m: c.m, fromCore: c.idx, fromHart: h.idx,
-			tgt: tgt, idx: uint32(u.d.Inst.Imm), val: u.src2, pc: u.pc}})
 	c.statSends++
 	c.emit(trace.KindSend, h.idx, uint64(u.src2))
 	u.done = true
 }
 
-// sendStart delivers a start pc to an allocated hart (fork continuation).
-// The validation runs here; the forward-link traversal is the effect.
-func (c *core) sendStart(h *hart, tgt uint32, pc uint32) {
-	th := c.m.Hart(tgt)
-	if th == nil {
-		c.faultf(h.idx, "start for nonexistent hart %d", tgt)
-		return
+// send puts one control message of instruction u on its link, or faults
+// when the target cannot be reached from here: forward kinds go to the
+// same or the next core, backward kinds to this or a prior core. The
+// validation runs here; the link traversal is the effect.
+func (c *core) send(h *hart, u *uop, msg ctlMsg) bool {
+	name, th := ctlNames[msg.Kind], c.m.Hart(msg.Tgt)
+	switch {
+	case th == nil:
+		c.faultf(h.idx, "%s to nonexistent hart %d (pc %#x)", name, msg.Tgt, u.pc)
+	case msg.Kind.backward() && th.core.idx > c.idx:
+		c.faultf(h.idx, "%s target hart %d is on a later core: a data cannot go back in time (pc %#x)", name, msg.Tgt, u.pc)
+	case !msg.Kind.backward() && th.core.idx != c.idx && th.core.idx != c.idx+1:
+		c.faultf(h.idx, "%s target hart %d is not on the same or next core (pc %#x)", name, msg.Tgt, u.pc)
+	default:
+		msg.m, msg.FromCore, msg.FromHart = c.m, uint16(c.idx), uint8(h.idx)
+		c.effect(pendItem{kind: pendMsg, h: h, t: uint32(th.core.idx), ctl: &msg})
+		return true
 	}
-	tc := th.core.idx
-	if tc != c.idx && tc != c.idx+1 {
-		c.faultf(h.idx, "start target hart %d is not on the same or next core", tgt)
-		return
-	}
-	c.effect(pendItem{kind: pendStart, h: h, t: uint32(tc),
-		dc: &startMsg{m: c.m, fromCore: c.idx, fromHart: h.idx, tgt: tgt, pc: pc}})
+	return false
 }
 
 // doRet performs the four ending types of a committed p_ret (Figure 6):
@@ -208,7 +203,7 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 	}
 	self := h.gid
 	if valid && link != isa.NoLink && link != self {
-		c.sendSignal(h, link)
+		c.send(h, u, ctlMsg{Kind: ctlSignal, Tgt: link})
 	}
 	switch {
 	case ra == 0 && valid && home == self:
@@ -226,40 +221,9 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 		c.fetchC |= h.bit
 	case valid:
 		// ending type 4: send the join address backward to the home hart
-		c.sendJoin(h, home, ra)
+		c.send(h, u, ctlMsg{Kind: ctlJoin, Tgt: home, PC: ra})
 		h.free(now)
 	default:
 		c.faultf(h.idx, "p_ret with ra=%#x but invalid identity t0=%#x (pc %#x)", ra, t0, u.pc)
 	}
-}
-
-// sendSignal forwards the ending-hart signal to the successor team member.
-func (c *core) sendSignal(h *hart, link uint32) {
-	th := c.m.Hart(link)
-	if th == nil {
-		c.faultf(h.idx, "ending signal to nonexistent hart %d", link)
-		return
-	}
-	tc := th.core.idx
-	if tc != c.idx && tc != c.idx+1 {
-		c.faultf(h.idx, "ending signal target hart %d is not on the same or next core", link)
-		return
-	}
-	c.effect(pendItem{kind: pendSignal, h: h, t: uint32(tc),
-		dc: &signalMsg{m: c.m, tgt: link}})
-}
-
-// sendJoin delivers a join address backward to the home hart.
-func (c *core) sendJoin(h *hart, home uint32, addr uint32) {
-	th := c.m.Hart(home)
-	if th == nil {
-		c.faultf(h.idx, "join to nonexistent hart %d", home)
-		return
-	}
-	if th.core.idx > c.idx {
-		c.faultf(h.idx, "join target hart %d is on a later core (a data cannot go back in time)", home)
-		return
-	}
-	c.effect(pendItem{kind: pendJoin, h: h, t: uint32(th.core.idx),
-		dc: &joinMsg{m: c.m, fromCore: c.idx, fromHart: h.idx, tgt: home, addr: addr}})
 }

@@ -15,13 +15,6 @@ import (
 // These share the deterministic link-slot allocation and the event queue
 // of the memory system so that all machine events are totally ordered.
 
-// ensureBackward lazily sizes the backward link array.
-func (s *System) ensureBackward() {
-	if s.backward == nil {
-		s.backward = make([]uint64, s.cfg.Cores)
-	}
-}
-
 // SendForward delivers a control message from core `from` to core `to`,
 // where to == from or to == from+1 (the forward links only connect
 // neighbors). The client's Done runs at delivery time during a Step call.
@@ -58,7 +51,6 @@ func (s *System) SendBackward(now uint64, from, to int, dc DoneClient) error {
 	if to > from {
 		return fmt.Errorf("mem: backward message %d->%d goes forward in core order", from, to)
 	}
-	s.ensureBackward()
 	var t uint64
 	switch {
 	case to == from:

@@ -125,10 +125,17 @@ type System struct {
 	local  [][]uint32 // per core
 	shared [][]uint32 // per core
 
-	// link free times, all indexed as described in route().
+	// Link free times. Every unidirectional link of the machine is one
+	// word of links — the cycle at which it is next free — and the named
+	// fields below are views New carves out of it, in the order they are
+	// declared here. That order is the checkpoint format's definition of
+	// State.Links; the routing code only ever sees the views.
+	links               []uint64
 	coreUp, coreDown    []uint64 // core <-> r1
 	bankPort, bankLocal []uint64 // shared bank ports (router side, local side)
 	localPort           []uint64 // local bank port
+	forward             []uint64 // core c -> core c+1 forward link
+	backward            []uint64 // core c -> core c-1 backward line
 	// Router-tree links, one slot per cycle each, level-indexed: entry k
 	// holds the links between the level-(k+1) routers and their parents,
 	// one per level-(k+1) router (so upReq[0] is the paper's r1->r2
@@ -143,8 +150,6 @@ type System struct {
 	// long join/result messages climb the same router hierarchy instead
 	// of walking the serpentine line core by core (see SendBackward).
 	backUp, backDown [][]uint64
-	forward          []uint64 // core c -> core c+1 forward link
-	backward         []uint64 // core c -> core c-1 backward line
 
 	// per-chip external links (multi-chip extension)
 	chipUpReq, chipUpResp     []uint64
@@ -172,15 +177,6 @@ func routerCounts(n, d int) []int {
 	return counts
 }
 
-// makeLevels allocates one link array per tree level.
-func makeLevels(counts []int) [][]uint64 {
-	lv := make([][]uint64, len(counts))
-	for k, n := range counts {
-		lv[k] = make([]uint64, n)
-	}
-	return lv
-}
-
 // New creates a memory system.
 func New(cfg Config) *System {
 	if cfg.RouterDegree < 2 {
@@ -189,33 +185,45 @@ func New(cfg Config) *System {
 		cfg.RouterDegree = 4
 	}
 	n := cfg.Cores
-	d := cfg.RouterDegree
-	counts := routerCounts(n, d)
-	s := &System{
-		cfg:       cfg,
-		code:      make([]uint32, cfg.CodeBytes/4),
-		local:     make([][]uint32, n),
-		shared:    make([][]uint32, n),
-		coreUp:    make([]uint64, n),
-		coreDown:  make([]uint64, n),
-		bankPort:  make([]uint64, n),
-		bankLocal: make([]uint64, n),
-		localPort: make([]uint64, n),
-		upReq:     makeLevels(counts),
-		upResp:    makeLevels(counts),
-		downReq:   makeLevels(counts),
-		downResp:  makeLevels(counts),
-		backUp:    makeLevels(counts),
-		backDown:  makeLevels(counts),
-		forward:   make([]uint64, n),
+	counts := routerCounts(n, cfg.RouterDegree)
+	routers, nchips := 0, 0
+	for _, c := range counts {
+		routers += c
 	}
 	if cfg.CoresPerChip > 0 {
-		nchips := (n + cfg.CoresPerChip - 1) / cfg.CoresPerChip
-		s.chipUpReq = make([]uint64, nchips)
-		s.chipUpResp = make([]uint64, nchips)
-		s.chipDownReq = make([]uint64, nchips)
-		s.chipDownResp = make([]uint64, nchips)
+		nchips = (n + cfg.CoresPerChip - 1) / cfg.CoresPerChip
 	}
+	s := &System{
+		cfg:    cfg,
+		code:   make([]uint32, cfg.CodeBytes/4),
+		local:  make([][]uint32, n),
+		shared: make([][]uint32, n),
+		links:  make([]uint64, 7*n+6*routers+4*nchips),
+	}
+	// Carve the views: three-index slices, so no view can grow into its
+	// neighbour.
+	rest := s.links
+	view := func(k int) []uint64 {
+		v := rest[:k:k]
+		rest = rest[k:]
+		return v
+	}
+	levels := func() [][]uint64 {
+		lv := make([][]uint64, len(counts))
+		for k, c := range counts {
+			lv[k] = view(c)
+		}
+		return lv
+	}
+	s.coreUp, s.coreDown = view(n), view(n)
+	s.bankPort, s.bankLocal = view(n), view(n)
+	s.localPort = view(n)
+	s.forward, s.backward = view(n), view(n)
+	s.upReq, s.upResp = levels(), levels()
+	s.downReq, s.downResp = levels(), levels()
+	s.backUp, s.backDown = levels(), levels()
+	s.chipUpReq, s.chipUpResp = view(nchips), view(nchips)
+	s.chipDownReq, s.chipDownResp = view(nchips), view(nchips)
 	for c := 0; c < n; c++ {
 		s.local[c] = make([]uint32, cfg.LocalBytes/4)
 		s.shared[c] = make([]uint32, cfg.SharedBytes/4)

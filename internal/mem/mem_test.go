@@ -395,3 +395,68 @@ func TestSingleCoreNoRouters(t *testing.T) {
 		t.Error("single-core accesses are never remote")
 	}
 }
+
+// TestLinkTable: the named link views are a partition of the one table —
+// their lengths sum to it, each starts where the previous one ended (so
+// no two overlap) and none can grow into its neighbour — and Reset after
+// traffic leaves the table as New made it.
+func TestLinkTable(t *testing.T) {
+	for _, cores := range []int{1, 4, 64, 65, 256, 1024} {
+		for _, perChip := range []int{0, 16} {
+			cfg := DefaultConfig(cores)
+			cfg.CodeBytes, cfg.LocalBytes, cfg.SharedBytes = 64, 64, 64
+			cfg.CoresPerChip, cfg.ChipHopLat = perChip, 12
+			s := New(cfg)
+			views := [][]uint64{s.coreUp, s.coreDown, s.bankPort, s.bankLocal, s.localPort, s.forward, s.backward}
+			for _, lv := range [][][]uint64{s.upReq, s.upResp, s.downReq, s.downResp, s.backUp, s.backDown} {
+				if len(lv) != len(routerCounts(cores, cfg.RouterDegree)) {
+					t.Fatalf("%d cores: a level family has %d levels", cores, len(lv))
+				}
+				views = append(views, lv...)
+			}
+			views = append(views, s.chipUpReq, s.chipUpResp, s.chipDownReq, s.chipDownResp)
+			at := 0
+			for i, v := range views {
+				if len(v) != cap(v) {
+					t.Errorf("%d cores / chip %d: view %d has len %d cap %d", cores, perChip, i, len(v), cap(v))
+				}
+				if len(v) > 0 && &v[0] != &s.links[at] {
+					t.Errorf("%d cores / chip %d: view %d does not start at link %d", cores, perChip, i, at)
+				}
+				at += len(v)
+			}
+			if at != len(s.links) {
+				t.Errorf("%d cores / chip %d: views cover %d links of %d", cores, perChip, at, len(s.links))
+			}
+			if len(s.coreUp) != cores || len(s.backward) != cores || (perChip > 0) != (len(s.chipUpReq) > 0) {
+				t.Errorf("%d cores / chip %d: %d core links, %d backward, %d chip links",
+					cores, perChip, len(s.coreUp), len(s.backward), len(s.chipUpReq))
+			}
+
+			last := cores - 1
+			s.SubmitLoad(0, 0, s.SharedAddr(last, 0), Width32, false, LoadFunc(func(uint32, uint64) {}))
+			s.SubmitStore(0, last, LocalBase, 1, Width32, nil)
+			s.SubmitCVWrite(0, 0, min(1, last), LocalBase, 1, nil)
+			_ = s.SendForward(0, 0, min(1, last), nil)
+			_ = s.SendBackward(0, last, 0, nil)
+			run(s, 0)
+			busy := 0
+			for _, l := range s.links {
+				if l != 0 {
+					busy++
+				}
+			}
+			if busy == 0 {
+				t.Fatalf("%d cores / chip %d: the traffic reserved no link", cores, perChip)
+			}
+			s.Reset()
+			fresh := New(cfg)
+			for i := range s.links {
+				if s.links[i] != fresh.links[i] {
+					t.Fatalf("%d cores / chip %d: link %d = %d after Reset, fresh is %d",
+						cores, perChip, i, s.links[i], fresh.links[i])
+				}
+			}
+		}
+	}
+}

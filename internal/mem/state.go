@@ -34,27 +34,9 @@ type State struct {
 
 	Code []uint32
 
-	// Reserved: never written, never read. gob names every exported
-	// field in the type descriptor of each checkpoint stream, so
-	// deleting these (or the R1*/R2* block below) would change the
-	// bytes of the version-2 format; they go with the next
-	// checkpointVersion bump (internal/lbp/state.go).
-	Local, Shared [][]uint32
-
-	CoreUp, CoreDown, BankPort, BankLocal, LocalPort []uint64
-
-	// Router-tree links, level-indexed (entry k = level k+1); see
-	// System. BackUp/BackDown are the express backward links of
-	// machines above 64 cores.
-	UpReq, UpResp, DownReq, DownResp [][]uint64
-	BackUp, BackDown                 [][]uint64
-
-	// Reserved, see Local/Shared.
-	R1UpReq, R1UpResp, R1DownReq, R1DownResp []uint64
-	R2UpReq, R2UpResp, R2DownReq, R2DownResp []uint64
-
-	Forward, Backward                                []uint64
-	ChipUpReq, ChipUpResp, ChipDownReq, ChipDownResp []uint64
+	// Links is the link table verbatim: every link's next-free cycle, in
+	// the order New carves the views (the System struct declares it).
+	Links []uint64
 
 	Events []EventState
 }
@@ -82,19 +64,6 @@ func trimZeros(words []uint32) []uint32 {
 	return append([]uint32(nil), words[:n]...)
 }
 
-func copyU64(v []uint64) []uint64 { return append([]uint64(nil), v...) }
-
-func copyLevels(lv [][]uint64) [][]uint64 {
-	if len(lv) == 0 {
-		return nil
-	}
-	out := make([][]uint64, len(lv))
-	for k := range lv {
-		out[k] = copyU64(lv[k])
-	}
-	return out
-}
-
 // CaptureGlobalState snapshots everything but the per-core bank images:
 // link-allocator state, counters, the code bank and the in-flight event
 // queue. The returned client table holds every distinct event client in
@@ -106,16 +75,7 @@ func (s *System) CaptureGlobalState() (*State, []any) {
 		Stats: s.Stats,
 		Perf:  s.Perf,
 		Code:  trimZeros(s.code),
-
-		CoreUp: copyU64(s.coreUp), CoreDown: copyU64(s.coreDown),
-		BankPort: copyU64(s.bankPort), BankLocal: copyU64(s.bankLocal),
-		LocalPort: copyU64(s.localPort),
-		UpReq:     copyLevels(s.upReq), UpResp: copyLevels(s.upResp),
-		DownReq: copyLevels(s.downReq), DownResp: copyLevels(s.downResp),
-		BackUp: copyLevels(s.backUp), BackDown: copyLevels(s.backDown),
-		Forward: copyU64(s.forward), Backward: copyU64(s.backward),
-		ChipUpReq: copyU64(s.chipUpReq), ChipUpResp: copyU64(s.chipUpResp),
-		ChipDownReq: copyU64(s.chipDownReq), ChipDownResp: copyU64(s.chipDownResp),
+		Links: append([]uint64(nil), s.links...),
 	}
 	var clients []any
 	loadIdx := make(map[LoadClient]int32)
@@ -188,89 +148,92 @@ func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
 // RestoreGlobalState installs a global snapshot — everything but the
 // bank images — into a freshly built System of the same configuration.
 // clients must be the rebuilt client table, index-aligned with the one
-// CaptureGlobalState returned.
+// CaptureGlobalState returned. The snapshot is outside input: whatever
+// dispatch would index or call through an event is checked here, before
+// the event is queued.
 func (s *System) RestoreGlobalState(st *State, clients []any) error {
 	if len(st.Code) > len(s.code) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
 	}
-	restoreLinks := func(dst, src []uint64, name string) error {
-		if len(src) != len(dst) {
-			return fmt.Errorf("mem: state link array %s does not match the configuration", name)
+	if len(st.Links) != len(s.links) {
+		return fmt.Errorf("mem: state has %d links, the configuration has %d", len(st.Links), len(s.links))
+	}
+	events := make(eventQueue, len(st.Events))
+	for i := range st.Events {
+		var err error
+		if events[i], err = s.restoreEvent(&st.Events[i], clients); err != nil {
+			return fmt.Errorf("mem: state event %d %v", i, err)
 		}
-		copy(dst, src)
-		return nil
 	}
 	clear(s.code[:s.codeHi])
 	s.codeHi = copy(s.code, st.Code)
-	if len(st.Backward) > 0 {
-		s.ensureBackward()
-	}
-	for _, l := range []struct {
-		dst, src []uint64
-		name     string
-	}{
-		{s.coreUp, st.CoreUp, "coreUp"}, {s.coreDown, st.CoreDown, "coreDown"},
-		{s.bankPort, st.BankPort, "bankPort"}, {s.bankLocal, st.BankLocal, "bankLocal"},
-		{s.localPort, st.LocalPort, "localPort"},
-		{s.forward, st.Forward, "forward"}, {s.backward, st.Backward, "backward"},
-		{s.chipUpReq, st.ChipUpReq, "chipUpReq"}, {s.chipUpResp, st.ChipUpResp, "chipUpResp"},
-		{s.chipDownReq, st.ChipDownReq, "chipDownReq"}, {s.chipDownResp, st.ChipDownResp, "chipDownResp"},
-	} {
-		if err := restoreLinks(l.dst, l.src, l.name); err != nil {
-			return err
-		}
-	}
-	for _, l := range []struct {
-		dst, src [][]uint64
-		name     string
-	}{
-		{s.upReq, st.UpReq, "upReq"}, {s.upResp, st.UpResp, "upResp"},
-		{s.downReq, st.DownReq, "downReq"}, {s.downResp, st.DownResp, "downResp"},
-		{s.backUp, st.BackUp, "backUp"}, {s.backDown, st.BackDown, "backDown"},
-	} {
-		if len(l.src) != len(l.dst) {
-			return fmt.Errorf("mem: state link levels %s do not match the configuration", l.name)
-		}
-		for k := range l.dst {
-			if err := restoreLinks(l.dst[k], l.src[k], l.name); err != nil {
-				return err
-			}
-		}
-	}
+	copy(s.links, st.Links)
 	s.seq = st.Seq
 	s.Stats = st.Stats
 	s.Perf = st.Perf
-	s.events = s.events[:0]
-	for i := range st.Events {
-		es := &st.Events[i]
-		e := event{
-			cycle: es.Cycle, seq: es.Seq, kind: evKind(es.Kind), core: es.Core,
-			off: es.Off, addr: es.Addr, val: es.Val,
-			width: Width(es.Width), signed: es.Signed,
-		}
-		if es.Client >= 0 {
-			if int(es.Client) >= len(clients) {
-				return fmt.Errorf("mem: state event %d references client %d of %d", i, es.Client, len(clients))
-			}
-			cl := clients[es.Client]
-			switch e.kind {
-			case evLocalLoad, evSharedRead, evLoadDone:
-				lc, ok := cl.(LoadClient)
-				if !ok {
-					return fmt.Errorf("mem: state event %d needs a LoadClient, got %T", i, cl)
-				}
-				e.lc = lc
-			default:
-				dc, ok := cl.(DoneClient)
-				if !ok {
-					return fmt.Errorf("mem: state event %d needs a DoneClient, got %T", i, cl)
-				}
-				e.dc = dc
-			}
-		}
-		s.events = append(s.events, e)
-	}
+	s.events = events
 	return nil
+}
+
+// restoreEvent rebuilds one in-flight event, holding it to the
+// configuration: a kind dispatch knows, a bank that exists and a word
+// inside it for the kinds that touch one, an access width for the kinds
+// that carry one, and a LoadClient behind every load-kind event
+// (dispatch calls it unconditionally; a DoneClient is optional).
+func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
+	e := event{
+		cycle: es.Cycle, seq: es.Seq, kind: evKind(es.Kind), core: es.Core,
+		off: es.Off, addr: es.Addr, val: es.Val,
+		width: Width(es.Width), signed: es.Signed,
+	}
+	var banks [][]uint32 // the bank family the event indexes, if any
+	sized, load := false, false
+	switch e.kind {
+	case evLocalLoad:
+		banks, sized, load = s.local, true, true
+	case evSharedRead:
+		banks, sized, load = s.shared, true, true
+	case evLoadDone:
+		load = true
+	case evLocalStore:
+		banks, sized = s.local, true
+	case evSharedWrite:
+		banks, sized = s.shared, true
+	case evCVWrite:
+		banks = s.local
+	case evStoreDone, evMessage:
+	default:
+		return e, fmt.Errorf("has unknown kind %d", es.Kind)
+	}
+	if banks != nil {
+		if es.Core < 0 || int(es.Core) >= len(banks) {
+			return e, fmt.Errorf("names bank %d of %d", es.Core, len(banks))
+		}
+		if int64(es.Off) >= int64(len(banks[es.Core])) {
+			return e, fmt.Errorf("names word %d of a %d-word bank", es.Off, len(banks[es.Core]))
+		}
+	}
+	if sized && e.width != Width8 && e.width != Width16 && e.width != Width32 {
+		return e, fmt.Errorf("has access width %d", es.Width)
+	}
+	if es.Client >= 0 {
+		if int(es.Client) >= len(clients) {
+			return e, fmt.Errorf("references client %d of %d", es.Client, len(clients))
+		}
+		var ok bool
+		if load {
+			e.lc, ok = clients[es.Client].(LoadClient)
+		} else {
+			e.dc, ok = clients[es.Client].(DoneClient)
+		}
+		if !ok {
+			return e, fmt.Errorf("cannot use client %d (%T)", es.Client, clients[es.Client])
+		}
+	}
+	if load && e.lc == nil {
+		return e, fmt.Errorf("is a load without a client")
+	}
+	return e, nil
 }
 
 // Reset returns the system to its post-New state, keeping allocations,
@@ -286,20 +249,7 @@ func (s *System) Reset() {
 	for i := range s.shared {
 		clear(s.shared[i])
 	}
-	for _, l := range [][]uint64{
-		s.coreUp, s.coreDown, s.bankPort, s.bankLocal, s.localPort,
-		s.forward, s.backward,
-		s.chipUpReq, s.chipUpResp, s.chipDownReq, s.chipDownResp,
-	} {
-		clear(l)
-	}
-	for _, lv := range [][][]uint64{
-		s.upReq, s.upResp, s.downReq, s.downResp, s.backUp, s.backDown,
-	} {
-		for _, l := range lv {
-			clear(l)
-		}
-	}
+	clear(s.links)
 	clear(s.events) // release clients
 	s.events = s.events[:0]
 	s.seq = 0

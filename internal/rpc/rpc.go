@@ -23,6 +23,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,18 +67,82 @@ const (
 // the remote may or may not have processed it.
 var ErrClosed = errors.New("rpc: connection closed")
 
-// writeMessage sends one frame. The encoder owns framing (Encode
-// appends the newline); enc must be guarded by the caller's mutex.
-func writeMessage(enc *json.Encoder, m *message) error {
+// MaxFrameBytes bounds one frame in either direction: eight times the
+// largest HTTP request body (serve.Config.MaxBodyBytes), which leaves
+// room for ≈ 48 MiB of checkpoint state base64-encoded inside a JSON
+// field — the largest checkpoint the fleet moves (DESIGN.md §8).
+const MaxFrameBytes = 64 << 20
+
+// ErrFrameTooLarge reports a frame over MaxFrameBytes. A writer returns
+// it before anything is written, so the connection stays usable; a
+// reader that meets such a frame has no way to skip it and closes the
+// connection.
+var ErrFrameTooLarge = errors.New("rpc: frame exceeds MaxFrameBytes")
+
+// frameLimit is MaxFrameBytes; this package's TestMain lowers it so that
+// the refusals can be exercised without 64 MiB frames.
+var frameLimit = MaxFrameBytes
+
+// writeFrame sends one frame, newline-terminated, in one Write; w must
+// be guarded by the caller's mutex.
+func writeFrame(w io.Writer, m *message) error {
 	m.JSONRPC = "2.0"
-	return enc.Encode(m)
+	var frame bytes.Buffer
+	if err := json.NewEncoder(&frame).Encode(m); err != nil { // appends the newline
+		return fmt.Errorf("rpc: encoding frame: %w", err)
+	}
+	if frame.Len() > frameLimit {
+		return ErrFrameTooLarge
+	}
+	if _, err := w.Write(frame.Bytes()); err != nil {
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return nil
+}
+
+// frameReader reads the newline-terminated frames of one transport. A
+// frame that fits the read buffer is decoded in place; a longer one is
+// gathered in buf, which the reader keeps and grows in few, large steps
+// up to the frame bound — so whatever a peer sends, the reader holds
+// about one bound's worth of memory, not the doubling chain of buffers
+// an unbounded decoder leaves behind.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, 64<<10)}
+}
+
+func (fr *frameReader) next(m *message) error {
+	fr.buf = fr.buf[:0]
+	for {
+		chunk, err := fr.br.ReadSlice('\n')
+		need := len(fr.buf) + len(chunk)
+		if need > frameLimit {
+			return ErrFrameTooLarge
+		}
+		if err == nil && len(fr.buf) == 0 {
+			return json.Unmarshal(chunk, m)
+		}
+		if need > cap(fr.buf) {
+			fr.buf = append(make([]byte, 0, min(max(8*cap(fr.buf), need, 1<<20), frameLimit)), fr.buf...)
+		}
+		fr.buf = append(fr.buf, chunk...)
+		if err == nil {
+			return json.Unmarshal(fr.buf, m)
+		}
+		if err != bufio.ErrBufferFull {
+			return err
+		}
+	}
 }
 
 // Conn is the client side of one connection. It is safe for concurrent
 // use: any number of goroutines may Call at once.
 type Conn struct {
 	c   net.Conn
-	enc *json.Encoder
 	wmu sync.Mutex // serializes frame writes
 
 	mu     sync.Mutex
@@ -104,7 +169,6 @@ func Dial(addr string, notify func(method string, params json.RawMessage)) (*Con
 func NewConn(nc net.Conn, notify func(method string, params json.RawMessage)) *Conn {
 	c := &Conn{
 		c:      nc,
-		enc:    json.NewEncoder(nc),
 		calls:  make(map[uint64]chan *message),
 		closed: make(chan struct{}),
 		notify: notify,
@@ -116,10 +180,10 @@ func NewConn(nc net.Conn, notify func(method string, params json.RawMessage)) *C
 // readLoop demultiplexes responses to their pending calls and routes
 // notifications to the handler, until the transport dies.
 func (c *Conn) readLoop() {
-	dec := json.NewDecoder(bufio.NewReader(c.c))
+	fr := newFrameReader(c.c)
 	for {
 		var m message
-		if err := dec.Decode(&m); err != nil {
+		if err := fr.next(&m); err != nil {
 			c.fail(err)
 			return
 		}
@@ -147,9 +211,12 @@ func (c *Conn) readLoop() {
 func (c *Conn) fail(cause error) {
 	c.mu.Lock()
 	if c.err == nil {
-		if cause == nil || errors.Is(cause, io.EOF) {
+		switch {
+		case cause == nil || errors.Is(cause, io.EOF):
 			c.err = ErrClosed
-		} else {
+		case errors.Is(cause, ErrClosed): // a failed write, already wrapped
+			c.err = cause
+		default:
 			c.err = fmt.Errorf("%w: %v", ErrClosed, cause)
 		}
 		close(c.closed)
@@ -181,7 +248,8 @@ func (c *Conn) Closed() <-chan struct{} { return c.closed }
 
 // Call invokes method on the peer and decodes the result into result
 // (which may be nil to discard it). A *Error return is the remote
-// handler's refusal; any other error wraps ErrClosed (transport death)
+// handler's refusal; ErrFrameTooLarge means nothing was sent and the
+// connection lives on; any other error wraps ErrClosed (transport death)
 // or is the context's. On ctx expiry the call is abandoned — the remote
 // may still be running it; protocol-level cancellation is the caller's
 // business (see dispatch's cancel notifications).
@@ -203,14 +271,16 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err = writeMessage(c.enc, &message{ID: &id, Method: method, Params: raw})
+	err = writeFrame(c.c, &message{ID: &id, Method: method, Params: raw})
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.calls, id)
 		c.mu.Unlock()
-		c.fail(err)
-		return fmt.Errorf("%w: %v", ErrClosed, err)
+		if errors.Is(err, ErrClosed) {
+			c.fail(err)
+		}
+		return err
 	}
 
 	select {
@@ -243,10 +313,7 @@ func (c *Conn) Notify(method string, params any) error {
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeMessage(c.enc, &message{Method: method, Params: raw}); err != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	return nil
+	return writeFrame(c.c, &message{Method: method, Params: raw})
 }
 
 func marshalParams(params any) (json.RawMessage, error) {
@@ -273,11 +340,11 @@ type Handler interface {
 // it to push notifications while calls are in flight.
 type ServerConn struct {
 	c   net.Conn
-	enc *json.Encoder
 	wmu sync.Mutex
 }
 
-// Notify pushes a notification to the connected client.
+// Notify pushes a notification to the connected client. ErrFrameTooLarge
+// means nothing was sent and the connection lives on.
 func (sc *ServerConn) Notify(method string, params any) error {
 	raw, err := marshalParams(params)
 	if err != nil {
@@ -285,10 +352,7 @@ func (sc *ServerConn) Notify(method string, params any) error {
 	}
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	if err := writeMessage(sc.enc, &message{Method: method, Params: raw}); err != nil {
-		return fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	return nil
+	return writeFrame(sc.c, &message{Method: method, Params: raw})
 }
 
 func (sc *ServerConn) reply(id uint64, result any, err error) error {
@@ -309,7 +373,13 @@ func (sc *ServerConn) reply(id uint64, result any, err error) error {
 	}
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	return writeMessage(sc.enc, m)
+	err = writeFrame(sc.c, m)
+	if errors.Is(err, ErrFrameTooLarge) {
+		// The caller still gets an answer: the refusal, in place of the
+		// result that cannot cross.
+		_ = writeFrame(sc.c, &message{ID: &id, Error: &Error{Code: CodeInternal, Message: err.Error()}})
+	}
+	return err
 }
 
 // Server accepts connections and serves calls on each.
@@ -377,13 +447,13 @@ func (s *Server) Close() error {
 // health probe on the same connection.
 func (s *Server) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sc := &ServerConn{c: nc, enc: json.NewEncoder(nc)}
-	dec := json.NewDecoder(bufio.NewReader(nc))
+	sc := &ServerConn{c: nc}
+	fr := newFrameReader(nc)
 	var wg sync.WaitGroup
 	for {
 		var m message
-		if err := dec.Decode(&m); err != nil {
-			break
+		if err := fr.next(&m); err != nil {
+			break // a dead transport, or a frame that cannot be read past
 		}
 		if m.Method == "" {
 			continue // a stray response; nothing to do with it

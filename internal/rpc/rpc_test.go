@@ -1,11 +1,16 @@
 package rpc
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -274,4 +279,131 @@ type handlerFunc func(ctx context.Context, conn *ServerConn, method string, para
 
 func (f handlerFunc) ServeRPC(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
 	return f(ctx, conn, method, params)
+}
+
+// TestMain runs the package's tests against a 2 MiB frame bound, set
+// once before any connection exists: the refusals are the same code at
+// any bound, and 64 MiB frames are not unit-test material.
+func TestMain(m *testing.M) {
+	frameLimit = 2 << 20
+	os.Exit(m.Run())
+}
+
+// TestOversizeFrameWriteLeavesConnectionAlive: a frame over the bound is
+// refused before a byte of it is written — by Call, by Notify in either
+// direction and by a handler's reply, whose caller gets the refusal as
+// its answer — and the same connection then completes a call.
+func TestOversizeFrameWriteLeavesConnectionAlive(t *testing.T) {
+	addr, _ := startServer(t, handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
+		switch method {
+		case "big-reply":
+			return strings.Repeat("A", frameLimit), nil
+		case "big-note":
+			err := conn.Notify("tick", strings.Repeat("A", frameLimit))
+			return errors.Is(err, ErrFrameTooLarge), nil
+		}
+		return "pong", nil
+	}))
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	big := strings.Repeat("A", frameLimit)
+	if err := c.Call(ctx, "echo", big, nil); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversize Call: %v, want ErrFrameTooLarge", err)
+	}
+	if err := c.Notify("echo", big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Errorf("oversize Notify: %v, want ErrFrameTooLarge", err)
+	}
+	var re *Error
+	if err := c.Call(ctx, "big-reply", nil, nil); !errors.As(err, &re) || !strings.Contains(re.Message, "MaxFrameBytes") {
+		t.Errorf("oversize reply: %v, want a remote error naming MaxFrameBytes", err)
+	}
+	var refused bool
+	if err := c.Call(ctx, "big-note", nil, &refused); err != nil || !refused {
+		t.Errorf("oversize server notification: refused=%v err=%v, want ErrFrameTooLarge on the sender", refused, err)
+	}
+	var pong string
+	if err := c.Call(ctx, "ping", nil, &pong); err != nil || pong != "pong" {
+		t.Errorf("call after the refusals: %q, %v; the connection must have survived them", pong, err)
+	}
+}
+
+// TestOversizeFrameReadClosesConnection: a peer that sends an
+// unterminated frame past the bound is cut off — the server closes the
+// connection and keeps serving others; a client fails its pending calls
+// with an error that wraps ErrClosed and names the cause.
+func TestOversizeFrameReadClosesConnection(t *testing.T) {
+	hostile := append([]byte(`{"jsonrpc":"2.0","id":1,"method":"lbp.run","params":{"id":"x","image":"`),
+		bytes.Repeat([]byte("A"), 4*frameLimit)...)
+
+	addr, _ := startServer(t, &echoHandler{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	go nc.Write(hostile) // may fail midway: the server stops reading
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("server kept the connection open after an oversize frame (read: %v)", err)
+	}
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var out map[string]any
+	if err := c.Call(context.Background(), "echo", map[string]any{"k": "v"}, &out); err != nil || out["k"] != "v" {
+		t.Errorf("second connection: %v, %v; the server must still be serving", out, err)
+	}
+
+	cl, sv := net.Pipe()
+	defer sv.Close()
+	conn := NewConn(cl, nil)
+	go func() {
+		bufio.NewReader(sv).ReadBytes('\n') // the call's own frame
+		sv.Write(hostile)
+	}()
+	err = conn.Call(context.Background(), "echo", nil, nil)
+	if !errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "MaxFrameBytes") {
+		t.Errorf("client call across an oversize response: %v, want ErrClosed naming MaxFrameBytes", err)
+	}
+}
+
+// FuzzRPCFrame: whatever bytes arrive on a connection, the server reads
+// them in bounded memory, answers or drops each frame, and is done with
+// the connection once the peer is — no panic, no hang.
+func FuzzRPCFrame(f *testing.F) {
+	f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"echo","params":{"k":"v"}}` + "\n"))
+	f.Add([]byte(`{"jsonrpc":"2.0","method":"lbp.cancel","params":{"id":"x"}}` + "\n"))
+	f.Add([]byte(`{"jsonrpc":"2.0","id":7,"result":{"status":"ok"}}` + "\n"))
+	f.Add([]byte(`{"jsonrpc":"2.0","id":2,"method":"echo","params":{"image":"` + strings.Repeat("A", 1<<20) + `"}}` + "\n"))
+	f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"lbp.run","params":{"id":"x","image":"AAAAAAAA`))
+	srv := NewServer(handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
+		return params, nil
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cl, sv := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.serveConn(sv)
+		}()
+		go io.Copy(io.Discard, cl) // replies
+		cl.SetWriteDeadline(time.Now().Add(10 * time.Second))
+		if _, err := cl.Write(data); err != nil && !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("server stopped reading: %v", err)
+		}
+		cl.Close()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("server did not finish with the connection")
+		}
+	})
 }

@@ -29,13 +29,12 @@ if [ -n "$unformatted" ]; then
 fi
 # One checkpoint format, one job protocol, one decode per load, one
 # queue, one instruction table, one experiment path, compiled code that
-# never becomes text: the deleted second paths must not grow back.
-# (mem.State's R1*/R2* names are not on the list: they are
-# reserved words of the version-2 wire format, DESIGN.md §7. The parent's
-# encTable, controlMn and parseLine live on as the test references
-# refEncTable, parentControlMn and parentParseLine, which the
+# never becomes text, one link table, one control-message type, one gate
+# per observer: the deleted second paths must not grow back. (The
+# parent's encTable, controlMn and parseLine live on as the test
+# references refEncTable, parentControlMn and parentParseLine, which the
 # case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments' -- '*.go'; then
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -177,9 +176,9 @@ go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
 echo "verify: lbp-fuzz smoke OK"
 
 # Native fuzzing smoke: hostile checkpoint bytes get a typed error or a
-# machine that can be stepped, never a panic. The seeds include a 144 KB
-# fixture, so the minimizer is capped — by default it may spend a minute
-# on one input.
+# machine that can be stepped, never a panic. The seeds include the
+# 144 KB checkpoint_v3_8core.bin, so the minimizer is capped — by default
+# it may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
 # Hostile program images (POST /jobs "image", and what a worker reads
@@ -200,6 +199,10 @@ echo "verify: FuzzCompile smoke OK"
 # of DESIGN.md §8's table with a JobResult.
 go test ./internal/serve -run '^$' -fuzz FuzzJobRequest -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzJobRequest smoke OK"
+# Hostile rpc frames (what a worker reads off a coordinator connection):
+# bounded memory, every frame answered or dropped, no panic, no hang.
+go test ./internal/rpc -run '^$' -fuzz FuzzRPCFrame -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzRPCFrame smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
