@@ -15,6 +15,7 @@ import (
 	"repro/internal/detomp"
 	"repro/internal/fuzzgen"
 	"repro/internal/isa"
+	"repro/internal/workloads"
 )
 
 // compiledSeed is the assembly text cc makes of one generated program:
@@ -49,6 +50,30 @@ func BenchmarkAssemble(b *testing.B) {
 		if _, err := asm.Assemble(srcs[i%len(srcs)], asm.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestWriteImageFixedPoint: a compiled matmul (text, several data
+// segments, symbols) written, read back and written again gives the
+// same bytes — the image format loses nothing WriteImage prints.
+func TestWriteImageFixedPoint(t *testing.T) {
+	prog, err := workloads.BuildMatmul(workloads.Tiled, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first, second bytes.Buffer
+	if err := prog.WriteImage(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := asm.ReadImage(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.WriteImage(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("WriteImage → ReadImage → WriteImage moved bytes (%d vs %d)", first.Len(), second.Len())
 	}
 }
 

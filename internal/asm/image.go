@@ -36,13 +36,22 @@ func (p *Program) WriteImage(w io.Writer) error {
 	return bw.Flush()
 }
 
-func writeWords(w io.Writer, words []uint32) {
+// writeWords prints eight words a line as 8-digit lowercase hex, the
+// last line as short as it falls. Digits come from a table, not fmt: a
+// cache key prints the whole image into its hash (sim.CacheKey).
+func writeWords(w *bufio.Writer, words []uint32) {
+	const digits = "0123456789abcdef"
+	var buf [9]byte
 	for i, v := range words {
-		if i%8 == 7 || i == len(words)-1 {
-			fmt.Fprintf(w, "%08x\n", v)
-		} else {
-			fmt.Fprintf(w, "%08x ", v)
+		for j := 7; j >= 0; j-- {
+			buf[j] = digits[v&0xf]
+			v >>= 4
 		}
+		buf[8] = ' '
+		if i%8 == 7 || i == len(words)-1 {
+			buf[8] = '\n'
+		}
+		w.Write(buf[:])
 	}
 }
 

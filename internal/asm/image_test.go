@@ -1,7 +1,10 @@
 package asm
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -105,16 +108,107 @@ func FuzzReadImage(f *testing.F) {
 	})
 }
 
-// BenchmarkReadImage parses a 4-word program (per-call overhead) and
-// one with 64 Ki data words (≈ 590 KB of text, the size of serve_hot's
-// image job); MB/s is over the serialized bytes.
-func BenchmarkReadImage(b *testing.B) {
+// writeWordsFmt is writeWords as it stood until the digits came from a
+// table: one fmt call per word. It is the reference the table is held to.
+func writeWordsFmt(w io.Writer, words []uint32) {
+	for i, v := range words {
+		if i%8 == 7 || i == len(words)-1 {
+			fmt.Fprintf(w, "%08x\n", v)
+		} else {
+			fmt.Fprintf(w, "%08x ", v)
+		}
+	}
+}
+
+// TestWriteWordsMatchesFmt: the hand-formatted words are the bytes fmt
+// printed — around the eight-a-line boundary, past bufio's 4 KiB
+// buffer, and for the words whose digits are all low, all high, or
+// mostly leading zeros.
+func TestWriteWordsMatchesFmt(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 4097} {
+		words := make([]uint32, n)
+		for i := range words {
+			words[i] = [...]uint32{0, 0xffffffff, 0x0000000a, uint32(i) * 2654435761}[i%4]
+		}
+		var got, want bytes.Buffer
+		bw := bufio.NewWriter(&got)
+		writeWords(bw, words)
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		writeWordsFmt(&want, words)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d words:\ngot  %q\nwant %q", n, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
+// TestWriteImageFixture: testdata/vecsum.img is lbp-asm's output from
+// before writeWords changed; reading it and writing it back must give
+// the file, byte for byte (cache keys are hashes of these bytes).
+func TestWriteImageFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/vecsum.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ReadImage(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := p.WriteImage(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("WriteImage(ReadImage(vecsum.img)) differs from vecsum.img:\n%s", got.Bytes())
+	}
+}
+
+// imageBenchPrograms are a 4-word program (per-call overhead) and one
+// with 64 Ki data words (≈ 590 KB of text, the size of serve_hot's
+// image job).
+func imageBenchPrograms() (small, heavy *Program) {
 	data := make([]uint32, 64<<10)
 	for i := range data {
 		data[i] = uint32(i) * 2654435761
 	}
-	small := &Program{Text: []uint32{0x00000093, 0xfff00293, 0x0000028b, 0x00100073}}
-	heavy := &Program{Text: small.Text, Segments: []Segment{{Addr: DefaultDataBase, Words: data}}}
+	small = &Program{Text: []uint32{0x00000093, 0xfff00293, 0x0000028b, 0x00100073}}
+	heavy = &Program{Text: small.Text, Segments: []Segment{{Addr: DefaultDataBase, Words: data}}}
+	return small, heavy
+}
+
+// BenchmarkWriteImage serializes the vecsum fixture (a compiled
+// program: 123 text words, symbols) and the data-heavy image into a
+// discarding writer — what sim.CacheKey pays per key, minus the hash.
+func BenchmarkWriteImage(b *testing.B) {
+	img, err := os.ReadFile("testdata/vecsum.img")
+	if err != nil {
+		b.Fatal(err)
+	}
+	vecsum, err := ReadImage(bytes.NewReader(img))
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, heavy := imageBenchPrograms()
+	for _, bc := range []struct {
+		name string
+		p    *Program
+	}{{"vecsum", vecsum}, {"data-heavy", heavy}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.p.WriteImage(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadImage parses imageBenchPrograms' two; MB/s is over the
+// serialized bytes.
+func BenchmarkReadImage(b *testing.B) {
+	small, heavy := imageBenchPrograms()
 	for _, bc := range []struct {
 		name string
 		p    *Program

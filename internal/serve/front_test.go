@@ -1,0 +1,275 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/fuzzgen"
+	"repro/internal/sim"
+)
+
+// TestFrontKeyCoversRequest: every JobRequest field is either named
+// here as host-side — and then leaves the front key alone — or changes
+// it. A field added to JobRequest fails by name until someone says
+// which it is, so the memo can never alias two jobs whose results
+// differ.
+func TestFrontKeyCoversRequest(t *testing.T) {
+	const defaultMax = 100_000_000
+	front := func(r JobRequest) [sha256.Size]byte {
+		max := r.MaxCycles
+		if max == 0 {
+			max = defaultMax
+		}
+		return r.frontKey(max)
+	}
+	affectsResult := map[string]bool{
+		"Source": true, "Lang": true, "Image": true, "Cores": true, "BankBytes": true,
+		"MaxCycles": true, "Digest": true, "Ring": true, "Profile": true,
+	}
+	hostSide := map[string]bool{"DeadlineMs": true}
+
+	base := JobRequest{Source: vecsumSource, Cores: 2}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		changed := base
+		switch f := reflect.ValueOf(&changed).Elem().Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Slice:
+			f.SetBytes([]byte{1})
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 7)
+		case reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 7)
+		case reflect.Bool:
+			f.SetBool(!f.Bool())
+		default:
+			t.Fatalf("field %s: this test cannot set a %s", name, f.Kind())
+		}
+		moved := front(changed) != front(base)
+		switch {
+		case affectsResult[name] && !moved:
+			t.Errorf("field %s can change a result but does not change the front key", name)
+		case hostSide[name] && moved:
+			t.Errorf("field %s is host-side but changes the front key", name)
+		case !affectsResult[name] && !hostSide[name]:
+			t.Errorf("field %s is new: list it as result-affecting or host-side (and zero it in frontKey)", name)
+		}
+	}
+
+	// The budget goes in resolved: leaving it out and writing the
+	// server's default are one request.
+	spelled := base
+	spelled.MaxCycles = defaultMax
+	if front(spelled) != front(base) {
+		t.Error("maxCycles 0 and the server default have different front keys")
+	}
+	// The bulk fields are length-prefixed: bytes cannot move between a
+	// bulk field and what follows it.
+	if front(JobRequest{Source: "ab", Lang: "c"}) == front(JobRequest{Source: "a", Lang: "bc"}) {
+		t.Error(`("ab","c") and ("a","bc") share a front key`)
+	}
+	// The front key is syntactic, the cache key canonical: two spellings
+	// of one job may be two memo entries but must be one result entry.
+	inC := base
+	inC.Lang = "c"
+	if cacheKeyOf(t, inC, defaultMax) != cacheKeyOf(t, base, defaultMax) {
+		t.Error(`lang "" and lang "c" have different cache keys`)
+	}
+}
+
+// cacheKeyOf is the content address of a request, computed the long way.
+func cacheKeyOf(t *testing.T, req JobRequest, maxCycles uint64) string {
+	t.Helper()
+	prog, err := req.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := sim.CacheKey(sim.Spec{
+		Program: prog, Cores: req.Cores, SharedBankBytes: req.BankBytes, MaxCycles: maxCycles,
+		Trace: sim.TraceSpec{Digest: req.Digest, Ring: req.Ring}, Profile: req.Profile,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// postHandler sends one request to the handler itself and returns the
+// raw response with its decoding.
+func postHandler(t *testing.T, h http.Handler, req JobRequest) (int, []byte, *JobResult) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+	var jr JobResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
+		t.Fatalf("decoding response (HTTP %d): %v\n%s", rec.Code, err, rec.Body.Bytes())
+	}
+	return rec.Code, rec.Body.Bytes(), &jr
+}
+
+// TestFrontIndexPaths walks the memo's three paths from outside: a
+// request never seen compiles and is remembered; a repeat is answered
+// from the cache without compiling; a repeat whose result entry is gone
+// runs cold under the remembered key, counting one miss, and repairs
+// the entry. A request that does not compile is never remembered, and
+// a full memo forgets entries, never answers.
+func TestFrontIndexPaths(t *testing.T) {
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, DeadlineMs: 30_000}
+	key := cacheKeyOf(t, req, srv.cfg.DefaultMaxCycles)
+
+	code, coldRaw, cold := postHandler(t, h, req)
+	if code != http.StatusOK || cold.Status != StatusOK || cold.Cached {
+		t.Fatalf("cold run: HTTP %d status %q cached=%v (%s)", code, cold.Status, cold.Cached, cold.Error)
+	}
+	if got := srv.met.frontHits.Load(); got != 0 {
+		t.Errorf("front hits = %d after a first request, want 0", got)
+	}
+	checkedOut := srv.exec.Metrics().CheckedOut
+
+	req.DeadlineMs = 0 // host-side: still the same request
+	code, warmRaw, warm := postHandler(t, h, req)
+	if code != http.StatusOK || !warm.Cached {
+		t.Fatalf("repeat: HTTP %d cached=%v, want a hit", code, warm.Cached)
+	}
+	if got, want := stripHostFields(t, warmRaw), stripHostFields(t, coldRaw); got != want {
+		t.Errorf("hit differs from the cold run:\ncold: %s\nhit:  %s", want, got)
+	}
+	if got := srv.met.frontHits.Load(); got != 1 {
+		t.Errorf("front hits = %d after one repeat, want 1", got)
+	}
+	if got := srv.exec.Metrics().CheckedOut; got != checkedOut {
+		t.Errorf("the hit checked out %d machines, want 0", got-checkedOut)
+	}
+
+	// The result entry goes away behind the memo's back.
+	store.Remove(key)
+	misses := srv.met.cacheMisses.Load()
+	code, _, rerun := postHandler(t, h, req)
+	if code != http.StatusOK || rerun.Status != StatusOK || rerun.Cached || rerun.Digest != cold.Digest {
+		t.Fatalf("repeat after Remove: HTTP %d status %q cached=%v digest %#x, want an uncached 200 with digest %#x",
+			code, rerun.Status, rerun.Cached, rerun.Digest, cold.Digest)
+	}
+	if got := srv.met.frontHits.Load(); got != 2 {
+		t.Errorf("front hits = %d, want 2 (the key still came from the memo)", got)
+	}
+	if got := srv.met.cacheMisses.Load() - misses; got != 1 {
+		t.Errorf("the re-run counted %d cache misses, want 1", got)
+	}
+	if _, ok := store.Get(key); !ok {
+		t.Errorf("the re-run stored nothing under the remembered key %s", key)
+	}
+	if code, _, jr := postHandler(t, h, req); code != http.StatusOK || !jr.Cached {
+		t.Errorf("repeat after repair: HTTP %d cached=%v, want a hit", code, jr.Cached)
+	}
+
+	// A source that does not compile is refused the same way each time.
+	hits, entries := srv.met.frontHits.Load(), len(srv.front.keys)
+	bad := JobRequest{Source: "void main() { undefined_fn(); }"}
+	code1, _, bad1 := postHandler(t, h, bad)
+	code2, _, bad2 := postHandler(t, h, bad)
+	if code1 != http.StatusBadRequest || code2 != http.StatusBadRequest || bad1.Error == "" || bad1.Error != bad2.Error {
+		t.Errorf("bad source twice: HTTP %d %q, HTTP %d %q; want the same 400 twice", code1, bad1.Error, code2, bad2.Error)
+	}
+	if srv.met.frontHits.Load() != hits || len(srv.front.keys) != entries {
+		t.Errorf("a request that failed to compile was memoized (front hits %d → %d, entries %d → %d)",
+			hits, srv.met.frontHits.Load(), entries, len(srv.front.keys))
+	}
+
+	// Fill the memo to its bound with other requests' keys, then keep
+	// going through the handler: it stays at the bound, and whether or
+	// not a request's own entry survived, its answer is right.
+	for i := uint64(0); len(srv.front.keys) < frontIndexEntries; i++ {
+		var other [sha256.Size]byte
+		binary.LittleEndian.PutUint64(other[:], i)
+		srv.front.put(other, key)
+	}
+	for i := 0; i < 8; i++ {
+		distinct := JobRequest{Source: exitAsm, Lang: "s", Cores: 1, Digest: true, MaxCycles: 1000 + uint64(i)}
+		for _, wantCached := range []bool{false, true} {
+			code, _, jr := postHandler(t, h, distinct)
+			if code != http.StatusOK || jr.Status != StatusOK || jr.Cached != wantCached || jr.Halt != "exit" {
+				t.Errorf("full memo, request %d: HTTP %d status %q halt %q cached=%v, want ok/exit cached=%v",
+					i, code, jr.Status, jr.Halt, jr.Cached, wantCached)
+			}
+		}
+		if n := len(srv.front.keys); n > frontIndexEntries {
+			t.Fatalf("memo holds %d entries, bound is %d", n, frontIndexEntries)
+		}
+	}
+	if code, _, jr := postHandler(t, h, req); code != http.StatusOK || !jr.Cached || jr.Digest != cold.Digest {
+		t.Errorf("first request against a full memo: HTTP %d cached=%v digest %#x, want the cold run's hit", code, jr.Cached, jr.Digest)
+	}
+}
+
+// BenchmarkHandleJobsHit is the whole cost of a cache hit inside the
+// process — body decode, validate, front key, memo, cache read,
+// response — for the two ends of serve_hot's mix: a generated MiniC
+// source (≈ 2 KB) and a 64 Ki-word image (≈ 770 KB of JSON).
+func BenchmarkHandleJobsHit(b *testing.B) {
+	p := fuzzgen.Generate(1_000_003, fuzzgen.GenConfig{})
+	source := JobRequest{Source: p.Render(), Cores: p.MinCores, Digest: true}
+	big := JobRequest{Source: fmt.Sprintf("int big[%d] = {[0 ... %d] = 1};\nint out;\nvoid main() { out = big[0] + big[%d]; }\n",
+		64<<10, 64<<10-1, 64<<10-1), Cores: 16}
+	prog, err := big.compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := prog.WriteImage(&img); err != nil {
+		b.Fatal(err)
+	}
+	image := JobRequest{Image: img.Bytes(), Cores: 16, Digest: true}
+
+	for _, bc := range []struct {
+		name string
+		req  JobRequest
+	}{{"source", source}, {"image", image}} {
+		b.Run(bc.name, func(b *testing.B) {
+			store, err := cache.Open(b.TempDir(), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := New(Config{Workers: 1, QueueDepth: 4, Cache: store})
+			defer srv.Shutdown(context.Background())
+			h := srv.Handler()
+			body, err := json.Marshal(bc.req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			post := func() *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+				return rec
+			}
+			if rec := post(); rec.Code != http.StatusOK {
+				b.Fatalf("cold run: HTTP %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rec := post(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+					b.Fatalf("HTTP %d, not a hit: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
+}

@@ -704,35 +704,49 @@ func TestCachePayloadCompatible(t *testing.T) {
 
 // TestCacheCorruptEntry: an entry that rots on disk serves as a miss —
 // the job re-simulates cold, repairs the entry, and the next repeat
-// hits again. Corruption never surfaces as an error.
+// hits again. Corruption never surfaces as an error, and never as an
+// answer: a payload that is valid JSON but not a finished run (`{}` and
+// `null` decode into a JobResult without error; only StatusOK runs are
+// ever stored) used to come back as a cached 200 with status "" and
+// zero cycles.
 func TestCacheCorruptEntry(t *testing.T) {
-	srv, _, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct{ name, payload string }{
+		{"truncated object", `{"cycles": 12`},
+		{"empty object", `{}`},
+		{"null", `null`},
+		{"a run that did not finish", `{"status":"error","cycles":7}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, _, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+			defer srv.Shutdown(context.Background())
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	req := JobRequest{Source: spinSource, Lang: "s", Cores: 1, Digest: true, MaxCycles: 20_000_000}
-	if code, _, jr := postJobRaw(t, ts.URL, req); code != http.StatusOK || jr.Cached {
-		t.Fatalf("cold run: HTTP %d cached=%v (%s)", code, jr.Cached, jr.Error)
-	}
-	files, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("cache files = %v (err %v), want exactly 1", files, err)
-	}
-	if err := os.WriteFile(files[0], []byte(`{"cycles": 12`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true}
+			code, _, cold := postJobRaw(t, ts.URL, req)
+			if code != http.StatusOK || cold.Cached {
+				t.Fatalf("cold run: HTTP %d cached=%v (%s)", code, cold.Cached, cold.Error)
+			}
+			files, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("cache files = %v (err %v), want exactly 1", files, err)
+			}
+			if err := os.WriteFile(files[0], []byte(tc.payload), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	code, _, jr := postJobRaw(t, ts.URL, req)
-	if code != http.StatusOK || jr.Status != StatusOK || jr.Cached {
-		t.Fatalf("post-corruption run: HTTP %d status %q cached=%v (%s) — corruption must mean re-simulate, not fail",
-			code, jr.Status, jr.Cached, jr.Error)
-	}
-	if code, _, jr := postJobRaw(t, ts.URL, req); code != http.StatusOK || !jr.Cached {
-		t.Errorf("post-repair run: HTTP %d cached=%v, want a hit again", code, jr.Cached)
-	}
-	if hits, misses := srv.met.cacheHits.Load(), srv.met.cacheMisses.Load(); hits != 1 || misses != 2 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/2", hits, misses)
+			code, _, jr := postJobRaw(t, ts.URL, req)
+			if code != http.StatusOK || jr.Status != StatusOK || jr.Cached || jr.Cycles != cold.Cycles || jr.Digest != cold.Digest {
+				t.Fatalf("post-corruption run: HTTP %d status %q cached=%v cycles %d digest %#x (%s) — corruption must mean re-simulate, not fail and not answer",
+					code, jr.Status, jr.Cached, jr.Cycles, jr.Digest, jr.Error)
+			}
+			if code, _, jr := postJobRaw(t, ts.URL, req); code != http.StatusOK || !jr.Cached || jr.Digest != cold.Digest {
+				t.Errorf("post-repair run: HTTP %d cached=%v digest %#x, want a hit again", code, jr.Cached, jr.Digest)
+			}
+			if hits, misses := srv.met.cacheHits.Load(), srv.met.cacheMisses.Load(); hits != 1 || misses != 2 {
+				t.Errorf("cache hits/misses = %d/%d, want 1/2", hits, misses)
+			}
+		})
 	}
 }
 

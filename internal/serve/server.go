@@ -1,6 +1,7 @@
 // Package serve is the HTTP/JSON edge of the simulation service: it
-// validates a job, compiles its program once, consults the result
-// cache, and hands a miss to a Dispatcher — by default a
+// validates a job, compiles its program once (never, for request bytes
+// whose cache key it remembers), consults the result cache, and hands a
+// miss to a Dispatcher — by default a
 // dispatch.NewLocal coordinator over an in-process Executor (Workers
 // concurrent jobs, QueueDepth waiting), with lbp-serve -backends a
 // coordinator over worker processes. Nothing in this package simulates,
@@ -19,7 +20,9 @@
 // (sim.CacheKey), the server consults a content-addressed result cache
 // (internal/cache) before simulating anything: a repeat job is an O(1)
 // disk read answered with the byte-identical deterministic payload of
-// the cold run, marked "cached": true.
+// the cold run, marked "cached": true. The key is a hash of the compiled
+// image, so a memo of request bytes → key (frontIndex) spares a repeat
+// the compiler as well.
 //
 // Backpressure and lifecycle:
 //
@@ -35,6 +38,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -132,10 +136,11 @@ type Dispatcher interface {
 // Server is the HTTP edge: it answers repeat jobs from the result
 // cache and hands every other job to its Dispatcher.
 type Server struct {
-	cfg  Config
-	disp Dispatcher
-	met  metrics
-	mux  *http.ServeMux
+	cfg   Config
+	disp  Dispatcher
+	met   metrics
+	front frontIndex // request → cache key, consulted ahead of compile
+	mux   *http.ServeMux
 
 	// The in-process backend; with a configured Dispatcher local is nil
 	// and exec idle (its pool series read zero).
@@ -159,6 +164,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.normalize()
 	s := &Server{cfg: cfg, disp: cfg.Dispatcher}
+	s.front.keys = make(map[[sha256.Size]byte]string)
 	s.exec = dispatch.NewExecutor(dispatch.WorkerConfig{
 		Slice: cfg.Slice, PoolPerKey: cfg.PoolPerKey, PoolTotal: cfg.PoolTotal})
 	if s.disp == nil {
@@ -226,12 +232,14 @@ func (s *Server) draining() bool {
 // carries only the deterministic fields (host-side fields were zeroed
 // before storing), so a hit reproduces the cold run's deterministic
 // result byte for byte; the caller stamps the host-side ID. A payload
-// that does not decode as a JobResult counts as a miss and is dropped,
-// like any other corrupt entry.
+// that does not decode as a JobResult, or decodes as anything but a
+// finished run (storeResult stores nothing else; `{}` and `null` decode
+// without error), counts as a miss and is dropped, like any other
+// corrupt entry.
 func (s *Server) lookupCached(key string) (*JobResult, bool) {
 	if payload, ok := s.cfg.Cache.Get(key); ok {
 		var res JobResult
-		if err := json.Unmarshal(payload, &res); err == nil {
+		if err := json.Unmarshal(payload, &res); err == nil && res.Status == StatusOK {
 			res.Cached = true
 			s.met.cacheHits.Add(1)
 			return &res, true
@@ -240,6 +248,17 @@ func (s *Server) lookupCached(key string) (*JobResult, bool) {
 	}
 	s.met.cacheMisses.Add(1)
 	return nil, false
+}
+
+// answerCached writes the cached result of key as the response, if
+// there is one.
+func (s *Server) answerCached(w http.ResponseWriter, key string) bool {
+	res, ok := s.lookupCached(key)
+	if ok {
+		res.ID = s.jobID()
+		writeJSON(w, http.StatusOK, res)
+	}
+	return ok
 }
 
 // storeResult saves a cleanly finished job's deterministic payload
@@ -319,12 +338,27 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if d := time.Duration(req.DeadlineMs) * time.Millisecond; d > 0 && d < deadline {
 		deadline = d
 	}
+	// Request bytes this process has compiled before have their cache
+	// key in the memo: a repeat is answered without compiling, and one
+	// whose entry is gone runs cold under the remembered key.
+	var front [sha256.Size]byte
+	var key string
+	if s.cfg.Cache != nil {
+		front = req.frontKey(maxCycles)
+		if key = s.front.get(front); key != "" {
+			s.met.frontHits.Add(1)
+			if s.answerCached(w, key) {
+				return
+			}
+		}
+	}
 	prog, err := req.compile()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("program: %w", err))
 		return
 	}
 	job := &dispatch.Job{
+		Key:        key,
 		Program:    prog,
 		Cores:      req.Cores,
 		BankBytes:  req.BankBytes,
@@ -334,13 +368,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		Profile:    req.Profile,
 		DeadlineMs: deadline.Milliseconds(),
 	}
-	if s.cfg.Cache != nil {
+	if s.cfg.Cache != nil && key == "" {
 		spec, _ := job.Spec() // cannot fail: the program is already compiled
-		if key, err := sim.CacheKey(spec); err == nil {
-			job.Key = key
-			if res, ok := s.lookupCached(key); ok {
-				res.ID = s.jobID()
-				writeJSON(w, http.StatusOK, res)
+		if job.Key, err = sim.CacheKey(spec); err == nil {
+			s.front.put(front, job.Key)
+			if s.answerCached(w, job.Key) {
 				return
 			}
 		}

@@ -96,6 +96,8 @@ fi
 curl -fsS "http://$addr/metrics" >"$smokedir/metrics.txt"
 grep -q '^lbp_serve_jobs_completed_total 1$' "$smokedir/metrics.txt"
 grep -q '^lbp_serve_cache_hits_total 1$' "$smokedir/metrics.txt"
+# ...and keyed by the request memo: the repeat never reached the compiler.
+grep -q '^lbp_serve_front_hits_total 1$' "$smokedir/metrics.txt"
 kill -TERM "$servepid"
 wait "$servepid"
 grep -q "drained" "$smokedir/serve.log"
@@ -161,6 +163,8 @@ for n in 2 3 4 5; do
 done
 curl -fsS "http://$caddr/metrics" >"$smokedir/dmetrics.txt"
 grep -q '^lbp_serve_dispatch_jobs_total 5$' "$smokedir/dmetrics.txt"
+# Without a result cache the request memo hashes and stores nothing.
+grep -q '^lbp_serve_front_hits_total 0$' "$smokedir/dmetrics.txt"
 grep -q '^lbp_serve_dispatch_completed_total 5$' "$smokedir/dmetrics.txt"
 kill -TERM "$coordpid"
 wait "$coordpid"
@@ -225,8 +229,10 @@ if [ -n "$fig" ]; then
     # The per-request toolchain a cold job pays (EXPERIMENTS E25, E26,
     # E28): MiniC -> program through the statement list (BenchmarkBuild),
     # MiniC -> text (BenchmarkBuildProgram), assembly text -> program,
-    # program image text -> words, code words -> descriptors.
-    go test ./internal/cc ./internal/asm ./internal/isa -run '^$' -bench 'BenchmarkBuild|BenchmarkAssemble|BenchmarkReadImage|BenchmarkDecodeDesc' -benchtime 1s -benchmem
+    # program image text -> words, code words -> descriptors; what a
+    # cache key pays to print the image (BenchmarkWriteImage) and what a
+    # cache hit costs whole (BenchmarkHandleJobsHit, EXPERIMENTS E30).
+    go test ./internal/cc ./internal/asm ./internal/isa ./internal/serve -run '^$' -bench 'BenchmarkBuild|BenchmarkAssemble|BenchmarkReadImage|BenchmarkWriteImage|BenchmarkDecodeDesc|BenchmarkHandleJobsHit' -benchtime 1s -benchmem
 fi
 
 echo "verify: OK"
