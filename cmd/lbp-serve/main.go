@@ -28,10 +28,12 @@
 //
 // Every run is deterministic, so results are pure functions of the
 // canonical job. With -cachedir set, the server keeps a
-// content-addressed result cache on disk (bounded to -cachemax bytes,
-// least recently used evicted first): a repeat job is answered from the
-// cache without simulating a cycle, byte-identical in every
-// deterministic field and marked "cached": true.
+// content-addressed result cache on disk: an append-only log of a few
+// segment files, bounded to -cachemax bytes, oldest segment deleted
+// first. A repeat job is answered from the cache without simulating a
+// cycle, byte-identical in every deterministic field and marked
+// "cached": true. A cache directory has one writer: a second lbp-serve
+// pointed at a directory a live one holds exits 1 saying so.
 //
 // Admission is bounded: when the queue is full the server answers 429
 // with Retry-After instead of queueing without limit. On SIGINT or
@@ -136,6 +138,7 @@ func main() {
 		if store, err = cache.Open(*cacheDir, *cacheMax); err != nil {
 			fatal(err)
 		}
+		defer store.Close() // after the drain below: releases the directory's lock
 	}
 
 	cfg := serve.Config{

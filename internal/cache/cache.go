@@ -2,75 +2,82 @@
 // persistence layer behind lbp-serve's result cache. Every simulation
 // in this repository is deterministic and digest-verified, so a job's
 // outcome is a pure function of its canonical content address
-// (sim.CacheKey) — which makes the stored payload immutable: a key
-// either maps to the one correct payload or to nothing. That property
-// shapes the whole design:
-//
-//   - Writes are atomic (temp file + rename into place) and
-//     last-write-wins. Concurrent writers racing on the same key are
-//     by construction writing identical bytes, so no locking across
-//     processes is needed and a reader never observes a torn file.
-//   - Reads are corruption-tolerant: a missing, unreadable or
-//     non-JSON file is a miss, never an error. The entry is dropped
-//     and the caller re-simulates, which rewrites it.
-//   - The store is bounded: an in-memory index tracks every entry's
-//     size and recency, and Put evicts least-recently-used entries
-//     until the configured byte bound holds again.
-//
-// Layout: <dir>/<first two hex digits>/<64-hex-digit key>.json — the
-// classic CAS fan-out so no single directory grows unboundedly. Open
-// rebuilds the index by scanning that layout, so the cache survives
-// process restarts with recency approximated by file modification
-// time.
+// (sim.CacheKey): a key maps to the one correct payload or to nothing,
+// and a lost entry costs one re-simulation. For that an append-only log
+// is enough (DESIGN.md §9 has the format and what a crash can leave).
+// Put appends one record to the newest of a few segment files,
+// <dir>/seg-<id>.log, and points an in-memory index at it. Get reads it
+// back and checks its CRC; anything short of the stored bytes is a miss.
+// Whole segments are deleted, oldest first, to keep the log under its
+// bound. Open rebuilds the index from the segments and locks the
+// directory: a log has one writer.
 package cache
 
 import (
-	"encoding/json"
+	"bufio"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
-	"time"
+	"syscall"
 )
 
 // DefaultMaxBytes bounds a store whose caller does not: 256 MiB holds
 // on the order of a hundred thousand typical result payloads.
 const DefaultMaxBytes = 256 << 20
 
-// Stats is a snapshot of the store's size and eviction traffic.
-// Hit/miss accounting belongs to the caller (the serving layer counts
-// lookups; the store only knows about bytes).
+const segName = "seg-%d.log" // a segment file's name, from its id
+
+// ErrLocked is what Open wraps while another live Store holds the directory.
+var ErrLocked = errors.New("locked by another Store, in this process or another (a cache directory has one writer)")
+
+// Stats is a snapshot of the store's size and eviction traffic. Hits
+// and misses are the caller's to count; the store only knows bytes.
 type Stats struct {
 	Entries   int   // payloads currently indexed
-	Bytes     int64 // total payload bytes on disk
+	Bytes     int64 // bytes of log on disk, the quantity maxBytes bounds
 	Evictions uint64
+}
+
+// segment is one log file. Bytes below size never change.
+type segment struct {
+	f    *os.File
+	size int64
 }
 
 // entry is the index record of one stored payload.
 type entry struct {
+	seg  *segment
+	off  int64 // of the payload, past the record's header
 	size int64
-	seq  uint64 // last-use sequence; smallest = least recently used
+	crc  uint32
 }
 
-// Store is one content-addressed directory. It is safe for concurrent
-// use by any number of goroutines.
+// Store is one log directory. It is safe for concurrent use by any
+// number of goroutines.
 type Store struct {
-	dir string
-	max int64
+	dir  string
+	max  int64
+	lock *os.File
 
 	mu        sync.Mutex
 	entries   map[string]entry
-	seq       uint64
+	segs      []*segment // oldest first; the last one takes the appends
+	nextID    uint64
 	bytes     int64
 	evictions uint64
 }
 
-// Open creates (or reopens) the store rooted at dir, bounded to
-// maxBytes of payload (<= 0 selects DefaultMaxBytes). Existing entries
-// are indexed with recency taken from file modification times; entries
-// beyond the bound are evicted oldest-first immediately.
+// Open creates (or reopens) the store rooted at dir, bounded to maxBytes
+// of log (<= 0 selects DefaultMaxBytes): records already there are indexed,
+// segments beyond the bound deleted. Until Close, any other Open of dir,
+// from this process or another, fails with an error wrapping ErrLocked.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
@@ -78,192 +85,250 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	s := &Store{dir: dir, max: maxBytes, entries: make(map[string]entry)}
-	if err := s.scan(); err != nil {
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("cache: %w", err)
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			err = ErrLocked
+		}
+		return nil, fmt.Errorf("cache: %s: %w", dir, err)
+	}
+	s := &Store{dir: dir, max: maxBytes, lock: lock, entries: make(map[string]entry)}
+	if err := s.scanDir(); err != nil {
+		s.Close()
 		return nil, err
 	}
-	s.mu.Lock()
-	s.remove(s.evictLocked())
-	s.mu.Unlock()
 	return s, nil
+}
+
+// Close releases the directory lock and the segment files. A closed
+// store misses every Get and fails every Put.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, seg := range s.segs {
+		seg.f.Close()
+	}
+	return s.lock.Close()
 }
 
 // validKey reports whether key is a well-formed content address
 // (64 lowercase hex digits, the SHA-256 of the canonical job).
 func validKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
+	return len(key) == 64 && strings.Trim(key, "0123456789abcdef") == ""
 }
 
-// path is the on-disk location of a key's payload.
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
-}
-
-// scan rebuilds the index from the directory layout.
-func (s *Store) scan() error {
-	type found struct {
-		key  string
-		size int64
-		mod  time.Time
-	}
-	var all []found
-	shards, err := os.ReadDir(s.dir)
+// scanDir opens and indexes every segment, oldest first; the newest (or
+// a first, empty one) takes the appends. Other files are left alone.
+func (s *Store) scanDir() error {
+	files, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() || len(shard.Name()) != 2 {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, shard.Name()))
-		if err != nil {
-			continue // a vanished shard is an empty shard
-		}
-		for _, f := range files {
-			key, ok := strings.CutSuffix(f.Name(), ".json")
-			if !ok || !validKey(key) || key[:2] != shard.Name() {
-				continue // foreign file; leave it alone
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			all = append(all, found{key, info.Size(), info.ModTime()})
+	var ids []uint64
+	for _, f := range files {
+		var id uint64
+		if _, err := fmt.Sscanf(f.Name(), segName, &id); err == nil && f.Name() == fmt.Sprintf(segName, id) {
+			ids = append(ids, id)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mod.Before(all[j].mod) })
-	for _, f := range all {
-		s.seq++
-		s.entries[f.key] = entry{size: f.size, seq: s.seq}
-		s.bytes += f.size
+	if len(ids) == 0 {
+		ids = append(ids, 1)
 	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := s.openSegment(id); err != nil {
+			return err
+		}
+	}
+	s.evict()
 	return nil
 }
 
-// Get returns the payload stored under key. Any failure to produce a
-// well-formed payload — no entry, unreadable file, payload that is not
-// valid JSON — is reported as a miss and the bad entry is dropped, so
-// on-disk corruption costs one re-simulation, never an error.
+// openSegment adds segment id (created if need be) as the newest one,
+// indexes the records it holds and truncates it to its well-formed prefix.
+func (s *Store) openSegment(id uint64) error {
+	f, err := os.OpenFile(filepath.Join(s.dir, fmt.Sprintf(segName, id)), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	seg := &segment{f: f}
+	if seg.size, err = f.Seek(0, io.SeekEnd); err == nil {
+		if valid := s.scan(seg); valid < seg.size {
+			seg.size, err = valid, f.Truncate(valid)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("cache: %w", err)
+	}
+	s.segs = append(s.segs, seg)
+	s.bytes += seg.size
+	s.nextID = id + 1
+	return nil
+}
+
+// scan indexes seg's records and returns the length of its well-formed
+// prefix: it stops at the first header that does not parse, length the
+// file cannot hold, CRC mismatch or missing terminator. Payloads stream
+// through the checksum; nothing is allocated on a length field's word.
+func (s *Store) scan(seg *segment) (valid int64) {
+	r := bufio.NewReader(io.NewSectionReader(seg.f, 0, seg.size))
+	sum := crc32.NewIEEE()
+	for {
+		line, err := r.ReadSlice('\n')
+		key, n, crc, ok := parseHeader(line)
+		if err != nil || !ok {
+			return valid
+		}
+		off := valid + int64(len(line))
+		if n < 0 {
+			delete(s.entries, key)
+			valid = off
+			continue
+		}
+		if n >= seg.size-off {
+			return valid
+		}
+		sum.Reset()
+		if _, err := io.CopyN(sum, r, n); err != nil || sum.Sum32() != crc {
+			return valid
+		}
+		if c, err := r.ReadByte(); err != nil || c != '\n' {
+			return valid
+		}
+		s.entries[key] = entry{seg: seg, off: off, size: n, crc: crc}
+		valid = off + n + 1
+	}
+}
+
+// parseHeader splits "key SP length SP crc LF". Length -1 is a tombstone;
+// any other negative, non-decimal or overflowing one is malformed.
+func parseHeader(line []byte) (key string, n int64, crc uint32, ok bool) {
+	f := strings.Split(strings.TrimSuffix(string(line), "\n"), " ")
+	if len(f) != 3 || !validKey(f[0]) {
+		return "", 0, 0, false
+	}
+	n, err := strconv.ParseInt(f[1], 10, 64)
+	c, err2 := strconv.ParseUint(f[2], 16, 32)
+	return f[0], n, uint32(c), err == nil && err2 == nil && n >= -1
+}
+
+// Get returns the payload stored under key. Any failure to produce the
+// bytes Put was given — no entry, a segment evicted meanwhile, a short
+// read, a CRC mismatch — is a miss, and a bad entry is dropped: on-disk
+// corruption costs one re-simulation, never an error or a wrong answer.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
+	oldest := ok && e.seg == s.segs[0] && len(s.segs) > 1
+	s.mu.Unlock()
 	if !ok {
-		s.mu.Unlock()
 		return nil, false
 	}
-	s.seq++
-	e.seq = s.seq
-	s.entries[key] = e
-	s.mu.Unlock()
-
-	data, err := os.ReadFile(s.path(key))
-	if err != nil || !json.Valid(data) {
-		s.Remove(key)
+	// Read outside the lock: bytes below an indexed offset never change,
+	// and a segment deleted meanwhile reads as os.ErrClosed.
+	data := make([]byte, e.size)
+	_, err := e.seg.f.ReadAt(data, e.off)
+	good := err == nil && crc32.ChecksumIEEE(data) == e.crc
+	if !good || oldest {
+		s.mu.Lock()
+		if s.entries[key] == e { // not replaced, removed or evicted meanwhile
+			if !good {
+				_ = s.append(key, nil, true)
+			} else if e.seg == s.segs[0] {
+				// Second chance: the oldest segment is the next to go. A
+				// failed copy leaves the entry where it was.
+				_ = s.append(key, data, false)
+			}
+		}
+		s.mu.Unlock()
+	}
+	if !good {
 		return nil, false
 	}
 	return data, true
 }
 
-// Put stores payload under key, atomically (write-temp-then-rename):
-// a concurrent Get sees either the old complete payload or the new
-// one, never a partial write. Racing Puts on the same key carry
-// identical bytes by construction, so last-write-wins is correct.
-// Least-recently-used entries are evicted until the byte bound holds.
+// Put stores payload under key: one write to the newest segment, then
+// the index points at it, so a concurrent Get sees the old payload or the
+// new one. Racing Puts on one key carry identical bytes; the later wins.
 func (s *Store) Put(key string, payload []byte) error {
 	if !validKey(key) {
 		return fmt.Errorf("cache: malformed key %q", key)
 	}
-	shard := filepath.Join(s.dir, key[:2])
-	if err := os.MkdirAll(shard, 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	tmp, err := os.CreateTemp(shard, ".put-*")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("cache: %w", err)
-	}
-	// The rename and every eviction unlink happen under the index lock:
-	// if they did not, an eviction chosen before a concurrent Put could
-	// unlink the fresh payload the Put just renamed into place, leaving
-	// an indexed entry with no file behind it (a phantom entry whose
-	// bytes stay counted until a Get heals it). Both are metadata-only
-	// syscalls; the payload write itself stayed outside the lock.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
+	return s.append(key, payload, false)
+}
+
+// append writes one record (a header alone for a tombstone) at the end
+// of the log, starting a new segment when the newest one is full, and
+// updates the index. WriteAt at the known size, not O_APPEND: a write
+// that failed half way is overwritten by the next one. Callers hold s.mu.
+func (s *Store) append(key string, payload []byte, tombstone bool) error {
+	crc, n := crc32.ChecksumIEEE(payload), int64(len(payload))
+	if tombstone {
+		n = -1
+		delete(s.entries, key)
+	}
+	rec := append(make([]byte, 0, len(key)+32+len(payload)), key...)
+	rec = strconv.AppendInt(append(rec, ' '), n, 10)
+	rec = strconv.AppendUint(append(rec, ' '), uint64(crc), 16)
+	rec = append(rec, '\n')
+	if !tombstone {
+		rec = append(append(rec, payload...), '\n')
+	}
+	seg := s.segs[len(s.segs)-1]
+	if seg.size > 0 && seg.size+int64(len(rec)) > s.max/8 {
+		if err := s.openSegment(s.nextID); err != nil {
+			return err
+		}
+		seg = s.segs[len(s.segs)-1]
+	}
+	if _, err := seg.f.WriteAt(rec, seg.size); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if old, ok := s.entries[key]; ok {
-		s.bytes -= old.size
+	if !tombstone {
+		s.entries[key] = entry{seg: seg, off: seg.size + int64(len(rec)) - n - 1, size: n, crc: crc}
 	}
-	s.seq++
-	s.entries[key] = entry{size: int64(len(payload)), seq: s.seq}
-	s.bytes += int64(len(payload))
-	s.remove(s.evictLocked())
+	seg.size += int64(len(rec))
+	s.bytes += int64(len(rec))
+	s.evict()
 	return nil
 }
 
-// evictLocked drops least-recently-used index entries until the byte
-// bound holds (the newest entry always survives, even oversized) and
-// returns the keys whose files the caller must remove before releasing
-// the lock — unlinking after unlock races a concurrent Put re-adding
-// the same key. Callers hold s.mu.
-func (s *Store) evictLocked() []string {
-	var removals []string
-	for s.bytes > s.max && len(s.entries) > 1 {
-		oldestKey, oldestSeq := "", uint64(0)
+// evict deletes whole segments, oldest first, until the log fits the
+// bound; the newest segment — hence the newest entry, even an oversized
+// one — always survives. A reader still holding an offset into a deleted
+// segment gets os.ErrClosed. Callers hold s.mu.
+func (s *Store) evict() {
+	for s.bytes > s.max && len(s.segs) > 1 {
+		seg := s.segs[0]
+		s.segs = s.segs[1:]
 		for key, e := range s.entries {
-			if oldestKey == "" || e.seq < oldestSeq {
-				oldestKey, oldestSeq = key, e.seq
+			if e.seg == seg {
+				delete(s.entries, key)
+				s.evictions++
 			}
 		}
-		s.bytes -= s.entries[oldestKey].size
-		delete(s.entries, oldestKey)
-		s.evictions++
-		removals = append(removals, oldestKey)
-	}
-	return removals
-}
-
-// remove deletes evicted payload files. Callers hold s.mu so the
-// unlinks cannot cross a concurrent Put's rename of the same key.
-func (s *Store) remove(keys []string) {
-	for _, key := range keys {
-		os.Remove(s.path(key))
+		s.bytes -= seg.size
+		seg.f.Close()
+		os.Remove(seg.f.Name())
 	}
 }
 
-// Remove drops one entry (index and file). Dropping an absent key is a
-// no-op, so callers can disagree about what is present.
+// Remove drops one entry and appends the tombstone that keeps a later
+// Open from finding its record again. Dropping an absent key is a no-op,
+// so callers can disagree about what is present.
 func (s *Store) Remove(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
-		delete(s.entries, key)
-		s.bytes -= e.size
-	}
-	// Unlinked under the lock for the same reason evictions are: after
-	// unlock the file may already be a fresh concurrent Put's payload.
-	if validKey(key) {
-		os.Remove(s.path(key))
+	if _, ok := s.entries[key]; ok {
+		_ = s.append(key, nil, true)
 	}
 }
 

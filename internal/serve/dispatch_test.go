@@ -182,6 +182,7 @@ func TestDistributedCacheAndStatusMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	_, addr, stop := startWorkerBackend(t, dispatch.WorkerConfig{})
 	defer stop()
 	_, coord, ts := newCoordinatorServer(t, Config{Cache: store},

@@ -247,6 +247,7 @@ func BenchmarkHandleJobsHit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer store.Close()
 			srv := New(Config{Workers: 1, QueueDepth: 4, Cache: store})
 			defer srv.Shutdown(context.Background())
 			h := srv.Handler()

@@ -59,7 +59,7 @@ func (m *metrics) writePrometheus(w io.Writer, exec *dispatch.Executor, cs cache
 	p.counter("lbp_serve_cache_hits_total", "Jobs answered from the content-addressed result cache.", m.cacheHits.Load())
 	p.counter("lbp_serve_cache_misses_total", "Cache lookups that fell through to a simulation.", m.cacheMisses.Load())
 	p.counter("lbp_serve_front_hits_total", "Requests whose cache key came from the request memo, without compiling.", m.frontHits.Load())
-	p.gauge("lbp_serve_cache_bytes", "Payload bytes in the result cache.", float64(cs.Bytes))
+	p.gauge("lbp_serve_cache_bytes", "Bytes of result-cache log on disk, the quantity -cachemax bounds.", float64(cs.Bytes))
 	p.gauge("lbp_serve_cache_entries", "Payloads in the result cache.", float64(cs.Entries))
 	p.counter("lbp_serve_cache_evictions_total", "Result-cache entries evicted by the size bound.", cs.Evictions)
 	p.gauge("lbp_serve_queue_depth", "Jobs admitted but not yet running.", float64(dm.Queued))

@@ -117,6 +117,7 @@ func TestOneJobPathBothBackends(t *testing.T) {
 			t.Cleanup(func() {
 				ts.Close()
 				srv.Shutdown(context.Background()) // a second Shutdown only errors
+				store.Close()
 			})
 			return srv, ts, ckptDir
 		}

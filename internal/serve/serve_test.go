@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -579,7 +580,7 @@ func stripHostFields(t *testing.T, raw []byte) string {
 }
 
 // newCachedServer builds a server backed by a fresh result cache and
-// returns the cache directory for tests that reach into the layout.
+// returns the cache directory for the test that damages a segment file.
 func newCachedServer(t *testing.T, maxBytes int64, cfg Config) (*Server, *cache.Store, string) {
 	t.Helper()
 	dir := t.TempDir()
@@ -587,6 +588,7 @@ func newCachedServer(t *testing.T, maxBytes int64, cfg Config) (*Server, *cache.
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { store.Close() })
 	cfg.Cache = store
 	return New(cfg), store, dir
 }
@@ -668,16 +670,16 @@ func TestCachePayloadCompatible(t *testing.T) {
 	}
 	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, Ring: 4, Profile: true}
 
-	srv, _, dir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv, coldStore, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	if code, _, jr := postJobRaw(t, ts.URL, req); code != http.StatusOK || jr.Cached {
 		t.Fatalf("cold run: HTTP %d cached=%v (%s)", code, jr.Cached, jr.Error)
 	}
-	stored, err := os.ReadFile(filepath.Join(dir, parentCacheKey[:2], parentCacheKey+".json"))
-	if err != nil {
-		t.Fatalf("the cold run stored nothing under the parent's key: %v", err)
+	stored, ok := coldStore.Get(parentCacheKey)
+	if !ok {
+		t.Fatal("the cold run stored nothing under the parent's key")
 	}
 	if !bytes.Equal(stored, fixture) {
 		t.Errorf("stored payload differs from the parent's:\nparent: %s\nnow:    %s", fixture, stored)
@@ -702,22 +704,25 @@ func TestCachePayloadCompatible(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntry: an entry that rots on disk serves as a miss —
-// the job re-simulates cold, repairs the entry, and the next repeat
-// hits again. Corruption never surfaces as an error, and never as an
-// answer: a payload that is valid JSON but not a finished run (`{}` and
-// `null` decode into a JobResult without error; only StatusOK runs are
-// ever stored) used to come back as a cached 200 with status "" and
-// zero cycles.
+// TestCacheCorruptEntry: an entry that is not the finished run its key
+// promises serves as a miss — the job re-simulates cold, repairs the
+// entry, and the next repeat hits again. Corruption never surfaces as an
+// error, and never as an answer: a payload that is valid JSON but not a
+// finished run (`{}` and `null` decode into a JobResult without error;
+// only StatusOK runs are ever stored) used to come back as a cached 200
+// with status "" and zero cycles, and one whose digest lost a bit on
+// disk — still JSON, still "ok" — as a cached 200 with a wrong digest,
+// until records carried a CRC.
 func TestCacheCorruptEntry(t *testing.T) {
 	for _, tc := range []struct{ name, payload string }{
 		{"truncated object", `{"cycles": 12`},
 		{"empty object", `{}`},
 		{"null", `null`},
 		{"a run that did not finish", `{"status":"error","cycles":7}`},
+		{"a digest digit flipped on disk", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+			srv, store, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
 			defer srv.Shutdown(context.Background())
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -727,12 +732,14 @@ func TestCacheCorruptEntry(t *testing.T) {
 			if code != http.StatusOK || cold.Cached {
 				t.Fatalf("cold run: HTTP %d cached=%v (%s)", code, cold.Cached, cold.Error)
 			}
-			files, err := filepath.Glob(filepath.Join(cacheDir, "*", "*.json"))
-			if err != nil || len(files) != 1 {
-				t.Fatalf("cache files = %v (err %v), want exactly 1", files, err)
-			}
-			if err := os.WriteFile(files[0], []byte(tc.payload), 0o644); err != nil {
-				t.Fatal(err)
+			if tc.payload != "" {
+				// Well-formed as far as the store can tell: only the
+				// serving layer knows what a finished run looks like.
+				if err := store.Put(cacheKeyOf(t, req, srv.cfg.DefaultMaxCycles), []byte(tc.payload)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				flipDigestDigit(t, cacheDir, cold.Digest)
 			}
 
 			code, _, jr := postJobRaw(t, ts.URL, req)
@@ -750,8 +757,31 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestCacheEviction: a byte-bounded cache sheds the least recently
-// used result; the evicted job simply simulates cold again.
+// flipDigestDigit rewrites one digit of digest inside the cache
+// directory's one segment file: the stored payload stays well-formed
+// JSON with status "ok", and is no longer the run's result.
+func flipDigestDigit(t *testing.T, cacheDir string, digest uint64) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(cacheDir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment files = %v (err %v), want exactly 1", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(strconv.FormatUint(digest, 10)))
+	if at < 0 {
+		t.Fatalf("digest %d not found in %s", digest, segs[0])
+	}
+	data[at+1] ^= 1 // '4' becomes '5', '5' becomes '4': still a digit
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheEviction: a byte-bounded cache sheds its oldest results; the
+// evicted job simply simulates cold again.
 func TestCacheEviction(t *testing.T) {
 	// maxBytes 1: each stored payload survives only as the sole entry.
 	srv, store, _ := newCachedServer(t, 1, Config{Workers: 1, QueueDepth: 4, Slice: 1024})

@@ -265,7 +265,7 @@ func (s *Server) answerCached(w http.ResponseWriter, key string) bool {
 // under its content address. Host-side fields are zeroed first so
 // every future hit returns exactly the deterministic fields of this
 // run. Concurrent identical jobs race benignly: they store identical
-// bytes and the cache write is atomic (last-write-wins).
+// bytes and the later record wins.
 func (s *Server) storeResult(cacheKey string, res *JobResult) {
 	if s.cfg.Cache == nil || cacheKey == "" {
 		return

@@ -98,6 +98,14 @@ grep -q '^lbp_serve_jobs_completed_total 1$' "$smokedir/metrics.txt"
 grep -q '^lbp_serve_cache_hits_total 1$' "$smokedir/metrics.txt"
 # ...and keyed by the request memo: the repeat never reached the compiler.
 grep -q '^lbp_serve_front_hits_total 1$' "$smokedir/metrics.txt"
+# The cache is a log with one writer: a second daemon on the same
+# -cachedir must refuse to start while the first one lives (if it does
+# start, timeout ends it and the grep below fails).
+if timeout 10 "$smokedir/lbp-serve" -addr 127.0.0.1:0 -cachedir "$smokedir/cache" >"$smokedir/second.log" 2>&1; then
+    echo "a second lbp-serve started on a held -cachedir" >&2
+    exit 1
+fi
+grep -q "locked by another" "$smokedir/second.log"
 kill -TERM "$servepid"
 wait "$servepid"
 grep -q "drained" "$smokedir/serve.log"
@@ -207,6 +215,11 @@ echo "verify: FuzzJobRequest smoke OK"
 # bounded memory, every frame answered or dropped, no panic, no hang.
 go test ./internal/rpc -run '^$' -fuzz FuzzRPCFrame -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzRPCFrame smoke OK"
+# Hostile result-cache segments (what Open finds in -cachedir after a
+# crash, a full disk or bit rot): the well-formed prefix indexed, the
+# rest cut off, nothing allocated on a length field's say-so.
+go test ./internal/cache -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzSegmentScan smoke OK"
 
 # 256-core geometry smoke: a small campaign with the 256-core rung of
 # the cores ladder enabled, so the generalized router hierarchy is
