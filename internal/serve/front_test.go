@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -17,74 +16,61 @@ import (
 	"repro/internal/sim"
 )
 
-// TestFrontKeyCoversRequest: every JobRequest field is either named
-// here as host-side — and then leaves the front key alone — or changes
-// it. A field added to JobRequest fails by name until someone says
-// which it is, so the memo can never alias two jobs whose results
-// differ.
-func TestFrontKeyCoversRequest(t *testing.T) {
-	const defaultMax = 100_000_000
-	front := func(r JobRequest) [sha256.Size]byte {
-		max := r.MaxCycles
-		if max == 0 {
-			max = defaultMax
-		}
-		return r.frontKey(max)
+// TestFrontKeyIsTheBody: the memo is keyed by the bytes a client sent,
+// the result cache by the canonical job. One job spelled seven ways —
+// two whitespace layouts, two field orders, a host-side deadline, an
+// unknown field, the default language and budget written out — is seven
+// memo entries and one result entry: every spelling after the first is a
+// cache hit that checks out no machine and answers the cold run's
+// deterministic fields, and each spelling sent again is a memo hit.
+func TestFrontKeyIsTheBody(t *testing.T) {
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	src, err := json.Marshal(vecsumSource)
+	if err != nil {
+		t.Fatal(err)
 	}
-	affectsResult := map[string]bool{
-		"Source": true, "Lang": true, "Image": true, "Cores": true, "BankBytes": true,
-		"MaxCycles": true, "Digest": true, "Ring": true, "Profile": true,
-	}
-	hostSide := map[string]bool{"DeadlineMs": true}
-
-	base := JobRequest{Source: vecsumSource, Cores: 2}
-	typ := reflect.TypeOf(base)
-	for i := 0; i < typ.NumField(); i++ {
-		name := typ.Field(i).Name
-		changed := base
-		switch f := reflect.ValueOf(&changed).Elem().Field(i); f.Kind() {
-		case reflect.String:
-			f.SetString(f.String() + "x")
-		case reflect.Slice:
-			f.SetBytes([]byte{1})
-		case reflect.Int, reflect.Int64:
-			f.SetInt(f.Int() + 7)
-		case reflect.Uint32, reflect.Uint64:
-			f.SetUint(f.Uint() + 7)
-		case reflect.Bool:
-			f.SetBool(!f.Bool())
-		default:
-			t.Fatalf("field %s: this test cannot set a %s", name, f.Kind())
-		}
-		moved := front(changed) != front(base)
-		switch {
-		case affectsResult[name] && !moved:
-			t.Errorf("field %s can change a result but does not change the front key", name)
-		case hostSide[name] && moved:
-			t.Errorf("field %s is host-side but changes the front key", name)
-		case !affectsResult[name] && !hostSide[name]:
-			t.Errorf("field %s is new: list it as result-affecting or host-side (and zero it in frontKey)", name)
-		}
+	spellings := []string{
+		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true}`, src),
+		fmt.Sprintf("{\n  \"source\": %s,\n  \"cores\": 2,\n  \"digest\": true\n}\n", src),
+		fmt.Sprintf(`{"digest":true,"cores":2,"source":%s}`, src),
+		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"deadlineMs":30000}`, src),
+		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"comment":"not a JobRequest field"}`, src),
+		fmt.Sprintf(`{"source":%s,"lang":"c","cores":2,"digest":true}`, src),
+		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"maxCycles":%d}`, src, srv.cfg.DefaultMaxCycles),
 	}
 
-	// The budget goes in resolved: leaving it out and writing the
-	// server's default are one request.
-	spelled := base
-	spelled.MaxCycles = defaultMax
-	if front(spelled) != front(base) {
-		t.Error("maxCycles 0 and the server default have different front keys")
+	code, coldRaw, cold := postRaw(t, h, []byte(spellings[0]))
+	if code != http.StatusOK || cold.Status != StatusOK || cold.Cached {
+		t.Fatalf("cold run: HTTP %d status %q cached=%v (%s)", code, cold.Status, cold.Cached, cold.Error)
 	}
-	// The bulk fields are length-prefixed: bytes cannot move between a
-	// bulk field and what follows it.
-	if front(JobRequest{Source: "ab", Lang: "c"}) == front(JobRequest{Source: "a", Lang: "bc"}) {
-		t.Error(`("ab","c") and ("a","bc") share a front key`)
+	checkedOut := srv.exec.Metrics().CheckedOut
+	for round, wantFrontHits := range []int{0, len(spellings)} {
+		for i, body := range spellings {
+			if round == 0 && i == 0 {
+				continue
+			}
+			code, raw, jr := postRaw(t, h, []byte(body))
+			if code != http.StatusOK || !jr.Cached {
+				t.Fatalf("round %d, spelling %d: HTTP %d cached=%v (%s), want a hit", round, i, code, jr.Cached, jr.Error)
+			}
+			if got, want := stripHostFields(t, raw), stripHostFields(t, coldRaw); got != want {
+				t.Errorf("round %d, spelling %d differs from the cold run:\ncold: %s\nhit:  %s", round, i, want, got)
+			}
+		}
+		if got := srv.met.frontHits.Load(); got != uint64(wantFrontHits) {
+			t.Errorf("after round %d: front hits = %d, want %d", round, got, wantFrontHits)
+		}
 	}
-	// The front key is syntactic, the cache key canonical: two spellings
-	// of one job may be two memo entries but must be one result entry.
-	inC := base
-	inC.Lang = "c"
-	if cacheKeyOf(t, inC, defaultMax) != cacheKeyOf(t, base, defaultMax) {
-		t.Error(`lang "" and lang "c" have different cache keys`)
+	if n := len(srv.front.keys); n != len(spellings) {
+		t.Errorf("memo holds %d entries, want one per spelling (%d)", n, len(spellings))
+	}
+	if st := store.Stats(); st.Entries != 1 {
+		t.Errorf("store holds %d entries, want 1", st.Entries)
+	}
+	if got := srv.exec.Metrics().CheckedOut; got != checkedOut {
+		t.Errorf("the hits checked out %d machines, want 0", got-checkedOut)
 	}
 }
 
@@ -113,21 +99,16 @@ func postHandler(t *testing.T, h http.Handler, req JobRequest) (int, []byte, *Jo
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
-	var jr JobResult
-	if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
-		t.Fatalf("decoding response (HTTP %d): %v\n%s", rec.Code, err, rec.Body.Bytes())
-	}
-	return rec.Code, rec.Body.Bytes(), &jr
+	return postRaw(t, h, body)
 }
 
 // TestFrontIndexPaths walks the memo's three paths from outside: a
-// request never seen compiles and is remembered; a repeat is answered
-// from the cache without compiling; a repeat whose result entry is gone
-// runs cold under the remembered key, counting one miss, and repairs
-// the entry. A request that does not compile is never remembered, and
-// a full memo forgets entries, never answers.
+// body never seen is decoded, compiled and remembered; the same bytes
+// again are answered from the cache without decoding or compiling; a
+// repeat whose result entry is gone runs cold under the remembered key,
+// counting one miss, and repairs the entry. Other bytes for the same job
+// miss the memo and still hit the cache. A request that does not compile
+// is never remembered, and a full memo forgets entries, never answers.
 func TestFrontIndexPaths(t *testing.T) {
 	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
 	defer srv.Shutdown(context.Background())
@@ -144,19 +125,28 @@ func TestFrontIndexPaths(t *testing.T) {
 	}
 	checkedOut := srv.exec.Metrics().CheckedOut
 
-	req.DeadlineMs = 0 // host-side: still the same request
-	code, warmRaw, warm := postHandler(t, h, req)
-	if code != http.StatusOK || !warm.Cached {
-		t.Fatalf("repeat: HTTP %d cached=%v, want a hit", code, warm.Cached)
-	}
-	if got, want := stripHostFields(t, warmRaw), stripHostFields(t, coldRaw); got != want {
-		t.Errorf("hit differs from the cold run:\ncold: %s\nhit:  %s", want, got)
-	}
-	if got := srv.met.frontHits.Load(); got != 1 {
-		t.Errorf("front hits = %d after one repeat, want 1", got)
-	}
-	if got := srv.exec.Metrics().CheckedOut; got != checkedOut {
-		t.Errorf("the hit checked out %d machines, want 0", got-checkedOut)
+	for _, step := range []struct {
+		name       string
+		deadlineMs int64
+		frontHits  uint64
+	}{
+		{"the same bytes", 30_000, 1},
+		{"deadlineMs 0 (host-side: other bytes, the same job)", 0, 1},
+	} {
+		req.DeadlineMs = step.deadlineMs
+		code, warmRaw, warm := postHandler(t, h, req)
+		if code != http.StatusOK || !warm.Cached {
+			t.Fatalf("%s: HTTP %d cached=%v, want a hit", step.name, code, warm.Cached)
+		}
+		if got, want := stripHostFields(t, warmRaw), stripHostFields(t, coldRaw); got != want {
+			t.Errorf("%s: hit differs from the cold run:\ncold: %s\nhit:  %s", step.name, want, got)
+		}
+		if got := srv.met.frontHits.Load(); got != step.frontHits {
+			t.Errorf("%s: front hits = %d, want %d", step.name, got, step.frontHits)
+		}
+		if got := srv.exec.Metrics().CheckedOut; got != checkedOut {
+			t.Errorf("%s: the hit checked out %d machines, want 0", step.name, got-checkedOut)
+		}
 	}
 
 	// The result entry goes away behind the memo's back.
@@ -220,7 +210,7 @@ func TestFrontIndexPaths(t *testing.T) {
 }
 
 // BenchmarkHandleJobsHit is the whole cost of a cache hit inside the
-// process — body decode, validate, front key, memo, cache read,
+// process — body read, its SHA-256, memo, cache read, payload decode,
 // response — for the two ends of serve_hot's mix: a generated MiniC
 // source (≈ 2 KB) and a 64 Ki-word image (≈ 770 KB of JSON).
 func BenchmarkHandleJobsHit(b *testing.B) {

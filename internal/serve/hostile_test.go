@@ -11,15 +11,17 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
 // exitAsm is the shortest program that exits: three instructions.
 const exitAsm = "main:\n\tli ra, 0\n\tli t0, -1\n\tp_ret\n"
 
-// postBody sends raw bytes to /jobs on the handler itself — no network,
-// no net/http recover between a panic and the test.
-func postBody(t *testing.T, h http.Handler, body []byte) (int, *JobResult) {
+// postRaw sends raw bytes to /jobs on the handler itself — no network,
+// no net/http recover between a panic and the test — and returns the raw
+// response with its decoding.
+func postRaw(t *testing.T, h http.Handler, body []byte) (int, []byte, *JobResult) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
@@ -27,7 +29,14 @@ func postBody(t *testing.T, h http.Handler, body []byte) (int, *JobResult) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &jr); err != nil {
 		t.Fatalf("HTTP %d with a body that is no JobResult: %v\n%.300s", rec.Code, err, rec.Body.Bytes())
 	}
-	return rec.Code, &jr
+	return rec.Code, rec.Body.Bytes(), &jr
+}
+
+// postBody is postRaw without the raw response.
+func postBody(t *testing.T, h http.Handler, body []byte) (int, *JobResult) {
+	t.Helper()
+	code, _, jr := postRaw(t, h, body)
+	return code, jr
 }
 
 // TestHostileRequests: five requests that each used to end the process
@@ -91,7 +100,11 @@ func TestHostileRequests(t *testing.T) {
 
 // FuzzJobRequest: whatever bytes arrive as the body of POST /jobs, the
 // handler answers one of its documented status codes with a JobResult —
-// never a panic, and never by running a job past the server's caps.
+// never a panic, and never by running a job past the server's caps. The
+// server has a result cache, so every body is sent twice and the second
+// answer — through the body-keyed memo whenever the first one got that
+// far — must be the first one again: same status, same deterministic
+// fields, and a 200 served from the cache.
 func FuzzJobRequest(f *testing.F) {
 	for _, seed := range []string{
 		fmt.Sprintf(`{"source":%q,"lang":"s","cores":1,"digest":true}`, exitAsm),
@@ -110,12 +123,19 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	// Small caps: a mutated request may ask for any machine and any
 	// budget, and the fuzzer runs thousands a second.
+	store, err := cache.Open(f.TempDir(), 1<<20)
+	if err != nil {
+		f.Fatal(err)
+	}
 	srv := New(Config{Workers: 1, QueueDepth: 4, DefaultMaxCycles: 20_000, MaxCyclesCap: 50_000,
-		PoolPerKey: 1, PoolTotal: 1})
-	f.Cleanup(func() { srv.Shutdown(context.Background()) })
+		PoolPerKey: 1, PoolTotal: 1, Cache: store})
+	f.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		store.Close()
+	})
 	h := srv.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		code, jr := postBody(t, h, body)
+		code, raw, jr := postRaw(t, h, body)
 		switch code { // DESIGN.md §8: the status table
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
 			http.StatusUnprocessableEntity, http.StatusTooManyRequests, statusClientClosedRequest,
@@ -125,6 +145,16 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if (code == http.StatusOK) != (jr.Status == StatusOK) || (code != http.StatusOK && jr.Error == "") {
 			t.Fatalf("HTTP %d with status %q, error %q", code, jr.Status, jr.Error)
+		}
+		code2, raw2, jr2 := postRaw(t, h, body)
+		if code == http.StatusGatewayTimeout || code2 == http.StatusGatewayTimeout {
+			return // a wall-clock deadline is the one answer that may differ
+		}
+		if code2 != code || stripHostFields(t, raw2) != stripHostFields(t, raw) {
+			t.Fatalf("the same body twice: HTTP %d then %d\nfirst:  %s\nsecond: %s", code, code2, raw, raw2)
+		}
+		if code == http.StatusOK && !jr2.Cached {
+			t.Fatalf("a repeated 200 was not served from the cache: %s", raw2)
 		}
 	})
 }

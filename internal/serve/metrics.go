@@ -23,7 +23,7 @@ type metrics struct {
 
 	cacheHits   atomic.Uint64 // jobs answered from the result cache
 	cacheMisses atomic.Uint64 // cache lookups that had to simulate
-	frontHits   atomic.Uint64 // requests keyed by the memo, without compiling
+	frontHits   atomic.Uint64 // requests keyed by the memo, without decoding or compiling
 
 	simCycles atomic.Uint64 // simulated cycles of completed jobs
 	runNanos  atomic.Uint64 // host wall nanoseconds of their backend calls
@@ -58,7 +58,7 @@ func (m *metrics) writePrometheus(w io.Writer, exec *dispatch.Executor, cs cache
 	p.counter("lbp_serve_jobs_preempted_total", "Jobs stopped by the shutdown grace expiring.", m.preempted.Load())
 	p.counter("lbp_serve_cache_hits_total", "Jobs answered from the content-addressed result cache.", m.cacheHits.Load())
 	p.counter("lbp_serve_cache_misses_total", "Cache lookups that fell through to a simulation.", m.cacheMisses.Load())
-	p.counter("lbp_serve_front_hits_total", "Requests whose cache key came from the request memo, without compiling.", m.frontHits.Load())
+	p.counter("lbp_serve_front_hits_total", "Requests whose cache key came from the request memo, without decoding or compiling.", m.frontHits.Load())
 	p.gauge("lbp_serve_cache_bytes", "Bytes of result-cache log on disk, the quantity -cachemax bounds.", float64(cs.Bytes))
 	p.gauge("lbp_serve_cache_entries", "Payloads in the result cache.", float64(cs.Entries))
 	p.counter("lbp_serve_cache_evictions_total", "Result-cache entries evicted by the size bound.", cs.Evictions)

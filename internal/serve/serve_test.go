@@ -850,7 +850,9 @@ func TestCacheConcurrentIdenticalRequests(t *testing.T) {
 }
 
 // TestOversizedBody413: a request body over the configured cap answers
-// 413 Request Entity Too Large, not a generic 400.
+// 413 Request Entity Too Large, not a generic 400. The cap bounds the
+// whole body, not just its first JSON value: a valid job padded past it
+// is refused, while bytes after the value and under the cap are ignored.
 func TestOversizedBody413(t *testing.T) {
 	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: 256})
 	defer srv.Shutdown(context.Background())
@@ -861,20 +863,28 @@ func TestOversizedBody413(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jr JobResult
-	if err := json.Unmarshal([]byte(readAll(t, resp)), &jr); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || jr.Error == "" {
-		t.Errorf("oversized body: HTTP %d error %q, want 413 with a message", resp.StatusCode, jr.Error)
-	}
-	// A body under the cap still validates normally.
-	if code, jr := postJob(t, ts.URL, JobRequest{Source: "x", Lang: "rust"}); code != http.StatusBadRequest {
-		t.Errorf("small bad request: HTTP %d (%s), want 400", code, jr.Error)
+	job := fmt.Sprintf(`{"source":%q,"lang":"s","cores":1,"digest":true}`, exitAsm)
+	for _, tc := range []struct {
+		name string
+		body string
+		code int
+	}{
+		{"a 4 KB source", string(big), http.StatusRequestEntityTooLarge},
+		{"a valid job and 4,079 spaces", job + strings.Repeat(" ", 4079), http.StatusRequestEntityTooLarge},
+		{"a valid job and bytes after it, under the cap", job + "  and then some", http.StatusOK},
+		{"a small bad request", `{"source":"x","lang":"rust"}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr JobResult
+		if err := json.Unmarshal([]byte(readAll(t, resp)), &jr); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.code || (tc.code != http.StatusOK) != (jr.Error != "") {
+			t.Errorf("%s (%d bytes): HTTP %d error %q, want %d", tc.name, len(tc.body), resp.StatusCode, jr.Error, tc.code)
+		}
 	}
 }
 

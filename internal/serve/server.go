@@ -1,7 +1,7 @@
 // Package serve is the HTTP/JSON edge of the simulation service: it
-// validates a job, compiles its program once (never, for request bytes
-// whose cache key it remembers), consults the result cache, and hands a
-// miss to a Dispatcher — by default a
+// decodes and validates a job and compiles its program (none of it, for
+// body bytes whose cache key it remembers), consults the result cache,
+// and hands a miss to a Dispatcher — by default a
 // dispatch.NewLocal coordinator over an in-process Executor (Workers
 // concurrent jobs, QueueDepth waiting), with lbp-serve -backends a
 // coordinator over worker processes. Nothing in this package simulates,
@@ -21,8 +21,8 @@
 // (internal/cache) before simulating anything: a repeat job is an O(1)
 // disk read answered with the byte-identical deterministic payload of
 // the cold run, marked "cached": true. The key is a hash of the compiled
-// image, so a memo of request bytes → key (frontIndex) spares a repeat
-// the compiler as well.
+// image, so a memo of body bytes → key (frontIndex) spares a repeat the
+// JSON decoder and the compiler as well.
 //
 // Backpressure and lifecycle:
 //
@@ -37,11 +37,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -139,7 +141,7 @@ type Server struct {
 	cfg   Config
 	disp  Dispatcher
 	met   metrics
-	front frontIndex // request → cache key, consulted ahead of compile
+	front frontIndex // body bytes → cache key, consulted ahead of decode
 	mux   *http.ServeMux
 
 	// The in-process backend; with a configured Dispatcher local is nil
@@ -309,9 +311,9 @@ func (s *Server) saveCheckpoint(out *JobResult, state []byte) {
 // for a repeat job, without consuming a queue slot or simulating a
 // cycle; through the dispatcher otherwise.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	// All of it, not just the JSON value: the cap bounds every byte.
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -320,6 +322,31 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
+	}
+	// Body bytes this process has keyed before have their cache key in
+	// the memo: a repeat is answered without decoding or compiling, and
+	// one whose entry is gone runs cold under the remembered key.
+	var front [sha256.Size]byte
+	var key string
+	if s.cfg.Cache != nil {
+		front = sha256.Sum256(body)
+		if key = s.front.get(front); key != "" {
+			s.met.frontHits.Add(1)
+			if s.answerCached(w, key) {
+				return
+			}
+		}
+	}
+	// The job is the body's first JSON value. Unmarshal decodes a body that
+	// is only that, in place; anything else goes to a Decoder (which would
+	// copy the body) to skip what follows the value or to word the error.
+	var req JobRequest
+	if json.Unmarshal(body, &req) != nil {
+		req = JobRequest{}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return
+		}
 	}
 	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -337,20 +364,6 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	deadline := s.cfg.Deadline
 	if d := time.Duration(req.DeadlineMs) * time.Millisecond; d > 0 && d < deadline {
 		deadline = d
-	}
-	// Request bytes this process has compiled before have their cache
-	// key in the memo: a repeat is answered without compiling, and one
-	// whose entry is gone runs cold under the remembered key.
-	var front [sha256.Size]byte
-	var key string
-	if s.cfg.Cache != nil {
-		front = req.frontKey(maxCycles)
-		if key = s.front.get(front); key != "" {
-			s.met.frontHits.Add(1)
-			if s.answerCached(w, key) {
-				return
-			}
-		}
 	}
 	prog, err := req.compile()
 	if err != nil {
@@ -388,6 +401,27 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	defer context.AfterFunc(s.stop, func() { cancel(dispatch.ErrPreempted) })()
 	res, err := s.disp.Do(ctx, job)
 	s.answer(w, r, job, res, err)
+}
+
+// readBody reads r to its end into a buffer that doubles as it fills:
+// a large body costs about twice its size in allocations (io.ReadAll's
+// 1.25× steps cost five times), and nothing is sized from what a client
+// claims.
+func readBody(r io.Reader) ([]byte, error) {
+	b := make([]byte, 0, 512)
+	for {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, 2*cap(b)), b...)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // answer maps what the dispatcher made of a job onto the HTTP status

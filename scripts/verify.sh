@@ -30,11 +30,12 @@ fi
 # One checkpoint format, one job protocol, one decode per load, one
 # queue, one instruction table, one experiment path, compiled code that
 # never becomes text, one link table, one control-message type, one gate
-# per observer: the deleted second paths must not grow back. (The
+# per observer, a request memo keyed by body bytes (not by a hand-hashed
+# request): the deleted second paths must not grow back. (The
 # parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, which the
 # case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick' -- '*.go'; then
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -93,10 +94,17 @@ if [ "$digest1" != "$digest2" ] || [ -z "$digest1" ]; then
     echo "cached digest mismatch: '$digest1' vs '$digest2'" >&2
     exit 1
 fi
+# The same job in other bytes (a host-side deadline added): still a
+# cache hit, but not a memo hit.
+curl -fsS -X POST "http://$addr/jobs" \
+    -d '{"source":"main:\n\tli ra, 0\n\tli t0, -1\n\tp_ret\n","lang":"s","cores":1,"digest":true,"deadlineMs":5000}' \
+    >"$smokedir/job3.json"
+grep -q '"cached": true' "$smokedir/job3.json"
 curl -fsS "http://$addr/metrics" >"$smokedir/metrics.txt"
 grep -q '^lbp_serve_jobs_completed_total 1$' "$smokedir/metrics.txt"
-grep -q '^lbp_serve_cache_hits_total 1$' "$smokedir/metrics.txt"
-# ...and keyed by the request memo: the repeat never reached the compiler.
+grep -q '^lbp_serve_cache_hits_total 2$' "$smokedir/metrics.txt"
+# The memo keys body bytes, the cache the canonical job: only the
+# byte-identical repeat skipped decode and compile.
 grep -q '^lbp_serve_front_hits_total 1$' "$smokedir/metrics.txt"
 # The cache is a log with one writer: a second daemon on the same
 # -cachedir must refuse to start while the first one lives (if it does
