@@ -51,11 +51,6 @@ type Runner struct {
 // queues and reorder buffers. sim.Pool is safe for the fan-out.
 var pool sim.Pool
 
-// maxPooledCores is the largest machine run hands back to the pool. A
-// 1024-core machine holds about 200 MiB and nothing after the scaling
-// figure asks for one again.
-const maxPooledCores = 256
-
 // Row is the outcome of one simulation. Digest and Events identify the
 // full event trace of the run (experiment E4): two runs of the same
 // point must agree on them exactly, whatever Runner produced the row.
@@ -118,9 +113,7 @@ func (r Runner) run(pt point) (Row, error) {
 		Events:  sess.Recorder().Count(),
 		Perf:    sess.PerfSnapshot(),
 	}
-	if cores <= maxPooledCores {
-		pool.Put(sess)
-	}
+	pool.Put(sess)
 	return row, nil
 }
 

@@ -99,9 +99,12 @@ func ValidateGeometry(cores, routerDegree int) error {
 }
 
 // Bounds of Validate. The paper's per-hart structures hold 4 to 16
-// entries and the largest machine in the tree (1024 default cores) owns
-// 129 MiB of banks; the caps sit well clear of both, and exist so that a
-// configuration read from a file cannot size an allocation at will.
+// entries and the largest machine in the tree (1024 default cores)
+// addresses 129 MiB of banks; the caps sit well clear of both, and exist
+// so that a configuration read from a file cannot size an allocation at
+// will. Only the code bank is allocated whole: the local and shared
+// banks are page-backed (mem), so for them maxBankBytes bounds the page
+// tables (one pointer per KiB) and what a program can make resident.
 const (
 	maxStructEntries = 1 << 10 // ITEntries, ROBEntries, RemoteRBs
 	maxRBDepth       = 1 << 20

@@ -442,6 +442,67 @@ func TestHostileCheckpoints(t *testing.T) {
 	}
 }
 
+// zeroBankCheckpoint takes a mid-run checkpoint of a 2-core team
+// program (orig) and rewrites it so that every bank image is a
+// full-length run of zeros (zeroed): a stream no machine writes
+// (captured images are trimmed of trailing zeros), and one that must
+// restore without making a page resident.
+func zeroBankCheckpoint(t testing.TB) (orig, zeroed []byte) {
+	t.Helper()
+	prog, err := asm.Assemble(sprintf(teamProgram, 8, 8), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(2))
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.Advance(300); res != nil || err != nil {
+		t.Fatalf("the run ended before cycle 300 (res=%v err=%v)", res, err)
+	}
+	orig, err = m.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return orig, rewrite(t, orig, func(man *checkpointManifest, sh []checkpointShard) {
+		for i := range sh {
+			for c := range sh[i].Local {
+				sh[i].Local[c] = make([]uint32, man.Cfg.Mem.LocalBytes/4)
+				sh[i].Shared[c] = make([]uint32, man.Cfg.Mem.SharedBytes/4)
+			}
+		}
+	})
+}
+
+// residentPages counts the bank pages m's memory system holds. mem
+// keeps that count to its own tests, so it is read here by reflection
+// (a renamed field panics the test rather than passing it).
+func residentPages(m *Machine) int {
+	sys := reflect.ValueOf(m.Mem).Elem()
+	return sys.FieldByName("local").FieldByName("written").Len() +
+		sys.FieldByName("shared").FieldByName("written").Len()
+}
+
+// TestZeroBankImagesHoldNoPages: restoring full-length zero bank images
+// writes no word, so the restored machine holds no page (the checkpoint
+// they replaced restores with some).
+func TestZeroBankImagesHoldNoPages(t *testing.T) {
+	orig, zeroed := zeroBankCheckpoint(t)
+	for _, c := range []struct {
+		name string
+		data []byte
+		zero bool
+	}{{"original", orig, false}, {"zero images", zeroed, true}} {
+		m, err := Restore(c.data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := residentPages(m); (n == 0) != c.zero {
+			t.Errorf("%s: %d pages resident after restore", c.name, n)
+		}
+	}
+}
+
 // TestCheckpointCarriesEveryMessageKind: the reduction program puts all
 // four control-message kinds on the links — fork starts, ending signals,
 // p_swre values, the join. At the first cycle each kind is in flight the
@@ -523,6 +584,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(manifestOnly(f, func(c *Config) { c.Cores = 4096 }))
 	f.Add(badRoundRobin(f))
 	f.Add(fixture(f, "checkpoint_v2_prefix.bin"))
+	_, zeroed := zeroBankCheckpoint(f)
+	f.Add(zeroed)
 	for _, h := range hostileCheckpoints(f) {
 		f.Add(h.data)
 	}

@@ -88,25 +88,25 @@ type event struct {
 func (s *System) dispatch(e *event) {
 	switch e.kind {
 	case evLocalLoad:
-		e.lc.LoadValue(subWordLoad(s.local[e.core][e.off], e.addr, e.width, e.signed))
+		e.lc.LoadValue(subWordLoad(s.local.load(int(e.core), e.off), e.addr, e.width, e.signed))
 		e.lc.LoadDone(e.cycle)
 	case evSharedRead:
-		e.lc.LoadValue(subWordLoad(s.shared[e.core][e.off], e.addr, e.width, e.signed))
+		e.lc.LoadValue(subWordLoad(s.shared.load(int(e.core), e.off), e.addr, e.width, e.signed))
 	case evLoadDone:
 		e.lc.LoadDone(e.cycle)
 	case evLocalStore:
-		s.local[e.core][e.off] = subWordStore(s.local[e.core][e.off], e.val, e.addr, e.width)
+		s.store(&s.local, int(e.core), e.off, e.val, e.addr, e.width)
 		if e.dc != nil {
 			e.dc.Done(e.cycle)
 		}
 	case evSharedWrite:
-		s.shared[e.core][e.off] = subWordStore(s.shared[e.core][e.off], e.val, e.addr, e.width)
+		s.store(&s.shared, int(e.core), e.off, e.val, e.addr, e.width)
 	case evStoreDone, evMessage:
 		if e.dc != nil {
 			e.dc.Done(e.cycle)
 		}
 	case evCVWrite:
-		s.local[e.core][e.off] = e.val
+		s.write(&s.local, int(e.core), e.off, e.val)
 		if e.dc != nil {
 			e.dc.Done(e.cycle)
 		}
@@ -352,6 +352,11 @@ func subWordStore(w, v, addr uint32, width Width) uint32 {
 	default:
 		return v
 	}
+}
+
+// store merges v, an access of width at addr, into word off of bank.
+func (s *System) store(b *banks, bank int, off, v, addr uint32, width Width) {
+	s.write(b, bank, off, subWordStore(b.load(bank, off), v, addr, width))
 }
 
 // SubmitLoad submits a load from `core` at cycle `now`. The client's

@@ -17,9 +17,12 @@
 // transactions acquire link slots in submission order.
 //
 // Values are exchanged at bank service time: a store updates the backing
-// array when it is served by the bank, a load reads it then. Completion
+// page when it is served by the bank, a load reads it then. Completion
 // (the response arriving back at the requesting core) is reported later,
 // after the response traversed the return path.
+//
+// Storage. The local and shared banks are backed by 1 KiB pages that
+// exist once written (pages.go); the code bank is one dense array.
 package mem
 
 import (
@@ -121,9 +124,10 @@ type Stats struct {
 type System struct {
 	cfg    Config
 	code   []uint32
-	codeHi int        // words of code that may be non-zero: all Reset has to clear
-	local  [][]uint32 // per core
-	shared [][]uint32 // per core
+	codeHi int     // words of code that may be non-zero: all Reset has to clear
+	local  banks   // every core's local bank
+	shared banks   // every core's shared bank
+	free   []*page // zeroed pages Reset detached, attached again before allocating
 
 	// Link free times. Every unidirectional link of the machine is one
 	// word of links — the cycle at which it is next free — and the named
@@ -196,8 +200,8 @@ func New(cfg Config) *System {
 	s := &System{
 		cfg:    cfg,
 		code:   make([]uint32, cfg.CodeBytes/4),
-		local:  make([][]uint32, n),
-		shared: make([][]uint32, n),
+		local:  newBanks(n, cfg.LocalBytes),
+		shared: newBanks(n, cfg.SharedBytes),
 		links:  make([]uint64, 7*n+6*routers+4*nchips),
 	}
 	// Carve the views: three-index slices, so no view can grow into its
@@ -224,10 +228,6 @@ func New(cfg Config) *System {
 	s.backUp, s.backDown = levels(), levels()
 	s.chipUpReq, s.chipUpResp = view(nchips), view(nchips)
 	s.chipDownReq, s.chipDownResp = view(nchips), view(nchips)
-	for c := 0; c < n; c++ {
-		s.local[c] = make([]uint32, cfg.LocalBytes/4)
-		s.shared[c] = make([]uint32, cfg.SharedBytes/4)
-	}
 	return s
 }
 
@@ -258,7 +258,7 @@ func (s *System) LoadShared(addr uint32, words []uint32) error {
 		if !ok {
 			return fmt.Errorf("mem: data address %#x outside shared space", a)
 		}
-		s.shared[bank][off] = w
+		s.write(&s.shared, bank, off, w)
 	}
 	return nil
 }
@@ -329,7 +329,7 @@ func (s *System) PeekLocal(core int, addr uint32) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.local[core][off], true
+	return s.local.load(core, off), true
 }
 
 // PeekShared reads a word from the shared space without timing.
@@ -338,7 +338,7 @@ func (s *System) PeekShared(addr uint32) (uint32, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.shared[bank][off], true
+	return s.shared.load(bank, off), true
 }
 
 // PokeShared writes a word to the shared space without timing (device and
@@ -348,6 +348,6 @@ func (s *System) PokeShared(addr uint32, v uint32) bool {
 	if !ok {
 		return false
 	}
-	s.shared[bank][off] = v
+	s.write(&s.shared, bank, off, v)
 	return true
 }

@@ -1,0 +1,205 @@
+package mem
+
+import (
+	"reflect"
+	"testing"
+)
+
+// nonZeroWords reads every word of both bank families through the
+// untimed helpers and counts the non-zero ones.
+func nonZeroWords(s *System) int {
+	n := 0
+	for c := 0; c < s.cfg.Cores; c++ {
+		for off := uint32(0); off < s.cfg.LocalBytes/4; off++ {
+			if v, _ := s.PeekLocal(c, LocalBase+4*off); v != 0 {
+				n++
+			}
+		}
+		for off := uint32(0); off < s.cfg.SharedBytes/4; off++ {
+			if v, _ := s.PeekShared(s.SharedAddr(c, off)); v != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestFreshSystemHoldsNoPages: a new System reads zero everywhere and
+// holds no bank page; neither do loads, nor stores of zero.
+func TestFreshSystemHoldsNoPages(t *testing.T) {
+	s := newSys(4)
+	if n := nonZeroWords(s); n != 0 {
+		t.Fatalf("fresh system has %d non-zero words", n)
+	}
+	for c := 0; c < 4; c++ {
+		s.SubmitLoad(0, c, LocalBase+8, Width32, false, LoadFunc(func(uint32, uint64) {}))
+		s.SubmitLoad(0, c, s.SharedAddr(3-c, 700), Width8, true, LoadFunc(func(uint32, uint64) {}))
+		s.SubmitStore(0, c, LocalBase+12, 0, Width32, nil)
+		s.SubmitStore(0, c, s.SharedAddr(c, 5)+1, 0, Width8, nil)
+	}
+	s.SubmitCVWrite(0, 0, 1, LocalBase+16, 0, nil)
+	run(s, 0)
+	if err := s.LoadShared(s.SharedAddr(2, 0), make([]uint32, 600)); err != nil {
+		t.Fatal(err)
+	}
+	if n := ResidentPages(s); n != 0 {
+		t.Errorf("%d pages resident after loads and zero stores only", n)
+	}
+}
+
+// TestSubWordStoreIntoUntouchedPage: a byte or half-word store into a
+// page nothing wrote before merges into zeros.
+func TestSubWordStoreIntoUntouchedPage(t *testing.T) {
+	s := newSys(2)
+	local := uint32(LocalBase + 3*1024 + 6)
+	shared := s.SharedAddr(1, 300) + 1
+	s.SubmitStore(0, 0, local, 0xBEEF, Width16, nil)
+	s.SubmitStore(0, 0, shared, 0x1AB, Width8, nil)
+	run(s, 0)
+	if v, _ := s.PeekLocal(0, local&^3); v != 0xBEEF0000 {
+		t.Errorf("half-word store into an untouched local page reads %#x", v)
+	}
+	if v, _ := s.PeekShared(shared &^ 3); v != 0xAB00 {
+		t.Errorf("byte store into an untouched shared page reads %#x", v)
+	}
+	if n := ResidentPages(s); n != 2 {
+		t.Errorf("%d pages resident, want 2", n)
+	}
+}
+
+// TestStoreZero: a store of zero clears a written word and leaves an
+// unwritten one reading zero, whether or not a page is attached.
+func TestStoreZero(t *testing.T) {
+	s := newSys(1)
+	addr := uint32(LocalBase + 2048)
+	s.SubmitStore(0, 0, addr, 0x01020304, Width32, nil)
+	s.SubmitStore(0, 0, addr+4, 0x05060708, Width32, nil)
+	run(s, 0)
+	s.SubmitStore(10, 0, addr, 0, Width32, nil)
+	s.SubmitStore(10, 0, addr+5, 0, Width8, nil)
+	s.SubmitStore(10, 0, addr+4096, 0, Width32, nil)
+	run(s, 10)
+	for _, c := range []struct {
+		addr, want uint32
+	}{{addr, 0}, {addr + 4, 0x05060008}, {addr + 4096, 0}} {
+		if v, _ := s.PeekLocal(0, c.addr); v != c.want {
+			t.Errorf("word at %#x = %#x, want %#x", c.addr, v, c.want)
+		}
+	}
+}
+
+// TestResetReleasesPages: Reset leaves no page resident and the system
+// reading zero everywhere, and the next run reuses the released pages.
+func TestResetReleasesPages(t *testing.T) {
+	s := newSys(4)
+	for c := 0; c < 4; c++ {
+		s.SubmitStore(0, c, LocalBase+uint32(c)*1024+4, uint32(c+1), Width32, nil)
+		s.SubmitStore(0, c, s.SharedAddr(c, 1000), ^uint32(0), Width32, nil)
+	}
+	run(s, 0)
+	if n := ResidentPages(s); n != 8 {
+		t.Fatalf("%d pages resident, want 8", n)
+	}
+	s.Reset()
+	if n := ResidentPages(s); n != 0 {
+		t.Errorf("%d pages resident after Reset", n)
+	}
+	if n := nonZeroWords(s); n != 0 {
+		t.Errorf("%d non-zero words survived Reset", n)
+	}
+	if len(s.free) != 8 {
+		t.Errorf("free list holds %d pages after Reset, want 8", len(s.free))
+	}
+	if err := s.LoadShared(s.SharedAddr(0, 0), []uint32{9}); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.free) != 7 || ResidentPages(s) != 1 {
+		t.Errorf("a write after Reset allocated instead of reusing a free page (free %d, resident %d)",
+			len(s.free), ResidentPages(s))
+	}
+	if n := nonZeroWords(s); n != 1 {
+		t.Errorf("one word written after Reset, %d read non-zero", n)
+	}
+}
+
+// TestOddBankSizes: banks smaller than a page, of exactly one page and
+// of several pages map their first and last words, keep neighbouring
+// banks apart and round-trip through CaptureBankRange /
+// RestoreBankRange.
+func TestOddBankSizes(t *testing.T) {
+	for _, bankBytes := range []uint32{256, 1024, 4096} {
+		cfg := DefaultConfig(3)
+		cfg.LocalBytes, cfg.SharedBytes = bankBytes, bankBytes
+		s := New(cfg)
+		last := bankBytes/4 - 1
+		for c := 0; c < 3; c++ {
+			if err := s.LoadShared(s.SharedAddr(c, 0), []uint32{uint32(10 * c), 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.LoadShared(s.SharedAddr(c, last), []uint32{uint32(10*c + 1)}); err != nil {
+				t.Fatal(err)
+			}
+			s.SubmitCVWrite(0, c, c, LocalBase+4*last, uint32(10*c+2), nil)
+		}
+		run(s, 0)
+		if s.DataMapped(LocalBase+bankBytes) || !s.DataMapped(LocalBase+bankBytes-4) {
+			t.Errorf("bank %d: local mapping ends at the wrong word", bankBytes)
+		}
+		if s.BankOwner(s.SharedAddr(2, last)+4) != -1 {
+			t.Errorf("bank %d: a word past the last bank is mapped", bankBytes)
+		}
+		for c := 0; c < 3; c++ {
+			first, _ := s.PeekShared(s.SharedAddr(c, 0))
+			end, _ := s.PeekShared(s.SharedAddr(c, last))
+			cv, _ := s.PeekLocal(c, LocalBase+4*last)
+			if first != uint32(10*c) || end != uint32(10*c+1) || cv != uint32(10*c+2) {
+				t.Errorf("bank %d, core %d: first %d last %d cv %d", bankBytes, c, first, end, cv)
+			}
+		}
+		local, shared := s.CaptureBankRange(0, 3)
+		if len(shared[0]) != int(last)+1 || len(shared[1]) != int(last)+1 {
+			t.Errorf("bank %d: captured shared images of %d and %d words", bankBytes, len(shared[0]), len(shared[1]))
+		}
+		r := New(cfg)
+		if err := r.RestoreBankRange(0, local, shared); err != nil {
+			t.Fatalf("bank %d: %v", bankBytes, err)
+		}
+		l2, s2 := r.CaptureBankRange(0, 3)
+		if !reflect.DeepEqual(l2, local) || !reflect.DeepEqual(s2, shared) {
+			t.Errorf("bank %d: restored banks capture differently", bankBytes)
+		}
+		if ResidentPages(r) != ResidentPages(s) {
+			t.Errorf("bank %d: restore holds %d pages, the source %d", bankBytes, ResidentPages(r), ResidentPages(s))
+		}
+		tooLong := [][]uint32{make([]uint32, last+2)}
+		if err := r.RestoreBankRange(0, tooLong, [][]uint32{nil}); err == nil {
+			t.Errorf("bank %d: an image one word over the bank restored", bankBytes)
+		}
+	}
+}
+
+// TestRestoreZeroImagesHoldNoPages: bank images that are full-length
+// runs of zeros restore to a system that holds no page, and clear
+// whatever the banks held before.
+func TestRestoreZeroImagesHoldNoPages(t *testing.T) {
+	cfg := DefaultConfig(2)
+	zeros := func() [][]uint32 {
+		return [][]uint32{make([]uint32, cfg.LocalBytes/4), make([]uint32, cfg.LocalBytes/4)}
+	}
+	s := New(cfg)
+	if err := s.RestoreBankRange(0, zeros(), zeros()); err != nil {
+		t.Fatal(err)
+	}
+	if n := ResidentPages(s); n != 0 {
+		t.Errorf("%d pages resident after restoring zero images", n)
+	}
+	if err := s.LoadShared(s.SharedAddr(1, 5), []uint32{7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RestoreBankRange(0, zeros(), zeros()); err != nil {
+		t.Fatal(err)
+	}
+	if n := nonZeroWords(s); n != 0 {
+		t.Errorf("%d non-zero words survived restoring zero images", n)
+	}
+}

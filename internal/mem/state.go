@@ -114,31 +114,31 @@ func (s *System) CaptureBankRange(lo, hi int) (local, shared [][]uint32) {
 	local = make([][]uint32, hi-lo)
 	shared = make([][]uint32, hi-lo)
 	for i := lo; i < hi; i++ {
-		local[i-lo] = trimZeros(s.local[i])
-		shared[i-lo] = trimZeros(s.shared[i])
+		local[i-lo] = s.local.image(i)
+		shared[i-lo] = s.shared.image(i)
 	}
 	return local, shared
 }
 
 // RestoreBankRange installs captured bank images for cores starting at
-// lo.
+// lo. Only non-zero words are written, so an image's zero runs cost no
+// pages.
 func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
-	if len(local) != len(shared) || lo < 0 || lo+len(local) > len(s.local) {
+	if len(local) != len(shared) || lo < 0 || lo+len(local) > s.cfg.Cores {
 		return fmt.Errorf("mem: state bank range [%d,%d+%d) does not fit the configuration", lo, lo, len(local))
 	}
-	restoreBank := func(dst, src []uint32, what string, i int) error {
-		if len(src) > len(dst) {
+	restoreBank := func(b *banks, img []uint32, what string, i int) error {
+		if len(img) > int(b.words) {
 			return fmt.Errorf("mem: state %s bank %d exceeds its configured size", what, i)
 		}
-		clear(dst)
-		copy(dst, src)
+		s.restore(b, i, img)
 		return nil
 	}
 	for i := range local {
-		if err := restoreBank(s.local[lo+i], local[i], "local", lo+i); err != nil {
+		if err := restoreBank(&s.local, local[i], "local", lo+i); err != nil {
 			return err
 		}
-		if err := restoreBank(s.shared[lo+i], shared[i], "shared", lo+i); err != nil {
+		if err := restoreBank(&s.shared, shared[i], "shared", lo+i); err != nil {
 			return err
 		}
 	}
@@ -186,31 +186,31 @@ func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
 		off: es.Off, addr: es.Addr, val: es.Val,
 		width: Width(es.Width), signed: es.Signed,
 	}
-	var banks [][]uint32 // the bank family the event indexes, if any
+	var b *banks // the bank family the event indexes, if any
 	sized, load := false, false
 	switch e.kind {
 	case evLocalLoad:
-		banks, sized, load = s.local, true, true
+		b, sized, load = &s.local, true, true
 	case evSharedRead:
-		banks, sized, load = s.shared, true, true
+		b, sized, load = &s.shared, true, true
 	case evLoadDone:
 		load = true
 	case evLocalStore:
-		banks, sized = s.local, true
+		b, sized = &s.local, true
 	case evSharedWrite:
-		banks, sized = s.shared, true
+		b, sized = &s.shared, true
 	case evCVWrite:
-		banks = s.local
+		b = &s.local
 	case evStoreDone, evMessage:
 	default:
 		return e, fmt.Errorf("has unknown kind %d", es.Kind)
 	}
-	if banks != nil {
-		if es.Core < 0 || int(es.Core) >= len(banks) {
-			return e, fmt.Errorf("names bank %d of %d", es.Core, len(banks))
+	if b != nil {
+		if es.Core < 0 || int(es.Core) >= s.cfg.Cores {
+			return e, fmt.Errorf("names bank %d of %d", es.Core, s.cfg.Cores)
 		}
-		if int64(es.Off) >= int64(len(banks[es.Core])) {
-			return e, fmt.Errorf("names word %d of a %d-word bank", es.Off, len(banks[es.Core]))
+		if es.Off >= b.words {
+			return e, fmt.Errorf("names word %d of a %d-word bank", es.Off, b.words)
 		}
 	}
 	if sized && e.width != Width8 && e.width != Width16 && e.width != Width32 {
@@ -240,15 +240,12 @@ func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
 // for warm-machine reuse across runs.
 func (s *System) Reset() {
 	// The code bank is 1 MiB and a program a few KiB: clear what was
-	// written, not the bank.
+	// written, not the bank. Likewise the bank pages: the written ones go
+	// back to the free list for the next run.
 	clear(s.code[:s.codeHi])
 	s.codeHi = 0
-	for i := range s.local {
-		clear(s.local[i])
-	}
-	for i := range s.shared {
-		clear(s.shared[i])
-	}
+	s.release(&s.local)
+	s.release(&s.shared)
 	clear(s.links)
 	clear(s.events) // release clients
 	s.events = s.events[:0]

@@ -121,7 +121,7 @@ func TestCheckpointResumeEquivalenceMatrix(t *testing.T) {
 // machine. It is the workload of the large-geometry tests below — all
 // 4n harts fork, so the serpentine wave crosses every core and the
 // full router hierarchy carries traffic.
-func setGetProgram(t *testing.T, cores, chunk int) *asm.Program {
+func setGetProgram(t testing.TB, cores, chunk int) *asm.Program {
 	t.Helper()
 	src := fmt.Sprintf(`
 #define H %d

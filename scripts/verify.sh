@@ -31,11 +31,11 @@ fi
 # queue, one instruction table, one experiment path, compiled code that
 # never becomes text, one link table, one control-message type, one gate
 # per observer, a request memo keyed by body bytes (not by a hand-hashed
-# request): the deleted second paths must not grow back. (The
-# parent's encTable, controlMn and parseLine live on as the test
-# references refEncTable, parentControlMn and parentParseLine, which the
-# case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1' -- '*.go'; then
+# request), one pool for every machine size: the deleted second paths
+# must not grow back. (The parent's encTable, controlMn and parseLine
+# live on as the test references refEncTable, parentControlMn and
+# parentParseLine, which the case-sensitive pattern does not match.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -114,6 +114,21 @@ if timeout 10 "$smokedir/lbp-serve" -addr 127.0.0.1:0 -cachedir "$smokedir/cache
     exit 1
 fi
 grep -q "locked by another" "$smokedir/second.log"
+# Footprint: two distinct 1024-core jobs, so the second runs on the
+# pooled machine after its Reset. Banks are page-backed (DESIGN.md §12):
+# the daemon must hold the pages the spin loops write, not the 128 MiB
+# the banks address.
+for n in 1000 2000; do
+    curl -fsS -X POST "http://$addr/jobs" \
+        -d '{"source":"main:\n\tli t1, '$n'\nloop:\n\taddi t1, t1, -1\n\tbne t1, zero, loop\n\tli ra, 0\n\tli t0, -1\n\tp_ret\n","lang":"s","cores":1024,"digest":true}' \
+        >"$smokedir/big$n.json"
+    grep -q '"status": "ok"' "$smokedir/big$n.json"
+done
+hwm=$(sed -n 's/^VmHWM:[[:space:]]*\([0-9]*\) kB$/\1/p' "/proc/$servepid/status")
+if [ -z "$hwm" ] || [ "$hwm" -ge $((64 * 1024)) ]; then
+    echo "lbp-serve peak RSS after two 1024-core jobs is ${hwm:-unknown} kB, want < 65536 kB" >&2
+    exit 1
+fi
 kill -TERM "$servepid"
 wait "$servepid"
 grep -q "drained" "$smokedir/serve.log"
