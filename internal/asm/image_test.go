@@ -3,11 +3,13 @@ package asm
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,8 +77,118 @@ func sameProgram(a, b *Program) bool {
 	return true
 }
 
+// readImageFields is ReadImage as it stood until lines were split in
+// place: strings.Fields over a string per line. It is the reference the
+// in-place splitter is held to (FuzzReadImage).
+func readImageFields(r io.Reader) (*Program, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<24)
+	var fields []string
+	next := func() bool {
+		for sc.Scan() {
+			if fields = strings.Fields(sc.Text()); len(fields) > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	hex := func(f string) (uint32, error) {
+		v, err := strconv.ParseUint(f, 16, 32)
+		if err != nil {
+			return 0, fmt.Errorf("asm: bad word %q", f)
+		}
+		return uint32(v), nil
+	}
+	block := func() (addr uint32, words []uint32, err error) {
+		if addr, err = hex(fields[1]); err != nil {
+			return 0, nil, err
+		}
+		n, err := strconv.ParseUint(fields[2], 10, 31)
+		if err != nil {
+			return 0, nil, fmt.Errorf("asm: bad word count %q", fields[2])
+		}
+		words = make([]uint32, 0, min(n, 1<<12))
+		for uint64(len(words)) < n {
+			if !next() {
+				return 0, nil, fmt.Errorf("asm: truncated image (want %d words, got %d)", n, len(words))
+			}
+			if uint64(len(words)+len(fields)) > n {
+				return 0, nil, fmt.Errorf("asm: word count mismatch: %d vs %d", len(words)+len(fields), n)
+			}
+			for _, f := range fields {
+				v, err := hex(f)
+				if err != nil {
+					return 0, nil, err
+				}
+				words = append(words, v)
+			}
+		}
+		return addr, words, nil
+	}
+	parse := func() (*Program, error) {
+		if !next() || len(fields) != 2 || fields[0] != "lbpimage" || fields[1] != "1" {
+			return nil, fmt.Errorf("asm: not an lbpimage v1 file")
+		}
+		p := &Program{Symbols: map[string]uint32{}}
+		for next() {
+			kind, want := fields[0], 3
+			switch kind {
+			case "entry":
+				want = 2
+			case "text", "seg", "sym":
+			default:
+				return nil, fmt.Errorf("asm: unknown image record %q", kind)
+			}
+			if len(fields) != want {
+				return nil, fmt.Errorf("asm: %s record has %d fields, want %d", kind, len(fields), want)
+			}
+			var err error
+			switch kind {
+			case "entry":
+				p.Entry, err = hex(fields[1])
+			case "text":
+				p.TextBase, p.Text, err = block()
+			case "seg":
+				var seg Segment
+				seg.Addr, seg.Words, err = block()
+				p.Segments = append(p.Segments, seg)
+			case "sym":
+				p.Symbols[fields[1]], err = hex(fields[2])
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
+	}
+	p, err := parse()
+	if scErr := sc.Err(); scErr != nil {
+		return nil, fmt.Errorf("asm: reading image: %w", scErr)
+	}
+	return p, err
+}
+
+// separatorSeeds are images whose fields are parted by every kind of
+// separator strings.Fields knows: ASCII controls, CRLF line ends, and
+// Unicode spaces, which only the non-ASCII fallback splits on.
+var separatorSeeds = []string{
+	"lbpimage 1\r\nentry\v00000004\r\ntext\f0 2\r\n00000093\t00100073\r\nsym main 4\r\n",
+	"lbpimage\u00a01\ntext 0 2\n00000093\u008500100073\nsym\u2028main 0\n",
+	"lbpimage 1\ntext 0 2\n00000093\u00a0\u00a000100073\u2029\n",
+	"lbpimage 1\ntext 0 1\n000000\u00a093\n", // a space inside a word: two fields
+	"lbpimage 1\ntext 0 1\n0000\xff0093\n",   // invalid UTF-8 is not a space
+	"lbpimage 1\nsym ma\u200bin 4\n",         // a zero-width space is not one either
+	"lbpimage 1\ntext 0 1\n0000_0093\n",      // nor is an underscore a digit
+	"lbpimage 1\ntext 0 1\n+0000093\n",
+	"lbpimage 1\nentry 0000000000000000ffffffff\n", // leading zeros past 8 digits
+	"lbpimage 1\nentry 100000000\n",                // 33 bits
+	"lbpimage 1\nentry 0x10\n",
+}
+
 // FuzzReadImage: arbitrary bytes get an error or a program that
-// survives WriteImage → ReadImage unchanged; never a panic.
+// survives WriteImage → ReadImage unchanged, never a panic; and ReadImage
+// accepts and refuses exactly what the strings.Fields parser
+// (readImageFields) does, with the same program or the same error.
 func FuzzReadImage(f *testing.F) {
 	vecsum, err := os.ReadFile("testdata/vecsum.img")
 	if err != nil {
@@ -86,8 +198,20 @@ func FuzzReadImage(f *testing.F) {
 	for _, input := range imageRefusals {
 		f.Add([]byte(input))
 	}
+	for _, input := range separatorSeeds {
+		f.Add([]byte(input))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadImage(bytes.NewReader(data))
+		ref, refErr := readImageFields(bytes.NewReader(data))
+		switch {
+		case (err == nil) != (refErr == nil):
+			t.Fatalf("ReadImage: %v; the strings.Fields parser: %v", err, refErr)
+		case err != nil && err.Error() != refErr.Error():
+			t.Fatalf("ReadImage refuses with %q, the strings.Fields parser with %q", err, refErr)
+		case err == nil && !sameProgram(p, ref):
+			t.Fatalf("ReadImage and the strings.Fields parser disagree:\n%+v\n%+v", p, ref)
+		}
 		if err != nil {
 			if p != nil {
 				t.Fatalf("ReadImage returned both a program and %v", err)
@@ -106,6 +230,48 @@ func FuzzReadImage(f *testing.F) {
 			t.Fatalf("image does not round-trip:\n%+v\n%+v", p, q)
 		}
 	})
+}
+
+// TestImageAllocs pins the garbage of the two image directions:
+// WriteImage into a hash allocates as often for a 4 Ki-word image as for
+// a 64-word one (its buffered writer is pooled, its words go through a
+// table), and ReadImage's allocations do not grow with the word lines.
+func TestImageAllocs(t *testing.T) {
+	image := func(words int) *Program {
+		text := make([]uint32, words)
+		for i := range text {
+			text[i] = uint32(i) * 2654435761
+		}
+		return &Program{Entry: 0x40, Text: text, Symbols: map[string]uint32{"main": 0x40}}
+	}
+	small, large := image(64), image(4<<10)
+	h := sha256.New()
+	writes := func(p *Program) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if err := p.WriteImage(h); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := writes(small), writes(large); s != l {
+		t.Errorf("WriteImage into sha256 allocates %v times for 64 words, %v for 4096", s, l)
+	}
+	reads := func(p *Program) float64 {
+		var buf bytes.Buffer
+		if err := p.WriteImage(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(buf.Bytes())
+		return testing.AllocsPerRun(50, func() {
+			r.Reset(buf.Bytes())
+			if _, err := ReadImage(r); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if s, l := reads(small), reads(large); s != l {
+		t.Errorf("ReadImage allocates %v times for 8 word lines, %v for 512", s, l)
+	}
 }
 
 // writeWordsFmt is writeWords as it stood until the digits came from a

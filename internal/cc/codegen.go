@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/detomp"
@@ -60,12 +61,35 @@ func compile(src string, opt Options, runtime bool) (*asm.List, error) {
 		return nil, err
 	}
 	g := &codegen{prog: prog, opt: opt}
-	// about a statement for every three bytes of source, and the runtime's
-	g.list.Stmts = make([]asm.Stmt, 0, min(len(src)/2+64, 1<<12))
+	g.list.Stmts = *stmtPool.Get().(*[]asm.Stmt)
 	if err := g.run(runtime); err != nil {
+		release(&g.list)
 		return nil, err
 	}
 	return &g.list, nil
+}
+
+// maxPooled bounds the token and statement buffers the pools keep: an
+// ordinary program fits, a huge one's buffer goes to the collector.
+const maxPooled = 1 << 12
+
+// stmtPool holds statement lists between compiles: a list is garbage
+// once it is assembled or rendered, and Build and compileText give it
+// back (release) so that the next compile appends into it.
+var stmtPool = sync.Pool{New: func() any { return new([]asm.Stmt) }}
+
+// release returns l's statements to stmtPool, cleared to their capacity
+// (the peephole shortens the list in place, leaving statements past its
+// end), unless they grew past maxPooled.
+func release(l *asm.List) {
+	st := l.Stmts
+	l.Stmts = nil
+	if cap(st) > maxPooled {
+		return
+	}
+	clear(st[:cap(st)])
+	st = st[:0]
+	stmtPool.Put(&st)
 }
 
 // Registers, by number (isa.RegNames).

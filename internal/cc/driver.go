@@ -13,6 +13,7 @@ func Build(src string, opt Options) (*asm.Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer release(l)
 	return l.Assemble(asm.Options{})
 }
 
@@ -28,5 +29,6 @@ func compileText(src string, opt Options, runtime bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer release(l)
 	return l.String(), nil
 }

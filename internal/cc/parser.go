@@ -1,6 +1,9 @@
 package cc
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
@@ -33,9 +36,10 @@ func (p *parser) tooDeep() error {
 // Parse builds the AST of a MiniC translation unit.
 func Parse(src string) (*Program, error) {
 	p := &parser{lex: newLexer(src), structs: map[string]*Type{}}
-	// room for the tokens of an ordinary source at once; a bounded guess,
-	// so that a huge source refused early has cost little
-	p.toks = make([]Token, 0, min(len(src)/2+16, 1<<12))
+	// The tokens are dead once the tree is built — it copies what it
+	// keeps — so the buffer comes from tokPool and goes back to it.
+	p.toks = *tokPool.Get().(*[]Token)
+	defer p.releaseTokens()
 	p.fill()
 	prog := &Program{Structs: p.structs}
 	var err error
@@ -58,6 +62,22 @@ func Parse(src string) (*Program, error) {
 	}
 	prog.Includes = p.lex.includes
 	return prog, nil
+}
+
+// tokPool holds token buffers between parses.
+var tokPool = sync.Pool{New: func() any { return new([]Token) }}
+
+// releaseTokens returns the token buffer to tokPool, cleared, unless it
+// grew past maxPooled.
+func (p *parser) releaseTokens() {
+	toks := p.toks
+	p.toks = nil
+	if cap(toks) > maxPooled {
+		return
+	}
+	clear(toks)
+	toks = toks[:0]
+	tokPool.Put(&toks)
 }
 
 // fill lexes one more token. The parser pulls tokens as it goes, so a

@@ -687,3 +687,29 @@ func TestHangingDialDoesNotStallOtherBackends(t *testing.T) {
 		t.Errorf("the live worker completed %d jobs, want all %d", n, jobs)
 	}
 }
+
+// TestImageBytesBoundsTheImage: the buffer a remote job's image is
+// written into is sized once, so the bound must hold for every shape
+// of program — records, many symbols, long names, counts of ten digits'
+// worth of words in a segment header.
+func TestImageBytesBoundsTheImage(t *testing.T) {
+	syms := map[string]uint32{}
+	for i := range 100 {
+		syms[fmt.Sprintf("%s%d", strings.Repeat("s", i), i)] = uint32(i) << 20
+	}
+	progs := map[string]*asm.Program{
+		"empty":   {},
+		"symbols": {Entry: 0xffffffff, TextBase: 0xfffffff0, Text: make([]uint32, 9), Symbols: syms},
+		"segments": {Text: make([]uint32, 1), Segments: []asm.Segment{
+			{Addr: 0x80000000, Words: make([]uint32, 1<<20)}, {Addr: 0xfffffffc}, {Addr: 0x80000004, Words: make([]uint32, 7)}}},
+	}
+	for name, p := range progs {
+		var img bytes.Buffer
+		if err := p.WriteImage(&img); err != nil {
+			t.Fatal(err)
+		}
+		if n, bound := img.Len(), imageBytes(p); n > bound {
+			t.Errorf("%s: image of %d bytes, imageBytes bounds it at %d", name, n, bound)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/asm"
 	"repro/internal/rpc"
 )
 
@@ -60,8 +61,8 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 		// The program crosses the wire as an image, serialized once per
 		// job: retries reuse the bytes.
 		if p.image == nil {
-			var img bytes.Buffer
-			if err := job.Program.WriteImage(&img); err != nil {
+			img := bytes.NewBuffer(make([]byte, 0, imageBytes(job.Program)))
+			if err := job.Program.WriteImage(img); err != nil {
 				return nil, refusal("serializing program", err)
 			}
 			p.image = img.Bytes()
@@ -90,6 +91,21 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 		r.drop(conn)
 	}
 	return nil, fmt.Errorf("backend %s: %w", r.addr, err)
+}
+
+// imageBytes bounds the size of p's image (asm's WriteImage format), so
+// that the buffer it is written into is allocated once: 9 bytes a word,
+// and a line of at most 64 bytes for the header, 32 a segment and 16
+// plus the name a symbol.
+func imageBytes(p *asm.Program) int {
+	n := 64 + 9*len(p.Text)
+	for _, s := range p.Segments {
+		n += 32 + 9*len(s.Words)
+	}
+	for name := range p.Symbols {
+		n += 16 + len(name)
+	}
+	return n
 }
 
 // live returns the connection if there is one and it has not died.

@@ -102,9 +102,10 @@ func ValidateGeometry(cores, routerDegree int) error {
 // entries and the largest machine in the tree (1024 default cores)
 // addresses 129 MiB of banks; the caps sit well clear of both, and exist
 // so that a configuration read from a file cannot size an allocation at
-// will. Only the code bank is allocated whole: the local and shared
-// banks are page-backed (mem), so for them maxBankBytes bounds the page
-// tables (one pointer per KiB) and what a program can make resident.
+// will. No bank is allocated whole: the code bank grows with the image
+// loaded into it and the local and shared banks are page-backed (mem),
+// so maxBankBytes bounds the page tables (one pointer per KiB) and what
+// a program can make resident.
 const (
 	maxStructEntries = 1 << 10 // ITEntries, ROBEntries, RemoteRBs
 	maxRBDepth       = 1 << 20

@@ -10,14 +10,19 @@ import (
 const decodeTestProg = "main:\n\tli ra, 0\n\tli t0, -1\n\taddi a0, zero, 7\n\tp_ret\n"
 
 // checkImage requires the machine's descriptor image to be exactly the
-// decode of the first n words of its code bank, and nothing to resolve
-// past them.
+// decode of the first n words of its code bank (zero past the bank's
+// written prefix), and nothing to resolve past them.
 func checkImage(t *testing.T, label string, m *Machine, n int) {
 	t.Helper()
 	if len(m.descs) != n {
 		t.Fatalf("%s: image holds %d descriptors, want %d", label, len(m.descs), n)
 	}
-	for i, w := range m.Mem.Code(n) {
+	code := m.Mem.Code()
+	for i := range n {
+		var w uint32
+		if i < len(code) {
+			w = code[i]
+		}
 		d := m.descAt(uint32(4 * i))
 		if d == nil {
 			t.Fatalf("%s: word %d does not resolve", label, i)
@@ -115,5 +120,63 @@ func TestDescAt(t *testing.T) {
 	}
 	if d := m.descAt(p.TextBase); d == nil || d.Inst.Raw != p.Text[0] {
 		t.Errorf("entry pc resolves to %+v, want the decode of %#08x", d, p.Text[0])
+	}
+}
+
+// TestPooledCodeCapacity: a machine reused across programs holds a code
+// array of the largest image it ran — its end, for a program above a
+// text base — not the code bank.
+func TestPooledCodeCapacity(t *testing.T) {
+	var progs []*asm.Program
+	for _, base := range []uint32{0, 0x400, 0, 0x40} {
+		p, err := asm.Assemble(decodeTestProg, asm.Options{TextBase: base})
+		if err != nil {
+			t.Fatalf("assemble: %v", err)
+		}
+		progs = append(progs, p)
+	}
+	m := New(DefaultConfig(2))
+	if err := m.LoadProgram(progs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range progs[1:] {
+		if err := m.Reset(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := cap(m.Mem.Code()), 0x400/4+len(progs[1].Text); got != want {
+		t.Errorf("code capacity %d words after four programs, want the largest image's end, %d", got, want)
+	}
+}
+
+// TestRestoreDecodesPastCodePrefix: a checkpoint's code image drops the
+// bank's trailing zeros, so its decoded length can exceed it; restore
+// decodes the words past the prefix as the zero word, OpInvalid.
+func TestRestoreDecodesPastCodePrefix(t *testing.T) {
+	p, err := asm.Assemble(decodeTestProg, asm.Options{})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	p.Text = append(p.Text, 0, 0)
+	m := New(DefaultConfig(2))
+	if err := m.LoadProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := m.Checkpoint()
+	if err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	r, err := Restore(cp)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if n := len(r.Mem.Code()); n != len(p.Text)-2 {
+		t.Fatalf("restored code prefix is %d words, want the %d before the trailing zeros", n, len(p.Text)-2)
+	}
+	checkImage(t, "after Restore", r, len(p.Text))
+	for i := len(p.Text) - 2; i < len(p.Text); i++ {
+		if op := r.descAt(uint32(4 * i)).Op(); op != isa.OpInvalid {
+			t.Errorf("word %d past the restored prefix decodes to %v, want OpInvalid", i, op)
+		}
 	}
 }

@@ -176,16 +176,22 @@ func (m *Machine) descAt(pc uint32) *isa.Desc {
 }
 
 // decodeCode makes the first n words of the code bank the descriptor
-// image (words below a text base decode to OpInvalid, like the zeroed
-// bank there). Every way code gets into the bank — LoadProgram, Reset,
-// checkpoint restore — ends here; the image is the machine's own and
-// keeps its backing array, so a warm load allocates nothing for it.
+// image (zero words — below a text base, past the bank's written
+// prefix — decode to OpInvalid). Every way code gets into the bank —
+// LoadProgram, Reset, checkpoint restore — ends here; the image is the
+// machine's own and keeps its backing array, so a warm load allocates
+// nothing for it.
 func (m *Machine) decodeCode(n int) {
 	if cap(m.descs) < n {
 		m.descs = make([]isa.Desc, n)
 	}
 	m.descs = m.descs[:n]
-	for i, w := range m.Mem.Code(n) {
+	code := m.Mem.Code()
+	for i := range m.descs {
+		var w uint32
+		if i < len(code) {
+			w = code[i]
+		}
 		m.descs[i] = isa.DecodeDesc(w)
 	}
 }

@@ -22,7 +22,8 @@
 // after the response traversed the return path.
 //
 // Storage. The local and shared banks are backed by 1 KiB pages that
-// exist once written (pages.go); the code bank is one dense array.
+// exist once written (pages.go); the code bank holds only the prefix
+// loaded so far, the words up to the end of the highest image.
 package mem
 
 import (
@@ -123,11 +124,10 @@ type Stats struct {
 // System is the whole memory subsystem of an LBP machine.
 type System struct {
 	cfg    Config
-	code   []uint32
-	codeHi int     // words of code that may be non-zero: all Reset has to clear
-	local  banks   // every core's local bank
-	shared banks   // every core's shared bank
-	free   []*page // zeroed pages Reset detached, attached again before allocating
+	code   []uint32 // the written prefix of the code bank; the words past it, to cap, are zero
+	local  banks    // every core's local bank
+	shared banks    // every core's shared bank
+	free   []*page  // zeroed pages Reset detached, attached again before allocating
 
 	// Link free times. Every unidirectional link of the machine is one
 	// word of links — the cycle at which it is next free — and the named
@@ -199,7 +199,6 @@ func New(cfg Config) *System {
 	}
 	s := &System{
 		cfg:    cfg,
-		code:   make([]uint32, cfg.CodeBytes/4),
 		local:  newBanks(n, cfg.LocalBytes),
 		shared: newBanks(n, cfg.SharedBytes),
 		links:  make([]uint64, 7*n+6*routers+4*nchips),
@@ -239,15 +238,29 @@ func (s *System) LoadCode(base uint32, words []uint32) error {
 	if base%4 != 0 {
 		return fmt.Errorf("mem: code base %#x not word aligned", base)
 	}
-	idx := (base - CodeBase) / 4
-	if int(idx)+len(words) > len(s.code) {
+	idx := uint64(base-CodeBase) / 4
+	if idx+uint64(len(words)) > uint64(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: code image of %d words overflows code bank", len(words))
 	}
+	s.growCode(int(idx) + len(words))
 	copy(s.code[idx:], words)
-	if end := int(idx) + len(words); end > s.codeHi {
-		s.codeHi = end
-	}
 	return nil
+}
+
+// growCode extends the code prefix to n words. Past the prefix the
+// backing array is zero (Reset clears before it truncates), so a prefix
+// that fits reslices; one that does not gets an array of exactly n
+// words: a pooled machine holds the largest image it ran, not the bank.
+func (s *System) growCode(n int) {
+	switch {
+	case n <= len(s.code):
+	case n <= cap(s.code):
+		s.code = s.code[:n]
+	default:
+		code := make([]uint32, n)
+		copy(code, s.code)
+		s.code = code
+	}
 }
 
 // LoadShared installs initialized data words at an absolute shared address.
@@ -263,10 +276,11 @@ func (s *System) LoadShared(addr uint32, words []uint32) error {
 	return nil
 }
 
-// Code returns the first n words of the code bank, for the machine to
-// predecode: the simulator fetches from its decoded image, never from
-// the bank. The slice aliases the bank and must not be written.
-func (s *System) Code(n int) []uint32 { return s.code[:n] }
+// Code returns the written prefix of the code bank, for the machine to
+// predecode (every word past it is zero): the simulator fetches from its
+// decoded image, never from the bank. The slice aliases the bank and
+// must not be written.
+func (s *System) Code() []uint32 { return s.code }
 
 // sharedSlot maps a shared address to (bank, word offset).
 func (s *System) sharedSlot(addr uint32) (int, uint32, bool) {

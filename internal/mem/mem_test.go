@@ -216,14 +216,62 @@ func TestLoadCodeAndFetch(t *testing.T) {
 	if err := s.LoadCode(0, []uint32{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if code := s.Code(4); code[0] != 1 || code[2] != 3 || code[3] != 0 {
-		t.Errorf("Code(4) = %v, want the image and a zero word past it", code)
+	if code := s.Code(); len(code) != 3 || code[0] != 1 || code[2] != 3 {
+		t.Errorf("Code() = %v, want the image", code)
 	}
 	if err := s.LoadCode(2, []uint32{9}); err == nil {
 		t.Error("unaligned code base must fail")
 	}
 	if err := s.LoadCode(0, make([]uint32, 1<<20)); err == nil {
 		t.Error("oversized code image must fail")
+	}
+}
+
+// TestCodeBankGrowsWithImage: the code bank is the prefix the loads
+// wrote. A fresh system holds no array for it, a load at a high base
+// grows it to exactly the image's end, a load past CodeBytes is refused
+// and a Reset keeps the array, so reloading a program allocates nothing.
+func TestCodeBankGrowsWithImage(t *testing.T) {
+	s := newSys(2)
+	if n, c, held := CodeWords(s); held || n != 0 || c != 0 {
+		t.Fatalf("a fresh system holds a %d/%d-word code array", n, c)
+	}
+	img := []uint32{1, 2, 3}
+	const base = 0x4000
+	if err := s.LoadCode(base, img); err != nil {
+		t.Fatal(err)
+	}
+	if n, c, _ := CodeWords(s); n != base/4+len(img) || c != n {
+		t.Errorf("a load at %#x grows the prefix to %d words (capacity %d), want exactly %d", base, n, c, base/4+len(img))
+	}
+	if code := s.Code(); code[0] != 0 || code[base/4] != 1 || code[len(code)-1] != 3 {
+		t.Errorf("prefix holds %v… at its ends, want zeros below the base and the image at it", code[:4])
+	}
+
+	words := DefaultConfig(2).CodeBytes / 4
+	if err := s.LoadCode(4*(words-3), img); err != nil {
+		t.Errorf("an image ending at the bank's last word: %v", err)
+	}
+	err := s.LoadCode(4*(words-2), img)
+	if want := "mem: code image of 3 words overflows code bank"; err == nil || err.Error() != want {
+		t.Errorf("an image one word past the bank: %v, want %q", err, want)
+	}
+
+	short := newSys(2)
+	if err := short.LoadCode(0, img); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		short.Reset()
+		if err := short.LoadCode(0, img); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Reset and a reload of the same image allocate %v times, want 0", n)
+	}
+	short.Reset()
+	if n, c, _ := CodeWords(short); n != 0 || c != len(img) {
+		t.Errorf("after Reset the prefix is %d words of a %d-word array, want 0 of %d", n, c, len(img))
 	}
 }
 

@@ -152,7 +152,7 @@ func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
 // dispatch would index or call through an event is checked here, before
 // the event is queued.
 func (s *System) RestoreGlobalState(st *State, clients []any) error {
-	if len(st.Code) > len(s.code) {
+	if len(st.Code) > int(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
 	}
 	if len(st.Links) != len(s.links) {
@@ -165,8 +165,10 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 			return fmt.Errorf("mem: state event %d %v", i, err)
 		}
 	}
-	clear(s.code[:s.codeHi])
-	s.codeHi = copy(s.code, st.Code)
+	clear(s.code)
+	s.code = s.code[:0]
+	s.growCode(len(st.Code))
+	copy(s.code, st.Code)
 	copy(s.links, st.Links)
 	s.seq = st.Seq
 	s.Stats = st.Stats
@@ -239,11 +241,10 @@ func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
 // Reset returns the system to its post-New state, keeping allocations,
 // for warm-machine reuse across runs.
 func (s *System) Reset() {
-	// The code bank is 1 MiB and a program a few KiB: clear what was
-	// written, not the bank. Likewise the bank pages: the written ones go
-	// back to the free list for the next run.
-	clear(s.code[:s.codeHi])
-	s.codeHi = 0
+	// The code prefix is cleared and truncated, keeping its array for the
+	// next load; the written bank pages go back to the free list.
+	clear(s.code)
+	s.code = s.code[:0]
 	s.release(&s.local)
 	s.release(&s.shared)
 	clear(s.links)

@@ -87,8 +87,9 @@ var frameLimit = MaxFrameBytes
 // be guarded by the caller's mutex.
 func writeFrame(w io.Writer, m *message) error {
 	m.JSONRPC = "2.0"
-	var frame bytes.Buffer
-	if err := json.NewEncoder(&frame).Encode(m); err != nil { // appends the newline
+	frame := getBuffer()
+	defer putBuffer(frame)
+	if err := json.NewEncoder(frame).Encode(m); err != nil { // appends the newline
 		return fmt.Errorf("rpc: encoding frame: %w", err)
 	}
 	if frame.Len() > frameLimit {
@@ -98,6 +99,25 @@ func writeFrame(w io.Writer, m *message) error {
 		return fmt.Errorf("%w: %v", ErrClosed, err)
 	}
 	return nil
+}
+
+// maxPooled bounds the buffers the pools keep: an ordinary job's frame
+// reuses one, a checkpoint's goes to the collector.
+const maxPooled = 1 << 20
+
+// buffers holds the encodings of outgoing frames and their params,
+// garbage once the frame is written, and the servers' per-call copies of
+// incoming frames, garbage once the call is answered.
+var buffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer { return buffers.Get().(*bytes.Buffer) }
+
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() > maxPooled {
+		return
+	}
+	b.Reset()
+	buffers.Put(b)
 }
 
 // frameReader reads the newline-terminated frames of one transport. A
@@ -115,26 +135,27 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReaderSize(r, 64<<10)}
 }
 
-func (fr *frameReader) next(m *message) error {
+// next returns the next frame's bytes, valid until the following call.
+func (fr *frameReader) next() ([]byte, error) {
 	fr.buf = fr.buf[:0]
 	for {
 		chunk, err := fr.br.ReadSlice('\n')
 		need := len(fr.buf) + len(chunk)
 		if need > frameLimit {
-			return ErrFrameTooLarge
+			return nil, ErrFrameTooLarge
 		}
 		if err == nil && len(fr.buf) == 0 {
-			return json.Unmarshal(chunk, m)
+			return chunk, nil
 		}
 		if need > cap(fr.buf) {
 			fr.buf = append(make([]byte, 0, min(max(8*cap(fr.buf), need, 1<<20), frameLimit)), fr.buf...)
 		}
 		fr.buf = append(fr.buf, chunk...)
 		if err == nil {
-			return json.Unmarshal(fr.buf, m)
+			return fr.buf, nil
 		}
 		if err != bufio.ErrBufferFull {
-			return err
+			return nil, err
 		}
 	}
 }
@@ -183,7 +204,11 @@ func (c *Conn) readLoop() {
 	fr := newFrameReader(c.c)
 	for {
 		var m message
-		if err := fr.next(&m); err != nil {
+		frame, err := fr.next()
+		if err == nil {
+			err = json.Unmarshal(frame, &m)
+		}
+		if err != nil {
 			c.fail(err)
 			return
 		}
@@ -254,7 +279,7 @@ func (c *Conn) Closed() <-chan struct{} { return c.closed }
 // may still be running it; protocol-level cancellation is the caller's
 // business (see dispatch's cancel notifications).
 func (c *Conn) Call(ctx context.Context, method string, params, result any) error {
-	raw, err := marshalParams(params)
+	raw, buf, err := marshalParams(params)
 	if err != nil {
 		return err
 	}
@@ -263,6 +288,7 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		putBuffer(buf)
 		return err
 	}
 	c.nextID++
@@ -273,6 +299,7 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 	c.wmu.Lock()
 	err = writeFrame(c.c, &message{ID: &id, Method: method, Params: raw})
 	c.wmu.Unlock()
+	putBuffer(buf)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.calls, id)
@@ -307,31 +334,37 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 
 // Notify sends a fire-and-forget notification to the peer.
 func (c *Conn) Notify(method string, params any) error {
-	raw, err := marshalParams(params)
+	raw, buf, err := marshalParams(params)
 	if err != nil {
 		return err
 	}
+	defer putBuffer(buf)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	return writeFrame(c.c, &message{Method: method, Params: raw})
 }
 
-func marshalParams(params any) (json.RawMessage, error) {
+// marshalParams encodes params into a pooled buffer; the bytes are
+// good until the caller returns buf with putBuffer.
+func marshalParams(params any) (raw json.RawMessage, buf *bytes.Buffer, err error) {
+	buf = getBuffer()
 	if params == nil {
-		return nil, nil
+		return nil, buf, nil
 	}
-	raw, err := json.Marshal(params)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: encoding params: %w", err)
+	if err := json.NewEncoder(buf).Encode(params); err != nil {
+		putBuffer(buf)
+		return nil, nil, fmt.Errorf("rpc: encoding params: %w", err)
 	}
-	return raw, nil
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), buf, nil
 }
 
 // Handler dispatches one incoming call. The returned value is encoded
 // as the result; a *Error return travels verbatim, any other error
 // becomes a CodeInternal *Error. ctx is canceled when the connection
 // dies, so long-running handlers stop working for a peer that will
-// never read the answer.
+// never read the answer. params alias the frame's buffer, which is
+// reused once the call is answered: a handler that keeps them past its
+// return copies them.
 type Handler interface {
 	ServeRPC(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error)
 }
@@ -346,10 +379,11 @@ type ServerConn struct {
 // Notify pushes a notification to the connected client. ErrFrameTooLarge
 // means nothing was sent and the connection lives on.
 func (sc *ServerConn) Notify(method string, params any) error {
-	raw, err := marshalParams(params)
+	raw, buf, err := marshalParams(params)
 	if err != nil {
 		return err
 	}
+	defer putBuffer(buf)
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
 	return writeFrame(sc.c, &message{Method: method, Params: raw})
@@ -451,21 +485,32 @@ func (s *Server) serveConn(nc net.Conn) {
 	fr := newFrameReader(nc)
 	var wg sync.WaitGroup
 	for {
-		var m message
-		if err := fr.next(&m); err != nil {
+		frame, err := fr.next()
+		if err != nil {
 			break // a dead transport, or a frame that cannot be read past
 		}
+		// The call's own copy of the frame, from a pool: its params are
+		// decoded in place, not copied out as a json.RawMessage would be.
+		buf := getBuffer()
+		buf.Write(frame)
+		var m request
+		if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
+			putBuffer(buf)
+			break
+		}
 		if m.Method == "" {
+			putBuffer(buf)
 			continue // a stray response; nothing to do with it
 		}
 		wg.Add(1)
-		go func(m message) {
+		go func(m request, buf *bytes.Buffer) {
 			defer wg.Done()
-			res, err := s.h.ServeRPC(ctx, sc, m.Method, m.Params)
+			defer putBuffer(buf)
+			res, err := s.h.ServeRPC(ctx, sc, m.Method, json.RawMessage(m.Params))
 			if m.ID != nil {
 				_ = sc.reply(*m.ID, res, err)
 			}
-		}(m)
+		}(m, buf)
 	}
 	cancel()
 	nc.Close()
@@ -473,4 +518,21 @@ func (s *Server) serveConn(nc net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, nc)
 	s.mu.Unlock()
+}
+
+// request is a frame as the server reads it: a message whose params
+// (and result, which the server ignores) alias the frame instead of
+// being copied out of it. The outer fields shadow message's.
+type request struct {
+	message
+	Params inPlace `json:"params,omitempty"`
+	Result inPlace `json:"result,omitempty"`
+}
+
+// inPlace is a JSON value kept as the bytes it was decoded from.
+type inPlace []byte
+
+func (p *inPlace) UnmarshalJSON(b []byte) error {
+	*p = b
+	return nil
 }

@@ -264,3 +264,60 @@ func BenchmarkHandleJobsHit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkHandleJobsMiss is the whole cost of a cold job inside the
+// process — body read, memo miss, decode, compile, cache key, a pooled
+// run, the cache write and the response — for a distinct generated
+// MiniC source each time: the server's share of serve_cold, without the
+// load generator the benchmark ledger's allocation meter also counts.
+func BenchmarkHandleJobsMiss(b *testing.B) {
+	p := fuzzgen.Generate(1_000_003, fuzzgen.GenConfig{})
+	src := p.Render()
+	store, err := cache.Open(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	srv := New(Config{Workers: 1, QueueDepth: 4, Cache: store})
+	defer srv.Shutdown(context.Background())
+	h := srv.Handler()
+	post := func(i int) {
+		// A distinct program every time: a global the program never reads.
+		req := JobRequest{Source: fmt.Sprintf("int unread%d;\n%s", i, src), Cores: p.MinCores, Digest: true}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || bytes.Contains(rec.Body.Bytes(), []byte(`"cached": true`)) {
+			b.Fatalf("HTTP %d, not a miss: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	post(0) // a warm pool machine and warm buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(i + 1)
+	}
+}
+
+// TestReadBodyReusesBuffer: a body that fits the buffer handed in is
+// read without an allocation, so a pooled buffer makes an ordinary
+// request's body free.
+func TestReadBodyReusesBuffer(t *testing.T) {
+	body := bytes.Repeat([]byte("x"), 4<<10)
+	r := bytes.NewReader(body)
+	buf, err := readBody(nil, r)
+	if err != nil || !bytes.Equal(buf, body) {
+		t.Fatalf("cold read: %d bytes, %v", len(buf), err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		if buf, err = readBody(buf[:0], r); err != nil || len(buf) != len(body) {
+			t.Fatalf("warm read: %d bytes, %v", len(buf), err)
+		}
+	}); n != 0 {
+		t.Errorf("reading a 4 KiB body into a warm buffer allocates %v times, want 0", n)
+	}
+}

@@ -311,42 +311,9 @@ func (s *Server) saveCheckpoint(out *JobResult, state []byte) {
 // for a repeat job, without consuming a queue slot or simulating a
 // cycle; through the dispatcher otherwise.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	// All of it, not just the JSON value: the cap bounds every byte.
-	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	req, front, key, ok := s.readJob(w, r)
+	if !ok {
 		return
-	}
-	// Body bytes this process has keyed before have their cache key in
-	// the memo: a repeat is answered without decoding or compiling, and
-	// one whose entry is gone runs cold under the remembered key.
-	var front [sha256.Size]byte
-	var key string
-	if s.cfg.Cache != nil {
-		front = sha256.Sum256(body)
-		if key = s.front.get(front); key != "" {
-			s.met.frontHits.Add(1)
-			if s.answerCached(w, key) {
-				return
-			}
-		}
-	}
-	// The job is the body's first JSON value. Unmarshal decodes a body that
-	// is only that, in place; anything else goes to a Decoder (which would
-	// copy the body) to skip what follows the value or to word the error.
-	var req JobRequest
-	if json.Unmarshal(body, &req) != nil {
-		req = JobRequest{}
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
 	}
 	if err := req.validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -403,15 +370,77 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.answer(w, r, job, res, err)
 }
 
-// readBody reads r to its end into a buffer that doubles as it fills:
-// a large body costs about twice its size in allocations (io.ReadAll's
-// 1.25× steps cost five times), and nothing is sized from what a client
-// claims.
-func readBody(r io.Reader) ([]byte, error) {
-	b := make([]byte, 0, 512)
+// readJob reads the request body into a pooled buffer and decodes the
+// job from it; the buffer goes back to the pool before the job runs
+// (the decoded request holds no byte of it). front is the body's SHA-256
+// and key the cache key the memo remembers for it, when there is a
+// cache. A request readJob answered itself — a memo hit in the cache, a
+// body too large or not a job — returns ok false.
+func (s *Server) readJob(w http.ResponseWriter, r *http.Request) (req JobRequest, front [sha256.Size]byte, key string, ok bool) {
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	// All of it, not just the JSON value: the cap bounds every byte.
+	body, err := readBody(*buf, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	*buf = body
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return req, front, "", false
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return req, front, "", false
+	}
+	// Body bytes this process has keyed before have their cache key in
+	// the memo: a repeat is answered without decoding or compiling, and
+	// one whose entry is gone runs cold under the remembered key.
+	if s.cfg.Cache != nil {
+		front = sha256.Sum256(body)
+		if key = s.front.get(front); key != "" {
+			s.met.frontHits.Add(1)
+			if s.answerCached(w, key) {
+				return req, front, key, false
+			}
+		}
+	}
+	// The job is the body's first JSON value. Unmarshal decodes a body that
+	// is only that, in place; anything else goes to a Decoder (which would
+	// copy the body) to skip what follows the value or to word the error.
+	if json.Unmarshal(body, &req) != nil {
+		req = JobRequest{}
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return req, front, key, false
+		}
+	}
+	return req, front, key, true
+}
+
+// maxPooledBody bounds the body buffers bodyPool keeps: an ordinary
+// job's buffer is reused, an outsized one goes to the collector.
+const maxPooledBody = 1 << 20
+
+// bodyPool holds request body buffers between requests (readJob).
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBody(buf *[]byte) {
+	if cap(*buf) > maxPooledBody {
+		return
+	}
+	*buf = (*buf)[:0]
+	bodyPool.Put(buf)
+}
+
+// readBody appends r, read to its end, to b and returns the result. A
+// body that fits b's capacity costs nothing; past it the buffer doubles
+// as it fills, so a large body costs about twice its size in
+// allocations (io.ReadAll's 1.25× steps cost five times), and nothing is
+// sized from what a client claims.
+func readBody(b []byte, r io.Reader) ([]byte, error) {
 	for {
 		if len(b) == cap(b) {
-			b = append(make([]byte, 0, 2*cap(b)), b...)
+			b = append(make([]byte, 0, max(2*cap(b), 512)), b...)
 		}
 		n, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
@@ -419,7 +448,7 @@ func readBody(r io.Reader) ([]byte, error) {
 			return b, nil
 		}
 		if err != nil {
-			return nil, err
+			return b, err
 		}
 	}
 }

@@ -31,11 +31,12 @@ fi
 # queue, one instruction table, one experiment path, compiled code that
 # never becomes text, one link table, one control-message type, one gate
 # per observer, a request memo keyed by body bytes (not by a hand-hashed
-# request), one pool for every machine size: the deleted second paths
-# must not grow back. (The parent's encTable, controlMn and parseLine
+# request), one pool for every machine size, a code bank that is its
+# written prefix (no high-water mark over a dense array): the deleted
+# second paths must not grow back. (The parent's encTable, controlMn and parseLine
 # live on as the test references refEncTable, parentControlMn and
 # parentParseLine, which the case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores' -- '*.go'; then
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi' -- '*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
