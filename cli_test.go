@@ -728,7 +728,7 @@ func TestCLIFuzzSmoke(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"},
 		{"-workers", "1"}, // the worker-count axis is gone: unknown flag
-		{"-ffwd", "sometimes"},
+		{"-ffwd", "both"}, // both settings are always crossed: unknown flag
 		{"-maxcores", "0"},
 	} {
 		out, err := exec.Command(lbpfuzz, args...).CombinedOutput()

@@ -1,14 +1,14 @@
 // lbp-fuzz is the whole-program determinism fuzzer: it generates
 // random MiniC + Deterministic OpenMP programs (internal/fuzzgen),
 // compiles each one with internal/cc, runs it on simulated LBP
-// machines across a {cores} × {-ffwd} matrix, and requires every run
-// to reproduce the Go reference evaluator's sequential result
-// bit-for-bit — with all runs on one machine geometry sharing a single
-// trace digest.
+// machines across a {cores} × {fast-forward on, off} matrix, and
+// requires every run to reproduce the Go reference evaluator's
+// sequential result bit-for-bit — with all runs on one machine geometry
+// sharing a single trace digest.
 //
 // Usage:
 //
-//	lbp-fuzz [-n 100] [-seed 1] [-maxcores 4] [-max CYCLES] [-ffwd both|on|off] [-crashdir DIR] [-v]
+//	lbp-fuzz [-n 100] [-seed 1] [-maxcores 4] [-max CYCLES] [-crashdir DIR] [-v]
 //
 // Any divergence is minimized with the built-in shrinker and written
 // to -crashdir as a <name>.c program plus a <name>.json reference
@@ -29,7 +29,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "master seed (each program derives its own sub-seed)")
 	maxCores := flag.Int("maxcores", 4, "largest machine of the cores ladder {1,2,4,256}")
 	maxCycles := flag.Uint64("max", 0, "cycle budget per run (0 = 20M)")
-	ffwd := flag.String("ffwd", "both", "fast-forward settings to cross: both|on|off")
 	crashdir := flag.String("crashdir", "testdata/fuzz", "directory receiving minimized failing programs")
 	verbose := flag.Bool("v", false, "log every program, not just failures")
 	flag.Parse()
@@ -42,11 +41,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lbp-fuzz: -n %d must be positive\n", *n)
 		os.Exit(2)
 	}
-	ff, err := parseFFwd(*ffwd)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lbp-fuzz: %v\n", err)
-		os.Exit(2)
-	}
 	if *maxCores < 1 {
 		fmt.Fprintf(os.Stderr, "lbp-fuzz: -maxcores %d must be positive\n", *maxCores)
 		os.Exit(2)
@@ -54,7 +48,6 @@ func main() {
 
 	opt := fuzzgen.CheckOptions{
 		MaxCycles: *maxCycles,
-		FFwd:      ff,
 		MaxCores:  *maxCores,
 	}
 	failed := 0
@@ -87,16 +80,4 @@ func main() {
 	if len(stats.Failures) > 0 {
 		os.Exit(1)
 	}
-}
-
-func parseFFwd(s string) ([]bool, error) {
-	switch s {
-	case "both":
-		return []bool{true, false}, nil
-	case "on":
-		return []bool{true}, nil
-	case "off":
-		return []bool{false}, nil
-	}
-	return nil, fmt.Errorf("-ffwd %q: must be both, on or off", s)
 }

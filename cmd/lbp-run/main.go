@@ -4,12 +4,8 @@
 //
 // Usage:
 //
-//	lbp-run [-cores N] [-max CYCLES] [-bank BYTES] [-ffwd=false] [-digest] [-tail N] [-percore] [-stats] [-chrome FILE] [-checkpoint FILE -every N] file.{c,s,img}
-//	lbp-run -resume FILE [-max CYCLES] [-ffwd=false] [flags]
-//
-// -ffwd=false disables idle-cycle fast-forward, a host-side knob: cycle
-// counts, stats, digests and -chrome exports are bit-identical either
-// way.
+//	lbp-run [-cores N] [-max CYCLES] [-bank BYTES] [-digest] [-tail N] [-percore] [-stats] [-chrome FILE] [-checkpoint FILE -every N] file.{c,s,img}
+//	lbp-run -resume FILE [-max CYCLES] [flags]
 //
 // -stats enables the deterministic performance counters and prints a
 // cycle-attribution report after the run: where every hart-cycle went
@@ -26,9 +22,8 @@
 // FILE with the machine's complete serialized state. -resume FILE picks
 // such a run back up (no program argument: the program lives inside the
 // checkpoint) and reproduces the uninterrupted run bit-exactly — same
-// halt, stats, digest and trace, for either -ffwd setting on either
-// side of the split. -max is always the absolute cycle budget;
-// a resumed run counts the cycles already simulated against it.
+// halt, stats, digest and trace. -max is always the absolute cycle
+// budget; a resumed run counts the cycles already simulated against it.
 package main
 
 import (
@@ -51,7 +46,6 @@ func main() {
 	tail := flag.Int("tail", 0, "print the last N trace events")
 	stats := flag.Bool("stats", false, "enable performance counters and print the cycle-attribution report")
 	chrome := flag.String("chrome", "", "write the retained trace events as Chrome trace-event JSON to `file`")
-	ffwd := flag.Bool("ffwd", true, "fast-forward idle cycles (never changes simulated results)")
 	ckptFile := flag.String("checkpoint", "", "rewrite `file` with the serialized machine state every -every cycles")
 	every := flag.Uint64("every", 0, "checkpoint interval in cycles (requires -checkpoint)")
 	resume := flag.String("resume", "", "resume a run from checkpoint `file` instead of loading a program")
@@ -79,10 +73,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		sess, err = sim.Resume(data, sim.ResumeSpec{
-			MaxCycles:     *max,
-			NoFastForward: !*ffwd,
-		})
+		sess, err = sim.Resume(data, sim.ResumeSpec{MaxCycles: *max})
 		if err != nil {
 			fatal(err)
 		}
@@ -126,7 +117,6 @@ func main() {
 			MaxCycles:       *max,
 			Trace:           sim.TraceSpec{Digest: *digest, Ring: ring},
 			Profile:         *stats,
-			NoFastForward:   !*ffwd,
 		})
 		if err != nil {
 			fatal(err)

@@ -7,11 +7,9 @@
 // Usage:
 //
 //	lbp-serve [-addr HOST:PORT] [-workers N] [-queue N] [-deadline D]
-//	          [-maxcycles N] [-slice N] [-ckptdir DIR] [-drain D]
-//	          [-pool-per-key N] [-pool-total N] [-addrfile FILE]
+//	          [-maxcycles N] [-ckptdir DIR] [-drain D] [-addrfile FILE]
 //	          [-cachedir DIR] [-cachemax BYTES]
-//	lbp-serve -worker HOST:PORT [-slice N] [-pool-per-key N]
-//	          [-pool-total N] [-addrfile FILE]
+//	lbp-serve -worker HOST:PORT [-addrfile FILE]
 //	lbp-serve -backends A,B,C [-per-backend N] [-ckpt-every N]
 //	          [-retries N] [...front-end flags]
 //
@@ -41,7 +39,10 @@
 // jobs for up to -drain, then preempts what is left (503 "preempted"):
 // a job running in this process pauses at its next slice boundary and
 // is checkpointed to -ckptdir (resume offline with lbp-run -resume), a
-// job on a remote worker is abandoned.
+// job on a remote worker is abandoned. A job runs in slices of 16 Ki
+// simulated cycles, so a deadline, cancel or preemption takes effect
+// within one slice; a request without maxCycles gets 100M cycles, or
+// -maxcycles if that is lower.
 //
 // -addr :0 picks an ephemeral port; -addrfile writes the bound address
 // to a file once listening, for scripts that need to find the port.
@@ -85,11 +86,8 @@ func main() {
 	queue := flag.Int("queue", 64, "admission queue depth, per backend with -backends (overflow answers 429)")
 	deadline := flag.Duration("deadline", 60*time.Second, "default and maximum per-job wall-clock run time")
 	maxCycles := flag.Uint64("maxcycles", 1_000_000_000, "largest acceptable per-job cycle budget")
-	slice := flag.Uint64("slice", 1<<20, "cycles per Advance slice between cancellation checks")
 	ckptDir := flag.String("ckptdir", "", "directory for checkpoints of jobs preempted by shutdown")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace before in-flight jobs are preempted")
-	poolPerKey := flag.Int("pool-per-key", 0, "warm machines kept per configuration (0 = default)")
-	poolTotal := flag.Int("pool-total", 0, "warm machines kept in total (0 = default)")
 	cacheDir := flag.String("cachedir", "", "content-addressed result cache directory (empty = caching off)")
 	cacheMax := flag.Int64("cachemax", 0, "result cache size bound in bytes (0 = 256 MiB)")
 	workerAddr := flag.String("worker", "", "run as a headless worker listening on `host:port` (no HTTP)")
@@ -108,15 +106,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *workerAddr != "" {
-		runWorker(*workerAddr, *addrFile, *slice, *poolPerKey, *poolTotal)
+		runWorker(*workerAddr, *addrFile)
 		return
 	}
 	if *queue < 1 {
 		fmt.Fprintf(os.Stderr, "lbp-serve: -queue %d must be positive\n", *queue)
-		os.Exit(2)
-	}
-	if *slice == 0 {
-		fmt.Fprintln(os.Stderr, "lbp-serve: -slice must be positive")
 		os.Exit(2)
 	}
 	if *cacheMax < 0 {
@@ -146,10 +140,7 @@ func main() {
 		QueueDepth:    *queue,
 		MaxCyclesCap:  *maxCycles,
 		Deadline:      *deadline,
-		Slice:         *slice,
 		CheckpointDir: *ckptDir,
-		PoolPerKey:    *poolPerKey,
-		PoolTotal:     *poolTotal,
 		Cache:         store,
 	}
 	if *backends != "" {
@@ -188,12 +179,8 @@ func main() {
 // its own warm pool. It serves until SIGINT/SIGTERM, then closes —
 // running jobs cancel at their next slice boundary and their machines
 // flow back through the usual accounting before exit.
-func runWorker(addr, addrFile string, slice uint64, poolPerKey, poolTotal int) {
-	w := dispatch.NewWorker(dispatch.WorkerConfig{
-		Slice:      slice,
-		PoolPerKey: poolPerKey,
-		PoolTotal:  poolTotal,
-	})
+func runWorker(addr, addrFile string) {
+	w := dispatch.NewWorker(dispatch.WorkerConfig{})
 	ln := listen(addr, addrFile, "worker listening on ")
 	sig := serveUntilSignal(func() error { return w.Serve(ln) })
 	fmt.Printf("lbp-serve: worker: %s: closing\n", sig)

@@ -35,6 +35,13 @@ func (p *parser) tooDeep() error {
 
 // Parse builds the AST of a MiniC translation unit.
 func Parse(src string) (*Program, error) {
+	prog, _, err := parse(src)
+	return prog, err
+}
+
+// parse is Parse, also returning the lexer: how far it read is how far
+// the source was tokenized.
+func parse(src string) (*Program, *lexer, error) {
 	p := &parser{lex: newLexer(src), structs: map[string]*Type{}}
 	// The tokens are dead once the tree is built — it copies what it
 	// keeps — so the buffer comes from tokPool and goes back to it.
@@ -58,10 +65,10 @@ func Parse(src string) (*Program, error) {
 		err = p.lexErr
 	}
 	if err != nil {
-		return nil, err
+		return nil, p.lex, err
 	}
 	prog.Includes = p.lex.includes
-	return prog, nil
+	return prog, p.lex, nil
 }
 
 // tokPool holds token buffers between parses.

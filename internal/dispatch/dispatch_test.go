@@ -100,13 +100,13 @@ func sameDeterministic(t *testing.T, label string, got, want *Result) {
 }
 
 // startWorker boots a worker on an ephemeral port; cleanup closes it.
-func startWorker(t *testing.T, cfg WorkerConfig) (*Worker, string) {
+func startWorker(t *testing.T) (*Worker, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker(cfg)
+	w := NewWorker(WorkerConfig{})
 	go w.Serve(ln)
 	t.Cleanup(func() { w.Close() })
 	return w, ln.Addr().String()
@@ -128,7 +128,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // TestSingleBackendRoundTrip: one worker, one job, deterministic
 // fields identical to a direct run; the machine flows back to the pool.
 func TestSingleBackendRoundTrip(t *testing.T) {
-	w, addr := startWorker(t, WorkerConfig{Slice: 1024})
+	w, addr := startWorker(t)
 	c, err := New(Config{Backends: []string{addr}})
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +185,8 @@ func holdJobs(t *testing.T, c *Coordinator, n int) (release func()) {
 // job is queued. Two backends of one slot each, two long jobs with the
 // same key: both must be running at once, one per worker.
 func TestIdleBackendTakesQueuedWork(t *testing.T) {
-	w1, addr1 := startWorker(t, WorkerConfig{Slice: 1024})
-	w2, addr2 := startWorker(t, WorkerConfig{Slice: 1024})
+	w1, addr1 := startWorker(t)
+	w2, addr2 := startWorker(t)
 	c, err := New(Config{Backends: []string{addr1, addr2}, PerBackend: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestDeadBackendTakesNoWorkAndRejoins(t *testing.T) {
 	}
 	deadAddr := ln.Addr().String()
 	ln.Close()
-	live, liveAddr := startWorker(t, WorkerConfig{Slice: 1024})
+	live, liveAddr := startWorker(t)
 
 	const backoff = 300 * time.Millisecond
 	c, err := New(Config{Backends: []string{deadAddr, liveAddr}, PerBackend: 1,
@@ -298,7 +298,7 @@ func TestDeadBackendTakesNoWorkAndRejoins(t *testing.T) {
 	if err != nil {
 		t.Skipf("cannot listen on %s again: %v", deadAddr, err)
 	}
-	back := NewWorker(WorkerConfig{Slice: 1024})
+	back := NewWorker(WorkerConfig{})
 	go back.Serve(ln)
 	defer back.Close()
 	waitFor(t, "the restarted backend to rejoin", func() bool { return c.Metrics().BackendsUp == 2 })
@@ -314,8 +314,8 @@ func TestDeadBackendTakesNoWorkAndRejoins(t *testing.T) {
 // to the survivor resuming from the last streamed checkpoint, and the
 // final result is bit-identical to an uninterrupted run.
 func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
-	w1, addr1 := startWorker(t, WorkerConfig{Slice: 4096})
-	w2, addr2 := startWorker(t, WorkerConfig{Slice: 4096})
+	w1, addr1 := startWorker(t)
+	w2, addr2 := startWorker(t)
 	c, err := New(Config{Backends: []string{addr1, addr2}, CheckpointEvery: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
@@ -390,8 +390,8 @@ func TestWorkerLossMigratesFromCheckpoint(t *testing.T) {
 // link, so Attempts still bounds the job.
 func TestUnrestorableCheckpointRestartsJob(t *testing.T) {
 	for _, attempts := range []int{3, 2} {
-		w1, addr1 := startWorker(t, WorkerConfig{Slice: 4096})
-		w2, addr2 := startWorker(t, WorkerConfig{Slice: 4096})
+		w1, addr1 := startWorker(t)
+		w2, addr2 := startWorker(t)
 		c, err := New(Config{Backends: []string{addr1, addr2}, CheckpointEvery: 64 << 10, Attempts: attempts})
 		if err != nil {
 			t.Fatal(err)
@@ -461,10 +461,10 @@ func TestMachineLeakAccounting(t *testing.T) {
 			var exec *Executor
 			var c *Coordinator
 			if inProcess {
-				exec = NewExecutor(WorkerConfig{Slice: 1024})
+				exec = NewExecutor()
 				c = NewLocal(exec, 1, 4)
 			} else {
-				w, addr := startWorker(t, WorkerConfig{Slice: 1024})
+				w, addr := startWorker(t)
 				exec = w.Executor
 				var err error
 				if c, err = New(Config{Backends: []string{addr}}); err != nil {
@@ -640,7 +640,7 @@ func TestConfigValidation(t *testing.T) {
 // read used to wait for the dialing dispatcher's mutex, stalling every
 // Do for the length of the dial.
 func TestHangingDialDoesNotStallOtherBackends(t *testing.T) {
-	live, liveAddr := startWorker(t, WorkerConfig{Slice: 1024})
+	live, liveAddr := startWorker(t)
 	const hung = "hung.invalid:1"
 	entered, release := make(chan struct{}), make(chan struct{})
 	var enter, unhang sync.Once

@@ -11,19 +11,22 @@ import (
 	"repro/internal/sim"
 )
 
-// WorkerConfig parameterizes an Executor (and the Worker around one);
-// the zero value of every field selects a sensible default.
-type WorkerConfig struct {
-	// Slice is the Advance granularity between cancellation checks and
-	// checkpoint streams, in simulated cycles (0 = 1M). Results never
-	// depend on it.
-	Slice uint64
+// WorkerConfig has no fields: the slice and the pool bounds are
+// constants.
+//
+// Deprecated: nothing reads it. It stays only because the frozen
+// benchmark (bench/lbp-load/load.go) still passes one to NewWorker,
+// and goes when that call does.
+type WorkerConfig struct{}
 
-	// PoolPerKey/PoolTotal bound the warm-machine pool
-	// (0 = sim defaults).
-	PoolPerKey int
-	PoolTotal  int
-}
+// slice is the Advance granularity between cancellation checks and
+// checkpoint streams, in simulated cycles. Results never depend on it,
+// but a deadline, cancel or preemption overshoots by up to one slice:
+// 16 Ki cycles of Figure 21's 64-core base matmul are ≈ 0.08 s of host
+// time (2-CPU x86-64). A check is one channel poll and a typical job (a
+// few thousand cycles) fits in one slice, so a smaller slice would buy
+// nothing a client sees (DESIGN.md §8).
+const slice = 1 << 14
 
 // ErrPreempted is the context cancellation cause that asks for a
 // preemption instead of a plain cancel (context.WithCancelCause): an
@@ -68,22 +71,14 @@ type ExecutorMetrics struct {
 // serves it over rpc, a NewLocal coordinator calls it in process — and
 // is safe for concurrent use.
 type Executor struct {
-	slice uint64
-	pool  sim.Pool
+	pool sim.Pool
 
 	mu sync.Mutex
 	m  ExecutorMetrics
 }
 
 // NewExecutor builds an executor with an empty warm pool.
-func NewExecutor(cfg WorkerConfig) *Executor {
-	e := &Executor{slice: cfg.Slice}
-	if e.slice == 0 {
-		e.slice = 1 << 20
-	}
-	e.pool.SetCapacity(cfg.PoolPerKey, cfg.PoolTotal)
-	return e
-}
+func NewExecutor() *Executor { return &Executor{} }
 
 // Metrics returns a snapshot of the executor counters.
 func (e *Executor) Metrics() ExecutorMetrics {
@@ -148,7 +143,7 @@ func (e *Executor) Run(ctx context.Context, job *Job, sink func(cycle uint64, st
 		defer cancel()
 	}
 	lastStream := sess.Machine().Cycle()
-	res, err := sess.RunSliced(e.slice, func(cycle uint64) error {
+	res, err := sess.RunSliced(slice, func(cycle uint64) error {
 		select {
 		case <-runCtx.Done():
 			switch {

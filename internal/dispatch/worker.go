@@ -20,9 +20,10 @@ type Worker struct {
 	running sync.Map // job ID → context.CancelFunc of its run
 }
 
-// NewWorker builds a worker; start it with Serve.
-func NewWorker(cfg WorkerConfig) *Worker {
-	w := &Worker{Executor: NewExecutor(cfg)}
+// NewWorker builds a worker; start it with Serve. The argument is
+// ignored (see WorkerConfig).
+func NewWorker(WorkerConfig) *Worker {
+	w := &Worker{Executor: NewExecutor()}
 	w.Server = rpc.NewServer(w)
 	return w
 }

@@ -88,10 +88,12 @@ func (r Runner) run(pt point) (Row, error) {
 	spec := pt.spec
 	spec.Trace.Digest = true
 	spec.Profile = r.Profile
-	spec.NoFastForward = r.noFastForward
 	sess, err := pool.Get(spec)
 	if err != nil {
 		return Row{}, fmt.Errorf("figures: %s: %w", pt.label, err)
+	}
+	if r.noFastForward {
+		sess.Machine().SetFastForward(false) // the next Get turns it back on
 	}
 	res, err := sess.Run()
 	if err == nil && pt.check != nil {

@@ -81,12 +81,11 @@ func TestProfileSnapshotUnchanged(t *testing.T) {
 				t.Errorf("straight: snapshot hash %s, want %s", got, p.want)
 			}
 
-			noffwd := spec
-			noffwd.NoFastForward = true
-			stepped, err := sim.New(noffwd)
+			stepped, err := sim.New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
+			stepped.Machine().SetFastForward(false)
 			if _, err := stepped.Run(); err != nil {
 				t.Fatal(err)
 			}

@@ -11,10 +11,9 @@ import (
 )
 
 // The differential checker: one program, one reference result, a
-// matrix of machine geometries and fast-forward settings. The host
-// knob (-ffwd) must never change anything; machine geometry
-// (cores) may change timing — and therefore the trace digest — but
-// never a computed value.
+// matrix of machine geometries and fast-forward settings. Fast-forward
+// must never change anything; machine geometry (cores) may change
+// timing — and therefore the trace digest — but never a computed value.
 
 // CheckOptions configures the execution matrix.
 type CheckOptions struct {
@@ -110,15 +109,15 @@ func CheckSource(src string, minCores int, expect State, opt CheckOptions) (int,
 		for _, ffwd := range opt.FFwd {
 			cfg := fmt.Sprintf("cores=%d ffwd=%v", cores, ffwd)
 			sess, err := sim.New(sim.Spec{
-				Program:       prog,
-				Cores:         cores,
-				MaxCycles:     opt.MaxCycles,
-				Trace:         sim.TraceSpec{Digest: true},
-				NoFastForward: !ffwd,
+				Program:   prog,
+				Cores:     cores,
+				MaxCycles: opt.MaxCycles,
+				Trace:     sim.TraceSpec{Digest: true},
 			})
 			if err != nil {
 				return runs, fail("run", "%s: %v", cfg, err)
 			}
+			sess.Machine().SetFastForward(ffwd)
 			res, err := sess.Run()
 			if err != nil {
 				return runs, fail("run", "%s: %v", cfg, err)

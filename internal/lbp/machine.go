@@ -477,9 +477,11 @@ func (m *Machine) ReadSharedSlice(addr uint32, n int) ([]uint32, bool) {
 
 // Reset returns the machine to its post-New state — keeping every
 // allocation warm — and loads a new program, for machine reuse across
-// the runs of a sweep. Host-side knobs (trace recorder, profiling,
-// fast-forward) survive; a run on a reset machine is bit-identical to
-// the same run on a freshly built one.
+// the runs of a sweep. Host-side settings (trace recorder, profiling,
+// fast-forward) survive here; sim.Session.Reset, the pool's path,
+// reattaches fresh observers and turns fast-forward back on. A run on
+// a reset machine is bit-identical to the same run on a freshly built
+// one.
 func (m *Machine) Reset(p *asm.Program) error {
 	m.Mem.Reset()
 	for _, h := range m.harts {

@@ -68,7 +68,7 @@ const (
 var ErrClosed = errors.New("rpc: connection closed")
 
 // MaxFrameBytes bounds one frame in either direction: eight times the
-// largest HTTP request body (serve.Config.MaxBodyBytes), which leaves
+// largest HTTP request body (8 MiB, serve's body cap), which leaves
 // room for ≈ 48 MiB of checkpoint state base64-encoded inside a JSON
 // field — the largest checkpoint the fleet moves (DESIGN.md §8).
 const MaxFrameBytes = 64 << 20

@@ -18,13 +18,13 @@ import (
 
 // startWorkerBackend boots one in-process dispatch worker on an
 // ephemeral port and returns its address and a stop func.
-func startWorkerBackend(t *testing.T, cfg dispatch.WorkerConfig) (*dispatch.Worker, string, func()) {
+func startWorkerBackend(t *testing.T) (*dispatch.Worker, string, func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := dispatch.NewWorker(cfg)
+	w := dispatch.NewWorker(dispatch.WorkerConfig{})
 	go w.Serve(ln)
 	return w, ln.Addr().String(), func() { w.Close() }
 }
@@ -86,7 +86,7 @@ func TestDistributedDeterminismUnderLoad(t *testing.T) {
 	stops := make([]func(), backendsN)
 	for i := range workers {
 		// A small slice so kills land mid-run, not between jobs.
-		workers[i], addrs[i], stops[i] = startWorkerBackend(t, dispatch.WorkerConfig{Slice: 4096})
+		workers[i], addrs[i], stops[i] = startWorkerBackend(t)
 		defer stops[i]()
 	}
 	srv, coord, ts := newCoordinatorServer(t, Config{},
@@ -183,7 +183,7 @@ func TestDistributedCacheAndStatusMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	_, addr, stop := startWorkerBackend(t, dispatch.WorkerConfig{})
+	_, addr, stop := startWorkerBackend(t)
 	defer stop()
 	_, coord, ts := newCoordinatorServer(t, Config{Cache: store},
 		dispatch.Config{Backends: []string{addr}})

@@ -24,7 +24,7 @@ import (
 // cache hit that checks out no machine and answers the cold run's
 // deterministic fields, and each spelling sent again is a memo hit.
 func TestFrontKeyIsTheBody(t *testing.T) {
-	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
 	src, err := json.Marshal(vecsumSource)
@@ -38,7 +38,7 @@ func TestFrontKeyIsTheBody(t *testing.T) {
 		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"deadlineMs":30000}`, src),
 		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"comment":"not a JobRequest field"}`, src),
 		fmt.Sprintf(`{"source":%s,"lang":"c","cores":2,"digest":true}`, src),
-		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"maxCycles":%d}`, src, srv.cfg.DefaultMaxCycles),
+		fmt.Sprintf(`{"source":%s,"cores":2,"digest":true,"maxCycles":%d}`, src, srv.cfg.defaultMaxCycles()),
 	}
 
 	code, coldRaw, cold := postRaw(t, h, []byte(spellings[0]))
@@ -110,11 +110,11 @@ func postHandler(t *testing.T, h http.Handler, req JobRequest) (int, []byte, *Jo
 // miss the memo and still hit the cache. A request that does not compile
 // is never remembered, and a full memo forgets entries, never answers.
 func TestFrontIndexPaths(t *testing.T) {
-	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
 	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, DeadlineMs: 30_000}
-	key := cacheKeyOf(t, req, srv.cfg.DefaultMaxCycles)
+	key := cacheKeyOf(t, req, srv.cfg.defaultMaxCycles())
 
 	code, coldRaw, cold := postHandler(t, h, req)
 	if code != http.StatusOK || cold.Status != StatusOK || cold.Cached {

@@ -121,14 +121,14 @@ func FuzzJobRequest(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	// Small caps: a mutated request may ask for any machine and any
-	// budget, and the fuzzer runs thousands a second.
+	// Small caps: a mutated request may ask for any budget, and the
+	// fuzzer runs thousands a second. A request without maxCycles gets
+	// the cap.
 	store, err := cache.Open(f.TempDir(), 1<<20)
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := New(Config{Workers: 1, QueueDepth: 4, DefaultMaxCycles: 20_000, MaxCyclesCap: 50_000,
-		PoolPerKey: 1, PoolTotal: 1, Cache: store})
+	srv := New(Config{Workers: 1, QueueDepth: 4, MaxCyclesCap: 50_000, Cache: store})
 	f.Cleanup(func() {
 		srv.Shutdown(context.Background())
 		store.Close()

@@ -35,12 +35,12 @@ type servingMode struct {
 
 var servingModes = []servingMode{
 	{"local", 1, func(t *testing.T, store *cache.Store, ckptDir string) *Server {
-		return New(Config{Workers: 1, QueueDepth: 1, Slice: 1024, Cache: store, CheckpointDir: ckptDir})
+		return New(Config{Workers: 1, QueueDepth: 1, Cache: store, CheckpointDir: ckptDir})
 	}},
 	{"coordinator+2workers", 2, func(t *testing.T, store *cache.Store, ckptDir string) *Server {
 		var addrs []string
 		for i := 0; i < 2; i++ {
-			_, addr, stop := startWorkerBackend(t, dispatch.WorkerConfig{Slice: 1024})
+			_, addr, stop := startWorkerBackend(t)
 			t.Cleanup(stop)
 			addrs = append(addrs, addr)
 		}

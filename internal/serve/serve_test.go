@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // vecsumSource is the parallel vector-sum MiniC program from testdata,
@@ -129,7 +130,7 @@ func TestDeterminismUnderLoad(t *testing.T) {
 	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, Profile: true}
 	want := directRun(t, req, 100_000_000)
 
-	srv := New(Config{Workers: 4, QueueDepth: 64, Slice: 1024})
+	srv := New(Config{Workers: 4, QueueDepth: 64})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -213,7 +214,7 @@ func TestDeterminismUnderLoad(t *testing.T) {
 // single queue slot filled, the next job must be answered 429 with
 // Retry-After — backpressure instead of unbounded queueing.
 func TestQueueOverflow(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1, Slice: 1024})
+	srv := New(Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -264,7 +265,7 @@ func TestQueueOverflow(t *testing.T) {
 // TestShutdownDrain: shutdown refuses new work immediately but lets the
 // in-flight job finish and answer 200.
 func TestShutdownDrain(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -314,7 +315,7 @@ func TestShutdownPreemptsAndCheckpointResumes(t *testing.T) {
 	want := directRun(t, req, req.MaxCycles)
 
 	dir := t.TempDir()
-	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 4096, CheckpointDir: dir})
+	srv := New(Config{Workers: 1, QueueDepth: 4, CheckpointDir: dir})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -374,7 +375,7 @@ func TestShutdownPreemptsAndCheckpointResumes(t *testing.T) {
 // TestJobDeadline: a job whose wall-clock deadline elapses mid-run is
 // stopped cooperatively and answered 504.
 func TestJobDeadline(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 4096})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -383,6 +384,37 @@ func TestJobDeadline(t *testing.T) {
 	code, jr := postJob(t, ts.URL, req)
 	if code != http.StatusGatewayTimeout || jr.Status != StatusDeadline {
 		t.Errorf("HTTP %d status %q (%s), want 504 deadline", code, jr.Status, jr.Error)
+	}
+}
+
+// TestDeadlineWithinOneSlice: a default server stops a job whose
+// deadline elapsed at its next slice boundary. Figure 21's base matmul
+// on 64 cores simulates slowly, so a long slice lets the deadline
+// overshoot by seconds: with 1 Mi-cycle slices this job answered after
+// ≈ 5 s, stopped at exactly cycle 1048576.
+func TestDeadlineWithinOneSlice(t *testing.T) {
+	const h = 256 // harts: 64 cores
+	src, err := workloads.MatmulSource(workloads.Base, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := JobRequest{Source: src, Cores: h / 4, BankBytes: workloads.SharedBankBytes(h), DeadlineMs: 50}
+	code, jr := postJob(t, ts.URL, req)
+	if code != http.StatusGatewayTimeout || jr.Status != StatusDeadline {
+		t.Fatalf("HTTP %d status %q (%s), want 504 deadline", code, jr.Status, jr.Error)
+	}
+	_, at, ok := strings.Cut(jr.Error, " at cycle ")
+	cycle, err := strconv.ParseUint(at, 10, 64)
+	if !ok || err != nil {
+		t.Fatalf("no stop cycle in %q", jr.Error)
+	}
+	if cycle >= 1<<20 {
+		t.Errorf("stopped at cycle %d, want below %d (one short slice past the deadline)", cycle, 1<<20)
 	}
 }
 
@@ -598,7 +630,7 @@ func newCachedServer(t *testing.T, maxBytes int64, cfg Config) (*Server, *cache.
 // deterministic field of the cached response is byte-identical to the
 // cold run's.
 func TestCacheHitRoundTrip(t *testing.T) {
-	srv, store, _ := newCachedServer(t, 0, Config{Workers: 2, QueueDepth: 8, Slice: 1024})
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 2, QueueDepth: 8})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -670,7 +702,7 @@ func TestCachePayloadCompatible(t *testing.T) {
 	}
 	req := JobRequest{Source: vecsumSource, Cores: 2, Digest: true, Ring: 4, Profile: true}
 
-	srv, coldStore, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv, coldStore, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -685,7 +717,7 @@ func TestCachePayloadCompatible(t *testing.T) {
 		t.Errorf("stored payload differs from the parent's:\nparent: %s\nnow:    %s", fixture, stored)
 	}
 
-	seeded, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	seeded, store, _ := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 	defer seeded.Shutdown(context.Background())
 	if err := store.Put(parentCacheKey, fixture); err != nil {
 		t.Fatal(err)
@@ -722,7 +754,7 @@ func TestCacheCorruptEntry(t *testing.T) {
 		{"a digest digit flipped on disk", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, store, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+			srv, store, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 			defer srv.Shutdown(context.Background())
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
@@ -735,7 +767,7 @@ func TestCacheCorruptEntry(t *testing.T) {
 			if tc.payload != "" {
 				// Well-formed as far as the store can tell: only the
 				// serving layer knows what a finished run looks like.
-				if err := store.Put(cacheKeyOf(t, req, srv.cfg.DefaultMaxCycles), []byte(tc.payload)); err != nil {
+				if err := store.Put(cacheKeyOf(t, req, srv.cfg.defaultMaxCycles()), []byte(tc.payload)); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -784,7 +816,7 @@ func flipDigestDigit(t *testing.T, cacheDir string, digest uint64) {
 // evicted job simply simulates cold again.
 func TestCacheEviction(t *testing.T) {
 	// maxBytes 1: each stored payload survives only as the sole entry.
-	srv, store, _ := newCachedServer(t, 1, Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv, store, _ := newCachedServer(t, 1, Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -816,7 +848,7 @@ func TestCacheEviction(t *testing.T) {
 // byte-identical in the deterministic fields. Runs under -race in
 // tier-1 to cover the concurrent Get/Put paths.
 func TestCacheConcurrentIdenticalRequests(t *testing.T) {
-	srv, store, _ := newCachedServer(t, 0, Config{Workers: 4, QueueDepth: 64, Slice: 1024})
+	srv, store, _ := newCachedServer(t, 0, Config{Workers: 4, QueueDepth: 64})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -849,17 +881,17 @@ func TestCacheConcurrentIdenticalRequests(t *testing.T) {
 	}
 }
 
-// TestOversizedBody413: a request body over the configured cap answers
-// 413 Request Entity Too Large, not a generic 400. The cap bounds the
-// whole body, not just its first JSON value: a valid job padded past it
-// is refused, while bytes after the value and under the cap are ignored.
+// TestOversizedBody413: a request body over the cap answers 413
+// Request Entity Too Large, not a generic 400. The cap bounds the whole
+// body, not just its first JSON value: a valid job padded past it is
+// refused, while bytes after the value and under the cap are ignored.
 func TestOversizedBody413(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: 256})
+	srv := New(Config{Workers: 1, QueueDepth: 1})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	big, err := json.Marshal(JobRequest{Source: strings.Repeat("x", 4096), Lang: "s"})
+	big, err := json.Marshal(JobRequest{Source: strings.Repeat("x", maxBodyBytes), Lang: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -869,8 +901,8 @@ func TestOversizedBody413(t *testing.T) {
 		body string
 		code int
 	}{
-		{"a 4 KB source", string(big), http.StatusRequestEntityTooLarge},
-		{"a valid job and 4,079 spaces", job + strings.Repeat(" ", 4079), http.StatusRequestEntityTooLarge},
+		{"a source as long as the cap", string(big), http.StatusRequestEntityTooLarge},
+		{"a valid job padded one byte past the cap", job + strings.Repeat(" ", maxBodyBytes+1-len(job)), http.StatusRequestEntityTooLarge},
 		{"a valid job and bytes after it, under the cap", job + "  and then some", http.StatusOK},
 		{"a small bad request", `{"source":"x","lang":"rust"}`, http.StatusBadRequest},
 	} {
@@ -892,7 +924,7 @@ func TestOversizedBody413(t *testing.T) {
 // must not cost the pool its machine — GetWarm resets on checkout, so
 // the half-run machine is exactly as reusable as a finished one.
 func TestCanceledJobReturnsMachineToPool(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 1024})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -902,6 +934,7 @@ func TestCanceledJobReturnsMachineToPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var canceled uint64
 	cancelOne := func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body))
@@ -919,7 +952,12 @@ func TestCanceledJobReturnsMachineToPool(t *testing.T) {
 		waitFor(t, "job running", func() bool { return running(srv) == 1 })
 		cancel()
 		<-done
-		waitFor(t, "job finished", func() bool { return running(srv) == 0 })
+		// The handler counts the job after the dispatcher lets it go:
+		// wait for both, or the counter check below races the handler.
+		canceled++
+		waitFor(t, "job finished and counted", func() bool {
+			return running(srv) == 0 && srv.met.failed.Load() == canceled
+		})
 	}
 
 	cancelOne()
@@ -942,7 +980,7 @@ func TestCanceledJobReturnsMachineToPool(t *testing.T) {
 // TestDeadlineAndErrorJobsReturnMachines: the deadline and
 // budget-exceeded paths also hand their machines back.
 func TestDeadlineAndErrorJobsReturnMachines(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, Slice: 4096})
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -67,26 +67,17 @@ type Config struct {
 	Workers    int
 	QueueDepth int
 
-	DefaultMaxCycles uint64 // budget when a request omits maxCycles (0 = 100M)
-	MaxCyclesCap     uint64 // largest acceptable per-job budget (0 = 1G)
+	// MaxCyclesCap is the largest acceptable per-job budget (0 = 1G). A
+	// request without maxCycles gets min(100M, MaxCyclesCap).
+	MaxCyclesCap uint64
 
 	// Deadline is the default and maximum per-job wall-clock run time;
 	// requests may only shorten it (0 = 60s).
 	Deadline time.Duration
 
-	// Slice is the Advance granularity between cancellation checks, in
-	// simulated cycles (0 = 1M). Smaller reacts faster, larger wastes
-	// less host time on checks; simulated results never depend on it.
-	Slice uint64
-
 	// CheckpointDir receives the serialized machine state of in-process
 	// jobs preempted by shutdown ("" = discard preempted state).
 	CheckpointDir string
-
-	// PoolPerKey/PoolTotal bound the in-process warm-machine pool
-	// (0 = sim.DefaultPoolPerKey / sim.DefaultPoolTotal).
-	PoolPerKey int
-	PoolTotal  int
 
 	// Cache, when non-nil, is the content-addressed result store
 	// consulted before any cycle is simulated (nil = no caching).
@@ -97,17 +88,15 @@ type Config struct {
 	// *dispatch.Coordinator over -backends shards them across worker
 	// processes. The HTTP surface is the same either way.
 	Dispatcher Dispatcher
-
-	MaxBodyBytes int64 // request body cap (0 = 8 MiB)
 }
+
+// maxBodyBytes caps a request body, every byte of it.
+const maxBodyBytes = 8 << 20
 
 // normalize fills in the defaults.
 func (c *Config) normalize() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.DefaultMaxCycles == 0 {
-		c.DefaultMaxCycles = 100_000_000
 	}
 	if c.MaxCyclesCap == 0 {
 		c.MaxCyclesCap = 1_000_000_000
@@ -115,10 +104,11 @@ func (c *Config) normalize() {
 	if c.Deadline <= 0 {
 		c.Deadline = 60 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 }
+
+// defaultMaxCycles is the budget of a request that omits maxCycles:
+// 100M cycles, or the cap when that is lower.
+func (c *Config) defaultMaxCycles() uint64 { return min(100_000_000, c.MaxCyclesCap) }
 
 // statusClientClosedRequest is the de-facto code for "client went away"
 // (the client never sees it; it keeps access logs honest).
@@ -167,8 +157,7 @@ func New(cfg Config) *Server {
 	cfg.normalize()
 	s := &Server{cfg: cfg, disp: cfg.Dispatcher}
 	s.front.keys = make(map[[sha256.Size]byte]string)
-	s.exec = dispatch.NewExecutor(dispatch.WorkerConfig{
-		Slice: cfg.Slice, PoolPerKey: cfg.PoolPerKey, PoolTotal: cfg.PoolTotal})
+	s.exec = dispatch.NewExecutor()
 	if s.disp == nil {
 		s.local = dispatch.NewLocal(s.exec, cfg.Workers, cfg.QueueDepth)
 		s.disp = s.local
@@ -321,7 +310,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	maxCycles := req.MaxCycles
 	if maxCycles == 0 {
-		maxCycles = s.cfg.DefaultMaxCycles
+		maxCycles = s.cfg.defaultMaxCycles()
 	}
 	if maxCycles > s.cfg.MaxCyclesCap {
 		writeError(w, http.StatusBadRequest,
@@ -380,7 +369,7 @@ func (s *Server) readJob(w http.ResponseWriter, r *http.Request) (req JobRequest
 	buf := bodyPool.Get().(*[]byte)
 	defer putBody(buf)
 	// All of it, not just the JSON value: the cap bounds every byte.
-	body, err := readBody(*buf, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(*buf, http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	*buf = body
 	if err != nil {
 		var tooBig *http.MaxBytesError

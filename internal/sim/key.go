@@ -22,8 +22,9 @@ import (
 //     declaring the equivalent Cores/SharedBankBytes hash the resolved
 //     lbp.Config, not the request syntax.
 //   - A zero MaxCycles hashes as the resolved default budget.
-//   - The host-side knob NoFastForward is excluded: it is results-
-//     neutral by construction, proven by the equivalence matrix tests.
+//   - Idle-cycle fast-forward is not part of a Spec at all: it is
+//     results-neutral by construction (the equivalence matrix tests
+//     prove it), so its one switch lives on lbp.Machine.
 //   - Programs hash by serialized image, so MiniC source and the
 //     lbp-asm image it compiles to share a key.
 //

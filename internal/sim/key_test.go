@@ -30,7 +30,6 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 	}{
 		{"identical", base},
 		{"simworkers is results-neutral", func() Spec { s := base; s.SimWorkers = 8; return s }()},
-		{"fast-forward is results-neutral", func() Spec { s := base; s.NoFastForward = true; return s }()},
 		{"explicit equivalent config", func() Spec {
 			s := base
 			cfg := lbp.DefaultConfig(2)

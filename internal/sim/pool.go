@@ -8,7 +8,7 @@ import (
 )
 
 // poolKey identifies the sessions that are interchangeable after a
-// Reset: same machine configuration and same observer/knob settings.
+// Reset: same machine configuration and same observer settings.
 // The cycle budget is not part of it — a warm checkout adopts the
 // requesting Spec's MaxCycles.
 // The resolved lbp.Config is comparable (it is all scalars), so the key
@@ -18,7 +18,6 @@ type poolKey struct {
 	profile bool
 	digest  bool
 	ring    int
-	noffwd  bool
 }
 
 func specKey(spec *Spec, cfg lbp.Config) poolKey {
@@ -27,16 +26,14 @@ func specKey(spec *Spec, cfg lbp.Config) poolKey {
 		profile: spec.Profile,
 		digest:  spec.Trace.Digest,
 		ring:    spec.Trace.Ring,
-		noffwd:  spec.NoFastForward,
 	}
 }
 
-// Default pool capacities: a long sweep over many geometries must not
-// pin every machine it ever built in memory, so the zero-value Pool is
-// bounded. SetCapacity overrides both bounds.
+// Pool capacities: a long sweep over many geometries must not pin every
+// machine it ever built in memory, so every Pool is bounded.
 const (
-	DefaultPoolPerKey = 4
-	DefaultPoolTotal  = 64
+	poolPerKey = 4
+	poolTotal  = 64
 )
 
 // PoolStats counts pool traffic. Hits are Gets served by a warm
@@ -66,61 +63,28 @@ type pooled struct {
 // the same machine geometry hundreds of times skip the per-run
 // allocation of banks, link queues and reorder buffers.
 //
-// Capacity is bounded: at most perKey idle sessions per configuration
-// and total across all configurations (DefaultPoolPerKey and
-// DefaultPoolTotal unless SetCapacity was called). Put beyond a bound
-// drops the oldest idle session, so a sweep over many geometries keeps
-// only the most recently used machines warm.
+// Capacity is bounded: at most poolPerKey idle sessions per
+// configuration and poolTotal across all configurations. Put beyond a
+// bound drops the oldest idle session, so a sweep over many geometries
+// keeps only the most recently used machines warm.
 //
 // A Pool is safe for concurrent use. Sessions with devices bypass the
 // pool entirely (they cannot be reset).
 type Pool struct {
-	mu     sync.Mutex
-	free   map[poolKey][]pooled
-	seq    uint64
-	count  int
-	perKey int // 0 = DefaultPoolPerKey
-	total  int // 0 = DefaultPoolTotal
-	stats  PoolStats
+	mu    sync.Mutex
+	free  map[poolKey][]pooled
+	seq   uint64
+	count int
+	stats PoolStats
 
 	// resetHook, when non-nil, replaces Session.Reset on warm
 	// checkout; tests use it to force reset failures.
 	resetHook func(*Session, *asm.Program) error
 }
 
-// SetCapacity bounds the idle sessions kept per configuration and in
-// total; non-positive values restore the defaults. Shrinking a bound
-// evicts oldest-first immediately.
-func (p *Pool) SetCapacity(perKey, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.perKey, p.total = perKey, total
-	pk, tot := p.caps()
-	for key, list := range p.free {
-		for len(list) > pk {
-			list = p.dropOldestLocked(key, list)
-		}
-	}
-	for p.count > tot {
-		p.evictOldestLocked()
-	}
-}
-
-// caps resolves the configured bounds. Callers hold p.mu.
-func (p *Pool) caps() (perKey, total int) {
-	perKey, total = p.perKey, p.total
-	if perKey <= 0 {
-		perKey = DefaultPoolPerKey
-	}
-	if total <= 0 {
-		total = DefaultPoolTotal
-	}
-	return perKey, total
-}
-
 // dropOldestLocked removes the oldest idle session of one key list and
-// stores the shrunk list back, returning it. Callers hold p.mu.
-func (p *Pool) dropOldestLocked(key poolKey, list []pooled) []pooled {
+// stores the shrunk list back. Callers hold p.mu.
+func (p *Pool) dropOldestLocked(key poolKey, list []pooled) {
 	copy(list, list[1:])
 	list[len(list)-1] = pooled{}
 	list = list[:len(list)-1]
@@ -131,7 +95,6 @@ func (p *Pool) dropOldestLocked(key poolKey, list []pooled) []pooled {
 	}
 	p.count--
 	p.stats.Evictions++
-	return list
 }
 
 // evictOldestLocked drops the globally oldest idle session. Lists are
@@ -222,10 +185,9 @@ func (p *Pool) Put(s *Session) {
 	if p.free == nil {
 		p.free = make(map[poolKey][]pooled)
 	}
-	perKey, total := p.caps()
-	if list := p.free[key]; len(list) >= perKey {
+	if list := p.free[key]; len(list) >= poolPerKey {
 		p.dropOldestLocked(key, list)
-	} else if p.count >= total {
+	} else if p.count >= poolTotal {
 		p.evictOldestLocked()
 	}
 	p.seq++

@@ -35,8 +35,7 @@ func TestPoolEvictsOldestPerKey(t *testing.T) {
 	prog := exitProgram(t)
 	spec := tinySpec(prog, 8)
 	var p Pool
-	p.SetCapacity(2, 64)
-	var sess [3]*Session
+	var sess [poolPerKey + 1]*Session
 	for i := range sess {
 		s, err := p.Get(spec)
 		if err != nil {
@@ -47,20 +46,20 @@ func TestPoolEvictsOldestPerKey(t *testing.T) {
 	for _, s := range sess {
 		p.Put(s)
 	}
-	if got := p.Idle(); got != 2 {
-		t.Fatalf("idle = %d, want 2 (per-key bound)", got)
+	if got := p.Idle(); got != poolPerKey {
+		t.Fatalf("idle = %d, want %d (per-key bound)", got, poolPerKey)
 	}
-	if st := p.Stats(); st.Evictions != 1 || st.Misses != 3 {
-		t.Errorf("stats = %+v, want 1 eviction, 3 misses", st)
+	if st := p.Stats(); st.Evictions != 1 || st.Misses != uint64(len(sess)) {
+		t.Errorf("stats = %+v, want 1 eviction, %d misses", st, len(sess))
 	}
 	// LIFO reuse: newest first, and the oldest (sess[0]) is gone.
-	for i, want := range []*Session{sess[2], sess[1]} {
+	for i := len(sess) - 1; i >= 1; i-- {
 		got, warm, err := p.GetWarm(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !warm || got != want {
-			t.Errorf("get %d: warm=%v session=%p, want warm %p", i, warm, got, want)
+		if !warm || got != sess[i] {
+			t.Errorf("get %d: warm=%v session=%p, want warm %p", i, warm, got, sess[i])
 		}
 	}
 	got, warm, err := p.GetWarm(spec)
@@ -73,15 +72,16 @@ func TestPoolEvictsOldestPerKey(t *testing.T) {
 }
 
 // TestPoolTotalCapacityEvictsAcrossKeys: the total bound evicts the
-// globally oldest idle session, whatever key it belongs to.
+// globally oldest idle session, whatever key it belongs to. One more
+// key than the bound holds, one 1-core machine each.
 func TestPoolTotalCapacityEvictsAcrossKeys(t *testing.T) {
 	prog := exitProgram(t)
-	specs := []Spec{tinySpec(prog, 1), tinySpec(prog, 2), tinySpec(prog, 3)}
+	specs := make([]Spec, poolTotal+1)
+	sess := make([]*Session, len(specs))
 	var p Pool
-	p.SetCapacity(4, 2)
-	var sess [3]*Session
-	for i, sp := range specs {
-		s, err := p.Get(sp)
+	for i := range specs {
+		specs[i] = tinySpec(prog, 1+i)
+		s, err := p.Get(specs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,14 +90,14 @@ func TestPoolTotalCapacityEvictsAcrossKeys(t *testing.T) {
 	for _, s := range sess {
 		p.Put(s)
 	}
-	if got := p.Idle(); got != 2 {
-		t.Fatalf("idle = %d, want 2 (total bound)", got)
+	if got := p.Idle(); got != poolTotal {
+		t.Fatalf("idle = %d, want %d (total bound)", got, poolTotal)
 	}
-	// sess[0] (oldest overall) was evicted; the other two are warm.
+	// sess[0] (oldest overall) was evicted; every other one is warm.
 	if _, warm, err := p.GetWarm(specs[0]); err != nil || warm {
 		t.Errorf("spec 0: warm=%v err=%v, want a fresh build", warm, err)
 	}
-	for i := 1; i < 3; i++ {
+	for i := 1; i < len(specs); i++ {
 		got, warm, err := p.GetWarm(specs[i])
 		if err != nil {
 			t.Fatal(err)
@@ -108,57 +108,31 @@ func TestPoolTotalCapacityEvictsAcrossKeys(t *testing.T) {
 	}
 }
 
-// TestPoolShrinkOnSetCapacity: tightening the bounds evicts immediately.
-func TestPoolShrinkOnSetCapacity(t *testing.T) {
-	prog := exitProgram(t)
-	var p Pool
-	var sess [6]*Session
-	for i := range sess {
-		s, err := p.Get(tinySpec(prog, 1+i%3))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess[i] = s
-	}
-	for _, s := range sess {
-		p.Put(s)
-	}
-	if got := p.Idle(); got != 6 {
-		t.Fatalf("idle = %d, want 6", got)
-	}
-	p.SetCapacity(1, 2)
-	if got := p.Idle(); got > 2 {
-		t.Errorf("idle = %d after SetCapacity(1, 2), want <= 2", got)
-	}
-	for key, list := range p.free {
-		if len(list) > 1 {
-			t.Errorf("key %+v holds %d idle sessions, want <= 1", key, len(list))
-		}
-	}
-}
-
 // TestPoolBoundUnderConcurrentGetPut is the regression test for the
-// unbounded-growth bug: many goroutines churning Get/Put across several
-// geometries must never leave more idle sessions than the bounds allow.
-// Runs under -race in tier-1.
+// unbounded-growth bug: many goroutines churning Get/Put across more
+// geometries than the total bound holds must never leave more idle
+// sessions than the bounds allow. Runs under -race in tier-1.
 func TestPoolBoundUnderConcurrentGetPut(t *testing.T) {
+	const goroutines, rounds = 8, 100
 	prog := exitProgram(t)
-	specs := []Spec{tinySpec(prog, 1), tinySpec(prog, 2), tinySpec(prog, 3)}
+	specs := make([]Spec, poolTotal/poolPerKey+2)
+	for i := range specs {
+		specs[i] = tinySpec(prog, 1+i)
+	}
 	var p Pool
-	p.SetCapacity(2, 3)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 100; i++ {
+			for i := 0; i < rounds; i++ {
 				s, err := p.Get(specs[(g+i)%len(specs)])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if n := p.Idle(); n > 3 {
-					t.Errorf("idle = %d mid-churn, want <= 3", n)
+				if n := p.Idle(); n > poolTotal {
+					t.Errorf("idle = %d mid-churn, want <= %d", n, poolTotal)
 					return
 				}
 				p.Put(s)
@@ -170,17 +144,17 @@ func TestPoolBoundUnderConcurrentGetPut(t *testing.T) {
 	defer p.mu.Unlock()
 	sum := 0
 	for key, list := range p.free {
-		if len(list) > 2 {
-			t.Errorf("key %+v holds %d idle sessions, want <= 2", key, len(list))
+		if len(list) > poolPerKey {
+			t.Errorf("key %+v holds %d idle sessions, want <= %d", key, len(list), poolPerKey)
 		}
 		sum += len(list)
 	}
-	if sum != p.count || p.count > 3 {
-		t.Errorf("count = %d (lists sum %d), want consistent and <= 3", p.count, sum)
+	if sum != p.count || p.count > poolTotal {
+		t.Errorf("count = %d (lists sum %d), want consistent and <= %d", p.count, sum, poolTotal)
 	}
 	st := p.stats
-	if st.Hits+st.Misses != 800 {
-		t.Errorf("hits %d + misses %d != 800 gets", st.Hits, st.Misses)
+	if st.Hits+st.Misses != goroutines*rounds {
+		t.Errorf("hits %d + misses %d != %d gets", st.Hits, st.Misses, goroutines*rounds)
 	}
 	if st.Hits == 0 {
 		t.Error("no warm reuse under churn")
@@ -275,5 +249,46 @@ func TestPoolSharesMachineAcrossBudgets(t *testing.T) {
 	}
 	if st := p.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit, 1 miss", st)
+	}
+}
+
+// TestPoolResetRestoresFastForward: fast-forward is a switch on the
+// machine, not part of the pool key, so a session that ran with it off
+// must come back from Get with it on — a pooled machine never inherits
+// a test's setting.
+func TestPoolResetRestoresFastForward(t *testing.T) {
+	spec := Spec{Program: setGetProgram(t, 4, 16), Cores: 4}
+	var p Pool
+	s, err := p.Get(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Machine().SetFastForward(false)
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FastForwarded != 0 {
+		t.Fatalf("fast-forward off skipped %d cycles", res.Stats.FastForwarded)
+	}
+	stepped := res.Stats.Cycles
+	p.Put(s)
+
+	again, warm, err := p.GetWarm(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm || again != s {
+		t.Fatalf("warm=%v session=%p, want the pooled machine %p", warm, again, s)
+	}
+	res, err = again.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.FastForwarded == 0 {
+		t.Error("the pooled machine kept fast-forward off after Get")
+	}
+	if res.Stats.Cycles != stepped {
+		t.Errorf("cycles %d with fast-forward on, %d with it off", res.Stats.Cycles, stepped)
 	}
 }

@@ -48,11 +48,11 @@ func runToEnd(t *testing.T, sess *Session) (*lbp.Result, outcome) {
 // fast-forward setting; it returns the resumed session and its outcome.
 func splitRun(t *testing.T, label string, spec Spec, k uint64, ffwd1, ffwd2 bool) (*Session, outcome) {
 	t.Helper()
-	spec.NoFastForward = !ffwd1
 	sess, err := New(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
+	sess.Machine().SetFastForward(ffwd1)
 	if res, err := sess.Advance(k); err != nil || res != nil {
 		t.Fatalf("%s: advance to %d: res=%v err=%v", label, k, res, err)
 	}
@@ -60,10 +60,11 @@ func splitRun(t *testing.T, label string, spec Spec, k uint64, ffwd1, ffwd2 bool
 	if err != nil {
 		t.Fatalf("%s: checkpoint: %v", label, err)
 	}
-	resumed, err := Resume(cp, ResumeSpec{MaxCycles: spec.MaxCycles, NoFastForward: !ffwd2})
+	resumed, err := Resume(cp, ResumeSpec{MaxCycles: spec.MaxCycles})
 	if err != nil {
 		t.Fatalf("%s: resume: %v", label, err)
 	}
+	resumed.Machine().SetFastForward(ffwd2)
 	if resumed.Machine().Cycle() != k {
 		t.Fatalf("%s: resumed at cycle %d, want %d", label, resumed.Machine().Cycle(), k)
 	}
@@ -178,12 +179,11 @@ func TestEquivalence256Cores(t *testing.T) {
 	}
 	var want outcome
 	for i, ffwd := range []bool{true, false} {
-		sp := spec
-		sp.NoFastForward = !ffwd
-		sess, err := New(sp)
+		sess, err := New(spec)
 		if err != nil {
 			t.Fatalf("ffwd %v: %v", ffwd, err)
 		}
+		sess.Machine().SetFastForward(ffwd)
 		_, got := runToEnd(t, sess)
 		if i == 0 {
 			want = got

@@ -1,15 +1,16 @@
 // Package sim is the session layer over the LBP simulator: a
 // declarative Spec describes one simulation — program, machine
-// geometry, devices, cycle budget, observers and host execution knobs —
-// and a Session builds, runs, checkpoints, resumes and resets the
-// underlying machine. Every runner in this repository (cmd/lbp-run,
-// cmd/lbp-bench, internal/figures, examples/) builds machines
-// through this package, so the build-attach-knob ordering that
-// determinism depends on lives in exactly one place.
+// geometry, devices, cycle budget and observers — and a Session
+// builds, runs, checkpoints, resumes and resets the underlying machine.
+// Every runner in this repository (cmd/lbp-run, cmd/lbp-bench,
+// internal/figures, examples/) builds machines through this package,
+// so the build-and-attach ordering that determinism depends on lives
+// in exactly one place.
 //
-// Host knobs (worker count, fast-forward) never affect simulated
-// results; observers (trace recorder, perf counters) never affect
-// simulated timing. A Session is not safe for concurrent use, but
+// Idle-cycle fast-forward never affects simulated results (its one
+// switch is lbp.Machine.SetFastForward, for the equivalence tests);
+// observers (trace recorder, perf counters) never affect simulated
+// timing. A Session is not safe for concurrent use, but
 // independent Sessions are, and Pool hands out warm machines safely
 // from many goroutines.
 package sim
@@ -43,8 +44,8 @@ func (t TraceSpec) enabled() bool { return t.Digest || t.Ring > 0 }
 
 // Spec declares one simulation. The zero value of every field is the
 // default: a 4-core machine with the paper-inspired configuration, no
-// devices, a 100M-cycle budget, no tracing or profiling, single-threaded
-// stepping with fast-forward on. Only Program is required.
+// devices, a 100M-cycle budget, no tracing or profiling. Only Program
+// is required.
 type Spec struct {
 	// Program is the assembled program to load (required).
 	Program *asm.Program
@@ -74,10 +75,6 @@ type Spec struct {
 	// benchmark probe (bench/lbp-load/trace.go, lbp.sharded_speedup_1024c)
 	// still assigns it, and goes when that probe does.
 	SimWorkers int
-
-	// NoFastForward disables idle-cycle fast-forward (also results-
-	// neutral; exposed for the equivalence tests).
-	NoFastForward bool
 }
 
 // machineConfig resolves the machine configuration of the Spec.
@@ -124,7 +121,6 @@ func New(spec Spec) (*Session, error) {
 	for _, d := range spec.Devices {
 		s.m.AddDevice(d)
 	}
-	s.applyHostKnobs()
 	return s, nil
 }
 
@@ -139,11 +135,6 @@ func (s *Session) attachObservers() {
 	if s.spec.Profile {
 		s.m.EnableProfiling()
 	}
-}
-
-// applyHostKnobs installs the results-neutral execution setting.
-func (s *Session) applyHostKnobs() {
-	s.m.SetFastForward(!s.spec.NoFastForward)
 }
 
 // MaxCycles returns the resolved run budget.
@@ -200,7 +191,8 @@ func (s *Session) RunSliced(slice uint64, check func(cycle uint64) error) (*lbp.
 }
 
 // Reset returns the warm machine to its initial state and loads prog,
-// reattaching fresh observers. Sessions with devices refuse: device
+// reattaching fresh observers and turning fast-forward back on, so a
+// pooled machine never inherits a test's setting. Sessions with devices refuse: device
 // state lives outside the machine and would leak between runs.
 func (s *Session) Reset(prog *asm.Program) error {
 	if len(s.spec.Devices) > 0 {
@@ -214,7 +206,7 @@ func (s *Session) Reset(prog *asm.Program) error {
 	}
 	s.spec.Program = prog
 	s.attachObservers()
-	s.applyHostKnobs()
+	s.m.SetFastForward(true)
 	return nil
 }
 
@@ -234,12 +226,11 @@ func (s *Session) PerfSnapshot() *perf.Snapshot { return s.m.PerfSnapshot() }
 
 // ResumeSpec carries what a checkpoint cannot: the devices to reattach
 // (freshly built with the original configuration, in AddDevice order)
-// and the host-side knobs of the resuming process. Trace and profiling
+// and the budget of the resuming process. Trace and profiling
 // configuration travel inside the checkpoint.
 type ResumeSpec struct {
-	Devices       []lbp.Device
-	MaxCycles     uint64 // absolute budget, counting already-simulated cycles
-	NoFastForward bool
+	Devices   []lbp.Device
+	MaxCycles uint64 // absolute budget, counting already-simulated cycles
 }
 
 // Resume rebuilds a session from Checkpoint bytes. Advancing it
@@ -250,16 +241,10 @@ func Resume(cp []byte, rs ResumeSpec) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		spec: Spec{
-			Devices:       rs.Devices,
-			MaxCycles:     rs.MaxCycles,
-			NoFastForward: rs.NoFastForward,
-		},
-		cfg: m.Config(),
-		m:   m,
-		rec: m.Trace(),
-	}
-	s.applyHostKnobs()
-	return s, nil
+	return &Session{
+		spec: Spec{Devices: rs.Devices, MaxCycles: rs.MaxCycles},
+		cfg:  m.Config(),
+		m:    m,
+		rec:  m.Trace(),
+	}, nil
 }

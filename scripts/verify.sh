@@ -32,11 +32,17 @@ fi
 # never becomes text, one link table, one control-message type, one gate
 # per observer, a request memo keyed by body bytes (not by a hand-hashed
 # request), one pool for every machine size, a code bank that is its
-# written prefix (no high-water mark over a dense array): the deleted
-# second paths must not grow back. (The parent's encTable, controlMn and parseLine
-# live on as the test references refEncTable, parentControlMn and
-# parentParseLine, which the case-sensitive pattern does not match.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi' -- '*.go'; then
+# written prefix (no high-water mark over a dense array), and settings
+# that nothing sets as constants (pool bounds, the default budget) with
+# one fast-forward switch: the deleted second paths must not grow back.
+# (The parent's encTable, controlMn and parseLine live on as the test
+# references refEncTable, parentControlMn and parentParseLine, and
+# figures keeps an unexported noFastForward, which the case-sensitive
+# pattern does not match. The frozen bench/ still names the deleted
+# DefaultMaxCycles in a comment, so that one name is searched outside
+# it.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey' -- '*.go' ||
+    git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -206,8 +212,8 @@ wait "$w2pid" 2>/dev/null || true
 echo "verify: distributed smoke OK"
 
 # Determinism fuzzing smoke: a small fixed-seed campaign across the
-# {cores} x {-ffwd} matrix must find zero divergences from the
-# sequential reference evaluator.
+# {cores} x {fast-forward on, off} matrix must find zero divergences
+# from the sequential reference evaluator.
 go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
 echo "verify: lbp-fuzz smoke OK"
 
