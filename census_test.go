@@ -76,17 +76,17 @@ var censusAllow = map[string]string{
 	"lbp-serve -retries":     "dispatch attempts of a coordinator",
 
 	// Machine parameters: the resolved lbp.Config is hashed by name into
-	// sim.CacheKey and written to the checkpoint manifest, and the
+	// sim.CacheKey and written to the checkpoint, and the
 	// design-parameter tests sweep them.
-	"lbp.Config.ALULat":         "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.MulLat":         "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.ITEntries":      "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.ROBEntries":     "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.RemoteRBs":      "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.RBDepth":        "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.CVBytes":        "a machine parameter: CacheKey and the checkpoint manifest",
-	"lbp.Config.LivelockWindow": "a machine parameter: CacheKey and the checkpoint manifest",
-	"mem.Config.LocalLat":       "a machine parameter: CacheKey and the checkpoint manifest",
+	"lbp.Config.ALULat":         "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.MulLat":         "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.ITEntries":      "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.ROBEntries":     "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.RemoteRBs":      "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.RBDepth":        "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.CVBytes":        "a machine parameter: CacheKey and the checkpoint",
+	"lbp.Config.LivelockWindow": "a machine parameter: CacheKey and the checkpoint",
+	"mem.Config.LocalLat":       "a machine parameter: CacheKey and the checkpoint",
 
 	// The Xeon-Phi-like comparison model: Default() holds the
 	// calibration to the paper's Figure 21.

@@ -114,9 +114,9 @@ const (
 
 // Validate rejects configurations New must not be handed: a geometry
 // ValidateGeometry refuses, a per-hart structure size or bank size that
-// is zero, negative or beyond the bounds above. sim.New and
-// ReadCheckpoint both call it, so every machine that can be
-// checkpointed can be restored and nothing else can.
+// is zero, negative or beyond the bounds above. sim.New and Restore
+// both call it, so every machine that can be checkpointed can be
+// restored and nothing else can.
 func (c *Config) Validate() error {
 	if err := ValidateGeometry(c.Cores, c.Mem.RouterDegree); err != nil {
 		return err

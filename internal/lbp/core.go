@@ -32,7 +32,7 @@ type core struct {
 	// a time gate or a compound condition (p_ret gating, p_syncm drain)
 	// keeps its bit. A set bit promises nothing — the stage still
 	// evaluates its full predicate — so over-setting is always exact:
-	// ReadCheckpoint, where harts arrive mid-flight, just sets every bit.
+	// Restore, where harts arrive mid-flight, just sets every bit.
 	// New and Reset need nothing: they leave every hart free and empty,
 	// where no predicate holds and so any mask is exact. The masks are
 	// host-side hints, not simulated state: they are not checkpointed, and
@@ -44,10 +44,11 @@ type core struct {
 
 	// Effects and trace events deferred behind a p_fn of this cycle,
 	// drained by Machine.applyDeferred (phase B); whole-run statistic
-	// counters folded into the totals by Machine.result.
-	pend                              []pendItem
-	evbuf                             []trace.Event
-	statFetched, statForks, statSends uint64
+	// counters folded into the totals by Machine.result (fetches are
+	// perf.StageFetch's count).
+	pend                 []pendItem
+	evbuf                []trace.Event
+	statForks, statSends uint64
 
 	// idleFrom is the first cycle whose stall attribution this core's
 	// harts have not yet received while the core is off Machine.active
@@ -139,7 +140,6 @@ func (c *core) fetch(now uint64) {
 	h.pcValid = false
 	c.fetchC &^= h.bit
 	c.renameC |= h.bit
-	c.statFetched++
 	c.emit(trace.KindFetch, h.idx, uint64(u.pc))
 }
 
@@ -492,7 +492,6 @@ func (c *core) commit(now uint64) {
 	if h.ib != nil {
 		c.renameC |= h.bit // a reorder-buffer slot came free
 	}
-	h.retired++
 	h.lastCommit = now
 	h.perf.Commits++
 	h.perf.Retired[u.d.Cls]++

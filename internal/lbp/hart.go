@@ -90,7 +90,6 @@ type hart struct {
 	hasPred     bool // must receive an ending-hart signal before p_ret commits
 	predSignal  bool // signal received
 	remote      []remoteRB
-	retired     uint64
 	startedBy   uint32 // global hart that forked us (diagnostics)
 	endingEpoch uint64 // cycle of last lifecycle change (diagnostics)
 

@@ -381,26 +381,25 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 func (m *Machine) result() *Result {
 	st := Stats{
 		Cycles:  m.cycle,
-		Fetched: m.stats.Fetched,
 		Forks:   m.stats.Forks,
 		Starts:  m.stats.Starts,
 		Joins:   m.stats.Joins,
 		Signals: m.stats.Signals,
 
-		RemoteSends:   m.stats.RemoteSends,
 		FastForwarded: m.stats.FastForwarded,
 		PerHart:       make([]uint64, len(m.harts)),
 	}
-	// The cores accumulate their own-phase counters for the whole run;
-	// fold them in here instead of every cycle.
+	// The cores accumulate their own-phase counters for the whole run,
+	// and the stages count fetches and commits in the perf counters they
+	// keep unconditionally; fold them in here instead of every cycle.
 	for _, c := range m.cores {
-		st.Fetched += c.statFetched
+		st.Fetched += c.perf.StageBusy[perf.StageFetch]
 		st.Forks += c.statForks
 		st.RemoteSends += c.statSends
 	}
-	for i, h := range m.harts {
-		st.PerHart[i] = h.retired
-		st.Retired += h.retired
+	for i := range m.hperf {
+		st.PerHart[i] = m.hperf[i].Commits
+		st.Retired += m.hperf[i].Commits
 	}
 	return &Result{Stats: st, Mem: m.Mem.Stats, Halt: m.haltMsg}
 }
@@ -491,14 +490,13 @@ func (m *Machine) Reset(p *asm.Program) error {
 		h.seq = 0
 		h.renamed = 0
 		h.execReadyAt = 0
-		h.retired = 0
 		h.startedBy = 0
 		h.endingEpoch = 0
 		h.lastCommit = 0
 	}
 	for _, c := range m.cores {
 		c.fetchRR, c.renameRR, c.issueRR, c.wbRR, c.commitRR = 0, 0, 0, 0, 0
-		c.statFetched, c.statForks, c.statSends = 0, 0, 0
+		c.statForks, c.statSends = 0, 0
 		c.idleFrom = 0 // restamped by rebuildActive below
 		clear(c.pend)
 		c.pend = c.pend[:0]

@@ -1,7 +1,6 @@
 package lbp
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -78,7 +77,7 @@ func stepCovered(t *testing.T, m *Machine, label string) {
 // Advance(1), fast-forward off and on, and after every cycle asserts for
 // every hart and stage: reference predicate with its time gate open ⇒
 // candidate bit set. Each program also goes through a checkpoint →
-// ReadCheckpoint → resume a third of the way in (mid fork wave for the
+// Restore → resume a third of the way in (mid fork wave for the
 // teams): restore rebuilds nothing but sets every bit, which must be
 // enough.
 func TestCandidateMasksCoverEligibility(t *testing.T) {
@@ -95,11 +94,11 @@ func TestCandidateMasksCoverEligibility(t *testing.T) {
 			if _, err := a.Advance(m.cycle / 3); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			var buf bytes.Buffer
-			if err := a.WriteCheckpoint(&buf); err != nil {
+			cp, err := a.Checkpoint()
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			b, err := ReadCheckpoint(&buf)
+			b, err := Restore(cp)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -25,26 +24,18 @@ import (
 // One format, one rule (DESIGN.md §"Serializable machine state"): any
 // change to a saved struct — a field added, removed, renamed, retyped or
 // reordered, or the meaning or replay order of one — bumps
-// checkpointVersion, and ReadCheckpoint, the only decoder of machine
-// state, refuses every other version outright. gob names each exported
+// checkpointVersion, and Restore, the only decoder of machine state,
+// refuses every other version outright. gob names each exported
 // field of each saved struct in the stream's type descriptors, so even
 // deleting a never-written field changes the bytes.
 
 // checkpointVersion is the format number embedded in every checkpoint
 // this build writes.
-const checkpointVersion = 3
+const checkpointVersion = 4
 
 // checkpointMagic prefixes every checkpoint stream; bytes that do not
 // start with it are not a checkpoint of this format.
-var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '3'}
-
-// checkpointShardCores is the core-group granularity of a checkpoint:
-// each group's cores, harts, performance counters and memory banks
-// encode as one self-contained gob value on the shared stream, so the
-// writer and the reader only ever hold one 64-core group between stream
-// operations — at 1024 cores a whole-machine struct would be thousands
-// of hart images and bank arrays live at once.
-const checkpointShardCores = 64
+var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '4'}
 
 // savedUop flattens a uop: the instruction rebuilds from its raw word,
 // the pipeline class from the opcode, and the dependence edges from ROB
@@ -90,21 +81,20 @@ type savedHart struct {
 	HasPred     bool
 	PredSignal  bool
 	Remote      [][]uint32
-	Retired     uint64
 	StartedBy   uint32
 	EndingEpoch uint64
 	LastCommit  uint64
 }
 
 // savedCore holds the per-core round-robin pointers and statistic
-// counters (busy counts and the active list are derived state).
+// counters (busy counts and the active list are derived state; fetches
+// are the core's perf.StageFetch count).
 type savedCore struct {
 	FetchRR  int32
 	RenameRR int32
 	IssueRR  int32
 	WbRR     int32
 	CommitRR int32
-	Fetched  uint64
 	Forks    uint64
 	Sends    uint64
 }
@@ -127,12 +117,11 @@ type savedClient struct {
 	Msg  ctlMsg // clientMsg
 }
 
-// checkpointManifest heads a version-3 stream: everything global —
-// configuration, clock and counters, the memory system's link and
-// event state (banks travel in the shards), in-flight clients, the
-// trace chain, device state — plus the shard geometry the reader
-// validates the following shard values against.
-type checkpointManifest struct {
+// savedMachine is a version-4 stream after its magic, one gob value:
+// configuration, clock and counters, the memory system (its banks as
+// their attached pages), in-flight clients, the trace chain, device
+// state, and every core, hart and performance counter of the machine.
+type savedMachine struct {
 	Version    int
 	Cfg        Config
 	Cycle      uint64
@@ -144,49 +133,36 @@ type checkpointManifest struct {
 	Stats      Stats
 	Profiling  bool
 	DecodedLen uint32
-	Mem        mem.State // global state only: the banks travel in the shards
+	Mem        mem.State
 	MemClients []savedClient
 	HasTrace   bool
 	Trace      trace.RecorderState
 	Devices    [][]byte
-	ShardCores int
-	NumShards  int
+	Cores      []savedCore
+	Harts      []savedHart
+	HPerf      []perf.HartCounters
+	CPerf      []perf.CoreCounters
 }
 
-// checkpointShard carries one contiguous core group: its cores, harts,
-// performance counters and memory banks.
-type checkpointShard struct {
-	FirstCore int
-	Cores     []savedCore
-	Harts     []savedHart
-	HPerf     []perf.HartCounters
-	CPerf     []perf.CoreCounters
-	Local     [][]uint32
-	Shared    [][]uint32
-}
-
-// WriteCheckpoint streams the full architectural state of the machine
-// to w: hart registers, reorder buffers and rename maps, in-flight
-// memory events and link-allocator state, device state, cycle and
-// performance counters, and the trace-digest chain. Restoring the
-// stream with Restore (or ReadCheckpoint) and advancing reproduces the
-// uninterrupted run bit-exactly. Host-side execution knobs
-// (fast-forward) are not part of the state — they never affect
-// simulated results.
+// Checkpoint serializes the full architectural state of the machine:
+// hart registers, reorder buffers and rename maps, in-flight memory
+// events, link-allocator state and bank pages, device state, cycle and
+// performance counters, and the trace-digest chain. Restoring the bytes
+// with Restore and advancing reproduces the uninterrupted run
+// bit-exactly. Host-side execution knobs (fast-forward) are not part of
+// the state — they never affect simulated results.
 //
-// The stream is the version-3 format: the magic tag, a gob-encoded
-// manifest, then one gob value per checkpointShardCores-core group on
-// the same encoder. Shards are captured one at a time, so peak host
-// memory is bounded by one group, not the machine size.
-func (m *Machine) WriteCheckpoint(w io.Writer) error {
+// The bytes are the version-4 format: the magic tag, then one
+// gob-encoded savedMachine.
+func (m *Machine) Checkpoint() ([]byte, error) {
 	m.flushIdle()
 	for _, c := range m.cores {
 		if len(c.pend) > 0 || len(c.evbuf) > 0 {
-			return fmt.Errorf("lbp: checkpoint mid-cycle: core %d has unapplied effects", c.idx)
+			return nil, fmt.Errorf("lbp: checkpoint mid-cycle: core %d has unapplied effects", c.idx)
 		}
 	}
 	memState, clients := m.Mem.CaptureGlobalState()
-	man := checkpointManifest{
+	sm := savedMachine{
 		Version:    checkpointVersion,
 		Cfg:        m.cfg,
 		Cycle:      m.cycle,
@@ -198,240 +174,165 @@ func (m *Machine) WriteCheckpoint(w io.Writer) error {
 		Profiling:  m.profiling,
 		DecodedLen: uint32(len(m.descs)),
 		Mem:        *memState,
-		ShardCores: checkpointShardCores,
-		NumShards:  (len(m.cores) + checkpointShardCores - 1) / checkpointShardCores,
+		Cores:      make([]savedCore, len(m.cores)),
+		Harts:      make([]savedHart, len(m.harts)),
+		HPerf:      m.hperf,
+		CPerf:      m.cperf,
 	}
 	if m.err != nil {
-		man.ErrMsg = m.err.Error()
+		sm.ErrMsg = m.err.Error()
 	}
-	man.MemClients = make([]savedClient, len(clients))
+	sm.MemClients = make([]savedClient, len(clients))
 	for i, cl := range clients {
 		sc, err := saveClient(cl)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		man.MemClients[i] = sc
+		sm.MemClients[i] = sc
 	}
 	if m.rec != nil {
-		man.HasTrace = true
-		man.Trace = m.rec.State()
+		sm.HasTrace = true
+		sm.Trace = m.rec.State()
 	}
-	man.Devices = make([][]byte, len(m.devices))
+	sm.Devices = make([][]byte, len(m.devices))
 	for i, d := range m.devices {
 		s, ok := d.(Stateful)
 		if !ok {
-			return fmt.Errorf("lbp: device %d (%T) does not support checkpointing", i, d)
+			return nil, fmt.Errorf("lbp: device %d (%T) does not support checkpointing", i, d)
 		}
 		b, err := s.DeviceState()
 		if err != nil {
-			return fmt.Errorf("lbp: device %d: %w", i, err)
+			return nil, fmt.Errorf("lbp: device %d: %w", i, err)
 		}
-		man.Devices[i] = b
+		sm.Devices[i] = b
 	}
-	if _, err := w.Write(checkpointMagic[:]); err != nil {
-		return fmt.Errorf("lbp: writing checkpoint: %w", err)
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(&man); err != nil {
-		return fmt.Errorf("lbp: encoding checkpoint manifest: %w", err)
-	}
-	for lo := 0; lo < len(m.cores); lo += checkpointShardCores {
-		hi := lo + checkpointShardCores
-		if hi > len(m.cores) {
-			hi = len(m.cores)
-		}
-		sh, err := m.captureShard(lo, hi)
-		if err != nil {
-			return err
-		}
-		if err := enc.Encode(sh); err != nil {
-			return fmt.Errorf("lbp: encoding checkpoint shard at core %d: %w", lo, err)
+	for i, c := range m.cores {
+		sm.Cores[i] = savedCore{
+			FetchRR: int32(c.fetchRR), RenameRR: int32(c.renameRR),
+			IssueRR: int32(c.issueRR), WbRR: int32(c.wbRR), CommitRR: int32(c.commitRR),
+			Forks: c.statForks, Sends: c.statSends,
 		}
 	}
-	return nil
-}
-
-// Checkpoint serializes the machine into a byte slice (WriteCheckpoint
-// into memory) — the convenience form the sim and serve layers store
-// and hash.
-func (m *Machine) Checkpoint() ([]byte, error) {
+	for i, h := range m.harts {
+		var err error
+		if sm.Harts[i], err = saveHart(h); err != nil {
+			return nil, err
+		}
+	}
 	var buf bytes.Buffer
-	if err := m.WriteCheckpoint(&buf); err != nil {
-		return nil, err
+	buf.Write(checkpointMagic[:])
+	if err := gob.NewEncoder(&buf).Encode(&sm); err != nil {
+		return nil, fmt.Errorf("lbp: encoding checkpoint: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// captureShard flattens the core group [lo, hi).
-func (m *Machine) captureShard(lo, hi int) (*checkpointShard, error) {
-	sh := &checkpointShard{
-		FirstCore: lo,
-		Cores:     make([]savedCore, hi-lo),
-		Harts:     make([]savedHart, (hi-lo)*HartsPerCore),
-		HPerf:     append([]perf.HartCounters(nil), m.hperf[lo*HartsPerCore:hi*HartsPerCore]...),
-		CPerf:     append([]perf.CoreCounters(nil), m.cperf[lo:hi]...),
-	}
-	for i := lo; i < hi; i++ {
-		c := m.cores[i]
-		sh.Cores[i-lo] = savedCore{
-			FetchRR: int32(c.fetchRR), RenameRR: int32(c.renameRR),
-			IssueRR: int32(c.issueRR), WbRR: int32(c.wbRR), CommitRR: int32(c.commitRR),
-			Fetched: c.statFetched, Forks: c.statForks, Sends: c.statSends,
-		}
-	}
-	for i := lo * HartsPerCore; i < hi*HartsPerCore; i++ {
-		s, err := saveHart(m.harts[i])
-		if err != nil {
-			return nil, err
-		}
-		sh.Harts[i-lo*HartsPerCore] = s
-	}
-	sh.Local, sh.Shared = m.Mem.CaptureBankRange(lo, hi)
-	return sh, nil
-}
-
-// CheckpointError is the type of every error Restore and ReadCheckpoint
-// return: whatever the bytes — another format or version, a truncated
-// stream, a manifest no entry point would build, state that contradicts
-// its own configuration — the caller gets one of these or a machine.
+// CheckpointError is the type of every error Restore returns: whatever
+// the bytes — another format or version, a truncated stream, a
+// configuration no entry point would build, state that contradicts its
+// own configuration — the caller gets one of these or a machine.
 type CheckpointError struct{ Err error }
 
 func (e *CheckpointError) Error() string { return e.Err.Error() }
 func (e *CheckpointError) Unwrap() error { return e.Err }
 
-// Restore is ReadCheckpoint over Checkpoint bytes.
+// Restore rebuilds a machine from Checkpoint bytes. Devices are not
+// serializable as configuration, so the caller passes freshly built,
+// identically configured devices in the original AddDevice order; their
+// mutable state is restored from the checkpoint before attachment.
 func Restore(data []byte, devices ...Device) (*Machine, error) {
-	return ReadCheckpoint(bytes.NewReader(data), devices...)
-}
-
-// ReadCheckpoint rebuilds a machine from a checkpoint stream, decoding
-// one core-group shard at a time. Devices are not serializable as
-// configuration, so the caller passes freshly built, identically
-// configured devices in the original AddDevice order; their mutable
-// state is restored from the checkpoint before attachment.
-func ReadCheckpoint(r io.Reader, devices ...Device) (*Machine, error) {
-	m, err := readCheckpoint(r, devices)
+	m, err := restore(data, devices)
 	if err != nil {
 		return nil, &CheckpointError{err}
 	}
 	return m, nil
 }
 
-func readCheckpoint(r io.Reader, devices []Device) (*Machine, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("lbp: reading checkpoint magic: %w", err)
-	}
-	if magic != checkpointMagic {
+func restore(data []byte, devices []Device) (*Machine, error) {
+	if !bytes.HasPrefix(data, checkpointMagic[:]) {
 		return nil, fmt.Errorf("lbp: not a version-%d checkpoint (no %q magic)", checkpointVersion, checkpointMagic)
 	}
-	dec := gob.NewDecoder(r)
-	var man checkpointManifest
-	if err := dec.Decode(&man); err != nil {
-		return nil, fmt.Errorf("lbp: decoding checkpoint manifest: %w", err)
+	var sm savedMachine
+	if err := gob.NewDecoder(bytes.NewReader(data[len(checkpointMagic):])).Decode(&sm); err != nil {
+		return nil, fmt.Errorf("lbp: decoding checkpoint: %w", err)
 	}
-	if man.Version != checkpointVersion {
+	if sm.Version != checkpointVersion {
 		return nil, fmt.Errorf("lbp: checkpoint version %d, this build supports %d",
-			man.Version, checkpointVersion)
+			sm.Version, checkpointVersion)
 	}
-	if len(devices) != len(man.Devices) {
+	if len(devices) != len(sm.Devices) {
 		return nil, fmt.Errorf("lbp: checkpoint was taken with %d devices, restore got %d",
-			len(man.Devices), len(devices))
+			len(sm.Devices), len(devices))
 	}
-	// The manifest's configuration sizes every allocation New makes, so
-	// it is held to the bounds of a machine an entry point would build
-	// before anything is built from it.
-	if err := man.Cfg.Validate(); err != nil {
+	// The configuration sizes every allocation New makes, so it is held
+	// to the bounds of a machine an entry point would build before
+	// anything is built from it.
+	if err := sm.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("lbp: checkpoint configuration: %w", err)
 	}
-	if man.ShardCores <= 0 ||
-		man.NumShards != (man.Cfg.Cores+man.ShardCores-1)/man.ShardCores {
-		return nil, fmt.Errorf("lbp: checkpoint shard geometry does not match its configuration")
+	if len(sm.Cores) != sm.Cfg.Cores || len(sm.CPerf) != sm.Cfg.Cores ||
+		len(sm.Harts) != sm.Cfg.Cores*HartsPerCore || len(sm.HPerf) != len(sm.Harts) {
+		return nil, fmt.Errorf("lbp: checkpoint holds %d cores, %d harts, %d core and %d hart counters; its configuration has %d cores",
+			len(sm.Cores), len(sm.Harts), len(sm.CPerf), len(sm.HPerf), sm.Cfg.Cores)
 	}
-	m := New(man.Cfg)
-	m.cycle = man.Cycle
-	m.running = man.Running
-	m.exited = man.Exited
-	m.haltMsg = man.HaltMsg
-	if man.ErrMsg != "" {
-		m.err = faultError(man.ErrMsg)
+	m := New(sm.Cfg)
+	m.cycle = sm.Cycle
+	m.running = sm.Running
+	m.exited = sm.Exited
+	m.haltMsg = sm.HaltMsg
+	if sm.ErrMsg != "" {
+		m.err = faultError(sm.ErrMsg)
 	}
-	m.progress = man.Progress
-	m.stats = man.Stats
-	if man.Profiling {
+	m.progress = sm.Progress
+	m.stats = sm.Stats
+	if sm.Profiling {
 		m.EnableProfiling()
 	}
-	for s := 0; s < man.NumShards; s++ {
-		lo := s * man.ShardCores
-		hi := lo + man.ShardCores
-		if hi > len(m.cores) {
-			hi = len(m.cores)
+	for i, sc := range sm.Cores {
+		for _, rr := range []int32{sc.FetchRR, sc.RenameRR, sc.IssueRR, sc.WbRR, sc.CommitRR} {
+			// The stages index the core's harts from these.
+			if rr < 0 || rr >= HartsPerCore {
+				return nil, fmt.Errorf("lbp: checkpoint core %d has a round-robin pointer of %d", i, rr)
+			}
 		}
-		var sh checkpointShard
-		if err := dec.Decode(&sh); err != nil {
-			return nil, fmt.Errorf("lbp: decoding checkpoint shard %d: %w", s, err)
-		}
-		if err := m.restoreShard(&sh, lo, hi); err != nil {
+		c := m.cores[i]
+		c.fetchRR, c.renameRR = int(sc.FetchRR), int(sc.RenameRR)
+		c.issueRR, c.wbRR, c.commitRR = int(sc.IssueRR), int(sc.WbRR), int(sc.CommitRR)
+		c.statForks, c.statSends = sc.Forks, sc.Sends
+	}
+	for i := range sm.Harts {
+		if err := restoreHart(m.harts[i], &sm.Harts[i]); err != nil {
 			return nil, err
 		}
 	}
-	clients := make([]any, len(man.MemClients))
-	for i := range man.MemClients {
-		cl, err := m.restoreClient(&man.MemClients[i])
+	copy(m.hperf, sm.HPerf)
+	copy(m.cperf, sm.CPerf)
+	clients := make([]any, len(sm.MemClients))
+	for i := range sm.MemClients {
+		cl, err := m.restoreClient(&sm.MemClients[i])
 		if err != nil {
 			return nil, err
 		}
 		clients[i] = cl
 	}
-	if err := m.Mem.RestoreGlobalState(&man.Mem, clients); err != nil {
+	if err := m.Mem.RestoreGlobalState(&sm.Mem, clients); err != nil {
 		return nil, err
 	}
-	if err := m.finishRestore(&man, devices); err != nil {
+	if err := m.finishRestore(&sm, devices); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// restoreShard rebuilds the core group the shard claims, after checking
-// it is exactly the [lo, hi) group the stream position calls for.
-func (m *Machine) restoreShard(sh *checkpointShard, lo, hi int) error {
-	if sh.FirstCore != lo || len(sh.Cores) != hi-lo ||
-		len(sh.Harts) != (hi-lo)*HartsPerCore ||
-		len(sh.HPerf) != len(sh.Harts) || len(sh.CPerf) != len(sh.Cores) {
-		return fmt.Errorf("lbp: checkpoint shard at core %d has mismatched geometry", sh.FirstCore)
-	}
-	for i, sc := range sh.Cores {
-		for _, rr := range []int32{sc.FetchRR, sc.RenameRR, sc.IssueRR, sc.WbRR, sc.CommitRR} {
-			// The stages index the core's harts from these.
-			if rr < 0 || rr >= HartsPerCore {
-				return fmt.Errorf("lbp: checkpoint core %d has a round-robin pointer of %d", lo+i, rr)
-			}
-		}
-		c := m.cores[lo+i]
-		c.fetchRR, c.renameRR = int(sc.FetchRR), int(sc.RenameRR)
-		c.issueRR, c.wbRR, c.commitRR = int(sc.IssueRR), int(sc.WbRR), int(sc.CommitRR)
-		c.statFetched, c.statForks, c.statSends = sc.Fetched, sc.Forks, sc.Sends
-	}
-	hlo := lo * HartsPerCore
-	for i := range sh.Harts {
-		if err := restoreHart(m.harts[hlo+i], &sh.Harts[i]); err != nil {
-			return err
-		}
-	}
-	copy(m.hperf[hlo:], sh.HPerf)
-	copy(m.cperf[lo:], sh.CPerf)
-	return m.Mem.RestoreBankRange(lo, sh.Local, sh.Shared)
-}
-
 // finishRestore is the restore tail: decode the restored code bank,
 // refresh the active list, reattach the trace recorder and the caller's
 // devices.
-func (m *Machine) finishRestore(man *checkpointManifest, devices []Device) error {
-	if man.DecodedLen > m.cfg.Mem.CodeBytes/4 {
+func (m *Machine) finishRestore(sm *savedMachine, devices []Device) error {
+	if sm.DecodedLen > m.cfg.Mem.CodeBytes/4 {
 		return fmt.Errorf("lbp: checkpoint decoded image exceeds the code bank")
 	}
-	m.decodeCode(int(man.DecodedLen))
-	// The restored counters are settled through m.cycle (WriteCheckpoint
+	m.decodeCode(int(sm.DecodedLen))
+	// The restored counters are settled through m.cycle (Checkpoint
 	// flushes the idle credit), so every idle span restarts after it.
 	for _, c := range m.cores {
 		c.idleFrom = 0
@@ -440,15 +341,15 @@ func (m *Machine) finishRestore(man *checkpointManifest, devices []Device) error
 		c.fetchC, c.renameC, c.issueC, c.wbC, c.commitC = allHarts, allHarts, allHarts, allHarts, allHarts
 	}
 	m.rebuildActive(m.cycle + 1)
-	if man.HasTrace {
-		m.SetTrace(trace.NewFromState(man.Trace))
+	if sm.HasTrace {
+		m.SetTrace(trace.NewFromState(sm.Trace))
 	}
 	for i, d := range devices {
 		s, ok := d.(Stateful)
 		if !ok {
 			return fmt.Errorf("lbp: restore device %d (%T) does not support checkpointing", i, d)
 		}
-		if err := s.RestoreDeviceState(man.Devices[i]); err != nil {
+		if err := s.RestoreDeviceState(sm.Devices[i]); err != nil {
 			return fmt.Errorf("lbp: restore device %d: %w", i, err)
 		}
 		m.AddDevice(d)
@@ -525,7 +426,7 @@ func saveHart(h *hart) (savedHart, error) {
 		SyncmWait: h.syncmWait, Regs: h.regs,
 		Seq: h.seq, Renamed: h.renamed, ExecReadyAt: h.execReadyAt,
 		InflightMem: int32(h.inflightMem), HasPred: h.hasPred, PredSignal: h.predSignal,
-		Retired: h.retired, StartedBy: h.startedBy,
+		StartedBy:   h.startedBy,
 		EndingEpoch: h.endingEpoch, LastCommit: h.lastCommit,
 	}
 	var err error
@@ -589,7 +490,6 @@ func restoreHart(h *hart, sh *savedHart) error {
 	h.execReadyAt = sh.ExecReadyAt
 	h.inflightMem = int(sh.InflightMem)
 	h.hasPred, h.predSignal = sh.HasPred, sh.PredSignal
-	h.retired = sh.Retired
 	h.startedBy = sh.StartedBy
 	h.endingEpoch = sh.EndingEpoch
 	h.lastCommit = sh.LastCommit

@@ -189,11 +189,13 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// The checkpoint fixtures. checkpoint_v3_8core.bin is an 8-core placed
-// set/get run stopped at cycle 4000 with a digest recorder attached,
-// written by the build that introduced version 3 (EXPERIMENTS E29 has
-// the recipe). checkpoint_v2_prefix.bin and checkpoint_v1_prefix.bin are
-// the first KiB of the same machine in the two retired formats.
+// The checkpoint fixtures. checkpoint_v4_8core.bin is an 8-core placed
+// set/get run stopped at cycle 4000 with a digest recorder attached:
+// the version-3 fixture of the same machine converted to version 4
+// (EXPERIMENTS E37 has the recipe, E29 the run it came from).
+// checkpoint_v1_prefix.bin, checkpoint_v2_prefix.bin and
+// checkpoint_v3_prefix.bin are the first KiB of the same machine in the
+// three retired formats.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -203,16 +205,21 @@ func fixture(t testing.TB, name string) []byte {
 	return data
 }
 
-// manifestOnly is a stream that ends after its manifest: what a hostile
-// or damaged checkpoint needs to reach the configuration checks.
-func manifestOnly(t testing.TB, mutate func(*Config)) []byte {
+// configOnly is a well-formed stream that carries a configuration and
+// no machine: what a hostile or damaged checkpoint needs to reach the
+// configuration checks.
+func configOnly(t testing.TB, mutate func(*Config)) []byte {
 	t.Helper()
-	man := checkpointManifest{Version: checkpointVersion, Cfg: DefaultConfig(8),
-		ShardCores: checkpointShardCores}
-	mutate(&man.Cfg)
-	man.NumShards = (man.Cfg.Cores + checkpointShardCores - 1) / checkpointShardCores
-	buf := bytes.NewBuffer(checkpointMagic[:])
-	if err := gob.NewEncoder(buf).Encode(&man); err != nil {
+	sm := savedMachine{Version: checkpointVersion, Cfg: DefaultConfig(8)}
+	mutate(&sm.Cfg)
+	return encode(t, &sm)
+}
+
+// encode writes sm as a checkpoint stream.
+func encode(t testing.TB, sm *savedMachine) []byte {
+	t.Helper()
+	buf := bytes.NewBuffer(append([]byte(nil), checkpointMagic[:]...))
+	if err := gob.NewEncoder(buf).Encode(sm); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -220,7 +227,7 @@ func manifestOnly(t testing.TB, mutate func(*Config)) []byte {
 
 const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 
-// TestCheckpointV3Format is the cross-build pin on the one checkpoint
+// TestCheckpointV4Format is the cross-build pin on the one checkpoint
 // format: a stream another build wrote restores, re-checkpoints to the
 // very same bytes — so the test fails whenever a saved struct changes
 // without a checkpointVersion bump — and runs to the end of the
@@ -229,16 +236,16 @@ const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 // gob numbers types process-wide in first-use order, so any gob value
 // an earlier test encoded would renumber the stream; the comparison
 // runs in a process of its own.
-func TestCheckpointV3Format(t *testing.T) {
+func TestCheckpointV4Format(t *testing.T) {
 	if os.Getenv(pinChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV3Format$")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV4Format$")
 		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		return
 	}
-	want := fixture(t, "checkpoint_v3_8core.bin")
+	want := fixture(t, "checkpoint_v4_8core.bin")
 	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -270,41 +277,41 @@ func TestCheckpointV3Format(t *testing.T) {
 }
 
 // TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
-// LBPCKPT2 version 2 — are refused by name, like any other bytes that are
-// not a checkpoint.
+// LBPCKPT2 version 2, LBPCKPT3 version 3 — are refused by name, like any
+// other bytes that are not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
-	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin"} {
+	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin", "checkpoint_v3_prefix.bin"} {
 		_, err := Restore(fixture(t, name))
 		var ce *CheckpointError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-3 checkpoint") {
-			t.Errorf("restore of %s: %v, want the not-a-version-3-checkpoint CheckpointError", name, err)
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-4 checkpoint") {
+			t.Errorf("restore of %s: %v, want the not-a-version-4-checkpoint CheckpointError", name, err)
 		}
 	}
 }
 
-// TestReadCheckpointRefusals: streams that stop short and manifests no
+// TestReadCheckpointRefusals: streams that stop short and states no
 // entry point would build get a CheckpointError before any machine is
 // allocated from them — RemoteRBs = -1 used to panic inside New, and
 // 4096 cores (above MaxCores) used to be built.
 func TestReadCheckpointRefusals(t *testing.T) {
-	v3 := fixture(t, "checkpoint_v3_8core.bin")
+	v4 := fixture(t, "checkpoint_v4_8core.bin")
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"empty", nil, "magic"},
-		{"magic only", v3[:8], "manifest"},
-		{"mid-manifest", v3[:400], "manifest"},
-		{"mid-shard", v3[:len(v3)/2], "shard"},
-		{"RemoteRBs=-1", manifestOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
-		{"Cores=4096", manifestOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
-		{"ROBEntries=0", manifestOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
-		{"4 GiB banks", manifestOnly(t, func(c *Config) { c.Mem.SharedBytes = 1 << 29 }), "bound"},
-		{"sane manifest, no shards", manifestOnly(t, func(*Config) {}), "shard"},
+		{"magic only", v4[:8], "decoding"},
+		{"first 400 bytes", v4[:400], "decoding"},
+		{"mid-machine", v4[:len(v4)/2], "decoding"},
+		{"RemoteRBs=-1", configOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
+		{"Cores=4096", configOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
+		{"ROBEntries=0", configOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
+		{"4 GiB banks", configOnly(t, func(c *Config) { c.Mem.SharedBytes = 1 << 29 }), "bound"},
+		{"sane configuration, no cores", configOnly(t, func(*Config) {}), "0 cores"},
 		{"round-robin pointer -9", badRoundRobin(t), "round-robin"},
 	} {
-		m, err := ReadCheckpoint(bytes.NewReader(tc.data))
+		m, err := Restore(tc.data)
 		var ce *CheckpointError
 		if m != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: machine=%v err=%v, want a CheckpointError mentioning %q", tc.name, m != nil, err, tc.want)
@@ -326,35 +333,17 @@ func badRoundRobin(t testing.TB) []byte {
 	return data
 }
 
-// rewrite decodes a checkpoint stream, lets edit change its manifest and
-// shards, and encodes it again: a well-formed stream saying something no
-// machine ever wrote — what byte mutation of a gob stream almost never
-// produces.
-func rewrite(t testing.TB, data []byte, edit func(*checkpointManifest, []checkpointShard)) []byte {
+// rewrite decodes a checkpoint, lets edit change it, and encodes it
+// again: a well-formed stream saying something no machine ever wrote —
+// what byte mutation of a gob stream almost never produces.
+func rewrite(t testing.TB, data []byte, edit func(*savedMachine)) []byte {
 	t.Helper()
-	dec := gob.NewDecoder(bytes.NewReader(data[len(checkpointMagic):]))
-	var man checkpointManifest
-	if err := dec.Decode(&man); err != nil {
+	var sm savedMachine
+	if err := gob.NewDecoder(bytes.NewReader(data[len(checkpointMagic):])).Decode(&sm); err != nil {
 		t.Fatal(err)
 	}
-	shards := make([]checkpointShard, man.NumShards)
-	for i := range shards {
-		if err := dec.Decode(&shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	edit(&man, shards)
-	buf := bytes.NewBuffer(checkpointMagic[:])
-	enc := gob.NewEncoder(buf)
-	if err := enc.Encode(&man); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
-		if err := enc.Encode(&shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
+	edit(&sm)
+	return encode(t, &sm)
 }
 
 // hostileCheckpoint is one rewritten stream and the word its refusal
@@ -396,13 +385,13 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	event := func(edit func(*mem.EventState)) func(*checkpointManifest, []checkpointShard) {
-		return func(man *checkpointManifest, _ []checkpointShard) { edit(&man.Mem.Events[read]) }
+	event := func(edit func(*mem.EventState)) func(*savedMachine) {
+		return func(sm *savedMachine) { edit(&sm.Mem.Events[read]) }
 	}
 	var out []hostileCheckpoint
 	for _, row := range []struct {
 		name string
-		edit func(*checkpointManifest, []checkpointShard)
+		edit func(*savedMachine)
 		want string
 	}{
 		{"event bank 9999", event(func(e *mem.EventState) { e.Core = 9999 }), "bank 9999"},
@@ -411,18 +400,39 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		{"load without a client", event(func(e *mem.EventState) { e.Client = -1 }), "load without a client"},
 		{"event kind 200", event(func(e *mem.EventState) { e.Kind = 200 }), "unknown kind"},
 		{"access width 3", event(func(e *mem.EventState) { e.Width = 3 }), "width 3"},
-		{"one link short", func(man *checkpointManifest, _ []checkpointShard) {
-			man.Mem.Links = man.Mem.Links[1:]
+		{"one link short", func(sm *savedMachine) {
+			sm.Mem.Links = sm.Mem.Links[1:]
 		}, "links"},
-		{"message kind 9", func(man *checkpointManifest, _ []checkpointShard) {
-			man.MemClients = append(man.MemClients, savedClient{Kind: clientMsg, Msg: ctlMsg{Kind: 9}})
+		{"message kind 9", func(sm *savedMachine) {
+			sm.MemClients = append(sm.MemClients, savedClient{Kind: clientMsg, Msg: ctlMsg{Kind: 9}})
 		}, "control-message kind"},
-		{"result buffer over depth", func(man *checkpointManifest, sh []checkpointShard) {
-			sh[0].Harts[1].Remote[0] = make([]uint32, man.Cfg.RBDepth+1)
+		{"result buffer over depth", func(sm *savedMachine) {
+			sm.Harts[1].Remote[0] = make([]uint32, sm.Cfg.RBDepth+1)
 		}, "result buffer"},
-		{"instruction table over capacity", func(man *checkpointManifest, sh []checkpointShard) {
-			sh[0].Harts[1].IT = make([]int32, man.Cfg.ITEntries+1)
+		{"instruction table over capacity", func(sm *savedMachine) {
+			sm.Harts[1].IT = make([]int32, sm.Cfg.ITEntries+1)
 		}, "instruction-table"},
+		{"one hart short", func(sm *savedMachine) {
+			sm.Harts = sm.Harts[1:]
+		}, "harts"},
+		{"page past the family", func(sm *savedMachine) {
+			sm.Mem.Shared = append(sm.Mem.Shared, mem.Page{Index: 1 << 20, Words: new([256]uint32)})
+		}, "past the family"},
+		{"duplicate page", func(sm *savedMachine) {
+			sm.Mem.Local = append(sm.Mem.Local, sm.Mem.Local[len(sm.Mem.Local)-1])
+		}, "ascend"},
+		{"descending pages", func(sm *savedMachine) {
+			l := sm.Mem.Local
+			l[0], l[1] = l[1], l[0]
+		}, "ascend"},
+		{"word past a partial last page", func(sm *savedMachine) {
+			// 4 bytes off the bank leave 255 of its last page's 256 words
+			// inside it; the bank's word 16383 is the 256th.
+			sm.Cfg.Mem.SharedBytes -= 4
+			w := new([256]uint32)
+			w[255] = 1
+			sm.Mem.Shared = []mem.Page{{Index: int32(sm.Cfg.Cores*64 - 1), Words: w}}
+		}, "past its bank"},
 	} {
 		out = append(out, hostileCheckpoint{row.name, rewrite(t, base, row.edit), row.want})
 	}
@@ -442,12 +452,11 @@ func TestHostileCheckpoints(t *testing.T) {
 	}
 }
 
-// zeroBankCheckpoint takes a mid-run checkpoint of a 2-core team
-// program (orig) and rewrites it so that every bank image is a
-// full-length run of zeros (zeroed): a stream no machine writes
-// (captured images are trimmed of trailing zeros), and one that must
-// restore without making a page resident.
-func zeroBankCheckpoint(t testing.TB) (orig, zeroed []byte) {
+// zeroPageCheckpoint takes a mid-run checkpoint of a 2-core team
+// program (orig) and rewrites it so that every page reads all zeros
+// (zeroed): a stream no machine writes (capture leaves such pages out),
+// and one that must restore without making a page resident.
+func zeroPageCheckpoint(t testing.TB) (orig, zeroed []byte) {
 	t.Helper()
 	prog, err := asm.Assemble(sprintf(teamProgram, 8, 8), asm.Options{})
 	if err != nil {
@@ -464,11 +473,10 @@ func zeroBankCheckpoint(t testing.TB) (orig, zeroed []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return orig, rewrite(t, orig, func(man *checkpointManifest, sh []checkpointShard) {
-		for i := range sh {
-			for c := range sh[i].Local {
-				sh[i].Local[c] = make([]uint32, man.Cfg.Mem.LocalBytes/4)
-				sh[i].Shared[c] = make([]uint32, man.Cfg.Mem.SharedBytes/4)
+	return orig, rewrite(t, orig, func(sm *savedMachine) {
+		for _, pages := range [][]mem.Page{sm.Mem.Local, sm.Mem.Shared} {
+			for i := range pages {
+				pages[i].Words = new([256]uint32)
 			}
 		}
 	})
@@ -483,16 +491,16 @@ func residentPages(m *Machine) int {
 		sys.FieldByName("shared").FieldByName("written").Len()
 }
 
-// TestZeroBankImagesHoldNoPages: restoring full-length zero bank images
-// writes no word, so the restored machine holds no page (the checkpoint
-// they replaced restores with some).
-func TestZeroBankImagesHoldNoPages(t *testing.T) {
-	orig, zeroed := zeroBankCheckpoint(t)
+// TestZeroPagesAttachNothing: restoring pages that read all zeros
+// attaches none of them, so the restored machine holds no page (the
+// checkpoint they replaced restores with some).
+func TestZeroPagesAttachNothing(t *testing.T) {
+	orig, zeroed := zeroPageCheckpoint(t)
 	for _, c := range []struct {
 		name string
 		data []byte
 		zero bool
-	}{{"original", orig, false}, {"zero images", zeroed, true}} {
+	}{{"original", orig, false}, {"zero pages", zeroed, true}} {
 		m, err := Restore(c.data)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -567,30 +575,32 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 	}
 }
 
-// FuzzReadCheckpoint: whatever the bytes, ReadCheckpoint returns a
-// machine or a CheckpointError — never a panic, never another error —
-// and a machine it returns can be stepped: Advance may fault or make
+// FuzzReadCheckpoint: whatever the bytes, Restore returns a machine or
+// a CheckpointError — never a panic, never another error — and a
+// machine it returns can be stepped: Advance may fault or make
 // progress, never panic. Restore is where every piece of derived state
-// (busy counts, the active list, the candidate masks) is rebuilt from
-// whatever the stream claimed, so stepping is the property to fuzz.
+// (busy counts, the active list, the candidate masks, the attached
+// pages) is rebuilt from whatever the stream claimed, so stepping is the
+// property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
-	v3 := fixture(f, "checkpoint_v3_8core.bin")
-	f.Add(v3)
-	f.Add(v3[:8])
-	f.Add(v3[:400])
-	f.Add(v3[:len(v3)/2])
+	v4 := fixture(f, "checkpoint_v4_8core.bin")
+	f.Add(v4)
+	f.Add(v4[:8])
+	f.Add(v4[:400])
+	f.Add(v4[:len(v4)/2])
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
-	f.Add(manifestOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
-	f.Add(manifestOnly(f, func(c *Config) { c.Cores = 4096 }))
+	f.Add(configOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
+	f.Add(configOnly(f, func(c *Config) { c.Cores = 4096 }))
 	f.Add(badRoundRobin(f))
 	f.Add(fixture(f, "checkpoint_v2_prefix.bin"))
-	_, zeroed := zeroBankCheckpoint(f)
+	_, zeroed := zeroPageCheckpoint(f)
 	f.Add(zeroed)
 	for _, h := range hostileCheckpoints(f) {
 		f.Add(h.data)
 	}
+	f.Add(fixture(f, "checkpoint_v3_prefix.bin"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := ReadCheckpoint(bytes.NewReader(data))
+		m, err := Restore(data)
 		var ce *CheckpointError
 		if (err == nil) == (m == nil) || (err != nil && !errors.As(err, &ce)) {
 			t.Fatalf("machine=%v err=%v (%T)", m != nil, err, err)

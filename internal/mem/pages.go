@@ -1,5 +1,7 @@
 package mem
 
+import "fmt"
+
 // Bank pages. Every core owns a 64 KiB local and a 64 KiB shared bank,
 // so a 1024-core machine addresses 128 MiB, yet a program writes a few
 // KiB per core (the figure-22 scale program: four stack pages and two
@@ -7,7 +9,9 @@ package mem
 // pages: a nil entry reads as zeros and holds no memory, the first
 // non-zero write to a page attaches one — from the System's free list,
 // else a new allocation — and Reset zeroes and detaches only the pages
-// written since the last Reset.
+// written since the last Reset. The page table is also the bank content
+// a checkpoint carries (State.Local, State.Shared): the attached pages
+// themselves, by index.
 
 const (
 	pageShift = 8 // log2(pageWords)
@@ -15,14 +19,14 @@ const (
 )
 
 // page is one 1 KiB slice of a bank.
-type page [pageWords]uint32
+type page = [pageWords]uint32
 
 // banks backs one bank family: every core's local bank, or every
 // core's shared bank.
 type banks struct {
 	pages   []*page // word off of bank b lives in pages[b*perBank+off>>pageShift]
 	perBank int     // pages per bank: the bank's words rounded up to a page
-	words   uint32  // words per bank: bounds every offset and image length
+	words   uint32  // words per bank: bounds every offset
 	written []int32 // indices of the attached pages, in attach order
 }
 
@@ -75,49 +79,52 @@ func (s *System) release(b *banks) {
 	b.written = b.written[:0]
 }
 
-// of returns bank's slice of the page table.
-func (b *banks) of(bank int) []*page {
-	return b.pages[bank*b.perBank : (bank+1)*b.perBank]
+// capture lists the family's attached pages that hold a non-zero word,
+// in ascending page-table index order. Each Page points at the live
+// page: nothing is copied.
+func (b *banks) capture() []Page {
+	var out []Page
+	for i, p := range b.pages {
+		if p != nil && *p != (page{}) {
+			out = append(out, Page{Index: int32(i), Words: p})
+		}
+	}
+	return out
 }
 
-// image copies bank out of its pages, trimmed of trailing zero words
-// (nil for a bank that reads all zeros).
-func (b *banks) image(bank int) []uint32 {
-	pages := b.of(bank)
-	n := 0
-	for k := len(pages) - 1; k >= 0 && n == 0; k-- {
-		if p := pages[k]; p != nil {
-			for j := pageWords - 1; j >= 0; j-- {
-				if p[j] != 0 {
-					n = k*pageWords + j + 1
-					break
+// check holds captured pages to the family: each index lies inside the
+// page table, the indices strictly ascend, and a partial last page of a
+// bank (TestOddBankSizes' geometry) holds no non-zero word past the
+// bank's last word.
+func (b *banks) check(pages []Page, what string) error {
+	tail := b.words % pageWords // words of a bank's partial last page; 0 if none
+	prev := int32(-1)
+	for _, p := range pages {
+		if p.Index < 0 || int(p.Index) >= len(b.pages) {
+			return fmt.Errorf("mem: state %s page %d lies past the family's %d pages", what, p.Index, len(b.pages))
+		}
+		if p.Index <= prev {
+			return fmt.Errorf("mem: state %s page %d does not ascend from page %d", what, p.Index, prev)
+		}
+		prev = p.Index
+		if tail != 0 && p.Words != nil && int(p.Index)%b.perBank == b.perBank-1 {
+			for _, w := range p.Words[tail:] {
+				if w != 0 {
+					return fmt.Errorf("mem: state %s page %d holds a word past its bank", what, p.Index)
 				}
 			}
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	img := make([]uint32, n)
-	for k, p := range pages[:(n+pageWords-1)/pageWords] {
-		if p != nil {
-			copy(img[k*pageWords:], p[:])
-		}
-	}
-	return img
+	return nil
 }
 
-// restore sets bank to img followed by zeros. It writes only img's
-// non-zero words, so a zero run never attaches a page.
-func (s *System) restore(b *banks, bank int, img []uint32) {
-	for _, p := range b.of(bank) {
-		if p != nil {
-			clear(p[:])
-		}
-	}
-	for off, w := range img {
-		if w != 0 {
-			s.write(b, bank, uint32(off), w)
+// attach installs checked pages into a released family, taking them
+// over as they are. A page that reads all zeros attaches nothing.
+func (b *banks) attach(pages []Page) {
+	for _, p := range pages {
+		if p.Words != nil && *p.Words != (page{}) {
+			b.pages[p.Index] = p.Words
+			b.written = append(b.written, p.Index)
 		}
 	}
 }

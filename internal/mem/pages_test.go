@@ -1,7 +1,10 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -124,8 +127,8 @@ func TestResetReleasesPages(t *testing.T) {
 
 // TestOddBankSizes: banks smaller than a page, of exactly one page and
 // of several pages map their first and last words, keep neighbouring
-// banks apart and round-trip through CaptureBankRange /
-// RestoreBankRange.
+// banks apart, round-trip through a snapshot's pages, and refuse a page
+// past the family or a word past a partial last page.
 func TestOddBankSizes(t *testing.T) {
 	for _, bankBytes := range []uint32{256, 1024, 4096} {
 		cfg := DefaultConfig(3)
@@ -156,50 +159,69 @@ func TestOddBankSizes(t *testing.T) {
 				t.Errorf("bank %d, core %d: first %d last %d cv %d", bankBytes, c, first, end, cv)
 			}
 		}
-		local, shared := s.CaptureBankRange(0, 3)
-		if len(shared[0]) != int(last)+1 || len(shared[1]) != int(last)+1 {
-			t.Errorf("bank %d: captured shared images of %d and %d words", bankBytes, len(shared[0]), len(shared[1]))
+		st, clients := s.CaptureGlobalState()
+		if len(st.Local) != ResidentPages(s)-len(st.Shared) {
+			t.Errorf("bank %d: captured %d local and %d shared pages of %d resident",
+				bankBytes, len(st.Local), len(st.Shared), ResidentPages(s))
 		}
 		r := New(cfg)
-		if err := r.RestoreBankRange(0, local, shared); err != nil {
+		if err := r.RestoreGlobalState(decoded(t, st), clients); err != nil {
 			t.Fatalf("bank %d: %v", bankBytes, err)
 		}
-		l2, s2 := r.CaptureBankRange(0, 3)
-		if !reflect.DeepEqual(l2, local) || !reflect.DeepEqual(s2, shared) {
-			t.Errorf("bank %d: restored banks capture differently", bankBytes)
+		if st2, _ := r.CaptureGlobalState(); !reflect.DeepEqual(st2, st) {
+			t.Errorf("bank %d: restored system captures differently", bankBytes)
 		}
 		if ResidentPages(r) != ResidentPages(s) {
 			t.Errorf("bank %d: restore holds %d pages, the source %d", bankBytes, ResidentPages(r), ResidentPages(s))
 		}
-		tooLong := [][]uint32{make([]uint32, last+2)}
-		if err := r.RestoreBankRange(0, tooLong, [][]uint32{nil}); err == nil {
-			t.Errorf("bank %d: an image one word over the bank restored", bankBytes)
+		bad := decoded(t, st)
+		bad.Shared[len(bad.Shared)-1].Index = int32(3 * ((last + pageWords) / pageWords))
+		if err := New(cfg).RestoreGlobalState(bad, clients); err == nil || !strings.Contains(err.Error(), "past the family") {
+			t.Errorf("bank %d: a page past the family: %v", bankBytes, err)
+		}
+		if tail := last%pageWords + 1; tail < pageWords {
+			bad := decoded(t, st)
+			bad.Shared[0].Words[tail] = 1
+			if err := New(cfg).RestoreGlobalState(bad, clients); err == nil || !strings.Contains(err.Error(), "past its bank") {
+				t.Errorf("bank %d: a word past the bank: %v", bankBytes, err)
+			}
 		}
 	}
 }
 
-// TestRestoreZeroImagesHoldNoPages: bank images that are full-length
-// runs of zeros restore to a system that holds no page, and clear
-// whatever the banks held before.
-func TestRestoreZeroImagesHoldNoPages(t *testing.T) {
-	cfg := DefaultConfig(2)
-	zeros := func() [][]uint32 {
-		return [][]uint32{make([]uint32, cfg.LocalBytes/4), make([]uint32, cfg.LocalBytes/4)}
-	}
-	s := New(cfg)
-	if err := s.RestoreBankRange(0, zeros(), zeros()); err != nil {
+// decoded is st through gob, as a checkpoint carries it: a copy that
+// shares no page with the system st was captured from.
+func decoded(t *testing.T, st *State) *State {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
 		t.Fatal(err)
 	}
-	if n := ResidentPages(s); n != 0 {
-		t.Errorf("%d pages resident after restoring zero images", n)
+	out := new(State)
+	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+		t.Fatal(err)
 	}
+	return out
+}
+
+// TestRestoreZeroPagesAttachNothing: pages that read all zeros — a
+// stream no capture writes — restore to a system that holds no page,
+// and clear whatever the banks held before.
+func TestRestoreZeroPagesAttachNothing(t *testing.T) {
+	s := New(DefaultConfig(2))
+	st, clients := s.CaptureGlobalState()
+	st.Local = []Page{{Index: 0, Words: new([pageWords]uint32)}, {Index: 70}}
+	st.Shared = []Page{{Index: 1, Words: new([pageWords]uint32)}}
 	if err := s.LoadShared(s.SharedAddr(1, 5), []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RestoreBankRange(0, zeros(), zeros()); err != nil {
+	if err := s.RestoreGlobalState(st, clients); err != nil {
 		t.Fatal(err)
 	}
+	if n := ResidentPages(s); n != 0 {
+		t.Errorf("%d pages resident after restoring zero pages", n)
+	}
 	if n := nonZeroWords(s); n != 0 {
-		t.Errorf("%d non-zero words survived restoring zero images", n)
+		t.Errorf("%d non-zero words survived restoring zero pages", n)
 	}
 }

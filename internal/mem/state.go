@@ -15,18 +15,14 @@ import (
 // knowledge of the client types. Event records reference clients by
 // table index; a LoadClient shared by a service/delivery event pair is
 // deduplicated by pointer identity so restore re-attaches one client to
-// both events.
-//
-// The bank images — the bulk of the bytes on large machines — are
-// captured separately per core range (CaptureBankRange), so the sharded
-// checkpoint format streams them in per-core-group shards instead of
-// materializing one contiguous snapshot of every bank.
+// both events. The banks travel as their page tables: the pages a
+// program wrote, by index, so a snapshot costs what the program wrote,
+// not what the banks address.
 
-// State is the serializable state of a System at a cycle boundary,
-// minus the per-core bank images (CaptureBankRange). The code image is
-// trimmed of trailing zero words; the events slice is the heap's
-// backing array verbatim (a heap restored in array order is the same
-// heap, so pop order is preserved bit-exactly).
+// State is the serializable state of a System at a cycle boundary. The
+// code image is trimmed of trailing zero words; the events slice is the
+// heap's backing array verbatim (a heap restored in array order is the
+// same heap, so pop order is preserved bit-exactly).
 type State struct {
 	Seq   uint64
 	Stats Stats
@@ -34,11 +30,24 @@ type State struct {
 
 	Code []uint32
 
+	// Local and Shared are the two bank families' attached pages that
+	// hold a non-zero word, in ascending page-table index order.
+	Local  []Page
+	Shared []Page
+
 	// Links is the link table verbatim: every link's next-free cycle, in
 	// the order New carves the views (the System struct declares it).
 	Links []uint64
 
 	Events []EventState
+}
+
+// Page is one bank page: its index in its family's page table (bank b's
+// word off lives in page b*ceil(bankWords/256) + off/256) and its 256
+// words.
+type Page struct {
+	Index int32
+	Words *[pageWords]uint32
 }
 
 // EventState is one in-flight event with its client flattened to a
@@ -64,18 +73,22 @@ func trimZeros(words []uint32) []uint32 {
 	return append([]uint32(nil), words[:n]...)
 }
 
-// CaptureGlobalState snapshots everything but the per-core bank images:
-// link-allocator state, counters, the code bank and the in-flight event
-// queue. The returned client table holds every distinct event client in
-// first-reference order; the caller owns serializing and rebuilding them
-// (RestoreGlobalState re-attaches by index).
+// CaptureGlobalState snapshots the system: link-allocator state,
+// counters, the code bank, the bank pages and the in-flight event
+// queue. The pages are the live ones, not copies, so the snapshot must
+// be encoded before the system steps again. The returned client table
+// holds every distinct event client in first-reference order; the
+// caller owns serializing and rebuilding them (RestoreGlobalState
+// re-attaches by index).
 func (s *System) CaptureGlobalState() (*State, []any) {
 	st := &State{
-		Seq:   s.seq,
-		Stats: s.Stats,
-		Perf:  s.Perf,
-		Code:  trimZeros(s.code),
-		Links: append([]uint64(nil), s.links...),
+		Seq:    s.seq,
+		Stats:  s.Stats,
+		Perf:   s.Perf,
+		Code:   trimZeros(s.code),
+		Local:  s.local.capture(),
+		Shared: s.shared.capture(),
+		Links:  append([]uint64(nil), s.links...),
 	}
 	var clients []any
 	loadIdx := make(map[LoadClient]int32)
@@ -108,55 +121,25 @@ func (s *System) CaptureGlobalState() (*State, []any) {
 	return st, clients
 }
 
-// CaptureBankRange snapshots the local and shared bank images of cores
-// [lo, hi), trimmed of trailing zero words.
-func (s *System) CaptureBankRange(lo, hi int) (local, shared [][]uint32) {
-	local = make([][]uint32, hi-lo)
-	shared = make([][]uint32, hi-lo)
-	for i := lo; i < hi; i++ {
-		local[i-lo] = s.local.image(i)
-		shared[i-lo] = s.shared.image(i)
-	}
-	return local, shared
-}
-
-// RestoreBankRange installs captured bank images for cores starting at
-// lo. Only non-zero words are written, so an image's zero runs cost no
-// pages.
-func (s *System) RestoreBankRange(lo int, local, shared [][]uint32) error {
-	if len(local) != len(shared) || lo < 0 || lo+len(local) > s.cfg.Cores {
-		return fmt.Errorf("mem: state bank range [%d,%d+%d) does not fit the configuration", lo, lo, len(local))
-	}
-	restoreBank := func(b *banks, img []uint32, what string, i int) error {
-		if len(img) > int(b.words) {
-			return fmt.Errorf("mem: state %s bank %d exceeds its configured size", what, i)
-		}
-		s.restore(b, i, img)
-		return nil
-	}
-	for i := range local {
-		if err := restoreBank(&s.local, local[i], "local", lo+i); err != nil {
-			return err
-		}
-		if err := restoreBank(&s.shared, shared[i], "shared", lo+i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreGlobalState installs a global snapshot — everything but the
-// bank images — into a freshly built System of the same configuration.
-// clients must be the rebuilt client table, index-aligned with the one
-// CaptureGlobalState returned. The snapshot is outside input: whatever
-// dispatch would index or call through an event is checked here, before
-// the event is queued.
+// RestoreGlobalState installs a snapshot into a System of the same
+// configuration, taking over its pages (decoded ones or copies: the
+// pages of a capture are live). clients must be the rebuilt
+// client table, index-aligned with the one CaptureGlobalState returned.
+// The snapshot is outside input: every page and whatever dispatch would
+// index or call through an event is checked here, before anything is
+// installed.
 func (s *System) RestoreGlobalState(st *State, clients []any) error {
 	if len(st.Code) > int(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
 	}
 	if len(st.Links) != len(s.links) {
 		return fmt.Errorf("mem: state has %d links, the configuration has %d", len(st.Links), len(s.links))
+	}
+	if err := s.local.check(st.Local, "local"); err != nil {
+		return err
+	}
+	if err := s.shared.check(st.Shared, "shared"); err != nil {
+		return err
 	}
 	events := make(eventQueue, len(st.Events))
 	for i := range st.Events {
@@ -169,6 +152,10 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 	s.code = s.code[:0]
 	s.growCode(len(st.Code))
 	copy(s.code, st.Code)
+	s.release(&s.local)
+	s.release(&s.shared)
+	s.local.attach(st.Local)
+	s.shared.attach(st.Shared)
 	copy(s.links, st.Links)
 	s.seq = st.Seq
 	s.Stats = st.Stats

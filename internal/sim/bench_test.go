@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/mem"
 )
 
 // BenchmarkNewReset times what a cold and a warm checkout pay for the
@@ -10,8 +12,8 @@ import (
 // chunks) at 64, 256 and 1024 cores: New builds and loads one, Reset
 // returns one that ran the program to its initial state. Reset's banks
 // are re-dirtied before every iteration, outside the timer, by
-// restoring the bank images the run left — the pages a run writes are
-// what Reset has to release.
+// restoring a copy of the pages the run left — the pages a run writes
+// are what Reset has to release.
 func BenchmarkNewReset(b *testing.B) {
 	for _, cores := range []int{64, 256, 1024} {
 		spec := Spec{Program: setGetProgram(b, cores, 64), Cores: cores, MaxCycles: 50_000_000}
@@ -30,12 +32,17 @@ func BenchmarkNewReset(b *testing.B) {
 			if _, err := sess.Run(); err != nil {
 				b.Fatal(err)
 			}
-			mem := sess.Machine().Mem
-			local, shared := mem.CaptureBankRange(0, cores)
+			sys := sess.Machine().Mem
+			// A capture points at the live pages, restore takes its pages
+			// over and Reset releases them: every restore gets copies.
+			st, clients := sys.CaptureGlobalState()
+			st.Local, st.Shared = copyPages(st.Local), copyPages(st.Shared)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := mem.RestoreBankRange(0, local, shared); err != nil {
+				dirty := *st
+				dirty.Local, dirty.Shared = copyPages(st.Local), copyPages(st.Shared)
+				if err := sys.RestoreGlobalState(&dirty, clients); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
@@ -45,4 +52,14 @@ func BenchmarkNewReset(b *testing.B) {
 			}
 		})
 	}
+}
+
+// copyPages copies pages and their words.
+func copyPages(pages []mem.Page) []mem.Page {
+	out := make([]mem.Page, len(pages))
+	for i, p := range pages {
+		w := *p.Words
+		out[i] = mem.Page{Index: p.Index, Words: &w}
+	}
+	return out
 }

@@ -60,6 +60,7 @@ func splitRun(t *testing.T, label string, spec Spec, k uint64, ffwd1, ffwd2 bool
 	if err != nil {
 		t.Fatalf("%s: checkpoint: %v", label, err)
 	}
+	t.Logf("%s: checkpoint at cycle %d is %d bytes", label, k, len(cp))
 	resumed, err := Resume(cp, ResumeSpec{MaxCycles: spec.MaxCycles})
 	if err != nil {
 		t.Fatalf("%s: resume: %v", label, err)
@@ -197,9 +198,9 @@ func TestEquivalence256Cores(t *testing.T) {
 
 // TestCheckpointResume1024Cores: split-run bit-identity at the largest
 // supported geometry. The split leg advances with fast-forward off,
-// checkpoints through the sharded v2 format (16 shards of 64 cores),
-// and resumes with it on; halt, stats, memory stats and digest must
-// match the uninterrupted run exactly.
+// checkpoints (the log line has its size) and resumes with it on; halt,
+// stats, memory stats and digest must match the uninterrupted run
+// exactly.
 func TestCheckpointResume1024Cores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: 1024-core machine")

@@ -34,14 +34,16 @@ fi
 # request), one pool for every machine size, a code bank that is its
 # written prefix (no high-water mark over a dense array), and settings
 # that nothing sets as constants (pool bounds, the default budget) with
-# one fast-forward switch: the deleted second paths must not grow back.
+# one fast-forward switch, and one checkpoint value (no shards, no bank
+# images, no streaming entry points): the deleted second paths must not
+# grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment, so that one name is searched outside
 # it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
@@ -219,7 +221,7 @@ echo "verify: lbp-fuzz smoke OK"
 
 # Native fuzzing smoke: hostile checkpoint bytes get a typed error or a
 # machine that can be stepped, never a panic. The seeds include the
-# 144 KB checkpoint_v3_8core.bin, so the minimizer is capped — by default
+# 22 KB checkpoint_v4_8core.bin, so the minimizer is capped — by default
 # it may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
