@@ -30,8 +30,8 @@ import (
 // Ceilings: the counts may fall, never rise unseen. Lower them when a
 // change deletes a setting.
 const (
-	maxFlags        = 46
-	maxOptionFields = 67
+	maxFlags        = 40
+	maxOptionFields = 64
 )
 
 // censusAllow names the settings that have no caller outside their own
@@ -52,8 +52,6 @@ var censusAllow = map[string]string{
 	"lbp-cc -bank":           "the shared bank size a program is compiled for",
 	"lbp-cc -reserve":        "the per-bank reserve a program is compiled with",
 	"lbp-cc -o":              "where the assembly goes; the tool's one output",
-	"lbp-fuzz -max":          "cycle budget for a campaign of long programs",
-	"lbp-fuzz -v":            "logs every program of a campaign",
 	"lbp-run -cores":         "the machine geometry, the tool's main input",
 	"lbp-run -max":           "the run's cycle budget",
 	"lbp-run -bank":          "the shared bank size of the machine",
@@ -98,7 +96,6 @@ var censusAllow = map[string]string{
 
 	"asm.Options.DataBase":         "the assembler's .data origin; asm's own tests move it",
 	"sim.ResumeSpec.Devices":       "devices cannot be serialized: the only way to resume a run that has them",
-	"fuzzgen.CheckOptions.FFwd":    "lbp-fuzz crosses both settings; fuzzgen's tests run one to stay short",
 	"fuzzgen.GenConfig.MinCores":   "pins the generator's machine for the checker's targeted tests",
 	"fuzzgen.GenConfig.MaxStmts":   "bounds the generator's program size for the checker's targeted tests",
 	"sim.Spec.SimWorkers":          "Deprecated: assigned only by the frozen bench/lbp-load/trace.go",

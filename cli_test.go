@@ -502,77 +502,6 @@ func TestCLIResumeChromeNeedsRing(t *testing.T) {
 	}
 }
 
-// TestCLIBenchdiff: a record agrees with itself; any changed simulated
-// field, and a pair of records with nothing in them, exits 1; the
-// throughput half and its -tolerance flag are gone (exit 2, by name).
-func TestCLIBenchdiff(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dir := t.TempDir()
-	benchdiff := buildTool(t, dir, "benchdiff")
-	tracked, err := os.ReadFile("BENCH_fig19.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// variant writes the tracked record with every row given a perf
-	// snapshot and one field of row 0 replaced.
-	variant := func(name, field string, value any) string {
-		var rec map[string]any
-		dec := json.NewDecoder(bytes.NewReader(tracked))
-		dec.UseNumber() // a digest does not survive float64
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rec["rows"].([]any) {
-			row.(map[string]any)["Perf"] = map[string]any{"cycles": 7}
-		}
-		if field != "" {
-			rec["rows"].([]any)[0].(map[string]any)[field] = value
-		}
-		data, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	same := variant("same", "", nil)
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		old, new string
-		exit     int
-		want     string
-	}{
-		{"self", "BENCH_fig19.json", "BENCH_fig19.json", 0, "OK (5 rows identical)"},
-		{"perf on one side only", "BENCH_fig19.json", same, 0, "OK"},
-		{"cycles", same, variant("cycles", "Cycles", 6949), 1, "cycles changed"},
-		{"digest", same, variant("digest", "Digest", 1), 1, "trace digest changed"},
-		{"perf", same, variant("perf", "Perf", map[string]any{"cycles": 8}), 1, "perf snapshot changed"},
-		{"no rows", empty, empty, 1, "no rows"},
-		{"tolerance is gone", "-tolerance", "0.5", 2, "not defined: -tolerance"},
-	} {
-		out, err := exec.Command(benchdiff, tc.old, tc.new).CombinedOutput()
-		code := 0
-		var exitErr *exec.ExitError
-		if errors.As(err, &exitErr) {
-			code = exitErr.ExitCode()
-		} else if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if code != tc.exit || !strings.Contains(string(out), tc.want) {
-			t.Errorf("%s: exit %d, want %d with %q in:\n%s", tc.name, code, tc.exit, tc.want, out)
-		}
-	}
-}
-
 // TestCLIServeSmoke drives the lbp-serve daemon over real HTTP: start
 // on an ephemeral port, check /healthz, run one job, verify its digest
 // matches a local lbp-run of the same program, and shut down cleanly
@@ -710,32 +639,6 @@ func TestCLIBenchProfileCloseError(t *testing.T) {
 	runTool(t, bench, "-fig", "locality", "-outdir", dir, "-memprofile", prof)
 	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
 		t.Errorf("profile not written: %v", err)
-	}
-}
-
-// TestCLIFuzzSmoke: a tiny fixed-seed lbp-fuzz campaign must complete
-// with zero divergences and a summary line; bad flags are usage errors.
-func TestCLIFuzzSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	dir := t.TempDir()
-	lbpfuzz := buildTool(t, dir, "lbp-fuzz")
-	out := runTool(t, lbpfuzz, "-n", "5", "-seed", "1", "-crashdir", filepath.Join(dir, "crashes"))
-	if !strings.Contains(out, "5 programs") || !strings.Contains(out, "0 failures") {
-		t.Errorf("summary: %s", out)
-	}
-	for _, args := range [][]string{
-		{"-n", "0"},
-		{"-workers", "1"}, // the worker-count axis is gone: unknown flag
-		{"-ffwd", "both"}, // both settings are always crossed: unknown flag
-		{"-maxcores", "0"},
-	} {
-		out, err := exec.Command(lbpfuzz, args...).CombinedOutput()
-		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-			t.Errorf("%v: err = %v, want exit code 2\n%s", args, err, out)
-		}
 	}
 }
 

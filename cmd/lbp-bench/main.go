@@ -177,9 +177,10 @@ func main() {
 
 // benchRecord is the persisted, machine-readable form of one figure.
 // Everything in it is simulated, hence deterministic: the tracked
-// BENCH_fig19.json and BENCH_fig22.json are reproduced byte for byte by
-// any build that has not changed the simulator's behaviour
-// (TestBenchRecordsReproduce), and benchdiff compares two of them.
+// BENCH_fig19.json, BENCH_fig20.json and BENCH_fig22.json are reproduced
+// byte for byte by any build that has not changed the simulator's
+// behaviour (TestBenchRecordsReproduce); two records agree when their
+// bytes do.
 type benchRecord struct {
 	Figure  int              `json:"figure"`
 	Rows    []figures.Row    `json:"rows"`

@@ -47,9 +47,9 @@ func CheckBank(bank, reserve uint64) error {
 const sharedBase = 0x80000000
 
 // compile translates MiniC source to a statement list of RV32 X_PAR
-// assembly; with the runtime, the Deterministic OpenMP runtime's
-// statements follow the functions of a program that launches teams.
-func compile(src string, opt Options, runtime bool) (*asm.List, error) {
+// assembly; the Deterministic OpenMP runtime's statements follow the
+// functions of a program that launches teams.
+func compile(src string, opt Options) (*asm.List, error) {
 	prog, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func compile(src string, opt Options, runtime bool) (*asm.List, error) {
 	}
 	g := &codegen{prog: prog, opt: opt}
 	g.list.Stmts = *stmtPool.Get().(*[]asm.Stmt)
-	if err := g.run(runtime); err != nil {
+	if err := g.run(); err != nil {
 		release(&g.list)
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func compile(src string, opt Options, runtime bool) (*asm.List, error) {
 const maxPooled = 1 << 12
 
 // stmtPool holds statement lists between compiles: a list is garbage
-// once it is assembled or rendered, and Build and compileText give it
+// once it is assembled or rendered, and Build and BuildProgram give it
 // back (release) so that the next compile appends into it.
 var stmtPool = sync.Pool{New: func() any { return new([]asm.Stmt) }}
 
@@ -190,7 +190,7 @@ func (g *codegen) errf(line int, format string, args ...any) error {
 }
 
 // run generates the whole module.
-func (g *codegen) run(runtime bool) error {
+func (g *codegen) run() error {
 	g.list.Verbatim("# generated by MiniC (Deterministic OpenMP dialect)\n")
 	g.list.Text()
 	for _, f := range g.prog.Funcs {
@@ -201,7 +201,7 @@ func (g *codegen) run(runtime bool) error {
 			return err
 		}
 	}
-	if runtime && g.parallel {
+	if g.parallel {
 		// The runtime goes before the data section so it assembles into the
 		// text image. Its statements are copied: layout writes into them.
 		g.list.Append(detomp.Statements())

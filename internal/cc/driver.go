@@ -9,7 +9,7 @@ import "repro/internal/asm"
 // compile failure is an *Error; an *asm.Error means the assembler
 // refused the generated code, at the line BuildProgram's text has there.
 func Build(src string, opt Options) (*asm.Program, error) {
-	l, err := compile(src, opt, true)
+	l, err := compile(src, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -19,13 +19,8 @@ func Build(src string, opt Options) (*asm.Program, error) {
 
 // BuildProgram compiles MiniC source into a complete assembly program:
 // the text of the list Build assembles.
-func BuildProgram(src string, opt Options) (string, error) { return compileText(src, opt, true) }
-
-// Compile is BuildProgram without the Deterministic OpenMP runtime.
-func Compile(src string, opt Options) (string, error) { return compileText(src, opt, false) }
-
-func compileText(src string, opt Options, runtime bool) (string, error) {
-	l, err := compile(src, opt, runtime)
+func BuildProgram(src string, opt Options) (string, error) {
+	l, err := compile(src, opt)
 	if err != nil {
 		return "", err
 	}

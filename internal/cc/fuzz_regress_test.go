@@ -3,7 +3,7 @@ package cc
 import "testing"
 
 // Regression tests for bugs found by the whole-program determinism
-// fuzzer (cmd/lbp-fuzz). Each case is a minimized MiniC program whose
+// fuzzer (fuzzgen's FuzzDeterminism). Each case is a minimized MiniC program whose
 // machine result once diverged from the sequential reference; the
 // corresponding corpus entries live under internal/fuzzgen/testdata/fuzz/.
 

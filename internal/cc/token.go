@@ -384,8 +384,8 @@ func (l *lexer) define(rest string, line int) error {
 // text (POST /jobs takes MiniC from anyone) gets an *Error with its line
 // instead of the process's stack or heap. Each is more than 100 times
 // what any program in this repository reaches: over the package tests,
-// the examples, the figures and 300-program lbp-fuzz campaigns, 169
-// expanded tokens, 59 levels and macros nested 3 deep.
+// the examples, the figures and 300-program determinism-fuzzer
+// campaigns, 169 expanded tokens, 59 levels and macros nested 3 deep.
 const (
 	// maxExpandedTokens bounds the tokens macro expansion may produce
 	// in one translation unit: object-like macros that mention each

@@ -15,36 +15,14 @@ import (
 // must never change anything; machine geometry (cores) may change
 // timing — and therefore the trace digest — but never a computed value.
 
-// CheckOptions configures the execution matrix.
-type CheckOptions struct {
-	// MaxCycles bounds every run (0 = 20M).
-	MaxCycles uint64
-	// FFwd are the fast-forward settings (nil = {true, false}).
-	FFwd []bool
-	// MaxCores caps the cores ladder {1,2,4,256} (0 = 4). Programs run
-	// on every ladder entry >= their MinCores. The default cap keeps
-	// smoke campaigns fast; raising it to 256 adds a deep-router-tree
-	// geometry to every check.
-	MaxCores int
-}
+// maxCycles bounds every run.
+const maxCycles = 20_000_000
 
-func (o CheckOptions) withDefaults() CheckOptions {
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 20_000_000
-	}
-	if o.FFwd == nil {
-		o.FFwd = []bool{true, false}
-	}
-	if o.MaxCores == 0 {
-		o.MaxCores = 4
-	}
-	return o
-}
-
-// coresLadder lists the machine sizes a program is checked on. The
-// 256-core rung runs the same programs through a three-level router
-// hierarchy (degree 4), where a divergence would implicate the
-// generalized tree rather than the program.
+// coresLadder lists the machine sizes a program is checked on: every
+// entry of {1,2,4,256} from minCores up to maxCores. The 256-core rung
+// runs the same programs through a three-level router hierarchy
+// (degree 4), where a divergence would implicate the generalized tree
+// rather than the program.
 func coresLadder(minCores, maxCores int) []int {
 	var out []int
 	for _, c := range []int{1, 2, 4, 256} {
@@ -60,7 +38,6 @@ func coresLadder(minCores, maxCores int) []int {
 
 // Failure describes one divergence.
 type Failure struct {
-	Prog   *Prog // nil when replaying a source file
 	Source string
 	Stage  string // compile | assemble | run | value | digest
 	Detail string
@@ -71,21 +48,17 @@ func (f *Failure) Error() string {
 }
 
 // Check renders, compiles and differentially runs one generated
-// program. It returns the number of simulated runs and the first
-// divergence found (nil if all runs agree with the reference).
-func Check(p *Prog, opt CheckOptions) (int, *Failure) {
-	runs, f := CheckSource(p.Render(), p.MinCores, p.Eval(), opt)
-	if f != nil {
-		f.Prog = p
-	}
-	return runs, f
+// program on the cores ladder up to maxCores, each machine with
+// fast-forward on and off. It returns the number of simulated runs and
+// the first divergence found (nil if all runs agree with the reference).
+func Check(p *Prog, maxCores int) (int, *Failure) {
+	return CheckSource(p.Render(), p.MinCores, p.Eval(), maxCores)
 }
 
 // CheckSource compiles MiniC source and checks every matrix cell
 // against the expected final memory image. Only globals named in
 // expect are compared.
-func CheckSource(src string, minCores int, expect State, opt CheckOptions) (int, *Failure) {
-	opt = opt.withDefaults()
+func CheckSource(src string, minCores int, expect State, maxCores int) (int, *Failure) {
 	fail := func(stage, format string, args ...any) *Failure {
 		return &Failure{Source: src, Stage: stage, Detail: fmt.Sprintf(format, args...)}
 	}
@@ -101,17 +74,17 @@ func CheckSource(src string, minCores int, expect State, opt CheckOptions) (int,
 		return 0, fail(stage, "%v", err)
 	}
 	runs := 0
-	for _, cores := range coresLadder(minCores, opt.MaxCores) {
+	for _, cores := range coresLadder(minCores, maxCores) {
 		// Both fast-forward settings on one machine geometry must
 		// produce one digest; only the geometry may change timing.
 		var wantDig uint64
 		var wantCfg string
-		for _, ffwd := range opt.FFwd {
+		for _, ffwd := range []bool{true, false} {
 			cfg := fmt.Sprintf("cores=%d ffwd=%v", cores, ffwd)
 			sess, err := sim.New(sim.Spec{
 				Program:   prog,
 				Cores:     cores,
-				MaxCycles: opt.MaxCycles,
+				MaxCycles: maxCycles,
 				Trace:     sim.TraceSpec{Digest: true},
 			})
 			if err != nil {
@@ -174,61 +147,4 @@ func compareState(sess *sim.Session, symbols map[string]uint32, expect State) st
 		diffs = append(diffs[:8], fmt.Sprintf("... and %d more", len(diffs)-8))
 	}
 	return strings.Join(diffs, "; ")
-}
-
-// ---- campaigns ------------------------------------------------------------
-
-// CampaignStats summarizes one fuzzing campaign.
-type CampaignStats struct {
-	Programs int
-	Runs     int
-	Failures []*Failure
-}
-
-// Campaign generates and checks n programs. The master seed derives
-// one sub-seed per program, so any failing program is reproducible
-// from its own Prog.Seed alone. report, when non-nil, is called after
-// every program (f is nil for a pass). Failing programs are minimized
-// with Shrink before being recorded.
-func Campaign(seed int64, n int, gcfg GenConfig, opt CheckOptions,
-	report func(i int, p *Prog, f *Failure)) CampaignStats {
-	seeds := subSeeds(seed, n)
-	var st CampaignStats
-	for i := 0; i < n; i++ {
-		p := Generate(seeds[i], gcfg)
-		runs, f := Check(p, opt)
-		st.Programs++
-		st.Runs += runs
-		if f != nil {
-			min := Shrink(p, func(q *Prog) bool {
-				_, qf := Check(q, opt)
-				return qf != nil
-			}, 300)
-			if _, mf := Check(min, opt); mf != nil {
-				f = mf
-			}
-		}
-		if f != nil {
-			st.Failures = append(st.Failures, f)
-		}
-		if report != nil {
-			report(i, p, f)
-		}
-	}
-	return st
-}
-
-// subSeeds expands one master seed into n independent program seeds.
-func subSeeds(seed int64, n int) []int64 {
-	out := make([]int64, n)
-	s := uint64(seed)
-	for i := range out {
-		// splitmix64: decorrelates adjacent master seeds.
-		s += 0x9E3779B97F4A7C15
-		z := s
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		out[i] = int64((z ^ (z >> 31)) &^ (1 << 63))
-	}
-	return out
 }

@@ -9,10 +9,11 @@ import (
 	"strings"
 )
 
-// The regression corpus: every minimized fuzzer finding is checked in
-// as a <name>.c MiniC source plus a <name>.json sidecar holding the
-// reference-evaluator expectation, and replayed as a deterministic
-// unit test (internal/fuzzgen/corpus_test.go) on every tier-1 run.
+// The regression corpus: every minimized finding of FuzzDeterminism is
+// checked in as a <name>.c MiniC source plus a <name>.json sidecar
+// holding the reference-evaluator expectation (the failure message
+// prints both), and replayed as a deterministic unit test
+// (internal/fuzzgen/corpus_test.go) on every tier-1 run.
 
 // CorpusEntry is the sidecar metadata of one corpus program.
 type CorpusEntry struct {
@@ -26,26 +27,11 @@ type CorpusEntry struct {
 	Expect map[string][]int32 `json:"expect"`
 }
 
-// WriteCorpus writes p as dir/name.c + dir/name.json.
-func WriteCorpus(dir, name string, p *Prog) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	entry := CorpusEntry{Seed: p.Seed, MinCores: p.MinCores, Expect: p.Eval()}
-	meta, err := json.MarshalIndent(entry, "", "  ")
-	if err != nil {
-		return err
-	}
-	meta = append(meta, '\n')
-	if err := os.WriteFile(filepath.Join(dir, name+".c"), []byte(p.Render()), 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, name+".json"), meta, 0o644)
-}
-
 // ReplayFile checks one corpus program (path to the .c file; the .json
-// sidecar sits next to it) across the full execution matrix.
-func ReplayFile(path string, opt CheckOptions) error {
+// sidecar sits next to it) across the full execution matrix, 256-core
+// rung included, so a finding of a deep fuzz input replays where it
+// was found.
+func ReplayFile(path string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -61,7 +47,7 @@ func ReplayFile(path string, opt CheckOptions) error {
 	if entry.MinCores < 1 {
 		entry.MinCores = 1
 	}
-	if _, f := CheckSource(string(src), entry.MinCores, entry.Expect, opt); f != nil {
+	if _, f := CheckSource(string(src), entry.MinCores, entry.Expect, 256); f != nil {
 		return fmt.Errorf("%s: %v", path, f)
 	}
 	return nil

@@ -20,7 +20,7 @@ func TestCorpusReplay(t *testing.T) {
 	for _, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			if err := ReplayFile(path, CheckOptions{}); err != nil {
+			if err := ReplayFile(path); err != nil {
 				t.Error(err)
 			}
 		})

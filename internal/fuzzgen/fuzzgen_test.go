@@ -8,7 +8,7 @@ import (
 )
 
 // TestGenerateDeterministic pins that the generator is a pure function
-// of its seed: campaigns and corpus sidecars are reproducible from
+// of its seed: fuzz inputs and corpus sidecars are reproducible from
 // Prog.Seed alone.
 func TestGenerateDeterministic(t *testing.T) {
 	for _, seed := range []int64{1, 2, 42, 0x9E3779B9} {
@@ -40,35 +40,19 @@ func TestGeneratedProgramsCompile(t *testing.T) {
 	}
 }
 
-// TestCampaignFixedSeed is the in-tree fuzzing smoke: a small fixed-
-// seed campaign across the full {cores}x{ffwd} matrix must
-// find zero divergences.
-func TestCampaignFixedSeed(t *testing.T) {
-	n := 25
-	if testing.Short() {
-		n = 6
-	}
-	stats := Campaign(1, n, GenConfig{}, CheckOptions{}, nil)
-	if stats.Programs != n {
-		t.Fatalf("ran %d programs, want %d", stats.Programs, n)
-	}
-	if stats.Runs == 0 {
-		t.Fatal("campaign simulated zero runs")
-	}
-	for _, f := range stats.Failures {
-		t.Errorf("divergence: %v", f)
-	}
-}
-
 // TestCheckRejectsWrongExpectation makes sure the checker actually
-// compares values: a deliberately wrong reference must fail.
+// compares values: a deliberately wrong reference must fail, and a
+// right one passes with fast-forward on and off.
 func TestCheckRejectsWrongExpectation(t *testing.T) {
 	src := "int out;\nvoid main() { out = 7; }\n"
-	opt := CheckOptions{FFwd: []bool{true}, MaxCores: 1}
-	if _, f := CheckSource(src, 1, State{"out": {7}}, opt); f != nil {
+	runs, f := CheckSource(src, 1, State{"out": {7}}, 1)
+	if f != nil {
 		t.Fatalf("correct expectation rejected: %v", f)
 	}
-	_, f := CheckSource(src, 1, State{"out": {8}}, opt)
+	if runs != 2 {
+		t.Fatalf("%d runs on one machine, want 2 (fast-forward on and off)", runs)
+	}
+	_, f = CheckSource(src, 1, State{"out": {8}}, 1)
 	if f == nil {
 		t.Fatal("wrong expectation accepted")
 	}

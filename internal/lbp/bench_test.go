@@ -1,13 +1,13 @@
 package lbp_test
 
-// Host-side microbenchmarks of the simulator hot path. They measure
-// exactly what the benchdiff throughput gate measures — simulated cycles
-// per host second inside Machine.Run — on the fig-19 workloads, plus the
+// Host-side microbenchmarks of the simulator hot path: simulated cycles
+// per host second inside Machine.Run on the fig-19 workloads, plus the
 // raw stepping rate of a single machine. Run them with
 //
 //	go test -bench 'MachineStep|FigRow|Matmul64|PhaseBCommit' -run @ ./internal/lbp
 //
-// (scripts/verify.sh -bench N runs them alongside the benchdiff gate).
+// (scripts/verify.sh -bench N runs them after it compares the figure's
+// regenerated BENCH record with the tracked one).
 
 import (
 	"fmt"
@@ -21,7 +21,7 @@ import (
 )
 
 // benchSession builds a fig-19 session (digest tracing on, like the
-// benchdiff rows) for one matmul variant at h harts.
+// BENCH record's rows) for one matmul variant at h harts.
 func benchSession(v workloads.MatmulVariant, h int) (*sim.Session, error) {
 	prog, err := workloads.BuildMatmul(v, h)
 	if err != nil {

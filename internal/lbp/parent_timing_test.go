@@ -16,10 +16,10 @@ import (
 	"repro/internal/workloads"
 )
 
-// The parent-written timing fixture. lbp-fuzz checks determinism and
-// computed values, never timing against another build, so a stepper
-// change that wakes a hart one cycle late is deterministic, correct and
-// invisible to it. testdata/parent_timing.json holds (cycles, retired,
+// The parent-written timing fixture. fuzzgen's FuzzDeterminism checks
+// determinism and computed values, never timing against another build,
+// so a stepper change that wakes a hart one cycle late is deterministic,
+// correct and invisible to it. testdata/parent_timing.json holds (cycles, retired,
 // digest, events, outcome) for a fixed corpus as the commit before the
 // candidate-mask stepper computed them; this build must reproduce every
 // row. Each row also pins what the toolchain made of the source before

@@ -3,14 +3,14 @@
 #
 #   scripts/verify.sh            build + vet + gofmt + tests + race subset
 #                                + bench module + lbp-serve smoke test
-#                                + lbp-fuzz smoke + native fuzz smokes
-#   scripts/verify.sh -bench N   ...then regenerate figure N and benchdiff
-#                                it against the recorded BENCH_figN.json
-#                                (fails on any simulated-result change;
-#                                figs 19 and 22 are also compared byte
-#                                for byte by go test, TestBenchRecordsReproduce),
-#                                and print the host-side microbenchmarks
-#                                (with -benchmem).
+#                                + native fuzz smokes
+#   scripts/verify.sh -bench N   ...then regenerate figure N into out/ and
+#                                cmp it with the tracked BENCH_figN.json
+#                                when there is one (figs 19, 20 and 22,
+#                                which go test's TestBenchRecordsReproduce
+#                                also compares byte for byte), and print
+#                                the host-side microbenchmarks (with
+#                                -benchmem).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -34,16 +34,17 @@ fi
 # request), one pool for every machine size, a code bank that is its
 # written prefix (no high-water mark over a dense array), and settings
 # that nothing sets as constants (pool bounds, the default budget) with
-# one fast-forward switch, and one checkpoint value (no shards, no bank
-# images, no streaming entry points): the deleted second paths must not
-# grow back.
+# one fast-forward switch, one checkpoint value (no shards, no bank
+# images, no streaming entry points), and one determinism harness (the
+# FuzzDeterminism target; no campaign API, no options struct): the
+# deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment, so that one name is searched outside
 # it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
@@ -213,16 +214,17 @@ kill -TERM "$w2pid"
 wait "$w2pid" 2>/dev/null || true
 echo "verify: distributed smoke OK"
 
-# Determinism fuzzing smoke: a small fixed-seed campaign across the
-# {cores} x {fast-forward on, off} matrix must find zero divergences
-# from the sequential reference evaluator.
-go run ./cmd/lbp-fuzz -n 50 -seed 1 -crashdir "$smokedir/fuzz"
-echo "verify: lbp-fuzz smoke OK"
-
-# Native fuzzing smoke: hostile checkpoint bytes get a typed error or a
-# machine that can be stepped, never a panic. The seeds include the
-# 22 KB checkpoint_v4_8core.bin, so the minimizer is capped — by default
-# it may spend a minute on one input.
+# Native fuzzing smokes. Determinism first: generated MiniC + OpenMP
+# programs across the {cores} x {fast-forward on, off} matrix must match
+# the sequential reference evaluator. Its seed corpus (two fixed
+# campaigns, one on the 256-core ladder) already ran under go test
+# above; this explores past it.
+go test ./internal/fuzzgen -run '^$' -fuzz FuzzDeterminism -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzDeterminism smoke OK"
+# Hostile checkpoint bytes get a typed error or a machine that can be
+# stepped, never a panic. The seeds include the 22 KB
+# checkpoint_v4_8core.bin, so the minimizer is capped — by default it
+# may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
 # Hostile program images (POST /jobs "image", and what a worker reads
@@ -253,15 +255,15 @@ echo "verify: FuzzRPCFrame smoke OK"
 go test ./internal/cache -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzSegmentScan smoke OK"
 
-# 256-core geometry smoke: a small campaign with the 256-core rung of
-# the cores ladder enabled, so the generalized router hierarchy is
-# exercised at depth on every verify run.
-go run ./cmd/lbp-fuzz -n 5 -seed 2 -maxcores 256 -crashdir "$smokedir/fuzz256"
-echo "verify: 256-core smoke OK"
-
 if [ -n "$fig" ]; then
     go run ./cmd/lbp-bench -fig "$fig" -outdir out/
-    go run ./cmd/benchdiff "BENCH_fig$fig.json" "out/BENCH_fig$fig.json"
+    # A record holds simulated quantities only: any difference from the
+    # tracked bytes is a change in the simulator's behaviour
+    # (go test ./cmd/lbp-bench names the first differing field).
+    if [ -f "BENCH_fig$fig.json" ]; then
+        cmp "BENCH_fig$fig.json" "out/BENCH_fig$fig.json"
+        echo "verify: BENCH_fig$fig.json reproduced byte for byte"
+    fi
     # Host-side interpreter throughput (cycles/s): steady-state numbers
     # from the Go microbenchmarks, for eyeballing against EXPERIMENTS E17.
     # BenchmarkPhaseBCommit runs at 64, 256 and 1024 cores: its three
