@@ -430,15 +430,22 @@ func TestCLICheckpointResume(t *testing.T) {
 		t.Errorf("resumed digest differs:\n%s\nwant %s", digestLine(t, resumed), single)
 	}
 
-	for _, args := range [][]string{
-		{"-checkpoint", ckpt, "testdata/vecsum.c"}, // -checkpoint without -every
-		{"-every", "500", "testdata/vecsum.c"},     // -every without -checkpoint
-		{"-resume", ckpt, "testdata/vecsum.c"},     // resume with a program argument
+	for _, row := range []struct {
+		args []string
+		want string // in the message
+	}{
+		{[]string{"-checkpoint", ckpt, "testdata/vecsum.c"}, "-every"},       // -checkpoint without -every
+		{[]string{"-every", "500", "testdata/vecsum.c"}, "-checkpoint"},      // -every without -checkpoint
+		{[]string{"-resume", ckpt, "testdata/vecsum.c"}, "program argument"}, // resume with a program argument
+		// The checkpoint's geometry wins: these used to run its 2-core
+		// machine and exit 0.
+		{[]string{"-resume", ckpt, "-cores", "16"}, "-cores"},
+		{[]string{"-resume", ckpt, "-bank", "4096"}, "-bank"},
 	} {
-		out, err := exec.Command(lbprun, args...).CombinedOutput()
+		out, err := exec.Command(lbprun, row.args...).CombinedOutput()
 		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-			t.Errorf("%v: err = %v, want exit code 2\n%s", args, err, out)
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 || !strings.Contains(string(out), row.want) {
+			t.Errorf("%v: err = %v, want exit code 2 naming %s\n%s", row.args, err, row.want, out)
 		}
 	}
 

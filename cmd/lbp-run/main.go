@@ -5,7 +5,7 @@
 // Usage:
 //
 //	lbp-run [-cores N] [-max CYCLES] [-bank BYTES] [-digest] [-tail N] [-percore] [-stats] [-chrome FILE] [-checkpoint FILE -every N] file.{c,s,img}
-//	lbp-run -resume FILE [-max CYCLES] [flags]
+//	lbp-run -resume FILE [-max CYCLES] [flags other than -cores and -bank]
 //
 // -stats enables the deterministic performance counters and prints a
 // cycle-attribution report after the run: where every hart-cycle went
@@ -69,6 +69,14 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lbp-run: -resume takes no program argument (the checkpoint carries the program)")
 			os.Exit(2)
 		}
+		// The checkpoint fixes the machine: a geometry flag would be
+		// silently ignored.
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "cores" || f.Name == "bank" {
+				fmt.Fprintf(os.Stderr, "lbp-run: -%s cannot be used with -resume (the checkpoint fixes the machine)\n", f.Name)
+				os.Exit(2)
+			}
+		})
 		data, err := os.ReadFile(*resume)
 		if err != nil {
 			fatal(err)

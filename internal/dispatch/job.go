@@ -121,8 +121,8 @@ func (j *Job) Spec() (sim.Spec, error) {
 	}, nil
 }
 
-// Job outcome statuses (Result.Status). They mirror the serving
-// layer's values so it can map them 1:1 onto HTTP codes.
+// Job outcome statuses (Result.Status). The serving layer's status
+// values are these (plus its own "rejected"), mapped onto HTTP codes.
 const (
 	StatusOK        = "ok"        // run completed (Halt says how)
 	StatusError     = "error"     // machine fault or cycle budget exceeded

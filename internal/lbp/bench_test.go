@@ -114,8 +114,9 @@ func BenchmarkFigRow(b *testing.B) { benchMatmulRows(b, 16) }
 func BenchmarkMatmul64(b *testing.B) { benchMatmulRows(b, 64) }
 
 // phaseBSource is the placed set/get program for h harts: every hart
-// forks, sends and joins, so the fork wave replays deferred streams in
-// phase B on every p_fn cycle.
+// forks, sends and joins, so the fork wave allocates harts in phase B,
+// with the cycle's later trace events held behind it, on every p_fn
+// cycle.
 func phaseBSource(h int) string {
 	return fmt.Sprintf(`
 #define H %d
@@ -144,8 +145,10 @@ void main() {
 `, h)
 }
 
-// BenchmarkPhaseBCommit measures the effect path on a message-dense
-// workload — the placed set/get program — at 64, 256 and 1024 cores. The
+// BenchmarkPhaseBCommit measures the effects applied at their issue site
+// (sends, joins, memory submissions) and phase B's fork allocations on a
+// message-dense workload — the placed set/get program — at 64, 256 and
+// 1024 cores. The
 // number of live harts is about the same at every size (the fork wave
 // is a few cores wide), so cycles/s and ns/cycle should be flat across
 // the three: a curve that falls with the core count is per-cycle work

@@ -4,7 +4,7 @@ import "repro/internal/trace"
 
 // Typed memory-event payloads.
 //
-// applyItem hands these to the memory system instead of closures: each is
+// The cores hand these to the memory system instead of closures: each is
 // a plain struct whose bodies are exactly the statements the former
 // closures ran, and whose pointers the checkpoint layer (state.go) can
 // flatten to stable identifiers — hart global number, ROB index — and

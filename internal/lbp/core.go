@@ -42,12 +42,8 @@ type core struct {
 
 	perf *perf.CoreCounters // stage-occupancy counters (always counted)
 
-	// Effects and trace events deferred behind a p_fn of this cycle,
-	// drained by Machine.applyDeferred (phase B); whole-run statistic
-	// counters folded into the totals by Machine.result (fetches are
-	// perf.StageFetch's count).
-	pend                 []pendItem
-	evbuf                []trace.Event
+	// Whole-run statistic counters folded into the totals by
+	// Machine.result (fetches are perf.StageFetch's count).
 	statForks, statSends uint64
 
 	// idleFrom is the first cycle whose stall attribution this core's
@@ -58,10 +54,10 @@ type core struct {
 
 // stepCompute advances the core by one cycle (phase A). Stages run in
 // reverse pipeline order so that a stage's output is consumed by the
-// next stage one cycle later at the earliest. It mutates only this
-// core's state and the machine's progress stamp — everything else
-// cross-core or machine-global goes through core.effect — and reports
-// whether any stage did work.
+// next stage one cycle later at the earliest. Of the rest of the machine
+// it mutates only the progress stamp, the memory system (submissions and
+// messages, in core order), the halt state and, through a p_fn, phase B's
+// list (phase.go). It reports whether any stage did work.
 func (c *core) stepCompute(now uint64) bool {
 	start := c.perf.StageBusy
 	c.commit(now)
@@ -70,6 +66,11 @@ func (c *core) stepCompute(now uint64) bool {
 	c.rename(now)
 	c.fetch(now)
 	return c.perf.StageBusy != start
+}
+
+// faultf raises a fault of this core's hart hartIdx (Machine.faultf).
+func (c *core) faultf(hartIdx int, format string, args ...any) {
+	c.m.faultf(c.idx, hartIdx, format, args...)
 }
 
 // Each stage scans its candidate harts with rotating priority
@@ -140,7 +141,7 @@ func (c *core) fetch(now uint64) {
 	h.pcValid = false
 	c.fetchC &^= h.bit
 	c.renameC |= h.bit
-	c.emit(trace.KindFetch, h.idx, uint64(u.pc))
+	c.m.event(trace.KindFetch, c.idx, h.idx, uint64(u.pc))
 }
 
 // ---- decode/rename stage ---------------------------------------------
@@ -314,7 +315,7 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		}
 		// Cross-core state is read as of the cycle boundary, and the live
 		// count is that value: busy changes only in a core's own phase-A
-		// step (execPFC, doRet), in phase B (pendForkNext) and outside the
+		// step (execPFC, doRet), in phase B (applyLate) and outside the
 		// cycle loop (LoadProgram, Reset, Restore) — Mem.Step deliveries
 		// (ctlStart, ctlJoin) never cross the free/non-free line — and
 		// this core steps before the next one, so nothing has touched the
@@ -391,11 +392,9 @@ func (c *core) execLoad(h *hart, u *uop, now uint64) {
 	}
 	// Arm the hart's reusable load client: at most one load is in
 	// flight per hart (the 1-deep result buffer holds the previous one
-	// in the exec slot until delivery), so the slot is idle, and nothing
-	// reads it before the effect submits it.
+	// in the exec slot until delivery), so the slot is idle.
 	h.ldc.u, h.ldc.v = u, 0
-	c.effect(pendItem{kind: pendLoad, h: h,
-		a: addr, w: mem.Width(d.MemW), signed: d.MemSigned()})
+	c.m.Mem.SubmitLoad(now, c.idx, addr, mem.Width(d.MemW), d.MemSigned(), &h.ldc)
 }
 
 func (c *core) execStore(h *hart, u *uop, now uint64) {
@@ -410,7 +409,7 @@ func (c *core) execStore(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "store to unmapped address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	c.effect(pendItem{kind: pendStore, h: h, a: addr, b: u.src2, w: mem.Width(d.MemW)})
+	c.m.Mem.SubmitStore(now, c.idx, addr, u.src2, mem.Width(d.MemW), &h.stc)
 	u.done = true
 }
 
@@ -497,12 +496,12 @@ func (c *core) commit(now uint64) {
 	h.perf.Retired[u.d.Cls]++
 	c.perf.StageBusy[perf.StageCommit]++
 	c.m.progress = now
-	c.emit(trace.KindCommit, h.idx, uint64(u.pc))
+	c.m.event(trace.KindCommit, c.idx, h.idx, uint64(u.pc))
 	switch {
 	case u.isRet:
 		c.doRet(h, u, now)
 	case u.d.Inst.Op == isa.OpECALL || u.d.Inst.Op == isa.OpEBREAK:
-		c.deferHalt(u.d.Inst.Op.String())
+		c.m.halt(u.d.Inst.Op.String())
 	}
 	h.freeUop(u)
 }

@@ -59,12 +59,11 @@ type Machine struct {
 	tracing bool
 	fastFwd bool
 
-	// deferred is set by the cycle's first p_fn: from there to the cycle
-	// boundary effects and trace events queue on their cores instead of
-	// applying (phase.go). lane lists the cores that queued any, in
-	// ascending core order, for applyDeferred.
-	deferred bool
-	lane     []*core
+	// Phase B (phase.go): late holds the cycle's p_fn allocations and
+	// the faults raised after the first of them, lateEvents the trace
+	// events raised after it. Both are empty at every cycle boundary.
+	late       []lateItem
+	lateEvents []trace.Event
 }
 
 // Device models an external unit (sensor, actuator, timer) attached to
@@ -204,15 +203,25 @@ func (m *Machine) Hart(gid uint32) *hart {
 	return m.harts[gid]
 }
 
-// event records a trace event raised outside a core's own step (control-
-// message deliveries, during Mem.Step); core.emit is the in-step twin.
+// event records a trace event. Events fold straight into the recorder
+// until the cycle's first p_fn, whose fork event value only exists in
+// phase B: from there they wait in lateEvents, which phase B records once
+// the forks have patched their placeholders. Nothing else reaches the
+// recorder at the current cycle (memory and message callbacks fire
+// during later Mem.Steps), so the order is the emission order.
 func (m *Machine) event(kind trace.Kind, core int, hartIdx int, value uint64) {
-	if m.tracing {
-		m.rec.Add(trace.Event{
-			Cycle: m.cycle, Core: uint16(core), Hart: uint8(hartIdx),
-			Kind: kind, Value: value,
-		})
+	if !m.tracing {
+		return
 	}
+	e := trace.Event{
+		Cycle: m.cycle, Core: uint16(core), Hart: uint8(hartIdx),
+		Kind: kind, Value: value,
+	}
+	if len(m.late) > 0 {
+		m.lateEvents = append(m.lateEvents, e)
+		return
+	}
+	m.rec.Add(e)
 }
 
 // rebuildActive refreshes the active-core list in core-index order. now
@@ -234,12 +243,25 @@ func (m *Machine) rebuildActive(now uint64) {
 	}
 }
 
-// faultf records a machine fault and stops the run. Faults are
-// deterministic: the same program faults at the same cycle every run.
+// faultf raises a machine fault, which stops the run. Faults are
+// deterministic: the same program faults at the same cycle every run, and
+// the first one raised wins. After the cycle's first p_fn a fault waits
+// behind the fork in phase B (phase.go), since a fork that finds no free
+// hart faults there.
 func (m *Machine) faultf(core, hartIdx int, format string, args ...any) {
+	err := faultError(fmt.Sprintf("lbp: cycle %d core %d hart %d: %s",
+		m.cycle, core, hartIdx, fmt.Sprintf(format, args...)))
+	if len(m.late) > 0 {
+		m.late = append(m.late, lateItem{err: err})
+		return
+	}
+	m.fail(err)
+}
+
+// fail stops the run with err unless an earlier fault already did.
+func (m *Machine) fail(err error) {
 	if m.err == nil {
-		m.err = fmt.Errorf("lbp: cycle %d core %d hart %d: %s",
-			m.cycle, core, hartIdx, fmt.Sprintf(format, args...))
+		m.err = err
 	}
 	m.exited = true
 }
@@ -287,8 +309,8 @@ type Result struct {
 // against it.
 //
 // Each cycle: memory events and devices step first, then phase A steps
-// every active core in core-index order and phase B replays whatever a
-// p_fn deferred (see phase.go). A cycle on which no pipeline stage did
+// every active core in core-index order and phase B allocates the harts
+// of the cycle's p_fns (see phase.go). A cycle on which no pipeline stage did
 // work cannot make progress until the next memory event, device arm or
 // hart time gate, so the clock fast-forwards there. Simulated results
 // are identical with fast-forward on or off.
@@ -343,16 +365,14 @@ func (m *Machine) Advance(n uint64) (*Result, error) {
 			}
 		}
 		activity := false
-		m.deferred = false
 		for _, c := range m.active {
 			if c.stepCompute(m.cycle) {
 				activity = true
 			}
-			if m.deferred && (len(c.pend) > 0 || len(c.evbuf) > 0) {
-				m.lane = append(m.lane, c)
-			}
 		}
-		m.applyDeferred(m.cycle)
+		if len(m.late) > 0 {
+			m.applyLate(m.cycle)
+		}
 		if m.activeDirty {
 			// Before the tick: a core whose first hart phase B just
 			// allocated is attributed this cycle like any listed core (its
@@ -498,12 +518,7 @@ func (m *Machine) Reset(p *asm.Program) error {
 		c.fetchRR, c.renameRR, c.issueRR, c.wbRR, c.commitRR = 0, 0, 0, 0, 0
 		c.statForks, c.statSends = 0, 0
 		c.idleFrom = 0 // restamped by rebuildActive below
-		clear(c.pend)
-		c.pend = c.pend[:0]
-		c.evbuf = c.evbuf[:0]
 	}
-	clear(m.lane)
-	m.lane = m.lane[:0]
 	m.cycle = 0
 	m.running = false
 	m.exited = false

@@ -121,7 +121,6 @@ func stepAgainstReference(t *testing.T, m *Machine, v *stageVisits) {
 		m.progress = now
 	}
 	m.Mem.Step(now)
-	m.deferred = false
 	for _, c := range m.active {
 		for si := range refStages {
 			st := &refStages[si]
@@ -150,11 +149,10 @@ func stepAgainstReference(t *testing.T, m *Machine, v *stageVisits) {
 				}
 			}
 		}
-		if m.deferred && (len(c.pend) > 0 || len(c.evbuf) > 0) {
-			m.lane = append(m.lane, c)
-		}
 	}
-	m.applyDeferred(now)
+	if len(m.late) > 0 {
+		m.applyLate(now)
+	}
 	if m.activeDirty {
 		m.rebuildActive(now)
 	}

@@ -156,10 +156,8 @@ type savedMachine struct {
 // gob-encoded savedMachine.
 func (m *Machine) Checkpoint() ([]byte, error) {
 	m.flushIdle()
-	for _, c := range m.cores {
-		if len(c.pend) > 0 || len(c.evbuf) > 0 {
-			return nil, fmt.Errorf("lbp: checkpoint mid-cycle: core %d has unapplied effects", c.idx)
-		}
+	if len(m.late) > 0 {
+		return nil, fmt.Errorf("lbp: checkpoint mid-cycle: %d phase-B items unapplied", len(m.late))
 	}
 	memState, clients := m.Mem.CaptureGlobalState()
 	sm := savedMachine{

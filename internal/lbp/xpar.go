@@ -66,30 +66,25 @@ func (c *core) execPFC(h *hart, u *uop, now uint64) {
 	fh.allocate(&c.m.cfg, h.gid, now)
 	u.value = fh.gid
 	c.statForks++
-	c.emit(trace.KindFork, h.idx, uint64(fh.gid))
+	c.m.event(trace.KindFork, c.idx, h.idx, uint64(fh.gid))
 	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
 }
 
 // execPFN performs a next-core fork: the allocation mutates the neighbor,
-// so it is deferred to phase B, which resolves the free hart after the
+// so it waits for phase B, which resolves the free hart after the
 // neighbor's own step and patches u.value before writeback can read it.
-// Everything the cycle does from here on defers behind it (see
-// core.effect). The fork event's value (the new gid) is unknown until
-// then, so a placeholder is reserved at the event's position in the
-// stream and patched by the same item.
+// The cycle's later faults and trace events wait behind it (phase.go).
+// The fork event's value (the new gid) is unknown until then, so a
+// placeholder holds the event's position in the buffer.
 func (c *core) execPFN(h *hart, u *uop, now uint64) {
-	if c.idx+1 >= len(c.m.cores) {
+	m := c.m
+	if c.idx+1 >= len(m.cores) {
 		c.faultf(h.idx, "p_fn past the last core (pc %#x)", u.pc)
 		return
 	}
-	c.m.deferred = true
-	var evIdx uint32
-	if c.m.tracing {
-		c.emit(trace.KindFork, h.idx, 0)
-		evIdx = uint32(len(c.evbuf))
-	}
-	c.effect(pendItem{kind: pendForkNext, h: h, u: u, a: evIdx})
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	m.late = append(m.late, lateItem{h: h, u: u, ev: len(m.lateEvents)})
+	m.event(trace.KindFork, c.idx, h.idx, 0)
+	c.startExec(h, u, now+m.latTab[isa.LatALU])
 }
 
 func execPSET(c *core, h *hart, u *uop, now uint64) {
@@ -115,7 +110,7 @@ func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
 		return
 	}
 	u.value = v
-	c.emit(trace.KindRecv, h.idx, uint64(v))
+	c.m.event(trace.KindRecv, c.idx, h.idx, uint64(v))
 	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
 }
 
@@ -140,7 +135,7 @@ func (c *core) execSwcv(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "p_swcv to unmapped stack address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	c.effect(pendItem{kind: pendCV, h: h, t: uint32(tc), a: addr, b: u.src2})
+	c.m.Mem.SubmitCVWrite(now, c.idx, tc, addr, u.src2, &h.stc)
 	u.done = true
 }
 
@@ -152,14 +147,13 @@ func (c *core) execSwre(h *hart, u *uop, now uint64) {
 		return
 	}
 	c.statSends++
-	c.emit(trace.KindSend, h.idx, uint64(u.src2))
+	c.m.event(trace.KindSend, c.idx, h.idx, uint64(u.src2))
 	u.done = true
 }
 
 // send puts one control message of instruction u on its link, or faults
 // when the target cannot be reached from here: forward kinds go to the
-// same or the next core, backward kinds to this or a prior core. The
-// validation runs here; the link traversal is the effect.
+// same or the next core, backward kinds to this or a prior core.
 func (c *core) send(h *hart, u *uop, msg ctlMsg) bool {
 	name, th := ctlNames[msg.Kind], c.m.Hart(msg.Tgt)
 	switch {
@@ -171,7 +165,17 @@ func (c *core) send(h *hart, u *uop, msg ctlMsg) bool {
 		c.faultf(h.idx, "%s target hart %d is not on the same or next core (pc %#x)", name, msg.Tgt, u.pc)
 	default:
 		msg.m, msg.FromCore, msg.FromHart = c.m, uint16(c.idx), uint8(h.idx)
-		c.effect(pendItem{kind: pendMsg, h: h, t: uint32(th.core.idx), ctl: &msg})
+		// The direction checks are mem-level invariants the cases above
+		// already hold.
+		var err error
+		if msg.Kind.backward() {
+			err = c.m.Mem.SendBackward(c.m.cycle, c.idx, th.core.idx, &msg)
+		} else {
+			err = c.m.Mem.SendForward(c.m.cycle, c.idx, th.core.idx, &msg)
+		}
+		if err != nil {
+			c.faultf(h.idx, "%s: %v", name, err)
+		}
 		return true
 	}
 	return false
@@ -193,7 +197,7 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 		h.predSignal = false
 	}
 	if ra == 0 && t0 == 0xFFFFFFFF {
-		c.deferHalt("exit")
+		c.m.halt("exit")
 		return
 	}
 	valid := t0&isa.HartIDValid != 0

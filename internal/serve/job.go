@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cc"
+	"repro/internal/dispatch"
 	"repro/internal/lbp"
 	"repro/internal/mem"
 	"repro/internal/perf"
@@ -92,14 +93,15 @@ func (r *JobRequest) compile() (*asm.Program, error) {
 	return sim.Compile("c", []byte(r.Source), r.Cores, r.BankBytes)
 }
 
-// Job status values.
+// Job status values. A job that ran ends in one of dispatch's outcomes,
+// spelled once there.
 const (
-	StatusOK        = "ok"        // run completed (Halt says how)
-	StatusError     = "error"     // machine fault or cycle budget exceeded
-	StatusDeadline  = "deadline"  // wall-clock deadline elapsed mid-run
-	StatusCanceled  = "canceled"  // client went away mid-run
-	StatusPreempted = "preempted" // server shut down mid-run; see Checkpoint
-	StatusRejected  = "rejected"  // never ran (bad request, queue full, draining)
+	StatusOK        = dispatch.StatusOK        // run completed (Halt says how)
+	StatusError     = dispatch.StatusError     // machine fault or cycle budget exceeded
+	StatusDeadline  = dispatch.StatusDeadline  // wall-clock deadline elapsed mid-run
+	StatusCanceled  = dispatch.StatusCanceled  // client went away mid-run
+	StatusPreempted = dispatch.StatusPreempted // server shut down mid-run; see Checkpoint
+	StatusRejected  = "rejected"               // never ran (bad request, queue full, draining)
 )
 
 // JobResult is the response body for one job. Cycles, Retired, IPC,
