@@ -84,7 +84,6 @@ var censusAllow = map[string]string{
 	"lbp.Config.RBDepth":        "a machine parameter: CacheKey and the checkpoint",
 	"lbp.Config.CVBytes":        "a machine parameter: CacheKey and the checkpoint",
 	"lbp.Config.LivelockWindow": "a machine parameter: CacheKey and the checkpoint",
-	"mem.Config.LocalLat":       "a machine parameter: CacheKey and the checkpoint",
 
 	// The Xeon-Phi-like comparison model: Default() holds the
 	// calibration to the paper's Figure 21.

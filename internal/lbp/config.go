@@ -110,13 +110,15 @@ const (
 	maxStructEntries = 1 << 10 // ITEntries, ROBEntries, RemoteRBs
 	maxRBDepth       = 1 << 20
 	maxBankBytes     = 1 << 30 // code bank + every core's local and shared bank
+	maxLatency       = 1 << 16 // any memory latency, in cycles
 )
 
 // Validate rejects configurations New must not be handed: a geometry
 // ValidateGeometry refuses, a per-hart structure size or bank size that
-// is zero, negative or beyond the bounds above. sim.New and Restore
-// both call it, so every machine that can be checkpointed can be
-// restored and nothing else can.
+// is zero, negative or beyond the bounds above, a memory latency that
+// is negative or beyond its bound, or a link hop of zero cycles. sim.New
+// and Restore both call it, so every machine that can be checkpointed
+// can be restored and nothing else can.
 func (c *Config) Validate() error {
 	if err := ValidateGeometry(c.Cores, c.Mem.RouterDegree); err != nil {
 		return err
@@ -135,6 +137,22 @@ func (c *Config) Validate() error {
 		}
 	}
 	mc := &c.Mem
+	// A link hop takes at least a cycle, so every memory event is due
+	// after the cycle that schedules it: the events of a checkpoint are
+	// due after its cycle, which Restore requires.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"HopLat", mc.HopLat, 1},
+		{"LocalLat", mc.LocalLat, 0},
+		{"SharedLat", mc.SharedLat, 0},
+		{"ChipHopLat", mc.ChipHopLat, 0},
+	} {
+		if f.v < f.min || f.v > maxLatency {
+			return fmt.Errorf("lbp: Mem.%s must be in [%d, %d], got %d", f.name, f.min, maxLatency, f.v)
+		}
+	}
 	if mc.CodeBytes == 0 || mc.LocalBytes == 0 || mc.SharedBytes == 0 {
 		return fmt.Errorf("lbp: bank sizes must be positive, got code %d, local %d, shared %d",
 			mc.CodeBytes, mc.LocalBytes, mc.SharedBytes)

@@ -57,15 +57,26 @@ type core struct {
 // next stage one cycle later at the earliest. Of the rest of the machine
 // it mutates only the progress stamp, the memory system (submissions and
 // messages, in core order), the halt state and, through a p_fn, phase B's
-// list (phase.go). It reports whether any stage did work.
+// list (phase.go). It reports whether any stage did work: a stage that
+// works adds one to its busy counter, so the counters' sum moves. A core
+// whose five candidate masks are all empty does nothing at all — every
+// stage is a no-op on an empty mask — and returns at once.
 func (c *core) stepCompute(now uint64) bool {
-	start := c.perf.StageBusy
+	if c.fetchC|c.renameC|c.issueC|c.wbC|c.commitC == 0 {
+		return false
+	}
+	start := busySum(&c.perf.StageBusy)
 	c.commit(now)
 	c.writeback(now)
 	c.issue(now)
 	c.rename(now)
 	c.fetch(now)
-	return c.perf.StageBusy != start
+	return busySum(&c.perf.StageBusy) != start
+}
+
+// busySum adds a core's five stage-busy counters.
+func busySum(b *[perf.NumStages]uint64) uint64 {
+	return b[0] + b[1] + b[2] + b[3] + b[4]
 }
 
 // faultf raises a fault of this core's hart hartIdx (Machine.faultf).

@@ -313,7 +313,7 @@ func restore(data []byte, devices []Device) (*Machine, error) {
 		}
 		clients[i] = cl
 	}
-	if err := m.Mem.RestoreGlobalState(&sm.Mem, clients); err != nil {
+	if err := m.Mem.RestoreGlobalState(&sm.Mem, clients, sm.Cycle); err != nil {
 		return nil, err
 	}
 	if err := m.finishRestore(&sm, devices); err != nil {

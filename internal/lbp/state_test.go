@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -307,6 +308,7 @@ func TestReadCheckpointRefusals(t *testing.T) {
 		{"RemoteRBs=-1", configOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
 		{"Cores=4096", configOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
 		{"ROBEntries=0", configOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
+		{"HopLat=0", configOnly(t, func(c *Config) { c.Mem.HopLat = 0 }), "HopLat"},
 		{"4 GiB banks", configOnly(t, func(c *Config) { c.Mem.SharedBytes = 1 << 29 }), "bound"},
 		{"sane configuration, no cores", configOnly(t, func(*Config) {}), "0 cores"},
 		{"round-robin pointer -9", badRoundRobin(t), "round-robin"},
@@ -400,6 +402,19 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		{"load without a client", event(func(e *mem.EventState) { e.Client = -1 }), "load without a client"},
 		{"event kind 200", event(func(e *mem.EventState) { e.Kind = 200 }), "unknown kind"},
 		{"access width 3", event(func(e *mem.EventState) { e.Width = 3 }), "width 3"},
+		{"event due at the checkpoint's cycle", func(sm *savedMachine) {
+			sm.Mem.Events[read].Cycle = sm.Cycle
+		}, "not after the state's cycle"},
+		{"event due before the checkpoint's cycle", func(sm *savedMachine) {
+			sm.Mem.Events[read].Cycle = sm.Cycle - 1
+		}, "not after the state's cycle"},
+		{"event seq 0", event(func(e *mem.EventState) { e.Seq = 0 }), "has seq 0"},
+		{"event seq past the saved Seq", func(sm *savedMachine) {
+			sm.Mem.Events[read].Seq = sm.Mem.Seq + 1
+		}, "outside [1,"},
+		{"event seq repeated", func(sm *savedMachine) {
+			sm.Mem.Events = append(sm.Mem.Events, sm.Mem.Events[read])
+		}, "two events of seq"},
 		{"one link short", func(sm *savedMachine) {
 			sm.Mem.Links = sm.Mem.Links[1:]
 		}, "links"},
@@ -437,6 +452,58 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		out = append(out, hostileCheckpoint{row.name, rewrite(t, base, row.edit), row.want})
 	}
 	return out
+}
+
+// unsortedEventsCheckpoint takes a mid-run checkpoint of a traced 2-core
+// team program at the first cycle with three events in flight (sorted)
+// and rewrites it with its events in reverse order (unsorted): not what
+// a capture writes, but the same machine, which must restore and run to
+// the same end.
+func unsortedEventsCheckpoint(t testing.TB) (sorted, unsorted []byte) {
+	t.Helper()
+	prog, err := asm.Assemble(sprintf(teamProgram, 8, 8), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(2))
+	m.SetTrace(trace.New(0))
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if res, err := m.Advance(1); res != nil || err != nil {
+			t.Fatalf("never three events in flight (res=%v err=%v)", res, err)
+		}
+		if st, _ := m.Mem.CaptureGlobalState(); len(st.Events) >= 3 {
+			break
+		}
+	}
+	if sorted, err = m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return sorted, rewrite(t, sorted, func(sm *savedMachine) { slices.Reverse(sm.Mem.Events) })
+}
+
+// TestRestoreUnsortedEvents: a checkpoint whose events are out of
+// (cycle, seq) order restores to the machine the sorted one does.
+func TestRestoreUnsortedEvents(t *testing.T) {
+	sorted, unsorted := unsortedEventsCheckpoint(t)
+	var runs [2]*Result
+	var recs [2]*trace.Recorder
+	for i, data := range [][]byte{sorted, unsorted} {
+		m, err := Restore(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs[i], err = m.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = m.Trace()
+	}
+	if !trace.Same(recs[0], recs[1]) || !reflect.DeepEqual(runs[0].Stats, runs[1].Stats) {
+		t.Errorf("unsorted events run to digest %#x/%d, sorted to %#x/%d",
+			recs[1].Digest(), recs[1].Count(), recs[0].Digest(), recs[0].Count())
+	}
 }
 
 // TestHostileCheckpoints: a well-formed stream that contradicts its own
@@ -599,6 +666,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Add(h.data)
 	}
 	f.Add(fixture(f, "checkpoint_v3_prefix.bin"))
+	_, unsorted := unsortedEventsCheckpoint(f)
+	f.Add(unsorted)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Restore(data)
 		var ce *CheckpointError

@@ -73,15 +73,16 @@ const (
 type event struct {
 	cycle  uint64
 	seq    uint64
-	kind   evKind
+	lc     LoadClient
+	dc     DoneClient
 	core   int32 // bank/core index of the access
 	off    uint32
 	addr   uint32
 	val    uint32
+	next   int32 // the wheel's list link (wheel.go)
+	kind   evKind
 	width  Width
 	signed bool
-	lc     LoadClient
-	dc     DoneClient
 }
 
 // dispatch performs one due event.
@@ -113,93 +114,20 @@ func (s *System) dispatch(e *event) {
 	}
 }
 
-// eventQueue is a binary min-heap of events ordered by (cycle, seq). It is
-// implemented directly on the typed slice — not via container/heap — so
-// pushing and popping events, the per-cycle hot path of Step, never boxes
-// an event into an interface value (one heap allocation per transaction
-// otherwise).
-type eventQueue []event
-
-// before reports whether event i orders before event j.
-func (q eventQueue) before(i, j int) bool {
-	if q[i].cycle != q[j].cycle {
-		return q[i].cycle < q[j].cycle
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(e event) {
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // release the clients for GC
-	h = h[:n]
-	*q = h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.before(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.before(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
-	return top
-}
-
-func (s *System) schedule(cycle uint64, e event) {
+// schedule queues an event of kind k for cycle, stamped with the next
+// seq, and returns it for the caller to fill in before anything else is
+// scheduled (the slab it lives in may grow then).
+func (s *System) schedule(cycle uint64, k evKind) *event {
 	s.seq++
-	e.cycle = cycle
-	e.seq = s.seq
-	s.events.push(e)
-	if len(s.events) > s.Stats.PeakPendingEvents {
-		s.Stats.PeakPendingEvents = len(s.events)
+	w := &s.events
+	i := w.alloc()
+	e := &w.slab[i]
+	*e = event{cycle: cycle, seq: s.seq, kind: k}
+	w.link(i)
+	if n := w.len(); n > s.Stats.PeakPendingEvents {
+		s.Stats.PeakPendingEvents = n
 	}
-}
-
-// Step runs all memory events due at or before cycle `now`. It must be
-// called once per machine cycle, before the pipeline stages, so that
-// loads observe stores served in earlier cycles.
-func (s *System) Step(now uint64) {
-	for len(s.events) > 0 && s.events[0].cycle <= now {
-		e := s.events.pop()
-		s.dispatch(&e)
-	}
-}
-
-// Drained reports whether no events remain in flight.
-func (s *System) Drained() bool { return len(s.events) == 0 }
-
-// NextEventCycle returns the cycle of the earliest pending event. The
-// machine's idle-cycle fast-forward peeks it to know how far the clock
-// can jump while every hart is blocked on in-flight memory.
-func (s *System) NextEventCycle() (uint64, bool) {
-	if len(s.events) == 0 {
-		return 0, false
-	}
-	return s.events[0].cycle, true
+	return e
 }
 
 // DataMapped reports whether a load or store to addr would reach a
@@ -374,8 +302,8 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		t := s.alloc(&s.localPort[core], now+1, perf.LinkLocalPort)
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
-		s.schedule(done, event{kind: evLocalLoad, core: int32(core), off: off,
-			addr: addr, width: width, signed: signed, lc: lc})
+		e := s.schedule(done, evLocalLoad)
+		e.core, e.off, e.addr, e.width, e.signed, e.lc = int32(core), off, addr, width, signed, lc
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -384,9 +312,9 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		}
 		serviceT, done := s.routeShared(now, core, bank)
 		s.observeShared(core, bank, done-now)
-		s.schedule(serviceT, event{kind: evSharedRead, core: int32(bank), off: off,
-			addr: addr, width: width, signed: signed, lc: lc})
-		s.schedule(done, event{kind: evLoadDone, lc: lc})
+		e := s.schedule(serviceT, evSharedRead)
+		e.core, e.off, e.addr, e.width, e.signed, e.lc = int32(bank), off, addr, width, signed, lc
+		s.schedule(done, evLoadDone).lc = lc
 		return true
 	default:
 		return false
@@ -406,8 +334,8 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		t := s.alloc(&s.localPort[core], now+1, perf.LinkLocalPort)
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
-		s.schedule(done, event{kind: evLocalStore, core: int32(core), off: off,
-			addr: addr, val: value, width: width, dc: dc})
+		e := s.schedule(done, evLocalStore)
+		e.core, e.off, e.addr, e.val, e.width, e.dc = int32(core), off, addr, value, width, dc
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -416,9 +344,9 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		}
 		serviceT, done := s.routeShared(now, core, bank)
 		s.observeShared(core, bank, done-now)
-		s.schedule(serviceT, event{kind: evSharedWrite, core: int32(bank), off: off,
-			addr: addr, val: value, width: width})
-		s.schedule(done, event{kind: evStoreDone, dc: dc})
+		e := s.schedule(serviceT, evSharedWrite)
+		e.core, e.off, e.addr, e.val, e.width = int32(bank), off, addr, value, width
+		s.schedule(done, evStoreDone).dc = dc
 		return true
 	default:
 		return false
@@ -446,6 +374,7 @@ func (s *System) SubmitCVWrite(now uint64, fromCore, targetCore int, addr, value
 	} else {
 		s.Perf.RemoteLat.Observe(done - now)
 	}
-	s.schedule(done, event{kind: evCVWrite, core: int32(targetCore), off: off, val: value, dc: dc})
+	e := s.schedule(done, evCVWrite)
+	e.core, e.off, e.val, e.dc = int32(targetCore), off, value, dc
 	return true
 }

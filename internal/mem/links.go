@@ -29,7 +29,7 @@ func (s *System) SendForward(now uint64, from, to int, dc DoneClient) error {
 			t += uint64(s.cfg.ChipHopLat) // neighbor link crosses the chip edge
 		}
 	}
-	s.schedule(t, event{kind: evMessage, dc: dc})
+	s.schedule(t, evMessage).dc = dc
 	return nil
 }
 
@@ -66,7 +66,7 @@ func (s *System) SendBackward(now uint64, from, to int, dc DoneClient) error {
 	default:
 		t = s.backExpress(now, from, to)
 	}
-	s.schedule(t, event{kind: evMessage, dc: dc})
+	s.schedule(t, evMessage).dc = dc
 	return nil
 }
 

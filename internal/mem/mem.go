@@ -21,6 +21,14 @@
 // (the response arriving back at the requesting core) is reported later,
 // after the response traversed the return path.
 //
+// Events. Every access and link message becomes timed events — a bank
+// service, a response delivery — that Step dispatches in (cycle, seq)
+// order, seq counting the schedule calls. They wait on a calendar wheel
+// of per-cycle FIFO buckets (wheel.go), which holds the next 512 cycles;
+// the rare event due later waits in a heap until the window reaches it.
+// Scheduling and dispatching an event cost the same however many are in
+// flight.
+//
 // Storage. The local and shared banks are backed by 1 KiB pages that
 // exist once written (pages.go); the code bank holds only the prefix
 // loaded so far, the words up to the end of the highest image.
@@ -159,7 +167,7 @@ type System struct {
 	chipUpReq, chipUpResp     []uint64
 	chipDownReq, chipDownResp []uint64
 
-	events eventQueue
+	events wheel // in flight, dispatched in (cycle, seq) order
 	seq    uint64
 	Stats  Stats
 	Perf   perf.MemCounters

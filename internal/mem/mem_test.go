@@ -322,7 +322,7 @@ func TestResetClearsLoadedCode(t *testing.T) {
 	check("after LoadCode", loaded)
 
 	restored := newSys(2)
-	if err := restored.RestoreGlobalState(longState, clients); err != nil {
+	if err := restored.RestoreGlobalState(longState, clients, 0); err != nil {
 		t.Fatal(err)
 	}
 	check("after RestoreGlobalState", restored)

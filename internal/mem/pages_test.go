@@ -165,7 +165,7 @@ func TestOddBankSizes(t *testing.T) {
 				bankBytes, len(st.Local), len(st.Shared), ResidentPages(s))
 		}
 		r := New(cfg)
-		if err := r.RestoreGlobalState(decoded(t, st), clients); err != nil {
+		if err := r.RestoreGlobalState(decoded(t, st), clients, 0); err != nil {
 			t.Fatalf("bank %d: %v", bankBytes, err)
 		}
 		if st2, _ := r.CaptureGlobalState(); !reflect.DeepEqual(st2, st) {
@@ -176,13 +176,13 @@ func TestOddBankSizes(t *testing.T) {
 		}
 		bad := decoded(t, st)
 		bad.Shared[len(bad.Shared)-1].Index = int32(3 * ((last + pageWords) / pageWords))
-		if err := New(cfg).RestoreGlobalState(bad, clients); err == nil || !strings.Contains(err.Error(), "past the family") {
+		if err := New(cfg).RestoreGlobalState(bad, clients, 0); err == nil || !strings.Contains(err.Error(), "past the family") {
 			t.Errorf("bank %d: a page past the family: %v", bankBytes, err)
 		}
 		if tail := last%pageWords + 1; tail < pageWords {
 			bad := decoded(t, st)
 			bad.Shared[0].Words[tail] = 1
-			if err := New(cfg).RestoreGlobalState(bad, clients); err == nil || !strings.Contains(err.Error(), "past its bank") {
+			if err := New(cfg).RestoreGlobalState(bad, clients, 0); err == nil || !strings.Contains(err.Error(), "past its bank") {
 				t.Errorf("bank %d: a word past the bank: %v", bankBytes, err)
 			}
 		}
@@ -215,7 +215,7 @@ func TestRestoreZeroPagesAttachNothing(t *testing.T) {
 	if err := s.LoadShared(s.SharedAddr(1, 5), []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RestoreGlobalState(st, clients); err != nil {
+	if err := s.RestoreGlobalState(st, clients, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := ResidentPages(s); n != 0 {

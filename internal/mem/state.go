@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/perf"
 )
@@ -20,9 +21,8 @@ import (
 // not what the banks address.
 
 // State is the serializable state of a System at a cycle boundary. The
-// code image is trimmed of trailing zero words; the events slice is the
-// heap's backing array verbatim (a heap restored in array order is the
-// same heap, so pop order is preserved bit-exactly).
+// code image is trimmed of trailing zero words; the events are in their
+// dispatch order, (cycle, seq).
 type State struct {
 	Seq   uint64
 	Stats Stats
@@ -92,9 +92,11 @@ func (s *System) CaptureGlobalState() (*State, []any) {
 	}
 	var clients []any
 	loadIdx := make(map[LoadClient]int32)
-	st.Events = make([]EventState, len(s.events))
-	for i := range s.events {
-		e := &s.events[i]
+	events := s.events.appendAll(make([]event, 0, s.events.len()))
+	slices.SortFunc(events, dispatchOrder)
+	st.Events = make([]EventState, len(events))
+	for i := range events {
+		e := &events[i]
 		es := EventState{
 			Cycle: e.cycle, Seq: e.seq, Kind: uint8(e.kind), Core: e.core,
 			Off: e.off, Addr: e.addr, Val: e.val,
@@ -121,14 +123,15 @@ func (s *System) CaptureGlobalState() (*State, []any) {
 	return st, clients
 }
 
-// RestoreGlobalState installs a snapshot into a System of the same
-// configuration, taking over its pages (decoded ones or copies: the
-// pages of a capture are live). clients must be the rebuilt
-// client table, index-aligned with the one CaptureGlobalState returned.
-// The snapshot is outside input: every page and whatever dispatch would
-// index or call through an event is checked here, before anything is
-// installed.
-func (s *System) RestoreGlobalState(st *State, clients []any) error {
+// RestoreGlobalState installs a snapshot taken at cycle now into a
+// System of the same configuration, taking over its pages (decoded ones
+// or copies: the pages of a capture are live). clients must be the
+// rebuilt client table, index-aligned with the one CaptureGlobalState
+// returned. The snapshot is outside input: every page and whatever
+// dispatch would index or call through an event is checked here, before
+// anything is installed, and so is the events' order: each is due after
+// now and has its own seq, at least 1 and at most the snapshot's Seq.
+func (s *System) RestoreGlobalState(st *State, clients []any, now uint64) error {
 	if len(st.Code) > int(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
 	}
@@ -141,11 +144,28 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 	if err := s.shared.check(st.Shared, "shared"); err != nil {
 		return err
 	}
-	events := make(eventQueue, len(st.Events))
+	events := make([]event, len(st.Events))
 	for i := range st.Events {
 		var err error
 		if events[i], err = s.restoreEvent(&st.Events[i], clients); err != nil {
 			return fmt.Errorf("mem: state event %d %v", i, err)
+		}
+		if e := &events[i]; e.cycle <= now {
+			return fmt.Errorf("mem: state event %d is due at cycle %d, not after the state's cycle %d", i, e.cycle, now)
+		} else if e.seq == 0 || e.seq > st.Seq {
+			return fmt.Errorf("mem: state event %d has seq %d, outside [1, %d]", i, e.seq, st.Seq)
+		}
+	}
+	// The wheel's buckets are lists in seq order: insert in dispatch order.
+	slices.SortFunc(events, dispatchOrder)
+	seqs := make([]uint64, len(events))
+	for i := range events {
+		seqs[i] = events[i].seq
+	}
+	slices.Sort(seqs)
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] == seqs[i-1] {
+			return fmt.Errorf("mem: state has two events of seq %d", seqs[i])
 		}
 	}
 	clear(s.code)
@@ -160,7 +180,12 @@ func (s *System) RestoreGlobalState(st *State, clients []any) error {
 	s.seq = st.Seq
 	s.Stats = st.Stats
 	s.Perf = st.Perf
-	s.events = events
+	s.events.reset(now)
+	for _, e := range events {
+		i := s.events.alloc()
+		s.events.slab[i] = e
+		s.events.link(i)
+	}
 	return nil
 }
 
@@ -235,8 +260,7 @@ func (s *System) Reset() {
 	s.release(&s.local)
 	s.release(&s.shared)
 	clear(s.links)
-	clear(s.events) // release clients
-	s.events = s.events[:0]
+	s.events.reset(0)
 	s.seq = 0
 	s.Stats = Stats{}
 	s.Perf = perf.MemCounters{}

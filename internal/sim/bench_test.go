@@ -42,7 +42,7 @@ func BenchmarkNewReset(b *testing.B) {
 				b.StopTimer()
 				dirty := *st
 				dirty.Local, dirty.Shared = copyPages(st.Local), copyPages(st.Shared)
-				if err := sys.RestoreGlobalState(&dirty, clients); err != nil {
+				if err := sys.RestoreGlobalState(&dirty, clients, sess.Machine().Cycle()); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

@@ -8,10 +8,7 @@
 // paper's cycle-determinism property (experiment E4 in DESIGN.md).
 package trace
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Kind labels an event class.
 type Kind uint8
@@ -65,57 +62,66 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnvPow[k] = fnvPrime^k mod 2^64. Folding a zero byte is
-// h = (h ^ 0) * prime = h * prime, so a run of k zero bytes collapses to
-// one multiplication by prime^k — the event words are mostly-zero
-// (cycle counts, hart numbers, kinds are small), and the digest fold is
-// the hot loop of every traced run, so the collapse is worth the table.
-var fnvPow = func() [33]uint64 {
-	var p [33]uint64
-	p[0] = 1
-	for i := 1; i < len(p); i++ {
-		p[i] = p[i-1] * fnvPrime
-	}
-	return p
-}()
+// Powers of the FNV prime mod 2^64.
+// Folding a zero byte is h = (h ^ 0) * prime = h * prime, so the zero
+// bytes after a byte merge into its multiplication: a byte followed by
+// k zero bytes folds as h = (h ^ b) * prime^(k+1).
+const (
+	fnvP5 = 0x0caee32a7d4f6a63
+	fnvP6 = 0xdc966432edf1c639
+	fnvP8 = 0x1efac7090aef4a21
+)
 
-// flushZeros folds zrun pending zero bytes into h.
-func flushZeros(h uint64, zrun int) uint64 {
-	for zrun >= 32 {
-		h *= fnvPow[32]
-		zrun -= 32
+// foldEvent folds one event's 32 bytes — Cycle, Core<<8|Hart, Kind and
+// Value as four little-endian words — into h, byte-identical to the
+// per-byte FNV-1a loop, on a fixed schedule: the three high bytes of the
+// core/hart word and the seven high bytes of the kind word are zero, and
+// when Cycle and Value fit in 32 bits their four high bytes are too, so
+// such an event folds in 12 xor-multiplies with no loop.
+func foldEvent(h uint64, e *Event) uint64 {
+	c, v := e.Cycle, e.Value
+	if (c|v)>>32 != 0 {
+		return foldWide(h, e)
 	}
-	return h * fnvPow[zrun]
+	h = (h ^ c&0xFF) * fnvPrime
+	h = (h ^ c>>8&0xFF) * fnvPrime
+	h = (h ^ c>>16&0xFF) * fnvPrime
+	h = (h ^ c>>24) * fnvP5
+	h = foldMiddle(h, e)
+	h = (h ^ v&0xFF) * fnvPrime
+	h = (h ^ v>>8&0xFF) * fnvPrime
+	h = (h ^ v>>16&0xFF) * fnvPrime
+	return (h ^ v>>24) * fnvP5
 }
 
-// foldWord folds the 8 little-endian bytes of w into h, byte-identical
-// to the reference per-byte FNV-1a loop. Zero bytes at the low end join
-// the caller's pending run; zero bytes at the high end are returned as
-// the new pending run, so runs spanning word (and event) boundaries
-// still collapse.
-func foldWord(h uint64, w uint64, zrun int) (uint64, int) {
-	if w == 0 {
-		return h, zrun + 8
-	}
-	tz := bits.TrailingZeros64(w) >> 3
-	h = flushZeros(h, zrun+tz)
-	hi := 8 - bits.LeadingZeros64(w)>>3
-	w >>= uint(tz * 8)
-	for i := tz; i < hi; i++ {
-		h ^= w & 0xFF
-		h *= fnvPrime
-		w >>= 8
-	}
-	return h, 8 - hi
+// foldWide is foldEvent's schedule for an event whose Cycle or Value
+// needs more than 32 bits: all eight bytes of both words (20
+// xor-multiplies).
+func foldWide(h uint64, e *Event) uint64 {
+	h = fold8(h, e.Cycle)
+	h = foldMiddle(h, e)
+	return fold8(h, e.Value)
 }
 
-// foldEvent folds one event's four words, carrying the zero run.
-func foldEvent(h uint64, e *Event, zrun int) (uint64, int) {
-	h, zrun = foldWord(h, e.Cycle, zrun)
-	h, zrun = foldWord(h, uint64(e.Core)<<8|uint64(e.Hart), zrun)
-	h, zrun = foldWord(h, uint64(e.Kind), zrun)
-	h, zrun = foldWord(h, e.Value, zrun)
-	return h, zrun
+// fold8 folds the eight little-endian bytes of w.
+func fold8(h, w uint64) uint64 {
+	h = (h ^ w&0xFF) * fnvPrime
+	h = (h ^ w>>8&0xFF) * fnvPrime
+	h = (h ^ w>>16&0xFF) * fnvPrime
+	h = (h ^ w>>24&0xFF) * fnvPrime
+	h = (h ^ w>>32&0xFF) * fnvPrime
+	h = (h ^ w>>40&0xFF) * fnvPrime
+	h = (h ^ w>>48&0xFF) * fnvPrime
+	return (h ^ w>>56) * fnvPrime
+}
+
+// foldMiddle folds the core/hart word and the kind word: hart, core low
+// byte, core high byte and five zeros, kind and seven zeros.
+func foldMiddle(h uint64, e *Event) uint64 {
+	h = (h ^ uint64(e.Hart)) * fnvPrime
+	h = (h ^ uint64(e.Core&0xFF)) * fnvPrime
+	h = (h ^ uint64(e.Core>>8)) * fnvP6
+	return (h ^ uint64(e.Kind)) * fnvP8
 }
 
 // Recorder accumulates events. The zero value records nothing; use New.
@@ -138,8 +144,7 @@ func New(ringSize int) *Recorder {
 
 // Add folds an event into the digest.
 func (r *Recorder) Add(e Event) {
-	h, zrun := foldEvent(r.digest, &e, 0)
-	r.digest = flushZeros(h, zrun)
+	r.digest = foldEvent(r.digest, &e)
 	r.count++
 	if r.ring != nil {
 		r.ring[r.next] = e
@@ -156,11 +161,11 @@ func (r *Recorder) Add(e Event) {
 // the simulator drains one core's cycle worth of events at a time, and
 // the per-call overhead of Add is measurable at that rate.
 func (r *Recorder) AddBatch(evs []Event) {
-	h, zrun := r.digest, 0
+	h := r.digest
 	for i := range evs {
-		h, zrun = foldEvent(h, &evs[i], zrun)
+		h = foldEvent(h, &evs[i])
 	}
-	r.digest = flushZeros(h, zrun)
+	r.digest = h
 	r.count += uint64(len(evs))
 	if r.ring != nil {
 		for _, e := range evs {

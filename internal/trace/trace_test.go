@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -152,8 +153,8 @@ func TestQuickOrderSensitivity(t *testing.T) {
 	}
 }
 
-// refFold is the straight-line reference FNV-1a fold the optimized
-// zero-run fold in Add/AddBatch must match byte for byte.
+// refFold is the straight-line reference FNV-1a fold the fixed-schedule
+// fold in Add/AddBatch must match byte for byte.
 func refFold(h uint64, evs []Event) uint64 {
 	for _, e := range evs {
 		for _, w := range [4]uint64{e.Cycle, uint64(e.Core)<<8 | uint64(e.Hart), uint64(e.Kind), e.Value} {
@@ -198,8 +199,8 @@ func TestDigestMatchesReference(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
-	// quick generates uniform random words (few zero bytes); also sweep
-	// sparse events, where the zero-run path does the real work.
+	// quick generates uniform random words, so nearly every event takes
+	// the wide schedule; also sweep sparse events, the 32-bit schedule.
 	for cyc := uint64(0); cyc < 300; cyc += 7 {
 		evs := []Event{
 			{Cycle: cyc, Kind: KindCommit, Value: cyc * cyc},
@@ -209,6 +210,39 @@ func TestDigestMatchesReference(t *testing.T) {
 		r.AddBatch(evs)
 		if want := refFold(fnvOffset, evs); r.Digest() != want {
 			t.Fatalf("cycle %d: digest %#x, reference %#x", cyc, r.Digest(), want)
+		}
+	}
+	// Both schedules, chosen per event, over long random streams: events
+	// whose Cycle or Value reaches 2^32 (the wide schedule) mixed with
+	// 32-bit ones, and cores past 255 (a non-zero core high byte).
+	rng := rand.New(rand.NewPCG(40, 1))
+	word := func() uint64 {
+		switch rng.IntN(4) {
+		case 0:
+			return rng.Uint64()
+		case 1:
+			return 1<<32 + rng.Uint64N(1<<16) // just past 32 bits
+		default:
+			return rng.Uint64N(1 << 32)
+		}
+	}
+	for round := 0; round < 200; round++ {
+		evs := make([]Event, 1+rng.IntN(64))
+		for i := range evs {
+			evs[i] = Event{Cycle: word(), Core: uint16(rng.IntN(4096)), Hart: uint8(rng.IntN(256)),
+				Kind: Kind(rng.IntN(256)), Value: word()}
+			if rng.IntN(2) == 0 {
+				evs[i].Core = uint16(256 + rng.IntN(1<<16-256))
+			}
+		}
+		ra, rb := New(0), New(0)
+		for _, e := range evs {
+			ra.Add(e)
+		}
+		rb.AddBatch(evs)
+		want := refFold(fnvOffset, evs)
+		if ra.Digest() != want || rb.Digest() != want {
+			t.Fatalf("round %d: Add %#x, AddBatch %#x, reference %#x", round, ra.Digest(), rb.Digest(), want)
 		}
 	}
 }

@@ -38,15 +38,16 @@ fi
 # images, no streaming entry points), one determinism harness (the
 # FuzzDeterminism target; no campaign API, no options struct), and one
 # effect path (memory, messages and halts apply at their issue site; no
-# per-core pending streams replayed in phase B): the deleted second
-# paths must not grow back.
+# per-core pending streams replayed in phase B), and one digest fold on
+# a fixed byte schedule (no zero-run loop and its power table): the
+# deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment, so that one name is searched outside
 # it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
@@ -275,6 +276,10 @@ if [ -n "$fig" ]; then
     # sim_matmul64 shape — 64 harts on 16 cores, all live — where stage
     # selection is most of a cycle (EXPERIMENTS E24 has its ns/cycle).
     go test ./internal/lbp -run '^$' -bench 'BenchmarkMachineStep|BenchmarkFigRow|BenchmarkMatmul64|BenchmarkPhaseBCommit' -benchtime 1s
+    # The two fixed per-event costs of a cycle (EXPERIMENTS E40): folding
+    # an event into the trace digest, and scheduling plus dispatching a
+    # memory event on the wheel at 64-core lead times.
+    go test ./internal/trace ./internal/mem -run '^$' -bench 'BenchmarkAddBatch|BenchmarkEventWheel' -benchtime 1s
     # The per-request toolchain a cold job pays (EXPERIMENTS E25, E26,
     # E28): MiniC -> program through the statement list (BenchmarkBuild),
     # MiniC -> text (BenchmarkBuildProgram), assembly text -> program,
