@@ -1,6 +1,7 @@
 package lbp
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/internal/asm"
@@ -214,7 +215,11 @@ func TestActiveSetInvariant(t *testing.T) {
 			}
 		}
 		prevBusy = next.busy
-		pfnReady = len(main.it) > 0 && main.it[0].d.Inst.Op == isa.OpPFN && main.it[0].ready()
+		pfnReady = false
+		if main.it != 0 {
+			oldest := &main.rob[main.robSlot(bits.TrailingZeros64(main.itAge()))]
+			pfnReady = oldest.d.Inst.Op == isa.OpPFN && oldest.ready()
+		}
 	})
 	if freedAt == 0 {
 		t.Fatal("core 1 never went from four busy harts to three")

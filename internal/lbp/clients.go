@@ -6,23 +6,23 @@ import "repro/internal/trace"
 //
 // The cores hand these to the memory system instead of closures: each is
 // a plain struct whose bodies are exactly the statements the former
-// closures ran, and whose pointers the checkpoint layer (state.go) can
-// flatten to stable identifiers — hart global number, ROB index — and
-// rebuild on restore.
+// closures ran, and whose hart pointer the checkpoint layer (state.go)
+// flattens to the hart's global number and rebuilds on restore.
 
 // loadClient completes a load: the bank value parks in v at service
-// time, and delivery writes it back into the issuing uop.
+// time, and delivery writes it back into the issuing uop — the one in
+// the hart's result buffer, h.exec, which a load holds until delivery.
 type loadClient struct {
 	h *hart
-	u *uop
 	v uint32
 }
 
 func (lc *loadClient) LoadValue(v uint32) { lc.v = v }
 
 func (lc *loadClient) LoadDone(done uint64) {
-	lc.u.value = lc.v
-	lc.u.memWait = false
+	u := &lc.h.rob[lc.h.exec]
+	u.value = lc.v
+	u.memWait = false
 	lc.h.execReadyAt = done
 	lc.h.inflightMem--
 	lc.h.core.wbC |= lc.h.bit

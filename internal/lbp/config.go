@@ -102,12 +102,15 @@ func ValidateGeometry(cores, routerDegree int) error {
 // entries and the largest machine in the tree (1024 default cores)
 // addresses 129 MiB of banks; the caps sit well clear of both, and exist
 // so that a configuration read from a file cannot size an allocation at
-// will. No bank is allocated whole: the code bank grows with the image
+// will. The reorder buffer and the instruction table are capped at 64
+// entries: the table is one 64-bit mask over reorder-buffer slots
+// (hart.it). No bank is allocated whole: the code bank grows with the image
 // loaded into it and the local and shared banks are page-backed (mem),
 // so maxBankBytes bounds the page tables (one pointer per KiB) and what
 // a program can make resident.
 const (
-	maxStructEntries = 1 << 10 // ITEntries, ROBEntries, RemoteRBs
+	maxSlots         = 64      // ITEntries, ROBEntries
+	maxStructEntries = 1 << 10 // RemoteRBs
 	maxRBDepth       = 1 << 20
 	maxBankBytes     = 1 << 30 // code bank + every core's local and shared bank
 	maxLatency       = 1 << 16 // any memory latency, in cycles
@@ -127,8 +130,8 @@ func (c *Config) Validate() error {
 		name   string
 		v, max int
 	}{
-		{"ITEntries", c.ITEntries, maxStructEntries},
-		{"ROBEntries", c.ROBEntries, maxStructEntries},
+		{"ITEntries", c.ITEntries, maxSlots},
+		{"ROBEntries", c.ROBEntries, maxSlots},
 		{"RemoteRBs", c.RemoteRBs, maxStructEntries},
 		{"RBDepth", c.RBDepth, maxRBDepth},
 	} {

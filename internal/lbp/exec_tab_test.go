@@ -50,9 +50,10 @@ func TestExecTabMatchesReference(t *testing.T) {
 			in := isa.Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Imm: imm}
 			d := isa.DescOf(in)
 			pc := uint32(0x1000 + 4*trial)
-			u := &uop{d: &d, pc: pc, src1: s1, src2: s2}
+			u := &h.rob[0]
+			*u = uop{d: &d, pc: pc, src1: s1, src2: s2, dep1: noSlot, dep2: noSlot}
 
-			h.exec = nil
+			h.exec = noSlot
 			h.execReadyAt = 0
 			h.pcValid = false
 			h.pc = 0
@@ -81,7 +82,7 @@ func TestExecTabMatchesReference(t *testing.T) {
 				t.Fatalf("%v(s1=%#x s2=%#x imm=%d): value %#x, reference %#x",
 					op, s1, s2, imm, u.value, want)
 			}
-			if h.exec != u {
+			if h.exec != u.slot {
 				t.Fatalf("%v: result did not enter the execution slot", op)
 			}
 			if wantReady := now + m.latencyOf(op); h.execReadyAt != wantReady {

@@ -2,6 +2,7 @@ package lbp
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"repro/internal/asm"
@@ -104,6 +105,9 @@ func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		panic("lbp: Config.Cores must be positive")
 	}
+	if cfg.ROBEntries > maxSlots {
+		panic("lbp: Config.ROBEntries is above 64")
+	}
 	if cfg.Mem.Cores != cfg.Cores {
 		cfg.Mem.Cores = cfg.Cores
 	}
@@ -120,6 +124,10 @@ func New(cfg Config) *Machine {
 	m.latTab[isa.LatDiv] = uint64(cfg.DivLat)
 	m.cores = make([]*core, cfg.Cores)
 	m.harts = make([]*hart, cfg.Cores*HartsPerCore)
+	// Every hart's reorder buffer is a window of one slab. A hart's ring
+	// is written from its first rename on, so the rings of harts that
+	// never run stay untouched, fresh pages of the allocation.
+	slab := make([]uop, len(m.harts)*cfg.ROBEntries)
 	m.hperf = make([]perf.HartCounters, cfg.Cores*HartsPerCore)
 	m.cperf = make([]perf.CoreCounters, cfg.Cores)
 	for c := 0; c < cfg.Cores; c++ {
@@ -131,8 +139,8 @@ func New(cfg Config) *Machine {
 				bit:    1 << hi,
 				gid:    isa.GlobalHart(c, hi),
 				remote: make([]remoteRB, cfg.RemoteRBs),
-				rob:    make([]*uop, cfg.ROBEntries),
 			}
+			h.rob = slab[int(h.gid)*cfg.ROBEntries:][:cfg.ROBEntries:cfg.ROBEntries]
 			h.ldc.h = h
 			h.stc.h = h
 			h.perf = &m.hperf[h.gid]
@@ -444,7 +452,7 @@ func (m *Machine) stuckReport() string {
 		}
 		shown++
 		fmt.Fprintf(&out, "\n  core %d hart %d: state=%d pc=%#x pcValid=%v rob=%d it=%d inflight=%d hasPred=%v sig=%v",
-			h.core.idx, h.idx, h.state, h.pc, h.pcValid, h.robN, len(h.it),
+			h.core.idx, h.idx, h.state, h.pc, h.pcValid, h.robN, bits.OnesCount64(h.it),
 			h.inflightMem, h.hasPred, h.predSignal)
 		if h.robN > 0 {
 			u := h.robFront()

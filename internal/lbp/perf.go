@@ -98,7 +98,7 @@ func classifyStall(h *hart) perf.StallCause {
 	case hartWaitJoin:
 		return perf.StallJoin
 	}
-	if h.exec != nil && h.exec.memWait {
+	if h.exec != noSlot && h.rob[h.exec].memWait {
 		return perf.StallMem
 	}
 	if h.robN > 0 {
@@ -126,7 +126,7 @@ func classifyStall(h *hart) perf.StallCause {
 			case isa.OpPLWRE:
 				return perf.StallOperand // p_swre result not yet arrived
 			}
-			if u.needsRB && h.exec != nil {
+			if u.needsRB && h.exec != noSlot {
 				return perf.StallPipeline // 1-deep result buffer occupied
 			}
 			if u.d.Cls == isa.ClassLoad || u.d.Cls == isa.ClassStore {
@@ -139,7 +139,7 @@ func classifyStall(h *hart) perf.StallCause {
 			return perf.StallPipeline
 		}
 	}
-	if h.ib != nil {
+	if h.hasIB {
 		return perf.StallPipeline // waiting for the rename slot
 	}
 	if h.syncmWait && h.inflightMem > 0 {

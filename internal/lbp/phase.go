@@ -22,13 +22,13 @@ import "slices"
 // fault wins, and trace events, because the fork event's value (the new
 // hart) only exists in phase B.
 
-// lateItem is one entry of phase B: a p_fn hart allocation (u != nil),
+// lateItem is one entry of phase B: a p_fn hart allocation (h != nil),
 // or a fault raised after the cycle's first p_fn.
 type lateItem struct {
-	h   *hart // forking hart
-	u   *uop  // the p_fn
-	ev  int   // index of the fork's placeholder event in lateEvents (when tracing)
-	err error // the fault
+	h    *hart // forking hart
+	slot uint8 // the p_fn's ROB slot on h
+	ev   int   // index of the fork's placeholder event in lateEvents (when tracing)
+	err  error // the fault
 }
 
 // applyLate is phase B: it applies the allocations and faults phase A
@@ -40,11 +40,11 @@ func (m *Machine) applyLate(now uint64) {
 	m.late = nil
 	dropped := 0 // placeholders of failed forks removed from lateEvents so far
 	for _, it := range late {
-		if it.u == nil {
+		if it.h == nil {
 			m.fail(it.err)
 			continue
 		}
-		c := it.h.core
+		c, u := it.h.core, &it.h.rob[it.slot]
 		ev := it.ev - dropped
 		fh := m.cores[c.idx+1].freeHart()
 		if fh == nil {
@@ -53,18 +53,18 @@ func (m *Machine) applyLate(now uint64) {
 				m.lateEvents = slices.Delete(m.lateEvents, ev, ev+1)
 				dropped++
 			}
-			m.faultf(c.idx, it.h.idx, "fork allocation raced (pc %#x)", it.u.pc)
+			m.faultf(c.idx, it.h.idx, "fork allocation raced (pc %#x)", u.pc)
 			continue
 		}
 		fh.allocate(&m.cfg, it.h.gid, now)
-		it.u.value = fh.gid // before the earliest writeback can read it
+		u.value = fh.gid // before the earliest writeback can read it
 		m.stats.Forks++
 		if m.tracing {
 			m.lateEvents[ev].Value = uint64(fh.gid)
 		}
 	}
-	// Release pointers so pooled uops and harts are not pinned, then
-	// reuse the backing array next cycle.
+	// Release the items' harts and errors, then reuse the backing array
+	// next cycle.
 	clear(late)
 	m.late = late[:0]
 	if len(m.lateEvents) > 0 {
@@ -117,10 +117,10 @@ func (m *Machine) nextWake(now uint64) (uint64, bool) {
 			if h.state != hartRunning {
 				continue // allocated/waiting harts wake on queued messages
 			}
-			if h.pcValid && h.ib == nil && h.pcReadyCycle > now && h.pcReadyCycle < wake {
+			if h.pcValid && !h.hasIB && h.pcReadyCycle > now && h.pcReadyCycle < wake {
 				wake = h.pcReadyCycle
 			}
-			if h.exec != nil && !h.exec.memWait && h.execReadyAt > now && h.execReadyAt < wake {
+			if h.exec != noSlot && !h.rob[h.exec].memWait && h.execReadyAt > now && h.execReadyAt < wake {
 				wake = h.execReadyAt
 			}
 		}

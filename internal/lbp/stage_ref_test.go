@@ -33,7 +33,7 @@ var refStages = []stageRef{
 				return false
 			}
 			if u := h.robFront(); u.isRet {
-				if (h.hasPred && !h.predSignal) || h.inflightMem > 0 || h.exec != nil {
+				if (h.hasPred && !h.predSignal) || h.inflightMem > 0 || h.exec != noSlot {
 					return false
 				}
 			}
@@ -42,20 +42,20 @@ var refStages = []stageRef{
 	{perf.StageWriteback, (*core).writeback,
 		func(c *core) *uint8 { return &c.wbC }, func(c *core) *int { return &c.wbRR },
 		func(c *core, h *hart, now uint64) bool {
-			return !(h.exec == nil || h.exec.memWait || h.execReadyAt > now)
+			return !(h.exec == noSlot || h.rob[h.exec].memWait || h.execReadyAt > now)
 		}},
 	{perf.StageIssue, (*core).issue,
 		func(c *core) *uint8 { return &c.issueC }, func(c *core) *int { return &c.issueRR },
-		func(c *core, h *hart, now uint64) bool { return c.issuable(h) != nil }},
+		func(c *core, h *hart, now uint64) bool { return c.issuable(h) >= 0 }},
 	{perf.StageRename, (*core).rename,
 		func(c *core) *uint8 { return &c.renameC }, func(c *core) *int { return &c.renameRR },
 		func(c *core, h *hart, now uint64) bool {
-			return !(h.ib == nil || h.itFull(&c.m.cfg) || h.robFull(&c.m.cfg))
+			return !(!h.hasIB || h.itFull(&c.m.cfg) || h.robFull(&c.m.cfg))
 		}},
 	{perf.StageFetch, (*core).fetch,
 		func(c *core) *uint8 { return &c.fetchC }, func(c *core) *int { return &c.fetchRR },
 		func(c *core, h *hart, now uint64) bool {
-			if h.state != hartRunning || !h.pcValid || h.pcReadyCycle > now || h.ib != nil {
+			if h.state != hartRunning || !h.pcValid || h.pcReadyCycle > now || h.hasIB {
 				return false
 			}
 			if h.syncmWait && h.inflightMem > 0 {

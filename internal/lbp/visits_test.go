@@ -59,3 +59,38 @@ func TestStageVisitsMatmul64(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotInvariantsMatmul64 single-steps the five 64-hart matmuls under
+// the slot checker (StepCheckingSlots, hart_test.go) and holds each to
+// its uninterrupted run's cycle count and digest.
+func TestSlotInvariantsMatmul64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("five whole 64-hart runs, one Advance per cycle")
+	}
+	const h = 64
+	for _, v := range workloads.Variants {
+		prog, err := workloads.BuildMatmul(v, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runs [2]*lbp.Machine
+		for i := range runs {
+			m := lbp.New(workloads.MatmulConfig(h))
+			m.SetTrace(trace.New(0))
+			if err := m.LoadProgram(prog); err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = m
+		}
+		if _, err := runs[0].Run(workloads.MaxMatmulCycles(h)); err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if _, err := lbp.StepCheckingSlots(t, runs[1], string(v)); err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if a, b := runs[0], runs[1]; a.Cycle() != b.Cycle() || a.Trace().Digest() != b.Trace().Digest() {
+			t.Errorf("%s: stepped run ended at cycle %d digest %#x, uninterrupted at %d / %#x",
+				v, b.Cycle(), b.Trace().Digest(), a.Cycle(), a.Trace().Digest())
+		}
+	}
+}

@@ -247,15 +247,29 @@ func TestDigestMatchesReference(t *testing.T) {
 	}
 }
 
+// BenchmarkAddBatch times the fold of 256 events on each of its two
+// schedules: narrow, where Cycle and Value fit in 32 bits (pc-like
+// values, the schedule real traces take), and wide, where every Value
+// is past 32 bits.
 func BenchmarkAddBatch(b *testing.B) {
-	evs := make([]Event, 256)
-	for i := range evs {
-		evs[i] = Event{Cycle: uint64(4000 + i), Core: uint16(i % 64), Hart: uint8(i % 4),
-			Kind: Kind(i % int(numKinds)), Value: uint64(i * 2654435761)}
-	}
-	r := New(0)
-	b.SetBytes(int64(len(evs) * 32))
-	for i := 0; i < b.N; i++ {
-		r.AddBatch(evs)
+	for _, sched := range []struct {
+		name  string
+		value func(i int) uint64
+	}{
+		{"narrow", func(i int) uint64 { return uint64(0x1000 + 4*i) }},
+		{"wide", func(i int) uint64 { return 1<<32 + uint64(i)*2654435761 }},
+	} {
+		evs := make([]Event, 256)
+		for i := range evs {
+			evs[i] = Event{Cycle: uint64(4000 + i), Core: uint16(i % 64), Hart: uint8(i % 4),
+				Kind: Kind(i % int(numKinds)), Value: sched.value(i)}
+		}
+		b.Run(sched.name, func(b *testing.B) {
+			r := New(0)
+			b.SetBytes(int64(len(evs) * 32))
+			for i := 0; i < b.N; i++ {
+				r.AddBatch(evs)
+			}
+		})
 	}
 }
