@@ -101,8 +101,7 @@ type hart struct {
 
 	ib uop // fetched, not yet renamed (the decode-stage buffer)
 
-	seq     uint64 // rename counter
-	renamed uint64 // statistics
+	seq uint64 // rename counter
 
 	remote      []remoteRB
 	startedBy   uint32 // global hart that forked us (diagnostics)

@@ -516,7 +516,6 @@ func (m *Machine) Reset(p *asm.Program) error {
 		// reset keeps the fields that are monotonic within one run;
 		// between runs they start from zero like on a fresh machine.
 		h.seq = 0
-		h.renamed = 0
 		h.execReadyAt = 0
 		h.startedBy = 0
 		h.endingEpoch = 0

@@ -68,7 +68,9 @@ type savedUop struct {
 
 // savedHart flattens a hart. IT, LastWriter and Exec reference uops by
 // ROB index; IB is the only uop that can live outside the ROB (fetched,
-// not yet renamed) and is stored inline.
+// not yet renamed) and is stored inline. Renamed is a counter no hart
+// keeps any more: save leaves it zero and restore refuses anything else,
+// so the format stays version 4 until a bump drops the field.
 type savedHart struct {
 	State       uint8
 	PC          uint32
@@ -383,7 +385,7 @@ func saveHart(h *hart) savedHart {
 	sh := savedHart{
 		State: uint8(h.state), PC: h.pc, PCValid: h.pcValid, PCReady: h.pcReadyCycle,
 		SyncmWait: h.syncmWait, Regs: h.regs,
-		Seq: h.seq, Renamed: h.renamed, Exec: robIndex(h, h.exec), ExecReadyAt: h.execReadyAt,
+		Seq: h.seq, Exec: robIndex(h, h.exec), ExecReadyAt: h.execReadyAt,
 		InflightMem: int32(h.inflightMem), HasPred: h.hasPred, PredSignal: h.predSignal,
 		StartedBy:   h.startedBy,
 		EndingEpoch: h.endingEpoch, LastCommit: h.lastCommit,
@@ -429,6 +431,9 @@ func restoreHart(h *hart, sh *savedHart) error {
 		return fmt.Errorf("lbp: checkpoint hart %d has %d result buffers, machine has %d",
 			h.gid, len(sh.Remote), len(h.remote))
 	}
+	if sh.Renamed != 0 {
+		return fmt.Errorf("lbp: checkpoint hart %d has rename count %d, this format saves 0", h.gid, sh.Renamed)
+	}
 	cfg := &h.core.m.cfg
 	for i := range sh.Remote {
 		if len(sh.Remote[i]) > cfg.RBDepth {
@@ -445,7 +450,7 @@ func restoreHart(h *hart, sh *savedHart) error {
 	h.pc, h.pcValid, h.pcReadyCycle = sh.PC, sh.PCValid, sh.PCReady
 	h.syncmWait = sh.SyncmWait
 	h.regs = sh.Regs
-	h.seq, h.renamed = sh.Seq, sh.Renamed
+	h.seq = sh.Seq
 	h.execReadyAt = sh.ExecReadyAt
 	h.inflightMem = int(sh.InflightMem)
 	h.hasPred, h.predSignal = sh.HasPred, sh.PredSignal

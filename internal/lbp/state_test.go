@@ -453,6 +453,7 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 				}
 			}
 		}, "not its result buffer"},
+		{"non-zero rename count", func(sm *savedMachine) { sm.Harts[1].Renamed = 1 }, "rename count"},
 		{"ROBEntries=65", func(sm *savedMachine) { sm.Cfg.ROBEntries = 65 }, "ROBEntries"},
 		{"ITEntries=65", func(sm *savedMachine) { sm.Cfg.ITEntries = 65 }, "ITEntries"},
 		{"one hart short", func(sm *savedMachine) {

@@ -75,7 +75,7 @@ func TestFrontKeyIsTheBody(t *testing.T) {
 }
 
 // cacheKeyOf is the content address of a request, computed the long way.
-func cacheKeyOf(t *testing.T, req JobRequest, maxCycles uint64) string {
+func cacheKeyOf(t testing.TB, req JobRequest, maxCycles uint64) string {
 	t.Helper()
 	prog, err := req.compile()
 	if err != nil {
@@ -210,9 +210,10 @@ func TestFrontIndexPaths(t *testing.T) {
 }
 
 // BenchmarkHandleJobsHit is the whole cost of a cache hit inside the
-// process — body read, its SHA-256, memo, cache read, payload decode,
-// response — for the two ends of serve_hot's mix: a generated MiniC
-// source (≈ 2 KB) and a 64 Ki-word image (≈ 770 KB of JSON).
+// process — body read, its SHA-256, memo, cache read, the response
+// spliced and indented from the stored bytes — for the two ends of
+// serve_hot's mix: a generated MiniC source (≈ 2 KB) and a 64 Ki-word
+// image (≈ 770 KB of JSON).
 func BenchmarkHandleJobsHit(b *testing.B) {
 	p := fuzzgen.Generate(1_000_003, fuzzgen.GenConfig{})
 	source := JobRequest{Source: p.Render(), Cores: p.MinCores, Digest: true}

@@ -736,6 +736,26 @@ func TestCachePayloadCompatible(t *testing.T) {
 	}
 }
 
+// corruptPayloads are stored bytes that are not the finished run their
+// key promises; the empty payload stands for a digest digit flipped on
+// disk under a good record. A hit answers the stored bytes without
+// decoding them, so only storeResult's exact envelope passes: the last
+// three rows are "ok" runs that a JobResult decode accepts. In the last,
+// the middle `"\` would make the spliced `"cached"` part of the key
+// `\"cached`.
+var corruptPayloads = []struct{ name, payload string }{
+	{"truncated object", `{"cycles": 12`},
+	{"empty object", `{}`},
+	{"null", `null`},
+	{"a run that did not finish", `{"status":"error","cycles":7}`},
+	{"a digest digit flipped on disk", ""},
+	{"the envelope around a malformed middle", `{"id":"","status":"ok","halt":"exit","cycles":,"poolWarm":false,"queueMs":0,"runMs":0}`},
+	{"the envelope plus trailing bytes", `{"id":"","status":"ok","halt":"exit","cycles":12,"poolWarm":false,"queueMs":0,"runMs":0}}`},
+	{"a run in other whitespace", "{\n  \"id\": \"\",\n  \"status\": \"ok\",\n  \"halt\": \"exit\",\n  \"cycles\": 12,\n  \"poolWarm\": false,\n  \"queueMs\": 0,\n  \"runMs\": 0\n}"},
+	{"a run in another key order", `{"status":"ok","id":"","halt":"exit","cycles":12,"poolWarm":false,"queueMs":0,"runMs":0}`},
+	{"a key that swallows the spliced quote", `{"id":"","status":"ok","\"poolWarm":false,"queueMs":0,"runMs":0}`},
+}
+
 // TestCacheCorruptEntry: an entry that is not the finished run its key
 // promises serves as a miss — the job re-simulates cold, repairs the
 // entry, and the next repeat hits again. Corruption never surfaces as an
@@ -746,13 +766,7 @@ func TestCachePayloadCompatible(t *testing.T) {
 // disk — still JSON, still "ok" — as a cached 200 with a wrong digest,
 // until records carried a CRC.
 func TestCacheCorruptEntry(t *testing.T) {
-	for _, tc := range []struct{ name, payload string }{
-		{"truncated object", `{"cycles": 12`},
-		{"empty object", `{}`},
-		{"null", `null`},
-		{"a run that did not finish", `{"status":"error","cycles":7}`},
-		{"a digest digit flipped on disk", ""},
-	} {
+	for _, tc := range corruptPayloads {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, store, cacheDir := newCachedServer(t, 0, Config{Workers: 1, QueueDepth: 4})
 			defer srv.Shutdown(context.Background())

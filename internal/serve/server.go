@@ -219,37 +219,68 @@ func (s *Server) draining() bool {
 	return s.drain
 }
 
-// lookupCached answers a job from the result cache. The stored payload
-// carries only the deterministic fields (host-side fields were zeroed
-// before storing), so a hit reproduces the cold run's deterministic
-// result byte for byte; the caller stamps the host-side ID. A payload
-// that does not decode as a JobResult, or decodes as anything but a
-// finished run (storeResult stores nothing else; `{}` and `null` decode
-// without error), counts as a miss and is dropped, like any other
-// corrupt entry.
-func (s *Server) lookupCached(key string) (*JobResult, bool) {
-	if payload, ok := s.cfg.Cache.Get(key); ok {
-		var res JobResult
-		if err := json.Unmarshal(payload, &res); err == nil && res.Status == StatusOK {
-			res.Cached = true
-			s.met.cacheHits.Add(1)
-			return &res, true
-		}
-		s.cfg.Cache.Remove(key)
+// cachedHead and cachedTail are the two ends of every payload
+// storeResult writes: JobResult marshals ID and Status first, and its
+// host-side fields, zeroed before storing, last — Checkpoint, Worker and
+// Cached omitted, the other three always present.
+const (
+	cachedHead = `{"id":"","status":"ok",`
+	cachedTail = `"poolWarm":false,"queueMs":0,"runMs":0}`
+)
+
+// lookupCached returns the payload stored under key if it is in
+// storeResult's envelope: cachedHead, a middle that is empty or ends in a
+// comma, cachedTail. Other bytes — `{}`, `null`, a truncated record, a
+// run that did not finish — are dropped. The middle's comma keeps the
+// splice in answerCached outside any string: after a middle ending `"\`,
+// the spliced `"cached"` would read as part of the key `\"cached`.
+func (s *Server) lookupCached(key string) ([]byte, bool) {
+	payload, ok := s.cfg.Cache.Get(key)
+	if !ok {
+		return nil, false
 	}
-	s.met.cacheMisses.Add(1)
+	n := len(payload) - len(cachedTail)
+	if n >= len(cachedHead) && payload[n-1] == ',' &&
+		string(payload[:len(cachedHead)]) == cachedHead && string(payload[n:]) == cachedTail {
+		return payload, true
+	}
+	s.cfg.Cache.Remove(key)
 	return nil, false
 }
 
 // answerCached writes the cached result of key as the response, if
-// there is one.
+// there is one. The stored payload carries only the deterministic fields,
+// so a hit is the cold run's deterministic result byte for byte: it is
+// answered as stored, with a fresh ID and "cached": true spliced in and
+// the indentation every response has. The indenting pass also checks the
+// spliced bytes are one JSON value; a payload that fails it is dropped
+// and answered as a miss, like any other corrupt entry.
 func (s *Server) answerCached(w http.ResponseWriter, key string) bool {
-	res, ok := s.lookupCached(key)
+	payload, ok := s.lookupCached(key)
 	if ok {
-		res.ID = s.jobID()
-		writeJSON(w, http.StatusOK, res)
+		id := s.jobID()
+		middle := payload[len(cachedHead) : len(payload)-len(cachedTail)]
+		hit := make([]byte, 0, len(payload)+len(id)+len(`"cached":true,`))
+		hit = append(hit, `{"id":"`...)
+		hit = append(hit, id...)
+		hit = append(hit, `","status":"ok",`...)
+		hit = append(hit, middle...)
+		hit = append(hit, `"cached":true,`...)
+		hit = append(hit, cachedTail...)
+		var body bytes.Buffer
+		if json.Indent(&body, hit, "", "  ") == nil {
+			body.WriteByte('\n')
+			s.met.cacheHits.Add(1)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			// A write error means the client is gone; there is nobody to tell.
+			_, _ = w.Write(body.Bytes())
+			return true
+		}
+		s.cfg.Cache.Remove(key)
 	}
-	return ok
+	s.met.cacheMisses.Add(1)
+	return false
 }
 
 // storeResult saves a cleanly finished job's deterministic payload

@@ -258,6 +258,11 @@ echo "verify: FuzzRPCFrame smoke OK"
 # rest cut off, nothing allocated on a length field's say-so.
 go test ./internal/cache -run '^$' -fuzz FuzzSegmentScan -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzSegmentScan smoke OK"
+# Hostile stored payloads (what a hit answers as stored): a miss that
+# drops the entry, or one JSON object that begins with the stamped ID and
+# ends with "cached": true and the zeroed host-side fields.
+go test ./internal/serve -run '^$' -fuzz FuzzCachedPayload -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzCachedPayload smoke OK"
 
 if [ -n "$fig" ]; then
     go run ./cmd/lbp-bench -fig "$fig" -outdir out/
