@@ -1,8 +1,9 @@
 package isa
 
 // Operation descriptors: the per-instruction metadata the simulator's
-// per-retire hot path needs — pipeline class, operand-read/result-write
-// flags, functional-unit latency class and memory access shape —
+// per-retire hot path needs — pipeline class (which also selects the
+// functional-unit latency), operand-read/result-write flags, memory
+// access shape and how rename produces the next pc —
 // precomputed once at decode so fetch/rename/issue/execute do flag tests
 // and one indexed dispatch instead of re-deriving everything from the
 // opcode with switches ("threaded code"). A Desc is immutable after
@@ -13,9 +14,10 @@ package isa
 type DescFlags uint8
 
 const (
-	// DescReadsRs1 marks rs1 as a source operand (Inst.ReadsRs1).
+	// DescReadsRs1 marks rs1 as a source operand other than x0
+	// (Inst.ReadsRs1 and Rs1 != 0): x0 is no dependence to rename.
 	DescReadsRs1 DescFlags = 1 << iota
-	// DescReadsRs2 marks rs2 as a source operand (Inst.ReadsRs2).
+	// DescReadsRs2 marks rs2 as a source operand other than x0.
 	DescReadsRs2
 	// DescWritesRd marks a register result (Inst.WritesRd).
 	DescWritesRd
@@ -23,17 +25,22 @@ const (
 	DescIsPRet
 	// DescMemSigned marks a sign-extending load (lb/lh).
 	DescMemSigned
+	// DescNeedsRB marks an instruction that occupies the hart's result
+	// buffer: a register result, a load, or a jump other than p_ret.
+	DescNeedsRB
 )
 
-// LatClass selects a functional-unit latency: the machine maps each
-// class to its configured cycle count (ALULat/MulLat/DivLat).
-type LatClass uint8
+// NextPC says how rename produces the pc after an instruction
+// (Figure 10: nextPC leaves the decode stage unless execution must
+// resolve it).
+type NextPC uint8
 
 const (
-	LatALU LatClass = iota // 1-cycle integer/jump/X_PAR latency class
-	LatMul                 // multi-cycle multiply
-	LatDiv                 // multi-cycle divide/remainder
-	NumLatClasses
+	NextSeq     NextPC = iota // pc+4
+	NextTarget                // pc+imm: jal, p_jal
+	NextExecute               // resolved at execution: branches, jalr, p_jalr
+	NextSyncm                 // pc+4 once the hart's memory accesses drain: p_syncm
+	NextStop                  // none: ecall/ebreak end execution at commit
 )
 
 // Desc is a fully decoded instruction plus its precomputed pipeline
@@ -43,14 +50,14 @@ type Desc struct {
 	Inst  Inst
 	Cls   Class
 	Flags DescFlags
-	Lat   LatClass
 	MemW  uint8 // load/store access width in bytes (4 for word ops)
+	Next  NextPC
 }
 
-// ReadsRs1 reports whether rs1 is a source operand.
+// ReadsRs1 reports whether rs1 is a source operand other than x0.
 func (d *Desc) ReadsRs1() bool { return d.Flags&DescReadsRs1 != 0 }
 
-// ReadsRs2 reports whether rs2 is a source operand.
+// ReadsRs2 reports whether rs2 is a source operand other than x0.
 func (d *Desc) ReadsRs2() bool { return d.Flags&DescReadsRs2 != 0 }
 
 // WritesRd reports whether the instruction produces a register result.
@@ -61,6 +68,9 @@ func (d *Desc) IsPRet() bool { return d.Flags&DescIsPRet != 0 }
 
 // MemSigned reports whether a load sign-extends its value.
 func (d *Desc) MemSigned() bool { return d.Flags&DescMemSigned != 0 }
+
+// NeedsRB reports whether the instruction occupies the result buffer.
+func (d *Desc) NeedsRB() bool { return d.Flags&DescNeedsRB != 0 }
 
 // Op returns the opcode.
 func (d *Desc) Op() Op { return d.Inst.Op }
@@ -73,14 +83,20 @@ func DescOf(in Inst) Desc {
 	if in.Rd == 0 {
 		d.Flags &^= DescWritesRd
 	}
+	if in.Rs1 == 0 {
+		d.Flags &^= DescReadsRs1
+	}
+	if in.Rs2 == 0 {
+		d.Flags &^= DescReadsRs2
+	}
 	if in.IsPRet() {
 		d.Flags |= DescIsPRet
 	}
-	switch d.Cls {
-	case ClassMul:
-		d.Lat = LatMul
-	case ClassDiv:
-		d.Lat = LatDiv
+	if d.WritesRd() || d.Cls == ClassLoad || (d.Cls == ClassJump && !in.IsPRet()) {
+		d.Flags |= DescNeedsRB
+	}
+	if d.Cls == ClassBranch {
+		d.Next = NextExecute
 	}
 	switch in.Op {
 	case OpLB:
@@ -91,6 +107,14 @@ func DescOf(in Inst) Desc {
 		d.MemW = 1
 	case OpLHU, OpSH:
 		d.MemW = 2
+	case OpJAL, OpPJAL:
+		d.Next = NextTarget
+	case OpJALR, OpPJALR:
+		d.Next = NextExecute
+	case OpPSYNCM:
+		d.Next = NextSyncm
+	case OpECALL, OpEBREAK:
+		d.Next = NextStop
 	}
 	return d
 }

@@ -1,10 +1,14 @@
 package isa
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Every descriptor field must agree with the switch-based reference
 // predicates for every opcode and rd value (rd matters for WritesRd and
-// IsPRet).
+// IsPRet). The sources here are never x0, so the read flags are the
+// row's.
 func TestDescMatchesPredicates(t *testing.T) {
 	for op := Op(0); op < NumOps; op++ {
 		for _, rd := range []uint8{0, 1, 31} {
@@ -28,16 +32,6 @@ func TestDescMatchesPredicates(t *testing.T) {
 			if d.IsPRet() != in.IsPRet() {
 				t.Errorf("%v rd=%d: IsPRet = %v, want %v", op, rd, d.IsPRet(), in.IsPRet())
 			}
-			wantLat := LatALU
-			switch ClassOf(op) {
-			case ClassMul:
-				wantLat = LatMul
-			case ClassDiv:
-				wantLat = LatDiv
-			}
-			if d.Lat != wantLat {
-				t.Errorf("%v: Lat = %d, want %d", op, d.Lat, wantLat)
-			}
 			wantW, wantSigned := uint8(4), false
 			switch op {
 			case OpLB:
@@ -54,6 +48,57 @@ func TestDescMatchesPredicates(t *testing.T) {
 					op, d.MemW, d.MemSigned(), wantW, wantSigned)
 			}
 		}
+	}
+}
+
+// refRecipe is what the simulator's rename stage derived from an
+// instruction before the descriptor carried its recipe: the sources it
+// looks up, whether the uop needs the result buffer, and how the next pc
+// is produced (a switch on the opcode and class).
+func refRecipe(in Inst) (reads1, reads2, needsRB bool, next NextPC) {
+	reads1 = in.ReadsRs1() && in.Rs1 != 0
+	reads2 = in.ReadsRs2() && in.Rs2 != 0
+	cls := ClassOf(in.Op)
+	needsRB = in.WritesRd() || cls == ClassLoad || (cls == ClassJump && !in.IsPRet())
+	switch {
+	case in.Op == OpJAL || in.Op == OpPJAL:
+		next = NextTarget
+	case in.Op == OpJALR || in.Op == OpPJALR || cls == ClassBranch:
+		next = NextExecute
+	case in.Op == OpPSYNCM:
+		next = NextSyncm
+	case in.Op == OpECALL || in.Op == OpEBREAK:
+		next = NextStop
+	default:
+		next = NextSeq
+	}
+	return
+}
+
+// TestDescRecipeMatchesRename holds the predecoded rename recipe —
+// DescReadsRs1/DescReadsRs2 (a source other than x0), DescNeedsRB and
+// Next — to refRecipe for every opcode and every rd/rs1/rs2 in {x0, x5}.
+func TestDescRecipeMatchesRename(t *testing.T) {
+	for op := Op(0); op < NumOps; op++ {
+		for fields := 0; fields < 8; fields++ {
+			reg := func(bit int) uint8 { return uint8(5 * (fields >> bit & 1)) }
+			in := Inst{Op: op, Rd: reg(0), Rs1: reg(1), Rs2: reg(2), Imm: 8}
+			d := DescOf(in)
+			r1, r2, rb, next := refRecipe(in)
+			if d.ReadsRs1() != r1 || d.ReadsRs2() != r2 || d.NeedsRB() != rb || d.Next != next {
+				t.Errorf("%v rd=%d rs1=%d rs2=%d: reads %v,%v needsRB %v next %d; rename derived %v,%v %v %d",
+					op, in.Rd, in.Rs1, in.Rs2, d.ReadsRs1(), d.ReadsRs2(), d.NeedsRB(), d.Next, r1, r2, rb, next)
+			}
+		}
+	}
+}
+
+// TestDescSize: a machine holds one Desc per word of its code image;
+// the next-pc rule took the byte of the latency class, which the
+// pipeline class already implied.
+func TestDescSize(t *testing.T) {
+	if n := unsafe.Sizeof(Desc{}); n > 20 {
+		t.Errorf("Desc is %d bytes, want at most 20", n)
 	}
 }
 

@@ -242,6 +242,7 @@ const (
 	ClassJump                // jal/jalr, writes rd and redirects fetch
 	ClassSystem              // fence/ecall/ebreak/p_syncm
 	ClassXPar                // X_PAR control instructions (fork, set, ...)
+	NumClasses
 )
 
 // ClassOf reports the pipeline class of an opcode.

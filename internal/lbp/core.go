@@ -57,26 +57,28 @@ type core struct {
 // next stage one cycle later at the earliest. Of the rest of the machine
 // it mutates only the progress stamp, the memory system (submissions and
 // messages, in core order), the halt state and, through a p_fn, phase B's
-// list (phase.go). It reports whether any stage did work: a stage that
-// works adds one to its busy counter, so the counters' sum moves. A core
-// whose five candidate masks are all empty does nothing at all — every
-// stage is a no-op on an empty mask — and returns at once.
+// list (phase.go). It reports whether any stage did work. Every stage is
+// a no-op on an empty candidate mask, so a stage is called only when its
+// mask has a bit set, and each reports whether it acted — exactly when
+// it adds one to its perf.StageBusy counter.
 func (c *core) stepCompute(now uint64) bool {
-	if c.fetchC|c.renameC|c.issueC|c.wbC|c.commitC == 0 {
-		return false
+	act := false
+	if c.commitC != 0 && c.commit(now) {
+		act = true
 	}
-	start := busySum(&c.perf.StageBusy)
-	c.commit(now)
-	c.writeback(now)
-	c.issue(now)
-	c.rename(now)
-	c.fetch(now)
-	return busySum(&c.perf.StageBusy) != start
-}
-
-// busySum adds a core's five stage-busy counters.
-func busySum(b *[perf.NumStages]uint64) uint64 {
-	return b[0] + b[1] + b[2] + b[3] + b[4]
+	if c.wbC != 0 && c.writeback(now) {
+		act = true
+	}
+	if c.issueC != 0 && c.issue(now) {
+		act = true
+	}
+	if c.renameC != 0 && c.rename(now) {
+		act = true
+	}
+	if c.fetchC != 0 && c.fetch(now) {
+		act = true
+	}
+	return act
 }
 
 // faultf raises a fault of this core's hart hartIdx (Machine.faultf).
@@ -104,9 +106,10 @@ func scanOrder(mask uint8, rr int) uint8 {
 }
 
 // scanHart returns the hart the lowest set bit of a scanOrder mask
-// stands for.
+// stands for. The index is unsigned and masked, so it needs no signed
+// modulo and no bounds check.
 func (c *core) scanHart(order uint8, rr int) *hart {
-	return c.harts[(rr+1+bits.TrailingZeros8(order))%HartsPerCore]
+	return c.harts[(uint(rr)+1+uint(bits.TrailingZeros8(order)))&(HartsPerCore-1)]
 }
 
 // ---- fetch stage ----------------------------------------------------
@@ -115,8 +118,9 @@ func (c *core) scanHart(order uint8, rr int) *hart {
 // the decode buffer. A hart is suspended after every fetch until the next
 // pc is produced (at rename for sequential flow and direct jumps, at
 // execution for branches and indirect jumps) — the paper hides this
-// latency with multithreading instead of prediction.
-func (c *core) fetch(now uint64) {
+// latency with multithreading instead of prediction. A fetch fault
+// counts as the stage's work for the cycle.
+func (c *core) fetch(now uint64) bool {
 	var h *hart
 	for o := scanOrder(c.fetchC, c.fetchRR); o != 0; o &= o - 1 {
 		cand := c.scanHart(o, c.fetchRR)
@@ -132,18 +136,18 @@ func (c *core) fetch(now uint64) {
 		break
 	}
 	if h == nil {
-		return
+		return false
 	}
 	c.perf.StageBusy[perf.StageFetch]++
 	h.syncmWait = false
 	d := c.m.descAt(h.pc)
 	if d == nil {
 		c.faultf(h.idx, "instruction fetch from unmapped pc %#x", h.pc)
-		return
+		return true
 	}
 	if d.Inst.Op == isa.OpInvalid {
 		c.faultf(h.idx, "invalid instruction %#08x at pc %#x", d.Inst.Raw, h.pc)
-		return
+		return true
 	}
 	h.ib = uop{d: d, pc: h.pc}
 	h.hasIB = true
@@ -151,14 +155,17 @@ func (c *core) fetch(now uint64) {
 	c.fetchC &^= h.bit
 	c.renameC |= h.bit
 	c.m.event(trace.KindFetch, c.idx, h.idx, uint64(h.ib.pc))
+	return true
 }
 
 // ---- decode/rename stage ---------------------------------------------
 
 // rename moves the decode-buffer instruction into the instruction table
 // and reorder buffer, records its source dependencies and produces the
-// next pc when it is knowable at decode.
-func (c *core) rename(now uint64) {
+// next pc when it is knowable at decode. The descriptor is its recipe:
+// which sources to look up (never x0), whether the result buffer is
+// needed and how the next pc comes (isa.DescOf).
+func (c *core) rename(now uint64) bool {
 	var h *hart
 	for o := scanOrder(c.renameC, c.renameRR); o != 0; o &= o - 1 {
 		cand := c.scanHart(o, c.renameRR)
@@ -171,7 +178,7 @@ func (c *core) rename(now uint64) {
 		break
 	}
 	if h == nil {
-		return
+		return false
 	}
 	c.perf.StageBusy[perf.StageRename]++
 	s := h.robPush()
@@ -184,22 +191,20 @@ func (c *core) rename(now uint64) {
 
 	u.slot = uint8(s)
 	u.dep1, u.dep2 = noSlot, noSlot
-	if d.ReadsRs1() && in.Rs1 != 0 {
+	if d.ReadsRs1() {
 		if u.dep1 = h.lastWriter[in.Rs1]; u.dep1 == noSlot {
 			u.src1 = h.regs[in.Rs1]
 		}
 	}
-	if d.ReadsRs2() && in.Rs2 != 0 {
+	if d.ReadsRs2() {
 		if u.dep2 = h.lastWriter[in.Rs2]; u.dep2 == noSlot {
 			u.src2 = h.regs[in.Rs2]
 		}
 	}
 	h.seq++
 	u.isRet = d.IsPRet()
-	writesRd := d.WritesRd()
-	u.needsRB = writesRd || d.Cls == isa.ClassLoad ||
-		(d.Cls == isa.ClassJump && !u.isRet)
-	if writesRd {
+	u.needsRB = d.NeedsRB()
+	if d.WritesRd() {
 		h.lastWriter[in.Rd] = u.slot
 	}
 	h.it |= 1 << s
@@ -208,35 +213,30 @@ func (c *core) rename(now uint64) {
 	}
 
 	// Next-pc production (Figure 10: nextPC leaves the decode stage).
-	switch {
-	case in.Op == isa.OpJAL || in.Op == isa.OpPJAL:
+	switch d.Next {
+	case isa.NextSeq:
+		h.pc = u.pc + 4
+	case isa.NextTarget:
 		h.pc = u.pc + uint32(in.Imm)
-		h.pcValid = true
-		h.pcReadyCycle = now + 1
-	case in.Op == isa.OpJALR || in.Op == isa.OpPJALR || d.Cls == isa.ClassBranch:
-		// resolved at execution; fetch stays suspended
-	case in.Op == isa.OpPSYNCM:
+	case isa.NextSyncm:
 		h.pc = u.pc + 4
-		h.pcValid = true
-		h.pcReadyCycle = now + 1
 		h.syncmWait = true
-	case in.Op == isa.OpECALL || in.Op == isa.OpEBREAK:
-		// execution terminates at commit; fetch stops here
 	default:
-		h.pc = u.pc + 4
-		h.pcValid = true
-		h.pcReadyCycle = now + 1
+		// NextExecute: resolved at execution, fetch stays suspended;
+		// NextStop: execution terminates at commit, fetch stops here.
+		return true
 	}
-	if h.pcValid {
-		c.fetchC |= h.bit
-	}
+	h.pcValid = true
+	h.pcReadyCycle = now + 1
+	c.fetchC |= h.bit
+	return true
 }
 
 // ---- issue stage -----------------------------------------------------
 
 // issue selects one ready instruction (oldest first within the selected
 // hart) and begins its execution.
-func (c *core) issue(now uint64) {
+func (c *core) issue(now uint64) bool {
 	var ih *hart
 	is := -1
 	for o := scanOrder(c.issueC, c.issueRR); o != 0; o &= o - 1 {
@@ -248,7 +248,7 @@ func (c *core) issue(now uint64) {
 		c.issueC &^= h.bit
 	}
 	if ih == nil {
-		return
+		return false
 	}
 	c.issueRR = ih.idx
 	c.perf.StageBusy[perf.StageIssue]++
@@ -275,6 +275,7 @@ func (c *core) issue(now uint64) {
 	} else if !iu.memWait {
 		c.wbC |= ih.bit
 	}
+	return true
 }
 
 // issuable returns the slot of the oldest instruction of h that can
@@ -353,7 +354,7 @@ func (c *core) startExec(h *hart, u *uop, readyAt uint64) {
 func execJAL(c *core, h *hart, u *uop, now uint64) {
 	// target pc was produced at rename
 	u.value = u.pc + 4
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execJALR(c *core, h *hart, u *uop, now uint64) {
@@ -361,7 +362,7 @@ func execJALR(c *core, h *hart, u *uop, now uint64) {
 	h.pc = (u.src1 + uint32(u.d.Inst.Imm)) &^ 1
 	h.pcValid = true
 	h.pcReadyCycle = now + 1
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPJAL(c *core, h *hart, u *uop, now uint64) {
@@ -369,7 +370,7 @@ func execPJAL(c *core, h *hart, u *uop, now uint64) {
 	// on the designated hart.
 	u.value = 0 // "clear rd"
 	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPJALR(c *core, h *hart, u *uop, now uint64) {
@@ -382,7 +383,7 @@ func execPJALR(c *core, h *hart, u *uop, now uint64) {
 	h.pcValid = true
 	h.pcReadyCycle = now + 1
 	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func (c *core) execLoad(h *hart, u *uop, now uint64) {
@@ -426,7 +427,7 @@ func (c *core) execStore(h *hart, u *uop, now uint64) {
 
 // writeback retires one completed execution per cycle: the result buffer
 // value is written to the register file and dependents are woken.
-func (c *core) writeback(now uint64) {
+func (c *core) writeback(now uint64) bool {
 	var h *hart
 	for o := scanOrder(c.wbC, c.wbRR); o != 0; o &= o - 1 {
 		cand := c.scanHart(o, c.wbRR)
@@ -442,7 +443,7 @@ func (c *core) writeback(now uint64) {
 		break
 	}
 	if h == nil {
-		return
+		return false
 	}
 	c.perf.StageBusy[perf.StageWriteback]++
 	s := h.exec
@@ -466,6 +467,7 @@ func (c *core) writeback(now uint64) {
 		h.wake(s, u.value)
 	}
 	u.done = true
+	return true
 }
 
 // ---- commit stage ------------------------------------------------------
@@ -474,7 +476,7 @@ func (c *core) writeback(now uint64) {
 // p_ret commits only once the ending-hart signal from the predecessor has
 // been received and the hart's memory accesses have drained — this is the
 // hardware barrier between a parallel section and its sequel.
-func (c *core) commit(now uint64) {
+func (c *core) commit(now uint64) bool {
 	var h *hart
 	for o := scanOrder(c.commitC, c.commitRR); o != 0; o &= o - 1 {
 		cand := c.scanHart(o, c.commitRR)
@@ -492,7 +494,7 @@ func (c *core) commit(now uint64) {
 		break
 	}
 	if h == nil {
-		return
+		return false
 	}
 	u := h.robPopFront()
 	if h.robN == 0 || !h.robFront().done {
@@ -513,4 +515,5 @@ func (c *core) commit(now uint64) {
 	case u.d.Inst.Op == isa.OpECALL || u.d.Inst.Op == isa.OpEBREAK:
 		c.m.halt(u.d.Inst.Op.String())
 	}
+	return true
 }

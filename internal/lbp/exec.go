@@ -5,7 +5,7 @@ import "repro/internal/isa"
 // Threaded-code dispatch. Issue executes an instruction with one indexed
 // call through execTab instead of re-classifying the opcode with
 // switches: every opcode has its own execFn, and per-instruction
-// metadata (operand flags, latency class, memory width) comes
+// metadata (operand flags, pipeline class, memory width) comes
 // precomputed from the uop's descriptor (isa.Desc, decoded once per
 // program image — see decode.go). The switch-based functions the table
 // replaced are kept as the reference semantics in exec_ref_test.go;
@@ -24,68 +24,60 @@ func init() {
 		t[op] = execUnknown
 	}
 
-	// Register-result operations share finishALU, which charges the
-	// descriptor's functional-unit latency class.
-	alu := func(op isa.Op, fn func(u *uop) uint32) {
-		t[op] = func(c *core, h *hart, u *uop, now uint64) {
-			finishALU(c, h, u, now, fn(u))
-		}
+	// Each register-result and branch operation is its own function with
+	// its expression inline: one indexed call reaches it, and finishALU
+	// (which charges the latency of the descriptor's class) or
+	// finishBranch inlines into it.
+	t[isa.OpLUI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, uint32(u.d.Inst.Imm)) }
+	t[isa.OpAUIPC] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.pc+uint32(u.d.Inst.Imm)) }
+	t[isa.OpADDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1+uint32(u.d.Inst.Imm)) }
+	t[isa.OpSLTI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(int32(u.src1) < u.d.Inst.Imm)) }
+	t[isa.OpSLTIU] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, b2u(u.src1 < uint32(u.d.Inst.Imm)))
 	}
-	alu(isa.OpLUI, func(u *uop) uint32 { return uint32(u.d.Inst.Imm) })
-	alu(isa.OpAUIPC, func(u *uop) uint32 { return u.pc + uint32(u.d.Inst.Imm) })
-	alu(isa.OpADDI, func(u *uop) uint32 { return u.src1 + uint32(u.d.Inst.Imm) })
-	alu(isa.OpSLTI, func(u *uop) uint32 { return b2u(int32(u.src1) < u.d.Inst.Imm) })
-	alu(isa.OpSLTIU, func(u *uop) uint32 { return b2u(u.src1 < uint32(u.d.Inst.Imm)) })
-	alu(isa.OpXORI, func(u *uop) uint32 { return u.src1 ^ uint32(u.d.Inst.Imm) })
-	alu(isa.OpORI, func(u *uop) uint32 { return u.src1 | uint32(u.d.Inst.Imm) })
-	alu(isa.OpANDI, func(u *uop) uint32 { return u.src1 & uint32(u.d.Inst.Imm) })
-	alu(isa.OpSLLI, func(u *uop) uint32 { return u.src1 << (uint32(u.d.Inst.Imm) & 31) })
-	alu(isa.OpSRLI, func(u *uop) uint32 { return u.src1 >> (uint32(u.d.Inst.Imm) & 31) })
-	alu(isa.OpSRAI, func(u *uop) uint32 { return uint32(int32(u.src1) >> (uint32(u.d.Inst.Imm) & 31)) })
-	alu(isa.OpADD, func(u *uop) uint32 { return u.src1 + u.src2 })
-	alu(isa.OpSUB, func(u *uop) uint32 { return u.src1 - u.src2 })
-	alu(isa.OpSLL, func(u *uop) uint32 { return u.src1 << (u.src2 & 31) })
-	alu(isa.OpSLT, func(u *uop) uint32 { return b2u(int32(u.src1) < int32(u.src2)) })
-	alu(isa.OpSLTU, func(u *uop) uint32 { return b2u(u.src1 < u.src2) })
-	alu(isa.OpXOR, func(u *uop) uint32 { return u.src1 ^ u.src2 })
-	alu(isa.OpSRL, func(u *uop) uint32 { return u.src1 >> (u.src2 & 31) })
-	alu(isa.OpSRA, func(u *uop) uint32 { return uint32(int32(u.src1) >> (u.src2 & 31)) })
-	alu(isa.OpOR, func(u *uop) uint32 { return u.src1 | u.src2 })
-	alu(isa.OpAND, func(u *uop) uint32 { return u.src1 & u.src2 })
-	alu(isa.OpMUL, func(u *uop) uint32 { return u.src1 * u.src2 })
-	alu(isa.OpMULH, func(u *uop) uint32 {
-		return uint32(uint64(int64(int32(u.src1))*int64(int32(u.src2))) >> 32)
-	})
-	alu(isa.OpMULHSU, func(u *uop) uint32 {
-		return uint32(uint64(int64(int32(u.src1))*int64(u.src2)) >> 32)
-	})
-	alu(isa.OpMULHU, func(u *uop) uint32 { return uint32(uint64(u.src1) * uint64(u.src2) >> 32) })
-	alu(isa.OpDIV, func(u *uop) uint32 { return divRV(u.src1, u.src2) })
-	alu(isa.OpDIVU, func(u *uop) uint32 {
-		if u.src2 == 0 {
-			return 0xFFFFFFFF
-		}
-		return u.src1 / u.src2
-	})
-	alu(isa.OpREM, func(u *uop) uint32 { return remRV(u.src1, u.src2) })
-	alu(isa.OpREMU, func(u *uop) uint32 {
-		if u.src2 == 0 {
-			return u.src1
-		}
-		return u.src1 % u.src2
-	})
+	t[isa.OpXORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1^uint32(u.d.Inst.Imm)) }
+	t[isa.OpORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1|uint32(u.d.Inst.Imm)) }
+	t[isa.OpANDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1&uint32(u.d.Inst.Imm)) }
+	t[isa.OpSLLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1<<(uint32(u.d.Inst.Imm)&31)) }
+	t[isa.OpSRLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1>>(uint32(u.d.Inst.Imm)&31)) }
+	t[isa.OpSRAI] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, uint32(int32(u.src1)>>(uint32(u.d.Inst.Imm)&31)))
+	}
+	t[isa.OpADD] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1+u.src2) }
+	t[isa.OpSUB] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1-u.src2) }
+	t[isa.OpSLL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1<<(u.src2&31)) }
+	t[isa.OpSLT] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, b2u(int32(u.src1) < int32(u.src2)))
+	}
+	t[isa.OpSLTU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(u.src1 < u.src2)) }
+	t[isa.OpXOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1^u.src2) }
+	t[isa.OpSRL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1>>(u.src2&31)) }
+	t[isa.OpSRA] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, uint32(int32(u.src1)>>(u.src2&31)))
+	}
+	t[isa.OpOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1|u.src2) }
+	t[isa.OpAND] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1&u.src2) }
+	t[isa.OpMUL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1*u.src2) }
+	t[isa.OpMULH] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.src1))*int64(int32(u.src2)))>>32))
+	}
+	t[isa.OpMULHSU] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.src1))*int64(u.src2))>>32))
+	}
+	t[isa.OpMULHU] = func(c *core, h *hart, u *uop, now uint64) {
+		finishALU(c, h, u, now, uint32(uint64(u.src1)*uint64(u.src2)>>32))
+	}
+	t[isa.OpDIV] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divRV(u.src1, u.src2)) }
+	t[isa.OpDIVU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divuRV(u.src1, u.src2)) }
+	t[isa.OpREM] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remRV(u.src1, u.src2)) }
+	t[isa.OpREMU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remuRV(u.src1, u.src2)) }
 
-	br := func(op isa.Op, taken func(s1, s2 uint32) bool) {
-		t[op] = func(c *core, h *hart, u *uop, now uint64) {
-			finishBranch(h, u, now, taken(u.src1, u.src2))
-		}
-	}
-	br(isa.OpBEQ, func(s1, s2 uint32) bool { return s1 == s2 })
-	br(isa.OpBNE, func(s1, s2 uint32) bool { return s1 != s2 })
-	br(isa.OpBLT, func(s1, s2 uint32) bool { return int32(s1) < int32(s2) })
-	br(isa.OpBGE, func(s1, s2 uint32) bool { return int32(s1) >= int32(s2) })
-	br(isa.OpBLTU, func(s1, s2 uint32) bool { return s1 < s2 })
-	br(isa.OpBGEU, func(s1, s2 uint32) bool { return s1 >= s2 })
+	t[isa.OpBEQ] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 == u.src2) }
+	t[isa.OpBNE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 != u.src2) }
+	t[isa.OpBLT] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.src1) < int32(u.src2)) }
+	t[isa.OpBGE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.src1) >= int32(u.src2)) }
+	t[isa.OpBLTU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 < u.src2) }
+	t[isa.OpBGEU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 >= u.src2) }
 
 	t[isa.OpJAL] = execJAL
 	t[isa.OpJALR] = execJALR
@@ -116,7 +108,7 @@ func init() {
 // latency of the uop's descriptor class (ALU, multiply or divide).
 func finishALU(c *core, h *hart, u *uop, now uint64, v uint32) {
 	u.value = v
-	c.startExec(h, u, now+c.m.latTab[u.d.Lat])
+	c.startExec(h, u, now+c.m.latTab[u.d.Cls])
 }
 
 // finishBranch resolves a conditional branch: the next pc leaves the
@@ -159,6 +151,13 @@ func divRV(s1, s2 uint32) uint32 {
 	return uint32(int32(s1) / int32(s2))
 }
 
+func divuRV(s1, s2 uint32) uint32 {
+	if s2 == 0 {
+		return 0xFFFFFFFF
+	}
+	return s1 / s2
+}
+
 func remRV(s1, s2 uint32) uint32 {
 	if s2 == 0 {
 		return s1
@@ -167,4 +166,11 @@ func remRV(s1, s2 uint32) uint32 {
 		return 0
 	}
 	return uint32(int32(s1) % int32(s2))
+}
+
+func remuRV(s1, s2 uint32) uint32 {
+	if s2 == 0 {
+		return s1
+	}
+	return s1 % s2
 }

@@ -113,8 +113,8 @@ func branchTaken(op isa.Op, s1, s2 uint32) bool {
 }
 
 // latencyOf returns the functional-unit latency of a value-producing op
-// (reference for the descriptor latency class; the hot path reads
-// m.latTab[u.d.Lat]).
+// (reference for the class-indexed latency table; the hot path reads
+// m.latTab[u.d.Cls]).
 func (m *Machine) latencyOf(op isa.Op) uint64 {
 	switch isa.ClassOf(op) {
 	case isa.ClassMul:

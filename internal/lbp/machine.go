@@ -42,8 +42,8 @@ type Machine struct {
 	devices []Device
 	rec     *trace.Recorder
 
-	descs  []isa.Desc                // predecoded code bank, indexed by pc/4: the fetch source (decodeCode)
-	latTab [isa.NumLatClasses]uint64 // functional-unit latency by descriptor class
+	descs  []isa.Desc             // predecoded code bank, indexed by pc/4: the fetch source (decodeCode)
+	latTab [isa.NumClasses]uint64 // functional-unit latency by pipeline class
 	stats  Stats
 
 	// Performance counters. The inline increments in the pipeline stages
@@ -119,9 +119,11 @@ func New(cfg Config) *Machine {
 	if cfg.LivelockWindow == 0 {
 		m.cfg.LivelockWindow = 100000
 	}
-	m.latTab[isa.LatALU] = uint64(cfg.ALULat)
-	m.latTab[isa.LatMul] = uint64(cfg.MulLat)
-	m.latTab[isa.LatDiv] = uint64(cfg.DivLat)
+	for cls := range m.latTab {
+		m.latTab[cls] = uint64(cfg.ALULat)
+	}
+	m.latTab[isa.ClassMul] = uint64(cfg.MulLat)
+	m.latTab[isa.ClassDiv] = uint64(cfg.DivLat)
 	m.cores = make([]*core, cfg.Cores)
 	m.harts = make([]*hart, cfg.Cores*HartsPerCore)
 	// Every hart's reorder buffer is a window of one slab. A hart's ring

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
@@ -133,6 +134,40 @@ func TestStageSelectionMatchesReference(t *testing.T) {
 		if m.err != nil || m.cycle != straight.cycle || m.Trace().Digest() != straight.Trace().Digest() {
 			t.Errorf("%s: stage-by-stage run ended at cycle %d digest %#x (%v), Run at %d / %#x",
 				x.Name, m.cycle, m.Trace().Digest(), m.err, straight.cycle, straight.Trace().Digest())
+		}
+	}
+}
+
+// TestStageReportsFetchFault drives the two fetch faults stage by stage:
+// a fault is the fetch stage's work for the cycle (its busy counter
+// moves), so the stage must report acting, or stepCompute would call a
+// faulting cycle idle. The corpus above never faults.
+func TestStageReportsFetchFault(t *testing.T) {
+	for _, c := range []struct {
+		src, want string
+		zeroWord  int // code word to overwrite with 0, an invalid instruction; -1 for none
+	}{
+		{"main:\n\tlui t1, 0x40000\n\tjr t1", "instruction fetch from unmapped pc 0x40000000", -1},
+		{"main:\n\tnop\n\tnop", "invalid instruction", 1},
+	} {
+		p, err := asm.Assemble(c.src, asm.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(DefaultConfig(1))
+		if err := m.LoadProgram(p); err != nil {
+			t.Fatal(err)
+		}
+		if c.zeroWord >= 0 {
+			m.descs[c.zeroWord] = isa.DecodeDesc(0)
+		}
+		m.rebuildActive(1)
+		var v stageVisits
+		for !m.exited {
+			stepAgainstReference(t, m, &v)
+		}
+		if m.err == nil || !strings.Contains(m.err.Error(), c.want) {
+			t.Errorf("err = %v, want one containing %q", m.err, c.want)
 		}
 	}
 }

@@ -13,12 +13,12 @@ import (
 // as the executable specification of which hart a stage selects. Nothing
 // outside the tests calls them.
 
-// stageRef describes one pipeline stage to the tests: how to run it,
-// where its candidate mask and rotation pointer live, and the reference
-// predicate.
+// stageRef describes one pipeline stage to the tests: how to run it
+// (run reports whether the stage acted), where its candidate mask and
+// rotation pointer live, and the reference predicate.
 type stageRef struct {
 	stage    perf.Stage
-	run      func(c *core, now uint64)
+	run      func(c *core, now uint64) bool
 	mask     func(c *core) *uint8
 	rr       func(c *core) *int
 	eligible func(c *core, h *hart, now uint64) bool
@@ -110,7 +110,9 @@ type stageVisits struct {
 // stepAgainstReference runs one cycle of a device-less machine the way
 // Machine.Advance does, but stage by stage: before each stage call it
 // asks refSelect which hart the all-harts walk would take and after the
-// call checks the stage took exactly that one. It also counts the harts
+// call checks the stage took exactly that one, and that the stage
+// reported acting exactly when its perf.StageBusy counter moved —
+// stepCompute's answer, which fast-forward trusts. It also counts the harts
 // each scan examined — the set bits of the stage's mask in scan order, up
 // to the selected one — which is what the masks exist to shrink.
 func stepAgainstReference(t *testing.T, m *Machine, v *stageVisits) {
@@ -127,10 +129,15 @@ func stepAgainstReference(t *testing.T, m *Machine, v *stageVisits) {
 			want, walked := refSelect(c, st, now)
 			v.walked[st.stage] += uint64(walked)
 			mask, rr, busy := *st.mask(c), *st.rr(c), c.perf.StageBusy[st.stage]
-			st.run(c, now)
+			acted := st.run(c, now)
 			var got *hart
-			if c.perf.StageBusy[st.stage] != busy {
+			moved := c.perf.StageBusy[st.stage] != busy
+			if moved {
 				got = c.harts[*st.rr(c)]
+			}
+			if acted != moved {
+				t.Fatalf("cycle %d core %d %v: the stage reported acting %v, its busy counter moved %v",
+					now, c.idx, st.stage, acted, moved)
 			}
 			if got != want {
 				t.Fatalf("cycle %d core %d %v: selected %s, the reference walk selects %s",

@@ -67,7 +67,7 @@ func (c *core) execPFC(h *hart, u *uop, now uint64) {
 	u.value = fh.gid
 	c.statForks++
 	c.m.event(trace.KindFork, c.idx, h.idx, uint64(fh.gid))
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 // execPFN performs a next-core fork: the allocation mutates the neighbor,
@@ -85,17 +85,17 @@ func (c *core) execPFN(h *hart, u *uop, now uint64) {
 	}
 	m.late = append(m.late, lateItem{h: h, slot: u.slot, ev: len(m.lateEvents)})
 	m.event(trace.KindFork, c.idx, h.idx, 0)
-	c.startExec(h, u, now+m.latTab[isa.LatALU])
+	c.startExec(h, u, now+m.latTab[isa.ClassALU])
 }
 
 func execPSET(c *core, h *hart, u *uop, now uint64) {
 	u.value = isa.PSet(u.src1, h.gid)
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPMERGE(c *core, h *hart, u *uop, now uint64) {
 	u.value = isa.PMerge(u.src1, u.src2)
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
@@ -112,7 +112,7 @@ func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
 	}
 	u.value = v
 	c.m.event(trace.KindRecv, c.idx, h.idx, uint64(v))
-	c.startExec(h, u, now+c.m.latTab[isa.LatALU])
+	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 // execSwcv stores a continuation value on the stack of the designated

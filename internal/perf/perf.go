@@ -87,8 +87,7 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// numClasses covers isa.ClassALU..isa.ClassXPar.
-const numClasses = int(isa.ClassXPar) + 1
+const numClasses = int(isa.NumClasses)
 
 var classNames = [numClasses]string{
 	"alu", "mul", "div", "load", "store", "branch", "jump", "system", "xpar",

@@ -69,16 +69,22 @@ const (
 const (
 	fnvP5 = 0x0caee32a7d4f6a63
 	fnvP6 = 0xdc966432edf1c639
+	fnvP7 = 0xc5527b8a51d3d2db
 	fnvP8 = 0x1efac7090aef4a21
 )
 
 // foldEvent folds one event's 32 bytes — Cycle, Core<<8|Hart, Kind and
 // Value as four little-endian words — into h, byte-identical to the
-// per-byte FNV-1a loop, on a fixed schedule: the three high bytes of the
-// core/hart word and the seven high bytes of the kind word are zero, and
-// when Cycle and Value fit in 32 bits their four high bytes are too, so
-// such an event folds in 12 xor-multiplies with no loop.
+// per-byte FNV-1a loop, on one of three fixed schedules. The three high
+// bytes of the core/hart word and the seven high bytes of the kind word
+// are always zero. A short event (isShort) folds in 8 xor-multiplies;
+// otherwise, when Cycle and Value fit in 32 bits, their four high bytes
+// are zero and the event folds in 12 with no loop; the rest take
+// foldWide's 20.
 func foldEvent(h uint64, e *Event) uint64 {
+	if isShort(e) {
+		return foldShort(h, e)
+	}
 	c, v := e.Cycle, e.Value
 	if (c|v)>>32 != 0 {
 		return foldWide(h, e)
@@ -92,6 +98,28 @@ func foldEvent(h uint64, e *Event) uint64 {
 	h = (h ^ v>>8&0xFF) * fnvPrime
 	h = (h ^ v>>16&0xFF) * fnvPrime
 	return (h ^ v>>24) * fnvP5
+}
+
+// isShort reports whether an event takes the 8-multiply schedule: Cycle
+// below 2^24, Value below 2^16 and Core below 2^8 — a fetch or commit
+// of a program's first 64 KiB on one of its first 256 cores, in its
+// first 16M cycles.
+func isShort(e *Event) bool {
+	return e.Cycle < 1<<24 && e.Value < 1<<16 && e.Core < 1<<8
+}
+
+// foldShort folds a short event: c0, c1 ×P, c2 and five zeros ×P⁶, hart
+// ×P, core low, core high and five zeros ×P⁷, kind and seven zeros ×P⁸,
+// v0 ×P, v1 and six zeros ×P⁷.
+func foldShort(h uint64, e *Event) uint64 {
+	h = (h ^ e.Cycle&0xFF) * fnvPrime
+	h = (h ^ e.Cycle>>8&0xFF) * fnvPrime
+	h = (h ^ e.Cycle>>16) * fnvP6
+	h = (h ^ uint64(e.Hart)) * fnvPrime
+	h = (h ^ uint64(e.Core)) * fnvP7
+	h = (h ^ uint64(e.Kind)) * fnvP8
+	h = (h ^ e.Value&0xFF) * fnvPrime
+	return (h ^ e.Value>>8) * fnvP7
 }
 
 // foldWide is foldEvent's schedule for an event whose Cycle or Value
@@ -142,24 +170,34 @@ func New(ringSize int) *Recorder {
 	return r
 }
 
-// Add folds an event into the digest.
+// Add folds an event into the digest. The short schedule, the one
+// nearly every event of a run takes, is folded here, without a call.
 func (r *Recorder) Add(e Event) {
-	r.digest = foldEvent(r.digest, &e)
+	if isShort(&e) {
+		r.digest = foldShort(r.digest, &e)
+	} else {
+		r.digest = foldEvent(r.digest, &e)
+	}
 	r.count++
 	if r.ring != nil {
-		r.ring[r.next] = e
-		r.next++
-		if r.next == len(r.ring) {
-			r.next = 0
-			r.full = true
-		}
+		r.keep(e)
+	}
+}
+
+// keep writes an event into the ring.
+func (r *Recorder) keep(e Event) {
+	r.ring[r.next] = e
+	r.next++
+	if r.next == len(r.ring) {
+		r.next = 0
+		r.full = true
 	}
 }
 
 // AddBatch folds a slice of events in order, exactly as the equivalent
-// Add calls would, but keeps the digest in a register across the batch —
-// the simulator drains one core's cycle worth of events at a time, and
-// the per-call overhead of Add is measurable at that rate.
+// Add calls would, keeping the digest in a register across the batch.
+// The simulator's one batch is a cycle's trace events that waited behind
+// a p_fn for phase B.
 func (r *Recorder) AddBatch(evs []Event) {
 	h := r.digest
 	for i := range evs {
@@ -169,12 +207,7 @@ func (r *Recorder) AddBatch(evs []Event) {
 	r.count += uint64(len(evs))
 	if r.ring != nil {
 		for _, e := range evs {
-			r.ring[r.next] = e
-			r.next++
-			if r.next == len(r.ring) {
-				r.next = 0
-				r.full = true
-			}
+			r.keep(e)
 		}
 	}
 }

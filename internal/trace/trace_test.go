@@ -199,6 +199,27 @@ func TestDigestMatchesReference(t *testing.T) {
 	}, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
+	// Both sides of each limit of the short schedule: Cycle 2^24,
+	// Value 2^16, Core 256 — each row short but for the one field.
+	edge := Event{Cycle: 1<<24 - 1, Core: 255, Hart: 3, Kind: KindCommit, Value: 1<<16 - 1}
+	for i, e := range []Event{
+		edge,
+		{Cycle: 1 << 24, Core: 255, Hart: 3, Kind: KindCommit, Value: 1<<16 - 1},
+		{Cycle: 1<<24 - 1, Core: 255, Hart: 3, Kind: KindCommit, Value: 1 << 16},
+		{Cycle: 1<<24 - 1, Core: 256, Hart: 3, Kind: KindCommit, Value: 1<<16 - 1},
+		{Cycle: 1 << 24, Core: 256, Hart: 3, Kind: KindCommit, Value: 1 << 16},
+	} {
+		evs := []Event{edge, e, e}
+		ra, rb := New(0), New(0)
+		for _, e := range evs {
+			ra.Add(e)
+		}
+		rb.AddBatch(evs)
+		want := refFold(fnvOffset, evs)
+		if ra.Digest() != want || rb.Digest() != want {
+			t.Errorf("limit row %d (%v): Add %#x, AddBatch %#x, reference %#x", i, e, ra.Digest(), rb.Digest(), want)
+		}
+	}
 	// quick generates uniform random words, so nearly every event takes
 	// the wide schedule; also sweep sparse events, the 32-bit schedule.
 	for cyc := uint64(0); cyc < 300; cyc += 7 {
@@ -247,16 +268,18 @@ func TestDigestMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkAddBatch times the fold of 256 events on each of its two
-// schedules: narrow, where Cycle and Value fit in 32 bits (pc-like
-// values, the schedule real traces take), and wide, where every Value
-// is past 32 bits.
+// BenchmarkAddBatch times the fold of 256 events on each of its three
+// schedules: short, where Cycle < 2^24, Value < 2^16 and Core < 256
+// (pc-like values, the schedule real traces take), narrow, where Cycle
+// and Value fit in 32 bits but Value is past 16, and wide, where every
+// Value is past 32 bits.
 func BenchmarkAddBatch(b *testing.B) {
 	for _, sched := range []struct {
 		name  string
 		value func(i int) uint64
 	}{
-		{"narrow", func(i int) uint64 { return uint64(0x1000 + 4*i) }},
+		{"short", func(i int) uint64 { return uint64(0x1000 + 4*i) }},
+		{"narrow", func(i int) uint64 { return uint64(0x10000 + 4*i) }},
 		{"wide", func(i int) uint64 { return 1<<32 + uint64(i)*2654435761 }},
 	} {
 		evs := make([]Event, 256)

@@ -40,7 +40,10 @@ fi
 # effect path (memory, messages and halts apply at their issue site; no
 # per-core pending streams replayed in phase B), and one digest fold on
 # a fixed byte schedule (no zero-run loop and its power table), and one
-# uop store (ROB slots: no uop pool, no instruction table of pointers):
+# uop store (ROB slots: no uop pool, no instruction table of pointers),
+# and stages that report their own work (no stage-busy sum compared
+# around the stages) with one direct function per ALU and branch op (no
+# alu/br helpers wrapping a captured closure):
 # the deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
@@ -48,7 +51,7 @@ fi
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment, so that one name is searched outside
 # it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
