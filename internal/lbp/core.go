@@ -258,7 +258,7 @@ func (c *core) issue(now uint64) bool {
 	// blocked on it), a branch or indirect jump produced its pc, and the
 	// instruction either completed on the spot or occupies the result
 	// buffer until write back — a load only once its response is in
-	// (loadClient.LoadDone).
+	// (Machine.LoadDone).
 	if ih.it == 0 {
 		c.issueC &^= ih.bit
 	}
@@ -369,7 +369,7 @@ func execPJAL(c *core, h *hart, u *uop, now uint64) {
 	// local target pc was produced at rename; start the continuation
 	// on the designated hart.
 	u.value = 0 // "clear rd"
-	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
+	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
@@ -382,7 +382,7 @@ func execPJALR(c *core, h *hart, u *uop, now uint64) {
 	h.pc = u.src2 &^ 1
 	h.pcValid = true
 	h.pcReadyCycle = now + 1
-	c.send(h, u, ctlMsg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
+	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
@@ -400,11 +400,7 @@ func (c *core) execLoad(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "load from unmapped address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	// Arm the hart's reusable load client: at most one load is in
-	// flight per hart (the 1-deep result buffer holds it in h.exec until
-	// delivery), so the client is idle.
-	h.ldc.v = 0
-	c.m.Mem.SubmitLoad(now, c.idx, addr, mem.Width(d.MemW), d.MemSigned(), &h.ldc)
+	c.m.Mem.SubmitLoad(now, c.idx, addr, mem.Width(d.MemW), d.MemSigned(), h.gid)
 }
 
 func (c *core) execStore(h *hart, u *uop, now uint64) {
@@ -419,7 +415,7 @@ func (c *core) execStore(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "store to unmapped address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	c.m.Mem.SubmitStore(now, c.idx, addr, u.src2, mem.Width(d.MemW), &h.stc)
+	c.m.Mem.SubmitStore(now, c.idx, addr, u.src2, mem.Width(d.MemW), h.gid)
 	u.done = true
 }
 

@@ -107,13 +107,11 @@ type hart struct {
 	startedBy   uint32 // global hart that forked us (diagnostics)
 	endingEpoch uint64 // cycle of last lifecycle change (diagnostics)
 
-	// Reusable memory-event payloads (clients.go). A hart has at most one
-	// load in flight (the 1-deep result buffer gates issue until the
-	// response returns), and that load is the one in h.exec, so ldc can
-	// be re-armed per load; stc is stateless beyond the hart pointer and
-	// is shared by every outstanding store and continuation-value write.
-	ldc loadClient
-	stc storeClient
+	// loadVal is the bank value of the load in flight, parked between
+	// its bank service and its response (handler.go). A hart has at most
+	// one load in flight: the 1-deep result buffer gates issue until the
+	// response returns, and that load is the one in h.exec.
+	loadVal uint32
 
 	// Performance counters (always counted; reported when profiling is
 	// enabled). lastCommit marks the cycle of the hart's latest commit so
@@ -222,6 +220,7 @@ func (h *hart) reset(cfg *Config) {
 	h.it = 0
 	h.robHead, h.robN = 0, 0
 	h.exec = noSlot
+	h.loadVal = 0
 	h.inflightMem = 0
 	h.hasPred, h.predSignal = false, false
 	for i := range h.remote {

@@ -116,6 +116,7 @@ func New(cfg Config) *Machine {
 		Mem:     mem.New(cfg.Mem),
 		fastFwd: true,
 	}
+	m.Mem.SetHandler(m)
 	if cfg.LivelockWindow == 0 {
 		m.cfg.LivelockWindow = 100000
 	}
@@ -143,8 +144,6 @@ func New(cfg Config) *Machine {
 				remote: make([]remoteRB, cfg.RemoteRBs),
 			}
 			h.rob = slab[int(h.gid)*cfg.ROBEntries:][:cfg.ROBEntries:cfg.ROBEntries]
-			h.ldc.h = h
-			h.stc.h = h
 			h.perf = &m.hperf[h.gid]
 			h.reset(&m.cfg)
 			co.harts[hi] = h

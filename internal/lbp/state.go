@@ -14,16 +14,16 @@ import (
 )
 
 // Checkpoint/restore. A machine paused at a cycle boundary (after New,
-// after a completed run, or wherever Advance stopped) is pure data plus
-// one pointer web — in-flight memory-event clients pointing back at
-// harts — and the predecoded code image. The clients flatten to the
-// hart's global number; the image is recomputed from the code bank.
-// A uop is named by its reorder-buffer slot everywhere in a hart (the
-// instruction table, the rename map, the result buffer, dependence
-// edges, an in-flight load), and a slot saves as its logical ROB index,
-// (slot − robHead) mod len, so the format does not depend on where the
-// ring's head happened to be. Everything else serializes by value with
-// encoding/gob.
+// after a completed run, or wherever Advance stopped) is pure data and
+// the predecoded code image, which is recomputed from the code bank. An
+// in-flight memory event names its client by value (a hart's global
+// number, or the control message it carries), so the memory system
+// saves its events as they stand. A uop is named by its reorder-buffer
+// slot everywhere in a hart (the instruction table, the rename map, the
+// result buffer, dependence edges, an in-flight load), and a slot saves
+// as its logical ROB index, (slot − robHead) mod len, so the format
+// does not depend on where the ring's head happened to be. Everything
+// else serializes by value with encoding/gob.
 //
 // One format, one rule (DESIGN.md §"Serializable machine state"): any
 // change to a saved struct — a field added, removed, renamed, retyped or
@@ -35,11 +35,11 @@ import (
 
 // checkpointVersion is the format number embedded in every checkpoint
 // this build writes.
-const checkpointVersion = 4
+const checkpointVersion = 5
 
 // checkpointMagic prefixes every checkpoint stream; bytes that do not
 // start with it are not a checkpoint of this format.
-var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '4'}
+var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '5'}
 
 // savedUop flattens a uop: the instruction rebuilds from its raw word,
 // the pipeline class from the opcode, and the dependence edges from ROB
@@ -67,10 +67,9 @@ type savedUop struct {
 }
 
 // savedHart flattens a hart. IT, LastWriter and Exec reference uops by
-// ROB index; IB is the only uop that can live outside the ROB (fetched,
-// not yet renamed) and is stored inline. Renamed is a counter no hart
-// keeps any more: save leaves it zero and restore refuses anything else,
-// so the format stays version 4 until a bump drops the field.
+// ROB index; the fetched, not yet renamed instruction is its word and pc
+// (IBRaw, IBPC), all fetch fills in. LoadVal is the parked bank value of
+// a load in flight.
 type savedHart struct {
 	State       uint8
 	PC          uint32
@@ -80,13 +79,14 @@ type savedHart struct {
 	Regs        [32]uint32
 	LastWriter  [32]int32
 	HasIB       bool
-	IB          savedUop
+	IBRaw       uint32
+	IBPC        uint32
 	Rob         []savedUop
 	IT          []int32
 	Seq         uint64
-	Renamed     uint64
 	Exec        int32
 	ExecReadyAt uint64
+	LoadVal     uint32
 	InflightMem int32
 	HasPred     bool
 	PredSignal  bool
@@ -109,28 +109,11 @@ type savedCore struct {
 	Sends    uint64
 }
 
-// Client kinds for savedClient, one per payload type in clients.go.
-const (
-	clientLoad uint8 = iota
-	clientStore
-	clientMsg
-)
-
-// savedClient flattens one in-flight memory-event client: the issuing
-// hart of a load or store (and, for a load, its waiting uop and the
-// parked bank value), or a control message as it is.
-type savedClient struct {
-	Kind uint8
-	Hart uint32 // clientLoad/clientStore: issuing hart global number
-	Rob  int32  // clientLoad: ROB index of the waiting uop
-	Val  uint32 // clientLoad: parked bank value
-	Msg  ctlMsg // clientMsg
-}
-
-// savedMachine is a version-4 stream after its magic, one gob value:
+// savedMachine is a version-5 stream after its magic, one gob value:
 // configuration, clock and counters, the memory system (its banks as
-// their attached pages), in-flight clients, the trace chain, device
-// state, and every core, hart and performance counter of the machine.
+// their attached pages, its in-flight events with their clients), the
+// trace chain, device state, and every core, hart and performance
+// counter of the machine.
 type savedMachine struct {
 	Version    int
 	Cfg        Config
@@ -144,7 +127,6 @@ type savedMachine struct {
 	Profiling  bool
 	DecodedLen uint32
 	Mem        mem.State
-	MemClients []savedClient
 	HasTrace   bool
 	Trace      trace.RecorderState
 	Devices    [][]byte
@@ -162,14 +144,14 @@ type savedMachine struct {
 // bit-exactly. Host-side execution knobs (fast-forward) are not part of
 // the state — they never affect simulated results.
 //
-// The bytes are the version-4 format: the magic tag, then one
+// The bytes are the version-5 format: the magic tag, then one
 // gob-encoded savedMachine.
 func (m *Machine) Checkpoint() ([]byte, error) {
 	m.flushIdle()
 	if len(m.late) > 0 {
 		return nil, fmt.Errorf("lbp: checkpoint mid-cycle: %d phase-B items unapplied", len(m.late))
 	}
-	memState, clients := m.Mem.CaptureGlobalState()
+	memState := m.Mem.CaptureGlobalState()
 	sm := savedMachine{
 		Version:    checkpointVersion,
 		Cfg:        m.cfg,
@@ -189,14 +171,6 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 	}
 	if m.err != nil {
 		sm.ErrMsg = m.err.Error()
-	}
-	sm.MemClients = make([]savedClient, len(clients))
-	for i, cl := range clients {
-		sc, err := saveClient(cl)
-		if err != nil {
-			return nil, err
-		}
-		sm.MemClients[i] = sc
 	}
 	if m.rec != nil {
 		sm.HasTrace = true
@@ -312,15 +286,10 @@ func restore(data []byte, devices []Device) (*Machine, error) {
 	}
 	copy(m.hperf, sm.HPerf)
 	copy(m.cperf, sm.CPerf)
-	clients := make([]any, len(sm.MemClients))
-	for i := range sm.MemClients {
-		cl, err := m.restoreClient(&sm.MemClients[i])
-		if err != nil {
-			return nil, err
-		}
-		clients[i] = cl
+	if err := m.checkClients(sm.Mem.Events); err != nil {
+		return nil, err
 	}
-	if err := m.Mem.RestoreGlobalState(&sm.Mem, clients, sm.Cycle); err != nil {
+	if err := m.Mem.RestoreGlobalState(&sm.Mem, sm.Cycle); err != nil {
 		return nil, err
 	}
 	if err := m.finishRestore(&sm, devices); err != nil {
@@ -385,7 +354,7 @@ func saveHart(h *hart) savedHart {
 	sh := savedHart{
 		State: uint8(h.state), PC: h.pc, PCValid: h.pcValid, PCReady: h.pcReadyCycle,
 		SyncmWait: h.syncmWait, Regs: h.regs,
-		Seq: h.seq, Exec: robIndex(h, h.exec), ExecReadyAt: h.execReadyAt,
+		Seq: h.seq, Exec: robIndex(h, h.exec), ExecReadyAt: h.execReadyAt, LoadVal: h.loadVal,
 		InflightMem: int32(h.inflightMem), HasPred: h.hasPred, PredSignal: h.predSignal,
 		StartedBy:   h.startedBy,
 		EndingEpoch: h.endingEpoch, LastCommit: h.lastCommit,
@@ -412,9 +381,7 @@ func saveHart(h *hart) savedHart {
 		sh.LastWriter[r] = robIndex(h, s)
 	}
 	if h.hasIB {
-		// Fetch fills in the instruction and its pc; rename the rest.
-		sh.HasIB = true
-		sh.IB = savedUop{Raw: h.ib.d.Inst.Raw, PC: h.ib.pc, Dep1: -1, Dep2: -1}
+		sh.HasIB, sh.IBRaw, sh.IBPC = true, h.ib.d.Inst.Raw, h.ib.pc
 	}
 	sh.Remote = make([][]uint32, len(h.remote))
 	for i := range h.remote {
@@ -430,9 +397,6 @@ func restoreHart(h *hart, sh *savedHart) error {
 	if len(sh.Remote) != len(h.remote) {
 		return fmt.Errorf("lbp: checkpoint hart %d has %d result buffers, machine has %d",
 			h.gid, len(sh.Remote), len(h.remote))
-	}
-	if sh.Renamed != 0 {
-		return fmt.Errorf("lbp: checkpoint hart %d has rename count %d, this format saves 0", h.gid, sh.Renamed)
 	}
 	cfg := &h.core.m.cfg
 	for i := range sh.Remote {
@@ -452,6 +416,7 @@ func restoreHart(h *hart, sh *savedHart) error {
 	h.regs = sh.Regs
 	h.seq = sh.Seq
 	h.execReadyAt = sh.ExecReadyAt
+	h.loadVal = sh.LoadVal
 	h.inflightMem = int(sh.InflightMem)
 	h.hasPred, h.predSignal = sh.HasPred, sh.PredSignal
 	h.startedBy = sh.StartedBy
@@ -512,11 +477,8 @@ func restoreHart(h *hart, sh *savedHart) error {
 	h.exec = slotOf(sh.Exec)
 	h.hasIB = sh.HasIB
 	if sh.HasIB {
-		if sh.IB != (savedUop{Raw: sh.IB.Raw, PC: sh.IB.PC, Dep1: -1, Dep2: -1}) {
-			return fmt.Errorf("lbp: checkpoint hart %d has a pre-rename uop with state only rename sets", h.gid)
-		}
-		d := isa.DecodeDesc(sh.IB.Raw)
-		h.ib = uop{d: &d, pc: sh.IB.PC}
+		d := isa.DecodeDesc(sh.IBRaw)
+		h.ib = uop{d: &d, pc: sh.IBPC}
 	}
 	for i := range h.remote {
 		h.remote[i].vals = append(h.remote[i].vals[:0], sh.Remote[i]...)
@@ -524,60 +486,23 @@ func restoreHart(h *hart, sh *savedHart) error {
 	return nil
 }
 
-func saveClient(cl any) (savedClient, error) {
-	switch c := cl.(type) {
-	case *loadClient:
-		return savedClient{Kind: clientLoad, Hart: c.h.gid, Rob: robIndex(c.h, c.h.exec), Val: c.v}, nil
-	case *storeClient:
-		return savedClient{Kind: clientStore, Hart: c.h.gid}, nil
-	case *ctlMsg:
-		return savedClient{Kind: clientMsg, Msg: *c}, nil
-	default:
-		return savedClient{}, fmt.Errorf("lbp: cannot checkpoint in-flight memory client %T", cl)
+// checkClients holds the clients of the in-flight memory events to the
+// restored harts, which the handler indexes by them: every event names a
+// hart that exists, a load's hart holds the load in its result buffer
+// (LoadDone writes the value there), and a message is of a kind Deliver
+// performs. The memory system checks the rest of each event.
+func (m *Machine) checkClients(events []mem.EventState) error {
+	for i := range events {
+		es := &events[i]
+		if int(es.Hart) >= len(m.harts) {
+			return fmt.Errorf("lbp: checkpoint event %d names hart %d of %d", i, es.Hart, len(m.harts))
+		}
+		if es.Load() && m.harts[es.Hart].exec == noSlot {
+			return fmt.Errorf("lbp: checkpoint event %d is a load of hart %d, whose result buffer is empty", i, es.Hart)
+		}
+		if es.MsgKind > ctlSwre {
+			return fmt.Errorf("lbp: checkpoint event %d has unknown control-message kind %d", i, es.MsgKind)
+		}
 	}
-}
-
-func (m *Machine) restoreClient(sc *savedClient) (any, error) {
-	hartAt := func(gid uint32) (*hart, error) {
-		if int(gid) >= len(m.harts) {
-			return nil, fmt.Errorf("lbp: checkpoint references hart %d of %d", gid, len(m.harts))
-		}
-		return m.harts[gid], nil
-	}
-	switch sc.Kind {
-	case clientLoad:
-		h, err := hartAt(sc.Hart)
-		if err != nil {
-			return nil, err
-		}
-		// The load in flight is the one in the result buffer, which a
-		// restored hart keeps at the slot of its logical index; a hart
-		// with an empty result buffer has no load in flight.
-		if h.exec == noSlot || sc.Rob != int32(h.exec) {
-			return nil, fmt.Errorf("lbp: in-flight load on hart %d names rob entry %d, not its result buffer's",
-				sc.Hart, sc.Rob)
-		}
-		// Re-arm the hart's reusable client (at most one load in flight
-		// per hart, so it is necessarily idle).
-		h.ldc.v = sc.Val
-		return &h.ldc, nil
-	case clientStore:
-		h, err := hartAt(sc.Hart)
-		if err != nil {
-			return nil, err
-		}
-		return &h.stc, nil
-	case clientMsg:
-		if sc.Msg.Kind > ctlSwre {
-			return nil, fmt.Errorf("lbp: checkpoint has unknown control-message kind %d", sc.Msg.Kind)
-		}
-		if _, err := hartAt(sc.Msg.Tgt); err != nil {
-			return nil, err
-		}
-		msg := sc.Msg
-		msg.m = m
-		return &msg, nil
-	default:
-		return nil, fmt.Errorf("lbp: checkpoint has unknown client kind %d", sc.Kind)
-	}
+	return nil
 }

@@ -191,13 +191,12 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// The checkpoint fixtures. checkpoint_v4_8core.bin is an 8-core placed
+// The checkpoint fixtures. checkpoint_v5_8core.bin is an 8-core placed
 // set/get run stopped at cycle 4000 with a digest recorder attached:
-// the version-3 fixture of the same machine converted to version 4
-// (EXPERIMENTS E37 has the recipe, E29 the run it came from).
-// checkpoint_v1_prefix.bin, checkpoint_v2_prefix.bin and
-// checkpoint_v3_prefix.bin are the first KiB of the same machine in the
-// three retired formats.
+// the version-4 fixture of the same machine converted to version 5
+// (EXPERIMENTS E45 and E37 have the recipe, E29 the run it came from).
+// checkpoint_v1_prefix.bin through checkpoint_v4_prefix.bin are the
+// first KiB of the same machine in the four retired formats.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -229,7 +228,7 @@ func encode(t testing.TB, sm *savedMachine) []byte {
 
 const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 
-// TestCheckpointV4Format is the cross-build pin on the one checkpoint
+// TestCheckpointV5Format is the cross-build pin on the one checkpoint
 // format: a stream another build wrote restores, re-checkpoints to the
 // very same bytes — so the test fails whenever a saved struct changes
 // without a checkpointVersion bump — and runs to the end of the
@@ -238,16 +237,16 @@ const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 // gob numbers types process-wide in first-use order, so any gob value
 // an earlier test encoded would renumber the stream; the comparison
 // runs in a process of its own.
-func TestCheckpointV4Format(t *testing.T) {
+func TestCheckpointV5Format(t *testing.T) {
 	if os.Getenv(pinChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV4Format$")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV5Format$")
 		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		return
 	}
-	want := fixture(t, "checkpoint_v4_8core.bin")
+	want := fixture(t, "checkpoint_v5_8core.bin")
 	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -279,14 +278,15 @@ func TestCheckpointV4Format(t *testing.T) {
 }
 
 // TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
-// LBPCKPT2 version 2, LBPCKPT3 version 3 — are refused by name, like any
-// other bytes that are not a checkpoint.
+// LBPCKPT2 version 2, LBPCKPT3 version 3, LBPCKPT4 version 4 — are
+// refused by name, like any other bytes that are not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
-	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin", "checkpoint_v3_prefix.bin"} {
+	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin",
+		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin"} {
 		_, err := Restore(fixture(t, name))
 		var ce *CheckpointError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-4 checkpoint") {
-			t.Errorf("restore of %s: %v, want the not-a-version-4-checkpoint CheckpointError", name, err)
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-5 checkpoint") {
+			t.Errorf("restore of %s: %v, want the not-a-version-5-checkpoint CheckpointError", name, err)
 		}
 	}
 }
@@ -296,16 +296,16 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // allocated from them — RemoteRBs = -1 used to panic inside New, and
 // 4096 cores (above MaxCores) used to be built.
 func TestReadCheckpointRefusals(t *testing.T) {
-	v4 := fixture(t, "checkpoint_v4_8core.bin")
+	v5 := fixture(t, "checkpoint_v5_8core.bin")
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"empty", nil, "magic"},
-		{"magic only", v4[:8], "decoding"},
-		{"first 400 bytes", v4[:400], "decoding"},
-		{"mid-machine", v4[:len(v4)/2], "decoding"},
+		{"magic only", v5[:8], "decoding"},
+		{"first 400 bytes", v5[:400], "decoding"},
+		{"mid-machine", v5[:len(v5)/2], "decoding"},
 		{"RemoteRBs=-1", configOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
 		{"Cores=4096", configOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
 		{"ROBEntries=0", configOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
@@ -349,6 +349,14 @@ func rewrite(t testing.TB, data []byte, edit func(*savedMachine)) []byte {
 	return encode(t, &sm)
 }
 
+// Some of mem's event kinds (access.go), as a checkpoint numbers them:
+// kinds 0 and 1 are a load's bank read, local and shared.
+const (
+	evSharedRead = 1
+	evStoreDone  = 5
+	evMessage    = 7
+)
+
 // hostileCheckpoint is one rewritten stream and the word its refusal
 // must contain.
 type hostileCheckpoint struct {
@@ -371,15 +379,14 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 	if err := m.LoadProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	const bankRead = 1 // mem kinds 0 and 1 (evLocalLoad, evSharedRead): the load-kind events that name a bank
 	read := -1
 	for read < 0 {
 		if res, err := m.Advance(1); res != nil || err != nil {
 			t.Fatalf("no bank read in flight before the run ended (res=%v err=%v)", res, err)
 		}
-		st, _ := m.Mem.CaptureGlobalState()
+		st := m.Mem.CaptureGlobalState()
 		for i := range st.Events {
-			if st.Events[i].Kind <= bankRead {
+			if st.Events[i].Kind <= evSharedRead { // a load's bank read, local or shared
 				read = i
 			}
 		}
@@ -391,17 +398,16 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 	event := func(edit func(*mem.EventState)) func(*savedMachine) {
 		return func(sm *savedMachine) { edit(&sm.Mem.Events[read]) }
 	}
-	load := func(edit func(*savedClient)) func(*savedMachine) {
+	// extra adds an event of kind k after the last one scheduled.
+	extra := func(k uint8, edit func(*mem.EventState)) func(*savedMachine) {
 		return func(sm *savedMachine) {
-			for i := range sm.MemClients {
-				if sm.MemClients[i].Kind == clientLoad {
-					edit(&sm.MemClients[i])
-					return
-				}
-			}
-			t.Fatal("no load in flight in the checkpoint")
+			sm.Mem.Seq++
+			e := mem.EventState{Cycle: sm.Cycle + 1, Seq: sm.Mem.Seq, Kind: k}
+			edit(&e)
+			sm.Mem.Events = append(sm.Mem.Events, e)
 		}
 	}
+	harts := uint32(2 * HartsPerCore)
 	var out []hostileCheckpoint
 	for _, row := range []struct {
 		name string
@@ -411,7 +417,11 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		{"event bank 9999", event(func(e *mem.EventState) { e.Core = 9999 }), "bank 9999"},
 		{"event bank -1", event(func(e *mem.EventState) { e.Core = -1 }), "bank -1"},
 		{"event word 1<<30", event(func(e *mem.EventState) { e.Off = 1 << 30 }), "word 1073741824"},
-		{"load without a client", event(func(e *mem.EventState) { e.Client = -1 }), "load without a client"},
+		{"load of hart 8 of 8", event(func(e *mem.EventState) { e.Hart = harts }), "names hart 8 of 8"},
+		{"store ack of hart 8 of 8", extra(evStoreDone, func(e *mem.EventState) { e.Hart = harts }), "names hart 8 of 8"},
+		{"message to hart 8 of 8", extra(evMessage, func(e *mem.EventState) {
+			e.Hart, e.MsgKind = harts, ctlSignal
+		}), "names hart 8 of 8"},
 		{"event kind 200", event(func(e *mem.EventState) { e.Kind = 200 }), "unknown kind"},
 		{"access width 3", event(func(e *mem.EventState) { e.Width = 3 }), "width 3"},
 		{"event due at the checkpoint's cycle", func(sm *savedMachine) {
@@ -430,30 +440,21 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		{"one link short", func(sm *savedMachine) {
 			sm.Mem.Links = sm.Mem.Links[1:]
 		}, "links"},
-		{"message kind 9", func(sm *savedMachine) {
-			sm.MemClients = append(sm.MemClients, savedClient{Kind: clientMsg, Msg: ctlMsg{Kind: 9}})
-		}, "control-message kind"},
+		{"message kind past p_swre", extra(evMessage, func(e *mem.EventState) { e.MsgKind = ctlSwre + 1 }),
+			"control-message kind 4"},
 		{"result buffer over depth", func(sm *savedMachine) {
 			sm.Harts[1].Remote[0] = make([]uint32, sm.Cfg.RBDepth+1)
 		}, "result buffer"},
 		{"instruction table over capacity", func(sm *savedMachine) {
 			sm.Harts[1].IT = make([]int32, sm.Cfg.ITEntries+1)
 		}, "instruction-table"},
-		{"load names another rob entry", load(func(c *savedClient) { c.Rob++ }), "not its result buffer"},
 		{"load past the ring of a hart with no result buffer", func(sm *savedMachine) {
-			load(func(c *savedClient) {
-				c.Rob = int32(noSlot)
-				sm.Harts[c.Hart].Exec = -1
-			})(sm)
 			// Due on the next cycle, the load would be delivered into
 			// slot 255 of a 16-slot ring before the hart could fault.
-			for i, e := range sm.Mem.Events {
-				if e.Client >= 0 && sm.MemClients[e.Client].Rob == int32(noSlot) {
-					sm.Mem.Events[i].Cycle = sm.Cycle + 1
-				}
-			}
-		}, "not its result buffer"},
-		{"non-zero rename count", func(sm *savedMachine) { sm.Harts[1].Renamed = 1 }, "rename count"},
+			e := &sm.Mem.Events[read]
+			sm.Harts[e.Hart].Exec = -1
+			e.Cycle = sm.Cycle + 1
+		}, "result buffer is empty"},
 		{"ROBEntries=65", func(sm *savedMachine) { sm.Cfg.ROBEntries = 65 }, "ROBEntries"},
 		{"ITEntries=65", func(sm *savedMachine) { sm.Cfg.ITEntries = 65 }, "ITEntries"},
 		{"one hart short", func(sm *savedMachine) {
@@ -517,9 +518,6 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 			sh.IT = []int32{1}
 		}, "p_ret operands"},
 		{"result buffer past the rob", func(sh *savedHart) { sh.Exec = int32(len(sh.Rob)) }, "names rob entry"},
-		{"pre-rename uop already issued", func(sh *savedHart) {
-			sh.HasIB, sh.IB = true, savedUop{Raw: sh.Rob[0].Raw, PC: sh.Rob[0].PC, Dep1: -1, Dep2: -1, Issued: true}
-		}, "state only rename sets"},
 	} {
 		out = append(out, hostileCheckpoint{row.name, rewrite(t, deep, func(sm *savedMachine) {
 			sh := &sm.Harts[robHart]
@@ -560,12 +558,8 @@ func unsortedEventsCheckpoint(t testing.TB) (sorted, unsorted []byte) {
 		if res, err := m.Advance(1); res != nil || err != nil {
 			t.Fatalf("never a message in flight (res=%v err=%v)", res, err)
 		}
-		st, clients := m.Mem.CaptureGlobalState()
-		for i, e := range st.Events {
-			if e.Client < 0 {
-				continue
-			}
-			if _, ok := clients[e.Client].(*ctlMsg); ok {
+		for i, e := range m.Mem.CaptureGlobalState().Events {
+			if e.Kind == evMessage {
 				msg = i
 			}
 		}
@@ -579,8 +573,7 @@ func unsortedEventsCheckpoint(t testing.TB) (sorted, unsorted []byte) {
 			e := sm.Mem.Events[msg]
 			for tgt := range uint32(2) {
 				sm.Mem.Seq++
-				e.Seq, e.Client = sm.Mem.Seq, int32(len(sm.MemClients))
-				sm.MemClients = append(sm.MemClients, savedClient{Kind: clientMsg, Msg: ctlMsg{Kind: ctlSignal, Tgt: tgt}})
+				e.Seq, e.Hart, e.MsgKind = sm.Mem.Seq, tgt, ctlSignal
 				sm.Mem.Events = append(sm.Mem.Events, e)
 			}
 			slices.SortFunc(sm.Mem.Events, func(a, b mem.EventState) int {
@@ -705,17 +698,16 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	m := teamMachine(t, 1, prog, true)
-	seen := map[ctlKind]bool{}
+	seen := map[uint8]bool{}
 	for len(seen) < len(ctlNames) {
 		if res, err := m.Advance(1); res != nil || err != nil {
 			break
 		}
-		_, clients := m.Mem.CaptureGlobalState()
-		var kind ctlKind
+		var kind uint8
 		fresh := false
-		for _, cl := range clients {
-			if msg, ok := cl.(*ctlMsg); ok && !seen[msg.Kind] {
-				kind, fresh = msg.Kind, true
+		for _, e := range m.Mem.CaptureGlobalState().Events {
+			if e.Kind == evMessage && !seen[e.MsgKind] {
+				kind, fresh = e.MsgKind, true
 				seen[kind] = true
 			}
 		}
@@ -746,7 +738,7 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 		}
 	}
 	for k, name := range ctlNames {
-		if !seen[ctlKind(k)] {
+		if !seen[uint8(k)] {
 			t.Errorf("no %s message was ever in flight", name)
 		}
 	}
@@ -760,11 +752,11 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 // pages) is rebuilt from whatever the stream claimed, so stepping is the
 // property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
-	v4 := fixture(f, "checkpoint_v4_8core.bin")
-	f.Add(v4)
-	f.Add(v4[:8])
-	f.Add(v4[:400])
-	f.Add(v4[:len(v4)/2])
+	v5 := fixture(f, "checkpoint_v5_8core.bin")
+	f.Add(v5)
+	f.Add(v5[:8])
+	f.Add(v5[:400])
+	f.Add(v5[:len(v5)/2])
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
 	f.Add(configOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
 	f.Add(configOnly(f, func(c *Config) { c.Cores = 4096 }))
@@ -776,6 +768,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		f.Add(h.data)
 	}
 	f.Add(fixture(f, "checkpoint_v3_prefix.bin"))
+	f.Add(fixture(f, "checkpoint_v4_prefix.bin"))
 	_, unsorted := unsortedEventsCheckpoint(f)
 	f.Add(unsorted)
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,6 +2,7 @@ package lbp
 
 import (
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -136,14 +137,14 @@ func (c *core) execSwcv(h *hart, u *uop, now uint64) {
 		c.faultf(h.idx, "p_swcv to unmapped stack address %#x (pc %#x)", addr, u.pc)
 		return
 	}
-	c.m.Mem.SubmitCVWrite(now, c.idx, tc, addr, u.src2, &h.stc)
+	c.m.Mem.SubmitCVWrite(now, c.idx, tc, addr, u.src2, h.gid)
 	u.done = true
 }
 
 // execSwre sends a result value to a prior hart's result buffer over the
 // backward line.
 func (c *core) execSwre(h *hart, u *uop, now uint64) {
-	if !c.send(h, u, ctlMsg{Kind: ctlSwre, Tgt: resolveHome(u.src1),
+	if !c.send(h, u, mem.Msg{Kind: ctlSwre, Tgt: resolveHome(u.src1),
 		Idx: uint32(u.d.Inst.Imm), Val: u.src2, PC: u.pc}) {
 		return
 	}
@@ -154,25 +155,27 @@ func (c *core) execSwre(h *hart, u *uop, now uint64) {
 
 // send puts one control message of instruction u on its link, or faults
 // when the target cannot be reached from here: forward kinds go to the
-// same or the next core, backward kinds to this or a prior core.
-func (c *core) send(h *hart, u *uop, msg ctlMsg) bool {
+// same or the next core, backward kinds (ctlJoin, ctlSwre) to this or a
+// prior core.
+func (c *core) send(h *hart, u *uop, msg mem.Msg) bool {
 	name, th := ctlNames[msg.Kind], c.m.Hart(msg.Tgt)
+	backward := msg.Kind >= ctlJoin
 	switch {
 	case th == nil:
 		c.faultf(h.idx, "%s to nonexistent hart %d (pc %#x)", name, msg.Tgt, u.pc)
-	case msg.Kind.backward() && th.core.idx > c.idx:
+	case backward && th.core.idx > c.idx:
 		c.faultf(h.idx, "%s target hart %d is on a later core: a data cannot go back in time (pc %#x)", name, msg.Tgt, u.pc)
-	case !msg.Kind.backward() && th.core.idx != c.idx && th.core.idx != c.idx+1:
+	case !backward && th.core.idx != c.idx && th.core.idx != c.idx+1:
 		c.faultf(h.idx, "%s target hart %d is not on the same or next core (pc %#x)", name, msg.Tgt, u.pc)
 	default:
-		msg.m, msg.FromCore, msg.FromHart = c.m, uint16(c.idx), uint8(h.idx)
+		msg.FromCore, msg.FromHart = uint16(c.idx), uint8(h.idx)
 		// The direction checks are mem-level invariants the cases above
 		// already hold.
 		var err error
-		if msg.Kind.backward() {
-			err = c.m.Mem.SendBackward(c.m.cycle, c.idx, th.core.idx, &msg)
+		if backward {
+			err = c.m.Mem.SendBackward(c.m.cycle, c.idx, th.core.idx, msg)
 		} else {
-			err = c.m.Mem.SendForward(c.m.cycle, c.idx, th.core.idx, &msg)
+			err = c.m.Mem.SendForward(c.m.cycle, c.idx, th.core.idx, msg)
 		}
 		if err != nil {
 			c.faultf(h.idx, "%s: %v", name, err)
@@ -208,7 +211,7 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 	}
 	self := h.gid
 	if valid && link != isa.NoLink && link != self {
-		c.send(h, u, ctlMsg{Kind: ctlSignal, Tgt: link})
+		c.send(h, u, mem.Msg{Kind: ctlSignal, Tgt: link})
 	}
 	switch {
 	case ra == 0 && valid && home == self:
@@ -226,7 +229,7 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 		c.fetchC |= h.bit
 	case valid:
 		// ending type 4: send the join address backward to the home hart
-		c.send(h, u, ctlMsg{Kind: ctlJoin, Tgt: home, PC: ra})
+		c.send(h, u, mem.Msg{Kind: ctlJoin, Tgt: home, PC: ra})
 		h.free(now)
 	default:
 		c.faultf(h.idx, "p_ret with ra=%#x but invalid identity t0=%#x (pc %#x)", ra, t0, u.pc)

@@ -11,55 +11,31 @@ const (
 	Width32 Width = 4
 )
 
-// LoadClient receives a load's value at bank service time and its
-// completion at response-delivery time. A shared load schedules two
-// events — the bank read at service time parks the value in the client,
-// the response delivery hands back the completion cycle — both carrying
-// the same client, so implementations must be pointer types: checkpoint
-// capture relies on pointer identity to keep the pair attached to one
-// serialized client record.
-type LoadClient interface {
-	LoadValue(v uint32)
-	LoadDone(done uint64)
+// Handler completes the events the memory system dispatches. An event
+// names its client by value — the issuing hart's global number, or the
+// control message itself — so the queue holds no pointers and a
+// checkpoint saves it as it stands; the one handler, set on the System
+// with SetHandler, is what dispatch calls. A shared load hands over its
+// value at bank service time and its completion when the response is
+// back at the core; a local load both on one cycle.
+type Handler interface {
+	LoadValue(hart uint32, v uint32)    // a load's bank value, at service time
+	LoadDone(hart uint32, done uint64)  // a load's response, back at its core
+	StoreDone(hart uint32, done uint64) // a store acknowledged at its core, or a CV write performed
+	Deliver(msg Msg, done uint64)       // a control message at its target's core
 }
 
-// DoneClient receives a completion cycle: a store acknowledged back at
-// the core, a continuation-value write performed at the target bank, or
-// a control message delivered over the neighbor links.
-type DoneClient interface {
-	Done(done uint64)
-}
-
-// LoadFunc adapts a callback to the LoadClient interface, for tests and
-// tools. Adapter clients are not serializable: a checkpoint taken while
-// one is in flight fails.
-func LoadFunc(fn func(value uint32, done uint64)) LoadClient {
-	return &loadFunc{fn: fn}
-}
-
-type loadFunc struct {
-	fn func(uint32, uint64)
-	v  uint32
-}
-
-func (l *loadFunc) LoadValue(v uint32)   { l.v = v }
-func (l *loadFunc) LoadDone(done uint64) { l.fn(l.v, done) }
-
-// DoneFunc adapts a callback to the DoneClient interface, for tests and
-// tools. Like LoadFunc adapters it cannot be checkpointed.
-type DoneFunc func(done uint64)
-
-// Done implements DoneClient.
-func (f DoneFunc) Done(done uint64) { f(done) }
+// SetHandler installs the handler every later dispatch calls.
+func (s *System) SetHandler(h Handler) { s.h = h }
 
 // evKind discriminates the typed memory events. Events are plain data —
-// no closures — so the in-flight queue is serializable; the client
-// fields carry the machine-side payload invoked on dispatch.
+// no closures, no pointers — so the in-flight queue is serializable as
+// it stands.
 type evKind uint8
 
 const (
 	evLocalLoad   evKind = iota // read a local bank, deliver value + done
-	evSharedRead                // read a shared bank at service time (value parks in the client)
+	evSharedRead                // read a shared bank at service time (the value parks with the handler)
 	evLoadDone                  // deliver a shared load's completion
 	evLocalStore                // write a local bank, acknowledge
 	evSharedWrite               // write a shared bank at service time
@@ -70,47 +46,45 @@ const (
 
 // event is a scheduled action in the memory system: applying an access at
 // its bank service time, or delivering a response at its completion time.
+// A message uses none of the access fields, so it travels in them.
 type event struct {
 	cycle  uint64
 	seq    uint64
-	lc     LoadClient
-	dc     DoneClient
-	core   int32 // bank/core index of the access
-	off    uint32
-	addr   uint32
-	val    uint32
-	next   int32 // the wheel's list link (wheel.go)
+	hart   uint32 // the client: an access's issuing hart, a message's Tgt
+	core   int32  // bank/core index of the access; a message's FromCore
+	off    uint32 // word in the bank; a message's Idx
+	addr   uint32 // byte address; a message's PC
+	val    uint32 // the value stored; a message's Val
+	next   int32  // the wheel's list link (wheel.go)
 	kind   evKind
 	width  Width
 	signed bool
+	msg    uint8 // a message's Kind
+	from   uint8 // a message's FromHart
 }
 
 // dispatch performs one due event.
 func (s *System) dispatch(e *event) {
 	switch e.kind {
 	case evLocalLoad:
-		e.lc.LoadValue(subWordLoad(s.local.load(int(e.core), e.off), e.addr, e.width, e.signed))
-		e.lc.LoadDone(e.cycle)
+		s.h.LoadValue(e.hart, subWordLoad(s.local.load(int(e.core), e.off), e.addr, e.width, e.signed))
+		s.h.LoadDone(e.hart, e.cycle)
 	case evSharedRead:
-		e.lc.LoadValue(subWordLoad(s.shared.load(int(e.core), e.off), e.addr, e.width, e.signed))
+		s.h.LoadValue(e.hart, subWordLoad(s.shared.load(int(e.core), e.off), e.addr, e.width, e.signed))
 	case evLoadDone:
-		e.lc.LoadDone(e.cycle)
+		s.h.LoadDone(e.hart, e.cycle)
 	case evLocalStore:
 		s.store(&s.local, int(e.core), e.off, e.val, e.addr, e.width)
-		if e.dc != nil {
-			e.dc.Done(e.cycle)
-		}
+		s.h.StoreDone(e.hart, e.cycle)
 	case evSharedWrite:
 		s.store(&s.shared, int(e.core), e.off, e.val, e.addr, e.width)
-	case evStoreDone, evMessage:
-		if e.dc != nil {
-			e.dc.Done(e.cycle)
-		}
+	case evStoreDone:
+		s.h.StoreDone(e.hart, e.cycle)
 	case evCVWrite:
 		s.write(&s.local, int(e.core), e.off, e.val)
-		if e.dc != nil {
-			e.dc.Done(e.cycle)
-		}
+		s.h.StoreDone(e.hart, e.cycle)
+	case evMessage:
+		s.h.Deliver(e.message(), e.cycle)
 	}
 }
 
@@ -287,11 +261,11 @@ func (s *System) store(b *banks, bank int, off, v, addr uint32, width Width) {
 	s.write(b, bank, off, subWordStore(b.load(bank, off), v, addr, width))
 }
 
-// SubmitLoad submits a load from `core` at cycle `now`. The client's
-// LoadValue is invoked at bank service time and LoadDone when the
-// response arrives back at the core (both during later Step calls).
+// SubmitLoad submits a load from `core` at cycle `now` for hart. The
+// handler's LoadValue is invoked at bank service time and LoadDone when
+// the response arrives back at the core (both during later Step calls).
 // It returns false for an unmapped address.
-func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, signed bool, lc LoadClient) bool {
+func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, signed bool, hart uint32) bool {
 	switch RegionOf(addr) {
 	case RegionLocal:
 		off, ok := s.localSlot(addr)
@@ -303,7 +277,7 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
 		e := s.schedule(done, evLocalLoad)
-		e.core, e.off, e.addr, e.width, e.signed, e.lc = int32(core), off, addr, width, signed, lc
+		e.hart, e.core, e.off, e.addr, e.width, e.signed = hart, int32(core), off, addr, width, signed
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -313,17 +287,17 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		serviceT, done := s.routeShared(now, core, bank)
 		s.observeShared(core, bank, done-now)
 		e := s.schedule(serviceT, evSharedRead)
-		e.core, e.off, e.addr, e.width, e.signed, e.lc = int32(bank), off, addr, width, signed, lc
-		s.schedule(done, evLoadDone).lc = lc
+		e.hart, e.core, e.off, e.addr, e.width, e.signed = hart, int32(bank), off, addr, width, signed
+		s.schedule(done, evLoadDone).hart = hart
 		return true
 	default:
 		return false
 	}
 }
 
-// SubmitStore submits a store from `core`. dc (optional) is invoked when
-// the write is acknowledged back at the core.
-func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Width, dc DoneClient) bool {
+// SubmitStore submits a store from `core` for hart. The handler's
+// StoreDone is invoked when the write is acknowledged back at the core.
+func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Width, hart uint32) bool {
 	switch RegionOf(addr) {
 	case RegionLocal:
 		off, ok := s.localSlot(addr)
@@ -335,7 +309,7 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
 		e := s.schedule(done, evLocalStore)
-		e.core, e.off, e.addr, e.val, e.width, e.dc = int32(core), off, addr, value, width, dc
+		e.hart, e.core, e.off, e.addr, e.val, e.width = hart, int32(core), off, addr, value, width
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -346,7 +320,7 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		s.observeShared(core, bank, done-now)
 		e := s.schedule(serviceT, evSharedWrite)
 		e.core, e.off, e.addr, e.val, e.width = int32(bank), off, addr, value, width
-		s.schedule(done, evStoreDone).dc = dc
+		s.schedule(done, evStoreDone).hart = hart
 		return true
 	default:
 		return false
@@ -356,8 +330,9 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 // SubmitCVWrite submits a continuation-value write (p_swcv): a word store
 // into the local bank of targetCore, issued by fromCore. If the target is
 // the next core, the forward inter-core link is traversed first.
-// dc is invoked when the write has been performed at the target bank.
-func (s *System) SubmitCVWrite(now uint64, fromCore, targetCore int, addr, value uint32, dc DoneClient) bool {
+// The handler's StoreDone is invoked for hart when the write has been
+// performed at the target bank.
+func (s *System) SubmitCVWrite(now uint64, fromCore, targetCore int, addr, value uint32, hart uint32) bool {
 	off, ok := s.localSlot(addr)
 	if !ok {
 		return false
@@ -375,6 +350,6 @@ func (s *System) SubmitCVWrite(now uint64, fromCore, targetCore int, addr, value
 		s.Perf.RemoteLat.Observe(done - now)
 	}
 	e := s.schedule(done, evCVWrite)
-	e.core, e.off, e.val, e.dc = int32(targetCore), off, value, dc
+	e.hart, e.core, e.off, e.val = hart, int32(targetCore), off, value
 	return true
 }

@@ -15,10 +15,24 @@ import (
 // These share the deterministic link-slot allocation and the event queue
 // of the memory system so that all machine events are totally ordered.
 
+// Msg is a control message between harts (Figure 9): Kind and its
+// operands are the machine's; the system only carries them, by value,
+// on the links SendForward and SendBackward reserve.
+type Msg struct {
+	Kind     uint8
+	FromHart uint8  // the sender's hart index on its core
+	FromCore uint16 // the sender's core
+	Tgt      uint32 // the target hart's global number
+	Idx      uint32
+	Val      uint32
+	PC       uint32
+}
+
 // SendForward delivers a control message from core `from` to core `to`,
 // where to == from or to == from+1 (the forward links only connect
-// neighbors). The client's Done runs at delivery time during a Step call.
-func (s *System) SendForward(now uint64, from, to int, dc DoneClient) error {
+// neighbors). The handler's Deliver runs at delivery time during a Step
+// call.
+func (s *System) SendForward(now uint64, from, to int, msg Msg) error {
 	if to != from && to != from+1 {
 		return fmt.Errorf("mem: forward message %d->%d is not neighbor-bound", from, to)
 	}
@@ -29,8 +43,22 @@ func (s *System) SendForward(now uint64, from, to int, dc DoneClient) error {
 			t += uint64(s.cfg.ChipHopLat) // neighbor link crosses the chip edge
 		}
 	}
-	s.schedule(t, evMessage).dc = dc
+	s.scheduleMsg(t, msg)
 	return nil
+}
+
+// scheduleMsg queues msg's delivery for cycle t, its fields in the
+// event's access fields.
+func (s *System) scheduleMsg(t uint64, msg Msg) {
+	e := s.schedule(t, evMessage)
+	e.hart, e.core, e.off, e.addr, e.val = msg.Tgt, int32(msg.FromCore), msg.Idx, msg.PC, msg.Val
+	e.msg, e.from = msg.Kind, msg.FromHart
+}
+
+// message returns the control message an evMessage event carries.
+func (e *event) message() Msg {
+	return Msg{Kind: e.msg, FromHart: e.from, FromCore: uint16(e.core),
+		Tgt: e.hart, Idx: e.off, Val: e.val, PC: e.addr}
 }
 
 // backSerpentineMax is the largest machine whose backward line is the
@@ -47,7 +75,7 @@ const backSerpentineMax = 64
 // (to <= from) over the backward line: the serpentine walk on machines
 // up to backSerpentineMax cores or within one bottom-level group, the
 // hierarchical express path otherwise.
-func (s *System) SendBackward(now uint64, from, to int, dc DoneClient) error {
+func (s *System) SendBackward(now uint64, from, to int, msg Msg) error {
 	if to > from {
 		return fmt.Errorf("mem: backward message %d->%d goes forward in core order", from, to)
 	}
@@ -66,7 +94,7 @@ func (s *System) SendBackward(now uint64, from, to int, dc DoneClient) error {
 	default:
 		t = s.backExpress(now, from, to)
 	}
-	s.schedule(t, evMessage).dc = dc
+	s.scheduleMsg(t, msg)
 	return nil
 }
 

@@ -27,7 +27,9 @@
 // of per-cycle FIFO buckets (wheel.go), which holds the next 512 cycles;
 // the rare event due later waits in a heap until the window reaches it.
 // Scheduling and dispatching an event cost the same however many are in
-// flight.
+// flight. An event is plain data: it names its client — the hart whose
+// access it is, or the control message it carries — by value, and the
+// one Handler set on the System completes it.
 //
 // Storage. The local and shared banks are backed by 1 KiB pages that
 // exist once written (pages.go); the code bank holds only the prefix
@@ -167,7 +169,8 @@ type System struct {
 	chipUpReq, chipUpResp     []uint64
 	chipDownReq, chipDownResp []uint64
 
-	events wheel // in flight, dispatched in (cycle, seq) order
+	events wheel   // in flight, dispatched in (cycle, seq) order
+	h      Handler // completes the events (SetHandler)
 	seq    uint64
 	Stats  Stats
 	Perf   perf.MemCounters

@@ -6,7 +6,7 @@ import (
 )
 
 func newSys(cores int) *System {
-	return New(DefaultConfig(cores))
+	return testSys(DefaultConfig(cores))
 }
 
 // run advances the system until all events drained, returning the final cycle.
@@ -41,11 +41,11 @@ func TestRegionOf(t *testing.T) {
 func TestLocalStoreLoadRoundTrip(t *testing.T) {
 	s := newSys(4)
 	addr := uint32(LocalBase + 0x100)
-	s.SubmitStore(0, 1, addr, 0xDEADBEEF, Width32, nil)
+	s.SubmitStore(0, 1, addr, 0xDEADBEEF, Width32, 0)
 	run(s, 0)
 	var got uint32
 	var doneAt uint64
-	s.SubmitLoad(10, 1, addr, Width32, false, LoadFunc(func(v uint32, done uint64) {
+	s.SubmitLoad(10, 1, addr, Width32, false, onLoad(s, func(v uint32, done uint64) {
 		got, doneAt = v, done
 	}))
 	run(s, 10)
@@ -57,7 +57,7 @@ func TestLocalStoreLoadRoundTrip(t *testing.T) {
 	}
 	// Local banks are private per core: core 0 sees zero at the same address.
 	var other uint32
-	s.SubmitLoad(20, 0, addr, Width32, false, LoadFunc(func(v uint32, _ uint64) { other = v }))
+	s.SubmitLoad(20, 0, addr, Width32, false, onLoad(s, func(v uint32, _ uint64) { other = v }))
 	run(s, 20)
 	if other != 0 {
 		t.Errorf("core 0 local bank leaked value %#x", other)
@@ -72,15 +72,15 @@ func TestSharedRemoteRoundTrip(t *testing.T) {
 		t.Fatalf("BankOwner = %d", s.BankOwner(addr))
 	}
 	var storeDone uint64
-	s.SubmitStore(0, 2, addr, 42, Width32, DoneFunc(func(d uint64) { storeDone = d }))
+	s.SubmitStore(0, 2, addr, 42, Width32, onDone(s, func(d uint64) { storeDone = d }))
 	run(s, 0)
 	if storeDone == 0 {
 		t.Fatal("store ack not delivered")
 	}
 	var localDone, remoteDone uint64
-	s.SubmitLoad(100, 9, s.SharedAddr(9, 6), Width32, false, LoadFunc(func(_ uint32, d uint64) { localDone = d }))
+	s.SubmitLoad(100, 9, s.SharedAddr(9, 6), Width32, false, onLoad(s, func(_ uint32, d uint64) { localDone = d }))
 	var got uint32
-	s.SubmitLoad(100, 2, addr, Width32, false, LoadFunc(func(v uint32, d uint64) { got, remoteDone = v, d }))
+	s.SubmitLoad(100, 2, addr, Width32, false, onLoad(s, func(v uint32, d uint64) { got, remoteDone = v, d }))
 	run(s, 100)
 	if got != 42 {
 		t.Errorf("remote load = %d, want 42", got)
@@ -99,7 +99,7 @@ func TestRemoteLatencyGrowsWithDistance(t *testing.T) {
 		var done uint64
 		start := s.coreUp[from] + s.bankPort[bank] + 1000 // quiesce
 		s.SubmitLoad(start, from, s.SharedAddr(bank, 0), Width32, false,
-			LoadFunc(func(_ uint32, d uint64) { done = d }))
+			onLoad(s, func(_ uint32, d uint64) { done = d }))
 		run(s, start)
 		return done - start
 	}
@@ -120,7 +120,7 @@ func TestBankContentionSerializes(t *testing.T) {
 	for c := 1; c < 4; c++ {
 		c := c
 		s.SubmitLoad(0, c, s.SharedAddr(0, 0), Width32, false,
-			LoadFunc(func(_ uint32, d uint64) { dones[c] = d }))
+			onLoad(s, func(_ uint32, d uint64) { dones[c] = d }))
 	}
 	run(s, 0)
 	seen := map[uint64]bool{}
@@ -135,27 +135,27 @@ func TestBankContentionSerializes(t *testing.T) {
 func TestSubWordAccess(t *testing.T) {
 	s := newSys(1)
 	addr := uint32(LocalBase + 64)
-	s.SubmitStore(0, 0, addr, 0x11223344, Width32, nil)
+	s.SubmitStore(0, 0, addr, 0x11223344, Width32, 0)
 	run(s, 0)
-	s.SubmitStore(10, 0, addr+1, 0xAB, Width8, nil)
+	s.SubmitStore(10, 0, addr+1, 0xAB, Width8, 0)
 	run(s, 10)
 	var got uint32
-	s.SubmitLoad(20, 0, addr, Width32, false, LoadFunc(func(v uint32, _ uint64) { got = v }))
+	s.SubmitLoad(20, 0, addr, Width32, false, onLoad(s, func(v uint32, _ uint64) { got = v }))
 	run(s, 20)
 	if got != 0x1122AB44 {
 		t.Errorf("byte store merge = %#x", got)
 	}
 	var b, bs uint32
-	s.SubmitLoad(30, 0, addr+3, Width8, false, LoadFunc(func(v uint32, _ uint64) { b = v }))
-	s.SubmitLoad(30, 0, addr+3, Width8, true, LoadFunc(func(v uint32, _ uint64) { bs = v }))
+	s.SubmitLoad(30, 0, addr+3, Width8, false, onLoad(s, func(v uint32, _ uint64) { b = v }))
+	s.SubmitLoad(30, 0, addr+3, Width8, true, onLoad(s, func(v uint32, _ uint64) { bs = v }))
 	run(s, 30)
 	if b != 0x11 || bs != 0x11 {
 		t.Errorf("byte loads: %#x %#x", b, bs)
 	}
 	var h uint32
-	s.SubmitStore(40, 0, addr+2, 0x8765, Width16, nil)
+	s.SubmitStore(40, 0, addr+2, 0x8765, Width16, 0)
 	run(s, 40)
-	s.SubmitLoad(50, 0, addr+2, Width16, true, LoadFunc(func(v uint32, _ uint64) { h = v }))
+	s.SubmitLoad(50, 0, addr+2, Width16, true, onLoad(s, func(v uint32, _ uint64) { h = v }))
 	run(s, 50)
 	if int32(h) != int32(-30875) { // 0x8765 sign-extended
 		t.Errorf("lh sign extension = %#x", h)
@@ -167,9 +167,9 @@ func TestStoreThenLoadOrdering(t *testing.T) {
 	// even when both are still in flight.
 	s := newSys(4)
 	addr := s.SharedAddr(3, 7)
-	s.SubmitStore(0, 0, addr, 77, Width32, nil)
+	s.SubmitStore(0, 0, addr, 77, Width32, 0)
 	var got uint32
-	s.SubmitLoad(1, 0, addr, Width32, false, LoadFunc(func(v uint32, _ uint64) { got = v }))
+	s.SubmitLoad(1, 0, addr, Width32, false, onLoad(s, func(v uint32, _ uint64) { got = v }))
 	run(s, 1)
 	if got != 77 {
 		t.Errorf("load raced past store: got %d", got)
@@ -180,9 +180,9 @@ func TestCVWriteSameAndNextCore(t *testing.T) {
 	s := newSys(4)
 	addr := uint32(LocalBase + 0x2000)
 	var d0, d1 uint64
-	s.SubmitCVWrite(0, 2, 2, addr, 5, DoneFunc(func(d uint64) { d0 = d }))
+	s.SubmitCVWrite(0, 2, 2, addr, 5, onDone(s, func(d uint64) { d0 = d }))
 	run(s, 0)
-	s.SubmitCVWrite(100, 2, 3, addr, 6, DoneFunc(func(d uint64) { d1 = d }))
+	s.SubmitCVWrite(100, 2, 3, addr, 6, onDone(s, func(d uint64) { d1 = d }))
 	run(s, 100)
 	if v, _ := s.PeekLocal(2, addr); v != 5 {
 		t.Errorf("same-core CV write: %d", v)
@@ -200,13 +200,13 @@ func TestCVWriteSameAndNextCore(t *testing.T) {
 
 func TestUnmappedAddresses(t *testing.T) {
 	s := newSys(2)
-	if s.SubmitLoad(0, 0, s.SharedAddr(2, 0), Width32, false, LoadFunc(func(uint32, uint64) {})) {
+	if s.SubmitLoad(0, 0, s.SharedAddr(2, 0), Width32, false, onLoad(s, func(uint32, uint64) {})) {
 		t.Error("load from bank beyond last core must fail")
 	}
-	if s.SubmitStore(0, 0, LocalBase+DefaultConfig(2).LocalBytes, 0, Width32, nil) {
+	if s.SubmitStore(0, 0, LocalBase+DefaultConfig(2).LocalBytes, 0, Width32, 0) {
 		t.Error("store past local bank must fail")
 	}
-	if s.SubmitLoad(0, 0, 0x1000, Width32, false, LoadFunc(func(uint32, uint64) {})) {
+	if s.SubmitLoad(0, 0, 0x1000, Width32, false, onLoad(s, func(uint32, uint64) {})) {
 		t.Error("data load from code space must fail")
 	}
 }
@@ -291,7 +291,7 @@ func TestResetClearsLoadedCode(t *testing.T) {
 	if err := fresh.LoadCode(0, short); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := fresh.CaptureGlobalState()
+	want := fresh.CaptureGlobalState()
 
 	check := func(label string, s *System) {
 		t.Helper()
@@ -299,7 +299,7 @@ func TestResetClearsLoadedCode(t *testing.T) {
 		if err := s.LoadCode(0, short); err != nil {
 			t.Fatal(err)
 		}
-		got, _ := s.CaptureGlobalState()
+		got := s.CaptureGlobalState()
 		if len(got.Code) != len(want.Code) {
 			t.Fatalf("%s: %d code words captured after Reset to a 3-word program, a fresh system captures %d",
 				label, len(got.Code), len(want.Code))
@@ -318,11 +318,11 @@ func TestResetClearsLoadedCode(t *testing.T) {
 	if err := loaded.LoadCode(4096, long); err != nil { // not from word 0: the mark is an end, not a length
 		t.Fatal(err)
 	}
-	longState, clients := loaded.CaptureGlobalState()
+	longState := loaded.CaptureGlobalState()
 	check("after LoadCode", loaded)
 
 	restored := newSys(2)
-	if err := restored.RestoreGlobalState(longState, clients, 0); err != nil {
+	if err := restored.RestoreGlobalState(longState, 0); err != nil {
 		t.Fatal(err)
 	}
 	check("after RestoreGlobalState", restored)
@@ -377,13 +377,13 @@ func TestQuickAccessesDrain(t *testing.T) {
 			off := uint32(op>>6) % 64
 			addr := s.SharedAddr(bank, off)
 			if op&1 == 0 {
-				s.SubmitStore(now, core, addr, uint32(op), Width32, DoneFunc(func(d uint64) {
+				s.SubmitStore(now, core, addr, uint32(op), Width32, onDone(s, func(d uint64) {
 					if d <= submitted {
 						okAll = false
 					}
 				}))
 			} else {
-				s.SubmitLoad(now, core, addr, Width32, false, LoadFunc(func(_ uint32, d uint64) {
+				s.SubmitLoad(now, core, addr, Width32, false, onLoad(s, func(_ uint32, d uint64) {
 					if d <= submitted {
 						okAll = false
 					}
@@ -401,14 +401,14 @@ func TestQuickAccessesDrain(t *testing.T) {
 func TestRouterDegreeTwo(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.RouterDegree = 2
-	s := New(cfg)
+	s := testSys(cfg)
 	// every (core, bank) pair still routes and completes
 	for c := 0; c < 8; c++ {
 		for b := 0; b < 8; b++ {
 			done := uint64(0)
 			now := uint64(1000 * (uint64(c*8+b) + 1))
 			s.SubmitStore(now, c, s.SharedAddr(b, 3), uint32(c*8+b), Width32,
-				DoneFunc(func(d uint64) { done = d }))
+				onDone(s, func(d uint64) { done = d }))
 			for !s.Drained() {
 				now++
 				s.Step(now)
@@ -426,11 +426,11 @@ func TestRouterDegreeTwo(t *testing.T) {
 }
 
 func TestSingleCoreNoRouters(t *testing.T) {
-	s := New(DefaultConfig(1))
+	s := testSys(DefaultConfig(1))
 	var got uint32
-	s.SubmitStore(0, 0, s.SharedAddr(0, 0), 9, Width32, nil)
+	s.SubmitStore(0, 0, s.SharedAddr(0, 0), 9, Width32, 0)
 	s.SubmitLoad(1, 0, s.SharedAddr(0, 0), Width32, false,
-		LoadFunc(func(v uint32, _ uint64) { got = v }))
+		onLoad(s, func(v uint32, _ uint64) { got = v }))
 	now := uint64(1)
 	for !s.Drained() {
 		now++
@@ -454,7 +454,7 @@ func TestLinkTable(t *testing.T) {
 			cfg := DefaultConfig(cores)
 			cfg.CodeBytes, cfg.LocalBytes, cfg.SharedBytes = 64, 64, 64
 			cfg.CoresPerChip, cfg.ChipHopLat = perChip, 12
-			s := New(cfg)
+			s := testSys(cfg)
 			views := [][]uint64{s.coreUp, s.coreDown, s.bankPort, s.bankLocal, s.localPort, s.forward, s.backward}
 			for _, lv := range [][][]uint64{s.upReq, s.upResp, s.downReq, s.downResp, s.backUp, s.backDown} {
 				if len(lv) != len(routerCounts(cores, cfg.RouterDegree)) {
@@ -482,11 +482,11 @@ func TestLinkTable(t *testing.T) {
 			}
 
 			last := cores - 1
-			s.SubmitLoad(0, 0, s.SharedAddr(last, 0), Width32, false, LoadFunc(func(uint32, uint64) {}))
-			s.SubmitStore(0, last, LocalBase, 1, Width32, nil)
-			s.SubmitCVWrite(0, 0, min(1, last), LocalBase, 1, nil)
-			_ = s.SendForward(0, 0, min(1, last), nil)
-			_ = s.SendBackward(0, last, 0, nil)
+			s.SubmitLoad(0, 0, s.SharedAddr(last, 0), Width32, false, onLoad(s, func(uint32, uint64) {}))
+			s.SubmitStore(0, last, LocalBase, 1, Width32, 0)
+			s.SubmitCVWrite(0, 0, min(1, last), LocalBase, 1, 0)
+			_ = s.SendForward(0, 0, min(1, last), Msg{})
+			_ = s.SendBackward(0, last, 0, Msg{})
 			run(s, 0)
 			busy := 0
 			for _, l := range s.links {
@@ -498,7 +498,7 @@ func TestLinkTable(t *testing.T) {
 				t.Fatalf("%d cores / chip %d: the traffic reserved no link", cores, perChip)
 			}
 			s.Reset()
-			fresh := New(cfg)
+			fresh := testSys(cfg)
 			for i := range s.links {
 				if s.links[i] != fresh.links[i] {
 					t.Fatalf("%d cores / chip %d: link %d = %d after Reset, fresh is %d",

@@ -10,7 +10,7 @@ func chipSys(cores, perChip int) *System {
 	cfg := DefaultConfig(cores)
 	cfg.CoresPerChip = perChip
 	cfg.ChipHopLat = 12
-	return New(cfg)
+	return testSys(cfg)
 }
 
 func TestChipOf(t *testing.T) {
@@ -31,7 +31,7 @@ func TestCrossChipAccessSlower(t *testing.T) {
 		s := chipSys(8, perChip)
 		var done uint64
 		s.SubmitLoad(1000, from, s.SharedAddr(bank, 0), Width32, false,
-			LoadFunc(func(_ uint32, d uint64) { done = d }))
+			onLoad(s, func(_ uint32, d uint64) { done = d }))
 		now := uint64(1000)
 		for !s.Drained() {
 			now++
@@ -63,7 +63,7 @@ func TestChipLinkSerializes(t *testing.T) {
 	var dones []uint64
 	for c := 0; c < 4; c++ {
 		s.SubmitLoad(0, c, s.SharedAddr(6, 0), Width32, false,
-			LoadFunc(func(_ uint32, d uint64) { dones = append(dones, d) }))
+			onLoad(s, func(_ uint32, d uint64) { dones = append(dones, d) }))
 	}
 	now := uint64(0)
 	for !s.Drained() {
@@ -82,10 +82,10 @@ func TestChipLinkSerializes(t *testing.T) {
 func TestCrossChipForwardBackward(t *testing.T) {
 	s := chipSys(8, 4)
 	var fwdIn, fwdCross, backIn, backCross uint64
-	s.SendForward(100, 1, 2, DoneFunc(func(d uint64) { fwdIn = d - 100 }))
-	s.SendForward(100, 3, 4, DoneFunc(func(d uint64) { fwdCross = d - 100 }))
-	s.SendBackward(100, 2, 1, DoneFunc(func(d uint64) { backIn = d - 100 }))
-	s.SendBackward(100, 4, 3, DoneFunc(func(d uint64) { backCross = d - 100 }))
+	s.SendForward(100, 1, 2, onMsg(s, func(d uint64) { fwdIn = d - 100 }))
+	s.SendForward(100, 3, 4, onMsg(s, func(d uint64) { fwdCross = d - 100 }))
+	s.SendBackward(100, 2, 1, onMsg(s, func(d uint64) { backIn = d - 100 }))
+	s.SendBackward(100, 4, 3, onMsg(s, func(d uint64) { backCross = d - 100 }))
 	now := uint64(100)
 	for !s.Drained() {
 		now++

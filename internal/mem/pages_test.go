@@ -35,12 +35,12 @@ func TestFreshSystemHoldsNoPages(t *testing.T) {
 		t.Fatalf("fresh system has %d non-zero words", n)
 	}
 	for c := 0; c < 4; c++ {
-		s.SubmitLoad(0, c, LocalBase+8, Width32, false, LoadFunc(func(uint32, uint64) {}))
-		s.SubmitLoad(0, c, s.SharedAddr(3-c, 700), Width8, true, LoadFunc(func(uint32, uint64) {}))
-		s.SubmitStore(0, c, LocalBase+12, 0, Width32, nil)
-		s.SubmitStore(0, c, s.SharedAddr(c, 5)+1, 0, Width8, nil)
+		s.SubmitLoad(0, c, LocalBase+8, Width32, false, onLoad(s, func(uint32, uint64) {}))
+		s.SubmitLoad(0, c, s.SharedAddr(3-c, 700), Width8, true, onLoad(s, func(uint32, uint64) {}))
+		s.SubmitStore(0, c, LocalBase+12, 0, Width32, 0)
+		s.SubmitStore(0, c, s.SharedAddr(c, 5)+1, 0, Width8, 0)
 	}
-	s.SubmitCVWrite(0, 0, 1, LocalBase+16, 0, nil)
+	s.SubmitCVWrite(0, 0, 1, LocalBase+16, 0, 0)
 	run(s, 0)
 	if err := s.LoadShared(s.SharedAddr(2, 0), make([]uint32, 600)); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestSubWordStoreIntoUntouchedPage(t *testing.T) {
 	s := newSys(2)
 	local := uint32(LocalBase + 3*1024 + 6)
 	shared := s.SharedAddr(1, 300) + 1
-	s.SubmitStore(0, 0, local, 0xBEEF, Width16, nil)
-	s.SubmitStore(0, 0, shared, 0x1AB, Width8, nil)
+	s.SubmitStore(0, 0, local, 0xBEEF, Width16, 0)
+	s.SubmitStore(0, 0, shared, 0x1AB, Width8, 0)
 	run(s, 0)
 	if v, _ := s.PeekLocal(0, local&^3); v != 0xBEEF0000 {
 		t.Errorf("half-word store into an untouched local page reads %#x", v)
@@ -75,12 +75,12 @@ func TestSubWordStoreIntoUntouchedPage(t *testing.T) {
 func TestStoreZero(t *testing.T) {
 	s := newSys(1)
 	addr := uint32(LocalBase + 2048)
-	s.SubmitStore(0, 0, addr, 0x01020304, Width32, nil)
-	s.SubmitStore(0, 0, addr+4, 0x05060708, Width32, nil)
+	s.SubmitStore(0, 0, addr, 0x01020304, Width32, 0)
+	s.SubmitStore(0, 0, addr+4, 0x05060708, Width32, 0)
 	run(s, 0)
-	s.SubmitStore(10, 0, addr, 0, Width32, nil)
-	s.SubmitStore(10, 0, addr+5, 0, Width8, nil)
-	s.SubmitStore(10, 0, addr+4096, 0, Width32, nil)
+	s.SubmitStore(10, 0, addr, 0, Width32, 0)
+	s.SubmitStore(10, 0, addr+5, 0, Width8, 0)
+	s.SubmitStore(10, 0, addr+4096, 0, Width32, 0)
 	run(s, 10)
 	for _, c := range []struct {
 		addr, want uint32
@@ -96,8 +96,8 @@ func TestStoreZero(t *testing.T) {
 func TestResetReleasesPages(t *testing.T) {
 	s := newSys(4)
 	for c := 0; c < 4; c++ {
-		s.SubmitStore(0, c, LocalBase+uint32(c)*1024+4, uint32(c+1), Width32, nil)
-		s.SubmitStore(0, c, s.SharedAddr(c, 1000), ^uint32(0), Width32, nil)
+		s.SubmitStore(0, c, LocalBase+uint32(c)*1024+4, uint32(c+1), Width32, 0)
+		s.SubmitStore(0, c, s.SharedAddr(c, 1000), ^uint32(0), Width32, 0)
 	}
 	run(s, 0)
 	if n := ResidentPages(s); n != 8 {
@@ -133,7 +133,7 @@ func TestOddBankSizes(t *testing.T) {
 	for _, bankBytes := range []uint32{256, 1024, 4096} {
 		cfg := DefaultConfig(3)
 		cfg.LocalBytes, cfg.SharedBytes = bankBytes, bankBytes
-		s := New(cfg)
+		s := testSys(cfg)
 		last := bankBytes/4 - 1
 		for c := 0; c < 3; c++ {
 			if err := s.LoadShared(s.SharedAddr(c, 0), []uint32{uint32(10 * c), 0}); err != nil {
@@ -142,7 +142,7 @@ func TestOddBankSizes(t *testing.T) {
 			if err := s.LoadShared(s.SharedAddr(c, last), []uint32{uint32(10*c + 1)}); err != nil {
 				t.Fatal(err)
 			}
-			s.SubmitCVWrite(0, c, c, LocalBase+4*last, uint32(10*c+2), nil)
+			s.SubmitCVWrite(0, c, c, LocalBase+4*last, uint32(10*c+2), 0)
 		}
 		run(s, 0)
 		if s.DataMapped(LocalBase+bankBytes) || !s.DataMapped(LocalBase+bankBytes-4) {
@@ -159,16 +159,16 @@ func TestOddBankSizes(t *testing.T) {
 				t.Errorf("bank %d, core %d: first %d last %d cv %d", bankBytes, c, first, end, cv)
 			}
 		}
-		st, clients := s.CaptureGlobalState()
+		st := s.CaptureGlobalState()
 		if len(st.Local) != ResidentPages(s)-len(st.Shared) {
 			t.Errorf("bank %d: captured %d local and %d shared pages of %d resident",
 				bankBytes, len(st.Local), len(st.Shared), ResidentPages(s))
 		}
-		r := New(cfg)
-		if err := r.RestoreGlobalState(decoded(t, st), clients, 0); err != nil {
+		r := testSys(cfg)
+		if err := r.RestoreGlobalState(decoded(t, st), 0); err != nil {
 			t.Fatalf("bank %d: %v", bankBytes, err)
 		}
-		if st2, _ := r.CaptureGlobalState(); !reflect.DeepEqual(st2, st) {
+		if st2 := r.CaptureGlobalState(); !reflect.DeepEqual(st2, st) {
 			t.Errorf("bank %d: restored system captures differently", bankBytes)
 		}
 		if ResidentPages(r) != ResidentPages(s) {
@@ -176,13 +176,13 @@ func TestOddBankSizes(t *testing.T) {
 		}
 		bad := decoded(t, st)
 		bad.Shared[len(bad.Shared)-1].Index = int32(3 * ((last + pageWords) / pageWords))
-		if err := New(cfg).RestoreGlobalState(bad, clients, 0); err == nil || !strings.Contains(err.Error(), "past the family") {
+		if err := testSys(cfg).RestoreGlobalState(bad, 0); err == nil || !strings.Contains(err.Error(), "past the family") {
 			t.Errorf("bank %d: a page past the family: %v", bankBytes, err)
 		}
 		if tail := last%pageWords + 1; tail < pageWords {
 			bad := decoded(t, st)
 			bad.Shared[0].Words[tail] = 1
-			if err := New(cfg).RestoreGlobalState(bad, clients, 0); err == nil || !strings.Contains(err.Error(), "past its bank") {
+			if err := testSys(cfg).RestoreGlobalState(bad, 0); err == nil || !strings.Contains(err.Error(), "past its bank") {
 				t.Errorf("bank %d: a word past the bank: %v", bankBytes, err)
 			}
 		}
@@ -208,14 +208,14 @@ func decoded(t *testing.T, st *State) *State {
 // stream no capture writes — restore to a system that holds no page,
 // and clear whatever the banks held before.
 func TestRestoreZeroPagesAttachNothing(t *testing.T) {
-	s := New(DefaultConfig(2))
-	st, clients := s.CaptureGlobalState()
+	s := testSys(DefaultConfig(2))
+	st := s.CaptureGlobalState()
 	st.Local = []Page{{Index: 0, Words: new([pageWords]uint32)}, {Index: 70}}
 	st.Shared = []Page{{Index: 1, Words: new([pageWords]uint32)}}
 	if err := s.LoadShared(s.SharedAddr(1, 5), []uint32{7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RestoreGlobalState(st, clients, 0); err != nil {
+	if err := s.RestoreGlobalState(st, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := ResidentPages(s); n != 0 {

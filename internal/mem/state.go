@@ -9,16 +9,12 @@ import (
 
 // Serializable memory-system state.
 //
-// A System is plain data except for the clients attached to in-flight
-// events, which point back into the machine. CaptureGlobalState
-// therefore splits a snapshot in two: a State struct of pure values, and
-// a flat client table the caller (internal/lbp) serializes with its own
-// knowledge of the client types. Event records reference clients by
-// table index; a LoadClient shared by a service/delivery event pair is
-// deduplicated by pointer identity so restore re-attaches one client to
-// both events. The banks travel as their page tables: the pages a
-// program wrote, by index, so a snapshot costs what the program wrote,
-// not what the banks address.
+// A System is plain data: an in-flight event names its client by value
+// (a hart number, or the control message it carries), so a snapshot is
+// the events as they stand, and restoring one needs nothing from the
+// caller but the handler the System already has. The banks travel as
+// their page tables: the pages a program wrote, by index, so a snapshot
+// costs what the program wrote, not what the banks address.
 
 // State is the serializable state of a System at a cycle boundary. The
 // code image is trimmed of trailing zero words; the events are in their
@@ -50,19 +46,29 @@ type Page struct {
 	Words *[pageWords]uint32
 }
 
-// EventState is one in-flight event with its client flattened to a
-// table index (-1 = no client attached).
+// EventState is one in-flight event, field for field: Hart is its
+// client, and a message's Kind and FromHart are MsgKind and FromHart,
+// its other fields in the access fields (see event).
 type EventState struct {
-	Cycle  uint64
-	Seq    uint64
-	Kind   uint8
-	Core   int32
-	Off    uint32
-	Addr   uint32
-	Val    uint32
-	Width  uint8
-	Signed bool
-	Client int32
+	Cycle    uint64
+	Seq      uint64
+	Kind     uint8
+	Hart     uint32
+	Core     int32
+	Off      uint32
+	Addr     uint32
+	Val      uint32
+	Width    uint8
+	Signed   bool
+	MsgKind  uint8
+	FromHart uint8
+}
+
+// Load reports whether the event completes a load of es.Hart: the hart
+// waits for it in its result buffer.
+func (es *EventState) Load() bool {
+	k := evKind(es.Kind)
+	return k == evLocalLoad || k == evSharedRead || k == evLoadDone
 }
 
 func trimZeros(words []uint32) []uint32 {
@@ -76,11 +82,8 @@ func trimZeros(words []uint32) []uint32 {
 // CaptureGlobalState snapshots the system: link-allocator state,
 // counters, the code bank, the bank pages and the in-flight event
 // queue. The pages are the live ones, not copies, so the snapshot must
-// be encoded before the system steps again. The returned client table
-// holds every distinct event client in first-reference order; the
-// caller owns serializing and rebuilding them (RestoreGlobalState
-// re-attaches by index).
-func (s *System) CaptureGlobalState() (*State, []any) {
+// be encoded before the system steps again.
+func (s *System) CaptureGlobalState() *State {
 	st := &State{
 		Seq:    s.seq,
 		Stats:  s.Stats,
@@ -90,48 +93,29 @@ func (s *System) CaptureGlobalState() (*State, []any) {
 		Shared: s.shared.capture(),
 		Links:  append([]uint64(nil), s.links...),
 	}
-	var clients []any
-	loadIdx := make(map[LoadClient]int32)
 	events := s.events.appendAll(make([]event, 0, s.events.len()))
 	slices.SortFunc(events, dispatchOrder)
 	st.Events = make([]EventState, len(events))
 	for i := range events {
 		e := &events[i]
-		es := EventState{
-			Cycle: e.cycle, Seq: e.seq, Kind: uint8(e.kind), Core: e.core,
+		st.Events[i] = EventState{
+			Cycle: e.cycle, Seq: e.seq, Kind: uint8(e.kind), Hart: e.hart, Core: e.core,
 			Off: e.off, Addr: e.addr, Val: e.val,
-			Width: uint8(e.width), Signed: e.signed, Client: -1,
+			Width: uint8(e.width), Signed: e.signed, MsgKind: e.msg, FromHart: e.from,
 		}
-		switch {
-		case e.lc != nil:
-			// The two events of a shared load share one client; dedup by
-			// identity (LoadClient implementations are pointers).
-			id, ok := loadIdx[e.lc]
-			if !ok {
-				id = int32(len(clients))
-				clients = append(clients, e.lc)
-				loadIdx[e.lc] = id
-			}
-			es.Client = id
-		case e.dc != nil:
-			// Done clients are used by exactly one event each.
-			es.Client = int32(len(clients))
-			clients = append(clients, e.dc)
-		}
-		st.Events[i] = es
 	}
-	return st, clients
+	return st
 }
 
 // RestoreGlobalState installs a snapshot taken at cycle now into a
 // System of the same configuration, taking over its pages (decoded ones
-// or copies: the pages of a capture are live). clients must be the
-// rebuilt client table, index-aligned with the one CaptureGlobalState
-// returned. The snapshot is outside input: every page and whatever
-// dispatch would index or call through an event is checked here, before
-// anything is installed, and so is the events' order: each is due after
-// now and has its own seq, at least 1 and at most the snapshot's Seq.
-func (s *System) RestoreGlobalState(st *State, clients []any, now uint64) error {
+// or copies: the pages of a capture are live). The snapshot is outside
+// input: every page and whatever dispatch would index through an event
+// is checked here, before anything is installed, and so is the events'
+// order: each is due after now and has its own seq, at least 1 and at
+// most the snapshot's Seq. The clients the events name are the
+// caller's to check: the System does not know the harts.
+func (s *System) RestoreGlobalState(st *State, now uint64) error {
 	if len(st.Code) > int(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
 	}
@@ -147,7 +131,7 @@ func (s *System) RestoreGlobalState(st *State, clients []any, now uint64) error 
 	events := make([]event, len(st.Events))
 	for i := range st.Events {
 		var err error
-		if events[i], err = s.restoreEvent(&st.Events[i], clients); err != nil {
+		if events[i], err = s.restoreEvent(&st.Events[i]); err != nil {
 			return fmt.Errorf("mem: state event %d %v", i, err)
 		}
 		if e := &events[i]; e.cycle <= now {
@@ -191,31 +175,24 @@ func (s *System) RestoreGlobalState(st *State, clients []any, now uint64) error 
 
 // restoreEvent rebuilds one in-flight event, holding it to the
 // configuration: a kind dispatch knows, a bank that exists and a word
-// inside it for the kinds that touch one, an access width for the kinds
-// that carry one, and a LoadClient behind every load-kind event
-// (dispatch calls it unconditionally; a DoneClient is optional).
-func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
+// inside it for the kinds that touch one, and an access width for the
+// kinds that carry one.
+func (s *System) restoreEvent(es *EventState) (event, error) {
 	e := event{
-		cycle: es.Cycle, seq: es.Seq, kind: evKind(es.Kind), core: es.Core,
+		cycle: es.Cycle, seq: es.Seq, kind: evKind(es.Kind), hart: es.Hart, core: es.Core,
 		off: es.Off, addr: es.Addr, val: es.Val,
-		width: Width(es.Width), signed: es.Signed,
+		width: Width(es.Width), signed: es.Signed, msg: es.MsgKind, from: es.FromHart,
 	}
 	var b *banks // the bank family the event indexes, if any
-	sized, load := false, false
+	sized := false
 	switch e.kind {
-	case evLocalLoad:
-		b, sized, load = &s.local, true, true
-	case evSharedRead:
-		b, sized, load = &s.shared, true, true
-	case evLoadDone:
-		load = true
-	case evLocalStore:
+	case evLocalLoad, evLocalStore:
 		b, sized = &s.local, true
-	case evSharedWrite:
+	case evSharedRead, evSharedWrite:
 		b, sized = &s.shared, true
 	case evCVWrite:
 		b = &s.local
-	case evStoreDone, evMessage:
+	case evLoadDone, evStoreDone, evMessage:
 	default:
 		return e, fmt.Errorf("has unknown kind %d", es.Kind)
 	}
@@ -229,23 +206,6 @@ func (s *System) restoreEvent(es *EventState, clients []any) (event, error) {
 	}
 	if sized && e.width != Width8 && e.width != Width16 && e.width != Width32 {
 		return e, fmt.Errorf("has access width %d", es.Width)
-	}
-	if es.Client >= 0 {
-		if int(es.Client) >= len(clients) {
-			return e, fmt.Errorf("references client %d of %d", es.Client, len(clients))
-		}
-		var ok bool
-		if load {
-			e.lc, ok = clients[es.Client].(LoadClient)
-		} else {
-			e.dc, ok = clients[es.Client].(DoneClient)
-		}
-		if !ok {
-			return e, fmt.Errorf("cannot use client %d (%T)", es.Client, clients[es.Client])
-		}
-	}
-	if load && e.lc == nil {
-		return e, fmt.Errorf("is a load without a client")
 	}
 	return e, nil
 }

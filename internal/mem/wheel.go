@@ -68,10 +68,8 @@ func (w *wheel) alloc() int32 {
 	return int32(len(w.slab) - 1)
 }
 
-// release returns a dispatched slot to the free list, dropping its
-// clients for the collector.
+// release returns a dispatched slot to the free list.
 func (w *wheel) release(i int32) {
-	w.slab[i].lc, w.slab[i].dc = nil, nil
 	w.slab[i].next = w.free
 	w.free = i
 }
@@ -167,7 +165,6 @@ func (w *wheel) appendAll(evs []event) []event {
 // reset empties the wheel and puts its window at (base, base+wheelSize],
 // keeping the slab's and the heap's arrays.
 func (w *wheel) reset(base uint64) {
-	clear(w.slab) // release the clients
 	w.slab = w.slab[:0]
 	w.free = 0
 	w.last = [wheelSize]int32{}

@@ -7,13 +7,21 @@ import (
 	"testing"
 )
 
-// tagClient logs its event's seq when the event is dispatched.
-type tagClient struct {
-	seq uint64
-	log *[]uint64
-}
+// seqLog is a handler that logs the target of every message it is
+// handed: the wheel tests put each event's seq there.
+type seqLog []uint64
 
-func (c *tagClient) Done(uint64) { *c.log = append(*c.log, c.seq) }
+func (l *seqLog) Deliver(msg Msg, _ uint64) { *l = append(*l, uint64(msg.Tgt)) }
+func (*seqLog) LoadValue(uint32, uint32)    {}
+func (*seqLog) LoadDone(uint32, uint64)     {}
+func (*seqLog) StoreDone(uint32, uint64)    {}
+
+// logSys is a system of cores whose handler is log.
+func logSys(cores int, log *seqLog) *System {
+	s := New(DefaultConfig(cores))
+	s.SetHandler(log)
+	return s
+}
 
 type pendingEvent struct{ cycle, seq uint64 }
 
@@ -28,8 +36,8 @@ type pendingEvent struct{ cycle, seq uint64 }
 func TestEventWheelOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 40))
-		s := newSys(4)
-		var log []uint64
+		var log seqLog
+		s := logSys(4, &log)
 		var pending []pendingEvent
 		peak, now := 0, uint64(0)
 		lead := func() uint64 {
@@ -87,14 +95,14 @@ func TestEventWheelOrder(t *testing.T) {
 				t.Fatalf("seed %d step %d: Drained = %v with %d pending", seed, step, s.Drained(), len(pending))
 			}
 			if rng.IntN(200) == 0 {
-				st, clients := s.CaptureGlobalState()
+				st := s.CaptureGlobalState()
 				if !slices.IsSortedFunc(st.Events, func(a, b EventState) int {
 					return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Seq, b.Seq))
 				}) {
 					t.Fatalf("seed %d step %d: captured events are not in (cycle, seq) order", seed, step)
 				}
-				r := newSys(4)
-				if err := r.RestoreGlobalState(decoded(t, st), clients, now); err != nil {
+				r := logSys(4, &log)
+				if err := r.RestoreGlobalState(decoded(t, st), now); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				s = r
@@ -102,7 +110,7 @@ func TestEventWheelOrder(t *testing.T) {
 			for k := rng.IntN(6); k > 0; k-- {
 				cyc := now + lead()
 				e := s.schedule(cyc, evMessage)
-				e.dc = &tagClient{seq: e.seq, log: &log}
+				e.hart = uint32(e.seq)
 				pending = append(pending, pendingEvent{cyc, e.seq})
 				peak = max(peak, len(pending))
 			}
@@ -117,20 +125,21 @@ func TestEventWheelOrder(t *testing.T) {
 // (cycle, seq) order, two due on one cycle included. (The refusals of
 // restore's order checks are TestHostileCheckpoints rows in lbp.)
 func TestRestoreSortsEvents(t *testing.T) {
-	var log []uint64
-	s := newSys(2)
-	for i, lead := range []uint64{700, 5, 5, 300} {
-		s.schedule(10+lead, evMessage).dc = &tagClient{seq: uint64(i + 1), log: &log}
+	var log seqLog
+	s := logSys(2, &log)
+	for _, lead := range []uint64{700, 5, 5, 300} {
+		e := s.schedule(10+lead, evMessage)
+		e.hart = uint32(e.seq)
 	}
 	s.Step(10)
-	st, clients := s.CaptureGlobalState()
+	st := s.CaptureGlobalState()
 	slices.Reverse(st.Events)
-	r := newSys(2)
-	if err := r.RestoreGlobalState(decoded(t, st), clients, 10); err != nil {
+	r := logSys(2, &log)
+	if err := r.RestoreGlobalState(decoded(t, st), 10); err != nil {
 		t.Fatal(err)
 	}
 	run(r, 10)
-	if want := []uint64{2, 3, 4, 1}; !slices.Equal(log, want) {
+	if want := (seqLog{2, 3, 4, 1}); !slices.Equal(log, want) {
 		t.Errorf("dispatch order %v, want %v", log, want)
 	}
 }

@@ -35,14 +35,14 @@ func BenchmarkNewReset(b *testing.B) {
 			sys := sess.Machine().Mem
 			// A capture points at the live pages, restore takes its pages
 			// over and Reset releases them: every restore gets copies.
-			st, clients := sys.CaptureGlobalState()
+			st := sys.CaptureGlobalState()
 			st.Local, st.Shared = copyPages(st.Local), copyPages(st.Shared)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				dirty := *st
 				dirty.Local, dirty.Shared = copyPages(st.Local), copyPages(st.Shared)
-				if err := sys.RestoreGlobalState(&dirty, clients, sess.Machine().Cycle()); err != nil {
+				if err := sys.RestoreGlobalState(&dirty, sess.Machine().Cycle()); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

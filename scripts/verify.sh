@@ -43,16 +43,18 @@ fi
 # uop store (ROB slots: no uop pool, no instruction table of pointers),
 # and stages that report their own work (no stage-busy sum compared
 # around the stages) with one direct function per ALU and branch op (no
-# alu/br helpers wrapping a captured closure):
-# the deleted second paths must not grow back.
+# alu/br helpers wrapping a captured closure), and memory events that
+# name their client by value (no client interfaces or callback adapters
+# in mem, no per-hart client objects, no client table in the
+# checkpoint): the deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
-# DefaultMaxCycles in a comment, so that one name is searched outside
-# it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.' -- '*.go' ||
-    git grep -nE 'DefaultMaxCycles' -- '*.go' ':!bench'; then
+# DefaultMaxCycles in a comment and has an HTTP loadClient of its own,
+# so those names are searched outside it.)
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients' -- '*.go' ||
+    git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -230,7 +232,7 @@ go test ./internal/fuzzgen -run '^$' -fuzz FuzzDeterminism -fuzztime 5s -fuzzmin
 echo "verify: FuzzDeterminism smoke OK"
 # Hostile checkpoint bytes get a typed error or a machine that can be
 # stepped, never a panic. The seeds include the 22 KB
-# checkpoint_v4_8core.bin, so the minimizer is capped — by default it
+# checkpoint_v5_8core.bin, so the minimizer is capped — by default it
 # may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
