@@ -67,7 +67,7 @@ func checkActiveSet(t *testing.T, m *Machine, label string, mayBeFlagged bool) {
 	for _, c := range m.cores {
 		n := 0
 		for _, h := range c.harts {
-			if h.state != hartFree {
+			if h.State != hartFree {
 				n++
 			}
 		}
@@ -216,8 +216,8 @@ func TestActiveSetInvariant(t *testing.T) {
 		}
 		prevBusy = next.busy
 		pfnReady = false
-		if main.it != 0 {
-			oldest := &main.rob[main.robSlot(bits.TrailingZeros64(main.itAge()))]
+		if main.IT != 0 {
+			oldest := &main.Rob[main.robSlot(bits.TrailingZeros64(main.itAge()))]
 			pfnReady = oldest.d.Inst.Op == isa.OpPFN && oldest.ready()
 		}
 	})

@@ -18,7 +18,7 @@ type core struct {
 	harts [HartsPerCore]*hart
 	busy  int // harts not in hartFree state (maintained by hart.setState)
 
-	fetchRR, renameRR, issueRR, wbRR, commitRR int
+	FetchRR, RenameRR, IssueRR, WbRR, CommitRR int
 
 	// Candidate masks, one per stage: bit i is set while hart i might be
 	// selectable by that stage. The paper's core holds these as ready
@@ -44,7 +44,7 @@ type core struct {
 
 	// Whole-run statistic counters folded into the totals by
 	// Machine.result (fetches are perf.StageFetch's count).
-	statForks, statSends uint64
+	StatForks, StatSends uint64
 
 	// idleFrom is the first cycle whose stall attribution this core's
 	// harts have not yet received while the core is off Machine.active
@@ -122,39 +122,39 @@ func (c *core) scanHart(order uint8, rr int) *hart {
 // counts as the stage's work for the cycle.
 func (c *core) fetch(now uint64) bool {
 	var h *hart
-	for o := scanOrder(c.fetchC, c.fetchRR); o != 0; o &= o - 1 {
-		cand := c.scanHart(o, c.fetchRR)
-		if cand.state != hartRunning || !cand.pcValid || cand.hasIB {
+	for o := scanOrder(c.fetchC, c.FetchRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.FetchRR)
+		if cand.State != hartRunning || !cand.PCValid || cand.HasIB {
 			c.fetchC &^= cand.bit
 			continue
 		}
-		if cand.pcReadyCycle > now || (cand.syncmWait && cand.inflightMem > 0) {
+		if cand.PCReady > now || (cand.SyncmWait && cand.InflightMem > 0) {
 			continue
 		}
 		h = cand
-		c.fetchRR = cand.idx
+		c.FetchRR = cand.idx
 		break
 	}
 	if h == nil {
 		return false
 	}
 	c.perf.StageBusy[perf.StageFetch]++
-	h.syncmWait = false
-	d := c.m.descAt(h.pc)
+	h.SyncmWait = false
+	d := c.m.descAt(h.PC)
 	if d == nil {
-		c.faultf(h.idx, "instruction fetch from unmapped pc %#x", h.pc)
+		c.faultf(h.idx, "instruction fetch from unmapped pc %#x", h.PC)
 		return true
 	}
 	if d.Inst.Op == isa.OpInvalid {
-		c.faultf(h.idx, "invalid instruction %#08x at pc %#x", d.Inst.Raw, h.pc)
+		c.faultf(h.idx, "invalid instruction %#08x at pc %#x", d.Inst.Raw, h.PC)
 		return true
 	}
-	h.ib = uop{d: d, pc: h.pc}
-	h.hasIB = true
-	h.pcValid = false
+	h.IB = uop{d: d, PC: h.PC}
+	h.HasIB = true
+	h.PCValid = false
 	c.fetchC &^= h.bit
 	c.renameC |= h.bit
-	c.m.event(trace.KindFetch, c.idx, h.idx, uint64(h.ib.pc))
+	c.m.event(trace.KindFetch, c.idx, h.idx, uint64(h.IB.PC))
 	return true
 }
 
@@ -167,14 +167,14 @@ func (c *core) fetch(now uint64) bool {
 // needed and how the next pc comes (isa.DescOf).
 func (c *core) rename(now uint64) bool {
 	var h *hart
-	for o := scanOrder(c.renameC, c.renameRR); o != 0; o &= o - 1 {
-		cand := c.scanHart(o, c.renameRR)
-		if !cand.hasIB || cand.itFull(&c.m.cfg) || cand.robFull(&c.m.cfg) {
+	for o := scanOrder(c.renameC, c.RenameRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.RenameRR)
+		if !cand.HasIB || cand.itFull(&c.m.cfg) || cand.robFull(&c.m.cfg) {
 			c.renameC &^= cand.bit
 			continue
 		}
 		h = cand
-		c.renameRR = cand.idx
+		c.RenameRR = cand.idx
 		break
 	}
 	if h == nil {
@@ -182,32 +182,31 @@ func (c *core) rename(now uint64) bool {
 	}
 	c.perf.StageBusy[perf.StageRename]++
 	s := h.robPush()
-	u := &h.rob[s]
-	*u = h.ib
-	h.hasIB = false
+	u := &h.Rob[s]
+	*u = h.IB
+	h.HasIB = false
 	c.renameC &^= h.bit
 	d := u.d
 	in := &d.Inst
 
 	u.slot = uint8(s)
-	u.dep1, u.dep2 = noSlot, noSlot
+	u.Dep1, u.Dep2 = noSlot, noSlot
 	if d.ReadsRs1() {
-		if u.dep1 = h.lastWriter[in.Rs1]; u.dep1 == noSlot {
-			u.src1 = h.regs[in.Rs1]
+		if u.Dep1 = h.LastWriter[in.Rs1]; u.Dep1 == noSlot {
+			u.Src1 = h.Regs[in.Rs1]
 		}
 	}
 	if d.ReadsRs2() {
-		if u.dep2 = h.lastWriter[in.Rs2]; u.dep2 == noSlot {
-			u.src2 = h.regs[in.Rs2]
+		if u.Dep2 = h.LastWriter[in.Rs2]; u.Dep2 == noSlot {
+			u.Src2 = h.Regs[in.Rs2]
 		}
 	}
-	h.seq++
 	u.isRet = d.IsPRet()
 	u.needsRB = d.NeedsRB()
 	if d.WritesRd() {
-		h.lastWriter[in.Rd] = u.slot
+		h.LastWriter[in.Rd] = u.slot
 	}
-	h.it |= 1 << s
+	h.IT |= 1 << s
 	if u.ready() {
 		c.issueC |= h.bit // else the producer's write back wakes it
 	}
@@ -215,19 +214,19 @@ func (c *core) rename(now uint64) bool {
 	// Next-pc production (Figure 10: nextPC leaves the decode stage).
 	switch d.Next {
 	case isa.NextSeq:
-		h.pc = u.pc + 4
+		h.PC = u.PC + 4
 	case isa.NextTarget:
-		h.pc = u.pc + uint32(in.Imm)
+		h.PC = u.PC + uint32(in.Imm)
 	case isa.NextSyncm:
-		h.pc = u.pc + 4
-		h.syncmWait = true
+		h.PC = u.PC + 4
+		h.SyncmWait = true
 	default:
 		// NextExecute: resolved at execution, fetch stays suspended;
 		// NextStop: execution terminates at commit, fetch stops here.
 		return true
 	}
-	h.pcValid = true
-	h.pcReadyCycle = now + 1
+	h.PCValid = true
+	h.PCReady = now + 1
 	c.fetchC |= h.bit
 	return true
 }
@@ -239,8 +238,8 @@ func (c *core) rename(now uint64) bool {
 func (c *core) issue(now uint64) bool {
 	var ih *hart
 	is := -1
-	for o := scanOrder(c.issueC, c.issueRR); o != 0; o &= o - 1 {
-		h := c.scanHart(o, c.issueRR)
+	for o := scanOrder(c.issueC, c.IssueRR); o != 0; o &= o - 1 {
+		h := c.scanHart(o, c.IssueRR)
 		if is = c.issuable(h); is >= 0 {
 			ih = h
 			break
@@ -250,29 +249,29 @@ func (c *core) issue(now uint64) bool {
 	if ih == nil {
 		return false
 	}
-	c.issueRR = ih.idx
+	c.IssueRR = ih.idx
 	c.perf.StageBusy[perf.StageIssue]++
-	iu := &ih.rob[is]
+	iu := &ih.Rob[is]
 	c.execute(ih, iu, now)
 	// Hand-offs: the instruction left the table (rename may have been
 	// blocked on it), a branch or indirect jump produced its pc, and the
 	// instruction either completed on the spot or occupies the result
 	// buffer until write back — a load only once its response is in
 	// (Machine.LoadDone).
-	if ih.it == 0 {
+	if ih.IT == 0 {
 		c.issueC &^= ih.bit
 	}
-	if ih.hasIB {
+	if ih.HasIB {
 		c.renameC |= ih.bit
 	}
-	if ih.pcValid {
+	if ih.PCValid {
 		c.fetchC |= ih.bit
 	}
-	if iu.done {
-		if ih.robHead == is {
+	if iu.Done {
+		if ih.RobHead == is {
 			c.commitC |= ih.bit
 		}
-	} else if !iu.memWait {
+	} else if !iu.MemWait {
 		c.wbC |= ih.bit
 	}
 	return true
@@ -280,14 +279,14 @@ func (c *core) issue(now uint64) bool {
 
 // issuable returns the slot of the oldest instruction of h that can
 // issue this cycle, or -1. The table's entries are walked in age order:
-// ring order from the head, the slots at and above robHead, then the
+// ring order from the head, the slots at and above RobHead, then the
 // ones below it.
 func (c *core) issuable(h *hart) int {
-	below := uint64(1)<<h.robHead - 1
-	for _, part := range [2]uint64{h.it &^ below, h.it & below} {
+	below := uint64(1)<<h.RobHead - 1
+	for _, part := range [2]uint64{h.IT &^ below, h.IT & below} {
 		for ; part != 0; part &= part - 1 {
 			s := bits.TrailingZeros64(part)
-			if u := &h.rob[s]; u.ready() && c.canIssue(h, u) {
+			if u := &h.Rob[s]; u.ready() && c.canIssue(h, u) {
 				return s
 			}
 		}
@@ -296,7 +295,7 @@ func (c *core) issuable(h *hart) int {
 }
 
 func (c *core) canIssue(h *hart, u *uop) bool {
-	if u.needsRB && h.exec != noSlot {
+	if u.needsRB && h.Exec != noSlot {
 		return false
 	}
 	d := u.d
@@ -305,7 +304,7 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		// (standing in for compiler-inserted p_syncm; see DESIGN.md).
 		older := h.itAge() & (1<<h.robAge(int(u.slot)) - 1)
 		for ; older != 0; older &= older - 1 {
-			oc := h.rob[h.robSlot(bits.TrailingZeros64(older))].d.Cls
+			oc := h.Rob[h.robSlot(bits.TrailingZeros64(older))].d.Cls
 			if oc == isa.ClassLoad || oc == isa.ClassStore {
 				return false
 			}
@@ -317,7 +316,7 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 		// ever make the instruction a candidate again — so that is a
 		// program fault, raised at execute, not a wait.
 		idx := int(d.Inst.Imm)
-		return idx < 0 || idx >= len(h.remote) || len(h.remote[idx].vals) > 0
+		return idx < 0 || idx >= len(h.Remote) || len(h.Remote[idx].Vals) > 0
 	case isa.OpPFC:
 		return c.freeHart() != nil
 	case isa.OpPFN:
@@ -341,63 +340,63 @@ func (c *core) canIssue(h *hart, u *uop) bool {
 // execute performs the semantics of an issued instruction: one indexed
 // call through the descriptor dispatch table (exec.go).
 func (c *core) execute(h *hart, u *uop, now uint64) {
-	u.issued = true
-	h.it &^= 1 << u.slot
+	u.Issued = true
+	h.IT &^= 1 << u.slot
 	execTab[u.d.Inst.Op](c, h, u, now)
 }
 
 func (c *core) startExec(h *hart, u *uop, readyAt uint64) {
-	h.exec = u.slot
-	h.execReadyAt = readyAt
+	h.Exec = u.slot
+	h.ExecReadyAt = readyAt
 }
 
 func execJAL(c *core, h *hart, u *uop, now uint64) {
 	// target pc was produced at rename
-	u.value = u.pc + 4
+	u.Value = u.PC + 4
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execJALR(c *core, h *hart, u *uop, now uint64) {
-	u.value = u.pc + 4
-	h.pc = (u.src1 + uint32(u.d.Inst.Imm)) &^ 1
-	h.pcValid = true
-	h.pcReadyCycle = now + 1
+	u.Value = u.PC + 4
+	h.PC = (u.Src1 + uint32(u.d.Inst.Imm)) &^ 1
+	h.PCValid = true
+	h.PCReady = now + 1
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPJAL(c *core, h *hart, u *uop, now uint64) {
 	// local target pc was produced at rename; start the continuation
 	// on the designated hart.
-	u.value = 0 // "clear rd"
-	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
+	u.Value = 0 // "clear rd"
+	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.Src1), PC: u.PC + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPJALR(c *core, h *hart, u *uop, now uint64) {
 	if u.isRet {
-		u.done = true // ending actions run at commit, in order
+		u.Done = true // ending actions run at commit, in order
 		return
 	}
-	u.value = 0
-	h.pc = u.src2 &^ 1
-	h.pcValid = true
-	h.pcReadyCycle = now + 1
-	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.src1), PC: u.pc + 4})
+	u.Value = 0
+	h.PC = u.Src2 &^ 1
+	h.PCValid = true
+	h.PCReady = now + 1
+	c.send(h, u, mem.Msg{Kind: ctlStart, Tgt: resolveLink(u.Src1), PC: u.PC + 4})
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func (c *core) execLoad(h *hart, u *uop, now uint64) {
 	d := u.d
-	addr := u.src1 + uint32(d.Inst.Imm)
+	addr := u.Src1 + uint32(d.Inst.Imm)
 	if addr%uint32(d.MemW) != 0 {
-		c.faultf(h.idx, "misaligned load of width %d at %#x (pc %#x)", d.MemW, addr, u.pc)
+		c.faultf(h.idx, "misaligned load of width %d at %#x (pc %#x)", d.MemW, addr, u.PC)
 		return
 	}
-	u.memWait = true
+	u.MemWait = true
 	c.startExec(h, u, ^uint64(0))
-	h.inflightMem++
+	h.InflightMem++
 	if !c.m.Mem.DataMapped(addr) {
-		c.faultf(h.idx, "load from unmapped address %#x (pc %#x)", addr, u.pc)
+		c.faultf(h.idx, "load from unmapped address %#x (pc %#x)", addr, u.PC)
 		return
 	}
 	c.m.Mem.SubmitLoad(now, c.idx, addr, mem.Width(d.MemW), d.MemSigned(), h.gid)
@@ -405,18 +404,18 @@ func (c *core) execLoad(h *hart, u *uop, now uint64) {
 
 func (c *core) execStore(h *hart, u *uop, now uint64) {
 	d := u.d
-	addr := u.src1 + uint32(d.Inst.Imm)
+	addr := u.Src1 + uint32(d.Inst.Imm)
 	if addr%uint32(d.MemW) != 0 {
-		c.faultf(h.idx, "misaligned store of width %d at %#x (pc %#x)", d.MemW, addr, u.pc)
+		c.faultf(h.idx, "misaligned store of width %d at %#x (pc %#x)", d.MemW, addr, u.PC)
 		return
 	}
-	h.inflightMem++
+	h.InflightMem++
 	if !c.m.Mem.DataMapped(addr) {
-		c.faultf(h.idx, "store to unmapped address %#x (pc %#x)", addr, u.pc)
+		c.faultf(h.idx, "store to unmapped address %#x (pc %#x)", addr, u.PC)
 		return
 	}
-	c.m.Mem.SubmitStore(now, c.idx, addr, u.src2, mem.Width(d.MemW), h.gid)
-	u.done = true
+	c.m.Mem.SubmitStore(now, c.idx, addr, u.Src2, mem.Width(d.MemW), h.gid)
+	u.Done = true
 }
 
 // ---- write back stage -------------------------------------------------
@@ -425,44 +424,44 @@ func (c *core) execStore(h *hart, u *uop, now uint64) {
 // value is written to the register file and dependents are woken.
 func (c *core) writeback(now uint64) bool {
 	var h *hart
-	for o := scanOrder(c.wbC, c.wbRR); o != 0; o &= o - 1 {
-		cand := c.scanHart(o, c.wbRR)
-		if cand.exec == noSlot || cand.rob[cand.exec].memWait {
+	for o := scanOrder(c.wbC, c.WbRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.WbRR)
+		if cand.Exec == noSlot || cand.Rob[cand.Exec].MemWait {
 			c.wbC &^= cand.bit
 			continue
 		}
-		if cand.execReadyAt > now {
+		if cand.ExecReadyAt > now {
 			continue
 		}
 		h = cand
-		c.wbRR = cand.idx
+		c.WbRR = cand.idx
 		break
 	}
 	if h == nil {
 		return false
 	}
 	c.perf.StageBusy[perf.StageWriteback]++
-	s := h.exec
-	u := &h.rob[s]
-	h.exec = noSlot
+	s := h.Exec
+	u := &h.Rob[s]
+	h.Exec = noSlot
 	// The result buffer is free and dependents have their operand (issue);
 	// u is complete (commit).
 	c.wbC &^= h.bit
-	if h.it != 0 {
+	if h.IT != 0 {
 		c.issueC |= h.bit
 	}
-	if h.robHead == int(s) {
+	if h.RobHead == int(s) {
 		c.commitC |= h.bit
 	}
 	if u.d.WritesRd() {
 		rd := u.d.Inst.Rd
-		if h.lastWriter[rd] == s {
-			h.lastWriter[rd] = noSlot
-			h.regs[rd] = u.value
+		if h.LastWriter[rd] == s {
+			h.LastWriter[rd] = noSlot
+			h.Regs[rd] = u.Value
 		}
-		h.wake(s, u.value)
+		h.wake(s, u.Value)
 	}
-	u.done = true
+	u.Done = true
 	return true
 }
 
@@ -474,37 +473,37 @@ func (c *core) writeback(now uint64) bool {
 // hardware barrier between a parallel section and its sequel.
 func (c *core) commit(now uint64) bool {
 	var h *hart
-	for o := scanOrder(c.commitC, c.commitRR); o != 0; o &= o - 1 {
-		cand := c.scanHart(o, c.commitRR)
-		if cand.robN == 0 || !cand.robFront().done {
+	for o := scanOrder(c.commitC, c.CommitRR); o != 0; o &= o - 1 {
+		cand := c.scanHart(o, c.CommitRR)
+		if cand.RobN == 0 || !cand.robFront().Done {
 			c.commitC &^= cand.bit
 			continue
 		}
 		if u := cand.robFront(); u.isRet {
-			if (cand.hasPred && !cand.predSignal) || cand.inflightMem > 0 || cand.exec != noSlot {
+			if (cand.HasPred && !cand.PredSignal) || cand.InflightMem > 0 || cand.Exec != noSlot {
 				continue
 			}
 		}
 		h = cand
-		c.commitRR = cand.idx
+		c.CommitRR = cand.idx
 		break
 	}
 	if h == nil {
 		return false
 	}
 	u := h.robPopFront()
-	if h.robN == 0 || !h.robFront().done {
+	if h.RobN == 0 || !h.robFront().Done {
 		c.commitC &^= h.bit
 	}
-	if h.hasIB {
+	if h.HasIB {
 		c.renameC |= h.bit // a reorder-buffer slot came free
 	}
-	h.lastCommit = now
+	h.LastCommit = now
 	h.perf.Commits++
 	h.perf.Retired[u.d.Cls]++
 	c.perf.StageBusy[perf.StageCommit]++
 	c.m.progress = now
-	c.m.event(trace.KindCommit, c.idx, h.idx, uint64(u.pc))
+	c.m.event(trace.KindCommit, c.idx, h.idx, uint64(u.PC))
 	switch {
 	case u.isRet:
 		c.doRet(h, u, now)

@@ -29,55 +29,55 @@ func init() {
 	// (which charges the latency of the descriptor's class) or
 	// finishBranch inlines into it.
 	t[isa.OpLUI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, uint32(u.d.Inst.Imm)) }
-	t[isa.OpAUIPC] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.pc+uint32(u.d.Inst.Imm)) }
-	t[isa.OpADDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1+uint32(u.d.Inst.Imm)) }
-	t[isa.OpSLTI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(int32(u.src1) < u.d.Inst.Imm)) }
+	t[isa.OpAUIPC] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.PC+uint32(u.d.Inst.Imm)) }
+	t[isa.OpADDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1+uint32(u.d.Inst.Imm)) }
+	t[isa.OpSLTI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(int32(u.Src1) < u.d.Inst.Imm)) }
 	t[isa.OpSLTIU] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, b2u(u.src1 < uint32(u.d.Inst.Imm)))
+		finishALU(c, h, u, now, b2u(u.Src1 < uint32(u.d.Inst.Imm)))
 	}
-	t[isa.OpXORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1^uint32(u.d.Inst.Imm)) }
-	t[isa.OpORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1|uint32(u.d.Inst.Imm)) }
-	t[isa.OpANDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1&uint32(u.d.Inst.Imm)) }
-	t[isa.OpSLLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1<<(uint32(u.d.Inst.Imm)&31)) }
-	t[isa.OpSRLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1>>(uint32(u.d.Inst.Imm)&31)) }
+	t[isa.OpXORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1^uint32(u.d.Inst.Imm)) }
+	t[isa.OpORI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1|uint32(u.d.Inst.Imm)) }
+	t[isa.OpANDI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1&uint32(u.d.Inst.Imm)) }
+	t[isa.OpSLLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1<<(uint32(u.d.Inst.Imm)&31)) }
+	t[isa.OpSRLI] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1>>(uint32(u.d.Inst.Imm)&31)) }
 	t[isa.OpSRAI] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, uint32(int32(u.src1)>>(uint32(u.d.Inst.Imm)&31)))
+		finishALU(c, h, u, now, uint32(int32(u.Src1)>>(uint32(u.d.Inst.Imm)&31)))
 	}
-	t[isa.OpADD] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1+u.src2) }
-	t[isa.OpSUB] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1-u.src2) }
-	t[isa.OpSLL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1<<(u.src2&31)) }
+	t[isa.OpADD] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1+u.Src2) }
+	t[isa.OpSUB] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1-u.Src2) }
+	t[isa.OpSLL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1<<(u.Src2&31)) }
 	t[isa.OpSLT] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, b2u(int32(u.src1) < int32(u.src2)))
+		finishALU(c, h, u, now, b2u(int32(u.Src1) < int32(u.Src2)))
 	}
-	t[isa.OpSLTU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(u.src1 < u.src2)) }
-	t[isa.OpXOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1^u.src2) }
-	t[isa.OpSRL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1>>(u.src2&31)) }
+	t[isa.OpSLTU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, b2u(u.Src1 < u.Src2)) }
+	t[isa.OpXOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1^u.Src2) }
+	t[isa.OpSRL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1>>(u.Src2&31)) }
 	t[isa.OpSRA] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, uint32(int32(u.src1)>>(u.src2&31)))
+		finishALU(c, h, u, now, uint32(int32(u.Src1)>>(u.Src2&31)))
 	}
-	t[isa.OpOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1|u.src2) }
-	t[isa.OpAND] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1&u.src2) }
-	t[isa.OpMUL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.src1*u.src2) }
+	t[isa.OpOR] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1|u.Src2) }
+	t[isa.OpAND] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1&u.Src2) }
+	t[isa.OpMUL] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, u.Src1*u.Src2) }
 	t[isa.OpMULH] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.src1))*int64(int32(u.src2)))>>32))
+		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.Src1))*int64(int32(u.Src2)))>>32))
 	}
 	t[isa.OpMULHSU] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.src1))*int64(u.src2))>>32))
+		finishALU(c, h, u, now, uint32(uint64(int64(int32(u.Src1))*int64(u.Src2))>>32))
 	}
 	t[isa.OpMULHU] = func(c *core, h *hart, u *uop, now uint64) {
-		finishALU(c, h, u, now, uint32(uint64(u.src1)*uint64(u.src2)>>32))
+		finishALU(c, h, u, now, uint32(uint64(u.Src1)*uint64(u.Src2)>>32))
 	}
-	t[isa.OpDIV] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divRV(u.src1, u.src2)) }
-	t[isa.OpDIVU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divuRV(u.src1, u.src2)) }
-	t[isa.OpREM] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remRV(u.src1, u.src2)) }
-	t[isa.OpREMU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remuRV(u.src1, u.src2)) }
+	t[isa.OpDIV] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divRV(u.Src1, u.Src2)) }
+	t[isa.OpDIVU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, divuRV(u.Src1, u.Src2)) }
+	t[isa.OpREM] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remRV(u.Src1, u.Src2)) }
+	t[isa.OpREMU] = func(c *core, h *hart, u *uop, now uint64) { finishALU(c, h, u, now, remuRV(u.Src1, u.Src2)) }
 
-	t[isa.OpBEQ] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 == u.src2) }
-	t[isa.OpBNE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 != u.src2) }
-	t[isa.OpBLT] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.src1) < int32(u.src2)) }
-	t[isa.OpBGE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.src1) >= int32(u.src2)) }
-	t[isa.OpBLTU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 < u.src2) }
-	t[isa.OpBGEU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.src1 >= u.src2) }
+	t[isa.OpBEQ] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.Src1 == u.Src2) }
+	t[isa.OpBNE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.Src1 != u.Src2) }
+	t[isa.OpBLT] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.Src1) < int32(u.Src2)) }
+	t[isa.OpBGE] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, int32(u.Src1) >= int32(u.Src2)) }
+	t[isa.OpBLTU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.Src1 < u.Src2) }
+	t[isa.OpBGEU] = func(c *core, h *hart, u *uop, now uint64) { finishBranch(h, u, now, u.Src1 >= u.Src2) }
 
 	t[isa.OpJAL] = execJAL
 	t[isa.OpJALR] = execJALR
@@ -107,31 +107,31 @@ func init() {
 // finishALU records a register result and charges the functional-unit
 // latency of the uop's descriptor class (ALU, multiply or divide).
 func finishALU(c *core, h *hart, u *uop, now uint64, v uint32) {
-	u.value = v
+	u.Value = v
 	c.startExec(h, u, now+c.m.latTab[u.d.Cls])
 }
 
 // finishBranch resolves a conditional branch: the next pc leaves the
 // execute stage, and the branch itself retires with no register result.
 func finishBranch(h *hart, u *uop, now uint64, taken bool) {
-	target := u.pc + 4
+	target := u.PC + 4
 	if taken {
-		target = u.pc + uint32(u.d.Inst.Imm)
+		target = u.PC + uint32(u.d.Inst.Imm)
 	}
-	h.pc = target
-	h.pcValid = true
-	h.pcReadyCycle = now + 1
-	u.done = true
+	h.PC = target
+	h.PCValid = true
+	h.PCReady = now + 1
+	u.Done = true
 }
 
 func execSystem(c *core, h *hart, u *uop, now uint64) {
 	// fence is a no-op (no caches), ecall/ebreak terminate at commit,
 	// p_syncm acted at rename.
-	u.done = true
+	u.Done = true
 }
 
 func execUnknown(c *core, h *hart, u *uop, now uint64) {
-	c.faultf(h.idx, "unhandled op %v (pc %#x)", u.d.Inst.Op, u.pc)
+	c.faultf(h.idx, "unhandled op %v (pc %#x)", u.d.Inst.Op, u.PC)
 }
 
 func b2u(b bool) uint32 {

@@ -50,13 +50,13 @@ func TestExecTabMatchesReference(t *testing.T) {
 			in := isa.Inst{Op: op, Rd: 5, Rs1: 6, Rs2: 7, Imm: imm}
 			d := isa.DescOf(in)
 			pc := uint32(0x1000 + 4*trial)
-			u := &h.rob[0]
-			*u = uop{d: &d, pc: pc, src1: s1, src2: s2, dep1: noSlot, dep2: noSlot}
+			u := &h.Rob[0]
+			*u = uop{d: &d, PC: pc, Src1: s1, Src2: s2, Dep1: noSlot, Dep2: noSlot}
 
-			h.exec = noSlot
-			h.execReadyAt = 0
-			h.pcValid = false
-			h.pc = 0
+			h.Exec = noSlot
+			h.ExecReadyAt = 0
+			h.PCValid = false
+			h.PC = 0
 			now := uint64(1000 + trial)
 			execTab[op](c, h, u, now)
 			if m.err != nil {
@@ -69,24 +69,24 @@ func TestExecTabMatchesReference(t *testing.T) {
 				if want {
 					wantPC = pc + uint32(imm)
 				}
-				if !u.done {
+				if !u.Done {
 					t.Fatalf("%v: branch did not retire", op)
 				}
-				if !h.pcValid || h.pc != wantPC {
-					t.Fatalf("%v(s1=%#x s2=%#x): pc=%#x want %#x", op, s1, s2, h.pc, wantPC)
+				if !h.PCValid || h.PC != wantPC {
+					t.Fatalf("%v(s1=%#x s2=%#x): pc=%#x want %#x", op, s1, s2, h.PC, wantPC)
 				}
 				continue
 			}
 			want := aluCompute(&in, s1, s2, pc)
-			if u.value != want {
+			if u.Value != want {
 				t.Fatalf("%v(s1=%#x s2=%#x imm=%d): value %#x, reference %#x",
-					op, s1, s2, imm, u.value, want)
+					op, s1, s2, imm, u.Value, want)
 			}
-			if h.exec != u.slot {
+			if h.Exec != u.slot {
 				t.Fatalf("%v: result did not enter the execution slot", op)
 			}
-			if wantReady := now + m.latencyOf(op); h.execReadyAt != wantReady {
-				t.Fatalf("%v: readyAt %d, reference latency gives %d", op, h.execReadyAt, wantReady)
+			if wantReady := now + m.latencyOf(op); h.ExecReadyAt != wantReady {
+				t.Fatalf("%v: readyAt %d, reference latency gives %d", op, h.ExecReadyAt, wantReady)
 			}
 		}
 	}

@@ -12,24 +12,24 @@ import (
 
 // LoadValue parks a load's bank value on its hart until the response is
 // back (a hart has at most one load in flight).
-func (m *Machine) LoadValue(hart uint32, v uint32) { m.harts[hart].loadVal = v }
+func (m *Machine) LoadValue(hart uint32, v uint32) { m.harts[hart].LoadVal = v }
 
 // LoadDone completes a load: the parked value goes into the issuing
-// uop, the one in the hart's result buffer, h.exec, which a load holds
+// uop, the one in the hart's result buffer, h.Exec, which a load holds
 // until delivery.
 func (m *Machine) LoadDone(hart uint32, done uint64) {
 	h := m.harts[hart]
-	u := &h.rob[h.exec]
-	u.value, h.loadVal = h.loadVal, 0
-	u.memWait = false
-	h.execReadyAt = done
-	h.inflightMem--
+	u := &h.Rob[h.Exec]
+	u.Value, h.LoadVal = h.LoadVal, 0
+	u.MemWait = false
+	h.ExecReadyAt = done
+	h.InflightMem--
 	h.core.wbC |= h.bit
 }
 
 // StoreDone acknowledges a store or continuation-value write back at
 // the issuing hart.
-func (m *Machine) StoreDone(hart uint32, _ uint64) { m.harts[hart].inflightMem-- }
+func (m *Machine) StoreDone(hart uint32, _ uint64) { m.harts[hart].InflightMem-- }
 
 // The four control messages the cores exchange over the inter-core
 // links (Figure 9), the Kind of a mem.Msg. Idx and Val are a p_swre's
@@ -51,22 +51,22 @@ func (m *Machine) Deliver(c mem.Msg, done uint64) {
 	th := m.harts[c.Tgt]
 	switch c.Kind {
 	case ctlStart:
-		if th.state != hartAllocated {
+		if th.State != hartAllocated {
 			m.faultf(int(c.FromCore), int(c.FromHart),
-				"start for hart %d in state %d (not allocated)", c.Tgt, th.state)
+				"start for hart %d in state %d (not allocated)", c.Tgt, th.State)
 			return
 		}
 		th.start(c.PC, done)
 		m.stats.Starts++
 		m.event(trace.KindStart, th.core.idx, th.idx, uint64(c.PC))
 	case ctlSignal:
-		th.predSignal = true
+		th.PredSignal = true
 		m.stats.Signals++
 		m.event(trace.KindSignal, th.core.idx, th.idx, uint64(c.Tgt))
 	case ctlJoin:
-		if th.state != hartWaitJoin {
+		if th.State != hartWaitJoin {
 			m.faultf(int(c.FromCore), int(c.FromHart),
-				"join for hart %d in state %d (not waiting)", c.Tgt, th.state)
+				"join for hart %d in state %d (not waiting)", c.Tgt, th.State)
 			return
 		}
 		th.start(c.PC, done)

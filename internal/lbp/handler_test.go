@@ -23,7 +23,7 @@ func TestControlMessageAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("a control message allocates %v times, want 0", allocs)
 	}
-	if m.stats.Signals != 101 || !tgt.predSignal || m.err != nil {
-		t.Errorf("%d signals delivered of 101, target signalled %v, fault %v", m.stats.Signals, tgt.predSignal, m.err)
+	if m.stats.Signals != 101 || !tgt.PredSignal || m.err != nil {
+		t.Errorf("%d signals delivered of 101, target signalled %v, fault %v", m.stats.Signals, tgt.PredSignal, m.err)
 	}
 }

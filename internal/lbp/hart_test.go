@@ -2,11 +2,9 @@ package lbp
 
 import (
 	"fmt"
-	"math/bits"
+	"reflect"
 	"testing"
 	"unsafe"
-
-	"repro/internal/isa"
 )
 
 // Unit tests of the hart-internal structures.
@@ -60,14 +58,14 @@ func TestFreeHartAfterOrder(t *testing.T) {
 		t.Errorf("after 1 -> %d, want 2", got.idx)
 	}
 	// occupy 2 and 3: wraps to 0
-	c.harts[2].state = hartRunning
-	c.harts[3].state = hartRunning
+	c.harts[2].State = hartRunning
+	c.harts[3].State = hartRunning
 	if got := c.freeHartAfter(1); got.idx != 0 {
 		t.Errorf("after 1 with 2,3 busy -> %d, want 0", got.idx)
 	}
 	// everything busy: nil
-	c.harts[0].state = hartRunning
-	c.harts[1].state = hartRunning
+	c.harts[0].State = hartRunning
+	c.harts[1].State = hartRunning
 	if got := c.freeHartAfter(1); got != nil {
 		t.Errorf("all busy -> %v", got.idx)
 	}
@@ -76,21 +74,21 @@ func TestFreeHartAfterOrder(t *testing.T) {
 func TestHartLifecycle(t *testing.T) {
 	m, h := newTestHart()
 	h.allocate(&m.cfg, 0, 10)
-	if h.state != hartAllocated {
+	if h.State != hartAllocated {
 		t.Error("allocate must reserve the hart")
 	}
-	if h.regs[2] != m.cfg.SPInit(1) {
-		t.Errorf("sp = %#x, want %#x", h.regs[2], m.cfg.SPInit(1))
+	if h.Regs[2] != m.cfg.SPInit(1) {
+		t.Errorf("sp = %#x, want %#x", h.Regs[2], m.cfg.SPInit(1))
 	}
-	if !h.hasPred {
+	if !h.HasPred {
 		t.Error("forked harts wait for the predecessor signal")
 	}
 	h.start(0x40, 20)
-	if h.state != hartRunning || h.pc != 0x40 || !h.pcValid {
-		t.Errorf("start: %+v", h.state)
+	if h.State != hartRunning || h.PC != 0x40 || !h.PCValid {
+		t.Errorf("start: %+v", h.State)
 	}
 	h.free(30)
-	if h.state != hartFree || h.pcValid {
+	if h.State != hartFree || h.PCValid {
 		t.Error("free must release the hart")
 	}
 }
@@ -110,15 +108,15 @@ func TestROBRingWraps(t *testing.T) {
 	if s := h.robPush(); s != 0 {
 		t.Errorf("first push after 5 pops took slot %d, want 0 (the ring wraps)", s)
 	}
-	if h.robHead != 5 || h.robN != n-4 {
-		t.Errorf("head %d, %d entries; want 5, %d", h.robHead, h.robN, n-4)
+	if h.RobHead != 5 || h.RobN != n-4 {
+		t.Errorf("head %d, %d entries; want 5, %d", h.RobHead, h.RobN, n-4)
 	}
 	for i := range n {
 		if s := h.robSlot(i); s != (5+i)%n || h.robAge(s) != i {
 			t.Errorf("position %d: slot %d, back to position %d", i, s, h.robAge(s))
 		}
 	}
-	if h.robFront() != &h.rob[5] {
+	if h.robFront() != &h.Rob[5] {
 		t.Error("the front is not the head slot")
 	}
 }
@@ -132,24 +130,55 @@ func TestUopSize(t *testing.T) {
 	}
 }
 
+// TestSavedStateIsPlainData: the exported fields of hart, uop and core
+// are what a checkpoint saves (state.go), so none of them, at any depth,
+// is a pointer, interface, func, map or chan, which gob cannot save as
+// it stands. A host-side link or cache is an unexported field. (mem's
+// TestEventIsPlainData holds the memory events to the same rule.)
+func TestSavedStateIsPlainData(t *testing.T) {
+	fields := 0
+	var walk func(name string, typ reflect.Type)
+	walk = func(name string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if f := typ.Field(i); f.IsExported() {
+					fields++
+					walk(name+"."+f.Name, f.Type)
+				}
+			}
+		case reflect.Array, reflect.Slice:
+			walk(name+"[]", typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Interface, reflect.Func, reflect.Map, reflect.Chan:
+			t.Errorf("%s is a %s", name, typ.Kind())
+		}
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(hart{}), reflect.TypeOf(uop{}), reflect.TypeOf(core{})} {
+		walk(typ.Name(), typ)
+	}
+	if fields == 0 {
+		t.Error("no saved field found")
+	}
+}
+
 func TestWakeCapturesValues(t *testing.T) {
 	_, h := newTestHart()
 	const producer = 2
-	consumer, other := &h.rob[3], &h.rob[4]
-	*consumer = uop{dep1: producer, dep2: producer}
-	*other = uop{dep1: 1, dep2: noSlot}
-	h.it = 1<<3 | 1<<4
+	consumer, other := &h.Rob[3], &h.Rob[4]
+	*consumer = uop{Dep1: producer, Dep2: producer}
+	*other = uop{Dep1: 1, Dep2: noSlot}
+	h.IT = 1<<3 | 1<<4
 	h.wake(producer, 777)
-	if consumer.dep1 != noSlot || consumer.dep2 != noSlot {
+	if consumer.Dep1 != noSlot || consumer.Dep2 != noSlot {
 		t.Error("deps must clear on wake")
 	}
-	if consumer.src1 != 777 || consumer.src2 != 777 {
-		t.Errorf("captured %d/%d", consumer.src1, consumer.src2)
+	if consumer.Src1 != 777 || consumer.Src2 != 777 {
+		t.Errorf("captured %d/%d", consumer.Src1, consumer.Src2)
 	}
 	if !consumer.ready() {
 		t.Error("consumer must be ready")
 	}
-	if other.dep1 != 1 || other.src1 != 0 || other.ready() {
+	if other.Dep1 != 1 || other.Src1 != 0 || other.ready() {
 		t.Error("a uop waiting on another producer must keep waiting")
 	}
 }
@@ -159,13 +188,13 @@ func TestWakeCapturesValues(t *testing.T) {
 // wrap, so its lowest bit is the oldest entry.
 func TestITMaskAgeOrder(t *testing.T) {
 	_, h := newTestHart()
-	n := len(h.rob)
-	h.robHead, h.robN = n-2, 5 // slots n-2, n-1, 0, 1, 2
-	h.it = 1<<(n-1) | 1<<0 | 1<<2
+	n := len(h.Rob)
+	h.RobHead, h.RobN = n-2, 5 // slots n-2, n-1, 0, 1, 2
+	h.IT = 1<<(n-1) | 1<<0 | 1<<2
 	if got, want := h.itAge(), uint64(1<<1|1<<2|1<<4); got != want {
 		t.Errorf("itAge = %b, want %b", got, want)
 	}
-	h.it &^= 1 << 0 // slot 0 issues
+	h.IT &^= 1 << 0 // slot 0 issues
 	if got, want := h.itAge(), uint64(1<<1|1<<4); got != want {
 		t.Errorf("itAge after removing slot 0 = %b, want %b", got, want)
 	}
@@ -174,77 +203,26 @@ func TestITMaskAgeOrder(t *testing.T) {
 	}
 }
 
-// checkSlots asserts what the slot numbers of every hart of m promise:
-// each instruction-table bit is an occupied, unissued ring slot; each
-// register's last writer is occupied, writes that register and has not
-// written back; the result buffer names an occupied slot; and no
-// dependence names a free slot or a younger uop.
-func checkSlots(t testing.TB, m *Machine, label string) {
-	t.Helper()
-	for _, h := range m.harts {
-		var occupied uint64
-		for i := range h.robN {
-			occupied |= 1 << h.robSlot(i)
-		}
-		where := func() string {
-			return fmt.Sprintf("%s: cycle %d hart %d (head %d, %d entries)", label, m.cycle, h.gid, h.robHead, h.robN)
-		}
-		if h.it&^occupied != 0 {
-			t.Fatalf("%s: instruction table %b names free slots (occupied %b)", where(), h.it, occupied)
-		}
-		for o := h.it; o != 0; o &= o - 1 {
-			s := bits.TrailingZeros64(o)
-			if h.rob[s].issued {
-				t.Fatalf("%s: instruction-table slot %d is issued", where(), s)
-			}
-		}
-		for r, s := range h.lastWriter {
-			if s == noSlot {
-				continue
-			}
-			if occupied&(1<<s) == 0 {
-				t.Fatalf("%s: x%d's last writer is free slot %d", where(), r, s)
-			}
-			if u := &h.rob[s]; !u.d.WritesRd() || int(u.d.Inst.Rd) != r || u.done {
-				t.Fatalf("%s: x%d's last writer in slot %d is %s, done=%v", where(), r, s,
-					isa.Disassemble(u.d.Inst, u.pc), u.done)
-			}
-		}
-		if h.exec != noSlot && occupied&(1<<h.exec) == 0 {
-			t.Fatalf("%s: the result buffer names free slot %d", where(), h.exec)
-		}
-		for i := range h.robN {
-			s := h.robSlot(i)
-			u := &h.rob[s]
-			if int(u.slot) != s {
-				t.Fatalf("%s: slot %d holds a uop that names slot %d", where(), s, u.slot)
-			}
-			for _, dep := range []uint8{u.dep1, u.dep2} {
-				if dep != noSlot && (occupied&(1<<dep) == 0 || h.robAge(int(dep)) >= i) {
-					t.Fatalf("%s: slot %d depends on slot %d, free or not older", where(), s, dep)
-				}
-			}
-		}
-	}
-}
-
-// StepCheckingSlots single-steps a loaded machine to its end with
-// Advance(1), checking the slot invariants (checkSlots) before the
-// first cycle and after every one, and returns the run's end: its
-// result or its fault.
-func StepCheckingSlots(t testing.TB, m *Machine, label string) (*Result, error) {
+// StepChecking single-steps a loaded machine to its end with
+// Advance(1), holding it to check (check.go) before the first cycle and
+// after every one, and returns the run's end: its result or its fault.
+func StepChecking(t testing.TB, m *Machine, label string) (*Result, error) {
 	t.Helper()
 	for {
-		checkSlots(t, m, label)
+		if err := m.check(); err != nil {
+			t.Fatalf("%s: cycle %d: %v", label, m.cycle, err)
+		}
 		res, err := m.Advance(1)
 		if res != nil || err != nil {
-			checkSlots(t, m, label)
+			if err := m.check(); err != nil {
+				t.Fatalf("%s: cycle %d: %v", label, m.cycle, err)
+			}
 			return res, err
 		}
 	}
 }
 
-// TestSlotInvariants single-steps the X_PAR corpus under checkSlots and
+// TestSlotInvariants single-steps the X_PAR corpus under check and
 // holds each run to the uninterrupted run's end: same cycle, digest and
 // fault. The five 64-hart matmuls go through the same checker in
 // TestSlotInvariantsMatmul64 (package lbp_test).
@@ -253,7 +231,7 @@ func TestSlotInvariants(t *testing.T) {
 		straight := loadTraced(t, x)
 		_, serr := straight.Run(2_000_000)
 		m := loadTraced(t, x)
-		_, err := StepCheckingSlots(t, m, x.Name)
+		_, err := StepChecking(t, m, x.Name)
 		if fmt.Sprint(err) != fmt.Sprint(serr) || m.cycle != straight.cycle ||
 			m.Trace().Digest() != straight.Trace().Digest() {
 			t.Errorf("%s: stepped run ended at cycle %d digest %#x (%v), uninterrupted at %d / %#x (%v)",

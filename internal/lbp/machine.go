@@ -108,12 +108,41 @@ func New(cfg Config) *Machine {
 	if cfg.ROBEntries > maxSlots {
 		panic("lbp: Config.ROBEntries is above 64")
 	}
+	cores := make([]*core, cfg.Cores)
+	for c := range cores {
+		cores[c] = &core{}
+	}
+	harts := make([]*hart, cfg.Cores*HartsPerCore)
+	// Every hart's reorder buffer is a window of one slab. A hart's ring
+	// is written from its first rename on, so the rings of harts that
+	// never run stay untouched, fresh pages of the allocation.
+	slab := make([]uop, len(harts)*cfg.ROBEntries)
+	for i := range harts {
+		harts[i] = &hart{
+			Rob:    slab[i*cfg.ROBEntries:][:cfg.ROBEntries:cfg.ROBEntries],
+			Remote: make([]remoteRB, cfg.RemoteRBs),
+		}
+	}
+	m := build(cfg, cores, harts)
+	for _, h := range harts {
+		h.reset()
+	}
+	return m
+}
+
+// build makes the machine of cfg around its cores and harts, whose
+// saved fields are set — empty from New, decoded by restore — and wires
+// their host-side ones: the links between machine, cores and harts,
+// indices, candidate-mask bits, counters and busy counts.
+func build(cfg Config, cores []*core, harts []*hart) *Machine {
 	if cfg.Mem.Cores != cfg.Cores {
 		cfg.Mem.Cores = cfg.Cores
 	}
 	m := &Machine{
 		cfg:     cfg,
 		Mem:     mem.New(cfg.Mem),
+		cores:   cores,
+		harts:   harts,
 		fastFwd: true,
 	}
 	m.Mem.SetHandler(m)
@@ -125,31 +154,20 @@ func New(cfg Config) *Machine {
 	}
 	m.latTab[isa.ClassMul] = uint64(cfg.MulLat)
 	m.latTab[isa.ClassDiv] = uint64(cfg.DivLat)
-	m.cores = make([]*core, cfg.Cores)
-	m.harts = make([]*hart, cfg.Cores*HartsPerCore)
-	// Every hart's reorder buffer is a window of one slab. A hart's ring
-	// is written from its first rename on, so the rings of harts that
-	// never run stay untouched, fresh pages of the allocation.
-	slab := make([]uop, len(m.harts)*cfg.ROBEntries)
-	m.hperf = make([]perf.HartCounters, cfg.Cores*HartsPerCore)
-	m.cperf = make([]perf.CoreCounters, cfg.Cores)
-	for c := 0; c < cfg.Cores; c++ {
-		co := &core{m: m, idx: c, perf: &m.cperf[c], idleFrom: 1}
-		for hi := 0; hi < HartsPerCore; hi++ {
-			h := &hart{
-				core:   co,
-				idx:    hi,
-				bit:    1 << hi,
-				gid:    isa.GlobalHart(c, hi),
-				remote: make([]remoteRB, cfg.RemoteRBs),
-			}
-			h.rob = slab[int(h.gid)*cfg.ROBEntries:][:cfg.ROBEntries:cfg.ROBEntries]
+	m.hperf = make([]perf.HartCounters, len(harts))
+	m.cperf = make([]perf.CoreCounters, len(cores))
+	for c, co := range cores {
+		co.m, co.idx, co.perf, co.idleFrom = m, c, &m.cperf[c], 1
+		for hi := range co.harts {
+			h := harts[isa.GlobalHart(c, hi)]
+			h.core, h.idx, h.bit, h.gid = co, hi, 1<<hi, isa.GlobalHart(c, hi)
 			h.perf = &m.hperf[h.gid]
-			h.reset(&m.cfg)
 			co.harts[hi] = h
-			m.harts[h.gid] = h
+			if h.State != hartFree {
+				co.busy++
+				m.activeDirty = true
+			}
 		}
-		m.cores[c] = co
 	}
 	return m
 }
@@ -299,9 +317,9 @@ func (m *Machine) LoadProgram(p *asm.Program) error {
 		}
 	}
 	h0 := m.harts[0]
-	h0.reset(&m.cfg)
+	h0.reset()
 	h0.start(p.Entry, 0)
-	h0.regs[2] = m.cfg.SPInit(0)
+	h0.Regs[2] = m.cfg.SPInit(0)
 	return nil
 }
 
@@ -423,8 +441,8 @@ func (m *Machine) result() *Result {
 	// keep unconditionally; fold them in here instead of every cycle.
 	for _, c := range m.cores {
 		st.Fetched += c.perf.StageBusy[perf.StageFetch]
-		st.Forks += c.statForks
-		st.RemoteSends += c.statSends
+		st.Forks += c.StatForks
+		st.RemoteSends += c.StatSends
 	}
 	for i := range m.hperf {
 		st.PerHart[i] = m.hperf[i].Commits
@@ -444,7 +462,7 @@ func (m *Machine) stuckReport() string {
 	var out strings.Builder
 	shown, more := 0, 0
 	for _, h := range m.harts {
-		if h.state == hartFree {
+		if h.State == hartFree {
 			continue
 		}
 		if shown == stuckReportHarts {
@@ -453,11 +471,11 @@ func (m *Machine) stuckReport() string {
 		}
 		shown++
 		fmt.Fprintf(&out, "\n  core %d hart %d: state=%d pc=%#x pcValid=%v rob=%d it=%d inflight=%d hasPred=%v sig=%v",
-			h.core.idx, h.idx, h.state, h.pc, h.pcValid, h.robN, bits.OnesCount64(h.it),
-			h.inflightMem, h.hasPred, h.predSignal)
-		if h.robN > 0 {
+			h.core.idx, h.idx, h.State, h.PC, h.PCValid, h.RobN, bits.OnesCount64(h.IT),
+			h.InflightMem, h.HasPred, h.PredSignal)
+		if h.RobN > 0 {
 			u := h.robFront()
-			fmt.Fprintf(&out, " head=%s done=%v", isa.Disassemble(u.d.Inst, u.pc), u.done)
+			fmt.Fprintf(&out, " head=%s done=%v", isa.Disassemble(u.d.Inst, u.PC), u.Done)
 		}
 	}
 	if more > 0 {
@@ -513,18 +531,17 @@ func (m *Machine) ReadSharedSlice(addr uint32, n int) ([]uint32, bool) {
 func (m *Machine) Reset(p *asm.Program) error {
 	m.Mem.Reset()
 	for _, h := range m.harts {
-		h.reset(&m.cfg)
+		h.reset()
 		// reset keeps the fields that are monotonic within one run;
 		// between runs they start from zero like on a fresh machine.
-		h.seq = 0
-		h.execReadyAt = 0
-		h.startedBy = 0
-		h.endingEpoch = 0
-		h.lastCommit = 0
+		h.ExecReadyAt = 0
+		h.StartedBy = 0
+		h.EndingEpoch = 0
+		h.LastCommit = 0
 	}
 	for _, c := range m.cores {
-		c.fetchRR, c.renameRR, c.issueRR, c.wbRR, c.commitRR = 0, 0, 0, 0, 0
-		c.statForks, c.statSends = 0, 0
+		c.FetchRR, c.RenameRR, c.IssueRR, c.WbRR, c.CommitRR = 0, 0, 0, 0, 0
+		c.StatForks, c.StatSends = 0, 0
 		c.idleFrom = 0 // restamped by rebuildActive below
 	}
 	m.cycle = 0

@@ -451,7 +451,7 @@ spin:
 	}
 	live := 0
 	for _, h := range m.harts {
-		if h.state != hartFree {
+		if h.State != hartFree {
 			live++
 		}
 	}

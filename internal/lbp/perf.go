@@ -46,7 +46,7 @@ func (m *Machine) PerfSnapshot() *perf.Snapshot {
 func (m *Machine) profTick(now uint64) {
 	for _, c := range m.active {
 		for _, h := range c.harts {
-			if h.lastCommit == now {
+			if h.LastCommit == now {
 				continue // counted by Commits at the commit stage
 			}
 			h.perf.Stalls[classifyStall(h)]++
@@ -65,7 +65,7 @@ func (m *Machine) creditIdle(c *core, upto uint64) {
 	}
 	for _, h := range c.harts {
 		n := upto - c.idleFrom
-		if h.lastCommit == c.idleFrom {
+		if h.LastCommit == c.idleFrom {
 			n--
 		}
 		h.perf.Stalls[perf.StallHartFree] += n
@@ -89,7 +89,7 @@ func (m *Machine) flushIdle() {
 // first, then the oldest in-flight instruction's blockers, then the
 // fetch-side conditions for an empty pipeline.
 func classifyStall(h *hart) perf.StallCause {
-	switch h.state {
+	switch h.State {
 	case hartFree:
 		return perf.StallHartFree
 	case hartAllocated:
@@ -98,25 +98,25 @@ func classifyStall(h *hart) perf.StallCause {
 	case hartWaitJoin:
 		return perf.StallJoin
 	}
-	if h.exec != noSlot && h.rob[h.exec].memWait {
+	if h.Exec != noSlot && h.Rob[h.Exec].MemWait {
 		return perf.StallMem
 	}
-	if h.robN > 0 {
+	if h.RobN > 0 {
 		u := h.robFront()
 		switch {
-		case u.done:
+		case u.Done:
 			if u.isRet {
 				// p_ret commit gating (the hardware barrier)
-				if h.hasPred && !h.predSignal {
+				if h.HasPred && !h.PredSignal {
 					return perf.StallJoin
 				}
-				if h.inflightMem > 0 {
+				if h.InflightMem > 0 {
 					return perf.StallMem
 				}
 			}
 			// completed, waiting for the commit slot
 			return perf.StallPipeline
-		case !u.issued:
+		case !u.Issued:
 			if !u.ready() {
 				return perf.StallOperand
 			}
@@ -126,7 +126,7 @@ func classifyStall(h *hart) perf.StallCause {
 			case isa.OpPLWRE:
 				return perf.StallOperand // p_swre result not yet arrived
 			}
-			if u.needsRB && h.exec != noSlot {
+			if u.needsRB && h.Exec != noSlot {
 				return perf.StallPipeline // 1-deep result buffer occupied
 			}
 			if u.d.Cls == isa.ClassLoad || u.d.Cls == isa.ClassStore {
@@ -139,10 +139,10 @@ func classifyStall(h *hart) perf.StallCause {
 			return perf.StallPipeline
 		}
 	}
-	if h.hasIB {
+	if h.HasIB {
 		return perf.StallPipeline // waiting for the rename slot
 	}
-	if h.syncmWait && h.inflightMem > 0 {
+	if h.SyncmWait && h.InflightMem > 0 {
 		return perf.StallMem
 	}
 	// pipeline empty: waiting for the next pc or the fetch slot

@@ -44,7 +44,7 @@ func (m *Machine) applyLate(now uint64) {
 			m.fail(it.err)
 			continue
 		}
-		c, u := it.h.core, &it.h.rob[it.slot]
+		c, u := it.h.core, &it.h.Rob[it.slot]
 		ev := it.ev - dropped
 		fh := m.cores[c.idx+1].freeHart()
 		if fh == nil {
@@ -53,11 +53,11 @@ func (m *Machine) applyLate(now uint64) {
 				m.lateEvents = slices.Delete(m.lateEvents, ev, ev+1)
 				dropped++
 			}
-			m.faultf(c.idx, it.h.idx, "fork allocation raced (pc %#x)", u.pc)
+			m.faultf(c.idx, it.h.idx, "fork allocation raced (pc %#x)", u.PC)
 			continue
 		}
 		fh.allocate(&m.cfg, it.h.gid, now)
-		u.value = fh.gid // before the earliest writeback can read it
+		u.Value = fh.gid // before the earliest writeback can read it
 		m.stats.Forks++
 		if m.tracing {
 			m.lateEvents[ev].Value = uint64(fh.gid)
@@ -114,14 +114,14 @@ func (m *Machine) nextWake(now uint64) (uint64, bool) {
 	}
 	for _, c := range m.active {
 		for _, h := range c.harts {
-			if h.state != hartRunning {
+			if h.State != hartRunning {
 				continue // allocated/waiting harts wake on queued messages
 			}
-			if h.pcValid && !h.hasIB && h.pcReadyCycle > now && h.pcReadyCycle < wake {
-				wake = h.pcReadyCycle
+			if h.PCValid && !h.HasIB && h.PCReady > now && h.PCReady < wake {
+				wake = h.PCReady
 			}
-			if h.exec != noSlot && !h.rob[h.exec].memWait && h.execReadyAt > now && h.execReadyAt < wake {
-				wake = h.execReadyAt
+			if h.Exec != noSlot && !h.Rob[h.Exec].MemWait && h.ExecReadyAt > now && h.ExecReadyAt < wake {
+				wake = h.ExecReadyAt
 			}
 		}
 	}

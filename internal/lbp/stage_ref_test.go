@@ -27,38 +27,38 @@ type stageRef struct {
 // refStages lists the stages in the order stepCompute runs them.
 var refStages = []stageRef{
 	{perf.StageCommit, (*core).commit,
-		func(c *core) *uint8 { return &c.commitC }, func(c *core) *int { return &c.commitRR },
+		func(c *core) *uint8 { return &c.commitC }, func(c *core) *int { return &c.CommitRR },
 		func(c *core, h *hart, now uint64) bool {
-			if h.robN == 0 || !h.robFront().done {
+			if h.RobN == 0 || !h.robFront().Done {
 				return false
 			}
 			if u := h.robFront(); u.isRet {
-				if (h.hasPred && !h.predSignal) || h.inflightMem > 0 || h.exec != noSlot {
+				if (h.HasPred && !h.PredSignal) || h.InflightMem > 0 || h.Exec != noSlot {
 					return false
 				}
 			}
 			return true
 		}},
 	{perf.StageWriteback, (*core).writeback,
-		func(c *core) *uint8 { return &c.wbC }, func(c *core) *int { return &c.wbRR },
+		func(c *core) *uint8 { return &c.wbC }, func(c *core) *int { return &c.WbRR },
 		func(c *core, h *hart, now uint64) bool {
-			return !(h.exec == noSlot || h.rob[h.exec].memWait || h.execReadyAt > now)
+			return !(h.Exec == noSlot || h.Rob[h.Exec].MemWait || h.ExecReadyAt > now)
 		}},
 	{perf.StageIssue, (*core).issue,
-		func(c *core) *uint8 { return &c.issueC }, func(c *core) *int { return &c.issueRR },
+		func(c *core) *uint8 { return &c.issueC }, func(c *core) *int { return &c.IssueRR },
 		func(c *core, h *hart, now uint64) bool { return c.issuable(h) >= 0 }},
 	{perf.StageRename, (*core).rename,
-		func(c *core) *uint8 { return &c.renameC }, func(c *core) *int { return &c.renameRR },
+		func(c *core) *uint8 { return &c.renameC }, func(c *core) *int { return &c.RenameRR },
 		func(c *core, h *hart, now uint64) bool {
-			return !(!h.hasIB || h.itFull(&c.m.cfg) || h.robFull(&c.m.cfg))
+			return !(!h.HasIB || h.itFull(&c.m.cfg) || h.robFull(&c.m.cfg))
 		}},
 	{perf.StageFetch, (*core).fetch,
-		func(c *core) *uint8 { return &c.fetchC }, func(c *core) *int { return &c.fetchRR },
+		func(c *core) *uint8 { return &c.fetchC }, func(c *core) *int { return &c.FetchRR },
 		func(c *core, h *hart, now uint64) bool {
-			if h.state != hartRunning || !h.pcValid || h.pcReadyCycle > now || h.hasIB {
+			if h.State != hartRunning || !h.PCValid || h.PCReady > now || h.HasIB {
 				return false
 			}
-			if h.syncmWait && h.inflightMem > 0 {
+			if h.SyncmWait && h.InflightMem > 0 {
 				return false
 			}
 			return true

@@ -3,6 +3,7 @@ package lbp
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os/exec"
 	"reflect"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -191,12 +193,12 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// The checkpoint fixtures. checkpoint_v5_8core.bin is an 8-core placed
+// The checkpoint fixtures. checkpoint_v6_8core.bin is an 8-core placed
 // set/get run stopped at cycle 4000 with a digest recorder attached:
-// the version-4 fixture of the same machine converted to version 5
-// (EXPERIMENTS E45 and E37 have the recipe, E29 the run it came from).
-// checkpoint_v1_prefix.bin through checkpoint_v4_prefix.bin are the
-// first KiB of the same machine in the four retired formats.
+// the version-5 fixture of the same machine converted to version 6
+// (EXPERIMENTS E46, E45 and E37 have the recipe, E29 the run it came
+// from). checkpoint_v1_prefix.bin through checkpoint_v5_prefix.bin are
+// the first KiB of the same machine in the five retired formats.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -228,7 +230,7 @@ func encode(t testing.TB, sm *savedMachine) []byte {
 
 const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 
-// TestCheckpointV5Format is the cross-build pin on the one checkpoint
+// TestCheckpointV6Format is the cross-build pin on the one checkpoint
 // format: a stream another build wrote restores, re-checkpoints to the
 // very same bytes — so the test fails whenever a saved struct changes
 // without a checkpointVersion bump — and runs to the end of the
@@ -237,16 +239,16 @@ const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 // gob numbers types process-wide in first-use order, so any gob value
 // an earlier test encoded would renumber the stream; the comparison
 // runs in a process of its own.
-func TestCheckpointV5Format(t *testing.T) {
+func TestCheckpointV6Format(t *testing.T) {
 	if os.Getenv(pinChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV5Format$")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV6Format$")
 		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		return
 	}
-	want := fixture(t, "checkpoint_v5_8core.bin")
+	want := fixture(t, "checkpoint_v6_8core.bin")
 	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -278,15 +280,15 @@ func TestCheckpointV5Format(t *testing.T) {
 }
 
 // TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
-// LBPCKPT2 version 2, LBPCKPT3 version 3, LBPCKPT4 version 4 — are
-// refused by name, like any other bytes that are not a checkpoint.
+// LBPCKPT2 version 2 through LBPCKPT5 version 5 — are refused by name,
+// like any other bytes that are not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
 	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin",
-		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin"} {
+		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin", "checkpoint_v5_prefix.bin"} {
 		_, err := Restore(fixture(t, name))
 		var ce *CheckpointError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-5 checkpoint") {
-			t.Errorf("restore of %s: %v, want the not-a-version-5-checkpoint CheckpointError", name, err)
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-6 checkpoint") {
+			t.Errorf("restore of %s: %v, want the not-a-version-6-checkpoint CheckpointError", name, err)
 		}
 	}
 }
@@ -296,16 +298,16 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // allocated from them — RemoteRBs = -1 used to panic inside New, and
 // 4096 cores (above MaxCores) used to be built.
 func TestReadCheckpointRefusals(t *testing.T) {
-	v5 := fixture(t, "checkpoint_v5_8core.bin")
+	v6 := fixture(t, "checkpoint_v6_8core.bin")
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"empty", nil, "magic"},
-		{"magic only", v5[:8], "decoding"},
-		{"first 400 bytes", v5[:400], "decoding"},
-		{"mid-machine", v5[:len(v5)/2], "decoding"},
+		{"magic only", v6[:8], "decoding"},
+		{"first 400 bytes", v6[:400], "decoding"},
+		{"mid-machine", v6[:len(v6)/2], "decoding"},
 		{"RemoteRBs=-1", configOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
 		{"Cores=4096", configOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
 		{"ROBEntries=0", configOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
@@ -328,7 +330,7 @@ func TestReadCheckpointRefusals(t *testing.T) {
 func badRoundRobin(t testing.TB) []byte {
 	t.Helper()
 	m := New(DefaultConfig(1))
-	m.cores[0].issueRR = -9
+	m.cores[0].IssueRR = -9
 	data, err := m.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
@@ -347,6 +349,14 @@ func rewrite(t testing.TB, data []byte, edit func(*savedMachine)) []byte {
 	}
 	edit(&sm)
 	return encode(t, &sm)
+}
+
+// added appends a zero element to *s and returns it: how a test adds a
+// memory event, whose type mem does not export.
+func added[E any](s *[]E) *E {
+	var zero E
+	*s = append(*s, zero)
+	return &(*s)[len(*s)-1]
 }
 
 // Some of mem's event kinds (access.go), as a checkpoint numbers them:
@@ -395,17 +405,10 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	event := func(edit func(*mem.EventState)) func(*savedMachine) {
-		return func(sm *savedMachine) { edit(&sm.Mem.Events[read]) }
-	}
-	// extra adds an event of kind k after the last one scheduled.
-	extra := func(k uint8, edit func(*mem.EventState)) func(*savedMachine) {
-		return func(sm *savedMachine) {
-			sm.Mem.Seq++
-			e := mem.EventState{Cycle: sm.Cycle + 1, Seq: sm.Mem.Seq, Kind: k}
-			edit(&e)
-			sm.Mem.Events = append(sm.Mem.Events, e)
-		}
+	// emptyRB is a hart whose result buffer is empty at the checkpoint.
+	emptyRB := uint32(0)
+	for m.harts[emptyRB].Exec != noSlot {
+		emptyRB++
 	}
 	harts := uint32(2 * HartsPerCore)
 	var out []hostileCheckpoint
@@ -414,23 +417,29 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		edit func(*savedMachine)
 		want string
 	}{
-		{"event bank 9999", event(func(e *mem.EventState) { e.Core = 9999 }), "bank 9999"},
-		{"event bank -1", event(func(e *mem.EventState) { e.Core = -1 }), "bank -1"},
-		{"event word 1<<30", event(func(e *mem.EventState) { e.Off = 1 << 30 }), "word 1073741824"},
-		{"load of hart 8 of 8", event(func(e *mem.EventState) { e.Hart = harts }), "names hart 8 of 8"},
-		{"store ack of hart 8 of 8", extra(evStoreDone, func(e *mem.EventState) { e.Hart = harts }), "names hart 8 of 8"},
-		{"message to hart 8 of 8", extra(evMessage, func(e *mem.EventState) {
-			e.Hart, e.MsgKind = harts, ctlSignal
-		}), "names hart 8 of 8"},
-		{"event kind 200", event(func(e *mem.EventState) { e.Kind = 200 }), "unknown kind"},
-		{"access width 3", event(func(e *mem.EventState) { e.Width = 3 }), "width 3"},
+		{"event bank 9999", func(sm *savedMachine) { sm.Mem.Events[read].Core = 9999 }, "bank 9999"},
+		{"event bank -1", func(sm *savedMachine) { sm.Mem.Events[read].Core = -1 }, "bank -1"},
+		{"event word 1<<30", func(sm *savedMachine) { sm.Mem.Events[read].Off = 1 << 30 }, "word 1073741824"},
+		{"load of hart 8 of 8", func(sm *savedMachine) { sm.Mem.Events[read].Hart = harts }, "names hart 8 of 8"},
+		{"store ack of hart 8 of 8", func(sm *savedMachine) {
+			e := added(&sm.Mem.Events)
+			sm.Mem.Seq++
+			e.Cycle, e.Seq, e.Kind, e.Hart = sm.Cycle+1, sm.Mem.Seq, evStoreDone, harts
+		}, "names hart 8 of 8"},
+		{"message to hart 8 of 8", func(sm *savedMachine) {
+			e := added(&sm.Mem.Events)
+			sm.Mem.Seq++
+			e.Cycle, e.Seq, e.Kind, e.Hart, e.MsgKind = sm.Cycle+1, sm.Mem.Seq, evMessage, harts, ctlSignal
+		}, "names hart 8 of 8"},
+		{"event kind 200", func(sm *savedMachine) { sm.Mem.Events[read].Kind = 200 }, "unknown kind"},
+		{"access width 3", func(sm *savedMachine) { sm.Mem.Events[read].Width = 3 }, "width 3"},
 		{"event due at the checkpoint's cycle", func(sm *savedMachine) {
 			sm.Mem.Events[read].Cycle = sm.Cycle
-		}, "not after the state's cycle"},
+		}, "not after the clock"},
 		{"event due before the checkpoint's cycle", func(sm *savedMachine) {
 			sm.Mem.Events[read].Cycle = sm.Cycle - 1
-		}, "not after the state's cycle"},
-		{"event seq 0", event(func(e *mem.EventState) { e.Seq = 0 }), "has seq 0"},
+		}, "not after the clock"},
+		{"event seq 0", func(sm *savedMachine) { sm.Mem.Events[read].Seq = 0 }, "has seq 0"},
 		{"event seq past the saved Seq", func(sm *savedMachine) {
 			sm.Mem.Events[read].Seq = sm.Mem.Seq + 1
 		}, "outside [1,"},
@@ -440,20 +449,22 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		{"one link short", func(sm *savedMachine) {
 			sm.Mem.Links = sm.Mem.Links[1:]
 		}, "links"},
-		{"message kind past p_swre", extra(evMessage, func(e *mem.EventState) { e.MsgKind = ctlSwre + 1 }),
-			"control-message kind 4"},
+		{"message kind past p_swre", func(sm *savedMachine) {
+			e := added(&sm.Mem.Events)
+			sm.Mem.Seq++
+			e.Cycle, e.Seq, e.Kind, e.MsgKind = sm.Cycle+1, sm.Mem.Seq, evMessage, ctlSwre+1
+		}, "control-message kind 4"},
 		{"result buffer over depth", func(sm *savedMachine) {
-			sm.Harts[1].Remote[0] = make([]uint32, sm.Cfg.RBDepth+1)
+			sm.Harts[1].Remote[0].Vals = make([]uint32, sm.Cfg.RBDepth+1)
 		}, "result buffer"},
 		{"instruction table over capacity", func(sm *savedMachine) {
-			sm.Harts[1].IT = make([]int32, sm.Cfg.ITEntries+1)
-		}, "instruction-table"},
+			sm.Harts[1].IT = 1<<(sm.Cfg.ITEntries+1) - 1
+		}, "instruction table"},
 		{"load past the ring of a hart with no result buffer", func(sm *savedMachine) {
 			// Due on the next cycle, the load would be delivered into
 			// slot 255 of a 16-slot ring before the hart could fault.
 			e := &sm.Mem.Events[read]
-			sm.Harts[e.Hart].Exec = -1
-			e.Cycle = sm.Cycle + 1
+			e.Hart, e.Cycle = emptyRB, sm.Cycle+1
 		}, "result buffer is empty"},
 		{"ROBEntries=65", func(sm *savedMachine) { sm.Cfg.ROBEntries = 65 }, "ROBEntries"},
 		{"ITEntries=65", func(sm *savedMachine) { sm.Cfg.ITEntries = 65 }, "ITEntries"},
@@ -482,17 +493,16 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 		out = append(out, hostileCheckpoint{row.name, rewrite(t, base, row.edit), row.want})
 	}
 
-	// The reorder-buffer rows need a hart with two entries in flight:
-	// the same run, a few cycles on. Each edits that hart's first two
-	// entries, made unissued and dependence-free first, so the edit
-	// alone decides what restore refuses.
+	// The reorder-buffer rows need a hart whose youngest entry waits in
+	// the instruction table behind an older one: the same run, a few
+	// cycles on. Each row edits one field of the hart or of that entry.
 	robHart := -1
 	for robHart < 0 {
 		if res, err := m.Advance(1); res != nil || err != nil {
-			t.Fatalf("no hart with two reorder-buffer entries before the run ended (res=%v err=%v)", res, err)
+			t.Fatalf("no hart with an unissued reorder-buffer entry behind another before the run ended (res=%v err=%v)", res, err)
 		}
 		for _, h := range m.harts {
-			if h.robN >= 2 {
+			if h.RobN >= 2 && h.RobN < len(h.Rob) && !h.Rob[h.robSlot(h.RobN-1)].Issued {
 				robHart = int(h.gid)
 				break
 			}
@@ -502,33 +512,185 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := m.harts[robHart]
+	young, free := uint8(h.robSlot(h.RobN-1)), uint8(h.robSlot(h.RobN))
 	for _, row := range []struct {
 		name string
-		edit func(sh *savedHart)
+		edit func(sh *hart)
 		want string
 	}{
-		{"instruction table repeats an entry", func(sh *savedHart) { sh.IT = []int32{0, 0} }, "do not ascend"},
-		{"instruction table out of rename order", func(sh *savedHart) { sh.IT = []int32{1, 0} }, "do not ascend"},
-		{"instruction table holds an issued uop", func(sh *savedHart) { sh.Rob[1].Issued = true }, "is issued"},
-		{"uop depends on itself", func(sh *savedHart) { sh.Rob[1].Dep1 = 1 }, "not older ones"},
-		{"uop depends on a younger one", func(sh *savedHart) { sh.Rob[0].Dep2 = 1 }, "not older ones"},
-		{"rob entry out of rename order", func(sh *savedHart) { sh.Rob[1].Seq++ }, "rename order"},
-		{"p_ret operands apart from its sources", func(sh *savedHart) {
-			sh.Rob[0].IsRet, sh.Rob[0].Issued, sh.Rob[0].RetRA = true, true, sh.Rob[0].Src1+1
-			sh.IT = []int32{1}
-		}, "p_ret operands"},
-		{"result buffer past the rob", func(sh *savedHart) { sh.Exec = int32(len(sh.Rob)) }, "names rob entry"},
+		{"instruction table misses an unissued uop", func(sh *hart) { sh.IT &^= 1 << young }, "in the instruction table=false"},
+		{"instruction table holds an issued uop", func(sh *hart) { sh.Rob[young].Issued = true }, "in the instruction table=true"},
+		{"instruction table names a free slot", func(sh *hart) { sh.IT |= 1 << free }, "names free slots"},
+		{"uop depends on itself", func(sh *hart) { sh.Rob[young].Dep1 = young }, "not older"},
+		{"uop depends on a free slot", func(sh *hart) { sh.Rob[young].Dep2 = free }, "free or not older"},
+		{"result buffer names a free slot", func(sh *hart) { sh.Exec = free }, "names free slot"},
+		{"rob head past the ring", func(sh *hart) { sh.RobHead = len(sh.Rob) }, "rob head"},
+		{"more entries than the ring", func(sh *hart) { sh.RobN = len(sh.Rob) + 1 }, "rob head"},
 	} {
 		out = append(out, hostileCheckpoint{row.name, rewrite(t, deep, func(sm *savedMachine) {
-			sh := &sm.Harts[robHart]
-			for j := range 2 {
-				sh.Rob[j].Issued, sh.Rob[j].Done, sh.Rob[j].Dep1, sh.Rob[j].Dep2 = false, false, -1, -1
-			}
-			sh.IT = []int32{0, 1}
-			row.edit(sh)
+			row.edit(sm.Harts[robHart])
+		}), row.want})
+	}
+	v6 := fixture(t, "checkpoint_v6_8core.bin")
+	for _, row := range fixtureEdits {
+		out = append(out, hostileCheckpoint{row.name, rewrite(t, v6, func(sm *savedMachine) {
+			row.edit.apply(t, sm)
 		}), row.want})
 	}
 	return out
+}
+
+// A fieldEdit sets one number or bool of a decoded checkpoint, named by
+// its path from savedMachine as leaves spells it, to value.
+type fieldEdit struct {
+	path  string
+	value int64
+}
+
+func (e fieldEdit) apply(t testing.TB, sm *savedMachine) {
+	t.Helper()
+	for _, l := range leaves(nil, "", reflect.ValueOf(sm).Elem()) {
+		if l.path == e.path {
+			l.set(e.value)
+			return
+		}
+	}
+	t.Fatalf("the checkpoint has no field %s", e.path)
+}
+
+// fixtureEdits are one-field edits of checkpoint_v6_8core.bin, each a
+// machine no run reaches, and the words of check's refusal. The format
+// before check took every one of them: four stalled the run into the
+// livelock fault and three changed its answer (ROADMAP). At cycle 4000
+// harts 23-31 run: hart 23 has a mul in its result buffer at pc 0x120
+// and the fetch buffer full, hart 24 one done addi s4 (x20), hart 26 a
+// store acknowledgement in flight, hart 28 a done entry ahead of an
+// unissued addi s5, hart 30 an addi issued into its result buffer,
+// hart 31 one unissued entry.
+var fixtureEdits = []struct {
+	name string
+	edit fieldEdit
+	want string
+}{
+	{"rob entry's code word 0xffffffff", fieldEdit{"Mem.Code[72]", 0xffffffff}, "holds no instruction at pc 0x120"},
+	{"inflight count 5, no access in flight", fieldEdit{"Harts[23].InflightMem", 5}, "counts 5 memory accesses in flight, 0 are"},
+	{"inflight count -3", fieldEdit{"Harts[26].InflightMem", -3}, "counts -3 memory accesses in flight, 1 are"},
+	{"issued, not done uop with an empty result buffer", fieldEdit{"Harts[30].Exec", noSlot}, "issued and not done outside the result buffer"},
+	{"memory wait with no load in flight", fieldEdit{"Harts[30].Rob[0].MemWait", 1}, "0 loads in flight"},
+	{"clock 0", fieldEdit{"Cycle", 0}, "past the clock"},
+	{"result buffer holds a done uop", fieldEdit{"Harts[24].Exec", 0}, "done=true"},
+	{"last writer is a done uop", fieldEdit{"Harts[24].LastWriter[20]", 0}, "x20's last writer is slot 0"},
+	{"free hart holding rob entries", fieldEdit{"Harts[23].State", int64(hartFree)}, "holds work"},
+	{"load value parked with no load in flight", fieldEdit{"Harts[24].LoadVal", 7}, "parks a load value"},
+	{"last commit after the clock", fieldEdit{"Harts[24].LastCommit", 4001}, "past the clock"},
+	{"dependence on a producer of another register", fieldEdit{"Harts[28].Rob[1].Dep1", 0}, "does not produce x21"},
+	{"fetch buffer at an unmapped pc", fieldEdit{"Harts[27].IB.PC", 0x40000000}, "fetch buffer holds no instruction"},
+	{"unissued uop missing from the instruction table", fieldEdit{"Harts[31].IT", 0}, "in the instruction table=false"},
+}
+
+// leaf is one settable number or bool of a decoded checkpoint.
+type leaf struct {
+	path string
+	v    reflect.Value
+}
+
+// leaves appends the numbers and bools reachable from v through
+// exported fields, elements and pointers, depth first, with their paths.
+func leaves(out []leaf, path string, v reflect.Value) []leaf {
+	switch v.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return append(out, leaf{path, v})
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return leaves(out, path, v.Elem())
+		}
+	case reflect.Slice, reflect.Array:
+		for i := range v.Len() {
+			out = leaves(out, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() {
+				out = leaves(out, strings.TrimPrefix(path+"."+f.Name, "."), v.Field(i))
+			}
+		}
+	}
+	return out
+}
+
+// set stores x in the leaf, truncated to its type (a bool is x's low bit).
+func (l leaf) set(x int64) {
+	switch l.v.Kind() {
+	case reflect.Bool:
+		l.v.SetBool(x&1 != 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		l.v.SetInt(x)
+	default:
+		l.v.SetUint(uint64(x))
+	}
+}
+
+// fuzzEditCycles bounds the run of a machine FuzzRestoreEdit restores:
+// the fixture's run ends 4,683 cycles after its checkpoint, and an edit
+// that stalls a hart meets the livelock fault only 100,000 cycles on.
+const fuzzEditCycles = 10_000
+
+// FuzzRestoreEdit is FuzzReadCheckpoint for streams that stay
+// well-formed. The input is a list of (field, value) varint pairs: a
+// field is a leaf of the decoded checkpoint_v6_8core.bin by its index in
+// leaves order (modulo their number), set to the value; the stream is
+// re-encoded and restored. Restore answers a CheckpointError, or a
+// machine that check holds to after every cycle of its run, to the end,
+// a fault or fuzzEditCycles. The seeds are fixtureEdits and no edit.
+func FuzzRestoreEdit(f *testing.F) {
+	v6 := fixture(f, "checkpoint_v6_8core.bin")
+	var sm savedMachine
+	if err := gob.NewDecoder(bytes.NewReader(v6[len(checkpointMagic):])).Decode(&sm); err != nil {
+		f.Fatal(err)
+	}
+	index := map[string]uint64{}
+	for i, l := range leaves(nil, "", reflect.ValueOf(&sm).Elem()) {
+		index[l.path] = uint64(i)
+	}
+	f.Add([]byte{})
+	for _, row := range fixtureEdits {
+		f.Add(binary.AppendVarint(binary.AppendUvarint(nil, index[row.edit.path]), row.edit.value))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		data := rewrite(t, v6, func(sm *savedMachine) {
+			ls := leaves(nil, "", reflect.ValueOf(sm).Elem())
+			for len(in) > 0 {
+				i, n := binary.Uvarint(in)
+				if n <= 0 {
+					return
+				}
+				x, k := binary.Varint(in[n:])
+				if k <= 0 {
+					return
+				}
+				in = in[n+k:]
+				ls[i%uint64(len(ls))].set(x)
+			}
+		})
+		m, err := Restore(data)
+		if err != nil {
+			if ce := (*CheckpointError)(nil); !errors.As(err, &ce) {
+				t.Fatalf("restore: %v (%T)", err, err)
+			}
+			return
+		}
+		for range fuzzEditCycles {
+			res, err := m.Advance(1)
+			if cerr := m.check(); cerr != nil {
+				t.Fatalf("cycle %d: %v", m.cycle, cerr)
+			}
+			if res != nil || err != nil {
+				return
+			}
+		}
+	})
 }
 
 // unsortedEventsCheckpoint takes a mid-run checkpoint of a traced 2-core
@@ -576,8 +738,9 @@ func unsortedEventsCheckpoint(t testing.TB) (sorted, unsorted []byte) {
 				e.Seq, e.Hart, e.MsgKind = sm.Mem.Seq, tgt, ctlSignal
 				sm.Mem.Events = append(sm.Mem.Events, e)
 			}
-			slices.SortFunc(sm.Mem.Events, func(a, b mem.EventState) int {
-				return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Seq, b.Seq))
+			evs := sm.Mem.Events
+			sort.Slice(evs, func(i, j int) bool {
+				return cmp.Or(cmp.Compare(evs[i].Cycle, evs[j].Cycle), cmp.Compare(evs[i].Seq, evs[j].Seq)) < 0
 			})
 			if reverse {
 				slices.Reverse(sm.Mem.Events)
@@ -752,11 +915,11 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 // pages) is rebuilt from whatever the stream claimed, so stepping is the
 // property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
-	v5 := fixture(f, "checkpoint_v5_8core.bin")
-	f.Add(v5)
-	f.Add(v5[:8])
-	f.Add(v5[:400])
-	f.Add(v5[:len(v5)/2])
+	v6 := fixture(f, "checkpoint_v6_8core.bin")
+	f.Add(v6)
+	f.Add(v6[:8])
+	f.Add(v6[:400])
+	f.Add(v6[:len(v6)/2])
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
 	f.Add(configOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
 	f.Add(configOnly(f, func(c *Config) { c.Cores = 4096 }))
@@ -769,6 +932,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	}
 	f.Add(fixture(f, "checkpoint_v3_prefix.bin"))
 	f.Add(fixture(f, "checkpoint_v4_prefix.bin"))
+	f.Add(fixture(f, "checkpoint_v5_prefix.bin"))
 	_, unsorted := unsortedEventsCheckpoint(f)
 	f.Add(unsorted)
 	f.Fuzz(func(t *testing.T, data []byte) {

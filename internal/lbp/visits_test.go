@@ -61,8 +61,8 @@ func TestStageVisitsMatmul64(t *testing.T) {
 }
 
 // TestSlotInvariantsMatmul64 single-steps the five 64-hart matmuls under
-// the slot checker (StepCheckingSlots, hart_test.go) and holds each to
-// its uninterrupted run's cycle count and digest.
+// the machine's invariant checker (StepChecking, hart_test.go) and holds
+// each to its uninterrupted run's cycle count and digest.
 func TestSlotInvariantsMatmul64(t *testing.T) {
 	if testing.Short() {
 		t.Skip("five whole 64-hart runs, one Advance per cycle")
@@ -85,7 +85,7 @@ func TestSlotInvariantsMatmul64(t *testing.T) {
 		if _, err := runs[0].Run(workloads.MaxMatmulCycles(h)); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		if _, err := lbp.StepCheckingSlots(t, runs[1], string(v)); err != nil {
+		if _, err := lbp.StepChecking(t, runs[1], string(v)); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
 		if a, b := runs[0], runs[1]; a.Cycle() != b.Cycle() || a.Trace().Digest() != b.Trace().Digest() {

@@ -43,12 +43,12 @@ func (c *core) freeHart() *hart {
 // when earlier members have already ended and freed their harts.
 func (c *core) freeHartAfter(after int) *hart {
 	for i := after + 1; i < HartsPerCore; i++ {
-		if c.harts[i].state == hartFree {
+		if c.harts[i].State == hartFree {
 			return c.harts[i]
 		}
 	}
 	for i := 0; i <= after && i < HartsPerCore; i++ {
-		if c.harts[i].state == hartFree {
+		if c.harts[i].State == hartFree {
 			return c.harts[i]
 		}
 	}
@@ -61,12 +61,12 @@ func (c *core) execPFC(h *hart, u *uop, now uint64) {
 	fh := c.freeHartAfter(h.idx)
 	if fh == nil {
 		// canIssue guarantees availability
-		c.faultf(h.idx, "fork allocation raced (pc %#x)", u.pc)
+		c.faultf(h.idx, "fork allocation raced (pc %#x)", u.PC)
 		return
 	}
 	fh.allocate(&c.m.cfg, h.gid, now)
-	u.value = fh.gid
-	c.statForks++
+	u.Value = fh.gid
+	c.StatForks++
 	c.m.event(trace.KindFork, c.idx, h.idx, uint64(fh.gid))
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
@@ -81,7 +81,7 @@ func (c *core) execPFC(h *hart, u *uop, now uint64) {
 func (c *core) execPFN(h *hart, u *uop, now uint64) {
 	m := c.m
 	if c.idx+1 >= len(m.cores) {
-		c.faultf(h.idx, "p_fn past the last core (pc %#x)", u.pc)
+		c.faultf(h.idx, "p_fn past the last core (pc %#x)", u.PC)
 		return
 	}
 	m.late = append(m.late, lateItem{h: h, slot: u.slot, ev: len(m.lateEvents)})
@@ -90,28 +90,28 @@ func (c *core) execPFN(h *hart, u *uop, now uint64) {
 }
 
 func execPSET(c *core, h *hart, u *uop, now uint64) {
-	u.value = isa.PSet(u.src1, h.gid)
+	u.Value = isa.PSet(u.Src1, h.gid)
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func execPMERGE(c *core, h *hart, u *uop, now uint64) {
-	u.value = isa.PMerge(u.src1, u.src2)
+	u.Value = isa.PMerge(u.Src1, u.Src2)
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
 
 func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
 	idx := int(u.d.Inst.Imm)
-	if idx < 0 || idx >= len(h.remote) {
-		c.faultf(h.idx, "p_lwre from nonexistent result buffer %d (pc %#x)", idx, u.pc)
+	if idx < 0 || idx >= len(h.Remote) {
+		c.faultf(h.idx, "p_lwre from nonexistent result buffer %d (pc %#x)", idx, u.PC)
 		return
 	}
 	v, ok := h.popRemote(idx)
 	if !ok {
 		// canIssue guarantees a value
-		c.faultf(h.idx, "p_lwre from empty result buffer %d (pc %#x)", idx, u.pc)
+		c.faultf(h.idx, "p_lwre from empty result buffer %d (pc %#x)", idx, u.PC)
 		return
 	}
-	u.value = v
+	u.Value = v
 	c.m.event(trace.KindRecv, c.idx, h.idx, uint64(v))
 	c.startExec(h, u, now+c.m.latTab[isa.ClassALU])
 }
@@ -120,37 +120,37 @@ func (c *core) execPLWRE(h *hart, u *uop, now uint64) {
 // hart (same or next core), through the forward link and the target
 // core's local bank port.
 func (c *core) execSwcv(h *hart, u *uop, now uint64) {
-	tgt := resolveLink(u.src1)
+	tgt := resolveLink(u.Src1)
 	th := c.m.Hart(tgt)
 	if th == nil {
-		c.faultf(h.idx, "p_swcv to nonexistent hart %d (pc %#x)", tgt, u.pc)
+		c.faultf(h.idx, "p_swcv to nonexistent hart %d (pc %#x)", tgt, u.PC)
 		return
 	}
 	tc := th.core.idx
 	if tc != c.idx && tc != c.idx+1 {
-		c.faultf(h.idx, "p_swcv target hart %d is not on the same or next core (pc %#x)", tgt, u.pc)
+		c.faultf(h.idx, "p_swcv target hart %d is not on the same or next core (pc %#x)", tgt, u.PC)
 		return
 	}
 	addr := c.m.cfg.SPInit(th.idx) + uint32(u.d.Inst.Imm)
-	h.inflightMem++
+	h.InflightMem++
 	if !c.m.Mem.LocalMapped(addr) {
-		c.faultf(h.idx, "p_swcv to unmapped stack address %#x (pc %#x)", addr, u.pc)
+		c.faultf(h.idx, "p_swcv to unmapped stack address %#x (pc %#x)", addr, u.PC)
 		return
 	}
-	c.m.Mem.SubmitCVWrite(now, c.idx, tc, addr, u.src2, h.gid)
-	u.done = true
+	c.m.Mem.SubmitCVWrite(now, c.idx, tc, addr, u.Src2, h.gid)
+	u.Done = true
 }
 
 // execSwre sends a result value to a prior hart's result buffer over the
 // backward line.
 func (c *core) execSwre(h *hart, u *uop, now uint64) {
-	if !c.send(h, u, mem.Msg{Kind: ctlSwre, Tgt: resolveHome(u.src1),
-		Idx: uint32(u.d.Inst.Imm), Val: u.src2, PC: u.pc}) {
+	if !c.send(h, u, mem.Msg{Kind: ctlSwre, Tgt: resolveHome(u.Src1),
+		Idx: uint32(u.d.Inst.Imm), Val: u.Src2, PC: u.PC}) {
 		return
 	}
-	c.statSends++
-	c.m.event(trace.KindSend, c.idx, h.idx, uint64(u.src2))
-	u.done = true
+	c.StatSends++
+	c.m.event(trace.KindSend, c.idx, h.idx, uint64(u.Src2))
+	u.Done = true
 }
 
 // send puts one control message of instruction u on its link, or faults
@@ -162,11 +162,11 @@ func (c *core) send(h *hart, u *uop, msg mem.Msg) bool {
 	backward := msg.Kind >= ctlJoin
 	switch {
 	case th == nil:
-		c.faultf(h.idx, "%s to nonexistent hart %d (pc %#x)", name, msg.Tgt, u.pc)
+		c.faultf(h.idx, "%s to nonexistent hart %d (pc %#x)", name, msg.Tgt, u.PC)
 	case backward && th.core.idx > c.idx:
-		c.faultf(h.idx, "%s target hart %d is on a later core: a data cannot go back in time (pc %#x)", name, msg.Tgt, u.pc)
+		c.faultf(h.idx, "%s target hart %d is on a later core: a data cannot go back in time (pc %#x)", name, msg.Tgt, u.PC)
 	case !backward && th.core.idx != c.idx && th.core.idx != c.idx+1:
-		c.faultf(h.idx, "%s target hart %d is not on the same or next core (pc %#x)", name, msg.Tgt, u.pc)
+		c.faultf(h.idx, "%s target hart %d is not on the same or next core (pc %#x)", name, msg.Tgt, u.PC)
 	default:
 		msg.FromCore, msg.FromHart = uint16(c.idx), uint8(h.idx)
 		// The direction checks are mem-level invariants the cases above
@@ -195,10 +195,10 @@ func (c *core) send(h *hart, u *uop, msg mem.Msg) bool {
 // All types forward the ending-hart signal to the link hart, realizing
 // the in-order hardware barrier between team members.
 func (c *core) doRet(h *hart, u *uop, now uint64) {
-	ra, t0 := u.src1, u.src2
-	if h.hasPred {
-		h.hasPred = false
-		h.predSignal = false
+	ra, t0 := u.Src1, u.Src2
+	if h.HasPred {
+		h.HasPred = false
+		h.PredSignal = false
 	}
 	if ra == 0 && t0 == 0xFFFFFFFF {
 		c.m.halt("exit")
@@ -217,21 +217,21 @@ func (c *core) doRet(h *hart, u *uop, now uint64) {
 	case ra == 0 && valid && home == self:
 		// ending type 2: keep the hart, waiting for a join address
 		h.setState(hartWaitJoin)
-		h.pcValid = false
+		h.PCValid = false
 	case ra == 0:
 		// ending type 1
 		h.free(now)
 	case valid && home == self:
 		// ending type 4, join to self: resume at ra on the same hart
-		h.pc = ra
-		h.pcValid = true
-		h.pcReadyCycle = now + 1
+		h.PC = ra
+		h.PCValid = true
+		h.PCReady = now + 1
 		c.fetchC |= h.bit
 	case valid:
 		// ending type 4: send the join address backward to the home hart
 		c.send(h, u, mem.Msg{Kind: ctlJoin, Tgt: home, PC: ra})
 		h.free(now)
 	default:
-		c.faultf(h.idx, "p_ret with ra=%#x but invalid identity t0=%#x (pc %#x)", ra, t0, u.pc)
+		c.faultf(h.idx, "p_ret with ra=%#x but invalid identity t0=%#x (pc %#x)", ra, t0, u.PC)
 	}
 }

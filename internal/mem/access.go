@@ -46,45 +46,47 @@ const (
 
 // event is a scheduled action in the memory system: applying an access at
 // its bank service time, or delivering a response at its completion time.
-// A message uses none of the access fields, so it travels in them.
+// A message uses none of the access fields, so it travels in them. The
+// exported fields are the event a checkpoint saves (state.go); next is
+// the wheel's.
 type event struct {
-	cycle  uint64
-	seq    uint64
-	hart   uint32 // the client: an access's issuing hart, a message's Tgt
-	core   int32  // bank/core index of the access; a message's FromCore
-	off    uint32 // word in the bank; a message's Idx
-	addr   uint32 // byte address; a message's PC
-	val    uint32 // the value stored; a message's Val
-	next   int32  // the wheel's list link (wheel.go)
-	kind   evKind
-	width  Width
-	signed bool
-	msg    uint8 // a message's Kind
-	from   uint8 // a message's FromHart
+	Cycle    uint64
+	Seq      uint64
+	Hart     uint32 // the client: an access's issuing hart, a message's Tgt
+	Core     int32  // bank/core index of the access; a message's FromCore
+	Off      uint32 // word in the bank; a message's Idx
+	Addr     uint32 // byte address; a message's PC
+	Val      uint32 // the value stored; a message's Val
+	next     int32  // the wheel's list link (wheel.go)
+	Kind     evKind
+	Width    Width
+	Signed   bool
+	MsgKind  uint8 // a message's Kind
+	FromHart uint8 // a message's FromHart
 }
 
 // dispatch performs one due event.
 func (s *System) dispatch(e *event) {
-	switch e.kind {
+	switch e.Kind {
 	case evLocalLoad:
-		s.h.LoadValue(e.hart, subWordLoad(s.local.load(int(e.core), e.off), e.addr, e.width, e.signed))
-		s.h.LoadDone(e.hart, e.cycle)
+		s.h.LoadValue(e.Hart, subWordLoad(s.local.load(int(e.Core), e.Off), e.Addr, e.Width, e.Signed))
+		s.h.LoadDone(e.Hart, e.Cycle)
 	case evSharedRead:
-		s.h.LoadValue(e.hart, subWordLoad(s.shared.load(int(e.core), e.off), e.addr, e.width, e.signed))
+		s.h.LoadValue(e.Hart, subWordLoad(s.shared.load(int(e.Core), e.Off), e.Addr, e.Width, e.Signed))
 	case evLoadDone:
-		s.h.LoadDone(e.hart, e.cycle)
+		s.h.LoadDone(e.Hart, e.Cycle)
 	case evLocalStore:
-		s.store(&s.local, int(e.core), e.off, e.val, e.addr, e.width)
-		s.h.StoreDone(e.hart, e.cycle)
+		s.store(&s.local, int(e.Core), e.Off, e.Val, e.Addr, e.Width)
+		s.h.StoreDone(e.Hart, e.Cycle)
 	case evSharedWrite:
-		s.store(&s.shared, int(e.core), e.off, e.val, e.addr, e.width)
+		s.store(&s.shared, int(e.Core), e.Off, e.Val, e.Addr, e.Width)
 	case evStoreDone:
-		s.h.StoreDone(e.hart, e.cycle)
+		s.h.StoreDone(e.Hart, e.Cycle)
 	case evCVWrite:
-		s.write(&s.local, int(e.core), e.off, e.val)
-		s.h.StoreDone(e.hart, e.cycle)
+		s.write(&s.local, int(e.Core), e.Off, e.Val)
+		s.h.StoreDone(e.Hart, e.Cycle)
 	case evMessage:
-		s.h.Deliver(e.message(), e.cycle)
+		s.h.Deliver(e.message(), e.Cycle)
 	}
 }
 
@@ -96,7 +98,7 @@ func (s *System) schedule(cycle uint64, k evKind) *event {
 	w := &s.events
 	i := w.alloc()
 	e := &w.slab[i]
-	*e = event{cycle: cycle, seq: s.seq, kind: k}
+	*e = event{Cycle: cycle, Seq: s.seq, Kind: k}
 	w.link(i)
 	if n := w.len(); n > s.Stats.PeakPendingEvents {
 		s.Stats.PeakPendingEvents = n
@@ -277,7 +279,7 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
 		e := s.schedule(done, evLocalLoad)
-		e.hart, e.core, e.off, e.addr, e.width, e.signed = hart, int32(core), off, addr, width, signed
+		e.Hart, e.Core, e.Off, e.Addr, e.Width, e.Signed = hart, int32(core), off, addr, width, signed
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -287,8 +289,8 @@ func (s *System) SubmitLoad(now uint64, core int, addr uint32, width Width, sign
 		serviceT, done := s.routeShared(now, core, bank)
 		s.observeShared(core, bank, done-now)
 		e := s.schedule(serviceT, evSharedRead)
-		e.hart, e.core, e.off, e.addr, e.width, e.signed = hart, int32(bank), off, addr, width, signed
-		s.schedule(done, evLoadDone).hart = hart
+		e.Hart, e.Core, e.Off, e.Addr, e.Width, e.Signed = hart, int32(bank), off, addr, width, signed
+		s.schedule(done, evLoadDone).Hart = hart
 		return true
 	default:
 		return false
@@ -309,7 +311,7 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		done := t + uint64(s.cfg.LocalLat)
 		s.Perf.LocalLat.Observe(done - now)
 		e := s.schedule(done, evLocalStore)
-		e.hart, e.core, e.off, e.addr, e.val, e.width = hart, int32(core), off, addr, value, width
+		e.Hart, e.Core, e.Off, e.Addr, e.Val, e.Width = hart, int32(core), off, addr, value, width
 		return true
 	case RegionShared:
 		bank, off, ok := s.sharedSlot(addr)
@@ -319,8 +321,8 @@ func (s *System) SubmitStore(now uint64, core int, addr, value uint32, width Wid
 		serviceT, done := s.routeShared(now, core, bank)
 		s.observeShared(core, bank, done-now)
 		e := s.schedule(serviceT, evSharedWrite)
-		e.core, e.off, e.addr, e.val, e.width = int32(bank), off, addr, value, width
-		s.schedule(done, evStoreDone).hart = hart
+		e.Core, e.Off, e.Addr, e.Val, e.Width = int32(bank), off, addr, value, width
+		s.schedule(done, evStoreDone).Hart = hart
 		return true
 	default:
 		return false
@@ -350,6 +352,6 @@ func (s *System) SubmitCVWrite(now uint64, fromCore, targetCore int, addr, value
 		s.Perf.RemoteLat.Observe(done - now)
 	}
 	e := s.schedule(done, evCVWrite)
-	e.hart, e.core, e.off, e.val = hart, int32(targetCore), off, value
+	e.Hart, e.Core, e.Off, e.Val = hart, int32(targetCore), off, value
 	return true
 }

@@ -51,14 +51,14 @@ func (s *System) SendForward(now uint64, from, to int, msg Msg) error {
 // event's access fields.
 func (s *System) scheduleMsg(t uint64, msg Msg) {
 	e := s.schedule(t, evMessage)
-	e.hart, e.core, e.off, e.addr, e.val = msg.Tgt, int32(msg.FromCore), msg.Idx, msg.PC, msg.Val
-	e.msg, e.from = msg.Kind, msg.FromHart
+	e.Hart, e.Core, e.Off, e.Addr, e.Val = msg.Tgt, int32(msg.FromCore), msg.Idx, msg.PC, msg.Val
+	e.MsgKind, e.FromHart = msg.Kind, msg.FromHart
 }
 
 // message returns the control message an evMessage event carries.
 func (e *event) message() Msg {
-	return Msg{Kind: e.msg, FromHart: e.from, FromCore: uint16(e.core),
-		Tgt: e.hart, Idx: e.off, Val: e.val, PC: e.addr}
+	return Msg{Kind: e.MsgKind, FromHart: e.FromHart, FromCore: uint16(e.Core),
+		Tgt: e.Hart, Idx: e.Off, Val: e.Val, PC: e.Addr}
 }
 
 // backSerpentineMax is the largest machine whose backward line is the

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -10,11 +11,13 @@ import (
 // Serializable memory-system state.
 //
 // A System is plain data: an in-flight event names its client by value
-// (a hart number, or the control message it carries), so a snapshot is
-// the events as they stand, and restoring one needs nothing from the
-// caller but the handler the System already has. The banks travel as
-// their page tables: the pages a program wrote, by index, so a snapshot
-// costs what the program wrote, not what the banks address.
+// (a hart number, or the control message it carries), so a snapshot
+// saves the events themselves — gob encodes an event's exported fields,
+// everything but the wheel's list link — and restoring one needs
+// nothing from the caller but the handler the System already has. The
+// banks travel as their page tables: the pages a program wrote, by
+// index, so a snapshot costs what the program wrote, not what the banks
+// address.
 
 // State is the serializable state of a System at a cycle boundary. The
 // code image is trimmed of trailing zero words; the events are in their
@@ -35,7 +38,7 @@ type State struct {
 	// the order New carves the views (the System struct declares it).
 	Links []uint64
 
-	Events []EventState
+	Events []event
 }
 
 // Page is one bank page: its index in its family's page table (bank b's
@@ -46,29 +49,27 @@ type Page struct {
 	Words *[pageWords]uint32
 }
 
-// EventState is one in-flight event, field for field: Hart is its
-// client, and a message's Kind and FromHart are MsgKind and FromHart,
-// its other fields in the access fields (see event).
-type EventState struct {
-	Cycle    uint64
-	Seq      uint64
-	Kind     uint8
-	Hart     uint32
-	Core     int32
-	Off      uint32
-	Addr     uint32
-	Val      uint32
-	Width    uint8
-	Signed   bool
-	MsgKind  uint8
-	FromHart uint8
+// Load reports whether e is part of a load of e.Hart, its bank read or
+// its response: the hart waits for it in its result buffer.
+func (e *event) Load() bool {
+	return e.Kind == evLocalLoad || e.Kind == evSharedRead || e.Kind == evLoadDone
 }
 
-// Load reports whether the event completes a load of es.Hart: the hart
-// waits for it in its result buffer.
-func (es *EventState) Load() bool {
-	k := evKind(es.Kind)
-	return k == evLocalLoad || k == evSharedRead || k == evLoadDone
+// Acks reports whether e completes an access of e.Hart: dispatch calls
+// the handler's LoadDone or StoreDone for it.
+func (e *event) Acks() bool {
+	return e.Kind != evSharedRead && e.Kind != evSharedWrite && e.Kind != evMessage
+}
+
+// IsMessage reports whether e delivers a control message, of kind
+// e.MsgKind to hart e.Hart.
+func (e *event) IsMessage() bool { return e.Kind == evMessage }
+
+// Events returns a copy of the events in flight, in dispatch order.
+func (s *System) Events() []event {
+	events := s.events.appendAll(make([]event, 0, s.events.len()))
+	slices.SortFunc(events, dispatchOrder)
+	return events
 }
 
 func trimZeros(words []uint32) []uint32 {
@@ -92,29 +93,20 @@ func (s *System) CaptureGlobalState() *State {
 		Local:  s.local.capture(),
 		Shared: s.shared.capture(),
 		Links:  append([]uint64(nil), s.links...),
-	}
-	events := s.events.appendAll(make([]event, 0, s.events.len()))
-	slices.SortFunc(events, dispatchOrder)
-	st.Events = make([]EventState, len(events))
-	for i := range events {
-		e := &events[i]
-		st.Events[i] = EventState{
-			Cycle: e.cycle, Seq: e.seq, Kind: uint8(e.kind), Hart: e.hart, Core: e.core,
-			Off: e.off, Addr: e.addr, Val: e.val,
-			Width: uint8(e.width), Signed: e.signed, MsgKind: e.msg, FromHart: e.from,
-		}
+		Events: s.Events(),
 	}
 	return st
 }
 
 // RestoreGlobalState installs a snapshot taken at cycle now into a
 // System of the same configuration, taking over its pages (decoded ones
-// or copies: the pages of a capture are live). The snapshot is outside
-// input: every page and whatever dispatch would index through an event
-// is checked here, before anything is installed, and so is the events'
-// order: each is due after now and has its own seq, at least 1 and at
-// most the snapshot's Seq. The clients the events name are the
-// caller's to check: the System does not know the harts.
+// or copies: the pages of a capture are live) and its events. The
+// snapshot is outside input: every page and whatever dispatch would
+// index through an event is checked here, before anything is
+// installed, and so is the events' order: each has its own seq, at
+// least 1 and at most the snapshot's Seq. When an event is due and
+// which clients it names are the caller's to check: the System does
+// not know the clock or the harts.
 func (s *System) RestoreGlobalState(st *State, now uint64) error {
 	if len(st.Code) > int(s.cfg.CodeBytes/4) {
 		return fmt.Errorf("mem: state code image exceeds the code bank")
@@ -128,30 +120,24 @@ func (s *System) RestoreGlobalState(st *State, now uint64) error {
 	if err := s.shared.check(st.Shared, "shared"); err != nil {
 		return err
 	}
-	events := make([]event, len(st.Events))
 	for i := range st.Events {
-		var err error
-		if events[i], err = s.restoreEvent(&st.Events[i]); err != nil {
+		e := &st.Events[i]
+		if err := s.checkEvent(e); err != nil {
 			return fmt.Errorf("mem: state event %d %v", i, err)
 		}
-		if e := &events[i]; e.cycle <= now {
-			return fmt.Errorf("mem: state event %d is due at cycle %d, not after the state's cycle %d", i, e.cycle, now)
-		} else if e.seq == 0 || e.seq > st.Seq {
-			return fmt.Errorf("mem: state event %d has seq %d, outside [1, %d]", i, e.seq, st.Seq)
+		if e.Seq == 0 || e.Seq > st.Seq {
+			return fmt.Errorf("mem: state event %d has seq %d, outside [1, %d]", i, e.Seq, st.Seq)
+		}
+	}
+	events := slices.Clone(st.Events)
+	slices.SortFunc(events, func(a, b event) int { return cmp.Compare(a.Seq, b.Seq) })
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq == events[i-1].Seq {
+			return fmt.Errorf("mem: state has two events of seq %d", events[i].Seq)
 		}
 	}
 	// The wheel's buckets are lists in seq order: insert in dispatch order.
 	slices.SortFunc(events, dispatchOrder)
-	seqs := make([]uint64, len(events))
-	for i := range events {
-		seqs[i] = events[i].seq
-	}
-	slices.Sort(seqs)
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] == seqs[i-1] {
-			return fmt.Errorf("mem: state has two events of seq %d", seqs[i])
-		}
-	}
 	clear(s.code)
 	s.code = s.code[:0]
 	s.growCode(len(st.Code))
@@ -173,19 +159,13 @@ func (s *System) RestoreGlobalState(st *State, now uint64) error {
 	return nil
 }
 
-// restoreEvent rebuilds one in-flight event, holding it to the
-// configuration: a kind dispatch knows, a bank that exists and a word
-// inside it for the kinds that touch one, and an access width for the
-// kinds that carry one.
-func (s *System) restoreEvent(es *EventState) (event, error) {
-	e := event{
-		cycle: es.Cycle, seq: es.Seq, kind: evKind(es.Kind), hart: es.Hart, core: es.Core,
-		off: es.Off, addr: es.Addr, val: es.Val,
-		width: Width(es.Width), signed: es.Signed, msg: es.MsgKind, from: es.FromHart,
-	}
+// checkEvent holds an in-flight event to the configuration: a kind
+// dispatch knows, a bank that exists and a word inside it for the kinds
+// that touch one, and an access width for the kinds that carry one.
+func (s *System) checkEvent(e *event) error {
 	var b *banks // the bank family the event indexes, if any
 	sized := false
-	switch e.kind {
+	switch e.Kind {
 	case evLocalLoad, evLocalStore:
 		b, sized = &s.local, true
 	case evSharedRead, evSharedWrite:
@@ -194,20 +174,20 @@ func (s *System) restoreEvent(es *EventState) (event, error) {
 		b = &s.local
 	case evLoadDone, evStoreDone, evMessage:
 	default:
-		return e, fmt.Errorf("has unknown kind %d", es.Kind)
+		return fmt.Errorf("has unknown kind %d", e.Kind)
 	}
 	if b != nil {
-		if es.Core < 0 || int(es.Core) >= s.cfg.Cores {
-			return e, fmt.Errorf("names bank %d of %d", es.Core, s.cfg.Cores)
+		if e.Core < 0 || int(e.Core) >= s.cfg.Cores {
+			return fmt.Errorf("names bank %d of %d", e.Core, s.cfg.Cores)
 		}
-		if es.Off >= b.words {
-			return e, fmt.Errorf("names word %d of a %d-word bank", es.Off, b.words)
+		if e.Off >= b.words {
+			return fmt.Errorf("names word %d of a %d-word bank", e.Off, b.words)
 		}
 	}
-	if sized && e.width != Width8 && e.width != Width16 && e.width != Width32 {
-		return e, fmt.Errorf("has access width %d", es.Width)
+	if sized && e.Width != Width8 && e.Width != Width16 && e.Width != Width32 {
+		return fmt.Errorf("has access width %d", e.Width)
 	}
-	return e, nil
+	return nil
 }
 
 // Reset returns the system to its post-New state, keeping allocations,

@@ -78,11 +78,11 @@ func (w *wheel) release(i int32) {
 // the window covers its cycle, in far otherwise.
 func (w *wheel) link(i int32) {
 	e := &w.slab[i]
-	if e.cycle-w.base-1 >= wheelSize { // not in (base, base+wheelSize]
+	if e.Cycle-w.base-1 >= wheelSize { // not in (base, base+wheelSize]
 		w.farPush(i)
 		return
 	}
-	b := e.cycle & wheelMask
+	b := e.Cycle & wheelMask
 	if l := w.last[b]; l == 0 {
 		e.next = i
 		w.busy[b>>6] |= 1 << (b & 63)
@@ -100,7 +100,7 @@ func (w *wheel) link(i int32) {
 // buckets the window gains are empty.
 func (w *wheel) advance(b uint64) {
 	w.base = b
-	for len(w.far) > 0 && w.slab[w.far[0]].cycle-b-1 < wheelSize {
+	for len(w.far) > 0 && w.slab[w.far[0]].Cycle-b-1 < wheelSize {
 		w.link(w.farPop())
 	}
 }
@@ -131,7 +131,7 @@ func (w *wheel) farNext() (uint64, bool) {
 	if len(w.far) == 0 {
 		return 0, false
 	}
-	return w.slab[w.far[0]].cycle, true
+	return w.slab[w.far[0]].Cycle, true
 }
 
 // next returns the cycle of the earliest event in flight.
@@ -237,16 +237,16 @@ func (s *System) NextEventCycle() (uint64, bool) { return s.events.next() }
 
 // dispatchOrder compares two events by (cycle, seq), for slices.SortFunc.
 func dispatchOrder(a, b event) int {
-	return cmp.Or(cmp.Compare(a.cycle, b.cycle), cmp.Compare(a.seq, b.seq))
+	return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Seq, b.Seq))
 }
 
 // farBefore reports whether slot i's event orders before slot j's.
 func (w *wheel) farBefore(i, j int32) bool {
 	a, b := &w.slab[i], &w.slab[j]
-	if a.cycle != b.cycle {
-		return a.cycle < b.cycle
+	if a.Cycle != b.Cycle {
+		return a.Cycle < b.Cycle
 	}
-	return a.seq < b.seq
+	return a.Seq < b.Seq
 }
 
 // farPush and farPop keep far a binary min-heap by (cycle, seq).

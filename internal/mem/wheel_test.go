@@ -96,7 +96,7 @@ func TestEventWheelOrder(t *testing.T) {
 			}
 			if rng.IntN(200) == 0 {
 				st := s.CaptureGlobalState()
-				if !slices.IsSortedFunc(st.Events, func(a, b EventState) int {
+				if !slices.IsSortedFunc(st.Events, func(a, b event) int {
 					return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Seq, b.Seq))
 				}) {
 					t.Fatalf("seed %d step %d: captured events are not in (cycle, seq) order", seed, step)
@@ -110,8 +110,8 @@ func TestEventWheelOrder(t *testing.T) {
 			for k := rng.IntN(6); k > 0; k-- {
 				cyc := now + lead()
 				e := s.schedule(cyc, evMessage)
-				e.hart = uint32(e.seq)
-				pending = append(pending, pendingEvent{cyc, e.seq})
+				e.Hart = uint32(e.Seq)
+				pending = append(pending, pendingEvent{cyc, e.Seq})
 				peak = max(peak, len(pending))
 			}
 			if s.Stats.PeakPendingEvents != peak {
@@ -129,7 +129,7 @@ func TestRestoreSortsEvents(t *testing.T) {
 	s := logSys(2, &log)
 	for _, lead := range []uint64{700, 5, 5, 300} {
 		e := s.schedule(10+lead, evMessage)
-		e.hart = uint32(e.seq)
+		e.Hart = uint32(e.Seq)
 	}
 	s.Step(10)
 	st := s.CaptureGlobalState()

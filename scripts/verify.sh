@@ -46,14 +46,17 @@ fi
 # alu/br helpers wrapping a captured closure), and memory events that
 # name their client by value (no client interfaces or callback adapters
 # in mem, no per-hart client objects, no client table in the
-# checkpoint): the deleted second paths must not grow back.
+# checkpoint), and machine state declared once (the live structs are the
+# checkpoint: no saved mirrors or copy functions, one invariant check
+# for restore and the tests): the deleted second paths must not grow
+# back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment and has an HTTP loadClient of its own,
 # so those names are searched outside it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
@@ -231,11 +234,16 @@ echo "verify: distributed smoke OK"
 go test ./internal/fuzzgen -run '^$' -fuzz FuzzDeterminism -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzDeterminism smoke OK"
 # Hostile checkpoint bytes get a typed error or a machine that can be
-# stepped, never a panic. The seeds include the 22 KB
-# checkpoint_v5_8core.bin, so the minimizer is capped — by default it
+# stepped, never a panic. The seeds include the 24 KB
+# checkpoint_v6_8core.bin, so the minimizer is capped — by default it
 # may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
+# Well-formed checkpoints that say something no run reaches (fields of
+# the decoded fixture set to fuzzed values): a typed error, or a machine
+# the invariant check holds to after every cycle of its run.
+go test ./internal/lbp -run '^$' -fuzz FuzzRestoreEdit -fuzztime 5s -fuzzminimizetime 1s
+echo "verify: FuzzRestoreEdit smoke OK"
 # Hostile program images (POST /jobs "image", and what a worker reads
 # off the wire): an error, or a program that round-trips through
 # WriteImage.
