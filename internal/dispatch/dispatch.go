@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -444,8 +445,9 @@ func (c *Coordinator) dispatcher(b *backend) {
 }
 
 // handleNote routes worker notifications. It runs on a connection read
-// loop, so it only stores bytes.
-func (c *Coordinator) handleNote(method string, params json.RawMessage) {
+// loop, so it only stores bytes: a copy of state, whose buffer the read
+// loop reuses for its next frame.
+func (c *Coordinator) handleNote(method string, params json.RawMessage, state []byte) {
 	if method != MethodCheckpoint {
 		return
 	}
@@ -453,6 +455,7 @@ func (c *Coordinator) handleNote(method string, params json.RawMessage) {
 	if err := json.Unmarshal(params, &note); err != nil {
 		return
 	}
+	note.State = bytes.Clone(state)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p := c.pending[note.ID]; p != nil {

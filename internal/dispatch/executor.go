@@ -39,6 +39,11 @@ var ErrPreempted = errors.New("preempted by shutdown")
 var (
 	errCanceled = errors.New("job canceled by the caller")
 	errDeadline = errors.New("attempt deadline elapsed")
+	// errPanicked: the simulator panicked in the run — a simulator
+	// defect this job's program reaches. It is the job's answer like a
+	// machine fault (StatusError, never retried), so one bad job ends
+	// neither the process nor, retried worker after worker, the fleet.
+	errPanicked = errors.New("simulator panic")
 )
 
 // ExecutorMetrics is a snapshot of one executor's lifetime counters.
@@ -102,8 +107,9 @@ func (e *Executor) PoolIdle() int { return e.pool.Idle() }
 
 // Run executes one job and blocks until it resolves. An error is a
 // refusal: the job never ran. Otherwise every exit path — clean finish,
-// fault, budget, deadline, cancel, preemption, ctx dying with its
-// connection — releases the machine through the same accounting.
+// fault, budget, a simulator panic, deadline, cancel, preemption, ctx
+// dying with its connection — releases the machine through the same
+// accounting.
 //
 // sink, when non-nil, receives a checkpoint every job.CheckpointEvery
 // cycles and reports whether it was delivered; a nil sink serializes
@@ -143,7 +149,7 @@ func (e *Executor) Run(ctx context.Context, job *Job, sink func(cycle uint64, st
 		defer cancel()
 	}
 	lastStream := sess.Machine().Cycle()
-	res, err := sess.RunSliced(slice, func(cycle uint64) error {
+	res, err := runRecovered(sess, func(cycle uint64) error {
 		select {
 		case <-runCtx.Done():
 			switch {
@@ -169,10 +175,11 @@ func (e *Executor) Run(ctx context.Context, job *Job, sink func(cycle uint64, st
 
 	// Any machine the pool handed out goes back to it — GetWarm resets
 	// machines on checkout, so a deadline-stopped, canceled or faulted
-	// machine is exactly as reusable as a cleanly finished one. Two
+	// machine is exactly as reusable as a cleanly finished one. Three
 	// kinds cannot be pooled and count as discarded instead: one
-	// restored from a checkpoint (its Spec has no program to reset to)
-	// and one preempted (the process is exiting).
+	// restored from a checkpoint (its Spec has no program to reset to),
+	// one preempted (the process is exiting) and one the simulator
+	// panicked in (its state is whatever the panic left).
 	out := &Result{PoolWarm: warm, Resumed: resumed}
 	poolable, outcome := !resumed, &e.m.Errored
 	cycle := sess.Machine().Cycle()
@@ -202,6 +209,7 @@ func (e *Executor) Run(ctx context.Context, job *Job, sink func(cycle uint64, st
 		// simulated-cycle budget. The executor is healthy; the run is not.
 		out.Status = StatusError
 		out.Error = err.Error()
+		poolable = poolable && !errors.Is(err, errPanicked)
 	}
 	if poolable {
 		e.pool.Put(sess)
@@ -216,6 +224,17 @@ func (e *Executor) Run(ctx context.Context, job *Job, sink func(cycle uint64, st
 		m.MachinesOut--
 	})
 	return out, nil
+}
+
+// runRecovered runs sess in slices under check, turning a panic in the
+// simulator into an error that wraps errPanicked.
+func runRecovered(sess *sim.Session, check func(cycle uint64) error) (res *lbp.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("%w: %v", errPanicked, r)
+		}
+	}()
+	return sess.RunSliced(slice, check)
 }
 
 // fillResult copies the deterministic outcome of a finished run.

@@ -48,9 +48,10 @@ const (
 )
 
 // Job is one simulation: the program (compiled exactly once, at the
-// HTTP edge) plus the resolved result-affecting parameters. Its JSON
-// form is the wire form, where the program travels as a serialized
-// image.
+// HTTP edge) plus the resolved result-affecting parameters. On the wire
+// (wireJob) its JSON fields are the lbp.run frame's line and its one
+// byte field in use — Checkpoint, or else Image — the frame's raw
+// attachment.
 type Job struct {
 	ID string `json:"id"`
 
@@ -64,9 +65,10 @@ type Job struct {
 	// the same pure function. Dispatch does not route by it.
 	Key string `json:"key"`
 
-	// Image is the serialized program (asm.Program.WriteImage bytes);
-	// base64 on the wire.
-	Image []byte `json:"image"`
+	// Image is the serialized program (asm.Program.WriteImage bytes). It
+	// crosses the wire as the lbp.run frame's attachment, unless
+	// Checkpoint is set: an executor never reads a resumed job's image.
+	Image []byte `json:"-"`
 
 	Cores     int    `json:"cores,omitempty"`
 	BankBytes uint32 `json:"bankBytes,omitempty"`
@@ -83,14 +85,39 @@ type Job struct {
 
 	// Checkpoint, when non-empty, resumes the job from serialized
 	// machine state instead of loading Image fresh — how a job migrates
-	// to another worker after its first backend died mid-run.
-	Checkpoint []byte `json:"checkpoint,omitempty"`
+	// to another worker after its first backend died mid-run. It crosses
+	// the wire as the lbp.run frame's attachment, in Image's place.
+	Checkpoint []byte `json:"-"`
 
 	// CheckpointEvery streams a checkpoint notification to the
 	// coordinator every n simulated cycles (0 = never). Serialization
 	// happens between Advance slices at cycle boundaries, so streaming
 	// never perturbs the simulated results.
 	CheckpointEvery uint64 `json:"checkpointEvery,omitempty"`
+}
+
+// wireJob is a Job as MethodRun carries it: the JSON fields in the
+// frame's line, Resume among them, and Checkpoint (Resume) or Image as
+// the frame's attachment.
+type wireJob struct {
+	*Job
+	Resume bool `json:"resume,omitempty"`
+}
+
+func (w wireJob) Attachment() []byte {
+	if w.Resume {
+		return w.Checkpoint
+	}
+	return w.Image
+}
+
+// attach puts a received attachment in the field Attachment sent it from.
+func (w wireJob) attach(b []byte) {
+	if w.Resume {
+		w.Checkpoint = b
+	} else {
+		w.Image = b
+	}
 }
 
 // refusal is an Executor's terminal "cannot run this job" (bad image,
@@ -169,8 +196,12 @@ type Result struct {
 type CheckpointNote struct {
 	ID    string `json:"id"`
 	Cycle uint64 `json:"cycle"`
-	State []byte `json:"state"`
+	// State is the checkpoint (sim.Session.Checkpoint bytes); it crosses
+	// the wire as the notification's attachment.
+	State []byte `json:"-"`
 }
+
+func (n CheckpointNote) Attachment() []byte { return n.State }
 
 // CancelNote is the payload of a MethodCancel notification.
 type CancelNote struct {

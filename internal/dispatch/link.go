@@ -49,8 +49,8 @@ func (local) close()                                      {}
 // (Coordinator.next), so it must never wait behind a dial.
 type remote struct {
 	addr   string
-	dial   func() (net.Conn, error)                    // one bounded connection attempt to addr
-	onNote func(method string, params json.RawMessage) // checkpoint notifications
+	dial   func() (net.Conn, error)                                   // one bounded connection attempt to addr
+	onNote func(method string, params json.RawMessage, attach []byte) // checkpoint notifications
 
 	dialing sync.Mutex               // serializes dials and close
 	conn    atomic.Pointer[rpc.Conn] // nil until dialed; dropped on transport death
@@ -75,7 +75,7 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 		return nil, fmt.Errorf("backend %s: %w", r.addr, rpc.ErrClosed)
 	}
 	var res Result
-	err := conn.Call(p.ctx, MethodRun, job, &res)
+	err := conn.Call(p.ctx, MethodRun, wireJob{Job: job, Resume: len(job.Checkpoint) > 0}, &res)
 	switch {
 	case err == nil:
 		return &res, nil

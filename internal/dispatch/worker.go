@@ -35,15 +35,17 @@ func (w *Worker) ServeRPC(ctx context.Context, conn *rpc.ServerConn, method stri
 	switch method {
 	case MethodRun:
 		var job Job
-		if err := json.Unmarshal(params, &job); err != nil {
+		wire := wireJob{Job: &job}
+		if err := json.Unmarshal(params, &wire); err != nil {
 			return nil, &rpc.Error{Code: rpc.CodeInvalidParams, Message: err.Error()}
 		}
+		wire.attach(rpc.Attachment(ctx)) // good until this returns, and Run is done with it by then
 		runCtx, stop := context.WithCancel(ctx)
 		defer stop()
 		w.running.Store(job.ID, stop)
 		defer w.running.Delete(job.ID)
 		res, err := w.Run(runCtx, &job, func(cycle uint64, state []byte) bool {
-			return conn.Notify(MethodCheckpoint, &CheckpointNote{ID: job.ID, Cycle: cycle, State: state}) == nil
+			return conn.Notify(MethodCheckpoint, CheckpointNote{ID: job.ID, Cycle: cycle, State: state}) == nil
 		})
 		if err != nil {
 			return nil, err

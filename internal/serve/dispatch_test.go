@@ -284,3 +284,83 @@ func TestDistributedRefusalCounters(t *testing.T) {
 		})
 	}
 }
+
+// panicSource makes the simulator panic: the load's result buffer is
+// taken over by an ALU op with rd = x0, and the load's response then
+// indexes no ROB slot. The simulator defect stays; the service must
+// answer it like any other machine fault.
+const panicSource = `main:
+	li t1, 0x80000000
+	lw t2, 0(t1)
+	addi zero, zero, 0
+	addi t3, t2, 1
+	li t0, -1
+	li ra, 0
+	p_ret
+`
+
+// TestPanickingJobIsAnAnswer: a job the simulator panics on is a 422
+// error that is not cached and not retried, on either kind of backend;
+// the server (and every worker) survives it, the machine is discarded
+// through the usual accounting, and the next job is answered.
+func TestPanickingJobIsAnAnswer(t *testing.T) {
+	for _, mode := range []string{"local", "coordinator+2workers"} {
+		t.Run(mode, func(t *testing.T) {
+			store, err := cache.Open(t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			var ts *httptest.Server
+			var coord *dispatch.Coordinator
+			var executors []*dispatch.Executor
+			if mode == "local" {
+				srv := New(Config{Cache: store})
+				ts = httptest.NewServer(srv.Handler())
+				defer func() {
+					ts.Close()
+					srv.Shutdown(context.Background())
+				}()
+				executors = []*dispatch.Executor{srv.exec}
+			} else {
+				w1, addr1, stop1 := startWorkerBackend(t)
+				defer stop1()
+				w2, addr2, stop2 := startWorkerBackend(t)
+				defer stop2()
+				_, coord, ts = newCoordinatorServer(t, Config{Cache: store},
+					dispatch.Config{Backends: []string{addr1, addr2}})
+				executors = []*dispatch.Executor{w1.Executor, w2.Executor}
+			}
+			bad := JobRequest{Source: panicSource, Lang: "s", Cores: 1}
+			for i := 0; i < 2; i++ {
+				code, res := postJob(t, ts.URL, bad)
+				if code != http.StatusUnprocessableEntity || res.Status != StatusError || res.Cached ||
+					!strings.Contains(res.Error, "simulator panic") {
+					t.Fatalf("panicking job, post %d: HTTP %d status %q cached=%v error %q, want 422 %q naming the panic, not cached",
+						i+1, code, res.Status, res.Cached, res.Error, StatusError)
+				}
+			}
+			code, res := postJob(t, ts.URL, JobRequest{Source: vecsumSource, Cores: 2, Digest: true})
+			if code != http.StatusOK || res.Status != StatusOK {
+				t.Fatalf("job after the panics: HTTP %d status %q (%s), want 200", code, res.Status, res.Error)
+			}
+			var errored, discarded uint64
+			for i, e := range executors {
+				m := e.Metrics()
+				if m.MachinesOut != 0 || m.CheckedOut != m.PoolReturned+m.PoolDiscarded {
+					t.Errorf("executor %d leaked: %+v", i, m)
+				}
+				errored += m.Errored
+				discarded += m.PoolDiscarded
+			}
+			if errored != 2 || discarded != 2 {
+				t.Errorf("errored=%d discarded=%d, want both panicked runs counted errored and their machines discarded", errored, discarded)
+			}
+			if coord != nil {
+				if m := coord.Metrics(); m.Retries != 0 || m.BackendsUp != 2 {
+					t.Errorf("coordinator retries=%d backends up=%d, want 0 and 2: a job's panic is its answer, not a dead worker", m.Retries, m.BackendsUp)
+				}
+			}
+		})
+	}
+}

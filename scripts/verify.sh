@@ -48,8 +48,9 @@ fi
 # in mem, no per-hart client objects, no client table in the
 # checkpoint), and machine state declared once (the live structs are the
 # checkpoint: no saved mirrors or copy functions, one invariant check
-# for restore and the tests): the deleted second paths must not grow
-# back.
+# for restore and the tests), and bytes that cross the rpc hop as an
+# attachment (no base64 image, checkpoint or state field in dispatch's
+# JSON): the deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
@@ -57,7 +58,8 @@ fi
 # DefaultMaxCycles in a comment and has an HTTP loadClient of its own,
 # so those names are searched outside it.)
 if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots' -- '*.go' ||
-    git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench'; then
+    git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench' ||
+    git grep -nE 'json:"(image|state|checkpoint)[",]' -- 'internal/dispatch/*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
     exit 1
 fi
@@ -191,8 +193,21 @@ djob='{"source":"main:\n\tli t1, 60000\nloop:\n\taddi t1, t1, -1\n\tbne t1, zero
 curl -fsS -X POST "http://$caddr/jobs" -d "$djob" >"$smokedir/djob1.json"
 grep -q '"status": "ok"' "$smokedir/djob1.json"
 grep -q '"worker":' "$smokedir/djob1.json"
+# A job the simulator panics on is the job's own answer: 422, no retry,
+# both workers alive — and the next job is answered.
+pjob='{"source":"main:\n\tli t1, 0x80000000\n\tlw t2, 0(t1)\n\taddi zero, zero, 0\n\taddi t3, t2, 1\n\tli t0, -1\n\tli ra, 0\n\tp_ret\n","lang":"s","cores":1}'
+code=$(curl -sS -o "$smokedir/pjob.json" -w '%{http_code}' -X POST "http://$caddr/jobs" -d "$pjob")
+if [ "$code" != 422 ] || ! grep -q 'simulator panic' "$smokedir/pjob.json"; then
+    echo "distributed smoke: the panicking job answered HTTP $code, want 422 naming the panic:" >&2
+    cat "$smokedir/pjob.json" >&2
+    exit 1
+fi
+kill -0 "$w1pid" "$w2pid"
 curl -fsS -X POST "http://$caddr/jobs" -d "$djob" >"$smokedir/djob2.json"
 grep -q '"status": "ok"' "$smokedir/djob2.json"
+curl -fsS "http://$caddr/metrics" >"$smokedir/pmetrics.txt"
+grep -q '^lbp_serve_dispatch_retries_total 0$' "$smokedir/pmetrics.txt"
+grep -q '^lbp_serve_dispatch_backends_up 2$' "$smokedir/pmetrics.txt"
 kill -TERM "$w1pid"
 wait "$w1pid" 2>/dev/null || true
 # Several posts after the kill: the dead backend must take none of
@@ -215,10 +230,10 @@ for n in 2 3 4 5; do
     fi
 done
 curl -fsS "http://$caddr/metrics" >"$smokedir/dmetrics.txt"
-grep -q '^lbp_serve_dispatch_jobs_total 5$' "$smokedir/dmetrics.txt"
+grep -q '^lbp_serve_dispatch_jobs_total 6$' "$smokedir/dmetrics.txt"
 # Without a result cache the request memo hashes and stores nothing.
 grep -q '^lbp_serve_front_hits_total 0$' "$smokedir/dmetrics.txt"
-grep -q '^lbp_serve_dispatch_completed_total 5$' "$smokedir/dmetrics.txt"
+grep -q '^lbp_serve_dispatch_completed_total 6$' "$smokedir/dmetrics.txt"
 kill -TERM "$coordpid"
 wait "$coordpid"
 grep -q "drained" "$smokedir/coord.log"
