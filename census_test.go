@@ -31,7 +31,7 @@ import (
 // change deletes a setting.
 const (
 	maxFlags        = 40
-	maxOptionFields = 64
+	maxOptionFields = 63
 )
 
 // censusAllow names the settings that have no caller outside their own
@@ -94,7 +94,6 @@ var censusAllow = map[string]string{
 	"phimodel.Config.Startup":     "calibration of the Figure 21 comparison model",
 
 	"asm.Options.DataBase":         "the assembler's .data origin; asm's own tests move it",
-	"sim.ResumeSpec.Devices":       "devices cannot be serialized: the only way to resume a run that has them",
 	"fuzzgen.GenConfig.MinCores":   "pins the generator's machine for the checker's targeted tests",
 	"fuzzgen.GenConfig.MaxStmts":   "bounds the generator's program size for the checker's targeted tests",
 	"sim.Spec.SimWorkers":          "Deprecated: assigned only by the frozen bench/lbp-load/trace.go",

@@ -66,7 +66,7 @@ type sensorOutcome struct {
 
 // runSensorFusion runs the Figure 16 sensor-fusion program with
 // fast-forward on or off and returns the outcome.
-func runSensorFusion(t *testing.T, prog *asm.Program, ffwd bool, extra lbp.Device) sensorOutcome {
+func runSensorFusion(t *testing.T, prog *asm.Program, ffwd bool) sensorOutcome {
 	t.Helper()
 	m := lbp.New(lbp.DefaultConfig(1))
 	rec := trace.New(0)
@@ -84,9 +84,6 @@ func runSensorFusion(t *testing.T, prog *asm.Program, ffwd bool, extra lbp.Devic
 	for _, d := range devices {
 		m.AddDevice(d)
 	}
-	if extra != nil {
-		m.AddDevice(extra)
-	}
 	res, err := m.Run(50_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -101,38 +98,22 @@ func runSensorFusion(t *testing.T, prog *asm.Program, ffwd bool, extra lbp.Devic
 	}
 }
 
-// opaqueDevice implements lbp.Device but not lbp.Armed: its presence must
-// inhibit fast-forward entirely (the machine cannot know when it acts).
-type opaqueDevice struct{}
-
-func (opaqueDevice) Step(m *lbp.Machine, now uint64) {}
-
 func TestSensorFastForwardEquivalence(t *testing.T) {
 	t.Parallel()
 	prog, err := cc.Build(workloads.SensorFusionSource(2), cc.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := runSensorFusion(t, prog, false, nil)
+	baseline := runSensorFusion(t, prog, false)
 	if len(baseline.writes) == 0 {
 		t.Fatal("sensor fusion produced no actuator writes")
 	}
-	got := runSensorFusion(t, prog, true, nil)
+	got := runSensorFusion(t, prog, true)
 	if got.skipped == 0 {
 		t.Errorf("fast-forward never engaged on a device-idle workload")
 	}
 	got.skipped = baseline.skipped
 	if !reflect.DeepEqual(got, baseline) {
 		t.Errorf("ffwd=true: outcome diverged:\n got %+v\nwant %+v", got, baseline)
-	}
-	// A device without NextArm makes idle gaps unskippable: the machine
-	// must fall back to single-stepping (and still agree on the results).
-	opaque := runSensorFusion(t, prog, true, opaqueDevice{})
-	if opaque.skipped != 0 {
-		t.Errorf("fast-forward engaged despite a device without NextArm (skipped %d cycles)", opaque.skipped)
-	}
-	opaque.skipped = baseline.skipped
-	if !reflect.DeepEqual(opaque, baseline) {
-		t.Errorf("opaque device changed simulated results:\n got %+v\nwant %+v", opaque, baseline)
 	}
 }

@@ -37,6 +37,18 @@ func (m *Machine) check() error {
 			return fmt.Errorf("hart %d: %w", h.gid, err)
 		}
 	}
+	for i, d := range m.devices {
+		switch d := d.(type) {
+		case nil:
+			return fmt.Errorf("device %d is nil", i)
+		case *Sensor:
+			// Step indexes the schedule with the cursor.
+			if d.Next < 0 || d.Next > len(d.Events) {
+				return fmt.Errorf("sensor %q has its cursor at %d, outside its %d-event schedule",
+					d.Name, d.Next, len(d.Events))
+			}
+		}
+	}
 	return m.checkEvents()
 }
 

@@ -1,28 +1,25 @@
 package lbp
 
 import (
-	"bytes"
 	"encoding/gob"
-	"fmt"
 
 	"repro/internal/trace"
 )
-
-// Stateful is an optional Device capability required for checkpointing:
-// DeviceState returns an opaque serialized snapshot of the device's
-// mutable state, and RestoreDeviceState installs one into a device built
-// with the same configuration. A machine with a device that does not
-// implement Stateful refuses to checkpoint.
-type Stateful interface {
-	DeviceState() ([]byte, error)
-	RestoreDeviceState(data []byte) error
-}
 
 // I/O devices for the non-interruptible I/O pattern of Section 6
 // (Figures 16-17). LBP takes no interrupts: input controllers poll
 // memory-mapped ports and the out-of-order engine synchronizes the
 // consumers through p_swre/p_lwre or plain loads; here the devices are
 // modeled as memory-mapped ports driven by a cycle schedule.
+//
+// A device is machine state like a hart: a checkpoint carries every
+// attached device whole, configuration and schedule included, as gob
+// encodes its exported fields, under the name registered here. A device
+// of any other type fails Checkpoint with gob's unregistered-type error.
+func init() {
+	gob.RegisterName("lbp.Sensor", &Sensor{})
+	gob.RegisterName("lbp.Actuator", &Actuator{})
+}
 
 // SensorEvent is one scheduled input arrival.
 type SensorEvent struct {
@@ -40,60 +37,29 @@ type Sensor struct {
 	FlagAddr  uint32
 	Events    []SensorEvent
 
-	next int
-	seq  uint32
+	Next int    // the first undelivered event of Events
+	Seq  uint32 // the flag word's value: events delivered so far
 }
 
 // Step implements Device.
 func (s *Sensor) Step(m *Machine, now uint64) {
-	for s.next < len(s.Events) && s.Events[s.next].Cycle <= now {
-		ev := s.Events[s.next]
-		s.next++
-		s.seq++
+	for s.Next < len(s.Events) && s.Events[s.Next].Cycle <= now {
+		ev := s.Events[s.Next]
+		s.Next++
+		s.Seq++
 		m.Mem.PokeShared(s.ValueAddr, ev.Value)
-		m.Mem.PokeShared(s.FlagAddr, s.seq)
-		m.event(trace.KindIO, -1, s.next, uint64(ev.Value))
+		m.Mem.PokeShared(s.FlagAddr, s.Seq)
+		m.event(trace.KindIO, -1, s.Next, uint64(ev.Value))
 	}
 }
 
-// NextArm implements Armed: a sensor acts at its next scheduled arrival,
-// so idle-cycle fast-forward may never jump past it.
+// NextArm implements Device: a sensor acts at its next scheduled
+// arrival, so idle-cycle fast-forward may never jump past it.
 func (s *Sensor) NextArm(now uint64) (uint64, bool) {
-	if s.next >= len(s.Events) {
+	if s.Next >= len(s.Events) {
 		return 0, false
 	}
-	return s.Events[s.next].Cycle, true
-}
-
-// sensorState is the mutable part of a Sensor; the schedule itself is
-// configuration and must be supplied again on restore.
-type sensorState struct {
-	Next int
-	Seq  uint32
-}
-
-// DeviceState implements Stateful.
-func (s *Sensor) DeviceState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sensorState{Next: s.next, Seq: s.seq}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreDeviceState implements Stateful.
-func (s *Sensor) RestoreDeviceState(data []byte) error {
-	var st sensorState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	if st.Next < 0 || st.Next > len(s.Events) {
-		return fmt.Errorf("lbp: sensor %q state cursor %d outside its %d-event schedule",
-			s.Name, st.Next, len(s.Events))
-	}
-	s.next = st.Next
-	s.seq = st.Seq
-	return nil
+	return s.Events[s.Next].Cycle, true
 }
 
 // ActuatorWrite is one observed output.
@@ -111,52 +77,25 @@ type Actuator struct {
 	ValueAddr uint32
 	SeqAddr   uint32
 
-	lastSeq uint32
-	Writes  []ActuatorWrite
+	LastSeq uint32          // the sequence word as last observed
+	Writes  []ActuatorWrite // every write observed, a resumed run's included
 }
 
 // Step implements Device.
 func (a *Actuator) Step(m *Machine, now uint64) {
 	seq, ok := m.Mem.PeekShared(a.SeqAddr)
-	if !ok || seq == a.lastSeq {
+	if !ok || seq == a.LastSeq {
 		return
 	}
-	a.lastSeq = seq
+	a.LastSeq = seq
 	v, _ := m.Mem.PeekShared(a.ValueAddr)
 	a.Writes = append(a.Writes, ActuatorWrite{Cycle: now, Value: v})
 	m.event(trace.KindIO, -2, 0, uint64(v))
 }
 
-// NextArm implements Armed: the watched sequence word only changes when a
-// store is applied, which happens exclusively inside memory events, so an
-// actuator never needs to wake the machine on its own. Fast-forward lands
-// exactly on the next memory-event cycle, where the poll observes the
-// change at the same cycle single-stepping would.
+// NextArm implements Device: the watched sequence word only changes when
+// a store is applied, which happens exclusively inside memory events, so
+// an actuator never needs to wake the machine on its own. Fast-forward
+// lands exactly on the next memory-event cycle, where the poll observes
+// the change at the same cycle single-stepping would.
 func (a *Actuator) NextArm(now uint64) (uint64, bool) { return 0, false }
-
-// actuatorState is the mutable part of an Actuator, including the
-// writes observed so far — a resumed run appends to them.
-type actuatorState struct {
-	LastSeq uint32
-	Writes  []ActuatorWrite
-}
-
-// DeviceState implements Stateful.
-func (a *Actuator) DeviceState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(actuatorState{LastSeq: a.lastSeq, Writes: a.Writes}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreDeviceState implements Stateful.
-func (a *Actuator) RestoreDeviceState(data []byte) error {
-	var st actuatorState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	a.lastSeq = st.LastSeq
-	a.Writes = st.Writes
-	return nil
-}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"repro/internal/trace"
 )
 
 // Unit tests of the hart-internal structures.
@@ -130,8 +132,9 @@ func TestUopSize(t *testing.T) {
 	}
 }
 
-// TestSavedStateIsPlainData: the exported fields of hart, uop and core
-// are what a checkpoint saves (state.go), so none of them, at any depth,
+// TestSavedStateIsPlainData: the exported fields of hart, uop, core, the
+// trace recorder and the registered devices are what a checkpoint saves
+// (state.go), so none of them, at any depth,
 // is a pointer, interface, func, map or chan, which gob cannot save as
 // it stands. A host-side link or cache is an unexported field. (mem's
 // TestEventIsPlainData holds the memory events to the same rule.)
@@ -153,7 +156,8 @@ func TestSavedStateIsPlainData(t *testing.T) {
 			t.Errorf("%s is a %s", name, typ.Kind())
 		}
 	}
-	for _, typ := range []reflect.Type{reflect.TypeOf(hart{}), reflect.TypeOf(uop{}), reflect.TypeOf(core{})} {
+	for _, v := range []any{hart{}, uop{}, core{}, trace.Recorder{}, Sensor{}, Actuator{}} {
+		typ := reflect.TypeOf(v)
 		walk(typ.Name(), typ)
 	}
 	if fields == 0 {

@@ -68,9 +68,16 @@ type Machine struct {
 }
 
 // Device models an external unit (sensor, actuator, timer) attached to
-// the machine. Step is called once per cycle before the cores.
+// the machine. Step is called once per cycle before the cores. NextArm
+// returns the earliest future cycle at which the device will act on its
+// own schedule (ok = false when it never will): idle-cycle fast-forward
+// never jumps past it. A device that only reacts to memory writes —
+// which happen exclusively inside memory events — returns (0, false).
+// A checkpoint saves the machine's devices whole, so only the types
+// device.go registers with gob can be checkpointed.
 type Device interface {
 	Step(m *Machine, now uint64)
+	NextArm(now uint64) (uint64, bool)
 }
 
 // Stats aggregates run counters.
@@ -186,6 +193,10 @@ func (m *Machine) Trace() *trace.Recorder { return m.rec }
 
 // AddDevice attaches a device.
 func (m *Machine) AddDevice(d Device) { m.devices = append(m.devices, d) }
+
+// Devices returns the attached devices in AddDevice order; a restored
+// machine's are the checkpoint's.
+func (m *Machine) Devices() []Device { return m.devices }
 
 // Cycle returns the current cycle number.
 func (m *Machine) Cycle() uint64 { return m.cycle }

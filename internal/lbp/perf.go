@@ -24,9 +24,6 @@ import (
 // event-trace digest.
 func (m *Machine) EnableProfiling() { m.profiling = true }
 
-// Profiling reports whether stall attribution is enabled.
-func (m *Machine) Profiling() bool { return m.profiling }
-
 // PerfSnapshot aggregates the counters of a (finished or running) run.
 // It returns nil unless EnableProfiling was called — without the per-cycle
 // walk the stall attribution would be empty and the snapshot misleading.

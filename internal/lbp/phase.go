@@ -81,34 +81,20 @@ func (m *Machine) SetFastForward(on bool) { m.fastFwd = on }
 
 // ---- idle-cycle fast-forward ------------------------------------------
 
-// Armed is an optional Device capability: NextArm returns the earliest
-// future cycle at which the device will act on its own schedule (ok =
-// false when it never will). Devices that only react to memory writes —
-// which happen exclusively inside mem events — return (0, false).
-// A device that does not implement Armed inhibits fast-forward entirely.
-type Armed interface {
-	NextArm(now uint64) (uint64, bool)
-}
-
 // nextWake computes the first cycle after now at which anything can
 // happen: the earliest pending memory event, the earliest device arm
 // time, or the earliest per-hart time gate (a produced pc becoming
 // fetchable, a functional unit finishing). It is only meaningful on a
 // cycle with zero pipeline activity — then every future state change is
-// triggered by one of those three sources. Returns ok=false when a
-// device without NextArm forbids skipping.
-func (m *Machine) nextWake(now uint64) (uint64, bool) {
+// triggered by one of those three sources.
+func (m *Machine) nextWake(now uint64) uint64 {
 	const never = ^uint64(0)
 	wake := never
 	if ec, ok := m.Mem.NextEventCycle(); ok {
 		wake = ec
 	}
 	for _, d := range m.devices {
-		a, ok := d.(Armed)
-		if !ok {
-			return 0, false
-		}
-		if cyc, armed := a.NextArm(now); armed && cyc < wake {
+		if cyc, armed := d.NextArm(now); armed && cyc < wake {
 			wake = cyc
 		}
 	}
@@ -125,7 +111,7 @@ func (m *Machine) nextWake(now uint64) (uint64, bool) {
 			}
 		}
 	}
-	return wake, true
+	return wake
 }
 
 // fastForward jumps the clock from a quiescent cycle `now` to just
@@ -136,11 +122,7 @@ func (m *Machine) nextWake(now uint64) (uint64, bool) {
 // livelock check all fire at exactly the cycle they would have under
 // single-stepping.
 func (m *Machine) fastForward(now, stop uint64) {
-	wake, ok := m.nextWake(now)
-	if !ok {
-		return
-	}
-	target := wake
+	target := m.nextWake(now)
 	if limit := stop + 1; target > limit {
 		target = limit
 	}

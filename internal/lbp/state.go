@@ -13,9 +13,10 @@ import (
 // Checkpoint/restore. A machine paused at a cycle boundary (after New,
 // after a completed run, or wherever Advance stopped) is plain data and
 // the predecoded code image, which is recomputed from the code bank.
-// The state is declared once: the exported fields of hart, uop and core
-// are what a checkpoint saves, as encoding/gob encodes them, and their
-// unexported fields are derived (restore rebuilds them) or host-side.
+// The state is declared once: the exported fields of hart, uop, core,
+// the devices and the trace recorder are what a checkpoint saves, as
+// encoding/gob encodes them, and their unexported fields are derived
+// (restore rebuilds them) or host-side.
 // A uop is named by its ring slot everywhere in a hart, and the ring
 // saves whole with its head; an in-flight memory event names its client
 // by value. Restore is decode, then check (check.go), the function the
@@ -31,16 +32,17 @@ import (
 
 // checkpointVersion is the format number embedded in every checkpoint
 // this build writes.
-const checkpointVersion = 6
+const checkpointVersion = 7
 
 // checkpointMagic prefixes every checkpoint stream; bytes that do not
 // start with it are not a checkpoint of this format.
-var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '6'}
+var checkpointMagic = [8]byte{'L', 'B', 'P', 'C', 'K', 'P', 'T', '7'}
 
-// savedMachine is a version-6 stream after its magic, one gob value:
+// savedMachine is a version-7 stream after its magic, one gob value:
 // configuration, clock and counters, the memory system (its banks as
-// their attached pages, its in-flight events), the trace chain, device
-// state, and every core, hart and performance counter of the machine.
+// their attached pages, its in-flight events), the trace recorder (nil:
+// untraced), the devices, and every core, hart and performance counter
+// of the machine.
 type savedMachine struct {
 	Version    int
 	Cfg        Config
@@ -54,9 +56,8 @@ type savedMachine struct {
 	Profiling  bool
 	DecodedLen uint32
 	Mem        mem.State
-	HasTrace   bool
-	Trace      trace.RecorderState
-	Devices    [][]byte
+	Trace      *trace.Recorder
+	Devices    []Device
 	Cores      []*core
 	Harts      []*hart
 	HPerf      []perf.HartCounters
@@ -65,14 +66,15 @@ type savedMachine struct {
 
 // Checkpoint serializes the full architectural state of the machine:
 // hart registers, reorder buffers and rename maps, in-flight memory
-// events, link-allocator state and bank pages, device state, cycle and
-// performance counters, and the trace-digest chain. Restoring the bytes
+// events, link-allocator state and bank pages, the devices, cycle and
+// performance counters, and the trace recorder. Restoring the bytes
 // with Restore and advancing reproduces the uninterrupted run
 // bit-exactly. Host-side execution knobs (fast-forward) are not part of
 // the state — they never affect simulated results.
 //
-// The bytes are the version-6 format: the magic tag, then one
-// gob-encoded savedMachine.
+// The bytes are the version-7 format: the magic tag, then one
+// gob-encoded savedMachine. A device of a type gob does not know
+// (device.go registers Sensor and Actuator) fails the encoding.
 func (m *Machine) Checkpoint() ([]byte, error) {
 	m.flushIdle()
 	if len(m.late) > 0 {
@@ -94,6 +96,8 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 		Profiling:  m.profiling,
 		DecodedLen: uint32(len(m.descs)),
 		Mem:        *memState,
+		Trace:      m.rec,
+		Devices:    m.devices,
 		Cores:      m.cores,
 		Harts:      m.harts,
 		HPerf:      m.hperf,
@@ -101,22 +105,6 @@ func (m *Machine) Checkpoint() ([]byte, error) {
 	}
 	if m.err != nil {
 		sm.ErrMsg = m.err.Error()
-	}
-	if m.rec != nil {
-		sm.HasTrace = true
-		sm.Trace = m.rec.State()
-	}
-	sm.Devices = make([][]byte, len(m.devices))
-	for i, d := range m.devices {
-		s, ok := d.(Stateful)
-		if !ok {
-			return nil, fmt.Errorf("lbp: device %d (%T) does not support checkpointing", i, d)
-		}
-		b, err := s.DeviceState()
-		if err != nil {
-			return nil, fmt.Errorf("lbp: device %d: %w", i, err)
-		}
-		sm.Devices[i] = b
 	}
 	var buf bytes.Buffer
 	buf.Write(checkpointMagic[:])
@@ -135,19 +123,17 @@ type CheckpointError struct{ Err error }
 func (e *CheckpointError) Error() string { return e.Err.Error() }
 func (e *CheckpointError) Unwrap() error { return e.Err }
 
-// Restore rebuilds a machine from Checkpoint bytes. Devices are not
-// serializable as configuration, so the caller passes freshly built,
-// identically configured devices in the original AddDevice order; their
-// mutable state is restored from the checkpoint before attachment.
-func Restore(data []byte, devices ...Device) (*Machine, error) {
-	m, err := restore(data, devices)
+// Restore rebuilds a machine from Checkpoint bytes, its trace recorder
+// and devices included (Trace, Devices).
+func Restore(data []byte) (*Machine, error) {
+	m, err := restore(data)
 	if err != nil {
 		return nil, &CheckpointError{err}
 	}
 	return m, nil
 }
 
-func restore(data []byte, devices []Device) (*Machine, error) {
+func restore(data []byte) (*Machine, error) {
 	if !bytes.HasPrefix(data, checkpointMagic[:]) {
 		return nil, fmt.Errorf("lbp: not a version-%d checkpoint (no %q magic)", checkpointVersion, checkpointMagic)
 	}
@@ -158,10 +144,6 @@ func restore(data []byte, devices []Device) (*Machine, error) {
 	if sm.Version != checkpointVersion {
 		return nil, fmt.Errorf("lbp: checkpoint version %d, this build supports %d",
 			sm.Version, checkpointVersion)
-	}
-	if len(devices) != len(sm.Devices) {
-		return nil, fmt.Errorf("lbp: checkpoint was taken with %d devices, restore got %d",
-			len(sm.Devices), len(devices))
 	}
 	// The configuration sizes every allocation New makes, so it is held
 	// to the bounds of a machine an entry point would build before
@@ -195,6 +177,8 @@ func restore(data []byte, devices []Device) (*Machine, error) {
 	if err := m.Mem.RestoreGlobalState(&sm.Mem, sm.Cycle); err != nil {
 		return nil, err
 	}
+	m.SetTrace(sm.Trace)
+	m.devices = sm.Devices
 	m.decodeCode(int(sm.DecodedLen))
 	for _, h := range m.harts {
 		h.derive()
@@ -211,18 +195,5 @@ func restore(data []byte, devices []Device) (*Machine, error) {
 		c.fetchC, c.renameC, c.issueC, c.wbC, c.commitC = allHarts, allHarts, allHarts, allHarts, allHarts
 	}
 	m.rebuildActive(m.cycle + 1)
-	if sm.HasTrace {
-		m.SetTrace(trace.NewFromState(sm.Trace))
-	}
-	for i, d := range devices {
-		s, ok := d.(Stateful)
-		if !ok {
-			return nil, fmt.Errorf("lbp: restore device %d (%T) does not support checkpointing", i, d)
-		}
-		if err := s.RestoreDeviceState(sm.Devices[i]); err != nil {
-			return nil, fmt.Errorf("lbp: restore device %d: %w", i, err)
-		}
-		m.AddDevice(d)
-	}
 	return m, nil
 }

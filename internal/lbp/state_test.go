@@ -112,6 +112,9 @@ func TestCheckpointResumeTeam(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesUnknownDevice: a checkpoint carries its devices
+// whole, so a device of a type gob was never told about cannot be
+// written.
 func TestCheckpointRefusesUnknownDevice(t *testing.T) {
 	prog, err := asm.Assemble("main:\n\tli t0, -1\n\tli ra, 0\n\tp_ret\n", asm.Options{})
 	if err != nil {
@@ -122,15 +125,69 @@ func TestCheckpointRefusesUnknownDevice(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	m.AddDevice(plainDevice{})
-	if _, err := m.Checkpoint(); err == nil {
-		t.Fatal("checkpoint must refuse a device without Stateful")
+	if _, err := m.Checkpoint(); err == nil || !strings.Contains(err.Error(), "not registered") {
+		t.Fatalf("checkpoint with an unregistered device type: %v, want gob's not-registered refusal", err)
 	}
 }
 
-// plainDevice implements Device but not Stateful.
+// plainDevice is a Device of a type device.go does not register.
 type plainDevice struct{}
 
-func (plainDevice) Step(*Machine, uint64) {}
+func (plainDevice) Step(*Machine, uint64)         {}
+func (plainDevice) NextArm(uint64) (uint64, bool) { return 0, false }
+
+// TestTraceRingRestoresItsPosition: where a restored recorder writes
+// next follows from its count. A traced 1-core run is checkpointed
+// before its ring wraps and twice after, mid-ring; the restored ring
+// reads the original's events right away and still does after both
+// machines run on.
+func TestTraceRingRestoresItsPosition(t *testing.T) {
+	const ring = 37
+	prog, err := asm.Assemble(sprintf(teamProgram, 4, 4), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(DefaultConfig(1))
+	m.SetTrace(trace.New(ring))
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	var wrapped bool
+	for _, k := range []uint64{2, 60, 97} {
+		if res, err := m.Advance(k - m.Cycle()); res != nil || err != nil {
+			t.Fatalf("advance to %d: res=%v err=%v", k, res, err)
+		}
+		n := m.Trace().Count()
+		if n%ring == 0 {
+			t.Fatalf("cycle %d: %d events, a whole number of rings: not mid-ring", k, n)
+		}
+		wrapped = wrapped || n > ring
+		cp, err := m.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := Restore(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m2.Trace().Last(ring), m.Trace().Last(ring); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d: restored Last(%d) = %v,\nthe original's %v", k, ring, got, want)
+		}
+		if _, err := m2.Advance(5); err != nil {
+			t.Fatal(err)
+		}
+		m3, _ := Restore(cp)
+		if _, err := m3.Advance(5); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m2.Trace().Last(ring), m3.Trace().Last(ring); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cycle %d + 5: restored rings diverge: %v,\n%v", k, got, want)
+		}
+	}
+	if !wrapped {
+		t.Fatal("the ring never wrapped")
+	}
+}
 
 func TestMachineReset(t *testing.T) {
 	const cores, nt = 2, 6
@@ -193,12 +250,12 @@ func TestReadSharedSliceBounds(t *testing.T) {
 	}
 }
 
-// The checkpoint fixtures. checkpoint_v6_8core.bin is an 8-core placed
+// The checkpoint fixtures. checkpoint_v7_8core.bin is an 8-core placed
 // set/get run stopped at cycle 4000 with a digest recorder attached:
-// the version-5 fixture of the same machine converted to version 6
-// (EXPERIMENTS E46, E45 and E37 have the recipe, E29 the run it came
-// from). checkpoint_v1_prefix.bin through checkpoint_v5_prefix.bin are
-// the first KiB of the same machine in the five retired formats.
+// the version-6 fixture of the same machine converted to version 7
+// (EXPERIMENTS E49, E46, E45 and E37 have the recipe, E29 the run it
+// came from). checkpoint_v1_prefix.bin through checkpoint_v6_prefix.bin
+// are the first KiB of the same machine in the six retired formats.
 func fixture(t testing.TB, name string) []byte {
 	t.Helper()
 	data, err := os.ReadFile("testdata/" + name)
@@ -230,7 +287,7 @@ func encode(t testing.TB, sm *savedMachine) []byte {
 
 const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 
-// TestCheckpointV6Format is the cross-build pin on the one checkpoint
+// TestCheckpointV7Format is the cross-build pin on the one checkpoint
 // format: a stream another build wrote restores, re-checkpoints to the
 // very same bytes — so the test fails whenever a saved struct changes
 // without a checkpointVersion bump — and runs to the end of the
@@ -239,16 +296,16 @@ const pinChildEnv = "LBP_CHECKPOINT_PIN_CHILD"
 // gob numbers types process-wide in first-use order, so any gob value
 // an earlier test encoded would renumber the stream; the comparison
 // runs in a process of its own.
-func TestCheckpointV6Format(t *testing.T) {
+func TestCheckpointV7Format(t *testing.T) {
 	if os.Getenv(pinChildEnv) == "" {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV6Format$")
+		cmd := exec.Command(os.Args[0], "-test.run=^TestCheckpointV7Format$")
 		cmd.Env = append(os.Environ(), pinChildEnv+"=1")
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
 		return
 	}
-	want := fixture(t, "checkpoint_v6_8core.bin")
+	want := fixture(t, "checkpoint_v7_8core.bin")
 	m, err := Restore(want)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
@@ -280,15 +337,16 @@ func TestCheckpointV6Format(t *testing.T) {
 }
 
 // TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
-// LBPCKPT2 version 2 through LBPCKPT5 version 5 — are refused by name,
+// LBPCKPT2 version 2 through LBPCKPT6 version 6 — are refused by name,
 // like any other bytes that are not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
 	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin",
-		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin", "checkpoint_v5_prefix.bin"} {
+		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin", "checkpoint_v5_prefix.bin",
+		"checkpoint_v6_prefix.bin"} {
 		_, err := Restore(fixture(t, name))
 		var ce *CheckpointError
-		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-6 checkpoint") {
-			t.Errorf("restore of %s: %v, want the not-a-version-6-checkpoint CheckpointError", name, err)
+		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-7 checkpoint") {
+			t.Errorf("restore of %s: %v, want the not-a-version-7-checkpoint CheckpointError", name, err)
 		}
 	}
 }
@@ -298,16 +356,16 @@ func TestRestoreV1Checkpoint(t *testing.T) {
 // allocated from them — RemoteRBs = -1 used to panic inside New, and
 // 4096 cores (above MaxCores) used to be built.
 func TestReadCheckpointRefusals(t *testing.T) {
-	v6 := fixture(t, "checkpoint_v6_8core.bin")
+	v7 := fixture(t, "checkpoint_v7_8core.bin")
 	for _, tc := range []struct {
 		name string
 		data []byte
 		want string
 	}{
 		{"empty", nil, "magic"},
-		{"magic only", v6[:8], "decoding"},
-		{"first 400 bytes", v6[:400], "decoding"},
-		{"mid-machine", v6[:len(v6)/2], "decoding"},
+		{"magic only", v7[:8], "decoding"},
+		{"first 400 bytes", v7[:400], "decoding"},
+		{"mid-machine", v7[:len(v7)/2], "decoding"},
 		{"RemoteRBs=-1", configOnly(t, func(c *Config) { c.RemoteRBs = -1 }), "RemoteRBs"},
 		{"Cores=4096", configOnly(t, func(c *Config) { c.Cores = 4096 }), "cores"},
 		{"ROBEntries=0", configOnly(t, func(c *Config) { c.ROBEntries = 0 }), "ROBEntries"},
@@ -481,6 +539,15 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 			l := sm.Mem.Local
 			l[0], l[1] = l[1], l[0]
 		}, "ascend"},
+		{"sensor cursor past its schedule", func(sm *savedMachine) {
+			sm.Devices = rig()
+			sm.Devices[0].(*Sensor).Next = 2
+		}, "cursor at 2, outside its 1-event schedule"},
+		{"negative sensor cursor", func(sm *savedMachine) {
+			sm.Devices = rig()
+			sm.Devices[0].(*Sensor).Next = -1
+		}, "cursor at -1"},
+		{"nil device", func(sm *savedMachine) { sm.Devices = []Device{nil} }, "device 0 is nil"},
 		{"word past a partial last page", func(sm *savedMachine) {
 			// 4 bytes off the bank leave 255 of its last page's 256 words
 			// inside it; the bank's word 16383 is the 256th.
@@ -532,12 +599,38 @@ func hostileCheckpoints(t testing.TB) []hostileCheckpoint {
 			row.edit(sm.Harts[robHart])
 		}), row.want})
 	}
-	v6 := fixture(t, "checkpoint_v6_8core.bin")
+	v7 := fixture(t, "checkpoint_v7_8core.bin")
 	for _, row := range fixtureEdits {
-		out = append(out, hostileCheckpoint{row.name, rewrite(t, v6, func(sm *savedMachine) {
+		out = append(out, hostileCheckpoint{row.name, rewrite(t, v7, func(sm *savedMachine) {
 			row.edit.apply(t, sm)
 		}), row.want})
 	}
+	withRig := rewrite(t, base, func(sm *savedMachine) { sm.Devices = rig() })
+	return append(out, hostileCheckpoint{"device type not registered", unregistered(withRig), "not registered"})
+}
+
+// rig is the devices the hostile rows and FuzzRestoreEdit attach to a
+// checkpoint: a sensor that has delivered its one scheduled event, and
+// an actuator.
+func rig() []Device {
+	return []Device{
+		&Sensor{Name: "s0", ValueAddr: 0x80000000, FlagAddr: 0x80000004,
+			Events: []SensorEvent{{Cycle: 1, Value: 7}}, Next: 1, Seq: 1},
+		&Actuator{Name: "a0", ValueAddr: 0x80000008, SeqAddr: 0x8000000c},
+	}
+}
+
+// unregistered renames the first sensor of a checkpoint stream to a
+// type name of the same length that no build registers, as a device
+// type this build lacks would arrive; a stream with no sensor comes
+// back unchanged.
+func unregistered(data []byte) []byte {
+	i := bytes.Index(data, []byte("lbp.Sensor"))
+	if i < 0 {
+		return data
+	}
+	out := bytes.Clone(data)
+	copy(out[i:], "lbp.Censor")
 	return out
 }
 
@@ -559,7 +652,7 @@ func (e fieldEdit) apply(t testing.TB, sm *savedMachine) {
 	t.Fatalf("the checkpoint has no field %s", e.path)
 }
 
-// fixtureEdits are one-field edits of checkpoint_v6_8core.bin, each a
+// fixtureEdits are one-field edits of checkpoint_v7_8core.bin, each a
 // machine no run reaches, and the words of check's refusal. The format
 // before check took every one of them: four stalled the run into the
 // livelock fault and three changed its answer (ROADMAP). At cycle 4000
@@ -596,13 +689,14 @@ type leaf struct {
 }
 
 // leaves appends the numbers and bools reachable from v through
-// exported fields, elements and pointers, depth first, with their paths.
+// exported fields, elements, pointers and interfaces, depth first, with
+// their paths.
 func leaves(out []leaf, path string, v reflect.Value) []leaf {
 	switch v.Kind() {
 	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		return append(out, leaf{path, v})
-	case reflect.Pointer:
+	case reflect.Pointer, reflect.Interface:
 		if !v.IsNil() {
 			return leaves(out, path, v.Elem())
 		}
@@ -638,28 +732,40 @@ func (l leaf) set(x int64) {
 const fuzzEditCycles = 10_000
 
 // FuzzRestoreEdit is FuzzReadCheckpoint for streams that stay
-// well-formed. The input is a list of (field, value) varint pairs: a
-// field is a leaf of the decoded checkpoint_v6_8core.bin by its index in
-// leaves order (modulo their number), set to the value; the stream is
-// re-encoded and restored. Restore answers a CheckpointError, or a
-// machine that check holds to after every cycle of its run, to the end,
-// a fault or fuzzEditCycles. The seeds are fixtureEdits and no edit.
+// well-formed. The base is checkpoint_v7_8core.bin with rig's devices
+// attached. The input is a list of (field, value) varint pairs: a field
+// is a leaf of the decoded base by its index in leaves order (modulo
+// their number), set to the value; the stream is re-encoded and, when
+// rename is set, its sensor's type renamed (unregistered), then
+// restored. Restore answers a CheckpointError, or a machine that check
+// holds to after every cycle of its run, to the end, a fault or
+// fuzzEditCycles. The seeds are fixtureEdits, a sensor cursor past its
+// schedule, the rename, and no edit.
 func FuzzRestoreEdit(f *testing.F) {
-	v6 := fixture(f, "checkpoint_v6_8core.bin")
+	base := rewrite(f, fixture(f, "checkpoint_v7_8core.bin"), func(sm *savedMachine) { sm.Devices = rig() })
 	var sm savedMachine
-	if err := gob.NewDecoder(bytes.NewReader(v6[len(checkpointMagic):])).Decode(&sm); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(base[len(checkpointMagic):])).Decode(&sm); err != nil {
 		f.Fatal(err)
 	}
 	index := map[string]uint64{}
 	for i, l := range leaves(nil, "", reflect.ValueOf(&sm).Elem()) {
 		index[l.path] = uint64(i)
 	}
-	f.Add([]byte{})
-	for _, row := range fixtureEdits {
-		f.Add(binary.AppendVarint(binary.AppendUvarint(nil, index[row.edit.path]), row.edit.value))
+	edit := func(path string, value int64) []byte {
+		i, ok := index[path]
+		if !ok {
+			f.Fatalf("the base has no field %s", path)
+		}
+		return binary.AppendVarint(binary.AppendUvarint(nil, i), value)
 	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		data := rewrite(t, v6, func(sm *savedMachine) {
+	f.Add([]byte{}, false)
+	for _, row := range fixtureEdits {
+		f.Add(edit(row.edit.path, row.edit.value), false)
+	}
+	f.Add(edit("Devices[0].Next", 2), false)
+	f.Add([]byte{}, true)
+	f.Fuzz(func(t *testing.T, in []byte, rename bool) {
+		data := rewrite(t, base, func(sm *savedMachine) {
 			ls := leaves(nil, "", reflect.ValueOf(sm).Elem())
 			for len(in) > 0 {
 				i, n := binary.Uvarint(in)
@@ -674,6 +780,9 @@ func FuzzRestoreEdit(f *testing.F) {
 				ls[i%uint64(len(ls))].set(x)
 			}
 		})
+		if rename {
+			data = unregistered(data)
+		}
 		m, err := Restore(data)
 		if err != nil {
 			if ce := (*CheckpointError)(nil); !errors.As(err, &ce) {
@@ -915,11 +1024,11 @@ func TestCheckpointCarriesEveryMessageKind(t *testing.T) {
 // pages) is rebuilt from whatever the stream claimed, so stepping is the
 // property to fuzz.
 func FuzzReadCheckpoint(f *testing.F) {
-	v6 := fixture(f, "checkpoint_v6_8core.bin")
-	f.Add(v6)
-	f.Add(v6[:8])
-	f.Add(v6[:400])
-	f.Add(v6[:len(v6)/2])
+	v7 := fixture(f, "checkpoint_v7_8core.bin")
+	f.Add(v7)
+	f.Add(v7[:8])
+	f.Add(v7[:400])
+	f.Add(v7[:len(v7)/2])
 	f.Add(fixture(f, "checkpoint_v1_prefix.bin"))
 	f.Add(configOnly(f, func(c *Config) { c.RemoteRBs = -1 }))
 	f.Add(configOnly(f, func(c *Config) { c.Cores = 4096 }))

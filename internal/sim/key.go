@@ -28,14 +28,14 @@ import (
 //   - Programs hash by serialized image, so MiniC source and the
 //     lbp-asm image it compiles to share a key.
 //
-// Specs with devices have no key: device state lives outside the
-// machine, so their runs are not pure functions of the Spec.
+// Specs with devices have no key: a device is the caller's object and
+// a run changes it, so their runs are not pure functions of the Spec.
 func CacheKey(spec Spec) (string, error) {
 	if spec.Program == nil {
 		return "", fmt.Errorf("sim: CacheKey requires a program")
 	}
 	if len(spec.Devices) > 0 {
-		return "", fmt.Errorf("sim: a spec with devices has no cache key (device state is external)")
+		return "", fmt.Errorf("sim: a spec with devices has no cache key (a run changes its devices)")
 	}
 	h := sha256.New()
 	fmt.Fprintln(h, "lbp-result-key-v1")

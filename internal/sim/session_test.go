@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/cc"
 	"repro/internal/lbp"
 	"repro/internal/perf"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -224,9 +226,8 @@ func TestCheckpointResume1024Cores(t *testing.T) {
 	}
 }
 
-// sensorDevices builds the Figure 16 device set for prog; called twice
-// per test so the resumed machine gets fresh, identically configured
-// devices (their mutable state comes from the checkpoint).
+// sensorDevices builds the Figure 16 device set for prog; called once
+// per run, so no two runs share a device.
 func sensorDevices(prog *asm.Program) ([]lbp.Device, *lbp.Actuator) {
 	var devices []lbp.Device
 	for i := 0; i < 4; i++ {
@@ -247,9 +248,10 @@ func sensorDevices(prog *asm.Program) ([]lbp.Device, *lbp.Actuator) {
 }
 
 // TestCheckpointResumeDevices splits a device-driven run in the middle
-// of the sensor schedule: the resumed machine reattaches fresh devices,
-// restores their cursors from the checkpoint, and must reproduce the
-// uninterrupted run's actuator writes and cycle count exactly.
+// of the sensor schedule: the resumed machine's devices are the
+// checkpoint's, cursors and observed writes included, with nothing
+// built by the caller, and must reproduce the uninterrupted run's
+// actuator writes and cycle count exactly.
 func TestCheckpointResumeDevices(t *testing.T) {
 	asmText, err := cc.BuildProgram(workloads.SensorFusionSource(2), cc.DefaultOptions())
 	if err != nil {
@@ -293,10 +295,17 @@ func TestCheckpointResumeDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devices, act := sensorDevices(prog)
-	resumed, err := Resume(cp, ResumeSpec{Devices: devices, MaxCycles: 50_000_000})
+	resumed, err := Resume(cp, ResumeSpec{MaxCycles: 50_000_000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	devices := resumed.Machine().Devices()
+	if len(devices) != 5 {
+		t.Fatalf("resumed machine has %d devices, want the rig's 5", len(devices))
+	}
+	act, ok := devices[4].(*lbp.Actuator)
+	if !ok {
+		t.Fatalf("device 4 is a %T, want the rig's *lbp.Actuator", devices[4])
 	}
 	res, err := resumed.Run()
 	if err != nil {
@@ -505,6 +514,42 @@ func TestPoolReuse(t *testing.T) {
 	}
 	if third == second {
 		t.Error("pool reused a machine across different observer settings")
+	}
+}
+
+// TestResumeHoldsTheRingBound: Resume holds a checkpoint's trace ring to
+// MaxTraceRing, as New holds a Spec's. A ring of 4 Mi zero events (96 MiB
+// of recorder) is a checkpoint of 4.2 MB: gob spends about a byte on a
+// zero event, so the bytes' own size bounds nothing useful.
+func TestResumeHoldsTheRingBound(t *testing.T) {
+	checkpoint := func(ring int) []byte {
+		m := lbp.New(lbp.DefaultConfig(1))
+		if err := m.LoadProgram(exitProgram(t)); err != nil {
+			t.Fatal(err)
+		}
+		m.SetTrace(trace.New(ring))
+		cp, err := m.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	sess, err := Resume(checkpoint(MaxTraceRing), ResumeSpec{})
+	if err != nil {
+		t.Fatalf("a ring at the bound: %v", err)
+	}
+	if got := sess.Recorder().RingSize(); got != MaxTraceRing {
+		t.Errorf("resumed ring of %d events, want %d", got, MaxTraceRing)
+	}
+	sess = nil
+	cp := checkpoint(4 << 20)
+	if len(cp) > 5<<20 {
+		t.Errorf("the 4 Mi-event checkpoint is %d bytes, expected about 4.2 MB", len(cp))
+	}
+	sess, err = Resume(cp, ResumeSpec{})
+	var ce *lbp.CheckpointError
+	if sess != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Errorf("a ring of 4 Mi events: session=%v err=%v, want a CheckpointError naming the maximum", sess != nil, err)
 	}
 }
 

@@ -2,6 +2,8 @@
 // declarative Spec describes one simulation — program, machine
 // geometry, devices, cycle budget and observers — and a Session
 // builds, runs, checkpoints, resumes and resets the underlying machine.
+// A checkpoint carries all of a session but its budget: the machine,
+// its devices and its observers.
 // Every runner in this repository (cmd/lbp-run, cmd/lbp-bench,
 // internal/figures, examples/) builds machines through this package,
 // so the build-and-attach ordering that determinism depends on lives
@@ -30,8 +32,9 @@ const defaultMaxCycles = 100_000_000
 // MaxTraceRing bounds TraceSpec.Ring. The ring is allocated when the
 // session is built and a serving layer returns it whole, so the size is
 // checked in New, where every entry point (lbp-run -tail, POST /jobs
-// "ring", a worker handed the job over rpc) passes: 1 Mi events is
-// 24 MiB of recorder, 16 times what lbp-run -chrome retains.
+// "ring", a worker handed the job over rpc) passes, and in Resume, which
+// refuses a checkpoint carrying a longer ring: 1 Mi events is 24 MiB of
+// recorder, 16 times what lbp-run -chrome retains.
 const MaxTraceRing = 1 << 20
 
 // TraceSpec configures event tracing. The zero value records nothing.
@@ -61,7 +64,8 @@ type Spec struct {
 	SharedBankBytes uint32
 
 	// Devices are attached to the machine in order. Sessions with
-	// devices cannot be pooled or reset (device state is external).
+	// devices cannot be pooled or reset: the run changes them, and the
+	// caller holds them.
 	Devices []lbp.Device
 
 	// MaxCycles is the absolute run budget (0 = 100M).
@@ -192,8 +196,8 @@ func (s *Session) RunSliced(slice uint64, check func(cycle uint64) error) (*lbp.
 
 // Reset returns the warm machine to its initial state and loads prog,
 // reattaching fresh observers and turning fast-forward back on, so a
-// pooled machine never inherits a test's setting. Sessions with devices refuse: device
-// state lives outside the machine and would leak between runs.
+// pooled machine never inherits a test's setting. Sessions with devices
+// refuse: the caller holds them, and their state would leak between runs.
 func (s *Session) Reset(prog *asm.Program) error {
 	if len(s.spec.Devices) > 0 {
 		return fmt.Errorf("sim: cannot reset a session with devices")
@@ -224,25 +228,30 @@ func (s *Session) Config() lbp.Config { return s.cfg }
 // the Spec enabled profiling).
 func (s *Session) PerfSnapshot() *perf.Snapshot { return s.m.PerfSnapshot() }
 
-// ResumeSpec carries what a checkpoint cannot: the devices to reattach
-// (freshly built with the original configuration, in AddDevice order)
-// and the budget of the resuming process. Trace and profiling
-// configuration travel inside the checkpoint.
+// ResumeSpec carries what a checkpoint does not: the budget of the
+// resuming process. The trace recorder, profiling and the devices travel
+// inside the checkpoint.
 type ResumeSpec struct {
-	Devices   []lbp.Device
 	MaxCycles uint64 // absolute budget, counting already-simulated cycles
 }
 
 // Resume rebuilds a session from Checkpoint bytes. Advancing it
 // reproduces the uninterrupted run bit-exactly, for either fast-forward
-// setting on either side of the split.
+// setting on either side of the split. The session's devices are the
+// checkpoint's (Machine().Devices()), so it cannot be reset or pooled
+// when there are any. Every error is an *lbp.CheckpointError; a trace
+// ring longer than MaxTraceRing is refused as New refuses it.
 func Resume(cp []byte, rs ResumeSpec) (*Session, error) {
-	m, err := lbp.Restore(cp, rs.Devices...)
+	m, err := lbp.Restore(cp)
 	if err != nil {
 		return nil, err
 	}
+	if r := m.Trace(); r != nil && r.RingSize() > MaxTraceRing {
+		return nil, &lbp.CheckpointError{Err: fmt.Errorf("sim: checkpoint trace ring of %d events exceeds the maximum %d",
+			r.RingSize(), MaxTraceRing)}
+	}
 	return &Session{
-		spec: Spec{Devices: rs.Devices, MaxCycles: rs.MaxCycles},
+		spec: Spec{Devices: m.Devices(), MaxCycles: rs.MaxCycles},
 		cfg:  m.Config(),
 		m:    m,
 		rec:  m.Trace(),

@@ -90,5 +90,5 @@ func WriteChrome(w io.Writer, evs []Event) error {
 
 // WriteChrome exports all events retained in the recorder's ring buffer.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	return WriteChrome(w, r.Last(len(r.ring)))
+	return WriteChrome(w, r.Last(len(r.Ring)))
 }

@@ -153,19 +153,23 @@ func foldMiddle(h uint64, e *Event) uint64 {
 }
 
 // Recorder accumulates events. The zero value records nothing; use New.
+//
+// The exported fields are the recorder's whole state, and a machine
+// checkpoint saves them as they stand: the digest, the count and the
+// ring. Where the ring writes next is not saved, because it follows from
+// the count: event n (counting from 0) lands in slot n mod len(Ring), so
+// the ring has wrapped once Seen >= len(Ring).
 type Recorder struct {
-	digest uint64
-	count  uint64
-	ring   []Event
-	next   int
-	full   bool
+	Sum  uint64  // the running digest (Digest)
+	Seen uint64  // events recorded (Count)
+	Ring []Event // the last len(Ring) events, event n in slot n mod len(Ring)
 }
 
 // New creates a Recorder keeping the last ringSize events (0 = none).
 func New(ringSize int) *Recorder {
-	r := &Recorder{digest: fnvOffset}
+	r := &Recorder{Sum: fnvOffset}
 	if ringSize > 0 {
-		r.ring = make([]Event, ringSize)
+		r.Ring = make([]Event, ringSize)
 	}
 	return r
 }
@@ -174,24 +178,14 @@ func New(ringSize int) *Recorder {
 // nearly every event of a run takes, is folded here, without a call.
 func (r *Recorder) Add(e Event) {
 	if isShort(&e) {
-		r.digest = foldShort(r.digest, &e)
+		r.Sum = foldShort(r.Sum, &e)
 	} else {
-		r.digest = foldEvent(r.digest, &e)
+		r.Sum = foldEvent(r.Sum, &e)
 	}
-	r.count++
-	if r.ring != nil {
-		r.keep(e)
+	if len(r.Ring) > 0 {
+		r.Ring[r.Seen%uint64(len(r.Ring))] = e
 	}
-}
-
-// keep writes an event into the ring.
-func (r *Recorder) keep(e Event) {
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
-	}
+	r.Seen++
 }
 
 // AddBatch folds a slice of events in order, exactly as the equivalent
@@ -199,40 +193,42 @@ func (r *Recorder) keep(e Event) {
 // The simulator's one batch is a cycle's trace events that waited behind
 // a p_fn for phase B.
 func (r *Recorder) AddBatch(evs []Event) {
-	h := r.digest
+	h := r.Sum
 	for i := range evs {
 		h = foldEvent(h, &evs[i])
 	}
-	r.digest = h
-	r.count += uint64(len(evs))
-	if r.ring != nil {
-		for _, e := range evs {
-			r.keep(e)
+	r.Sum = h
+	if n := uint64(len(r.Ring)); n > 0 {
+		for i, e := range evs {
+			r.Ring[(r.Seen+uint64(i))%n] = e
 		}
 	}
+	r.Seen += uint64(len(evs))
 }
 
 // Digest returns the running digest.
-func (r *Recorder) Digest() uint64 { return r.digest }
+func (r *Recorder) Digest() uint64 { return r.Sum }
 
 // Count returns the number of recorded events.
-func (r *Recorder) Count() uint64 { return r.count }
+func (r *Recorder) Count() uint64 { return r.Seen }
 
 // RingSize returns the event-retention capacity (0 = digest-only: the
 // recorder folds events but keeps none for Last or WriteChrome).
-func (r *Recorder) RingSize() int { return len(r.ring) }
+func (r *Recorder) RingSize() int { return len(r.Ring) }
 
 // Last returns up to n of the most recent events, oldest first.
 // Non-positive n returns nil.
 func (r *Recorder) Last(n int) []Event {
-	if r.ring == nil || n <= 0 {
+	size := uint64(len(r.Ring))
+	if size == 0 || n <= 0 {
 		return nil
 	}
+	next := r.Seen % size
 	var evs []Event
-	if r.full {
-		evs = append(evs, r.ring[r.next:]...)
+	if r.Seen >= size {
+		evs = append(evs, r.Ring[next:]...)
 	}
-	evs = append(evs, r.ring[:r.next]...)
+	evs = append(evs, r.Ring[:next]...)
 	if n < len(evs) {
 		evs = evs[len(evs)-n:]
 	}
@@ -243,39 +239,4 @@ func (r *Recorder) Last(n int) []Event {
 // (same digest and count).
 func Same(a, b *Recorder) bool {
 	return a.Digest() == b.Digest() && a.Count() == b.Count()
-}
-
-// RecorderState is the serializable state of a Recorder. Restoring it
-// with NewFromState yields a recorder whose digest, count and ring
-// contents continue exactly where the original left off.
-type RecorderState struct {
-	Digest uint64
-	Count  uint64
-	Ring   []Event
-	Next   int
-	Full   bool
-}
-
-// State snapshots the recorder.
-func (r *Recorder) State() RecorderState {
-	return RecorderState{
-		Digest: r.digest,
-		Count:  r.count,
-		Ring:   append([]Event(nil), r.ring...),
-		Next:   r.next,
-		Full:   r.full,
-	}
-}
-
-// NewFromState rebuilds a recorder from a snapshot.
-func NewFromState(st RecorderState) *Recorder {
-	r := &Recorder{digest: st.Digest, count: st.Count, next: st.Next, full: st.Full}
-	if len(st.Ring) > 0 {
-		r.ring = append([]Event(nil), st.Ring...)
-	}
-	if r.next < 0 || r.next >= len(r.ring) {
-		// A corrupt snapshot must not make Add index out of range.
-		r.next = 0
-	}
-	return r
 }

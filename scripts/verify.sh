@@ -48,7 +48,9 @@ fi
 # in mem, no per-hart client objects, no client table in the
 # checkpoint), and machine state declared once (the live structs are the
 # checkpoint: no saved mirrors or copy functions, one invariant check
-# for restore and the tests), and bytes that cross the rpc hop as an
+# for restore and the tests; the trace recorder and the devices saved as
+# they stand, with no recorder or device state mirror and no optional
+# device capabilities), and bytes that cross the rpc hop as an
 # attachment (no base64 image, checkpoint or state field in dispatch's
 # JSON): the deleted second paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
@@ -57,7 +59,7 @@ fi
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment and has an HTTP loadClient of its own,
 # so those names are searched outside it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots|RecorderState|NewFromState|HasTrace|DeviceState|RestoreDeviceState|sensorState|actuatorState|\bStateful\b|\bArmed\b' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench' ||
     git grep -nE 'json:"(image|state|checkpoint)[",]' -- 'internal/dispatch/*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
@@ -250,7 +252,7 @@ go test ./internal/fuzzgen -run '^$' -fuzz FuzzDeterminism -fuzztime 5s -fuzzmin
 echo "verify: FuzzDeterminism smoke OK"
 # Hostile checkpoint bytes get a typed error or a machine that can be
 # stepped, never a panic. The seeds include the 24 KB
-# checkpoint_v6_8core.bin, so the minimizer is capped — by default it
+# checkpoint_v7_8core.bin, so the minimizer is capped — by default it
 # may spend a minute on one input.
 go test ./internal/lbp -run '^$' -fuzz FuzzReadCheckpoint -fuzztime 5s -fuzzminimizetime 1s
 echo "verify: FuzzReadCheckpoint smoke OK"
