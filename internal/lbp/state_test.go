@@ -176,7 +176,10 @@ func TestTraceRingRestoresItsPosition(t *testing.T) {
 		if _, err := m2.Advance(5); err != nil {
 			t.Fatal(err)
 		}
-		m3, _ := Restore(cp)
+		m3, err := Restore(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := m3.Advance(5); err != nil {
 			t.Fatal(err)
 		}

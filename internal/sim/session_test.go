@@ -541,7 +541,6 @@ func TestResumeHoldsTheRingBound(t *testing.T) {
 	if got := sess.Recorder().RingSize(); got != MaxTraceRing {
 		t.Errorf("resumed ring of %d events, want %d", got, MaxTraceRing)
 	}
-	sess = nil
 	cp := checkpoint(4 << 20)
 	if len(cp) > 5<<20 {
 		t.Errorf("the 4 Mi-event checkpoint is %d bytes, expected about 4.2 MB", len(cp))
