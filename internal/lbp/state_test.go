@@ -339,13 +339,29 @@ func TestCheckpointV7Format(t *testing.T) {
 	}
 }
 
-// TestRestoreV1Checkpoint: the retired formats — magic-less version 1,
-// LBPCKPT2 version 2 through LBPCKPT6 version 6 — are refused by name,
-// like any other bytes that are not a checkpoint.
+// TestCheckpointV6Format: version 6, the format the build before
+// version 7 wrote, saved the trace recorder and the devices through
+// mirror structs that are gone. A v6 stream — one a worker of that
+// build could still send — is refused by its magic as a typed
+// CheckpointError, before gob reads a byte of it.
+func TestCheckpointV6Format(t *testing.T) {
+	data := fixture(t, "checkpoint_v6_prefix.bin")
+	if !bytes.HasPrefix(data, []byte("LBPCKPT6")) {
+		t.Fatalf("fixture starts %q, want the LBPCKPT6 magic", data[:8])
+	}
+	m, err := Restore(data)
+	var ce *CheckpointError
+	if m != nil || !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-7 checkpoint") {
+		t.Fatalf("restore of a v6 stream: machine %v, %v; want no machine and the not-a-version-7-checkpoint CheckpointError", m != nil, err)
+	}
+}
+
+// TestRestoreV1Checkpoint: the older retired formats — magic-less
+// version 1, LBPCKPT2 version 2 through LBPCKPT5 version 5 — are
+// refused by name, like any other bytes that are not a checkpoint.
 func TestRestoreV1Checkpoint(t *testing.T) {
 	for _, name := range []string{"checkpoint_v1_prefix.bin", "checkpoint_v2_prefix.bin",
-		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin", "checkpoint_v5_prefix.bin",
-		"checkpoint_v6_prefix.bin"} {
+		"checkpoint_v3_prefix.bin", "checkpoint_v4_prefix.bin", "checkpoint_v5_prefix.bin"} {
 		_, err := Restore(fixture(t, name))
 		var ce *CheckpointError
 		if !errors.As(err, &ce) || !strings.Contains(err.Error(), "not a version-7 checkpoint") {

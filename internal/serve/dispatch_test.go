@@ -327,9 +327,30 @@ func TestPanickingJobIsAnAnswer(t *testing.T) {
 				defer stop1()
 				w2, addr2, stop2 := startWorkerBackend(t)
 				defer stop2()
-				_, coord, ts = newCoordinatorServer(t, Config{Cache: store},
-					dispatch.Config{Backends: []string{addr1, addr2}})
+				var srv *Server
+				srv, coord, ts = newCoordinatorServer(t, Config{Cache: store},
+					dispatch.Config{Backends: []string{addr1, addr2}, PerBackend: 1})
 				executors = []*dispatch.Executor{w1.Executor, w2.Executor}
+				// A backend dials when it sees work, so a lone job may
+				// leave the other one never connected. Two held jobs, one
+				// dispatcher per backend, connect both: the check below
+				// then sees whether the panics left both links up.
+				holdReq := JobRequest{Source: holdSource, Lang: "s", Cores: 1, MaxCycles: 1_000_000_000}
+				holds := []*held{hold(t, srv, holdReq), hold(t, srv, holdReq)}
+				// Cancel only once each worker runs its job: a cancel note
+				// that overtakes the start of its run is not remembered.
+				waitFor(t, "a held job on each worker", func() bool {
+					return w1.Executor.Metrics().MachinesOut == 1 && w2.Executor.Metrics().MachinesOut == 1
+				})
+				for _, h := range holds {
+					h.cancel()
+					if code, res := h.result(t); res.Status != StatusCanceled {
+						t.Fatalf("held job: HTTP %d status %q, want %q", code, res.Status, StatusCanceled)
+					}
+				}
+				waitFor(t, "held jobs stopped on the workers", func() bool {
+					return w1.Executor.Metrics().MachinesOut == 0 && w2.Executor.Metrics().MachinesOut == 0
+				})
 			}
 			bad := JobRequest{Source: panicSource, Lang: "s", Cores: 1}
 			for i := 0; i < 2; i++ {
