@@ -36,12 +36,10 @@ import (
 // Protocol method names (coordinator → worker over internal/rpc).
 const (
 	// MethodRun executes one Job and returns a Result. While it is
-	// pending the worker may push MethodCheckpoint notifications.
+	// pending the worker may push MethodCheckpoint notifications; a
+	// call the coordinator abandons (rpc's rpc.cancel) stops at the
+	// job's next slice boundary.
 	MethodRun = "lbp.run"
-	// MethodCancel is a client-to-worker notification: stop the named
-	// job at its next slice boundary (the pending MethodRun answers
-	// with StatusCanceled).
-	MethodCancel = "lbp.cancel"
 	// MethodCheckpoint is a worker-to-coordinator notification carrying
 	// a running job's latest streamed checkpoint.
 	MethodCheckpoint = "lbp.checkpoint"
@@ -202,8 +200,3 @@ type CheckpointNote struct {
 }
 
 func (n CheckpointNote) Attachment() []byte { return n.State }
-
-// CancelNote is the payload of a MethodCancel notification.
-type CancelNote struct {
-	ID string `json:"id"`
-}

@@ -80,9 +80,8 @@ func (r *remote) run(p *pending, job *Job) (*Result, error) {
 	case err == nil:
 		return &res, nil
 	case p.ctx.Err() != nil:
-		// The caller gave up mid-run: tell the worker to stop (its
-		// machine flows back to its pool).
-		_ = conn.Notify(MethodCancel, &CancelNote{ID: job.ID})
+		// The caller gave up mid-run, and Call told the worker to stop
+		// (its machine flows back to its pool): the link is fine.
 	case errors.Is(err, rpc.ErrFrameTooLarge):
 		// Nothing was sent and the link is fine: the job, as it stands,
 		// cannot cross it.

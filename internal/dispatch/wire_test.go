@@ -147,7 +147,7 @@ func TestCheckpointNoteCarriesStateAsAttachment(t *testing.T) {
 	if _, err := sim.Resume(f.att, sim.ResumeSpec{}); err != nil {
 		t.Errorf("the note's attachment does not restore: %v", err)
 	}
-	fmt.Fprintf(nc, `{"jsonrpc":"2.0","method":"lbp.cancel","params":{"id":"w"}}`+"\n")
+	fmt.Fprintf(nc, `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":1}}`+"\n")
 	for f.msg.Method == MethodCheckpoint {
 		f = readFrame(t, br)
 	}
@@ -156,6 +156,37 @@ func TestCheckpointNoteCarriesStateAsAttachment(t *testing.T) {
 	}
 	if err := json.Unmarshal(f.line, &res); err != nil || res.Result.Status != StatusCanceled {
 		t.Errorf("the run answered %.200q (%v), want canceled", f.line, err)
+	}
+}
+
+// TestCancelRightBehindItsRun: an rpc.cancel that arrives in the same
+// write as the lbp.run it names — read before the run can have started
+// — stops the run at once, and its machine goes back to the pool.
+func TestCancelRightBehindItsRun(t *testing.T) {
+	w, addr := startWorker(t)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+	img := imageOf(t, spinSource)
+	var frames bytes.Buffer
+	fmt.Fprintf(&frames, `{"jsonrpc":"2.0","id":1,"method":"lbp.run","params":{"id":"c","cores":1,"maxCycles":500000000},"attach":%d}`+"\n%s", len(img), img)
+	frames.WriteString(`{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":1}}` + "\n")
+	if _, err := nc.Write(frames.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	f := readFrame(t, bufio.NewReader(nc))
+	var res struct {
+		Result Result `json:"result"`
+	}
+	if err := json.Unmarshal(f.line, &res); err != nil || res.Result.Status != StatusCanceled {
+		t.Fatalf("the run answered %.200q (%v), want canceled", f.line, err)
+	}
+	t.Logf("answered %q", res.Result.Error)
+	if m := w.Metrics(); m.Canceled != 1 || m.MachinesOut != 0 {
+		t.Errorf("worker metrics: Canceled %d, MachinesOut %d; want 1 and 0", m.Canceled, m.MachinesOut)
 	}
 }
 

@@ -19,6 +19,11 @@
 //     Handler in its own goroutine and can push notifications back over
 //     the same connection while a call is still pending.
 //
+// A client sends one notification, the package's own rpc.cancel: Call
+// writes it after abandoning a call, and the server cancels that call's
+// handler context. The cancel follows its call on the same stream, so it
+// finds the call registered: it cannot overtake it.
+//
 // Failure semantics are deliberately coarse, because the dispatch layer
 // above needs exactly one distinction: a *Error return means the remote
 // handler ran and refused (terminal — retrying elsewhere would fail the
@@ -55,9 +60,9 @@ type message struct {
 }
 
 // Attacher is implemented by params that carry raw bytes: Call and
-// Notify send Attachment's bytes as the frame's attachment, after its
-// JSON line, so the field that holds them is left out of the JSON
-// (`json:"-"`). The receiving handler reads them with Attachment, a
+// ServerConn.Notify send Attachment's bytes as the frame's attachment,
+// after its JSON line, so the field that holds them is left out of the
+// JSON (`json:"-"`). The receiving handler reads them with Attachment, a
 // client's notify callback as its third argument.
 type Attacher interface {
 	Attachment() []byte
@@ -67,8 +72,8 @@ type Attacher interface {
 // its attachment.
 type attachmentKey struct{}
 
-// Attachment returns the raw bytes that arrived with the call or
-// notification a handler is serving, nil if none did. Like params, they
+// Attachment returns the raw bytes that arrived with the call a
+// handler is serving, nil if none did. Like params, they
 // are good until the handler returns: one that keeps them copies them.
 func Attachment(ctx context.Context) []byte {
 	b, _ := ctx.Value(attachmentKey{}).([]byte)
@@ -110,6 +115,9 @@ const MaxFrameBytes = 64 << 20
 // reader that meets such a frame has no way to skip it and closes the
 // connection.
 var ErrFrameTooLarge = errors.New("rpc: frame exceeds MaxFrameBytes")
+
+// methodCancel abandons the call whose id its params name: {"id": N}.
+const methodCancel = "rpc.cancel"
 
 // frameLimit is MaxFrameBytes; this package's TestMain lowers it so that
 // the refusals can be exercised without 64 MiB frames.
@@ -243,7 +251,6 @@ type Conn struct {
 	calls  map[uint64]chan *message
 	nextID uint64
 	err    error // set once the read loop exits
-	closed chan struct{}
 
 	notify func(method string, params json.RawMessage, attach []byte)
 }
@@ -266,7 +273,6 @@ func NewConn(nc net.Conn, notify func(method string, params json.RawMessage, att
 	c := &Conn{
 		c:      nc,
 		calls:  make(map[uint64]chan *message),
-		closed: make(chan struct{}),
 		notify: notify,
 	}
 	go c.readLoop()
@@ -326,7 +332,6 @@ func (c *Conn) fail(cause error) {
 		default:
 			c.err = fmt.Errorf("%w: %v", ErrClosed, cause)
 		}
-		close(c.closed)
 	}
 	pending := c.calls
 	c.calls = make(map[uint64]chan *message)
@@ -350,16 +355,13 @@ func (c *Conn) Err() error {
 	return c.err
 }
 
-// Closed is closed once the connection has died.
-func (c *Conn) Closed() <-chan struct{} { return c.closed }
-
 // Call invokes method on the peer and decodes the result into result
 // (which may be nil to discard it). A *Error return is the remote
 // handler's refusal; ErrFrameTooLarge means nothing was sent and the
 // connection lives on; any other error wraps ErrClosed (transport death)
-// or is the context's. On ctx expiry the call is abandoned — the remote
-// may still be running it; protocol-level cancellation is the caller's
-// business (see dispatch's cancel notifications).
+// or is the context's. On ctx expiry the call is abandoned: if it is
+// still outstanding, an rpc.cancel naming it follows, and the remote
+// handler's ctx is canceled (best effort: a dead link cancels it too).
 func (c *Conn) Call(ctx context.Context, method string, params, result any) error {
 	raw, buf, err := marshalParams(params)
 	if err != nil {
@@ -408,22 +410,16 @@ func (c *Conn) Call(ctx context.Context, method string, params, result any) erro
 		return nil
 	case <-ctx.Done():
 		c.mu.Lock()
+		_, outstanding := c.calls[id]
 		delete(c.calls, id)
 		c.mu.Unlock()
+		if outstanding {
+			c.wmu.Lock()
+			_ = writeFrame(c.c, &message{Method: methodCancel, Params: fmt.Appendf(nil, `{"id":%d}`, id)}, nil)
+			c.wmu.Unlock()
+		}
 		return ctx.Err()
 	}
-}
-
-// Notify sends a fire-and-forget notification to the peer.
-func (c *Conn) Notify(method string, params any) error {
-	raw, buf, err := marshalParams(params)
-	if err != nil {
-		return err
-	}
-	defer putBuffer(buf)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return writeFrame(c.c, &message{Method: method, Params: raw}, attachmentOf(params))
 }
 
 // attachmentOf returns the bytes params carry as an Attacher, or nil.
@@ -451,9 +447,9 @@ func marshalParams(params any) (raw json.RawMessage, buf *bytes.Buffer, err erro
 // Handler dispatches one incoming call. The returned value is encoded
 // as the result; a *Error return travels verbatim, any other error
 // becomes a CodeInternal *Error. ctx is canceled when the connection
-// dies, so long-running handlers stop working for a peer that will
-// never read the answer, and carries the call's attachment
-// (Attachment). params alias the frame's buffer, which is reused once
+// dies or the client abandons the call, so long-running handlers stop
+// working for a peer that will never read the answer, and carries the
+// call's attachment (Attachment). params alias the frame's buffer, which is reused once
 // the call is answered: a handler that keeps them past its return
 // copies them.
 type Handler interface {
@@ -569,12 +565,16 @@ func (s *Server) Close() error {
 
 // serveConn reads calls from one client and dispatches each to the
 // handler in its own goroutine, so a long-running job never blocks a
-// health probe on the same connection.
+// health probe on the same connection. Each call has its own context,
+// registered by id before its goroutine starts, which an rpc.cancel
+// read later on the stream cancels.
 func (s *Server) serveConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sc := &ServerConn{c: nc}
 	fr := newFrameReader(nc)
 	var wg sync.WaitGroup
+	var mu sync.Mutex                            // guards calls
+	calls := make(map[uint64]context.CancelFunc) // the calls in flight, by id
 	for {
 		frame, err := fr.next()
 		if err != nil {
@@ -585,32 +585,49 @@ func (s *Server) serveConn(nc net.Conn) {
 		buf := getBuffer()
 		buf.Write(frame)
 		var m request
+		var att []byte
 		err = json.Unmarshal(buf.Bytes(), &m)
-		callCtx := ctx
 		if err == nil && m.Attach != 0 {
-			// The call's own attachment, past the frame's line.
-			var att []byte
-			if att, err = fr.attachment(nil, buf.Len(), m.Attach); err == nil {
-				callCtx = context.WithValue(ctx, attachmentKey{}, att)
-			}
+			// The frame's attachment, past its line.
+			att, err = fr.attachment(nil, buf.Len(), m.Attach)
 		}
 		if err != nil {
 			putBuffer(buf)
 			break
 		}
-		if m.Method == "" {
+		if m.Method == "" || m.ID == nil {
+			// A stray response or a notification: only rpc.cancel is
+			// acted on, and one naming no call in flight is a no-op.
+			var p struct{ ID *uint64 }
+			if m.Method == methodCancel && json.Unmarshal(m.Params, &p) == nil && p.ID != nil {
+				mu.Lock()
+				if stop := calls[*p.ID]; stop != nil {
+					stop()
+				}
+				mu.Unlock()
+			}
 			putBuffer(buf)
-			continue // a stray response; nothing to do with it
+			continue
 		}
+		id := *m.ID
+		callCtx, stop := context.WithCancel(ctx)
+		if att != nil {
+			callCtx = context.WithValue(callCtx, attachmentKey{}, att)
+		}
+		mu.Lock()
+		calls[id] = stop
+		mu.Unlock()
 		wg.Add(1)
-		go func(ctx context.Context, m request, buf *bytes.Buffer) {
+		go func() {
 			defer wg.Done()
 			defer putBuffer(buf)
-			res, err := s.h.ServeRPC(ctx, sc, m.Method, json.RawMessage(m.Params))
-			if m.ID != nil {
-				_ = sc.reply(*m.ID, res, err)
-			}
-		}(callCtx, m, buf)
+			res, err := s.h.ServeRPC(callCtx, sc, m.Method, json.RawMessage(m.Params))
+			mu.Lock()
+			delete(calls, id)
+			mu.Unlock()
+			stop()
+			_ = sc.reply(id, res, err)
+		}()
 	}
 	cancel()
 	nc.Close()

@@ -20,9 +20,10 @@ import (
 
 // echoHandler implements the test server: "echo" returns its params,
 // "refuse" returns a *Error, "notify" pushes k notifications back,
-// "hang" blocks until its connection context cancels.
+// "hang" blocks until its call's context cancels.
 type echoHandler struct {
-	hung chan struct{} // receives once hang observes its cancel
+	started chan struct{} // closed once hang starts
+	hung    chan struct{} // receives once hang observes its cancel
 }
 
 func (h *echoHandler) ServeRPC(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
@@ -49,6 +50,9 @@ func (h *echoHandler) ServeRPC(ctx context.Context, conn *ServerConn, method str
 		}
 		return n, nil
 	case "hang":
+		if h.started != nil {
+			close(h.started)
+		}
 		<-ctx.Done()
 		if h.hung != nil {
 			h.hung <- struct{}{}
@@ -189,7 +193,7 @@ func TestNotificationsDuringCall(t *testing.T) {
 }
 
 func TestServerCloseFailsPendingCalls(t *testing.T) {
-	h := &echoHandler{hung: make(chan struct{}, 1)}
+	h := &echoHandler{started: make(chan struct{}), hung: make(chan struct{}, 1)}
 	addr, srv := startServer(t, h)
 	c, err := Dial(addr, nil)
 	if err != nil {
@@ -199,7 +203,7 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() { errc <- c.Call(context.Background(), "hang", nil, nil) }()
-	time.Sleep(10 * time.Millisecond) // let the call reach the handler
+	<-h.started
 	srv.Close()
 
 	if err := <-errc; !errors.Is(err, ErrClosed) {
@@ -215,15 +219,17 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 	if err := c.Call(context.Background(), "echo", nil, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call on dead connection returned %v, want ErrClosed", err)
 	}
-	select {
-	case <-c.Closed():
-	default:
-		t.Error("Closed() not signaled after transport death")
+	if c.Err() == nil {
+		t.Error("Err() is nil after transport death")
 	}
 }
 
+// TestCallContextCancel: a call abandoned by its ctx returns the ctx's
+// error, the handler's context is canceled (the client's rpc.cancel),
+// and the connection answers the next call.
 func TestCallContextCancel(t *testing.T) {
-	addr, _ := startServer(t, &echoHandler{})
+	h := &echoHandler{started: make(chan struct{}), hung: make(chan struct{}, 1)}
+	addr, _ := startServer(t, h)
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +239,15 @@ func TestCallContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- c.Call(ctx, "hang", nil, nil) }()
-	time.Sleep(10 * time.Millisecond)
+	<-h.started
 	cancel()
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled call returned %v, want context.Canceled", err)
+	}
+	select {
+	case <-h.hung:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler's context was never canceled after the call was abandoned")
 	}
 	// The connection survives an abandoned call.
 	if err := c.Call(context.Background(), "echo", map[string]any{}, nil); err != nil {
@@ -244,35 +255,31 @@ func TestCallContextCancel(t *testing.T) {
 	}
 }
 
+// TestClientNotification: a client notification other than rpc.cancel
+// never reaches the handler, and the connection stays up.
 func TestClientNotification(t *testing.T) {
-	// Client-to-server notifications dispatch to the handler with no
-	// reply; observable via a follow-up call ordering on the stream.
-	got := make(chan string, 1)
-	h := handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
-		if method == "note" {
-			var s string
-			json.Unmarshal(params, &s)
-			got <- s
-			return nil, nil
-		}
-		return "ok", nil
-	})
-	addr, _ := startServer(t, h)
-	c, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
+	var seen []string // read once serveConn has returned
+	srv := NewServer(handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
+		seen = append(seen, method)
+		return "pong", nil
+	}))
+	cl, sv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(sv)
+	}()
+	cl.SetDeadline(time.Now().Add(5 * time.Second))
+	go io.WriteString(cl, `{"jsonrpc":"2.0","method":"note","params":"hello"}`+"\n"+
+		`{"jsonrpc":"2.0","id":1,"method":"ping"}`+"\n")
+	line, err := bufio.NewReader(cl).ReadString('\n')
+	if err != nil || !strings.Contains(line, `"id":1`) || !strings.Contains(line, "pong") {
+		t.Errorf("the call after the notification answered %q, %v", line, err)
 	}
-	defer c.Close()
-	if err := c.Notify("note", "hello"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case s := <-got:
-		if s != "hello" {
-			t.Errorf("notification carried %q, want hello", s)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("notification never reached the handler")
+	cl.Close()
+	<-done
+	if fmt.Sprint(seen) != "[ping]" {
+		t.Errorf("the handler saw %v, want only the call [ping]", seen)
 	}
 }
 
@@ -292,9 +299,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestOversizeFrameWriteLeavesConnectionAlive: a frame over the bound is
-// refused before a byte of it is written — by Call, by Notify in either
-// direction and by a handler's reply, whose caller gets the refusal as
-// its answer — and the same connection then completes a call.
+// refused before a byte of it is written — by Call, by a server's
+// Notify and by a handler's reply, whose caller gets the refusal as its
+// answer — and the same connection then completes a call.
 func TestOversizeFrameWriteLeavesConnectionAlive(t *testing.T) {
 	addr, _ := startServer(t, handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
 		switch method {
@@ -321,16 +328,10 @@ func TestOversizeFrameWriteLeavesConnectionAlive(t *testing.T) {
 	if err := c.Call(ctx, "echo", big, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversize Call: %v, want ErrFrameTooLarge", err)
 	}
-	if err := c.Notify("echo", big); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("oversize Notify: %v, want ErrFrameTooLarge", err)
-	}
 	// An attachment counts against the same bound as the line it follows.
 	over := attached{Data: make([]byte, frameLimit-20)} // the line is longer than 20 bytes
 	if err := c.Call(ctx, "echo", over, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("Call whose attachment overflows the bound: %v, want ErrFrameTooLarge", err)
-	}
-	if err := c.Notify("echo", over); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("Notify whose attachment overflows the bound: %v, want ErrFrameTooLarge", err)
 	}
 	var re *Error
 	if err := c.Call(ctx, "big-reply", nil, nil); !errors.As(err, &re) || !strings.Contains(re.Message, "MaxFrameBytes") {
@@ -400,9 +401,8 @@ type attached struct {
 func (a attached) Attachment() []byte { return a.Data }
 
 // TestAttachmentRoundTrip: an Attacher's bytes cross after the JSON
-// line, not in it, and arrive unchanged in every direction — a call's
-// to its handler, a client notification's to its handler, a server
-// notification's to the notify callback.
+// line, not in it, and arrive unchanged in both directions — a call's
+// to its handler, a server notification's to the notify callback.
 func TestAttachmentRoundTrip(t *testing.T) {
 	data := make([]byte, 300<<10) // past the 64 KiB first step of the reader
 	for i := range data {
@@ -444,11 +444,11 @@ func TestAttachmentRoundTrip(t *testing.T) {
 	if err := c.Call(ctx, "plain", attached{Name: "x"}, &ok); err != nil || !ok {
 		t.Errorf("an empty attachment must arrive as none: nil=%v err=%v", ok, err)
 	}
-	if err := c.Notify("note", attached{Name: "x", Data: data}); err != nil {
+	if err := c.Call(ctx, "note", attached{Name: "x", Data: data}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := <-noted; !bytes.Equal(got, data) {
-		t.Errorf("notification attachment: %d bytes, want the %d sent", len(got), len(data))
+		t.Errorf("call attachment kept by the handler: %d bytes, want the %d sent", len(got), len(data))
 	}
 	if err := c.Call(ctx, "notify-back", nil, nil); err != nil {
 		t.Fatal(err)
@@ -460,24 +460,28 @@ func TestAttachmentRoundTrip(t *testing.T) {
 
 // hostileAttachments are frames whose attachment a reader must refuse
 // (closed: the connection ends, nothing is delivered) or read past
-// (the stream stays in step: what follows is answered).
+// (the stream stays in step: what follows is answered). A server hands
+// only a call's attachment to its handler and reads a notification's
+// and drops it; a client hands only a notification's to its callback.
 var hostileAttachments = []struct {
 	name   string
 	frame  string
 	closed bool
-	notes  []string // the attachments "note" notifications deliver
+	served []string // the attachments a server's "note" handler sees
+	notes  []string // the attachments a client's "note" callback sees
 }{
-	{"negative", `{"jsonrpc":"2.0","method":"note","params":{},"attach":-1}` + "\n", true, nil},
-	{"a string", `{"jsonrpc":"2.0","method":"note","params":{},"attach":"3"}` + "\nabc", true, nil},
-	{"a fraction", `{"jsonrpc":"2.0","method":"note","params":{},"attach":1.5}` + "\nabc", true, nil},
-	{"an exponent", `{"jsonrpc":"2.0","method":"note","params":{},"attach":3e0}` + "\nabc", true, nil},
-	{"past int64", `{"jsonrpc":"2.0","method":"note","params":{},"attach":99999999999999999999}` + "\n", true, nil},
-	{"int64 max", `{"jsonrpc":"2.0","method":"note","params":{},"attach":9223372036854775807}` + "\n", true, nil},
-	{"over the bound", fmt.Sprintf(`{"jsonrpc":"2.0","method":"note","params":{},"attach":%d}`+"\n", 2<<20), true, nil},
-	{"cut short by EOF", `{"jsonrpc":"2.0","method":"note","params":{},"attach":100}` + "\nshort", true, nil},
-	{"on a stray response", `{"jsonrpc":"2.0","id":7,"result":{},"attach":5}` + "\nABCDE", false, nil},
-	{"on a notification", `{"jsonrpc":"2.0","method":"note","params":{},"attach":3}` + "\nxyz", false, []string{"xyz"}},
-	{"zero", `{"jsonrpc":"2.0","method":"note","params":{},"attach":0}` + "\n", false, []string{""}},
+	{"negative", `{"jsonrpc":"2.0","method":"note","params":{},"attach":-1}` + "\n", true, nil, nil},
+	{"a string", `{"jsonrpc":"2.0","method":"note","params":{},"attach":"3"}` + "\nabc", true, nil, nil},
+	{"a fraction", `{"jsonrpc":"2.0","method":"note","params":{},"attach":1.5}` + "\nabc", true, nil, nil},
+	{"an exponent", `{"jsonrpc":"2.0","method":"note","params":{},"attach":3e0}` + "\nabc", true, nil, nil},
+	{"past int64", `{"jsonrpc":"2.0","method":"note","params":{},"attach":99999999999999999999}` + "\n", true, nil, nil},
+	{"int64 max", `{"jsonrpc":"2.0","method":"note","params":{},"attach":9223372036854775807}` + "\n", true, nil, nil},
+	{"over the bound", fmt.Sprintf(`{"jsonrpc":"2.0","method":"note","params":{},"attach":%d}`+"\n", 2<<20), true, nil, nil},
+	{"cut short by EOF", `{"jsonrpc":"2.0","method":"note","params":{},"attach":100}` + "\nshort", true, nil, nil},
+	{"on a stray response", `{"jsonrpc":"2.0","id":7,"result":{},"attach":5}` + "\nABCDE", false, nil, nil},
+	{"on a notification", `{"jsonrpc":"2.0","method":"note","params":{},"attach":3}` + "\nxyz", false, nil, []string{"xyz"}},
+	{"zero", `{"jsonrpc":"2.0","method":"note","params":{},"attach":0}` + "\n", false, nil, []string{""}},
+	{"on a call", `{"jsonrpc":"2.0","id":5,"method":"note","params":{},"attach":3}` + "\nxyz", false, []string{"xyz"}, nil},
 }
 
 // TestHostileAttachments: each hostile attachment, sent to a server
@@ -513,7 +517,11 @@ func TestHostileAttachments(t *testing.T) {
 				cl.Write([]byte(probe))
 			}()
 			cl.SetReadDeadline(time.Now().Add(5 * time.Second))
-			line, err := bufio.NewReader(cl).ReadString('\n')
+			br := bufio.NewReader(cl)
+			line, err := br.ReadString('\n')
+			for err == nil && !strings.Contains(line, `"id":99`) {
+				line, err = br.ReadString('\n') // past the answer to a call in the frame
+			}
 			switch {
 			case tc.closed && (err == nil || errors.Is(err, os.ErrDeadlineExceeded)):
 				t.Errorf("the server kept the connection: read %q, %v", line, err)
@@ -523,7 +531,7 @@ func TestHostileAttachments(t *testing.T) {
 			cl.Close()
 			<-done
 			close(notes)
-			checkNotes(t, notes, tc.notes)
+			checkNotes(t, notes, tc.served)
 		})
 		t.Run("client/"+tc.name, func(t *testing.T) {
 			notes := make(chan string, 1)
@@ -623,12 +631,88 @@ func TestOversizeAttachmentReadHoldsOneBound(t *testing.T) {
 	}
 }
 
+// hostileCancels are rpc.cancel frames sent while call 1 ("hang") is in
+// flight and call 2 has been answered. Only the last row names a call
+// in flight; every other one must cancel nothing and leave the
+// connection answering.
+var hostileCancels = []struct {
+	name     string
+	frames   string
+	canceled bool // whether call 1's context ends
+}{
+	{"an unknown id", `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":12345}}` + "\n", false},
+	{"a string id", `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":"x"}}` + "\n", false},
+	{"a negative id", `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":-1}}` + "\n", false},
+	{"no params", `{"jsonrpc":"2.0","method":"rpc.cancel"}` + "\n", false},
+	{"null params", `{"jsonrpc":"2.0","method":"rpc.cancel","params":null}` + "\n", false},
+	{"an id of its own", `{"jsonrpc":"2.0","id":7,"method":"rpc.cancel","params":{"id":1}}` + "\n", false},
+	{"an answered call", `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":2}}` + "\n", false},
+	{"1000 in a row", func() string {
+		var b strings.Builder
+		for id := 2; id < 1002; id++ {
+			fmt.Fprintf(&b, `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":%d}}`+"\n", id)
+		}
+		return b.String()
+	}(), false},
+	{"the call in flight", `{"jsonrpc":"2.0","method":"rpc.cancel","params":{"id":1}}` + "\n", true},
+}
+
+// TestHostileCancels sends each of hostileCancels to a server
+// connection, then a probe call: the probe is answered, and call 1's
+// context has ended only if the row named it. The read loop handles a
+// cancel before it reads the probe, so the check after the probe's
+// answer is exact.
+func TestHostileCancels(t *testing.T) {
+	for _, tc := range hostileCancels {
+		t.Run(tc.name, func(t *testing.T) {
+			hung := make(chan context.Context, 1)
+			srv := NewServer(handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
+				if method == "hang" {
+					hung <- ctx
+					<-ctx.Done()
+					return nil, ctx.Err()
+				}
+				return method, nil
+			}))
+			cl, sv := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.serveConn(sv)
+			}()
+			cl.SetDeadline(time.Now().Add(10 * time.Second))
+			br := bufio.NewReader(cl)
+			await := func(id string) {
+				t.Helper()
+				for {
+					line, err := br.ReadString('\n')
+					if err != nil {
+						t.Fatalf("waiting for the answer to call %s: %v", id, err)
+					}
+					if strings.Contains(line, `"id":`+id+`,`) {
+						return
+					}
+				}
+			}
+			go io.WriteString(cl, `{"jsonrpc":"2.0","id":1,"method":"hang"}`+"\n"+`{"jsonrpc":"2.0","id":2,"method":"echo"}`+"\n")
+			await("2")
+			call := <-hung // registered before call 2 was read
+			go io.WriteString(cl, tc.frames+`{"jsonrpc":"2.0","id":99,"method":"probe"}`+"\n")
+			await("99")
+			if got := call.Err() != nil; got != tc.canceled {
+				t.Errorf("call 1 canceled = %v, want %v", got, tc.canceled)
+			}
+			cl.Close()
+			<-done
+		})
+	}
+}
+
 // FuzzRPCFrame: whatever bytes arrive on a connection, the server reads
 // them in bounded memory, answers or drops each frame, and is done with
 // the connection once the peer is — no panic, no hang.
 func FuzzRPCFrame(f *testing.F) {
 	f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"echo","params":{"k":"v"}}` + "\n"))
-	f.Add([]byte(`{"jsonrpc":"2.0","method":"lbp.cancel","params":{"id":"x"}}` + "\n"))
 	f.Add([]byte(`{"jsonrpc":"2.0","id":7,"result":{"status":"ok"}}` + "\n"))
 	f.Add([]byte(`{"jsonrpc":"2.0","id":2,"method":"echo","params":{"image":"` + strings.Repeat("A", 1<<20) + `"}}` + "\n"))
 	f.Add([]byte(`{"jsonrpc":"2.0","id":1,"method":"lbp.run","params":{"id":"x","image":"AAAAAAAA`))
@@ -636,6 +720,9 @@ func FuzzRPCFrame(f *testing.F) {
 		`{"jsonrpc":"2.0","id":2,"method":"echo","params":{}}` + "\n"))
 	for _, tc := range hostileAttachments {
 		f.Add([]byte(tc.frame))
+	}
+	for _, tc := range hostileCancels {
+		f.Add([]byte(tc.frames))
 	}
 	srv := NewServer(handlerFunc(func(ctx context.Context, conn *ServerConn, method string, params json.RawMessage) (any, error) {
 		return params, nil

@@ -337,8 +337,8 @@ func TestPanickingJobIsAnAnswer(t *testing.T) {
 				// then sees whether the panics left both links up.
 				holdReq := JobRequest{Source: holdSource, Lang: "s", Cores: 1, MaxCycles: 1_000_000_000}
 				holds := []*held{hold(t, srv, holdReq), hold(t, srv, holdReq)}
-				// Cancel only once each worker runs its job: a cancel note
-				// that overtakes the start of its run is not remembered.
+				// Cancel only once each worker runs its job, so that both
+				// links are up when the panics are posted.
 				waitFor(t, "a held job on each worker", func() bool {
 					return w1.Executor.Metrics().MachinesOut == 1 && w2.Executor.Metrics().MachinesOut == 1
 				})

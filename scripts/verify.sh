@@ -52,14 +52,16 @@ fi
 # they stand, with no recorder or device state mirror and no optional
 # device capabilities), and bytes that cross the rpc hop as an
 # attachment (no base64 image, checkpoint or state field in dispatch's
-# JSON): the deleted second paths must not grow back.
+# JSON), and a call's cancel in internal/rpc alone (rpc.cancel; no
+# dispatch cancel note and no worker cancel map): the deleted second
+# paths must not grow back.
 # (The parent's encTable, controlMn and parseLine live on as the test
 # references refEncTable, parentControlMn and parentParseLine, and
 # figures keeps an unexported noFastForward, which the case-sensitive
 # pattern does not match. The frozen bench/ still names the deleted
 # DefaultMaxCycles in a comment and has an HTTP loadClient of its own,
 # so those names are searched outside it.)
-if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots|RecorderState|NewFromState|HasTrace|DeviceState|RestoreDeviceState|sensorState|actuatorState|\bStateful\b|\bArmed\b' -- '*.go' ||
+if git grep -nE 'restoreV1|checkpointV1|MethodPing|decodeCache|sharedImage|buildRing|StealDepth|encTable|controlMn|liSize|RecordThroughput|ThroughputRepeats|\bAblationPoint\b|AblationRow|LocalityRow|hostInfo|WallTimeSec|parseLine|substReg|substDest|insertBeforeData|EmitComments|R1UpReq|ensureBackward|copyLevels|makeLevels|swreMsg|startMsg|signalMsg|joinMsg|pendSwre|noopEmit|noopTick|lbp-front-key-v1|maxPooledCores|codeHi|SetCapacity|NoFastForward|applyHostKnobs|pool-per-key|PoolPerKey|checkpointShard|CaptureBankRange|RestoreBankRange|WriteCheckpoint|\bReadCheckpoint\(|Campaign\(|CampaignStats|WriteCorpus|CheckOptions|pendItem|pendKind|applyDeferred|deferHalt|\.evbuf\b|flushZeros|foldWord|fnvPow|newUop|freeUop|removeFromIT|\[\]\*uop|busySum|\balu\(isa\.|\bbr\(isa\.|\bLoadClient\b|DoneClient|LoadFunc|DoneFunc|saveClient|restoreClient|savedClient|MemClients|savedHart|savedUop|savedCore|saveHart|restoreHart|robIndex|\bslotOf\b|checkClients|EventState|checkSlots|RecorderState|NewFromState|HasTrace|DeviceState|RestoreDeviceState|sensorState|actuatorState|\bStateful\b|\bArmed\b|MethodCancel|CancelNote|lbp\.cancel|running sync\.Map' -- '*.go' ||
     git grep -nE 'DefaultMaxCycles|loadClient|storeClient' -- '*.go' ':!bench' ||
     git grep -nE 'json:"(image|state|checkpoint)[",]' -- 'internal/dispatch/*.go'; then
     echo "verify: a deleted path is back (see the matches above)" >&2
